@@ -14,12 +14,8 @@ __version__ = "0.1.0"
 from .errors import BDHeightError, CapacityError, ParameterError, SimulationAbort
 from .model import (
     ModelParams,
-    StationaryLaw,
-    jump_down_prob,
-    jump_up_prob,
     jump_up_probs,
     make_params,
-    stationary_pmf,
 )
 from .exactdist import (
     HeightDistribution,
@@ -27,15 +23,10 @@ from .exactdist import (
     exact_rational_distribution,
     height_distribution,
     log_r_term,
-    moments,
-    survival,
 )
 from .oracle import (
-    FirstPassageSystem,
     conditional_ascent_probs,
-    first_passage_prob,
     height_dist_oracle,
-    solve_first_passage_system,
 )
 from .asymptotics import (
     AlphaSolution,
@@ -62,18 +53,14 @@ from .simulate import (
     dkw_epsilon,
     estimate_mean_excursion_steps,
     run_batch,
-    sample_excursion_ctmc,
-    sample_height,
 )
 
 __all__ = [
     "__version__",
     "BDHeightError", "CapacityError", "ParameterError", "SimulationAbort",
-    "ModelParams", "StationaryLaw", "make_params", "stationary_pmf",
-    "jump_up_prob", "jump_down_prob", "jump_up_probs",
+    "ModelParams", "make_params", "jump_up_probs",
     "HeightDistribution", "RationalHeightDistribution", "height_distribution",
-    "survival", "moments", "log_r_term", "exact_rational_distribution",
-    "FirstPassageSystem", "first_passage_prob", "solve_first_passage_system",
+    "log_r_term", "exact_rational_distribution",
     "height_dist_oracle", "conditional_ascent_probs",
     "AlphaSolution", "BoundConstants", "BoundReport", "solve_alpha",
     "height_fraction_limit", "variance_limit", "bound_constants",
@@ -81,7 +68,6 @@ __all__ = [
     "convergence_table", "concentration_window", "concentration_mass",
     "wlln_tail_mass",
     "LADDER", "JUMP_CHAIN", "FULL_CTMC",
-    "SimulationConfig", "SimulationSummary", "run_batch",
-    "sample_height", "sample_excursion_ctmc", "dkw_epsilon",
+    "SimulationConfig", "SimulationSummary", "run_batch", "dkw_epsilon",
     "estimate_mean_excursion_steps",
 ]

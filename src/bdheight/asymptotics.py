@@ -130,18 +130,23 @@ class BoundReport:
     note: str = ""
 
     def to_dict(self) -> dict:
+        """JSON-ready fields; a NaN (no value) becomes None, i.e. ``null``."""
         return {
             "inequality": self.inequality,
             "n": self.n,
             "rho": self.rho,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "margin": self.margin,
+            "lhs": _or_none(self.lhs),
+            "rhs": _or_none(self.rhs),
+            "margin": _or_none(self.margin),
             "passed": self.passed,
             "applicable": self.applicable,
-            "floor_margin": self.floor_margin,
+            "floor_margin": _or_none(self.floor_margin),
             "note": self.note,
         }
+
+
+def _or_none(x: float) -> float | None:
+    return None if math.isnan(x) else x
 
 
 @dataclass(frozen=True)

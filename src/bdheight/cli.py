@@ -52,12 +52,13 @@ def _manifest(command: str, parameters: dict, data_bytes: bytes) -> dict:
 
 
 def _canonical(data) -> bytes:
-    return json.dumps(data, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return json.dumps(data, sort_keys=True, separators=(",", ":"),
+                      allow_nan=False).encode("utf-8")
 
 
 def _emit_json(command: str, parameters: dict, data, output: str | None) -> None:
     doc = {"manifest": _manifest(command, parameters, _canonical(data)), "data": data}
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if output:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -72,7 +73,7 @@ def _emit_csv(command: str, parameters: dict, header: list[str],
     body_lines += [f"# {key}={_fmt(value)}" for key, value in footer.items()]
     body = "\n".join(body_lines) + "\n"
     manifest = _manifest(command, parameters, body.encode("utf-8"))
-    text = "# manifest: " + json.dumps(manifest, sort_keys=True) + "\n" + body
+    text = "# manifest: " + json.dumps(manifest, sort_keys=True, allow_nan=False) + "\n" + body
     if output:
         with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -186,13 +187,13 @@ def _verify_checks(rhos: list[float], ns: list[int], corrupt: bool) -> list[dict
             checks.append(asymptotics.check_mean_bounds(n, rho, d.mean).to_dict())
         if rho < 1.0:
             ratios = [asymptotics.stirling_ratio(n, rho) for n in ns if n >= 2]
-            band = max(ratios) / min(ratios) if ratios else math.nan
+            band = max(ratios) / min(ratios) if ratios else None
             checks.append({
                 "inequality": "peak_term_sqrt_band",
                 "n": max(ns), "rho": rho,
                 "lhs": band, "rhs": _STIRLING_BAND_FACTOR,
-                "margin": _STIRLING_BAND_FACTOR - band,
-                "passed": band <= _STIRLING_BAND_FACTOR,
+                "margin": None if band is None else _STIRLING_BAND_FACTOR - band,
+                "passed": band is not None and band <= _STIRLING_BAND_FACTOR,
                 "applicable": len(ratios) >= 2,
                 "floor_margin": None,
                 "note": f"ratios t(h_n)/sqrt(n) over n in {sorted(n for n in ns if n >= 2)}",
@@ -357,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
                      default=simulate.LADDER)
     sub.add_argument("--workers", type=int, default=None,
                      help="worker threads (default: $BDHEIGHT_WORKERS or 1); "
-                          "never affects the output bytes")
+                          "never affects the data section or its checksum")
     sub.add_argument("--delta", type=float, default=0.01,
                      help="ECDF band confidence parameter")
     sub.add_argument("--assert", dest="assert_dkw", action="store_true",

@@ -59,9 +59,7 @@ __all__ = [
     "RationalHeightDistribution",
     "log_r_term",
     "r_term_turning_point",
-    "survival",
     "height_distribution",
-    "moments",
     "exact_rational_distribution",
     "RATIONAL_CAP_DEFAULT",
 ]
@@ -155,17 +153,6 @@ def _log_survival_vector(N: int, rho: float) -> np.ndarray:
     return -np.logaddexp.accumulate(_log_terms(N, rho))
 
 
-def survival(p: ModelParams, k: int) -> float:
-    """P(H >= k) for a single level k in [1, N]."""
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-        raise ParameterError(f"k must be an integer in [1, {p.N}], got {k!r}")
-    k = int(k)
-    if not 1 <= k <= p.N:
-        raise ParameterError(f"k must be in [1, {p.N}], got {k}")
-    log_s = np.logaddexp.reduce(_log_terms(p.N, p.rho)[:k])
-    return float(math.exp(-log_s))
-
-
 def height_distribution(p: ModelParams) -> HeightDistribution:
     """Full law of H in one O(N) forward sweep."""
     ls = _log_survival_vector(p.N, p.rho)
@@ -179,19 +166,6 @@ def height_distribution(p: ModelParams) -> HeightDistribution:
     var = float(np.sum((k - mean) ** 2 * pmf))
     return HeightDistribution(N=p.N, rho=p.rho, log_survival=ls, pmf=pmf,
                               mean=mean, variance=var)
-
-
-def moments(d: HeightDistribution) -> tuple[float, float]:
-    """(mean, variance) recomputed from the stored vectors.
-
-    The mean is the survival sum, the variance the centered second moment
-    of the pmf; both match the fields frozen on the distribution and
-    exist separately so tests can cross-check the stored values.
-    """
-    mean = math.fsum(np.exp(d.log_survival))
-    k = np.arange(1, d.N + 1, dtype=float)
-    var = float(np.sum((k - mean) ** 2 * d.pmf))
-    return mean, var
 
 
 def exact_rational_distribution(N: int, rho_num: int, rho_den: int,

@@ -3,13 +3,8 @@
 The chain lives on the states {0, 1, ..., N}.  In state i each of the
 N - i idle nodes becomes busy at rate nu and each of the i busy nodes
 frees up at rate mu, so the total birth rate is (N - i) * nu and the
-total death rate is i * mu.  With rho = nu / mu the chain is ergodic and
-its stationary law is binomial,
-
-    pi_k = C(N, k) * rho**k / (1 + rho)**N,    k = 0..N,
-
-i.e. Binomial(N, rho / (1 + rho)).  The embedded jump chain moves from
-state i (0 < i < N) up with probability
+total death rate is i * mu; write rho = nu / mu.  The embedded jump
+chain moves from state i (0 < i < N) up with probability
 
     p_i = (N - i) * rho / (i + (N - i) * rho)
 
@@ -29,17 +24,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .errors import ParameterError
 
 __all__ = [
     "ModelParams",
-    "StationaryLaw",
     "make_params",
-    "stationary_pmf",
-    "jump_up_prob",
-    "jump_down_prob",
     "jump_up_probs",
 ]
 
@@ -61,16 +51,6 @@ class ModelParams:
     nu: float
     mu: float
     rho: float
-
-
-@dataclass(frozen=True)
-class StationaryLaw:
-    """Stationary distribution over states 0..N (read-only vector)."""
-
-    probs: np.ndarray
-
-    def __post_init__(self):
-        self.probs.flags.writeable = False
 
 
 def _positive_rate(name: str, value) -> float:
@@ -113,58 +93,8 @@ def make_params(N: int, nu: float | None = None, mu: float | None = None,
     return ModelParams(N=N, nu=nu_f, mu=mu_f, rho=nu_f / mu_f)
 
 
-def stationary_pmf(p: ModelParams) -> StationaryLaw:
-    """Stationary law pi_k = C(N, k) rho^k / (1 + rho)^N.
-
-    This is Binomial(N, rho / (1 + rho)); evaluated through scipy's
-    log-domain saddle-point pmf, which keeps the normalization error
-    near machine precision up to N ~ 1e7.  Forming the log-binomial from
-    three log-gamma values and exponentiating loses ~1e-9 of mass at
-    N = 1e6 to cancellation of the ~1e7-magnitude logs, so that simpler
-    route is deliberately not used.
-    """
-    k = np.arange(p.N + 1)
-    probs = stats.binom.pmf(k, p.N, p.rho / (1.0 + p.rho))
-    return StationaryLaw(probs=probs)
-
-
-def _check_state(p: ModelParams, i: int) -> int:
-    if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
-        raise ParameterError(f"state must be an integer in [0, {p.N}], got {i!r}")
-    i = int(i)
-    if not 0 <= i <= p.N:
-        raise ParameterError(f"state must be in [0, {p.N}], got {i}")
-    return i
-
-
-def jump_up_prob(p: ModelParams, i: int) -> float:
-    """Probability that the jump chain moves i -> i + 1.
-
-    Equals 1 at i = 0, 0 at i = N, and (N-i) rho / (i + (N-i) rho) in
-    between.
-    """
-    i = _check_state(p, i)
-    if i == 0:
-        return 1.0
-    if i == p.N:
-        return 0.0
-    up_weight = (p.N - i) * p.rho
-    return up_weight / (i + up_weight)
-
-
-def jump_down_prob(p: ModelParams, i: int) -> float:
-    """Probability that the jump chain moves i -> i - 1 (complement of up)."""
-    i = _check_state(p, i)
-    if i == 0:
-        return 0.0
-    if i == p.N:
-        return 1.0
-    up_weight = (p.N - i) * p.rho
-    return i / (i + up_weight)
-
-
 def jump_up_probs(p: ModelParams) -> np.ndarray:
-    """Vector of up-move probabilities for all states 0..N at once."""
+    """Up-move probabilities p_i for all states i = 0..N (1 at 0, 0 at N)."""
     up = np.empty(p.N + 1)
     up[0] = 1.0
     up[p.N] = 0.0

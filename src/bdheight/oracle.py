@@ -9,7 +9,9 @@ boundary-value system
 which a forward Thomas sweep reduces to cumulative products of the
 per-state descent/ascent odds q_i / p_i.  No closed form for those
 products is used anywhere here; the probabilities p_i, q_i come straight
-from the jump matrix.
+from the jump matrix.  One O(N) sweep yields the partial sums S_k for
+every target k at once: P(H >= k) = 1 / S_k, and the solution of the
+system for target k is h[i] = S_i / S_k.
 
 The sweep runs in log space.  The raw odds products dip below the double
 underflow threshold already for N in the low thousands, and the popular
@@ -19,6 +21,10 @@ valley, after which rounding noise is amplified by a factor q/p per
 state and the solution is garbage.  Accumulating log-odds and
 log-sum-exp partial sums is immune to both failure modes.
 
+The ladder sampler's input, ``conditional_ascent_probs``, has no size
+cap, since the sweep is linear in N.  ``height_dist_oracle`` still
+refuses N above ``cap`` (default 2000) unless the caller raises it.
+
 This module intentionally does not import the closed-form module
 (:mod:`bdheight.exactdist`); their agreement is the package's strongest
 correctness check and is meaningful only while the two code paths stay
@@ -27,17 +33,12 @@ independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import CapacityError, ParameterError
+from .errors import CapacityError
 from .model import ModelParams, jump_up_probs
 
 __all__ = [
-    "FirstPassageSystem",
-    "first_passage_prob",
-    "solve_first_passage_system",
     "height_dist_oracle",
     "conditional_ascent_probs",
     "ORACLE_CAP_DEFAULT",
@@ -46,67 +47,17 @@ __all__ = [
 ORACLE_CAP_DEFAULT = 2000
 
 
-@dataclass(frozen=True)
-class FirstPassageSystem:
-    """Solved hitting system for one target level k.
+def _log_hitting_sums(p: ModelParams) -> np.ndarray:
+    """log of the elimination partial sums for targets 1..N.
 
-    ``h[i] = P(hit k before 0 | start at i)`` for i = 0..k, with
-    h[0] = 0 and h[k] = 1.  ``up``/``down`` hold p_i, q_i for the
-    interior states i = 1..k-1.
-    """
-
-    k: int
-    up: np.ndarray
-    down: np.ndarray
-    h: np.ndarray
-
-    def __post_init__(self):
-        self.up.flags.writeable = False
-        self.down.flags.writeable = False
-        self.h.flags.writeable = False
-
-
-def _check_level(p: ModelParams, k: int) -> int:
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)):
-        raise ParameterError(f"k must be an integer in [1, {p.N}], got {k!r}")
-    k = int(k)
-    if not 1 <= k <= p.N:
-        raise ParameterError(f"k must be in [1, {p.N}], got {k}")
-    return k
-
-
-def _log_hitting_sums(p: ModelParams, kmax: int) -> np.ndarray:
-    """log of the elimination partial sums for targets 1..kmax.
-
-    Entry k-1 is log sum_{i=0}^{k-1} g_i where g_0 = 1 and
+    Entry k-1 is log S_k = log sum_{i=0}^{k-1} g_i where g_0 = 1 and
     g_i = prod_{m<=i} q_m / p_m; P(hit k before 0 | start 1) is the
     reciprocal of that sum.
     """
-    up = jump_up_probs(p)
-    if kmax == 1:
-        return np.zeros(1)
-    pi = up[1:kmax]
-    log_odds = np.log1p(-pi) - np.log(pi)          # log(q_i / p_i), i = 1..kmax-1
+    pi = jump_up_probs(p)[1:p.N]
+    log_odds = np.log1p(-pi) - np.log(pi)          # log(q_i / p_i), i = 1..N-1
     log_g = np.concatenate(([0.0], np.cumsum(log_odds)))
     return np.logaddexp.accumulate(log_g)
-
-
-def first_passage_prob(p: ModelParams, k: int) -> float:
-    """P(the excursion from state 1 reaches k before returning to 0)."""
-    k = _check_level(p, k)
-    return float(np.exp(-_log_hitting_sums(p, k)[k - 1]))
-
-
-def solve_first_passage_system(p: ModelParams, k: int) -> FirstPassageSystem:
-    """Full solution vector of the hitting system for target level k."""
-    k = _check_level(p, k)
-    log_sums = _log_hitting_sums(p, k)
-    h = np.empty(k + 1)
-    h[0] = 0.0
-    # h[i] = S_i / S_k (ratios of elimination sums); h[k] comes out exactly 1.
-    h[1:] = np.exp(log_sums - log_sums[k - 1])
-    up = jump_up_probs(p)
-    return FirstPassageSystem(k=k, up=up[1:k].copy(), down=1.0 - up[1:k], h=h)
 
 
 def height_dist_oracle(p: ModelParams, *, cap: int = ORACLE_CAP_DEFAULT) -> np.ndarray:
@@ -115,19 +66,15 @@ def height_dist_oracle(p: ModelParams, *, cap: int = ORACLE_CAP_DEFAULT) -> np.n
         raise CapacityError(
             f"first-passage oracle is capped at N = {cap} (got N = {p.N}); "
             f"raise the cap explicitly if you really want this")
-    return np.exp(-_log_hitting_sums(p, p.N))
+    return np.exp(-_log_hitting_sums(p))
 
 
-def conditional_ascent_probs(p: ModelParams, *, cap: int = ORACLE_CAP_DEFAULT) -> np.ndarray:
+def conditional_ascent_probs(p: ModelParams) -> np.ndarray:
     """P(hit k+1 before 0 | start at k) for k = 1..N-1.
 
     These are ratios of consecutive first-passage probabilities; they are
     formed in log space so the near-1 values in the drift region do not
     lose their distance to 1 before the division.
     """
-    if p.N > cap:
-        raise CapacityError(
-            f"first-passage oracle is capped at N = {cap} (got N = {p.N}); "
-            f"raise the cap explicitly if you really want this")
-    log_sums = _log_hitting_sums(p, p.N)
+    log_sums = _log_hitting_sums(p)
     return np.exp(log_sums[:-1] - log_sums[1:])

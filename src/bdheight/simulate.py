@@ -66,8 +66,6 @@ __all__ = [
     "SimulationSummary",
     "dkw_epsilon",
     "estimate_mean_excursion_steps",
-    "sample_height",
-    "sample_excursion_ctmc",
     "run_batch",
 ]
 
@@ -183,54 +181,6 @@ def estimate_mean_excursion_steps(p: ModelParams) -> float:
     return math.expm1(log_return)  # return time minus the jump out of 0
 
 
-def sample_height(p: ModelParams, rng: np.random.Generator,
-                  *, max_steps: int = DEFAULT_MAX_EXCURSION_STEPS) -> int:
-    """One literal jump-chain excursion from state 1; returns the peak state.
-
-    Raises ``SimulationAbort`` if the excursion has not hit 0 after
-    ``max_steps`` jumps.
-    """
-    up = jump_up_probs(p)
-    state, peak, steps = 1, 1, 0
-    while state != 0:
-        steps += 1
-        if steps > max_steps:
-            raise SimulationAbort(
-                f"excursion exceeded {max_steps} jump steps at N={p.N}, rho={p.rho}; "
-                f"current state {state}, peak {peak}",
-                steps_taken=steps)
-        state += 1 if rng.random() < up[state] else -1
-        if state > peak:
-            peak = state
-    return peak
-
-
-def sample_excursion_ctmc(p: ModelParams, rng: np.random.Generator,
-                          *, max_steps: int = DEFAULT_MAX_EXCURSION_STEPS
-                          ) -> tuple[int, float]:
-    """One excursion with exponential holding times: (height, duration).
-
-    The holding time in state i has rate i mu + (N - i) nu; the duration
-    sums the holds over the busy period (time unit 1/mu when mu = 1).
-    """
-    up = jump_up_probs(p)
-    state, peak, steps, duration = 1, 1, 0, 0.0
-    while state != 0:
-        steps += 1
-        if steps > max_steps:
-            raise SimulationAbort(
-                f"excursion exceeded {max_steps} jump steps at N={p.N}, rho={p.rho}",
-                steps_taken=steps)
-        rate = state * p.mu + (p.N - state) * p.nu
-        duration += rng.exponential(1.0) / rate
-        state += 1 if rng.random() < up[state] else -1
-        if state > peak:
-            peak = state
-    return peak, duration
-
-
-# --- batched machinery ------------------------------------------------------
-
 def _chunk_samples(N: int) -> int:
     # Fixed function of N alone so the chunk layout (and therefore the
     # stream layout) never depends on worker_count or available memory.
@@ -255,8 +205,8 @@ def _walk_chunk(p: ModelParams, n: int, rng: np.random.Generator,
                 with_durations: bool, max_steps: int
                 ) -> tuple[np.ndarray, np.ndarray | None]:
     # All excursions of the chunk advance in lockstep; finished ones drop
-    # out.  The per-round counter bounds the per-excursion step count, so
-    # the circuit breaker semantics match the scalar samplers.
+    # out.  The per-round counter bounds every excursion's step count, so
+    # the circuit breaker trips once any excursion exceeds max_steps.
     up = jump_up_probs(p)
     rates = np.arange(p.N + 1, dtype=float) * p.mu + (p.N - np.arange(p.N + 1, dtype=float)) * p.nu
     state = np.ones(n, dtype=np.int64)
@@ -324,7 +274,7 @@ def run_batch(cfg: SimulationConfig) -> SimulationSummary:
               for c, lo in enumerate(range(0, n, chunk_size))]
 
     if cfg.mode == LADDER:
-        v = oracle.conditional_ascent_probs(p, cap=max(p.N, oracle.ORACLE_CAP_DEFAULT))
+        v = oracle.conditional_ascent_probs(p)
 
         def work(chunk):
             c, lo, hi = chunk

@@ -3,9 +3,13 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import bdheight
 from bdheight.cli import main
 
 
@@ -18,6 +22,13 @@ def run_cli(capsys, *argv):
 def run_json(capsys, *argv):
     rc, out, err = run_cli(capsys, *argv)
     return rc, (json.loads(out) if out.strip().startswith("{") else None), err
+
+
+def strict_loads(text):
+    """json.loads that refuses the non-standard NaN / Infinity tokens."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=reject)
 
 
 class TestDist:
@@ -206,3 +217,39 @@ class TestParserContract:
         assert rc == 0
         doc = json.loads(out)
         assert out == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+_SMALL_N_RUNS = [[*argv, "--n", n] for n in ("1", "2", "10") for argv in (
+    ["dist", "--rho", "0.5"],
+    ["simulate", "--rho", "0.5", "--samples", "200", "--seed", "1"],
+    ["sweep", "--rho", "0.5"], ["sweep", "--rho", "2"],
+    ["verify", "--rho", "0.5"], ["verify", "--rho", "2"],
+)] + [["alpha", "--rho", "0.5"], ["alpha", "--rho", "2"]]
+
+
+class TestStrictJson:
+    @pytest.mark.parametrize("argv", _SMALL_N_RUNS, ids="_".join)
+    def test_artifacts_parse_strictly(self, capsys, argv):
+        rc, out, _ = run_cli(capsys, *argv)
+        if rc == 2:  # refused input writes no artifact
+            assert out == ""
+            return
+        assert strict_loads(out)["manifest"]["command"] == argv[0]
+
+    def test_not_applicable_values_are_null(self, capsys):
+        rc, out, _ = run_cli(capsys, "verify", "--rho", "0.5", "--n", "10")
+        assert rc == 0
+        skipped = [c for c in strict_loads(out)["data"]["checks"] if not c["applicable"]]
+        assert skipped
+        assert any(c["margin"] is None and c["floor_margin"] is None for c in skipped)
+
+
+def test_cli_import_does_not_load_scipy_stats():
+    # scipy.stats costs about a second per CLI start; nothing here needs it.
+    src = os.path.dirname(os.path.dirname(bdheight.__file__))
+    code = ("import bdheight.cli, sys; "
+            "print([m for m in sys.modules if m.split('.')[:2] == ['scipy', 'stats']])")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"

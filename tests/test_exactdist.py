@@ -16,9 +16,7 @@ from bdheight import (
     height_distribution,
     log_r_term,
     make_params,
-    moments,
     solve_alpha,
-    survival,
 )
 from bdheight.exactdist import r_term_turning_point
 
@@ -59,22 +57,18 @@ class TestLogRTerm:
 class TestSurvival:
     def test_level_one_is_certain(self):
         for N, rho in [(1, 0.5), (10, 2.0), (500, 0.1)]:
-            assert survival(make_params(N, rho=rho), 1) == 1.0
+            assert height_distribution(make_params(N, rho=rho)).survival_values()[0] == 1.0
 
     @pytest.mark.parametrize("N,rho", [(5, 0.3), (40, 1.0), (200, 2.0)])
     def test_level_two_closed_form(self, N, rho):
         # S_2 = 1 + 1/(rho (N-1)), so P(H >= 2) = rho (N-1) / (1 + rho (N-1)).
         want = rho * (N - 1) / (1.0 + rho * (N - 1))
-        assert survival(make_params(N, rho=rho), 2) == pytest.approx(want, rel=1e-13)
+        surv = height_distribution(make_params(N, rho=rho)).survival_values()
+        assert surv[1] == pytest.approx(want, rel=1e-13)
 
     def test_three_node_symmetric_top(self):
-        assert survival(make_params(3, rho=1.0), 3) == pytest.approx(0.4, rel=1e-13)
-
-    def test_out_of_range_level_rejected(self):
-        p = make_params(3, rho=1.0)
-        for bad in (0, 4, 1.0):
-            with pytest.raises(ParameterError):
-                survival(p, bad)
+        surv = height_distribution(make_params(3, rho=1.0)).survival_values()
+        assert surv[2] == pytest.approx(0.4, rel=1e-13)
 
 
 class TestHeightDistribution:
@@ -93,11 +87,11 @@ class TestHeightDistribution:
         assert d.mean == pytest.approx(31 / 15, rel=1e-12)
 
     def test_survival_entry_indexing(self):
-        p = make_params(37, rho=0.8)
-        d = height_distribution(p)
-        surv = d.survival_values()
+        surv = height_distribution(make_params(37, rho=0.8)).survival_values()
         for k in (1, 2, 17, 37):  # vectors are indexed by height - 1
-            assert surv[k - 1] == pytest.approx(survival(p, k), rel=1e-14)
+            # P(H >= k) = 1 / S_k, with S_k summed over the first k ladder terms
+            want = math.exp(-np.logaddexp.reduce(log_r_term(37, 0.8, np.arange(k))))
+            assert surv[k - 1] == pytest.approx(want, rel=1e-14)
 
     @pytest.mark.parametrize("N,rho", [(10, 0.25), (100, 1.0), (2000, 0.5), (500, 3.0)])
     def test_structural_invariants(self, N, rho):
@@ -122,7 +116,10 @@ class TestHeightDistribution:
 
     def test_moments_recompute(self):
         d = height_distribution(make_params(123, rho=0.6))
-        mean, var = moments(d)
+        # first moment over the masses; the stored mean is the survival sum
+        k = np.arange(1, 124, dtype=float)
+        mean = math.fsum(k * d.pmf)
+        var = math.fsum((k - mean) ** 2 * d.pmf)
         assert mean == pytest.approx(d.mean, rel=1e-14)
         assert var == pytest.approx(d.variance, rel=1e-12)
 

@@ -12,36 +12,34 @@ from hypothesis import strategies as st
 import bdheight.oracle
 from bdheight import (
     CapacityError,
-    ParameterError,
     conditional_ascent_probs,
-    first_passage_prob,
     height_dist_oracle,
     height_distribution,
+    jump_up_probs,
     make_params,
-    solve_first_passage_system,
 )
+
+
+def _hitting_vector(p, k):
+    """h[i] = P(hit k before 0 | start at i) = S_i / S_k for i = 0..k."""
+    surv = height_dist_oracle(p)  # surv[i-1] = 1 / S_i
+    return np.concatenate(([0.0], surv[k - 1] / surv[:k]))
 
 
 class TestFirstPassageProb:
     def test_level_one_is_certain(self):
         for N, rho in [(1, 1.0), (10, 0.2), (100, 3.0)]:
-            assert first_passage_prob(make_params(N, rho=rho), 1) == 1.0
+            assert height_dist_oracle(make_params(N, rho=rho))[0] == 1.0
 
     def test_single_interior_equation(self):
         # N=2, rho=1: h[1] = p_1 * 1 + q_1 * 0 = 1/2.
-        assert first_passage_prob(make_params(2, rho=1.0), 2) == pytest.approx(0.5, rel=1e-14)
+        assert height_dist_oracle(make_params(2, rho=1.0))[1] == pytest.approx(0.5, rel=1e-14)
 
     def test_three_node_hand_elimination(self):
         p = make_params(3, rho=1.0)
         want = [1.0, 2 / 3, 2 / 5]
         got = height_dist_oracle(p)
         assert np.abs(got - want).max() <= 1e-12
-
-    def test_out_of_range_level_rejected(self):
-        p = make_params(4, rho=1.0)
-        for bad in (0, 5, 2.0):
-            with pytest.raises(ParameterError):
-                first_passage_prob(p, bad)
 
     @given(N=st.integers(1, 100), rho=st.floats(0.01, 3.0))
     @settings(max_examples=80, deadline=None)
@@ -60,31 +58,35 @@ class TestSolvedSystem:
         (200, 0.5, 200, False), (120, 2.0, 77, False),
     ])
     def test_boundary_and_monotonicity(self, N, rho, k, strict):
-        sys_ = solve_first_passage_system(make_params(N, rho=rho), k)
-        assert sys_.h[0] == 0.0
-        assert sys_.h[k] == 1.0
-        diffs = np.diff(sys_.h)
+        h = _hitting_vector(make_params(N, rho=rho), k)
+        assert h[0] == 0.0
+        assert h[k] == 1.0
+        diffs = np.diff(h)
         assert (diffs >= 0).all()
         if strict:
             assert (diffs > 0).all()
         else:
             assert (diffs > 0).any()
-        assert ((sys_.h >= 0) & (sys_.h <= 1)).all()
+        assert ((h >= 0) & (h <= 1)).all()
 
     @pytest.mark.parametrize("N,rho,k", [(5, 1.0, 5), (50, 0.8, 30), (200, 0.5, 200),
                                          (120, 2.0, 77), (200, 0.1, 150)])
     def test_interior_residuals(self, N, rho, k):
-        sys_ = solve_first_passage_system(make_params(N, rho=rho), k)
-        h = sys_.h
+        p = make_params(N, rho=rho)
+        h = _hitting_vector(p, k)
+        up = jump_up_probs(p)
         for i in range(1, k):
-            res = h[i] - sys_.up[i - 1] * h[i + 1] - sys_.down[i - 1] * h[i - 1]
+            res = h[i] - up[i] * h[i + 1] - (1.0 - up[i]) * h[i - 1]
             assert abs(res) <= 1e-12 * max(h[i], 1e-300)
 
     def test_first_entry_is_first_passage_prob(self):
+        # h[1] for target k is P(H >= k): the product of the conditional
+        # ascent probabilities from levels 1..k-1.
         p = make_params(60, rho=0.9)
+        ascent = conditional_ascent_probs(p)
         for k in (1, 2, 30, 60):
-            sys_ = solve_first_passage_system(p, k)
-            assert sys_.h[1] == pytest.approx(first_passage_prob(p, k), rel=1e-14)
+            h = _hitting_vector(p, k)
+            assert h[1] == pytest.approx(np.prod(ascent[:k - 1]), rel=1e-14)
 
 
 class TestBatchedOracle:

@@ -19,13 +19,7 @@ from bdheight import (
     height_fraction_limit,
     make_params,
     run_batch,
-    sample_excursion_ctmc,
-    sample_height,
 )
-
-
-def _rng(seed):
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
 class TestConfig:
@@ -59,33 +53,38 @@ class TestExcursionLengthEstimate:
 
 
 class TestScalarSamplers:
+    """Single-excursion behaviour of the walker, driven through small batches."""
+
     def test_single_node_height(self):
-        p = make_params(1, rho=0.7)
-        rng = _rng(1)
-        assert all(sample_height(p, rng) == 1 for _ in range(50))
+        s = run_batch(SimulationConfig(params=make_params(1, rho=0.7),
+                                       n_samples=50, seed=1, mode=JUMP_CHAIN))
+        assert s.counts == (50,)
 
     def test_same_seed_same_stream(self):
         p = make_params(8, rho=0.4)
-        rng1, rng2 = _rng(42), _rng(42)
-        a = [sample_height(p, rng1) for _ in range(5)]
-        b = [sample_height(p, rng2) for _ in range(5)]
-        assert a == b
-        ha, da = sample_excursion_ctmc(p, _rng(7))
-        hb, db = sample_excursion_ctmc(p, _rng(7))
-        assert (ha, da) == (hb, db)
+        for mode in (JUMP_CHAIN, FULL_CTMC):
+            cfg = SimulationConfig(params=p, n_samples=5, seed=42, mode=mode)
+            assert run_batch(cfg) == run_batch(cfg)
 
     def test_circuit_breaker(self):
-        # rho = 5 gives a strong upward drift; 3 steps cannot finish.
-        p = make_params(30, rho=5.0)
-        with pytest.raises(SimulationAbort):
-            sample_height(p, _rng(3), max_steps=3)
+        # rho = 5 gives a strong upward drift; 3 steps finish only the
+        # excursions 1 -> 0 (height 1) and 1 -> 2 -> 1 -> 0 (height 2).
+        n = 1000
+        cfg = SimulationConfig(params=make_params(30, rho=5.0), n_samples=n, seed=3,
+                               mode=JUMP_CHAIN, max_excursion_steps=3,
+                               max_total_steps=math.inf)
+        with pytest.raises(SimulationAbort) as exc:
+            run_batch(cfg)
+        assert exc.value.steps_taken == 4
+        done = exc.value.completed_heights
+        assert 0 < done.size < n
+        assert set(done.tolist()) <= {1, 2}
 
     def test_heights_in_range(self):
-        p = make_params(6, rho=0.5)
-        rng = _rng(11)
-        hs = [sample_height(p, rng) for _ in range(200)]
-        assert all(1 <= h <= 6 for h in hs)
-        assert len(set(hs)) > 1
+        s = run_batch(SimulationConfig(params=make_params(6, rho=0.5),
+                                       n_samples=200, seed=11, mode=JUMP_CHAIN))
+        assert len(s.counts) == 6 and sum(s.counts) == 200
+        assert sum(c > 0 for c in s.counts) > 1
 
 
 class TestLadderBatch:
