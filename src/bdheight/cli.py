@@ -2,7 +2,7 @@
 
 Subcommands
 -----------
-``dist``      exact height distribution (rows of k, survival, pmf + moments)
+``dist``      exact height distribution (columns k, survival, pmf + moments)
 ``alpha``     growth constant alpha(rho) with residual and derived constants
 ``verify``    certified inequality suite over (rho, N) grids; exit 1 on failure
 ``simulate``  Monte Carlo batch with exact-law comparison and the ECDF band
@@ -56,29 +56,35 @@ def _canonical(data) -> bytes:
                       allow_nan=False).encode("utf-8")
 
 
-def _emit_json(command: str, parameters: dict, data, output: str | None) -> None:
-    doc = {"manifest": _manifest(command, parameters, _canonical(data)), "data": data}
-    text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+def _write(blob: bytes, output: str | None) -> None:
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with open(output, "wb") as fh:
+            fh.write(blob)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(blob.decode("utf-8"))
+
+
+def _emit_json(command: str, parameters: dict, data, output: str | None) -> None:
+    # The data section is encoded once and the artifact carries exactly the
+    # bytes that data_sha256 hashes.  "data" sorts before "manifest", so the
+    # artifact is the canonical encoding of {"data": ..., "manifest": ...}.
+    data_bytes = _canonical(data)
+    manifest = _canonical(_manifest(command, parameters, data_bytes))
+    _write(b'{"data":' + data_bytes + b',"manifest":' + manifest + b"}\n", output)
+
+
+def _csv_line(row) -> str:
+    return ",".join(_fmt(x) for x in row)
 
 
 def _emit_csv(command: str, parameters: dict, header: list[str],
-              rows: list[list], footer: dict, output: str | None) -> None:
-    body_lines = [",".join(header)]
-    body_lines += [",".join(_fmt(x) for x in row) for row in rows]
+              lines, footer: dict, output: str | None) -> None:
+    """Write a CSV artifact whose body rows ``lines`` are already formatted."""
+    body_lines = [",".join(header), *lines]
     body_lines += [f"# {key}={_fmt(value)}" for key, value in footer.items()]
-    body = "\n".join(body_lines) + "\n"
-    manifest = _manifest(command, parameters, body.encode("utf-8"))
-    text = "# manifest: " + json.dumps(manifest, sort_keys=True, allow_nan=False) + "\n" + body
-    if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    body = ("\n".join(body_lines) + "\n").encode("utf-8")
+    manifest = json.dumps(_manifest(command, parameters, body), sort_keys=True, allow_nan=False)
+    _write(f"# manifest: {manifest}\n".encode("utf-8") + body, output)
 
 
 def _params_from_args(args) -> tuple:
@@ -111,14 +117,15 @@ def cmd_dist(args) -> int:
     d = exactdist.height_distribution(p)
     surv = d.survival_values()
     parameters = {**resolved, "format": args.format}
+    k = range(1, p.N + 1)
+    survival, pmf = surv.tolist(), d.pmf.tolist()
     if args.format == "csv":
-        rows = [[k + 1, float(surv[k]), float(d.pmf[k])] for k in range(p.N)]
-        _emit_csv("dist", parameters, ["k", "survival", "pmf"], rows,
+        lines = map("%d,%.15g,%.15g".__mod__, zip(k, survival, pmf))
+        _emit_csv("dist", parameters, ["k", "survival", "pmf"], lines,
                   {"mean": d.mean, "variance": d.variance}, args.output)
     else:
         data = {
-            "rows": [{"k": k + 1, "survival": float(surv[k]), "pmf": float(d.pmf[k])}
-                     for k in range(p.N)],
+            "rows": {"k": list(k), "survival": survival, "pmf": pmf},
             "mean": d.mean,
             "variance": d.variance,
         }
@@ -161,7 +168,8 @@ def cmd_alpha(args) -> int:
         cns = data["constants"] or {"c1": None, "c2": None, "c3": None}
         row = [data["rho"], data["f"], data["alpha"], data["residual"],
                data["iterations"], cns["c1"], cns["c2"], cns["c3"]]
-        _emit_csv("alpha", parameters, keys, [row], {"note": data["note"]}, args.output)
+        _emit_csv("alpha", parameters, keys, [_csv_line(row)], {"note": data["note"]},
+                  args.output)
     else:
         _emit_json("alpha", parameters, data, args.output)
     return 0
@@ -274,22 +282,19 @@ def cmd_simulate(args) -> int:
     parameters = {**resolved, "samples": args.samples, "seed": args.seed,
                   "mode": args.mode, "workers": workers, "delta": args.delta,
                   "format": args.format}
+    k = range(1, p.N + 1)
+    columns = {"count": list(summary.counts), "empirical_pmf": epmf.tolist(),
+               "exact_pmf": exact.pmf.tolist(), "empirical_cdf": ecdf.tolist(),
+               "exact_cdf": cdf.tolist()}
     if args.format == "csv":
-        rows = [[k + 1, summary.counts[k], float(epmf[k]), float(exact.pmf[k]),
-                 float(ecdf[k]), float(cdf[k])] for k in range(p.N)]
+        lines = map("%d,%d,%.15g,%.15g,%.15g,%.15g".__mod__, zip(k, *columns.values()))
         footer = {key: value for key, value in summary.to_dict().items()
                   if key not in ("counts", "empirical_pmf")}
-        _emit_csv("simulate", parameters,
-                  ["k", "count", "empirical_pmf", "exact_pmf", "empirical_cdf", "exact_cdf"],
-                  rows, footer, args.output)
+        _emit_csv("simulate", parameters, ["k", *columns], lines, footer, args.output)
     else:
         data = {
             "summary": summary.to_dict(),
-            "rows": [{"k": k + 1, "count": summary.counts[k],
-                      "empirical_pmf": float(epmf[k]), "exact_pmf": float(exact.pmf[k]),
-                      "empirical_cdf": float(ecdf[k]), "exact_cdf": float(cdf[k]),
-                      "exact_survival": float(surv[k])}
-                     for k in range(p.N)],
+            "rows": {"k": list(k), **columns, "exact_survival": surv.tolist()},
         }
         _emit_json("simulate", parameters, data, args.output)
     if args.assert_dkw and not summary.dkw_pass:
@@ -309,7 +314,7 @@ def cmd_sweep(args) -> int:
     table = [[r.N, r.mean, r.variance, r.mean_ratio, r.var_ratio,
               r.mean_limit, r.var_limit, r.mean_gap, r.var_gap] for r in rows]
     if args.format == "csv":
-        _emit_csv("sweep", parameters, header, table, {}, args.output)
+        _emit_csv("sweep", parameters, header, map(_csv_line, table), {}, args.output)
     else:
         data = {"rows": [dict(zip(header, row)) for row in table]}
         _emit_json("sweep", parameters, data, args.output)

@@ -55,7 +55,10 @@ def _log_hitting_sums(p: ModelParams) -> np.ndarray:
     reciprocal of that sum.
     """
     pi = jump_up_probs(p)[1:p.N]
-    log_odds = np.log1p(-pi) - np.log(pi)          # log(q_i / p_i), i = 1..N-1
+    # Once p_i rounds to 1.0 (rho >~ 1e16) log q_i is -inf, which the
+    # log-sum-exp below takes correctly as a zero term.
+    with np.errstate(divide="ignore"):
+        log_odds = np.log1p(-pi) - np.log(pi)      # log(q_i / p_i), i = 1..N-1
     log_g = np.concatenate(([0.0], np.cumsum(log_odds)))
     return np.logaddexp.accumulate(log_g)
 

@@ -7,9 +7,11 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import bdheight
+from bdheight import height_distribution, make_params
 from bdheight.cli import main
 
 
@@ -35,16 +37,16 @@ class TestDist:
     def test_three_node_values(self, capsys):
         rc, doc, _ = run_json(capsys, "dist", "--n", "3", "--rho", "1")
         assert rc == 0
-        rows = doc["data"]["rows"]
-        assert rows[0]["survival"] == pytest.approx(1.0, abs=0)
-        assert rows[1]["survival"] == pytest.approx(2 / 3, abs=1e-12)
-        assert rows[2]["survival"] == pytest.approx(2 / 5, abs=1e-12)
+        survival = doc["data"]["rows"]["survival"]
+        assert survival[0] == pytest.approx(1.0, abs=0)
+        assert survival[1] == pytest.approx(2 / 3, abs=1e-12)
+        assert survival[2] == pytest.approx(2 / 5, abs=1e-12)
         assert doc["data"]["mean"] == pytest.approx(31 / 15, rel=1e-12)
 
     def test_single_row(self, capsys):
         rc, doc, _ = run_json(capsys, "dist", "--n", "1", "--rho", "0.5")
         assert rc == 0
-        assert doc["data"]["rows"] == [{"k": 1, "survival": 1.0, "pmf": 1.0}]
+        assert doc["data"]["rows"] == {"k": [1], "survival": [1.0], "pmf": [1.0]}
 
     def test_csv_format(self, capsys):
         rc, out, _ = run_cli(capsys, "dist", "--n", "3", "--rho", "1", "--format", "csv")
@@ -216,7 +218,74 @@ class TestParserContract:
         rc, out, _ = run_cli(capsys, "alpha", "--rho", "0.5")
         assert rc == 0
         doc = json.loads(out)
-        assert out == json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        assert out == json.dumps(doc, sort_keys=True, separators=(",", ":"),
+                                 allow_nan=False) + "\n"
+
+
+def canonical(doc) -> str:
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+
+
+class TestEmission:
+    @pytest.mark.parametrize("argv", [
+        ["dist", "--n", "10", "--rho", "0.5"],
+        ["alpha", "--rho", "0.25"],
+        ["verify", "--rho", "0.5", "--n", "10", "1000"],
+        ["simulate", "--n", "10", "--rho", "0.5", "--samples", "300", "--seed", "3"],
+        ["sweep", "--rho", "2", "--n", "10", "100"],
+    ], ids=lambda argv: argv[0])
+    def test_artifact_is_one_canonical_line(self, capsys, argv):
+        _, out, _ = run_cli(capsys, *argv)
+        assert out == canonical(strict_loads(out))
+
+    def test_checksum_covers_written_bytes(self, tmp_path, capsys):
+        path = tmp_path / "law.json"
+        args = ["dist", "--n", "50", "--rho", "0.7"]
+        assert main([*args, "--output", str(path)]) == 0
+        rc, out, _ = run_cli(capsys, *args)
+        blob = path.read_bytes()
+        assert rc == 0 and out.encode() == blob
+        head, tail = b'{"data":', b',"manifest":'
+        assert blob.startswith(head)
+        data_bytes = blob[len(head):blob.rindex(tail)]
+        sha = json.loads(blob)["manifest"]["data_sha256"]
+        assert hashlib.sha256(data_bytes).hexdigest() == sha
+
+    def test_dist_columns_are_the_law_bit_for_bit(self, tmp_path, capsys):
+        n, rho = 200000, 0.5
+        path = tmp_path / "law.json"
+        assert main(["dist", "--n", str(n), "--rho", str(rho), "--output", str(path)]) == 0
+        capsys.readouterr()
+        data = json.loads(path.read_bytes())["data"]
+        law = height_distribution(make_params(n, rho=rho))
+        assert data["rows"]["k"] == list(range(1, n + 1))
+        for name, want in (("survival", law.survival_values()), ("pmf", law.pmf)):
+            got = np.array(data["rows"][name], dtype=float)
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), name
+        assert (data["mean"], data["variance"]) == (law.mean, law.variance)
+
+    def test_simulate_columns(self, capsys):
+        n, samples = 40, 3000
+        rc, doc, _ = run_json(capsys, "simulate", "--n", str(n), "--rho", "0.7",
+                              "--samples", str(samples), "--seed", "5")
+        assert rc == 0
+        rows = doc["data"]["rows"]
+        assert sorted(rows) == ["count", "empirical_cdf", "empirical_pmf", "exact_cdf",
+                                "exact_pmf", "exact_survival", "k"]
+        assert all(len(column) == n for column in rows.values())
+        assert sum(rows["count"]) == samples
+
+    def test_saturated_rho_writes_nothing_to_stderr(self):
+        # A numpy warning goes to stderr, where it reads as a failure.
+        src = os.path.dirname(os.path.dirname(bdheight.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.run(
+            [sys.executable, "-m", "bdheight.cli", "simulate", "--n", "10",
+             "--rho", "1e20", "--samples", "100"],
+            env=env, capture_output=True, text=True)
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        assert json.loads(proc.stdout)["manifest"]["command"] == "simulate"
 
 
 _SMALL_N_RUNS = [[*argv, "--n", n] for n in ("1", "2", "10") for argv in (

@@ -3,6 +3,7 @@
 import ast
 import inspect
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -112,6 +113,15 @@ class TestBatchedOracle:
         assert ((v > 0) & (v <= 1)).all()
         # v_k = P(H >= k+1) / P(H >= k)
         assert np.abs(v * surv[:-1] - surv[1:]).max() <= 1e-12
+
+    def test_saturated_ascent_is_silent(self):
+        # At rho = 1e20 every p_i rounds to 1.0, so log q_i is -inf: a zero
+        # term of the log-sum-exp, not a division by zero worth reporting.
+        p = make_params(10, rho=1e20)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            surv = height_dist_oracle(p)
+        assert np.abs(surv - height_distribution(p).survival_values()).max() <= 1e-15
 
 
 def test_oracle_module_does_not_import_the_closed_form():
