@@ -9,7 +9,7 @@ an independent first-passage solver, and validates the lot with a
 reproducible Monte Carlo sampler.
 """
 
-__version__ = "0.2.0"
+__version__ = "0.2.1"
 
 from .errors import BDHeightError, CapacityError, ParameterError, SimulationAbort
 from .model import (

@@ -418,9 +418,8 @@ def concentration_mass(N: int, rho: float) -> tuple[float, int, int]:
     """Exact mass of the concentration window, with the window itself."""
     lo, hi = concentration_window(N, rho)
     d = exactdist.height_distribution(make_params(N, rho=rho))
-    surv = d.survival_values()
-    mass = surv[lo - 1] - (surv[hi] if hi < N else 0.0)
-    return float(mass), lo, hi
+    mass = d.survival_at(lo) - (d.survival_at(hi + 1) if hi < N else 0.0)
+    return mass, lo, hi
 
 
 def wlln_tail_mass(N: int, rho: float, eps: float = 0.05) -> float:

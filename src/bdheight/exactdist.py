@@ -19,6 +19,43 @@ while the terms near i ~ alpha N are of order sqrt(N), so the partial
 sums are formed with a running log-sum-exp; nothing in this module ever
 materializes a t_i in the linear domain.
 
+Where the law lives
+-------------------
+In doubles the law is carried by a few thousand entries at most,
+whatever N is.  Vectors are indexed by ``height value - 1`` and split
+into:
+
+* the head [0, a): t_0 = 1 and the descending terms that are still
+  above e^-750.  Its running log-sum L is log S_a.
+* the plateau [a, b): every term here is at least 750 below L.  np.exp
+  of anything below about -745.1 is exactly 0, so ``np.logaddexp(L, t)``
+  returns L unchanged and P(H >= k) stays at e^-L.  The descending side
+  is compared with -750, which suffices because L >= log t_0 = 0; the
+  ascending side is compared with L - 750.  The margin of 5 absorbs the
+  float error of the log terms.
+* the window [b, w): the ascending terms from the first one above
+  L - 750, accumulated from L, up to and including the first entry whose
+  survival underflows to 0.0.  Once a term exceeds e^750 the sum does
+  too, so the window ends there at the latest; its length is set by how
+  fast the terms climb through those 1500 nats near alpha N, not by N.
+  Head and window together hold at most ~2200 entries for N from 1e3 to
+  1e9 and rho from 1e-8 to 1e3.
+* the tail [w, N): P(H >= k) is exactly 0 and log P(H >= k) is -inf.
+
+The boundaries come from bisection on the log terms, which are monotone
+on each side of the turning point.  The evaluated terms are the same
+doubles a sweep over all N terms would produce, and the skipped ones are
+exact no-ops of its running log-sum, so every survival value and mass is
+bit-identical to that sweep's.  The whole law costs O(log N) bisection
+steps plus O(head + window) terms.
+
+The mean is sum_k P(H >= k).  It is formed as one ``math.fsum`` over the
+head and window survival values plus the plateau value counted as exact
+power-of-two copies ``ldexp(value, j)``, one per set bit j of b - a.
+That is the same exact sum as the dense survival vector's, and fsum
+rounds it correctly, so the mean equals ``math.fsum`` of the dense
+vector bit for bit.
+
 The point masses are differences of adjacent survival values.  They are
 computed as ``surv_k * (-expm1(ls_{k+1} - ls_k))`` with ls the
 log-survival vector, which is exact about the sign (never a negative
@@ -28,14 +65,13 @@ resulting masses are float noise at the ~1e-17 * survival level; this is
 inherent to 53-bit arithmetic and is why the exact-rational twin below
 exists.  (In exact arithmetic each mass equals t_i / (S_i * S_{i+1}),
 which is at most t_i because every partial sum is >= t_0 = 1; the float
-path cannot resolve that inequality in the valley.)
+path cannot resolve that inequality in the valley.)  Masses are nonzero
+only in the head, at the plateau's last entry and in the window.
 
-The variance is the centered second moment over the pmf.  The
-alternative sum(( 2k-1 ) P(H>=k)) - mean^2 is catastrophically cancelling
-for rho >= 1 where mean ~ N, and is not used.
-
-Indexing convention: all vectors of length N are indexed by
-``height value - 1``, i.e. entry 0 belongs to height 1.
+The variance is the centered second moment over the masses, summed with
+``math.fsum``.  The alternative sum(( 2k-1 ) P(H>=k)) - mean^2 is
+catastrophically cancelling for rho >= 1 where mean ~ N, and is not
+used.
 
 An exact-rational twin (``exact_rational_distribution``) evaluates the
 same quantities in unbounded-precision rational arithmetic for moderate
@@ -45,8 +81,9 @@ N and serves as the ground truth for the float path.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 from scipy.special import gammaln
@@ -66,36 +103,113 @@ __all__ = [
 
 RATIONAL_CAP_DEFAULT = 500
 _RATIONAL_BIT_GUARD = 5_000_000  # combined numerator+denominator bits of a partial sum
+_NOOP_GAP = 750.0  # a term this far below the running log-sum leaves it unchanged
 
 
 @dataclass(frozen=True)
 class HeightDistribution:
-    """Log-domain law of the height, with moments.
+    """Law of the height in windowed form, with moments.
 
-    ``log_survival[k-1] = log P(H >= k)`` for k = 1..N (entry 0 is exactly
-    0.0), ``pmf[k-1] = P(H = k)``.  Arrays are read-only; instances may be
-    shared across threads.
+    ``head[k-1] = log P(H >= k)`` for k = 1..a (entry 0 is exactly 0.0);
+    on the plateau ``(a, b)``, heights a+1..b, the log-survival stays at
+    ``head[-1]``; ``window[j] = log P(H >= b+1+j)``; past the window
+    P(H >= k) is exactly 0.  See the module docstring for why this form
+    is the whole law.
+
+    The dense ``log_survival`` (-inf past the window), ``pmf``
+    (``pmf[k-1] = P(H = k)``), ``survival_values()`` and ``cdf_values()``
+    are built from this form on first use and cached;
+    ``survival_at(k)`` reads one level without building them.  Arrays are
+    read-only; instances may be shared across threads.
     """
 
     N: int
     rho: float
-    log_survival: np.ndarray
-    pmf: np.ndarray
-    mean: float
-    variance: float
+    head: np.ndarray
+    plateau: tuple[int, int]
+    window: np.ndarray
+    mean: float = field(init=False)
+    variance: float = field(init=False)
 
     def __post_init__(self):
-        self.log_survival.flags.writeable = False
-        self.pmf.flags.writeable = False
+        self.head.flags.writeable = False
+        self.window.flags.writeable = False
+        k, _, surv, pmf = self._support
+        a, b = self.plateau
+        # The plateau's b - a equal values are already in surv once (at its
+        # last entry); the other b - a - 1 enter as exact power-of-two
+        # multiples, so fsum sees the dense vector's exact sum.
+        extra = max(b - a - 1, 0)
+        copies = [math.ldexp(surv[a], j) for j in range(extra.bit_length()) if extra >> j & 1]
+        mean = math.fsum([*surv.tolist(), *copies])
+        object.__setattr__(self, "mean", mean)
+        object.__setattr__(self, "variance", math.fsum(((k - mean) ** 2 * pmf).tolist()))
+
+    @cached_property
+    def _support(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(heights, log-survival, survival, pmf) over the head, the plateau's
+        last entry and the window: every entry that can carry mass."""
+        a, b = self.plateau
+        slot = 1 if b > a else 0
+        k = np.concatenate([np.arange(1, a + 1), np.arange(b + 1 - slot, b + 1 + len(self.window))])
+        # the plateau keeps the head's last value
+        ls = np.concatenate([self.head, self.head[a - slot:], self.window])
+        surv = np.exp(ls)
+        # P(H = k) = surv_k * (1 - e^{ls_{k+1} - ls_k}); the next entry of the
+        # last one is -inf (past the window, or the virtual ls_{N+1}).
+        pmf = surv * (-np.expm1(np.diff(ls, append=-np.inf)))
+        return k, ls, surv, pmf
+
+    def _dense(self, values: np.ndarray, tail: float, plateau: float | None = None) -> np.ndarray:
+        """Spread per-entry ``values`` of the support over heights 1..N:
+        ``tail`` past the window and, on the plateau before its last entry,
+        ``plateau`` (default: the plateau's own value)."""
+        k = self._support[0]
+        a, b = self.plateau
+        out = np.full(self.N, tail)
+        out[k - 1] = values
+        if b > a:
+            out[a:b - 1] = values[a] if plateau is None else plateau
+        out.flags.writeable = False
+        return out
+
+    @cached_property
+    def log_survival(self) -> np.ndarray:
+        """log P(H >= k) for k = 1..N; -inf where P(H >= k) underflows to 0."""
+        return self._dense(self._support[1], -np.inf)
+
+    @cached_property
+    def pmf(self) -> np.ndarray:
+        """P(H = k) for k = 1..N."""
+        # Inside the plateau ls_{k+1} - ls_k is 0.0, so each mass is
+        # surv * -expm1(0.0) = -0.0, as the dense formula gives.
+        return self._dense(self._support[3], 0.0, plateau=-0.0)
+
+    @cached_property
+    def _survival(self) -> np.ndarray:
+        return self._dense(self._support[2], 0.0)
+
+    @cached_property
+    def _cdf(self) -> np.ndarray:
+        out = 1.0 - np.append(self._survival[1:], 0.0)
+        out.flags.writeable = False
+        return out
 
     def survival_values(self) -> np.ndarray:
         """P(H >= k) for k = 1..N."""
-        return np.exp(self.log_survival)
+        return self._survival
 
     def cdf_values(self) -> np.ndarray:
         """P(H <= k) for k = 1..N (exactly 1 at k = N)."""
-        upper = np.append(np.exp(self.log_survival[1:]), 0.0)
-        return 1.0 - upper
+        return self._cdf
+
+    def survival_at(self, k: int) -> float:
+        """P(H >= k) for one level k in 1..N, without building a dense array."""
+        if not 1 <= k <= self.N:
+            raise ParameterError(f"level must be in [1, {self.N}], got {k!r}")
+        heights, _, surv, _ = self._support
+        j = int(np.searchsorted(heights, k))
+        return float(surv[j]) if j < len(heights) else 0.0
 
 
 @dataclass(frozen=True)
@@ -117,6 +231,11 @@ def _check_rho(rho) -> float:
     return rho
 
 
+def _log_t(n: int, rho: float, x):
+    # log t at the float index (or index array) x; the one evaluation of the term
+    return -x * math.log(rho) - (gammaln(n) - gammaln(x + 1.0) - gammaln(n - x))
+
+
 def log_r_term(n: int, rho: float, i) -> float | np.ndarray:
     """log t_i = -i log rho - log C(n-1, i), via log-gamma.
 
@@ -129,8 +248,7 @@ def log_r_term(n: int, rho: float, i) -> float | np.ndarray:
     i_arr = np.asarray(i)
     if i_arr.size and (i_arr.min() < 0 or i_arr.max() > n - 1):
         raise ParameterError(f"term index must be in [0, {n - 1}], got {i!r}")
-    x = i_arr.astype(float)
-    out = -x * math.log(rho) - (gammaln(n) - gammaln(x + 1.0) - gammaln(n - x))
+    out = _log_t(n, rho, i_arr.astype(float))
     return float(out) if np.isscalar(i) else out
 
 
@@ -143,29 +261,41 @@ def r_term_turning_point(n: int, rho: float) -> float:
     return (rho * (n - 1) - 1.0) / (1.0 + rho)
 
 
-def _log_terms(N: int, rho: float) -> np.ndarray:
-    i = np.arange(N, dtype=float)
-    return -i * math.log(rho) - (gammaln(N) - gammaln(i + 1.0) - gammaln(N - i))
-
-
-def _log_survival_vector(N: int, rho: float) -> np.ndarray:
-    # Running log-sum-exp over the ladder terms; entry k-1 is -log S_k.
-    return -np.logaddexp.accumulate(_log_terms(N, rho))
+def _first(pred, lo: int, hi: int) -> int:
+    """Smallest i in [lo, hi) with pred(i), for pred monotone from False to
+    True on that range; hi if there is none."""
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 def height_distribution(p: ModelParams) -> HeightDistribution:
-    """Full law of H in one O(N) forward sweep."""
-    ls = _log_survival_vector(p.N, p.rho)
-    surv = np.exp(ls)
-    # P(H = k) = surv_k - surv_{k+1} = surv_k * (1 - e^{ls_{k+1} - ls_k});
-    # the virtual ls_{N+1} = -inf makes the last mass equal surv_N exactly.
-    steps = np.diff(ls, append=-np.inf)
-    pmf = surv * (-np.expm1(steps))
-    mean = math.fsum(surv)
-    k = np.arange(1, p.N + 1, dtype=float)
-    var = float(np.sum((k - mean) ** 2 * pmf))
-    return HeightDistribution(N=p.N, rho=p.rho, log_survival=ls, pmf=pmf,
-                              mean=mean, variance=var)
+    """Law of H from the head and window terms, O(log N + window) work."""
+    N, rho = p.N, p.rho
+
+    def t(i: int) -> float:
+        return float(_log_t(N, rho, float(i)))
+
+    def terms(lo: int, hi: int) -> np.ndarray:
+        return _log_t(N, rho, np.arange(lo, hi, dtype=float))
+
+    # t decreases on [0, m] and increases on [m, N-1].
+    m = min(max(math.ceil(r_term_turning_point(N, rho)), 0), N - 1)
+    a = _first(lambda i: t(i) <= -_NOOP_GAP, 1, m + 1)
+    head = -np.logaddexp.accumulate(terms(0, a))
+    top = -head[-1]
+    b = _first(lambda i: t(i) > top - _NOOP_GAP, m + 1, N)
+    end = _first(lambda i: t(i) > _NOOP_GAP, b, N)
+    # the window's running log-sums continue from the head's, top
+    window = -np.logaddexp.accumulate(np.append(top, terms(b, min(end + 1, N))))[1:]
+    underflow = np.flatnonzero(np.exp(window) == 0.0)
+    if underflow.size:
+        window = window[:underflow[0] + 1]
+    return HeightDistribution(N=N, rho=rho, head=head, plateau=(a, b), window=window)
 
 
 def exact_rational_distribution(N: int, rho_num: int, rho_den: int,

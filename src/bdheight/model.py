@@ -72,7 +72,8 @@ def make_params(N: int, nu: float | None = None, mu: float | None = None,
     ``mu = 1``.
 
     Raises ``ParameterError`` for N < 1, non-integer N, nonpositive or
-    non-finite rates, or an ambiguous combination of arguments.
+    non-finite rates, a ratio nu / mu that rounds to 0 or overflows, or an
+    ambiguous combination of arguments.
     """
     if isinstance(N, bool) or not isinstance(N, (int, np.integer)):
         raise ParameterError(f"N must be an integer >= 1, got {N!r}")
@@ -90,7 +91,11 @@ def make_params(N: int, nu: float | None = None, mu: float | None = None,
         raise ParameterError("pass either rho or the pair (nu, mu)")
     nu_f = _positive_rate("nu", nu)
     mu_f = _positive_rate("mu", mu)
-    return ModelParams(N=N, nu=nu_f, mu=mu_f, rho=nu_f / mu_f)
+    rho_f = nu_f / mu_f
+    if not math.isfinite(rho_f) or rho_f <= 0.0:
+        raise ParameterError(
+            f"rho = nu / mu must be a positive finite real, got {nu_f!r} / {mu_f!r} = {rho_f!r}")
+    return ModelParams(N=N, nu=nu_f, mu=mu_f, rho=rho_f)
 
 
 def jump_up_probs(p: ModelParams) -> np.ndarray:

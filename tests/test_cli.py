@@ -123,6 +123,16 @@ class TestVerify:
         assert rc == 0
         assert any(not c["applicable"] for c in doc["data"]["checks"])
 
+    def test_csv_format_is_refused(self, capsys):
+        # the nested check records have no CSV form, so argparse refuses it
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--rho", "0.5", "--n", "10", "--format", "csv"])
+        assert exc.value.code == 2
+        assert "--format" in capsys.readouterr().err
+        rc, doc, _ = run_json(capsys, "verify", "--rho", "0.5", "--n", "10")
+        assert rc == 0
+        assert doc["manifest"]["parameters"]["format"] == "json"
+
     def test_corrupted_constant_fails(self, capsys):
         rc, doc, err = run_json(capsys, "verify", "--rho", "0.5", "--n", "2000",
                                 "--selftest-corrupt")
@@ -213,6 +223,18 @@ class TestParserContract:
             main(["dist", "--n", "3", "--rho", "1", "--bogus"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("argv", [
+        ["dist", "--n", "1000", "--nu", "1e-300", "--mu", "1e300"],
+        ["dist", "--n", "10", "--nu", "1e300", "--mu", "1e-300"],
+        ["simulate", "--n", "10", "--nu", "1e-300", "--mu", "1e300", "--samples", "10"],
+    ], ids=["dist_rho_0", "dist_rho_inf", "simulate_rho_0"])
+    def test_derived_rho_out_of_range_exits_2(self, capsys, argv):
+        rc, out, err = run_cli(capsys, *argv)
+        assert rc == 2
+        assert out == ""
+        assert "rho" in err
+        assert "Traceback" not in err
 
     def test_json_keys_are_sorted(self, capsys):
         rc, out, _ = run_cli(capsys, "alpha", "--rho", "0.5")

@@ -1,16 +1,19 @@
 """Closed-form height law: float path, rational twin, and their agreement."""
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import gammaln
 
 from bdheight import (
     CapacityError,
     ParameterError,
+    concentration_mass,
     exact_rational_distribution,
     height_dist_oracle,
     height_distribution,
@@ -96,8 +99,10 @@ class TestHeightDistribution:
     @pytest.mark.parametrize("N,rho", [(10, 0.25), (100, 1.0), (2000, 0.5), (500, 3.0)])
     def test_structural_invariants(self, N, rho):
         d = height_distribution(make_params(N, rho=rho))
-        assert d.log_survival[0] == 0.0
-        assert (np.diff(d.log_survival) <= 0).all()
+        ls = d.log_survival
+        assert ls[0] == 0.0
+        # elementwise, since ls is -inf past the underflow point and -inf - -inf is NaN
+        assert (ls[1:] <= ls[:-1]).all()
         assert (d.pmf >= 0).all()
         assert abs(d.pmf.sum() - 1.0) <= 1e-10
         mean_from_survival = math.fsum(np.exp(d.log_survival))
@@ -136,6 +141,67 @@ class TestHeightDistribution:
         assert ((surv >= 0) & (surv <= 1)).all()
         assert abs(d.pmf.sum() - 1.0) <= 1e-10
         assert 1.0 - 1e-12 <= d.mean <= N + 1e-12
+
+
+def _dense_law(N, rho):
+    """The law over all N terms, as version 0.2.0 evaluated it: one running
+    log-sum-exp, masses from adjacent log-survival steps."""
+    i = np.arange(N, dtype=float)
+    log_t = -i * math.log(rho) - (gammaln(N) - gammaln(i + 1.0) - gammaln(N - i))
+    ls = -np.logaddexp.accumulate(log_t)
+    surv = np.exp(ls)
+    pmf = surv * (-np.expm1(np.diff(ls, append=-np.inf)))
+    mean = math.fsum(surv)
+    k = np.arange(1, N + 1, dtype=float)
+    return surv, pmf, mean, float(np.sum((k - mean) ** 2 * pmf))
+
+
+def _bits(x):
+    # compare doubles through their bit patterns, sign of zero included
+    return np.asarray(x, dtype=float).view(np.uint64)
+
+
+class TestWindowedForm:
+    @pytest.mark.parametrize("rho", [1e-300, 1e-20, 1e-3, 0.5, 0.99, 1.0, 2.0, 1e20, 1e300])
+    @pytest.mark.parametrize("N", [1, 2, 3, 10, 999, 10**4, 10**6])
+    def test_matches_dense_law_bit_for_bit(self, N, rho):
+        surv, pmf, mean, var = _dense_law(N, rho)
+        d = height_distribution(make_params(N, rho=rho))
+        assert np.array_equal(_bits(d.survival_values()), _bits(surv))
+        assert np.array_equal(_bits(d.pmf), _bits(pmf))
+        assert np.array_equal(_bits(d.cdf_values()), _bits(1.0 - np.append(surv[1:], 0.0)))
+        assert d.mean == mean
+        assert abs(d.variance - var) <= 1e-13 * var
+
+    # head, plateau, window and tail: (1e4, 0.5) has all four, (1e4, 2) a
+    # plateau that runs to N, (1e4, 1e-20) a law rising from i = 0
+    @pytest.mark.parametrize("N,rho", [(1, 0.5), (2, 2.0), (10**4, 0.5), (10**4, 2.0),
+                                       (10**4, 1e-20), (999, 1e300)])
+    def test_survival_at_matches_dense_at_the_boundaries(self, N, rho):
+        surv = _dense_law(N, rho)[0]
+        d = height_distribution(make_params(N, rho=rho))
+        a, b = d.plateau
+        w = b + len(d.window)
+        for k in {1, a, a + 1, b, b + 1, w, w + 1, N}:
+            if 1 <= k <= N:
+                assert _bits(d.survival_at(k)) == _bits(surv[k - 1]), k
+        for k in (0, N + 1):
+            with pytest.raises(ParameterError):
+                d.survival_at(k)
+
+    @pytest.mark.parametrize("work", [
+        lambda: (lambda d: (d.mean, d.variance))(height_distribution(make_params(10**7, rho=0.5))),
+        lambda: concentration_mass(10**7, 0.5),
+    ], ids=["law_moments", "concentration_mass"])
+    def test_large_n_builds_no_dense_array(self, work):
+        # one float64 array over N = 1e7 heights alone is 80 MB
+        tracemalloc.start()
+        try:
+            work()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
 
 
 class TestLadderTermShape:

@@ -43,6 +43,12 @@ class TestMakeParams:
         with pytest.raises(ParameterError):
             make_params(5, nu, mu)
 
+    @pytest.mark.parametrize("nu,mu", [(1e-300, 1e300), (1e300, 1e-300)])
+    def test_ratio_out_of_range_rejected(self, nu, mu):
+        # both rates are valid, but nu / mu rounds to 0.0 or overflows to inf
+        with pytest.raises(ParameterError, match="rho"):
+            make_params(5, nu, mu)
+
     def test_non_integer_n_rejected(self):
         with pytest.raises(ParameterError):
             make_params(2.5, 1.0, 1.0)
