@@ -12,16 +12,28 @@ Every artifact embeds a run manifest (tool, version, command, full
 parameter set, SHA-256 of the data section); re-running the same command
 reproduces the artifact byte for byte.  Exit codes: 0 success, 1 a
 requested check failed, 2 usage or validation error.
+
+A JSON artifact is exactly ``json.dumps(doc, sort_keys=True,
+separators=(",", ":"), allow_nan=False)`` plus a newline.  The ``rows``
+columns of ``dist`` and ``simulate`` are handed to the encoder as numpy
+arrays, and a float column is written by runs of bit-identical values:
+each run's ``repr`` is formatted once and repeated.  The law is constant
+outside an O(log N) window, so a ``dist`` column of a million entries
+holds a few hundred runs.  ``dist`` and ``simulate`` refuse more than
+``MAX_ROWS`` rows (exit 2); ``sweep`` and ``verify`` build no column.
 """
 
 from __future__ import annotations
 
 import argparse
+import codecs
 import hashlib
 import json
 import math
 import os
 import sys
+
+import numpy as np
 
 from . import __version__, asymptotics, exactdist, oracle, simulate
 from .errors import CapacityError, ParameterError
@@ -33,6 +45,8 @@ _EQUIVALENCE_GRID_N = (1, 2, 3, 5, 10, 20, 50, 100, 200)
 _EQUIVALENCE_TOL = 1e-10
 _STIRLING_BAND_FACTOR = 10.0
 _WALK_WARN_STEPS = 1e7
+_STDOUT_CHUNK = 1 << 20
+MAX_ROWS = 10**7  # rows of a dist or simulate artifact; 1e7 rows is ~0.3 GB of JSON
 
 
 def _fmt(x) -> str:
@@ -51,17 +65,64 @@ def _manifest(command: str, parameters: dict, data_bytes: bytes) -> dict:
     }
 
 
+def _encode_floats(a: np.ndarray, parts: list[str]) -> None:
+    """Append ``json.dumps(a.tolist())`` for a 1-D float64 array, one piece per run.
+
+    Runs are taken on the bit patterns, so ``-0.0`` and ``0.0`` stay apart.
+    """
+    if not a.size:
+        parts.append("[]")
+        return
+    bits = a.view(np.int64)
+    starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
+    values = a[starts]
+    if not np.isfinite(values).all():
+        raise ValueError("Out of range float values are not JSON compliant")
+    items = list(map("{!r},".format, values.tolist()))
+    counts = np.diff(starts, append=a.size).tolist()
+    counts[-1] -= 1  # the last value is written without its comma
+    parts.append("[")
+    parts.extend(map(str.__mul__, items, counts))
+    parts.append(items[-1][:-1] + "]")
+
+
+def _encode(value, parts: list[str]) -> None:
+    if isinstance(value, dict):
+        parts.append("{")
+        for i, key in enumerate(sorted(value)):
+            parts.append(("," if i else "") + json.dumps(key) + ":")
+            _encode(value[key], parts)
+        parts.append("}")
+    elif isinstance(value, np.ndarray) and value.dtype == np.float64 and value.ndim == 1:
+        _encode_floats(value, parts)
+    else:
+        if isinstance(value, np.ndarray):
+            value = value.tolist()
+        parts.append(json.dumps(value, sort_keys=True, separators=(",", ":"),
+                                allow_nan=False))
+
+
 def _canonical(data) -> bytes:
-    return json.dumps(data, sort_keys=True, separators=(",", ":"),
-                      allow_nan=False).encode("utf-8")
+    """The bytes of ``json.dumps(data, sort_keys=True, separators=(",", ":"),
+    allow_nan=False)``, where any value may also be a numpy array, encoded as
+    its ``tolist()`` would be.  Dict keys are strings."""
+    parts: list[str] = []
+    _encode(data, parts)
+    text = "".join(parts)
+    del parts  # the run pieces are as large as the text; free them before encoding
+    return text.encode("utf-8")
 
 
-def _write(blob: bytes, output: str | None) -> None:
+def _write(pieces: tuple[bytes, ...], output: str | None) -> None:
     if output:
         with open(output, "wb") as fh:
-            fh.write(blob)
-    else:
-        sys.stdout.write(blob.decode("utf-8"))
+            fh.writelines(pieces)
+        return
+    # Decoded a MiB at a time, so no second copy of a large artifact is made.
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    for piece in pieces:
+        for start in range(0, len(piece), _STDOUT_CHUNK):
+            sys.stdout.write(decoder.decode(piece[start:start + _STDOUT_CHUNK]))
 
 
 def _emit_json(command: str, parameters: dict, data, output: str | None) -> None:
@@ -70,7 +131,7 @@ def _emit_json(command: str, parameters: dict, data, output: str | None) -> None
     # artifact is the canonical encoding of {"data": ..., "manifest": ...}.
     data_bytes = _canonical(data)
     manifest = _canonical(_manifest(command, parameters, data_bytes))
-    _write(b'{"data":' + data_bytes + b',"manifest":' + manifest + b"}\n", output)
+    _write((b'{"data":', data_bytes, b',"manifest":', manifest, b"}\n"), output)
 
 
 def _csv_line(row) -> str:
@@ -84,7 +145,7 @@ def _emit_csv(command: str, parameters: dict, header: list[str],
     body_lines += [f"# {key}={_fmt(value)}" for key, value in footer.items()]
     body = ("\n".join(body_lines) + "\n").encode("utf-8")
     manifest = json.dumps(_manifest(command, parameters, body), sort_keys=True, allow_nan=False)
-    _write(f"# manifest: {manifest}\n".encode("utf-8") + body, output)
+    _write((f"# manifest: {manifest}\n".encode("utf-8"), body), output)
 
 
 def _params_from_args(args) -> tuple:
@@ -96,6 +157,9 @@ def _params_from_args(args) -> tuple:
         p = make_params(args.n, nu=args.nu, mu=args.mu)
     else:
         raise ParameterError("pass either --rho or both --nu and --mu")
+    if p.N > MAX_ROWS:
+        raise CapacityError(f"--n {p.N} exceeds the row limit of {MAX_ROWS} rows "
+                            f"(MAX_ROWS); sweep gives the moments at any N")
     resolved = {"N": p.N, "nu": p.nu, "mu": p.mu, "rho": p.rho}
     return p, resolved
 
@@ -117,15 +181,14 @@ def cmd_dist(args) -> int:
     d = exactdist.height_distribution(p)
     surv = d.survival_values()
     parameters = {**resolved, "format": args.format}
-    k = range(1, p.N + 1)
-    survival, pmf = surv.tolist(), d.pmf.tolist()
     if args.format == "csv":
-        lines = map("%d,%.15g,%.15g".__mod__, zip(k, survival, pmf))
+        lines = map("%d,%.15g,%.15g".__mod__,
+                    zip(range(1, p.N + 1), surv.tolist(), d.pmf.tolist()))
         _emit_csv("dist", parameters, ["k", "survival", "pmf"], lines,
                   {"mean": d.mean, "variance": d.variance}, args.output)
     else:
         data = {
-            "rows": {"k": list(k), "survival": survival, "pmf": pmf},
+            "rows": {"k": np.arange(1, p.N + 1), "survival": surv, "pmf": d.pmf},
             "mean": d.mean,
             "variance": d.variance,
         }
@@ -282,19 +345,19 @@ def cmd_simulate(args) -> int:
     parameters = {**resolved, "samples": args.samples, "seed": args.seed,
                   "mode": args.mode, "workers": workers, "delta": args.delta,
                   "format": args.format}
-    k = range(1, p.N + 1)
-    columns = {"count": list(summary.counts), "empirical_pmf": epmf.tolist(),
-               "exact_pmf": exact.pmf.tolist(), "empirical_cdf": ecdf.tolist(),
-               "exact_cdf": cdf.tolist()}
+    k = np.arange(1, p.N + 1)
+    columns = {"count": np.array(summary.counts, dtype=np.int64), "empirical_pmf": epmf,
+               "exact_pmf": exact.pmf, "empirical_cdf": ecdf, "exact_cdf": cdf}
     if args.format == "csv":
-        lines = map("%d,%d,%.15g,%.15g,%.15g,%.15g".__mod__, zip(k, *columns.values()))
+        lines = map("%d,%d,%.15g,%.15g,%.15g,%.15g".__mod__,
+                    zip(k.tolist(), *(c.tolist() for c in columns.values())))
         footer = {key: value for key, value in summary.to_dict().items()
                   if key not in ("counts", "empirical_pmf")}
         _emit_csv("simulate", parameters, ["k", *columns], lines, footer, args.output)
     else:
         data = {
-            "summary": summary.to_dict(),
-            "rows": {"k": list(k), **columns, "exact_survival": surv.tolist()},
+            "summary": {**summary.to_dict(), "counts": columns["count"], "empirical_pmf": epmf},
+            "rows": {"k": k, **columns, "exact_survival": surv},
         }
         _emit_json("simulate", parameters, data, args.output)
     if args.assert_dkw and not summary.dkw_pass:

@@ -6,13 +6,17 @@ import math
 import os
 import subprocess
 import sys
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bdheight
 from bdheight import height_distribution, make_params
-from bdheight.cli import main
+from bdheight.cli import MAX_ROWS, _canonical, _write, main
 
 
 def run_cli(capsys, *argv):
@@ -236,6 +240,20 @@ class TestParserContract:
         assert "rho" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("argv", [
+        ["dist", "--rho", "0.5"],
+        ["simulate", "--rho", "0.5", "--samples", "10"],
+    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("n", [MAX_ROWS + 1, 10**9])
+    def test_row_limit_exits_2(self, capsys, argv, n):
+        start = time.perf_counter()
+        rc, out, err = run_cli(capsys, *argv, "--n", str(n))
+        assert time.perf_counter() - start < 5.0  # refused before any O(N) work
+        assert rc == 2
+        assert out == ""
+        assert f"row limit of {MAX_ROWS}" in err
+        assert "Traceback" not in err
+
     def test_json_keys_are_sorted(self, capsys):
         rc, out, _ = run_cli(capsys, "alpha", "--rho", "0.5")
         assert rc == 0
@@ -251,6 +269,9 @@ def canonical(doc) -> str:
 class TestEmission:
     @pytest.mark.parametrize("argv", [
         ["dist", "--n", "10", "--rho", "0.5"],
+        pytest.param(["dist", "--n", "10000", "--rho", "0.5"], id="dist_plateau"),
+        pytest.param(["dist", "--n", "5000", "--rho", "1e-300"], id="dist_rho_1e-300"),
+        pytest.param(["dist", "--n", "5000", "--rho", "1e300"], id="dist_rho_1e300"),
         ["alpha", "--rho", "0.25"],
         ["verify", "--rho", "0.5", "--n", "10", "1000"],
         ["simulate", "--n", "10", "--rho", "0.5", "--samples", "300", "--seed", "3"],
@@ -273,6 +294,19 @@ class TestEmission:
         sha = json.loads(blob)["manifest"]["data_sha256"]
         assert hashlib.sha256(data_bytes).hexdigest() == sha
 
+    def test_large_stdout_matches_file(self, tmp_path, capsys):
+        # stdout is decoded a MiB at a time; a character split across two
+        # chunks must come out whole.
+        path = tmp_path / "law.json"
+        args = ["dist", "--n", "100000", "--rho", "0.5"]
+        assert main([*args, "--output", str(path)]) == 0
+        rc, out, _ = run_cli(capsys, *args)
+        blob = path.read_bytes()
+        assert rc == 0 and len(blob) > 2**20 and out.encode() == blob
+        text = "x" * (2**20 - 1) + "\u00e9\u20ac"
+        _write((text.encode("utf-8"),), None)
+        assert capsys.readouterr().out == text
+
     def test_dist_columns_are_the_law_bit_for_bit(self, tmp_path, capsys):
         n, rho = 200000, 0.5
         path = tmp_path / "law.json"
@@ -285,6 +319,19 @@ class TestEmission:
             got = np.array(data["rows"][name], dtype=float)
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), name
         assert (data["mean"], data["variance"]) == (law.mean, law.variance)
+
+    def test_dist_builds_no_float_list(self, tmp_path):
+        # Encoding the columns as arrays by runs traces ~75 MiB.  One Python
+        # float list of 1e6 entries adds ~30 MiB; both columns as lists trace ~136.
+        tracemalloc.start()
+        try:
+            rc = main(["dist", "--n", "1000000", "--rho", "0.5",
+                       "--output", str(tmp_path / "law.json")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert peak < 96 * 2**20
 
     def test_simulate_columns(self, capsys):
         n, samples = 40, 3000
@@ -308,6 +355,40 @@ class TestEmission:
         assert proc.returncode == 0
         assert proc.stderr == ""
         assert json.loads(proc.stdout)["manifest"]["command"] == "simulate"
+
+
+# Neighbours in bits: both zeros, subnormals, the extremes and last-ulp pairs.
+_FLOAT_POOL = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+               1e308, -1e308, 0.1, math.nextafter(0.1, 1.0), 1.0,
+               math.nextafter(1.0, 0.0), 1 / 3, -2.5]
+
+
+class TestCanonicalEncoder:
+    @given(runs=st.lists(st.tuples(st.sampled_from(_FLOAT_POOL), st.integers(1, 40)),
+                         max_size=12))
+    @settings(max_examples=300, deadline=None)
+    def test_float_array_encodes_as_its_list(self, runs):
+        a = np.array([v for v, n in runs for _ in range(n)], dtype=np.float64)
+        doc = {"rows": {"c": a, "b": a[::-1]}, "a": [0.5, None]}
+        listed = {"rows": {"c": a.tolist(), "b": a[::-1].tolist()}, "a": [0.5, None]}
+        assert _canonical(doc) == canonical(listed)[:-1].encode()
+
+    @pytest.mark.parametrize("a", [
+        np.zeros(0, dtype=np.int64),
+        np.array([7], dtype=np.int64),
+        np.arange(1, 1001),
+        np.array([-2**63, -1, 0, 0, 0, 1, 2**63 - 1], dtype=np.int64),
+    ], ids=["empty", "one", "arange", "extremes"])
+    def test_int_array_encodes_as_its_list(self, a):
+        assert _canonical({"c": a}) == canonical({"c": a.tolist()})[:-1].encode()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_float_raises(self, bad):
+        a = np.array([1.0, bad, bad, 2.0])
+        with pytest.raises(ValueError):
+            canonical({"c": a.tolist()})
+        with pytest.raises(ValueError):
+            _canonical({"c": a})
 
 
 _SMALL_N_RUNS = [[*argv, "--n", n] for n in ("1", "2", "10") for argv in (
