@@ -9,7 +9,7 @@ an independent first-passage solver, and validates the lot with a
 reproducible Monte Carlo sampler.
 """
 
-__version__ = "0.2.1"
+__version__ = "0.3.0"
 
 from .errors import BDHeightError, CapacityError, ParameterError, SimulationAbort
 from .model import (
@@ -25,8 +25,8 @@ from .exactdist import (
     log_r_term,
 )
 from .oracle import (
-    conditional_ascent_probs,
     height_dist_oracle,
+    log_hitting_sums,
 )
 from .asymptotics import (
     AlphaSolution,
@@ -61,7 +61,7 @@ __all__ = [
     "ModelParams", "make_params", "jump_up_probs",
     "HeightDistribution", "RationalHeightDistribution", "height_distribution",
     "log_r_term", "exact_rational_distribution",
-    "height_dist_oracle", "conditional_ascent_probs",
+    "height_dist_oracle", "log_hitting_sums",
     "AlphaSolution", "BoundConstants", "BoundReport", "solve_alpha",
     "height_fraction_limit", "variance_limit", "bound_constants",
     "check_peak_ratio_bounds", "check_mean_bounds", "stirling_ratio",

@@ -77,7 +77,7 @@ __all__ = [
 
 RESIDUAL_TOL = 1e-13
 FLOOR_SLACK = 1e-9
-MEAN_BOUND_MIN_N = 1000  # below this the sandwich is reported but not asserted
+MEAN_BOUND_MIN_N = 1000  # below this the bounds are reported but not asserted
 
 
 @dataclass(frozen=True)
@@ -273,10 +273,13 @@ def check_peak_ratio_bounds(n: int, rho: float,
     Decay:  t(h_n - [c2 log n]) <= t(h_n) * n**-3.
     Both are evaluated in the log domain; see the module docstring for
     the integer-part candidate policy.  Out-of-range offsets flag the
-    report as not applicable instead of raising.
+    report as not applicable instead of raising.  Below
+    ``MEAN_BOUND_MIN_N`` the margins are still computed but the reports
+    are flagged not applicable, as in ``check_mean_bounds``: the
+    inequalities are eventual statements.
     """
-    if n < 2:
-        raise ParameterError(f"n must be >= 2, got {n}")
+    if n < 1:
+        raise ParameterError(f"n must be >= 1, got {n}")
     c = constants if constants is not None else bound_constants(rho)
     log_n = math.log(n)
     h_cands = integer_part_candidates(c.alpha * (n - 1))
@@ -313,7 +316,8 @@ def check_peak_ratio_bounds(n: int, rho: float,
         note = ("candidates (h, offset, log-margin): "
                 + "; ".join(f"({a}, {b}, {m:+.4f})" for a, b, m in tried))
         return BoundReport(inequality=name, n=n, rho=rho, lhs=lhs, rhs=rhs,
-                           margin=margin, passed=margin >= 0.0, applicable=True,
+                           margin=margin, passed=margin >= 0.0,
+                           applicable=n >= MEAN_BOUND_MIN_N,
                            floor_margin=floor_margin, note=note)
 
     growth = evaluate(integer_part_candidates(c.c1 * log_n), +1, 2.0 * log_n,

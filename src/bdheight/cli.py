@@ -348,17 +348,15 @@ def cmd_simulate(args) -> int:
     k = np.arange(1, p.N + 1)
     columns = {"count": np.array(summary.counts, dtype=np.int64), "empirical_pmf": epmf,
                "exact_pmf": exact.pmf, "empirical_cdf": ecdf, "exact_cdf": cdf}
+    # counts and empirical_pmf are the rows' count and empirical_pmf columns
+    scalars = {key: value for key, value in summary.to_dict().items()
+               if key not in ("counts", "empirical_pmf")}
     if args.format == "csv":
         lines = map("%d,%d,%.15g,%.15g,%.15g,%.15g".__mod__,
                     zip(k.tolist(), *(c.tolist() for c in columns.values())))
-        footer = {key: value for key, value in summary.to_dict().items()
-                  if key not in ("counts", "empirical_pmf")}
-        _emit_csv("simulate", parameters, ["k", *columns], lines, footer, args.output)
+        _emit_csv("simulate", parameters, ["k", *columns], lines, scalars, args.output)
     else:
-        data = {
-            "summary": {**summary.to_dict(), "counts": columns["count"], "empirical_pmf": epmf},
-            "rows": {"k": k, **columns, "exact_survival": surv},
-        }
+        data = {"summary": scalars, "rows": {"k": k, **columns, "exact_survival": surv}}
         _emit_json("simulate", parameters, data, args.output)
     if args.assert_dkw and not summary.dkw_pass:
         print(f"simulate: ECDF band exceeded: sup={summary.sup_distance:.6g} > "
@@ -425,8 +423,9 @@ def build_parser() -> argparse.ArgumentParser:
                                         simulate.FULL_CTMC),
                      default=simulate.LADDER)
     sub.add_argument("--workers", type=int, default=None,
-                     help="worker threads (default: $BDHEIGHT_WORKERS or 1); "
-                          "never affects the data section or its checksum")
+                     help="worker count (default: $BDHEIGHT_WORKERS or 1); recorded "
+                          "in the manifest only: chunks always run in order on one "
+                          "thread")
     sub.add_argument("--delta", type=float, default=0.01,
                      help="ECDF band confidence parameter")
     sub.add_argument("--assert", dest="assert_dkw", action="store_true",

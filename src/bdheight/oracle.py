@@ -21,9 +21,10 @@ valley, after which rounding noise is amplified by a factor q/p per
 state and the solution is garbage.  Accumulating log-odds and
 log-sum-exp partial sums is immune to both failure modes.
 
-The ladder sampler's input, ``conditional_ascent_probs``, has no size
-cap, since the sweep is linear in N.  ``height_dist_oracle`` still
-refuses N above ``cap`` (default 2000) unless the caller raises it.
+``log_hitting_sums`` returns the log S_k themselves, with no size cap,
+since the sweep is linear in N; the ladder sampler inverts them.
+``height_dist_oracle`` still refuses N above ``cap`` (default 2000)
+unless the caller raises it.
 
 This module intentionally does not import the closed-form module
 (:mod:`bdheight.exactdist`); their agreement is the package's strongest
@@ -40,19 +41,19 @@ from .model import ModelParams, jump_up_probs
 
 __all__ = [
     "height_dist_oracle",
-    "conditional_ascent_probs",
+    "log_hitting_sums",
     "ORACLE_CAP_DEFAULT",
 ]
 
 ORACLE_CAP_DEFAULT = 2000
 
 
-def _log_hitting_sums(p: ModelParams) -> np.ndarray:
+def log_hitting_sums(p: ModelParams) -> np.ndarray:
     """log of the elimination partial sums for targets 1..N.
 
     Entry k-1 is log S_k = log sum_{i=0}^{k-1} g_i where g_0 = 1 and
     g_i = prod_{m<=i} q_m / p_m; P(hit k before 0 | start 1) is the
-    reciprocal of that sum.
+    reciprocal of that sum.  Entry 0 is 0 and the entries never decrease.
     """
     pi = jump_up_probs(p)[1:p.N]
     # Once p_i rounds to 1.0 (rho >~ 1e16) log q_i is -inf, which the
@@ -69,15 +70,4 @@ def height_dist_oracle(p: ModelParams, *, cap: int = ORACLE_CAP_DEFAULT) -> np.n
         raise CapacityError(
             f"first-passage oracle is capped at N = {cap} (got N = {p.N}); "
             f"raise the cap explicitly if you really want this")
-    return np.exp(-_log_hitting_sums(p))
-
-
-def conditional_ascent_probs(p: ModelParams) -> np.ndarray:
-    """P(hit k+1 before 0 | start at k) for k = 1..N-1.
-
-    These are ratios of consecutive first-passage probabilities; they are
-    formed in log space so the near-1 values in the drift region do not
-    lose their distance to 1 before the division.
-    """
-    log_sums = _log_hitting_sums(p)
-    return np.exp(log_sums[:-1] - log_sums[1:])
+    return np.exp(-log_hitting_sums(p))

@@ -3,15 +3,17 @@
 Three samplers share one reproducibility scheme:
 
 ``ladder`` (default)
-    Exact-in-law sampling of the height alone.  By the strong Markov
-    property the excursion's running maximum climbs one level at a time:
-    given that level k was reached, level k+1 is reached before the
-    excursion ends with probability v_k = P(hit k+1 before 0 | at k),
-    independently of the past.  The v_k come from the first-passage
-    module (:mod:`bdheight.oracle`), not from the closed-form law, so a
-    distributional comparison against :mod:`bdheight.exactdist` still
-    crosses two independent code paths.  Cost is O(N) setup plus O(1)
-    vectorized work per sample per level.
+    Exact-in-law sampling of the height alone, by inversion.  The
+    first-passage identity P(H >= k) = 1 / S_k turns the event H >= k
+    into E >= log S_k for one E ~ Exp(1), so the height is the number of
+    log-sums at or below E: one ``searchsorted`` of E into the
+    non-decreasing log S_1..S_N.  The log-sums come from the
+    first-passage module (:mod:`bdheight.oracle`), not from the
+    closed-form law, so a distributional comparison against
+    :mod:`bdheight.exactdist` still crosses two independent code paths.
+    Cost is one O(N) sweep plus O(log N) per sample; exponential
+    variates also resolve tail masses below 2**-53, which uniforms
+    cannot.
 
 ``jump-chain``
     Literal step-by-step walk of the embedded jump chain from state 1
@@ -33,21 +35,20 @@ Three samplers share one reproducibility scheme:
 
 Reproducibility
 ---------------
-Samples are partitioned into fixed-size chunks (the size depends only on
-N, never on the worker count) and chunk c draws from its own
-counter-based Philox stream seeded by ``SeedSequence((seed, c))``.
-Workers are assigned whole chunks and results are merged in chunk order,
-so a fixed ``SimulationConfig`` produces bit-identical summaries for any
-``worker_count``.  Scalar aggregates are computed exactly (integer
-moments; ``math.fsum`` for durations, which is order-independent because
-it rounds the exact sum once), so no merge order can leak into the
-output.
+Samples are partitioned into chunks of ``_CHUNK_SAMPLES`` and chunk c
+draws from its own counter-based Philox stream seeded by
+``SeedSequence((seed, c))``.  Chunks run in order on the calling thread,
+so a fixed ``SimulationConfig`` produces bit-identical summaries.
+``worker_count`` is validated and kept for the record (the CLI writes it
+into the manifest) but does not change execution: on two cores a thread
+pool made the walks slower, not faster.  Scalar aggregates are computed
+exactly (integer moments; ``math.fsum`` for durations, which rounds the
+exact sum once), so no accumulation order can leak into the output.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -86,7 +87,7 @@ class SimulationConfig:
     n_samples: int
     seed: int
     mode: str = LADDER
-    worker_count: int = 1
+    worker_count: int = 1  # validated and recorded; chunks always run on one thread
     dkw_delta: float = 0.01
     max_excursion_steps: int = DEFAULT_MAX_EXCURSION_STEPS
     max_total_steps: float = DEFAULT_MAX_TOTAL_STEPS
@@ -181,24 +182,13 @@ def estimate_mean_excursion_steps(p: ModelParams) -> float:
     return math.expm1(log_return)  # return time minus the jump out of 0
 
 
-def _chunk_samples(N: int) -> int:
-    # Fixed function of N alone so the chunk layout (and therefore the
-    # stream layout) never depends on worker_count or available memory.
-    return max(256, min(4096, (1 << 22) // max(N, 1)))
+# Samples per chunk, and so per Philox stream.  A constant, so the stream
+# layout depends on nothing but the seed.
+_CHUNK_SAMPLES = 4096
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, chunk_index))))
-
-
-def _ladder_chunk(v: np.ndarray, n: int, rng: np.random.Generator, N: int) -> np.ndarray:
-    if v.size == 0:  # N == 1: the only reachable height is 1
-        return np.ones(n, dtype=np.int64)
-    u = rng.random((n, v.size))
-    failed = u >= v  # row s, column k-1: ascent k -> k+1 failed
-    any_fail = failed.any(axis=1)
-    first_fail = failed.argmax(axis=1) + 1
-    return np.where(any_fail, first_fail, N).astype(np.int64)
 
 
 def _walk_chunk(p: ModelParams, n: int, rng: np.random.Generator,
@@ -267,31 +257,21 @@ def run_batch(cfg: SimulationConfig) -> SimulationSummary:
                 f"direct {cfg.mode} simulation of {n} excursions at N={p.N}, "
                 f"rho={p.rho} needs ~{est:.3g} jump steps "
                 f"(budget {cfg.max_total_steps:.3g}); the '{LADDER}' mode samples "
-                f"the same height law in O(N) per excursion")
+                f"the same height law in O(log N) per sample")
 
-    chunk_size = _chunk_samples(p.N)
-    chunks = [(c, lo, min(lo + chunk_size, n))
-              for c, lo in enumerate(range(0, n, chunk_size))]
+    chunks = [(c, min(_CHUNK_SAMPLES, n - lo))
+              for c, lo in enumerate(range(0, n, _CHUNK_SAMPLES))]
 
     if cfg.mode == LADDER:
-        v = oracle.conditional_ascent_probs(p)
-
-        def work(chunk):
-            c, lo, hi = chunk
-            return _ladder_chunk(v, hi - lo, _chunk_rng(cfg.seed, c), p.N), None
+        # H >= k exactly when E >= log S_k, with E ~ Exp(1)
+        log_sums = oracle.log_hitting_sums(p)
+        results = [(np.searchsorted(log_sums, _chunk_rng(cfg.seed, c).standard_exponential(m),
+                                    side="right"), None) for c, m in chunks]
     else:
         with_durations = cfg.mode == FULL_CTMC
-
-        def work(chunk):
-            c, lo, hi = chunk
-            return _walk_chunk(p, hi - lo, _chunk_rng(cfg.seed, c),
-                               with_durations, cfg.max_excursion_steps)
-
-    if cfg.worker_count > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.worker_count) as pool:
-            results = list(pool.map(work, chunks))
-    else:
-        results = [work(chunk) for chunk in chunks]
+        results = [_walk_chunk(p, m, _chunk_rng(cfg.seed, c), with_durations,
+                               cfg.max_excursion_steps)
+                   for c, m in chunks]
 
     heights = np.concatenate([r[0] for r in results])
     counts = np.bincount(heights, minlength=p.N + 1)[1:]

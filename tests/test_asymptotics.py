@@ -125,7 +125,8 @@ class TestPeakRatioBounds:
         growth, decay = check_peak_ratio_bounds(10, 0.5)
         # c2 log 10 ~ 15 steps below a peak at 6: out of range.
         assert not decay.applicable
-        assert growth.applicable  # the upward offset still fits
+        assert not growth.applicable  # the offset fits, but n < MEAN_BOUND_MIN_N
+        assert math.isfinite(growth.margin)
 
     def test_decay_is_deep(self):
         _, decay = check_peak_ratio_bounds(10**5, 0.5)

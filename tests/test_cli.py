@@ -127,6 +127,15 @@ class TestVerify:
         assert rc == 0
         assert any(not c["applicable"] for c in doc["data"]["checks"])
 
+    @pytest.mark.parametrize("n", ["1", "2"])
+    def test_smallest_n_is_reported_not_applicable(self, capsys, n):
+        rc, doc, err = run_json(capsys, "verify", "--rho", "0.5", "--n", n)
+        assert rc == 0, err
+        peak = [c for c in doc["data"]["checks"]
+                if c["inequality"] in ("peak_growth", "peak_decay")]
+        assert len(peak) == 2
+        assert not any(c["applicable"] for c in peak)
+
     def test_csv_format_is_refused(self, capsys):
         # the nested check records have no CSV form, so argparse refuses it
         with pytest.raises(SystemExit) as exc:
@@ -160,6 +169,16 @@ class TestSimulateCommand:
         assert main(args + ["--output", str(out2)]) == 0
         capsys.readouterr()
         assert out1.read_bytes() == out2.read_bytes()
+
+    def test_counts_are_stored_once(self, capsys):
+        rc, doc, _ = run_json(capsys, "simulate", "--n", "30", "--rho", "0.6",
+                              "--samples", "5000", "--seed", "11")
+        assert rc == 0
+        summary, rows = doc["data"]["summary"], doc["data"]["rows"]
+        # the per-height numbers live in the rows; the summary holds scalars
+        assert not any(isinstance(value, (list, dict)) for value in summary.values())
+        assert "counts" not in summary and "empirical_pmf" not in summary
+        assert sum(rows["count"]) == summary["n_samples"] == 5000
 
     def test_worker_count_does_not_change_data(self, capsys):
         rc1, doc1, _ = run_json(capsys, "simulate", "--n", "30", "--rho", "0.6",

@@ -13,10 +13,10 @@ from hypothesis import strategies as st
 import bdheight.oracle
 from bdheight import (
     CapacityError,
-    conditional_ascent_probs,
     height_dist_oracle,
     height_distribution,
     jump_up_probs,
+    log_hitting_sums,
     make_params,
 )
 
@@ -81,13 +81,12 @@ class TestSolvedSystem:
             assert abs(res) <= 1e-12 * max(h[i], 1e-300)
 
     def test_first_entry_is_first_passage_prob(self):
-        # h[1] for target k is P(H >= k): the product of the conditional
-        # ascent probabilities from levels 1..k-1.
+        # h[1] for target k is P(H >= k) = 1 / S_k.
         p = make_params(60, rho=0.9)
-        ascent = conditional_ascent_probs(p)
+        log_sums = log_hitting_sums(p)
         for k in (1, 2, 30, 60):
             h = _hitting_vector(p, k)
-            assert h[1] == pytest.approx(np.prod(ascent[:k - 1]), rel=1e-14)
+            assert h[1] == pytest.approx(math.exp(-log_sums[k - 1]), rel=1e-14)
 
 
 class TestBatchedOracle:
@@ -106,13 +105,15 @@ class TestBatchedOracle:
         assert surv.shape == (2001,)
 
     def test_ascent_probs_are_survival_ratios(self):
+        # The sampler inverts these log-sums, so it relies on exactly this:
+        # P(H >= k) = exp(-log S_k), log S_1 = 0, and no sum decreases.
         p = make_params(80, rho=0.7)
-        v = conditional_ascent_probs(p)
+        log_sums = log_hitting_sums(p)
         surv = height_dist_oracle(p)
-        assert v.shape == (79,)
-        assert ((v > 0) & (v <= 1)).all()
-        # v_k = P(H >= k+1) / P(H >= k)
-        assert np.abs(v * surv[:-1] - surv[1:]).max() <= 1e-12
+        assert log_sums.shape == (80,)
+        assert log_sums[0] == 0.0
+        assert (np.diff(log_sums) >= 0).all()
+        assert np.abs(np.exp(-log_sums) - surv).max() <= 1e-12
 
     def test_saturated_ascent_is_silent(self):
         # At rho = 1e20 every p_i rounds to 1.0, so log q_i is -inf: a zero

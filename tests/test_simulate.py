@@ -1,6 +1,7 @@
 """Samplers: law agreement, reproducibility, feasibility guards."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,9 +18,11 @@ from bdheight import (
     estimate_mean_excursion_steps,
     height_distribution,
     height_fraction_limit,
+    log_hitting_sums,
     make_params,
     run_batch,
 )
+from bdheight.simulate import _CHUNK_SAMPLES
 
 
 class TestConfig:
@@ -133,6 +136,35 @@ class TestLadderBatch:
         assert freq <= 0.01
 
 
+class TestInversionSampler:
+    def test_chunks_invert_their_own_streams(self):
+        # Chunk c draws its exponentials from Philox(SeedSequence((seed, c)));
+        # a height is the number of log-sums at or below its variate.
+        p = make_params(50, rho=0.8)
+        seed, n = 13, 2 * _CHUNK_SAMPLES + 100
+        log_sums = log_hitting_sums(p)
+        heights = []
+        for c, lo in enumerate(range(0, n, _CHUNK_SAMPLES)):
+            rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, c))))
+            e = rng.standard_exponential(min(_CHUNK_SAMPLES, n - lo))
+            heights.append(np.searchsorted(log_sums, e, side="right"))
+        want = np.bincount(np.concatenate(heights), minlength=p.N + 1)[1:]
+        s = run_batch(SimulationConfig(params=p, n_samples=n, seed=seed))
+        assert s.counts == tuple(want.tolist())
+
+    def test_memory_does_not_scale_with_chunk_times_n(self):
+        # A (samples, N) float matrix here would be 256 x 2e5 x 8 B ~ 0.4 GB.
+        p = make_params(200_000, rho=0.5)
+        tracemalloc.start()
+        try:
+            s = run_batch(SimulationConfig(params=p, n_samples=256, seed=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(s.counts) == 256
+        assert peak < 64 * 2**20
+
+
 class TestWalkBatches:
     def test_direct_walk_matches_exact_law(self):
         cfg = SimulationConfig(params=make_params(10, rho=0.3),
@@ -199,6 +231,23 @@ class TestReproducibility:
         eight = run_batch(SimulationConfig(params=p, n_samples=n, seed=5, mode=mode,
                                            worker_count=8))
         assert one.to_json_bytes() == eight.to_json_bytes()
+
+    @pytest.mark.parametrize("mode,N,rho,seed,counts,duration", [
+        (JUMP_CHAIN, 12, 0.5, 3,
+         {1: 1370, 2: 477, 3: 271, 4: 220, 5: 321, 6: 538, 7: 1159, 8: 1976, 9: 1936,
+          10: 634, 11: 91, 12: 7}, None),
+        (FULL_CTMC, 12, 0.5, 3,
+         {1: 1395, 2: 411, 3: 271, 4: 257, 5: 350, 6: 554, 7: 1120, 8: 2035, 9: 1888,
+          10: 627, 11: 88, 12: 4}, 21.70492462038683),
+        (JUMP_CHAIN, 1024, 0.001, 5,
+         {1: 4417, 2: 2212, 3: 1435, 4: 678, 5: 198, 6: 49, 7: 8, 8: 3}, None),
+    ], ids=["jump-chain-12", "full-ctmc-12", "jump-chain-1024"])
+    def test_walk_streams_are_pinned(self, mode, N, rho, seed, counts, duration):
+        # Walk-mode batches of three chunks at N <= 1024, as drawn by 0.2.1.
+        s = run_batch(SimulationConfig(params=make_params(N, rho=rho), n_samples=9000,
+                                       seed=seed, mode=mode))
+        assert {k: c for k, c in enumerate(s.counts, start=1) if c} == counts
+        assert s.mean_busy_duration == duration
 
     def test_different_seed_different_counts(self):
         p = make_params(40, rho=0.9)
