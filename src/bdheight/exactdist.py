@@ -73,6 +73,17 @@ The variance is the centered second moment over the masses, summed with
 catastrophically cancelling for rho >= 1 where mean ~ N, and is not
 used.
 
+Each log term is -i log rho - (lgam(N) - lgam(i + 1) - lgam(N - i)),
+where lgam is a private port of Cephes ``lgam`` (S. Moshier, *Methods and
+Programs for Mathematical Functions*, 1989), the routine behind
+``scipy.special.gammaln``, so the terms are the same doubles gammaln
+gives.  The port only accepts integer-valued arguments x >= 1: below 13
+it reads log((x-1)!) from a table, from 13 up it is Cephes' Stirling
+series with its coefficients and branch points (1000, 1e8, and inf above
+MAXLGM = 2.556348e305).  Its logarithm is ``math.log``, the C library's,
+as in Cephes; NumPy's SIMD ``np.log`` may differ in the last bit, so the
+array path takes only the log per element and does the rest in NumPy.
+
 An exact-rational twin (``exact_rational_distribution``) evaluates the
 same quantities in unbounded-precision rational arithmetic for moderate
 N and serves as the ground truth for the float path.
@@ -86,7 +97,6 @@ from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import CapacityError, ParameterError
 from .model import ModelParams
@@ -231,9 +241,71 @@ def _check_rho(rho) -> float:
     return rho
 
 
-def _log_t(n: int, rho: float, x):
-    # log t at the float index (or index array) x; the one evaluation of the term
-    return -x * math.log(rho) - (gammaln(n) - gammaln(x + 1.0) - gammaln(n - x))
+# Cephes lgam for integer-valued x >= 1 (see the module docstring).  Below
+# 13 it is the log of (x-1)!, which is exact in a double there.
+_LOG_FACTORIAL = np.array([math.log(float(math.factorial(j))) for j in range(12)])
+_LS2PI = 0.91893853320467274178  # log(sqrt(2 pi))
+_MAXLGM = 2.556348e305
+_STIRLING = (8.11614167470508450300E-4, -5.95061904284301438324E-4,
+             7.93650340457716943945E-4, -2.77777777730099687205E-3,
+             8.33333333333331927722E-2)
+
+
+def _tail_large(x, p):
+    # Cephes' short series for 1000 <= x <= 1e8, with p = 1/x^2
+    return ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+            + 0.0833333333333333333333) / x
+
+
+def _tail_poly(x, p):
+    # Cephes' polevl(p, A, 4) / x for 13 <= x < 1000
+    c = _STIRLING[0]
+    for a in _STIRLING[1:]:
+        c = c * p + a
+    return c / x
+
+
+def _lgam(x: float) -> float:
+    """log Gamma(x) for one integer-valued x >= 1, bit-identical to Cephes."""
+    if x < 13.0:
+        return float(_LOG_FACTORIAL[int(x) - 1])
+    if x > _MAXLGM:
+        return math.inf
+    q = (x - 0.5) * math.log(x) - x + _LS2PI
+    if x > 1e8:
+        return q
+    return q + (_tail_large if x >= 1000.0 else _tail_poly)(x, 1.0 / (x * x))
+
+
+def _lgam_array(x: np.ndarray) -> np.ndarray:
+    """:func:`_lgam` elementwise.  Only the log is taken per element, with
+    ``math.log``: NumPy's SIMD log can differ from the C library's in the
+    last bit, and Cephes uses the latter."""
+    out = np.full(x.shape, math.inf)
+    small = x < 13.0
+    out[small] = _LOG_FACTORIAL[x[small].astype(np.intp) - 1]
+    stirling = ~small & (x <= _MAXLGM)
+    y = x[stirling]
+    q = (y - 0.5) * np.fromiter(map(math.log, y.tolist()), float, y.size) - y + _LS2PI
+    series = y <= 1e8
+    z = y[series]
+    p = 1.0 / (z * z)
+    q[series] += np.where(z >= 1000.0, _tail_large(z, p), _tail_poly(z, p))
+    out[stirling] = q
+    return out
+
+
+def _log_t(n: int, rho: float):
+    """log t as a function of the float index (or index array) x: the one
+    evaluation of the term."""
+    log_rho, lgam_n = math.log(rho), _lgam(float(n))
+
+    def log_t(x):
+        if isinstance(x, np.ndarray):
+            lgam_i, lgam_ni = _lgam_array(np.stack([x + 1.0, n - x]))
+            return -x * log_rho - (lgam_n - lgam_i - lgam_ni)
+        return -x * log_rho - (lgam_n - _lgam(x + 1.0) - _lgam(n - x))
+    return log_t
 
 
 def log_r_term(n: int, rho: float, i) -> float | np.ndarray:
@@ -248,8 +320,7 @@ def log_r_term(n: int, rho: float, i) -> float | np.ndarray:
     i_arr = np.asarray(i)
     if i_arr.size and (i_arr.min() < 0 or i_arr.max() > n - 1):
         raise ParameterError(f"term index must be in [0, {n - 1}], got {i!r}")
-    out = _log_t(n, rho, i_arr.astype(float))
-    return float(out) if np.isscalar(i) else out
+    return _log_t(n, rho)(float(i) if np.isscalar(i) else i_arr.astype(float))
 
 
 def r_term_turning_point(n: int, rho: float) -> float:
@@ -276,12 +347,13 @@ def _first(pred, lo: int, hi: int) -> int:
 def height_distribution(p: ModelParams) -> HeightDistribution:
     """Law of H from the head and window terms, O(log N + window) work."""
     N, rho = p.N, p.rho
+    log_t = _log_t(N, rho)
 
     def t(i: int) -> float:
-        return float(_log_t(N, rho, float(i)))
+        return log_t(float(i))
 
     def terms(lo: int, hi: int) -> np.ndarray:
-        return _log_t(N, rho, np.arange(lo, hi, dtype=float))
+        return log_t(np.arange(lo, hi, dtype=float))
 
     # t decreases on [0, m] and increases on [m, N-1].
     m = min(max(math.ceil(r_term_turning_point(N, rho)), 0), N - 1)

@@ -8,8 +8,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import gammaln
-
 from bdheight import (
     CapacityError,
     ParameterError,
@@ -21,7 +19,10 @@ from bdheight import (
     make_params,
     solve_alpha,
 )
-from bdheight.exactdist import r_term_turning_point
+from bdheight.exactdist import _MAXLGM, _lgam, _lgam_array, r_term_turning_point
+
+# scipy is a test-only dependency: the reference for the lgam port
+gammaln = pytest.importorskip("scipy.special").gammaln
 
 
 class TestLogRTerm:
@@ -202,6 +203,42 @@ class TestWindowedForm:
         finally:
             tracemalloc.stop()
         assert peak < 5 * 2**20
+
+
+class TestLgamPort:
+    """The integer-only Cephes lgam port equals scipy's gammaln bit for bit."""
+
+    @staticmethod
+    def _check(x):
+        x = np.asarray(x, dtype=float)
+        want = _bits(gammaln(x))
+        assert np.array_equal(_bits(_lgam_array(x)), want)
+        assert np.array_equal(_bits([_lgam(v) for v in x.tolist()]), want)
+
+    def test_every_integer_up_to_2e5(self):
+        self._check(np.arange(1, 2 * 10**5 + 1))
+
+    def test_random_integers_up_to_1e15(self):
+        rng = np.random.default_rng(20261018)
+        self._check(np.floor(rng.uniform(1.0, 1e15, 10**5)))
+
+    def test_both_sides_of_each_branch_point(self):
+        points = [v + d for v in (13, 1000, 10**8) for d in range(-3, 4)]
+        edge = [_MAXLGM]
+        for _ in range(3):  # every double this large is an integer
+            edge = [np.nextafter(edge[0], 0.0), *edge, np.nextafter(edge[-1], np.inf)]
+        self._check(points + edge + [1e306, 1e308])
+        assert _lgam(np.nextafter(_MAXLGM, np.inf)) == math.inf
+
+    @given(data=st.data(), N=st.integers(1, 10**12),
+           rho=st.floats(1e-300, 1e300, allow_nan=False, allow_infinity=False))
+    @settings(max_examples=300, deadline=None)
+    def test_log_r_term_matches_scipy_formula(self, data, N, rho):
+        i = data.draw(st.integers(0, N - 1))
+        x = float(i)  # the index enters as a double, so i = 0 gives -0.0 * log(rho)
+        want = -x * math.log(rho) - (gammaln(N) - gammaln(x + 1) - gammaln(N - x))
+        assert _bits(log_r_term(N, rho, i)) == _bits(want)
+        assert _bits(log_r_term(N, rho, np.array([i]))) == _bits([want])
 
 
 class TestLadderTermShape:

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from bdheight import (
     make_params,
     run_batch,
 )
-from bdheight.simulate import _CHUNK_SAMPLES
+from bdheight.simulate import _CHUNK_SAMPLES, _exact_counts_moments
 
 
 class TestConfig:
@@ -53,6 +54,15 @@ class TestExcursionLengthEstimate:
 
     def test_overflow_reports_inf(self):
         assert estimate_mean_excursion_steps(make_params(2000, rho=0.5)) == math.inf
+
+    @pytest.mark.parametrize("rho", [Fraction(1, 2), Fraction(4, 5), Fraction(3)])
+    @pytest.mark.parametrize("N", [1, 2, 12, 50])
+    def test_matches_exact_return_time(self, N, rho):
+        # the mean return time to 0 is 2 (1 + rho)^(N-1) jumps, one of them
+        # the jump out of 0
+        exact = 2 * (1 + rho) ** (N - 1) - 1
+        est = estimate_mean_excursion_steps(make_params(N, rho=float(rho)))
+        assert abs(Fraction(est) - exact) <= Fraction(1, 10**14) * exact
 
 
 class TestScalarSamplers:
@@ -116,6 +126,14 @@ class TestLadderBatch:
         assert s.empirical_mean == pytest.approx(mean, rel=1e-15)
         var = float(np.dot((ks - mean) ** 2, counts)) / 4096
         assert s.empirical_variance == pytest.approx(var, rel=1e-12)
+
+    def test_moments_are_exact_with_zero_counts(self):
+        # heights 2 (x3), 5 (x2) and 9 (x1); the zero counts contribute nothing
+        counts = np.array([0, 3, 0, 0, 2, 0, 0, 0, 1, 0])
+        heights = [2, 2, 2, 5, 5, 9]
+        mean = Fraction(sum(heights), 6)
+        var = sum((h - mean) ** 2 for h in heights) / 6
+        assert _exact_counts_moments(counts, 6) == (float(mean), float(var))
 
     def test_mean_tracks_exact_value(self):
         # 1e6 samples at N=3, rho=1: empirical mean within 3 sigma of 31/15.
