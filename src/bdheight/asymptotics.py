@@ -45,6 +45,7 @@ float-rounding hazard when alpha*(n-1) lands within 1e-9 of an integer.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -178,7 +179,8 @@ def _g(x: float, log_rho: float) -> float:
 
 
 def solve_alpha(rho: float) -> AlphaSolution:
-    """Bisect g on (rho, 1) down to a residual below 1e-13.
+    """Bisect g on (rho (1 + 2**-50), 1 - 1e-15) to adjacent doubles, with a
+    residual below 1e-13.  About 1080 halvings reach any rho in (0, 1).
 
     g is strictly increasing on (rho, 1) (its derivative is
     log(x / ((1-x) rho)) > 0 there), but only the sign change is used:
@@ -188,12 +190,12 @@ def solve_alpha(rho: float) -> AlphaSolution:
     if not (0.0 < rho < 1.0) or not math.isfinite(rho):
         raise ParameterError(f"alpha(rho) is defined for rho in (0, 1), got {rho!r}")
     log_rho = math.log(rho)
-    eps = 1e-15
-    lo, hi = rho + eps, 1.0 - eps
+    # The lower end is relative: an absolute step of 1e-15 would swamp rho <= 1e-16.
+    lo, hi = rho * (1.0 + 2.0**-50), 1.0 - 1e-15
     if not (_g(lo, log_rho) < 0.0 < _g(hi, log_rho)):
         raise ParameterError(f"no sign change on the bracket for rho = {rho}")
     iterations = 0
-    for _ in range(200):
+    for _ in range(1100):  # ~1080 halvings from (5e-324, 1) to adjacent doubles
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
@@ -234,7 +236,12 @@ def bound_constants(rho: float) -> BoundConstants:
     a = sol.alpha
     c1 = 2.0 / (math.log(a) - math.log(rho * (1.0 - a)))
     c2 = 3.0 / (math.log(a) - math.log(rho))
-    c3 = a * (3.0 + rho) / (rho * rho)
+    if rho * rho >= sys.float_info.min:
+        c3 = a * (3.0 + rho) / (rho * rho)
+    else:  # rho**2 underflows, but c3 ~ 3e/rho is representable down to rho ~ 5e-308
+        c3 = a * (3.0 + rho) / rho / rho
+    if not math.isfinite(c3):
+        raise ParameterError(f"c3 = alpha (3 + rho) / rho**2 overflows at rho = {rho!r}")
     if min(c1, c2, c3) <= 0.0:
         raise ParameterError(f"derived constants must be positive, got {(c1, c2, c3)}")
     return BoundConstants(rho=rho, alpha=a, c1=c1, c2=c2, c3=c3)
@@ -411,11 +418,15 @@ def concentration_window(N: int, rho: float,
 
 def concentration_mass_bound(N: int, rho: float) -> float:
     """Provable lower bound on the window mass:
-    1 - 2 (3 + rho) / ((N-1) rho^2) - 2 / t(h_N)."""
+    1 - 2 (3 + rho) / ((N-1) rho^2) - 2 / t(h_N).  It is -inf where it is
+    below the range of a double, at rho below ~1e-154."""
     c = bound_constants(rho)
     h = peak_index(c.alpha, N)
     t_h = math.exp(_log_term(N, rho, h))
-    return 1.0 - 2.0 * (3.0 + rho) / ((N - 1) * rho * rho) - 2.0 / t_h
+    scale = (N - 1) * rho * rho
+    if scale == 0.0:  # rho**2 underflows: the bound is below every double
+        return -math.inf
+    return 1.0 - 2.0 * (3.0 + rho) / scale - 2.0 / t_h
 
 
 def concentration_mass(N: int, rho: float) -> tuple[float, int, int]:

@@ -11,27 +11,32 @@ Subcommands
 Every artifact embeds a run manifest (tool, version, command, full
 parameter set, SHA-256 of the data section); re-running the same command
 reproduces the artifact byte for byte.  Exit codes: 0 success, 1 a
-requested check failed, 2 usage or validation error.
+requested check failed or stdout was closed before the artifact was
+written, 2 usage or validation error.
 
 A JSON artifact is exactly ``json.dumps(doc, sort_keys=True,
-separators=(",", ":"), allow_nan=False)`` plus a newline.  The ``rows``
-columns of ``dist`` and ``simulate`` are handed to the encoder as numpy
-arrays, and a float column is written by runs of bit-identical values:
-each run's ``repr`` is formatted once and repeated.  The law is constant
-outside an O(log N) window, so a ``dist`` column of a million entries
-holds a few hundred runs.  ``dist`` and ``simulate`` refuse more than
-``MAX_ROWS`` rows (exit 2); ``sweep`` and ``verify`` build no column.
+separators=(",", ":"), allow_nan=False)`` plus a newline, streamed as
+byte pieces that are hashed as they are written; the manifest comes last.
+Every value is checked before the first byte.  The ``rows`` columns of
+``dist`` and ``simulate`` are numpy arrays, written a chunk at a time.  A
+float column is written by runs of bit-identical values: each run's
+``repr`` is formatted once and repeated.  The law is constant outside an
+O(log N) window, so a ``dist`` column of a million entries holds a few
+hundred runs.  An integer column is formatted digit by digit by numpy.
+``dist`` and ``simulate`` refuse more than ``MAX_ROWS`` rows (exit 2);
+``sweep`` and ``verify`` build no column.
 """
 
 from __future__ import annotations
 
 import argparse
-import codecs
 import hashlib
+import itertools
 import json
 import math
 import os
 import sys
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
@@ -45,7 +50,7 @@ _EQUIVALENCE_GRID_N = (1, 2, 3, 5, 10, 20, 50, 100, 200)
 _EQUIVALENCE_TOL = 1e-10
 _STIRLING_BAND_FACTOR = 10.0
 _WALK_WARN_STEPS = 1e7
-_STDOUT_CHUNK = 1 << 20
+_CHUNK = 1 << 14  # entries per piece of a JSON column
 MAX_ROWS = 10**7  # rows of a dist or simulate artifact; 1e7 rows is ~0.3 GB of JSON
 
 
@@ -55,83 +60,117 @@ def _fmt(x) -> str:
     return str(x)
 
 
-def _manifest(command: str, parameters: dict, data_bytes: bytes) -> dict:
+def _manifest(command: str, parameters: dict, data_sha256: str) -> dict:
     return {
         "tool": "bdheight",
         "version": __version__,
         "command": command,
         "parameters": parameters,
-        "data_sha256": hashlib.sha256(data_bytes).hexdigest(),
+        "data_sha256": data_sha256,
     }
 
 
-def _encode_floats(a: np.ndarray, parts: list[str]) -> None:
-    """Append ``json.dumps(a.tolist())`` for a 1-D float64 array, one piece per run.
+def _float_items(a: np.ndarray) -> bytes:
+    """Each entry of a 1-D float64 array as ``repr(x) + ","``, formatted once per run.
 
     Runs are taken on the bit patterns, so ``-0.0`` and ``0.0`` stay apart.
     """
-    if not a.size:
-        parts.append("[]")
-        return
     bits = a.view(np.int64)
     starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
-    values = a[starts]
-    if not np.isfinite(values).all():
-        raise ValueError("Out of range float values are not JSON compliant")
-    items = list(map("{!r},".format, values.tolist()))
     counts = np.diff(starts, append=a.size).tolist()
-    counts[-1] -= 1  # the last value is written without its comma
-    parts.append("[")
-    parts.extend(map(str.__mul__, items, counts))
-    parts.append(items[-1][:-1] + "]")
+    return "".join(map(str.__mul__, map("{!r},".format, a[starts].tolist()), counts)).encode()
 
 
-def _encode(value, parts: list[str]) -> None:
+def _int_items(a: np.ndarray) -> bytes:
+    """Each entry of a 1-D int64 array as ``str(x) + ","``, formatted by numpy."""
+    neg = a < 0
+    mag = np.abs(a).view(np.uint64)  # abs(-2**63) wraps to -2**63, which reads as 2**63
+    width = len(str(mag.max()))
+    if width < 10:
+        mag = mag.astype(np.uint32)  # division is cheaper on 32 bits
+    cells = np.empty((a.size, width + 2), dtype=np.uint8)  # a sign, the digits, a comma
+    first = np.full(a.size, width)  # each row's first significant digit
+    for j in range(width, 0, -1):
+        rest = mag // 10
+        cells[:, j] = mag - rest * 10 + ord("0")
+        first -= rest > 0
+        mag = rest
+    cells[:, -1] = ord(",")
+    first -= neg
+    cells[np.flatnonzero(neg), first[neg]] = ord("-")
+    keep = np.arange(width + 2) >= np.arange(width + 2)[:, None]  # row f keeps cells f..
+    return cells[keep.take(first, axis=0)].tobytes()
+
+
+def _column(a: np.ndarray, items) -> Iterator[bytes]:
+    """Yield ``json.dumps(a.tolist())`` in pieces of at most ``_CHUNK`` entries."""
+    yield b"["
+    body = a[:-1]
+    for start in range(0, body.size, _CHUNK):
+        yield items(body[start:start + _CHUNK])
+    yield json.dumps(a[-1:].tolist())[1:].encode()  # the last entry without its comma, and "]"
+
+
+def _encode(value, parts: list) -> None:
     if isinstance(value, dict):
-        parts.append("{")
+        parts.append(b"{")
         for i, key in enumerate(sorted(value)):
-            parts.append(("," if i else "") + json.dumps(key) + ":")
+            parts.append((b"," if i else b"") + json.dumps(key).encode() + b":")
             _encode(value[key], parts)
-        parts.append("}")
-    elif isinstance(value, np.ndarray) and value.dtype == np.float64 and value.ndim == 1:
-        _encode_floats(value, parts)
+        parts.append(b"}")
+    elif isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype == np.float64:
+        if not np.isfinite(value).all():
+            raise ValueError("Out of range float values are not JSON compliant")
+        parts.append(_column(value, _float_items))
+    elif isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype == np.int64:
+        parts.append(_column(value, _int_items))
     else:
         if isinstance(value, np.ndarray):
             value = value.tolist()
         parts.append(json.dumps(value, sort_keys=True, separators=(",", ":"),
-                                allow_nan=False))
+                                allow_nan=False).encode())
+
+
+def _pieces(data) -> Iterator[bytes]:
+    """The bytes of ``json.dumps(data, sort_keys=True, separators=(",", ":"),
+    allow_nan=False)`` in pieces, where any value may also be a numpy array,
+    encoded as its ``tolist()`` would be.  Dict keys are strings.  Every value
+    is checked before this returns; the columns are formatted as they are taken."""
+    parts: list = []
+    _encode(data, parts)
+    return itertools.chain.from_iterable(
+        (part,) if isinstance(part, bytes) else part for part in parts)
 
 
 def _canonical(data) -> bytes:
-    """The bytes of ``json.dumps(data, sort_keys=True, separators=(",", ":"),
-    allow_nan=False)``, where any value may also be a numpy array, encoded as
-    its ``tolist()`` would be.  Dict keys are strings."""
-    parts: list[str] = []
-    _encode(data, parts)
-    text = "".join(parts)
-    del parts  # the run pieces are as large as the text; free them before encoding
-    return text.encode("utf-8")
+    return b"".join(_pieces(data))
 
 
-def _write(pieces: tuple[bytes, ...], output: str | None) -> None:
+def _write(pieces: Iterable[bytes], output: str | None) -> None:
     if output:
         with open(output, "wb") as fh:
             fh.writelines(pieces)
         return
-    # Decoded a MiB at a time, so no second copy of a large artifact is made.
-    decoder = codecs.getincrementaldecoder("utf-8")()
-    for piece in pieces:
-        for start in range(0, len(piece), _STDOUT_CHUNK):
-            sys.stdout.write(decoder.decode(piece[start:start + _STDOUT_CHUNK]))
+    sys.stdout.flush()  # text written before the artifact comes first
+    sys.stdout.buffer.writelines(pieces)
+    sys.stdout.buffer.flush()
 
 
 def _emit_json(command: str, parameters: dict, data, output: str | None) -> None:
-    # The data section is encoded once and the artifact carries exactly the
-    # bytes that data_sha256 hashes.  "data" sorts before "manifest", so the
-    # artifact is the canonical encoding of {"data": ..., "manifest": ...}.
-    data_bytes = _canonical(data)
-    manifest = _canonical(_manifest(command, parameters, data_bytes))
-    _write((b'{"data":', data_bytes, b',"manifest":', manifest, b"}\n"), output)
+    # data_sha256 hashes exactly the data bytes written.  "data" sorts before
+    # "manifest", so the artifact is the canonical {"data": ..., "manifest": ...}.
+    data_pieces = _pieces(data)
+    digest = hashlib.sha256()
+
+    def artifact() -> Iterator[bytes]:
+        yield b'{"data":'
+        for piece in data_pieces:
+            digest.update(piece)
+            yield piece
+        yield b',"manifest":' + _canonical(_manifest(command, parameters, digest.hexdigest()))
+        yield b"}\n"
+
+    _write(artifact(), output)
 
 
 def _csv_line(row) -> str:
@@ -144,7 +183,8 @@ def _emit_csv(command: str, parameters: dict, header: list[str],
     body_lines = [",".join(header), *lines]
     body_lines += [f"# {key}={_fmt(value)}" for key, value in footer.items()]
     body = ("\n".join(body_lines) + "\n").encode("utf-8")
-    manifest = json.dumps(_manifest(command, parameters, body), sort_keys=True, allow_nan=False)
+    manifest = json.dumps(_manifest(command, parameters, hashlib.sha256(body).hexdigest()),
+                          sort_keys=True, allow_nan=False)
     _write((f"# manifest: {manifest}\n".encode("utf-8"), body), output)
 
 
@@ -259,13 +299,15 @@ def _verify_checks(rhos: list[float], ns: list[int], corrupt: bool) -> list[dict
         if rho < 1.0:
             ratios = [asymptotics.stirling_ratio(n, rho) for n in ns if n >= 2]
             band = max(ratios) / min(ratios) if ratios else None
+            # t(h_n) ~ sqrt(n) needs an interior peak; at h_n = 0 every ratio is 1/sqrt(n).
+            interior = asymptotics.peak_index(constants.alpha, max(ns)) >= 1
             checks.append({
                 "inequality": "peak_term_sqrt_band",
                 "n": max(ns), "rho": rho,
                 "lhs": band, "rhs": _STIRLING_BAND_FACTOR,
                 "margin": None if band is None else _STIRLING_BAND_FACTOR - band,
                 "passed": band is not None and band <= _STIRLING_BAND_FACTOR,
-                "applicable": len(ratios) >= 2,
+                "applicable": len(ratios) >= 2 and interior,
                 "floor_margin": None,
                 "note": f"ratios t(h_n)/sqrt(n) over n in {sorted(n for n in ns if n >= 2)}",
             })
@@ -273,11 +315,13 @@ def _verify_checks(rhos: list[float], ns: list[int], corrupt: bool) -> list[dict
                 if n >= asymptotics.MEAN_BOUND_MIN_N:
                     mass, lo, hi = asymptotics.concentration_mass(n, rho)
                     bound = asymptotics.concentration_mass_bound(n, rho)
+                    finite = math.isfinite(bound)  # a bound of -inf holds vacuously
                     checks.append({
                         "inequality": "concentration_window_mass",
                         "n": n, "rho": rho,
-                        "lhs": mass, "rhs": bound, "margin": mass - bound,
-                        "passed": mass >= bound, "applicable": True,
+                        "lhs": mass, "rhs": bound if finite else None,
+                        "margin": mass - bound if finite else None,
+                        "passed": mass >= bound, "applicable": finite,
                         "floor_margin": None,
                         "note": f"window [{lo}, {hi}]",
                     })
@@ -453,7 +497,13 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+    except BrokenPipeError:  # the reader closed stdout early, as `| head` does
+        # Unwritten bytes stay buffered; on devnull the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -69,6 +69,17 @@ class TestSolveAlpha:
         alphas = [solve_alpha(r).alpha for r in RHO_GRID]
         assert all(b > a for a, b in zip(alphas, alphas[1:]))
 
+    @pytest.mark.parametrize("rho", [1e-16, 1e-20, 1e-160, 1e-300, 5e-324])
+    def test_tiny_rho_bisects_to_adjacent_doubles(self, rho):
+        # An absolute lower end rho + 1e-15 had g > 0 for rho <= 1e-16.
+        sol = solve_alpha(rho)
+        lo, hi = sol.bracket
+        assert math.nextafter(lo, 1.0) == hi
+        assert _g(lo, rho) < 0.0 <= _g(hi, rho)
+        assert rho < sol.alpha < 1.0
+        if rho > 1e-307:  # alpha -> e rho as rho -> 0
+            assert sol.alpha == pytest.approx(math.e * rho, rel=1e-10)
+
     @pytest.mark.parametrize("rho", [0.0, 1.0, 1.5, -0.3])
     def test_domain_rejected(self, rho):
         with pytest.raises(ParameterError):
@@ -97,6 +108,16 @@ class TestBoundConstants:
     def test_positivity(self, rho):
         c = bound_constants(rho)
         assert c.c1 > 0 and c.c2 > 0 and c.c3 > 0
+
+    @pytest.mark.parametrize("rho", [1e-160, 1e-300])
+    def test_c3_survives_underflow_of_rho_squared(self, rho):
+        c = bound_constants(rho)
+        assert c.c3 == pytest.approx(3.0 * math.e / rho, rel=1e-10)
+
+    @pytest.mark.parametrize("rho", [4e-308, 1e-310])
+    def test_c3_overflow_is_a_parameter_error(self, rho):
+        with pytest.raises(ParameterError, match="overflows"):
+            bound_constants(rho)
 
     def test_integer_part_candidates(self):
         assert integer_part_candidates(7.3) == (7, 8)
@@ -208,6 +229,10 @@ class TestConcentration:
             mass, lo, hi = concentration_mass(N, rho)
             assert 1 <= lo < hi <= N
             assert mass >= concentration_mass_bound(N, rho)
+
+    def test_bound_below_double_range_is_minus_inf(self):
+        assert concentration_mass_bound(1000, 1e-300) == -math.inf
+        assert concentration_mass(1000, 1e-300)[0] == 1.0
 
     def test_window_is_log_width(self):
         c = bound_constants(0.5)

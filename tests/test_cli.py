@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import bdheight
 from bdheight import height_distribution, make_params
-from bdheight.cli import MAX_ROWS, _canonical, _write, main
+from bdheight.cli import MAX_ROWS, _CHUNK, _canonical, _emit_json, _write, main
 
 
 def run_cli(capsys, *argv):
@@ -135,6 +135,18 @@ class TestVerify:
                 if c["inequality"] in ("peak_growth", "peak_decay")]
         assert len(peak) == 2
         assert not any(c["applicable"] for c in peak)
+
+    def test_peak_band_needs_an_interior_peak(self, capsys):
+        # At rho = 1e-16 every peak index up to n = 1e5 is 0, so each ratio
+        # t(h_n)/sqrt(n) is 1/sqrt(n) and the band is only the grid's spread.
+        bands = {}
+        for rho, ns in (("1e-16", ["1000", "100000"]), ("0.5", ["2", "1000"])):
+            rc, doc, err = run_json(capsys, "verify", "--rho", rho, "--n", *ns)
+            assert rc == 0, err
+            bands[rho], = [c for c in doc["data"]["checks"]
+                           if c["inequality"] == "peak_term_sqrt_band"]
+        assert not bands["1e-16"]["applicable"]
+        assert bands["0.5"]["applicable"] and bands["0.5"]["passed"]
 
     def test_csv_format_is_refused(self, capsys):
         # the nested check records have no CSV form, so argparse refuses it
@@ -273,6 +285,15 @@ class TestParserContract:
         assert f"row limit of {MAX_ROWS}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("rho", ["1e-16", "1e-20", "1e-300"])
+    @pytest.mark.parametrize("argv", [["alpha"], ["sweep", "--n", "1", "1000", "1000000"],
+                                      ["verify"]], ids=lambda argv: argv[0])
+    def test_tiny_rho_answers(self, capsys, argv, rho):
+        # An absolute bracket end rho + 1e-15 gave "no sign change" here.
+        rc, out, err = run_cli(capsys, *argv, "--rho", rho)
+        assert rc == 0, err
+        assert strict_loads(out)["manifest"]["command"] == argv[0]
+
     def test_json_keys_are_sorted(self, capsys):
         rc, out, _ = run_cli(capsys, "alpha", "--rho", "0.5")
         assert rc == 0
@@ -314,8 +335,8 @@ class TestEmission:
         assert hashlib.sha256(data_bytes).hexdigest() == sha
 
     def test_large_stdout_matches_file(self, tmp_path, capsys):
-        # stdout is decoded a MiB at a time; a character split across two
-        # chunks must come out whole.
+        # stdout gets the artifact's bytes through its binary buffer; a
+        # multi-byte character must come out whole.
         path = tmp_path / "law.json"
         args = ["dist", "--n", "100000", "--rho", "0.5"]
         assert main([*args, "--output", str(path)]) == 0
@@ -340,8 +361,9 @@ class TestEmission:
         assert (data["mean"], data["variance"]) == (law.mean, law.variance)
 
     def test_dist_builds_no_float_list(self, tmp_path):
-        # Encoding the columns as arrays by runs traces ~75 MiB.  One Python
-        # float list of 1e6 entries adds ~30 MiB; both columns as lists trace ~136.
+        # Streaming the columns traces ~24 MiB: the three 8 MB arrays.  One
+        # Python float list of 1e6 entries adds ~30 MiB, the k column as a
+        # list ~36 MiB, and the artifact held whole as text or bytes 27 MB.
         tracemalloc.start()
         try:
             rc = main(["dist", "--n", "1000000", "--rho", "0.5",
@@ -350,7 +372,43 @@ class TestEmission:
         finally:
             tracemalloc.stop()
         assert rc == 0
-        assert peak < 96 * 2**20
+        assert peak < 40 * 2**20
+
+    def test_non_finite_value_writes_no_file(self, tmp_path):
+        # The NaN sits after a column that would already have been streamed.
+        path = tmp_path / "law.json"
+        data = {"rows": {"k": np.arange(1, 3 * _CHUNK), "x": np.array([0.5, math.nan])}}
+        with pytest.raises(ValueError):
+            _emit_json("dist", {}, data, str(path))
+        assert not path.exists()
+        path.write_bytes(b"an earlier artifact")
+        with pytest.raises(ValueError):
+            _emit_json("dist", {}, {"rows": data["rows"]["k"], "variance": math.inf},
+                       str(path))
+        assert path.read_bytes() == b"an earlier artifact"
+
+    def test_non_finite_value_writes_nothing_to_stdout(self, capsys):
+        with pytest.raises(ValueError):
+            _emit_json("dist", {}, {"k": np.arange(5), "x": np.array([-math.inf])}, None)
+        assert capsys.readouterr().out == ""
+
+    def test_closed_stdout_exits_without_traceback(self):
+        src = os.path.dirname(os.path.dirname(bdheight.__file__))
+        env = {**os.environ, "PYTHONPATH": src}
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "bdheight.cli", "dist", "--n", "100000", "--rho", "0.5"],
+            env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        try:
+            head = proc.stdout.read(300)  # the 2.7 MB artifact overfills the pipe
+            proc.stdout.close()
+            assert proc.wait(timeout=60) == 1
+            err = proc.stderr.read().decode()
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stderr.close()
+        assert head.startswith(b'{"data":')
+        assert "Traceback" not in err and "BrokenPipeError" not in err
 
     def test_simulate_columns(self, capsys):
         n, samples = 40, 3000
@@ -382,6 +440,11 @@ _FLOAT_POOL = [0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
                math.nextafter(1.0, 0.0), 1 / 3, -2.5]
 
 
+# Widths of 1, 2, 9, 10 and 19 digits, on both sides of the 32-bit path, and the extremes.
+_INT_POOL = [0, 1, -1, 9, 10, -10, 99, 10**9 - 1, 10**9, 2**32 - 1, 2**32, -2**32,
+             10**18, 2**63 - 1, -(2**63 - 1), -2**63]
+
+
 class TestCanonicalEncoder:
     @given(runs=st.lists(st.tuples(st.sampled_from(_FLOAT_POOL), st.integers(1, 40)),
                          max_size=12))
@@ -399,6 +462,21 @@ class TestCanonicalEncoder:
         np.array([-2**63, -1, 0, 0, 0, 1, 2**63 - 1], dtype=np.int64),
     ], ids=["empty", "one", "arange", "extremes"])
     def test_int_array_encodes_as_its_list(self, a):
+        assert _canonical({"c": a}) == canonical({"c": a.tolist()})[:-1].encode()
+
+    @given(values=st.lists(st.one_of(st.sampled_from(_INT_POOL),
+                                     st.integers(-2**63, 2**63 - 1)), min_size=1, max_size=30),
+           length=st.sampled_from([0, 1, 2, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3]))
+    @settings(max_examples=200, deadline=None)
+    def test_int64_column_encodes_as_its_list(self, values, length):
+        a = np.resize(np.array(values, dtype=np.int64), length)
+        doc = {"rows": {"c": a, "b": a[::-1]}}
+        listed = {"rows": {"c": a.tolist(), "b": a[::-1].tolist()}}
+        assert _canonical(doc) == canonical(listed)[:-1].encode()
+
+    @pytest.mark.parametrize("length", [_CHUNK, _CHUNK + 1, 3 * _CHUNK + 7])
+    def test_float_run_longer_than_a_piece(self, length):
+        a = np.concatenate([[0.1, -0.0], np.full(length, 1 / 3), [0.0], np.full(length, 5e-324)])
         assert _canonical({"c": a}) == canonical({"c": a.tolist()})[:-1].encode()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
