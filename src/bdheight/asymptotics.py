@@ -76,7 +76,8 @@ __all__ = [
     "MEAN_BOUND_MIN_N",
 ]
 
-RESIDUAL_TOL = 1e-13
+RESIDUAL_TOL = 1e-13  # relative to the size of g's terms
+_MAX_HALVINGS = 1100  # ~1080 halvings from (5e-324, 1) to adjacent doubles
 FLOOR_SLACK = 1e-9
 MEAN_BOUND_MIN_N = 1000  # below this the bounds are reported but not asserted
 
@@ -178,9 +179,21 @@ def _g(x: float, log_rho: float) -> float:
     return s - x * log_rho
 
 
+def _residual_tolerance(x: float, log_rho: float) -> float:
+    """How far from 0 g may read at a double x next to its root: RESIDUAL_TOL
+    times the size of g's terms, for the rounding of their sum, plus g's
+    change across two ulps of x, since no double need lie closer to the
+    root.  The second part matters only near x = 1, where g' ~ -log(1 - x)
+    is large, and among subnormal x."""
+    slope = abs(math.log(x) - math.log1p(-x) - log_rho)
+    terms = abs(x * math.log(x)) + abs((1.0 - x) * math.log1p(-x)) + abs(x * log_rho)
+    return RESIDUAL_TOL * terms + 2.0 * math.ulp(x) * (1.0 + slope)
+
+
 def solve_alpha(rho: float) -> AlphaSolution:
     """Bisect g on (rho (1 + 2**-50), 1 - 1e-15) to adjacent doubles, with a
-    residual below 1e-13.  About 1080 halvings reach any rho in (0, 1).
+    residual within ``_residual_tolerance``, a bound relative to the size of
+    g's terms.  About 1080 halvings reach any rho in (0, 1).
 
     g is strictly increasing on (rho, 1) (its derivative is
     log(x / ((1-x) rho)) > 0 there), but only the sign change is used:
@@ -195,7 +208,7 @@ def solve_alpha(rho: float) -> AlphaSolution:
     if not (_g(lo, log_rho) < 0.0 < _g(hi, log_rho)):
         raise ParameterError(f"no sign change on the bracket for rho = {rho}")
     iterations = 0
-    for _ in range(1100):  # ~1080 halvings from (5e-324, 1) to adjacent doubles
+    for _ in range(_MAX_HALVINGS):
         mid = 0.5 * (lo + hi)
         if mid <= lo or mid >= hi:
             break
@@ -206,7 +219,7 @@ def solve_alpha(rho: float) -> AlphaSolution:
             hi = mid
     alpha = 0.5 * (lo + hi)
     residual = _g(alpha, log_rho)
-    if abs(residual) > RESIDUAL_TOL:
+    if not abs(residual) <= _residual_tolerance(alpha, log_rho):
         raise ParameterError(
             f"bisection stalled for rho = {rho}: residual {residual:.3e}")
     return AlphaSolution(rho=rho, alpha=alpha, residual=residual,

@@ -18,18 +18,22 @@ A JSON artifact is exactly ``json.dumps(doc, sort_keys=True,
 separators=(",", ":"), allow_nan=False)`` plus a newline, streamed as
 byte pieces that are hashed as they are written; the manifest comes last.
 Every value is checked before the first byte.  The ``rows`` columns of
-``dist`` and ``simulate`` are numpy arrays, written a chunk at a time.  A
-float column is written by runs of bit-identical values: each run's
-``repr`` is formatted once and repeated.  The law is constant outside an
-O(log N) window, so a ``dist`` column of a million entries holds a few
-hundred runs.  An integer column is formatted digit by digit by numpy.
-``dist`` and ``simulate`` refuse more than ``MAX_ROWS`` rows (exit 2);
-``sweep`` and ``verify`` build no column.
+``dist`` and ``simulate`` are written from runs of bit-identical values,
+in pieces of at most ``_CHUNK`` entries: each run's ``repr`` is formatted
+once and repeated.  The law is constant outside an O(log N) window, so
+``dist`` takes a few hundred runs from the law itself and builds no array
+of length N; ``simulate`` splits its numpy columns into runs.  The ``k``
+column is a ``range``, formatted digit by digit by numpy a piece at a
+time.  A CSV body is built as byte pieces of ``_CHUNK`` lines, hashed as
+each is built, and written after the manifest line.  ``dist`` and
+``simulate`` refuse more than ``MAX_ROWS`` rows (exit 2); ``sweep`` and
+``verify`` build no column.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -37,6 +41,7 @@ import math
 import os
 import sys
 from collections.abc import Iterable, Iterator
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,45 +75,69 @@ def _manifest(command: str, parameters: dict, data_sha256: str) -> dict:
     }
 
 
-def _float_items(a: np.ndarray) -> bytes:
-    """Each entry of a 1-D float64 array as ``repr(x) + ","``, formatted once per run.
+class _Runs(NamedTuple):
+    """A JSON column as runs: ``values[i]`` repeated ``lengths[i]`` times."""
 
-    Runs are taken on the bit patterns, so ``-0.0`` and ``0.0`` stay apart.
-    """
+    values: np.ndarray
+    lengths: np.ndarray
+
+
+def _runs(a: np.ndarray) -> _Runs:
+    """A 1-D float64 or int64 array as runs of identical bit patterns, so
+    ``-0.0`` and ``0.0`` stay apart."""
     bits = a.view(np.int64)
-    starts = np.flatnonzero(np.concatenate(([True], bits[1:] != bits[:-1])))
-    counts = np.diff(starts, append=a.size).tolist()
-    return "".join(map(str.__mul__, map("{!r},".format, a[starts].tolist()), counts)).encode()
+    change = np.ones(a.size, dtype=bool)
+    np.not_equal(bits[1:], bits[:-1], out=change[1:])
+    starts = np.flatnonzero(change)
+    return _Runs(a[starts], np.diff(starts, append=a.size))
+
+
+def _run_column(runs: _Runs) -> Iterator[bytes]:
+    """Yield ``json.dumps(np.repeat(*runs).tolist())`` in pieces of at most
+    ``_CHUNK`` entries.  Each run's ``repr`` is formatted once and repeated."""
+    nonempty = runs.lengths > 0
+    values, lengths = runs.values[nonempty].tolist(), runs.lengths[nonempty].tolist()
+    if lengths:
+        lengths[-1] -= 1  # the last entry goes without its comma
+    yield b"["
+    parts, room = [], _CHUNK
+    for item, n in zip(map("{!r},".format, values), lengths):
+        while n:
+            take = min(n, room)
+            parts.append(item * take)
+            n -= take
+            room -= take
+            if not room:
+                yield "".join(parts).encode()
+                parts, room = [], _CHUNK
+    yield ("".join(parts) + json.dumps(values[-1:])[1:]).encode()  # the last entry, and "]"
 
 
 def _int_items(a: np.ndarray) -> bytes:
-    """Each entry of a 1-D int64 array as ``str(x) + ","``, formatted by numpy."""
-    neg = a < 0
-    mag = np.abs(a).view(np.uint64)  # abs(-2**63) wraps to -2**63, which reads as 2**63
-    width = len(str(mag.max()))
-    if width < 10:
-        mag = mag.astype(np.uint32)  # division is cheaper on 32 bits
-    cells = np.empty((a.size, width + 2), dtype=np.uint8)  # a sign, the digits, a comma
-    first = np.full(a.size, width)  # each row's first significant digit
-    for j in range(width, 0, -1):
+    """Each entry of a 1-D uint64 array as ``str(x) + ","``, formatted by numpy."""
+    width = len(str(a.max()))
+    mag = a.astype(np.uint32) if width < 10 else a  # division is cheaper on 32 bits
+    cells = np.empty((a.size, width + 1), dtype=np.uint8)  # the digits, a comma
+    first = np.full(a.size, width - 1)  # each row's first significant digit
+    for j in range(width - 1, -1, -1):
         rest = mag // 10
         cells[:, j] = mag - rest * 10 + ord("0")
         first -= rest > 0
         mag = rest
     cells[:, -1] = ord(",")
-    first -= neg
-    cells[np.flatnonzero(neg), first[neg]] = ord("-")
-    keep = np.arange(width + 2) >= np.arange(width + 2)[:, None]  # row f keeps cells f..
+    keep = np.arange(width + 1) >= np.arange(width + 1)[:, None]  # row f keeps cells f..
     return cells[keep.take(first, axis=0)].tobytes()
 
 
-def _column(a: np.ndarray, items) -> Iterator[bytes]:
-    """Yield ``json.dumps(a.tolist())`` in pieces of at most ``_CHUNK`` entries."""
+def _range_column(r: range) -> Iterator[bytes]:
+    """Yield ``json.dumps(list(r))`` for a range of nonnegative integers, in
+    pieces of at most ``_CHUNK`` entries."""
     yield b"["
-    body = a[:-1]
-    for start in range(0, body.size, _CHUNK):
-        yield items(body[start:start + _CHUNK])
-    yield json.dumps(a[-1:].tolist())[1:].encode()  # the last entry without its comma, and "]"
+    body = r[:-1]
+    for start in range(0, len(body), _CHUNK):
+        chunk = body[start:start + _CHUNK]
+        yield _int_items(np.arange(chunk.start, chunk.stop, chunk.step, dtype=np.uint64))
+    yield json.dumps(list(r[-1:]))[1:].encode()  # the last entry without its comma, and "]"
 
 
 def _encode(value, parts: list) -> None:
@@ -118,12 +147,15 @@ def _encode(value, parts: list) -> None:
             parts.append((b"," if i else b"") + json.dumps(key).encode() + b":")
             _encode(value[key], parts)
         parts.append(b"}")
-    elif isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype == np.float64:
-        if not np.isfinite(value).all():
+    elif isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype in (np.float64,
+                                                                               np.int64):
+        _encode(_runs(value), parts)
+    elif isinstance(value, _Runs):
+        if not np.isfinite(value.values).all():
             raise ValueError("Out of range float values are not JSON compliant")
-        parts.append(_column(value, _float_items))
-    elif isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype == np.int64:
-        parts.append(_column(value, _int_items))
+        parts.append(_run_column(value))
+    elif isinstance(value, range):
+        parts.append(_range_column(value))
     else:
         if isinstance(value, np.ndarray):
             value = value.tolist()
@@ -133,9 +165,11 @@ def _encode(value, parts: list) -> None:
 
 def _pieces(data) -> Iterator[bytes]:
     """The bytes of ``json.dumps(data, sort_keys=True, separators=(",", ":"),
-    allow_nan=False)`` in pieces, where any value may also be a numpy array,
-    encoded as its ``tolist()`` would be.  Dict keys are strings.  Every value
-    is checked before this returns; the columns are formatted as they are taken."""
+    allow_nan=False)`` in pieces, where a value may also be a numpy array
+    (encoded as its ``tolist()`` would be), a ``_Runs`` (as its
+    ``np.repeat``) or a range of nonnegative integers (as its list).  Dict
+    keys are strings.  Every value is checked before this returns; the
+    columns are formatted as they are taken."""
     parts: list = []
     _encode(data, parts)
     return itertools.chain.from_iterable(
@@ -177,15 +211,31 @@ def _csv_line(row) -> str:
     return ",".join(_fmt(x) for x in row)
 
 
+def _csv_lines(fmt: str, columns: list[np.ndarray]) -> Iterator[str]:
+    """``fmt % (k, *row)`` for k = 1..n over the rows of n-entry columns,
+    taken a chunk of rows at a time."""
+    n = len(columns[0])
+    for start in range(0, n, _CHUNK):
+        chunk = [c[start:start + _CHUNK].tolist() for c in columns]
+        yield from map(fmt.__mod__, zip(range(start + 1, n + 1), *chunk))
+
+
 def _emit_csv(command: str, parameters: dict, header: list[str],
-              lines, footer: dict, output: str | None) -> None:
-    """Write a CSV artifact whose body rows ``lines`` are already formatted."""
-    body_lines = [",".join(header), *lines]
-    body_lines += [f"# {key}={_fmt(value)}" for key, value in footer.items()]
-    body = ("\n".join(body_lines) + "\n").encode("utf-8")
-    manifest = json.dumps(_manifest(command, parameters, hashlib.sha256(body).hexdigest()),
+              lines: Iterable[str], footer: dict, output: str | None) -> None:
+    """Write a CSV artifact whose body rows ``lines`` are already formatted.
+
+    The body is encoded ``_CHUNK`` lines at a time and hashed as each piece
+    is built; the manifest line, which carries the digest, comes first."""
+    lines = itertools.chain([",".join(header)], lines,
+                            (f"# {key}={_fmt(value)}" for key, value in footer.items()))
+    digest = hashlib.sha256()
+    body = []
+    while chunk := list(itertools.islice(lines, _CHUNK)):
+        body.append(("\n".join(chunk) + "\n").encode("utf-8"))
+        digest.update(body[-1])
+    manifest = json.dumps(_manifest(command, parameters, digest.hexdigest()),
                           sort_keys=True, allow_nan=False)
-    _write((f"# manifest: {manifest}\n".encode("utf-8"), body), output)
+    _write((f"# manifest: {manifest}\n".encode("utf-8"), *body), output)
 
 
 def _params_from_args(args) -> tuple:
@@ -219,16 +269,16 @@ def _add_output_flags(sub, formats=("json", "csv")):
 def cmd_dist(args) -> int:
     p, resolved = _params_from_args(args)
     d = exactdist.height_distribution(p)
-    surv = d.survival_values()
     parameters = {**resolved, "format": args.format}
     if args.format == "csv":
-        lines = map("%d,%.15g,%.15g".__mod__,
-                    zip(range(1, p.N + 1), surv.tolist(), d.pmf.tolist()))
+        lines = _csv_lines("%d,%.15g,%.15g", [d.survival_values(), d.pmf])
         _emit_csv("dist", parameters, ["k", "survival", "pmf"], lines,
                   {"mean": d.mean, "variance": d.variance}, args.output)
     else:
+        surv, pmf, lengths = d.column_runs()
         data = {
-            "rows": {"k": np.arange(1, p.N + 1), "survival": surv, "pmf": d.pmf},
+            "rows": {"k": range(1, p.N + 1), "survival": _Runs(surv, lengths),
+                     "pmf": _Runs(pmf, lengths)},
             "mean": d.mean,
             "variance": d.variance,
         }
@@ -382,25 +432,22 @@ def cmd_simulate(args) -> int:
                   f"batch; consider --mode {simulate.LADDER}", file=sys.stderr)
     summary = simulate.run_batch(cfg)
     exact = exactdist.height_distribution(p)
-    surv = exact.survival_values()
-    cdf = exact.cdf_values()
-    epmf = summary.empirical_pmf
-    ecdf = epmf.cumsum()
+    counts = np.fromiter(summary.counts, np.int64, p.N)
+    epmf = counts / args.samples  # summary.empirical_pmf: counts convert to floats exactly
     parameters = {**resolved, "samples": args.samples, "seed": args.seed,
                   "mode": args.mode, "workers": workers, "delta": args.delta,
                   "format": args.format}
-    k = np.arange(1, p.N + 1)
-    columns = {"count": np.array(summary.counts, dtype=np.int64), "empirical_pmf": epmf,
-               "exact_pmf": exact.pmf, "empirical_cdf": ecdf, "exact_cdf": cdf}
-    # counts and empirical_pmf are the rows' count and empirical_pmf columns
-    scalars = {key: value for key, value in summary.to_dict().items()
-               if key not in ("counts", "empirical_pmf")}
+    columns = {"count": counts, "empirical_pmf": epmf, "exact_pmf": exact.pmf,
+               "empirical_cdf": epmf.cumsum(), "exact_cdf": exact.cdf_values()}
+    # the counts are the rows' count column, not a scalar
+    scalars = {f.name: getattr(summary, f.name) for f in dataclasses.fields(summary)
+               if f.name != "counts"}
     if args.format == "csv":
-        lines = map("%d,%d,%.15g,%.15g,%.15g,%.15g".__mod__,
-                    zip(k.tolist(), *(c.tolist() for c in columns.values())))
+        lines = _csv_lines("%d,%d,%.15g,%.15g,%.15g,%.15g", list(columns.values()))
         _emit_csv("simulate", parameters, ["k", *columns], lines, scalars, args.output)
     else:
-        data = {"summary": scalars, "rows": {"k": k, **columns, "exact_survival": surv}}
+        data = {"summary": scalars, "rows": {"k": range(1, p.N + 1), **columns,
+                                             "exact_survival": exact.survival_values()}}
         _emit_json("simulate", parameters, data, args.output)
     if args.assert_dkw and not summary.dkw_pass:
         print(f"simulate: ECDF band exceeded: sup={summary.sup_distance:.6g} > "

@@ -129,7 +129,8 @@ class HeightDistribution:
     The dense ``log_survival`` (-inf past the window), ``pmf``
     (``pmf[k-1] = P(H = k)``), ``survival_values()`` and ``cdf_values()``
     are built from this form on first use and cached;
-    ``survival_at(k)`` reads one level without building them.  Arrays are
+    ``survival_at(k)`` reads one level and ``column_runs()`` gives
+    survival and pmf as runs, without building them.  Arrays are
     read-only; instances may be shared across threads.
     """
 
@@ -170,18 +171,46 @@ class HeightDistribution:
         pmf = surv * (-np.expm1(np.diff(ls, append=-np.inf)))
         return k, ls, surv, pmf
 
-    def _dense(self, values: np.ndarray, tail: float, plateau: float | None = None) -> np.ndarray:
-        """Spread per-entry ``values`` of the support over heights 1..N:
-        ``tail`` past the window and, on the plateau before its last entry,
-        ``plateau`` (default: the plateau's own value)."""
+    @cached_property
+    def _run_lengths(self) -> np.ndarray:
         k = self._support[0]
         a, b = self.plateau
-        out = np.full(self.N, tail)
-        out[k - 1] = values
-        if b > a:
-            out[a:b - 1] = values[a] if plateau is None else plateau
+        inner = max(b - a - 1, 0)  # the plateau's entries before its last one
+        lengths = np.ones(len(k) + 2, dtype=np.int64)
+        lengths[a], lengths[-1] = inner, self.N - len(k) - inner
+        lengths.flags.writeable = False
+        return lengths
+
+    def _run_values(self, values: np.ndarray, tail: float,
+                    plateau: float | None = None) -> np.ndarray:
+        """Per-entry ``values`` of the support as the values of the runs in
+        ``_run_lengths``: ``tail`` past the window and, on the plateau
+        before its last entry, ``plateau`` (default: the plateau's own
+        value)."""
+        a, b = self.plateau
+        if plateau is None:
+            plateau = values[a] if b > a else tail  # a run of length 0 when b == a
+        return np.concatenate([values[:a], [plateau], values[a:], [tail]])
+
+    def _dense(self, values: np.ndarray, tail: float, plateau: float | None = None) -> np.ndarray:
+        """:meth:`_run_values` spread over heights 1..N."""
+        out = np.repeat(self._run_values(values, tail, plateau), self._run_lengths)
         out.flags.writeable = False
         return out
+
+    def column_runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Survival and pmf over k = 1..N as runs: ``(survival, pmf, lengths)``.
+
+        ``np.repeat(survival, lengths)`` is ``survival_values()`` and
+        ``np.repeat(pmf, lengths)`` is ``pmf``, bit for bit, but nothing of
+        length N is built.  The runs are the head's entries (length 1
+        each), the plateau before its last entry (its survival value, and
+        a mass of -0.0), the plateau's last entry and the window (length 1
+        each), and the tail (0.0).  There are ``len(head) + len(window) + 2``
+        runs, one more with a plateau, whatever N is; some may have length 0.
+        """
+        _, _, surv, pmf = self._support
+        return self._run_values(surv, 0.0), self._run_values(pmf, 0.0, -0.0), self._run_lengths
 
     @cached_property
     def log_survival(self) -> np.ndarray:

@@ -21,6 +21,7 @@ from bdheight import (
     variance_limit,
     wlln_tail_mass,
 )
+from bdheight import asymptotics
 from bdheight.asymptotics import concentration_mass_bound, integer_part_candidates, peak_index
 
 RHO_GRID = [round(0.05 * i, 2) for i in range(1, 20)]  # 0.05 .. 0.95
@@ -79,6 +80,22 @@ class TestSolveAlpha:
         assert rho < sol.alpha < 1.0
         if rho > 1e-307:  # alpha -> e rho as rho -> 0
             assert sol.alpha == pytest.approx(math.e * rho, rel=1e-10)
+
+    def test_early_stopped_bisection_fails_the_residual_check(self, monkeypatch):
+        # 200 halvings stop at x = 3.1e-61 for rho = 1e-300, where the root
+        # is 2.7e-300; g(x) = 1.7e-58 passed the old absolute 1e-13.
+        monkeypatch.setattr(asymptotics, "_MAX_HALVINGS", 200)
+        with pytest.raises(ParameterError, match="stalled"):
+            solve_alpha(1e-300)
+        assert abs(_g(3.1e-61, 1e-300)) > asymptotics._residual_tolerance(3.1e-61,
+                                                                          math.log(1e-300))
+
+    @pytest.mark.parametrize("rho", [1 - 1e-11, 1 - 1e-13])
+    def test_alpha_near_one_passes_the_residual_check(self, rho):
+        # alpha lies within 1e-12 of 1, where one ulp of x moves g by more
+        # than 1e-13 of its terms (tiny rho is covered above).
+        sol = solve_alpha(rho)
+        assert rho < sol.alpha < 1.0
 
     @pytest.mark.parametrize("rho", [0.0, 1.0, 1.5, -0.3])
     def test_domain_rejected(self, rho):

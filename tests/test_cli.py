@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import bdheight
 from bdheight import height_distribution, make_params
-from bdheight.cli import MAX_ROWS, _CHUNK, _canonical, _emit_json, _write, main
+from bdheight.cli import MAX_ROWS, _CHUNK, _canonical, _emit_json, _Runs, _write, main
 
 
 def run_cli(capsys, *argv):
@@ -361,9 +361,10 @@ class TestEmission:
         assert (data["mean"], data["variance"]) == (law.mean, law.variance)
 
     def test_dist_builds_no_float_list(self, tmp_path):
-        # Streaming the columns traces ~24 MiB: the three 8 MB arrays.  One
-        # Python float list of 1e6 entries adds ~30 MiB, the k column as a
-        # list ~36 MiB, and the artifact held whole as text or bytes 27 MB.
+        # Writing the columns from the law's runs traces ~1.2 MiB at any N:
+        # a piece of each column and its bytes.  One dense float64 column
+        # adds 8 MB, a Python float list of 1e6 entries ~30 MiB, the k
+        # column as a list ~36 MiB, and the artifact held whole 27 MB.
         tracemalloc.start()
         try:
             rc = main(["dist", "--n", "1000000", "--rho", "0.5",
@@ -372,7 +373,24 @@ class TestEmission:
         finally:
             tracemalloc.stop()
         assert rc == 0
-        assert peak < 40 * 2**20
+        assert peak < 4 * 2**20
+
+    # sha256 of whole artifacts at version 0.3.0, before the columns were
+    # written from runs; a version bump changes the manifest and so these.
+    @pytest.mark.parametrize("argv,digest", [
+        (["dist", "--n", "1000", "--rho", "0.5"],
+         "47524743dfcc5f1ac10e57d166456475e9cd9a1f86b027ea6ce8c386a31e1f17"),
+        (["dist", "--n", "1000", "--rho", "0.5", "--format", "csv"],
+         "6c0f1508dd81f43cd745cad98efe6619ce325ac1a792235cf0d5ad32f70097ff"),
+        (["dist", "--n", "1", "--rho", "2"],
+         "692f1b68b5d15bd836294bfb5318c6895858001b93f9fd99ba8f12c95cb31120"),
+        (["simulate", "--n", "50", "--rho", "0.5", "--samples", "1000", "--seed", "1"],
+         "2ee9ac7f30bc5ae7d6928342832fe4a2b72e5dad7cd0f3657a91ea39efddbbd4"),
+    ], ids=lambda v: "_".join(v) if isinstance(v, list) else "")
+    def test_artifact_bytes_are_pinned(self, tmp_path, argv, digest):
+        path = tmp_path / "artifact"
+        assert main([*argv, "--output", str(path)]) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
     def test_non_finite_value_writes_no_file(self, tmp_path):
         # The NaN sits after a column that would already have been streamed.
@@ -473,6 +491,24 @@ class TestCanonicalEncoder:
         doc = {"rows": {"c": a, "b": a[::-1]}}
         listed = {"rows": {"c": a.tolist(), "b": a[::-1].tolist()}}
         assert _canonical(doc) == canonical(listed)[:-1].encode()
+
+    @given(runs=st.lists(st.tuples(st.sampled_from(_FLOAT_POOL), st.integers(0, 3)),
+                         max_size=12),
+           big=st.sampled_from([0, _CHUNK - 1, _CHUNK, 2 * _CHUNK + 1]))
+    @settings(max_examples=200, deadline=None)
+    def test_runs_encode_as_their_repeat(self, runs, big):
+        # runs of length 0 anywhere, the last one included, and one long run
+        values = np.array([0.5, *(v for v, _ in runs)])
+        lengths = np.array([big, *(n for _, n in runs)], dtype=np.int64)
+        listed = np.repeat(values, lengths).tolist()
+        assert _canonical({"c": _Runs(values, lengths)}) == canonical({"c": listed})[:-1].encode()
+
+    @pytest.mark.parametrize("r", [
+        range(1, 1), range(1, 2), range(1, _CHUNK + 1), range(1, 2 * _CHUNK + 3),
+        range(0, 12), range(10**9 - 5, 10**9 + 5), range(2**63 - 4, 2**63 - 1),
+    ], ids=str)
+    def test_range_encodes_as_its_list(self, r):
+        assert _canonical({"k": r}) == canonical({"k": list(r)})[:-1].encode()
 
     @pytest.mark.parametrize("length", [_CHUNK, _CHUNK + 1, 3 * _CHUNK + 7])
     def test_float_run_longer_than_a_piece(self, length):

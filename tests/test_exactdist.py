@@ -171,6 +171,11 @@ class TestWindowedForm:
         assert np.array_equal(_bits(d.survival_values()), _bits(surv))
         assert np.array_equal(_bits(d.pmf), _bits(pmf))
         assert np.array_equal(_bits(d.cdf_values()), _bits(1.0 - np.append(surv[1:], 0.0)))
+        # the runs are the dense columns too, in a size that does not grow with N
+        run_surv, run_pmf, lengths = d.column_runs()
+        assert np.array_equal(_bits(np.repeat(run_surv, lengths)), _bits(surv))
+        assert np.array_equal(_bits(np.repeat(run_pmf, lengths)), _bits(pmf))
+        assert lengths.size <= 2500
         assert d.mean == mean
         assert abs(d.variance - var) <= 1e-13 * var
 
