@@ -7,67 +7,47 @@ its growth constants and limit behaviour, numerically certifies the
 finite-N inequalities behind the limits, cross-checks everything against
 an independent first-passage solver, and validates the lot with a
 reproducible Monte Carlo sampler.
+
+The public names are exported lazily (PEP 562): ``import bdheight``
+loads no submodule, and the first read of a name such as
+``bdheight.solve_alpha`` or ``bdheight.oracle`` imports the submodule
+that defines it.  So a command-line run pays only for the submodules its
+subcommand uses.
 """
 
 __version__ = "0.3.0"
 
-from .errors import BDHeightError, CapacityError, ParameterError, SimulationAbort
-from .model import (
-    ModelParams,
-    jump_up_probs,
-    make_params,
-)
-from .exactdist import (
-    HeightDistribution,
-    RationalHeightDistribution,
-    exact_rational_distribution,
-    height_distribution,
-    log_r_term,
-)
-from .oracle import (
-    height_dist_oracle,
-    log_hitting_sums,
-)
-from .asymptotics import (
-    AlphaSolution,
-    BoundConstants,
-    BoundReport,
-    bound_constants,
-    check_mean_bounds,
-    check_peak_ratio_bounds,
-    concentration_mass,
-    concentration_window,
-    convergence_table,
-    height_fraction_limit,
-    solve_alpha,
-    stirling_ratio,
-    variance_limit,
-    wlln_tail_mass,
-)
-from .simulate import (
-    FULL_CTMC,
-    JUMP_CHAIN,
-    LADDER,
-    SimulationConfig,
-    SimulationSummary,
-    dkw_epsilon,
-    estimate_mean_excursion_steps,
-    run_batch,
-)
+# submodule -> the public names the package re-exports from it
+_EXPORTS = {
+    "errors": ("BDHeightError", "CapacityError", "ParameterError", "SimulationAbort"),
+    "model": ("ModelParams", "make_params", "jump_up_probs"),
+    "exactdist": ("HeightDistribution", "RationalHeightDistribution", "height_distribution",
+                  "log_r_term", "exact_rational_distribution"),
+    "oracle": ("height_dist_oracle", "log_hitting_sums"),
+    "asymptotics": ("AlphaSolution", "BoundConstants", "BoundReport", "solve_alpha",
+                    "height_fraction_limit", "variance_limit", "bound_constants",
+                    "check_peak_ratio_bounds", "check_mean_bounds", "stirling_ratio",
+                    "convergence_table", "concentration_window", "concentration_mass",
+                    "wlln_tail_mass"),
+    "simulate": ("LADDER", "JUMP_CHAIN", "FULL_CTMC", "SimulationConfig", "SimulationSummary",
+                 "run_batch", "dkw_epsilon", "estimate_mean_excursion_steps"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "__version__",
-    "BDHeightError", "CapacityError", "ParameterError", "SimulationAbort",
-    "ModelParams", "make_params", "jump_up_probs",
-    "HeightDistribution", "RationalHeightDistribution", "height_distribution",
-    "log_r_term", "exact_rational_distribution",
-    "height_dist_oracle", "log_hitting_sums",
-    "AlphaSolution", "BoundConstants", "BoundReport", "solve_alpha",
-    "height_fraction_limit", "variance_limit", "bound_constants",
-    "check_peak_ratio_bounds", "check_mean_bounds", "stirling_ratio",
-    "convergence_table", "concentration_window", "concentration_mass",
-    "wlln_tail_mass",
-    "LADDER", "JUMP_CHAIN", "FULL_CTMC",
-    "SimulationConfig", "SimulationSummary", "run_batch", "dkw_epsilon",
-    "estimate_mean_excursion_steps",
-]
+__all__ = ["__version__", *_MODULE_OF]
+
+
+def __getattr__(name: str):
+    module = _MODULE_OF.get(name, name if name in _EXPORTS else None)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # The import binds the submodule in this namespace.  The builtin import,
+    # unlike importlib.import_module, is what -X importtime reports.
+    __import__(f"{__name__}.{module}")
+    value = globals()[module] if name == module else getattr(globals()[module], name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_EXPORTS})

@@ -193,11 +193,14 @@ def _residual_tolerance(x: float, log_rho: float) -> float:
 def solve_alpha(rho: float) -> AlphaSolution:
     """Bisect g on (rho (1 + 2**-50), 1 - 1e-15) to adjacent doubles, with a
     residual within ``_residual_tolerance``, a bound relative to the size of
-    g's terms.  About 1080 halvings reach any rho in (0, 1).
+    g's terms.  About 1080 halvings reach any rho in (0, 1).  Above rho
+    ~ 1 - 3.5e-14 the root lies past 1 - 1e-15, and the bracket is
+    (max(1 - 1e-15, rho), 1) instead; alpha is then at most the largest
+    double below 1, and equals rho at rho = that double.
 
     g is strictly increasing on (rho, 1) (its derivative is
     log(x / ((1-x) rho)) > 0 there), but only the sign change is used:
-    g(rho+) = (1-rho) log(1-rho) < 0 and g(1-) -> -log rho > 0.
+    g(rho+) = (1-rho) log(1-rho) < 0 and g(1) = -log rho > 0.
     """
     rho = float(rho)
     if not (0.0 < rho < 1.0) or not math.isfinite(rho):
@@ -205,7 +208,9 @@ def solve_alpha(rho: float) -> AlphaSolution:
     log_rho = math.log(rho)
     # The lower end is relative: an absolute step of 1e-15 would swamp rho <= 1e-16.
     lo, hi = rho * (1.0 + 2.0**-50), 1.0 - 1e-15
-    if not (_g(lo, log_rho) < 0.0 < _g(hi, log_rho)):
+    if not _g(hi, log_rho) > 0.0:
+        lo, hi = max(hi, rho), 1.0
+    if not (_g(lo, log_rho) <= 0.0 < _g(hi, log_rho)):
         raise ParameterError(f"no sign change on the bracket for rho = {rho}")
     iterations = 0
     for _ in range(_MAX_HALVINGS):
@@ -217,7 +222,7 @@ def solve_alpha(rho: float) -> AlphaSolution:
             lo = mid
         else:
             hi = mid
-    alpha = 0.5 * (lo + hi)
+    alpha = min(0.5 * (lo + hi), math.nextafter(1.0, 0.0))  # bound_constants takes log(1 - alpha)
     residual = _g(alpha, log_rho)
     if not abs(residual) <= _residual_tolerance(alpha, log_rho):
         raise ParameterError(
@@ -247,6 +252,9 @@ def bound_constants(rho: float) -> BoundConstants:
     alpha > rho > rho (1 - alpha)."""
     sol = solve_alpha(rho)
     a = sol.alpha
+    if a <= rho:  # only at the largest double below 1, where no double lies in (rho, 1)
+        raise ParameterError(f"alpha(rho) rounds to rho = {rho!r}, where c2 = "
+                             f"3 / (log alpha - log rho) is unbounded")
     c1 = 2.0 / (math.log(a) - math.log(rho * (1.0 - a)))
     c2 = 3.0 / (math.log(a) - math.log(rho))
     if rho * rho >= sys.float_info.min:

@@ -93,13 +93,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import CapacityError, ParameterError
 from .model import ModelParams
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = [
     "HeightDistribution",
@@ -384,8 +387,9 @@ def height_distribution(p: ModelParams) -> HeightDistribution:
     def terms(lo: int, hi: int) -> np.ndarray:
         return log_t(np.arange(lo, hi, dtype=float))
 
-    # t decreases on [0, m] and increases on [m, N-1].
-    m = min(max(math.ceil(r_term_turning_point(N, rho)), 0), N - 1)
+    # t decreases on [0, m] and increases on [m, N-1].  The turning point is
+    # inf once rho (N-1) overflows, and then t decreases throughout.
+    m = min(max(math.ceil(min(r_term_turning_point(N, rho), N)), 0), N - 1)
     a = _first(lambda i: t(i) <= -_NOOP_GAP, 1, m + 1)
     head = -np.logaddexp.accumulate(terms(0, a))
     top = -head[-1]
@@ -417,6 +421,8 @@ def exact_rational_distribution(N: int, rho_num: int, rho_den: int,
         raise CapacityError(
             f"exact rational path is capped at N = {cap} (got N = {N}); "
             f"use the log-domain path for larger N")
+
+    from fractions import Fraction  # loaded on first use: the float path never needs it
 
     rho = Fraction(rho_num, rho_den)
     partial = Fraction(0)

@@ -33,6 +33,13 @@ __all__ = [
     "jump_up_probs",
 ]
 
+# The sampler modes of bdheight.simulate, which re-exports them.  They live
+# here so that the command line can offer them without importing the sampler.
+LADDER = "ladder"
+JUMP_CHAIN = "jump-chain"
+FULL_CTMC = "full-ctmc"
+SAMPLER_MODES = (LADDER, JUMP_CHAIN, FULL_CTMC)
+
 
 @dataclass(frozen=True)
 class ModelParams:
@@ -105,6 +112,10 @@ def jump_up_probs(p: ModelParams) -> np.ndarray:
     up[p.N] = 0.0
     if p.N > 1:
         i = np.arange(1, p.N, dtype=float)
-        w = (p.N - i) * p.rho
-        up[1:p.N] = w / (i + w)
+        with np.errstate(over="ignore"):
+            w = (p.N - i) * p.rho
+        # Where (N - i) rho overflows, p_i is 1 to within 1e-290, and w / (i + w)
+        # would be inf / inf = nan.
+        up[1:p.N] = 1.0
+        np.divide(w, i + w, out=up[1:p.N], where=np.isfinite(w))
     return up

@@ -56,7 +56,7 @@ import numpy as np
 
 from . import exactdist, oracle
 from .errors import CapacityError, ParameterError, SimulationAbort
-from .model import ModelParams, jump_up_probs
+from .model import FULL_CTMC, JUMP_CHAIN, LADDER, SAMPLER_MODES, ModelParams, jump_up_probs
 
 __all__ = [
     "LADDER",
@@ -68,11 +68,6 @@ __all__ = [
     "estimate_mean_excursion_steps",
     "run_batch",
 ]
-
-LADDER = "ladder"
-JUMP_CHAIN = "jump-chain"
-FULL_CTMC = "full-ctmc"
-_MODES = (LADDER, JUMP_CHAIN, FULL_CTMC)
 
 DEFAULT_MAX_EXCURSION_STEPS = 10**10
 DEFAULT_MAX_TOTAL_STEPS = 1e9
@@ -92,8 +87,8 @@ class SimulationConfig:
     max_total_steps: float = DEFAULT_MAX_TOTAL_STEPS
 
     def __post_init__(self):
-        if self.mode not in _MODES:
-            raise ParameterError(f"mode must be one of {_MODES}, got {self.mode!r}")
+        if self.mode not in SAMPLER_MODES:
+            raise ParameterError(f"mode must be one of {SAMPLER_MODES}, got {self.mode!r}")
         if not isinstance(self.n_samples, int) or self.n_samples < 1:
             raise ParameterError(f"n_samples must be a positive integer, got {self.n_samples!r}")
         if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:

@@ -1,5 +1,6 @@
 """Growth constant, derived constants, and the certified inequalities."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -102,6 +103,28 @@ class TestSolveAlpha:
         with pytest.raises(ParameterError):
             solve_alpha(rho)
 
+    @pytest.mark.parametrize("rho", [*(1.0 - 10.0**-k for k in range(12, 17)),
+                                     math.nextafter(1.0, 0.0)])
+    def test_rho_next_to_one_answers(self, rho):
+        # Above rho ~ 1 - 3.5e-14 alpha exceeds 1 - 1e-15, the old upper end;
+        # above ~1 - 1e-15 it lies past the largest double below 1.
+        sol = solve_alpha(rho)
+        assert rho <= sol.alpha < 1.0
+        assert abs(sol.residual) <= asymptotics._residual_tolerance(sol.alpha, math.log(rho))
+
+    def test_bits_are_pinned_up_to_one_minus_1e_12(self):
+        # sha256 of (alpha, residual, iterations, bracket) over 453 rho from
+        # 1e-300 to 1 - 1e-12, recorded while the upper end was 1 - 1e-15 for
+        # every rho.
+        rhos = ([10.0 ** (e / 10) for e in range(-3000, 0, 7)]
+                + [1 - 10.0 ** (-e / 10) for e in range(5, 121, 5)])
+        digest = hashlib.sha256()
+        for rho in rhos:
+            s = solve_alpha(rho)
+            digest.update(repr((s.alpha, s.residual, s.iterations, s.bracket)).encode())
+        assert (digest.hexdigest()
+                == "3f58919c23c0d56b8979a5e0920b3d47bd641641899d1de1189d8caeb1b666c2")
+
 
 class TestLimits:
     def test_height_fraction(self):
@@ -135,6 +158,15 @@ class TestBoundConstants:
     def test_c3_overflow_is_a_parameter_error(self, rho):
         with pytest.raises(ParameterError, match="overflows"):
             bound_constants(rho)
+
+    def test_alpha_rounding_to_rho_is_a_parameter_error(self):
+        # At the largest double below 1 no double lies in (rho, 1), so alpha
+        # is rho and c2 = 3 / (log alpha - log rho) has no finite value.
+        rho = math.nextafter(1.0, 0.0)
+        assert solve_alpha(rho).alpha == rho
+        with pytest.raises(ParameterError, match="c2"):
+            bound_constants(rho)
+        assert bound_constants(math.nextafter(rho, 0.0)).c2 > 0.0
 
     def test_integer_part_candidates(self):
         assert integer_part_candidates(7.3) == (7, 8)

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -158,6 +159,17 @@ class TestVerify:
         assert rc == 0
         assert doc["manifest"]["parameters"]["format"] == "json"
 
+    def test_nan_oracle_gap_fails(self, capsys, monkeypatch):
+        # max(0.0, nan) is 0.0, so a nan gap once passed with lhs 0.0
+        from bdheight import oracle
+        monkeypatch.setattr(oracle, "height_dist_oracle", lambda p: np.full(p.N, math.nan))
+        rc, out, err = run_cli(capsys, "verify", "--rho", "0.5", "--n", "10")
+        assert rc == 1 and "oracle_equivalence" in err
+        check, = [c for c in strict_loads(out)["data"]["checks"]
+                  if c["inequality"] == "oracle_equivalence"]
+        assert check["passed"] is False
+        assert check["lhs"] is None and check["margin"] is None
+
     def test_corrupted_constant_fails(self, capsys):
         rc, doc, err = run_json(capsys, "verify", "--rho", "0.5", "--n", "2000",
                                 "--selftest-corrupt")
@@ -294,6 +306,35 @@ class TestParserContract:
         assert rc == 0, err
         assert strict_loads(out)["manifest"]["command"] == argv[0]
 
+    @pytest.mark.parametrize("argv", [
+        ["dist", "--n", "10", "--rho", "1e308"],
+        ["sweep", "--rho", "1e300", "--n", "1000000000"],
+        ["verify", "--rho", "1e300", "--n", "1000000000"],
+        ["simulate", "--n", "10", "--rho", "1e308", "--samples", "100"],
+    ], ids=lambda argv: argv[0])
+    def test_overflowing_rho_n_answers(self, capsys, argv):
+        # rho (N - 1) overflows to inf: the turning point of the terms once
+        # raised OverflowError, and the jump probabilities came out nan.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning is a failure
+            rc, out, err = run_cli(capsys, *argv)
+        assert rc == 0 and err == ""
+        assert strict_loads(out)["manifest"]["command"] == argv[0]
+
+    @pytest.mark.parametrize("rho", ["0.99999999999999", "0.999999999999999",
+                                     "0.9999999999999998"])
+    def test_alpha_next_to_one_answers(self, capsys, rho):
+        # alpha lies above 1 - 1e-15, the bracket's old upper end
+        rc, out, err = run_cli(capsys, "alpha", "--rho", rho)
+        assert rc == 0, err
+        data = strict_loads(out)["data"]
+        assert float(rho) < data["alpha"] < 1.0 and data["constants"]["c2"] > 0.0
+
+    def test_alpha_at_the_largest_double_below_one_exits_2(self, capsys):
+        # alpha rounds to rho there, and c2 = 3 / (log alpha - log rho)
+        rc, out, err = run_cli(capsys, "alpha", "--rho", "0.9999999999999999")
+        assert (rc, out) == (2, "") and "c2" in err
+
     def test_json_keys_are_sorted(self, capsys):
         rc, out, _ = run_cli(capsys, "alpha", "--rho", "0.5")
         assert rc == 0
@@ -386,6 +427,9 @@ class TestEmission:
          "692f1b68b5d15bd836294bfb5318c6895858001b93f9fd99ba8f12c95cb31120"),
         (["simulate", "--n", "50", "--rho", "0.5", "--samples", "1000", "--seed", "1"],
          "2ee9ac7f30bc5ae7d6928342832fe4a2b72e5dad7cd0f3657a91ea39efddbbd4"),
+        # recorded before k was written by blocks of 10**4; its k reaches them
+        (["dist", "--n", "123457", "--rho", "0.5"],
+         "34db06ac430cc71ace12c0444db6c2ea215f0bfbf92193bc8e11e8a1c38fd66b"),
     ], ids=lambda v: "_".join(v) if isinstance(v, list) else "")
     def test_artifact_bytes_are_pinned(self, tmp_path, argv, digest):
         path = tmp_path / "artifact"
@@ -506,6 +550,13 @@ class TestCanonicalEncoder:
     @pytest.mark.parametrize("r", [
         range(1, 1), range(1, 2), range(1, _CHUNK + 1), range(1, 2 * _CHUNK + 3),
         range(0, 12), range(10**9 - 5, 10**9 + 5), range(2**63 - 4, 2**63 - 1),
+        # blocks of 10**4 entries: ranges that start or end at a block or digit edge
+        range(1, 9999), range(1, 10**4), range(1, 10**4 + 1), range(1, 10**4 + 2),
+        range(9999, 10**4 + 7), range(10**4, 3 * 10**4), range(10**4 + 1, 10**5 - 1),
+        range(10**5 - 1, 10**5 + 1), range(10**5 + 1, 10**6 - 1), range(10**6 - 1, 10**6 + 2),
+        range(1, 10**6 + 2),
+        # one partial block inside a large prefix
+        range(123456789 * 10**4 + 17, 123456789 * 10**4 + 4321),
     ], ids=str)
     def test_range_encodes_as_its_list(self, r):
         assert _canonical({"k": r}) == canonical({"k": list(r)})[:-1].encode()
@@ -551,11 +602,33 @@ class TestStrictJson:
 
 def test_import_does_not_load_scipy():
     # importing scipy.special alone costs ~0.45 s per CLI start; nothing
-    # at runtime needs any of scipy.
+    # at runtime needs any of scipy.  A dist run loads only the modules it
+    # uses, and every exported name still resolves on first use.
     src = os.path.dirname(os.path.dirname(bdheight.__file__))
-    code = ("import sys; scipy = lambda: [m for m in sys.modules if m.split('.')[0] == 'scipy']; "
-            "import bdheight; print(scipy()); import bdheight.cli; print(scipy())")
+    code = """if True:
+        import json, os, sys
+        def loaded():
+            return sorted(m for m in sys.modules if m.split(".")[0] in ("bdheight", "scipy")
+                          or m in ("numpy", "fractions"))
+        import bdheight
+        steps = [loaded()]
+        import bdheight.cli
+        steps.append(loaded())
+        assert bdheight.cli.main(["dist", "--n", "20000", "--rho", "0.5",
+                                  "--output", os.devnull]) == 0
+        steps.append(loaded())
+        names = {name: getattr(bdheight, name) is not None for name in bdheight.__all__}
+        scope = {}
+        exec("from bdheight import *", scope)
+        print(json.dumps([steps, names, sorted(set(scope) - {"__builtins__"}),
+                          sorted(bdheight.__all__), "oracle" in dir(bdheight)]))
+    """
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
-    assert proc.stdout.split() == ["[]", "[]"]
+    steps, names, star, exported, listed = json.loads(proc.stdout)
+    cli_set = ["bdheight", "bdheight.cli", "bdheight.errors", "bdheight.exactdist",
+               "bdheight.model", "numpy"]
+    assert steps == [["bdheight"], cli_set, cli_set]
+    assert len(names) == 37 and all(names.values())  # __version__ and 36 exported names
+    assert star == exported and listed

@@ -120,6 +120,18 @@ class TestHeightDistribution:
         fp_pmf = fp - np.append(fp[1:], 0.0)
         assert np.abs(d.pmf - fp_pmf).max() <= 1e-10
 
+    @pytest.mark.parametrize("rho", [1e300, 1e306, 1e308])
+    @pytest.mark.parametrize("N", [2, 10, 1000])
+    def test_matches_first_passage_solver_where_rho_n_overflows(self, N, rho):
+        # rho (N - 1) overflows at most of these: the turning point of the
+        # terms is inf, and (N - i) rho / (i + (N - i) rho) is inf / inf.
+        p = make_params(N, rho=rho)
+        with np.errstate(over="raise", invalid="raise"):
+            d = height_distribution(p)
+            fp = height_dist_oracle(p)
+        assert np.abs(d.survival_values() - fp).max() <= 1e-10
+        assert np.isfinite(d.pmf).all() and math.isfinite(d.variance)
+
     def test_moments_recompute(self):
         d = height_distribution(make_params(123, rho=0.6))
         # first moment over the masses; the stored mean is the survival sum

@@ -117,6 +117,14 @@ class TestJumpChain:
         up = jump_up_probs(make_params(2, rho=1.0))
         assert up[1] == pytest.approx(0.5, abs=1e-15)
 
+    def test_overflowing_rate_saturates_to_one(self):
+        # (N - i) rho overflows for i < 9; below that it is the plain formula
+        p = make_params(10, rho=1e308)
+        with np.errstate(over="raise", invalid="raise"):
+            up = jump_up_probs(p)
+        assert (up[1:9] == 1.0).all()
+        assert up[9] == 1e308 / (9.0 + 1e308)
+
     @given(N=st.integers(1, 150), rho=st.floats(0.01, 4.0))
     @settings(max_examples=60, deadline=None)
     def test_complement_and_monotonicity(self, N, rho):
