@@ -48,8 +48,6 @@ import math
 import sys
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from . import exactdist
 from .errors import ParameterError
 from .model import make_params
@@ -72,6 +70,7 @@ __all__ = [
     "concentration_window",
     "concentration_mass_bound",
     "concentration_mass",
+    "window_mass",
     "wlln_tail_mass",
     "MEAN_BOUND_MIN_N",
 ]
@@ -452,14 +451,20 @@ def concentration_mass_bound(N: int, rho: float) -> float:
 
 def concentration_mass(N: int, rho: float) -> tuple[float, int, int]:
     """Exact mass of the concentration window, with the window itself."""
-    lo, hi = concentration_window(N, rho)
-    d = exactdist.height_distribution(make_params(N, rho=rho))
-    mass = d.survival_at(lo) - (d.survival_at(hi + 1) if hi < N else 0.0)
+    return window_mass(exactdist.height_distribution(make_params(N, rho=rho)))
+
+
+def window_mass(law: exactdist.HeightDistribution) -> tuple[float, int, int]:
+    """:func:`concentration_mass` of a law already computed."""
+    lo, hi = concentration_window(law.N, law.rho)
+    mass = law.survival_at(lo) - (law.survival_at(hi + 1) if hi < law.N else 0.0)
     return mass, lo, hi
 
 
 def wlln_tail_mass(N: int, rho: float, eps: float = 0.05) -> float:
     """P(|H_N / N - f(rho)| > eps), evaluated from the exact law."""
+    import numpy as np
+
     f = height_fraction_limit(rho)
     d = exactdist.height_distribution(make_params(N, rho=rho))
     k = np.arange(1, N + 1, dtype=float)

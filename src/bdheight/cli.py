@@ -21,22 +21,26 @@ Every value is checked before the first byte.  The ``rows`` columns of
 ``dist`` and ``simulate`` are written from runs of bit-identical values,
 in pieces of at most ``_CHUNK`` entries: each run's ``repr`` is formatted
 once and repeated.  The law is constant outside an O(log N) window, so
-``dist`` takes a few hundred runs from the law itself and builds no array
-of length N; ``simulate`` splits its numpy columns into runs.  The ``k``
+the law's own runs give ``dist`` a few hundred runs and no list of
+length N; ``simulate`` splits its numpy columns into runs.  The ``k``
 column is a ``range``, written a block of 10**4 entries at a time: each
-entry of a block is the block's shared leading digits followed by one row
-of a table of the suffixes "0000," .. "9999,", so a block is two numpy
-copies and no per-entry formatting.  A CSV body is built as byte pieces
-of ``_CHUNK`` lines, hashed as each is built, and written after the
-manifest line.  ``dist`` and ``simulate`` refuse more than ``MAX_ROWS``
-rows (exit 2); ``sweep`` and ``verify`` build no column.
+entry of a block is the block's shared leading digits followed by
+"0000," .. "9999,".  One ``bytearray`` per width of the leading digits
+holds those suffixes, and each block writes its digits into it by
+strided slice assignment, so there is no per-entry formatting.  A CSV
+body is built as byte pieces of ``_CHUNK`` lines, hashed as each is
+built, and written after the manifest line.  ``dist`` and ``simulate``
+refuse more than ``MAX_ROWS`` rows (exit 2); ``sweep`` and ``verify``
+build no column.
 
-Start-up: this module imports numpy and the ``errors``, ``model`` and
-``exactdist`` modules, which every subcommand needs.  The others are
+Start-up: this module imports the ``errors``, ``model`` and ``exactdist``
+modules, which every subcommand needs, and no numpy.  The others are
 imported by the commands that use them: ``alpha`` and ``sweep`` import
-``asymptotics``, ``verify`` imports ``asymptotics`` and ``oracle``, and
-``simulate`` imports ``simulate`` (which loads ``oracle``).  So ``dist``
-and ``--version`` load none of the three.
+``asymptotics``, ``verify`` imports ``asymptotics``, ``oracle`` and
+numpy, and ``simulate`` imports ``simulate`` (which loads ``oracle`` and
+numpy).  ``dist --format csv`` loads numpy through the law's dense
+columns.  So ``--version``, ``dist`` (JSON), ``alpha`` and ``sweep`` load
+no numpy, and none of them loads ``oracle`` or ``simulate``.
 """
 
 from __future__ import annotations
@@ -51,8 +55,6 @@ import os
 import sys
 from collections.abc import Iterable, Iterator
 from typing import NamedTuple
-
-import numpy as np
 
 from . import __version__, exactdist
 from .errors import CapacityError, ParameterError
@@ -88,25 +90,37 @@ def _manifest(command: str, parameters: dict, data_sha256: str) -> dict:
 class _Runs(NamedTuple):
     """A JSON column as runs: ``values[i]`` repeated ``lengths[i]`` times."""
 
-    values: np.ndarray
-    lengths: np.ndarray
+    values: list
+    lengths: list[int]
 
 
-def _runs(a: np.ndarray) -> _Runs:
-    """A 1-D float64 or int64 array as runs of identical bit patterns, so
-    ``-0.0`` and ``0.0`` stay apart."""
+def _runs(a) -> _Runs:
+    """A 1-D float64 or int64 numpy array as runs of identical bit patterns,
+    so ``-0.0`` and ``0.0`` stay apart."""
+    import numpy as np
+
     bits = a.view(np.int64)
     change = np.ones(a.size, dtype=bool)
     np.not_equal(bits[1:], bits[:-1], out=change[1:])
     starts = np.flatnonzero(change)
-    return _Runs(a[starts], np.diff(starts, append=a.size))
+    return _Runs(a[starts].tolist(), np.diff(starts, append=a.size).tolist())
 
 
 def _run_column(runs: _Runs) -> Iterator[bytes]:
-    """Yield ``json.dumps(np.repeat(*runs).tolist())`` in pieces of at most
-    ``_CHUNK`` entries.  Each run's ``repr`` is formatted once and repeated."""
-    nonempty = runs.lengths > 0
-    values, lengths = runs.values[nonempty].tolist(), runs.lengths[nonempty].tolist()
+    """Yield the JSON list of ``runs`` spread out, in pieces of at most
+    ``_CHUNK`` entries.  Adjacent runs of one value are joined (``-0.0`` and
+    ``0.0`` stay apart), and each run's ``repr`` is formatted once and
+    repeated."""
+    values, lengths = [], []
+    for value, n in zip(*runs):
+        if not n:
+            continue
+        if lengths and value == values[-1] and (
+                value or math.copysign(1.0, value) == math.copysign(1.0, values[-1])):
+            lengths[-1] += n
+        else:
+            values.append(value)
+            lengths.append(n)
     if lengths:
         lengths[-1] -= 1  # the last entry goes without its comma
     yield b"["
@@ -127,32 +141,36 @@ def _range_column(r: range) -> Iterator[bytes]:
     """Yield ``json.dumps(list(r))`` for a range of nonnegative integers with
     step 1, in pieces of at most ``_BLOCK`` entries.
 
-    The entry P * 10**4 + j is the digits of P followed by ``"%04d," % j``,
-    so one piece of equal P is that prefix broadcast next to a slice of a
-    table of the 10**4 suffixes.  An entry below 10**4 is its table row
-    without the leading zeros."""
+    The entry P * 10**4 + j is the digits of P followed by ``"%04d," % j``.
+    For each width of P one ``bytearray`` block of 10**4 entries holds the
+    suffixes, written once; each block of equal P then writes the digits
+    of P into it by strided slice assignment and is copied out.  Entries
+    below 10**4 are formatted one by one."""
     yield b"["
     body = r[:-1]
-    if body:
-        table = np.empty((_BLOCK, 5), dtype=np.uint8)  # "%04d," % j in row j
-        table[:, :4] = np.arange(_BLOCK)[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")
-        table[:, 4] = ord(",")
-        start = body.start
-        for width, top in enumerate((10, 100, 1000, _BLOCK), 1):
-            stop = min(body.stop, top)
-            if start < stop:
-                yield table[start:stop, 4 - width:].tobytes()
-                start = stop
-        suffixes = table.view("V5")[:, 0]
-        while start < body.stop:  # here start >= 10**4
-            prefix, j = divmod(start, _BLOCK)
-            stop = min(body.stop, start - j + _BLOCK)
-            digits = str(prefix).encode()
-            block = np.empty(stop - start, dtype=[("p", f"V{len(digits)}"), ("s", "V5")])
-            block["p"] = digits
-            block["s"] = suffixes[j:j + stop - start]
-            yield block.tobytes()
-            start = stop
+    start = body.start
+    if start < min(body.stop, _BLOCK):
+        stop = min(body.stop, _BLOCK)
+        yield ",".join(map(str, range(start, stop))).encode() + b","
+        start = stop
+    # byte c of "%04d," % j for j = 0..9999: the digit of each place, then ","
+    suffix_columns = [b"".join(bytes([d]) * step for d in b"0123456789") * (_BLOCK // step // 10)
+                      for step in (1000, 100, 10, 1)] + [b"," * _BLOCK]
+    block, width = bytearray(), 0
+    while start < body.stop:  # here start >= 10**4
+        prefix, j = divmod(start, _BLOCK)
+        stop = min(body.stop, start - j + _BLOCK)
+        digits = str(prefix).encode()
+        if len(digits) != width:  # a new width of P: lay out the suffixes
+            width = len(digits)
+            w = width + 5
+            block = bytearray(_BLOCK * w)
+            for c, column in enumerate(suffix_columns):
+                block[width + c::w] = column
+        for place, digit in enumerate(digits):
+            block[place::w] = bytes([digit]) * _BLOCK
+        yield bytes(memoryview(block)[j * w:(stop - start + j) * w])
+        start = stop
     yield json.dumps(list(r[-1:]))[1:].encode()  # the last entry without its comma, and "]"
 
 
@@ -163,29 +181,24 @@ def _encode(value, parts: list) -> None:
             parts.append((b"," if i else b"") + json.dumps(key).encode() + b":")
             _encode(value[key], parts)
         parts.append(b"}")
-    elif isinstance(value, np.ndarray) and value.ndim == 1 and value.dtype in (np.float64,
-                                                                               np.int64):
-        _encode(_runs(value), parts)
     elif isinstance(value, _Runs):
-        if not np.isfinite(value.values).all():
+        if not all(map(math.isfinite, value.values)):
             raise ValueError("Out of range float values are not JSON compliant")
         parts.append(_run_column(value))
     elif isinstance(value, range) and value.step == 1:
         parts.append(_range_column(value))
     else:
-        if isinstance(value, np.ndarray):
-            value = value.tolist()
         parts.append(json.dumps(value, sort_keys=True, separators=(",", ":"),
                                 allow_nan=False).encode())
 
 
 def _pieces(data) -> Iterator[bytes]:
     """The bytes of ``json.dumps(data, sort_keys=True, separators=(",", ":"),
-    allow_nan=False)`` in pieces, where a value may also be a numpy array
-    (encoded as its ``tolist()`` would be), a ``_Runs`` (as its
-    ``np.repeat``) or a step-1 range of nonnegative integers (as its list).  Dict
-    keys are strings.  Every value is checked before this returns; the
-    columns are formatted as they are taken."""
+    allow_nan=False)`` in pieces, where a value may also be a ``_Runs``
+    (encoded as the list of its runs spread out) or a step-1 range of
+    nonnegative integers (as its list).  Dict keys are strings.  Every
+    value is checked before this returns; the columns are formatted as
+    they are taken."""
     parts: list = []
     _encode(data, parts)
     return itertools.chain.from_iterable(
@@ -227,9 +240,9 @@ def _csv_line(row) -> str:
     return ",".join(_fmt(x) for x in row)
 
 
-def _csv_lines(fmt: str, columns: list[np.ndarray]) -> Iterator[str]:
-    """``fmt % (k, *row)`` for k = 1..n over the rows of n-entry columns,
-    taken a chunk of rows at a time."""
+def _csv_lines(fmt: str, columns: list) -> Iterator[str]:
+    """``fmt % (k, *row)`` for k = 1..n over the rows of n-entry numpy
+    columns, taken a chunk of rows at a time."""
     n = len(columns[0])
     for start in range(0, n, _CHUNK):
         chunk = [c[start:start + _CHUNK].tolist() for c in columns]
@@ -347,6 +360,8 @@ def cmd_alpha(args) -> int:
 
 
 def _verify_checks(rhos: list[float], ns: list[int], corrupt: bool) -> list[dict]:
+    import numpy as np
+
     from . import asymptotics, oracle
 
     checks: list[dict] = []
@@ -363,9 +378,9 @@ def _verify_checks(rhos: list[float], ns: list[int], corrupt: bool) -> list[dict
                 growth, decay = asymptotics.check_peak_ratio_bounds(n, rho, constants)
                 checks.append(growth.to_dict())
                 checks.append(decay.to_dict())
+        laws = {n: exactdist.height_distribution(make_params(n, rho=rho)) for n in ns}
         for n in ns:
-            d = exactdist.height_distribution(make_params(n, rho=rho))
-            checks.append(asymptotics.check_mean_bounds(n, rho, d.mean).to_dict())
+            checks.append(asymptotics.check_mean_bounds(n, rho, laws[n].mean).to_dict())
         if rho < 1.0:
             ratios = [asymptotics.stirling_ratio(n, rho) for n in ns if n >= 2]
             band = max(ratios) / min(ratios) if ratios else None
@@ -383,7 +398,7 @@ def _verify_checks(rhos: list[float], ns: list[int], corrupt: bool) -> list[dict
             })
             for n in ns:
                 if n >= asymptotics.MEAN_BOUND_MIN_N:
-                    mass, lo, hi = asymptotics.concentration_mass(n, rho)
+                    mass, lo, hi = asymptotics.window_mass(laws[n])
                     bound = asymptotics.concentration_mass_bound(n, rho)
                     finite = math.isfinite(bound)  # a bound of -inf holds vacuously
                     checks.append({
@@ -441,13 +456,13 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    import numpy as np
+
     from . import simulate
 
     p, resolved = _params_from_args(args)
-    workers = args.workers if args.workers is not None else _default_workers()
-    cfg = simulate.SimulationConfig(
-        params=p, n_samples=args.samples, seed=args.seed, mode=args.mode,
-        worker_count=workers, dkw_delta=args.delta)
+    cfg = simulate.SimulationConfig(params=p, n_samples=args.samples, seed=args.seed,
+                                    mode=args.mode, dkw_delta=args.delta)
     if cfg.mode != LADDER:
         est = simulate.estimate_mean_excursion_steps(p) * args.samples
         if est > _WALK_WARN_STEPS:
@@ -458,20 +473,24 @@ def cmd_simulate(args) -> int:
     counts = np.fromiter(summary.counts, np.int64, p.N)
     epmf = counts / args.samples  # summary.empirical_pmf: counts convert to floats exactly
     parameters = {**resolved, "samples": args.samples, "seed": args.seed,
-                  "mode": args.mode, "workers": workers, "delta": args.delta,
-                  "format": args.format}
-    columns = {"count": counts, "empirical_pmf": epmf, "exact_pmf": exact.pmf,
-               "empirical_cdf": epmf.cumsum(), "exact_cdf": exact.cdf_values()}
+                  "mode": args.mode, "delta": args.delta, "format": args.format}
     # the counts are the rows' count column, not a scalar
     scalars = {f.name: getattr(summary, f.name) for f in dataclasses.fields(summary)
                if f.name != "counts"}
     if args.format == "csv":
+        columns = {"count": counts, "empirical_pmf": epmf, "exact_pmf": exact.pmf,
+                   "empirical_cdf": epmf.cumsum(), "exact_cdf": exact.cdf_values()}
         lines = _csv_lines("%d,%d,%.15g,%.15g,%.15g,%.15g", list(columns.values()))
         _emit_csv("simulate", parameters, ["k", *columns], lines, scalars, args.output)
     else:
-        data = {"summary": scalars, "rows": {"k": range(1, p.N + 1), **columns,
-                                             "exact_survival": exact.survival_values()}}
-        _emit_json("simulate", parameters, data, args.output)
+        surv, pmf, lengths = exact.column_runs()
+        # P(H <= k) = 1 - P(H >= k + 1): the survival runs one height on
+        cdf_lengths = [lengths[0] - 1, *lengths[1:-1], lengths[-1] + 1]
+        rows = {"k": range(1, p.N + 1), "count": _runs(counts), "empirical_pmf": _runs(epmf),
+                "exact_pmf": _Runs(pmf, lengths), "empirical_cdf": _runs(epmf.cumsum()),
+                "exact_cdf": _Runs([1.0 - v for v in surv], cdf_lengths),
+                "exact_survival": _Runs(surv, lengths)}
+        _emit_json("simulate", parameters, {"summary": scalars, "rows": rows}, args.output)
     if args.assert_dkw and not summary.dkw_pass:
         print(f"simulate: ECDF band exceeded: sup={summary.sup_distance:.6g} > "
               f"eps={summary.dkw_epsilon:.6g}", file=sys.stderr)
@@ -496,14 +515,6 @@ def cmd_sweep(args) -> int:
         data = {"rows": [dict(zip(header, row)) for row in table]}
         _emit_json("sweep", parameters, data, args.output)
     return 0
-
-
-def _default_workers() -> int:
-    raw = os.environ.get("BDHEIGHT_WORKERS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -536,10 +547,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--samples", type=int, required=True)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--mode", choices=SAMPLER_MODES, default=LADDER)
-    sub.add_argument("--workers", type=int, default=None,
-                     help="worker count (default: $BDHEIGHT_WORKERS or 1); recorded "
-                          "in the manifest only: chunks always run in order on one "
-                          "thread")
     sub.add_argument("--delta", type=float, default=0.01,
                      help="ECDF band confidence parameter")
     sub.add_argument("--assert", dest="assert_dkw", action="store_true",

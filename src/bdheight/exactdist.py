@@ -21,25 +21,30 @@ materializes a t_i in the linear domain.
 
 Where the law lives
 -------------------
-In doubles the law is carried by a few thousand entries at most,
+In doubles the law is carried by a few hundred entries at most,
 whatever N is.  Vectors are indexed by ``height value - 1`` and split
 into:
 
-* the head [0, a): t_0 = 1 and the descending terms that are still
-  above e^-750.  Its running log-sum L is log S_a.
-* the plateau [a, b): every term here is at least 750 below L.  np.exp
-  of anything below about -745.1 is exactly 0, so ``np.logaddexp(L, t)``
-  returns L unchanged and P(H >= k) stays at e^-L.  The descending side
-  is compared with -750, which suffices because L >= log t_0 = 0; the
-  ascending side is compared with L - 750.  The margin of 5 absorbs the
-  float error of the log terms.
+* the head [0, a): t_0 = 1 and the descending terms that still move the
+  running log-sum.  Its running log-sum L is log S_a.
+* the plateau [a, b): every term here leaves the running log-sum
+  unchanged.  The step L + log1p(exp(t - L)) returns L exactly once
+  exp(t - L) is below half an ulp of L, which holds when t is more than
+  g(L) = (53 - e) log 2 + 5 below L, where 2^(e-1) <= L < 2^e; and at any
+  L >= 0 when t <= -750, since exp of anything below about -745.1 is 0.
+  So the gap is min(g(L), 750), and 750 at L = 0.  L - gap(L) never
+  decreases as L grows.  The ascending side is compared with the head's
+  L; the descending side with L_1, the log-sum of t_0 and t_1, which
+  every later running sum of the head is at least.  The margin of 5 nats
+  absorbs the float error of the log terms.  In a typical law L is near
+  1 / (rho N), and the gap is 40 to 65 nats.
 * the window [b, w): the ascending terms from the first one above
-  L - 750, accumulated from L, up to and including the first entry whose
-  survival underflows to 0.0.  Once a term exceeds e^750 the sum does
-  too, so the window ends there at the latest; its length is set by how
-  fast the terms climb through those 1500 nats near alpha N, not by N.
-  Head and window together hold at most ~2200 entries for N from 1e3 to
-  1e9 and rho from 1e-8 to 1e3.
+  L - gap(L), accumulated from L, up to and including the first entry
+  whose survival underflows to 0.0.  Once a term exceeds e^750 the sum
+  does too, so the window ends there at the latest; its length is set by
+  how fast the terms climb through the ~800 nats near alpha N, not by N.
+  Head and window together hold at most ~810 entries for N from 1e3 to
+  3e9 and rho from 1e-8 to 1e3.
 * the tail [w, N): P(H >= k) is exactly 0 and log P(H >= k) is -inf.
 
 The boundaries come from bisection on the log terms, which are monotone
@@ -81,8 +86,18 @@ gives.  The port only accepts integer-valued arguments x >= 1: below 13
 it reads log((x-1)!) from a table, from 13 up it is Cephes' Stirling
 series with its coefficients and branch points (1000, 1e8, and inf above
 MAXLGM = 2.556348e305).  Its logarithm is ``math.log``, the C library's,
-as in Cephes; NumPy's SIMD ``np.log`` may differ in the last bit, so the
-array path takes only the log per element and does the rest in NumPy.
+as in Cephes.
+
+The law is computed with ``math``, that is with the C library (libm):
+the terms, the running log-sum (each step as numpy's scalar
+``npy_logaddexp``, so the log-survival is that of
+``np.logaddexp.accumulate``), the survival ``exp`` and the mass
+``expm1``.  NumPy's ``np.log``, ``np.exp`` and ``np.expm1`` run SIMD
+kernels that numpy picks at run time from the CPU's features, and these
+differ from libm in the last bit, so a law computed with them would have
+bytes that depend on the CPU.  numpy is imported only by the dense
+views of :class:`HeightDistribution` and the array form of
+:func:`log_r_term`.
 
 An exact-rational twin (``exact_rational_distribution``) evaluates the
 same quantities in unbounded-precision rational arithmetic for moderate
@@ -92,17 +107,19 @@ N and serves as the ground truth for the float path.
 from __future__ import annotations
 
 import math
+import numbers
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import TYPE_CHECKING
-
-import numpy as np
 
 from .errors import CapacityError, ParameterError
 from .model import ModelParams
 
 if TYPE_CHECKING:
     from fractions import Fraction
+
+    import numpy as np
 
 __all__ = [
     "HeightDistribution",
@@ -116,7 +133,8 @@ __all__ = [
 
 RATIONAL_CAP_DEFAULT = 500
 _RATIONAL_BIT_GUARD = 5_000_000  # combined numerator+denominator bits of a partial sum
-_NOOP_GAP = 750.0  # a term this far below the running log-sum leaves it unchanged
+_NOOP_GAP = 750.0  # a term this far below a running log-sum >= 0 leaves it unchanged
+_LOG2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -129,25 +147,23 @@ class HeightDistribution:
     P(H >= k) is exactly 0.  See the module docstring for why this form
     is the whole law.
 
-    The dense ``log_survival`` (-inf past the window), ``pmf``
-    (``pmf[k-1] = P(H = k)``), ``survival_values()`` and ``cdf_values()``
-    are built from this form on first use and cached;
     ``survival_at(k)`` reads one level and ``column_runs()`` gives
-    survival and pmf as runs, without building them.  Arrays are
+    survival and pmf as runs, as plain floats.  The dense numpy views
+    ``log_survival`` (-inf past the window), ``pmf`` (``pmf[k-1] =
+    P(H = k)``), ``survival_values()`` and ``cdf_values()`` import numpy
+    and are built from the runs on first use and cached.  Arrays are
     read-only; instances may be shared across threads.
     """
 
     N: int
     rho: float
-    head: np.ndarray
+    head: tuple[float, ...]
     plateau: tuple[int, int]
-    window: np.ndarray
+    window: tuple[float, ...]
     mean: float = field(init=False)
     variance: float = field(init=False)
 
     def __post_init__(self):
-        self.head.flags.writeable = False
-        self.window.flags.writeable = False
         k, _, surv, pmf = self._support
         a, b = self.plateau
         # The plateau's b - a equal values are already in surv once (at its
@@ -155,53 +171,54 @@ class HeightDistribution:
         # multiples, so fsum sees the dense vector's exact sum.
         extra = max(b - a - 1, 0)
         copies = [math.ldexp(surv[a], j) for j in range(extra.bit_length()) if extra >> j & 1]
-        mean = math.fsum([*surv.tolist(), *copies])
+        mean = math.fsum([*surv, *copies])
         object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "variance", math.fsum(((k - mean) ** 2 * pmf).tolist()))
+        object.__setattr__(self, "variance",
+                           math.fsum([(h - mean) * (h - mean) * m for h, m in zip(k, pmf)]))
 
     @cached_property
-    def _support(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    def _support(self) -> tuple[list[int], list[float], list[float], list[float]]:
         """(heights, log-survival, survival, pmf) over the head, the plateau's
         last entry and the window: every entry that can carry mass."""
         a, b = self.plateau
         slot = 1 if b > a else 0
-        k = np.concatenate([np.arange(1, a + 1), np.arange(b + 1 - slot, b + 1 + len(self.window))])
+        k = [*range(1, a + 1), *range(b + 1 - slot, b + 1 + len(self.window))]
         # the plateau keeps the head's last value
-        ls = np.concatenate([self.head, self.head[a - slot:], self.window])
-        surv = np.exp(ls)
+        ls = [*self.head, *self.head[a - slot:], *self.window]
+        surv = [*map(math.exp, ls)]
         # P(H = k) = surv_k * (1 - e^{ls_{k+1} - ls_k}); the next entry of the
         # last one is -inf (past the window, or the virtual ls_{N+1}).
-        pmf = surv * (-np.expm1(np.diff(ls, append=-np.inf)))
+        pmf = [s * -math.expm1(nxt - cur)
+               for s, cur, nxt in zip(surv, ls, [*ls[1:], -math.inf])]
         return k, ls, surv, pmf
 
-    @cached_property
-    def _run_lengths(self) -> np.ndarray:
-        k = self._support[0]
+    def _run_lengths(self) -> list[int]:
+        support = len(self._support[0])
         a, b = self.plateau
         inner = max(b - a - 1, 0)  # the plateau's entries before its last one
-        lengths = np.ones(len(k) + 2, dtype=np.int64)
-        lengths[a], lengths[-1] = inner, self.N - len(k) - inner
-        lengths.flags.writeable = False
-        return lengths
+        return [*[1] * a, inner, *[1] * (support - a), self.N - support - inner]
 
-    def _run_values(self, values: np.ndarray, tail: float,
-                    plateau: float | None = None) -> np.ndarray:
+    def _run_values(self, values: list[float], tail: float,
+                    plateau: float | None = None) -> list[float]:
         """Per-entry ``values`` of the support as the values of the runs in
-        ``_run_lengths``: ``tail`` past the window and, on the plateau
+        ``_run_lengths()``: ``tail`` past the window and, on the plateau
         before its last entry, ``plateau`` (default: the plateau's own
         value)."""
         a, b = self.plateau
         if plateau is None:
             plateau = values[a] if b > a else tail  # a run of length 0 when b == a
-        return np.concatenate([values[:a], [plateau], values[a:], [tail]])
+        return [*values[:a], plateau, *values[a:], tail]
 
-    def _dense(self, values: np.ndarray, tail: float, plateau: float | None = None) -> np.ndarray:
-        """:meth:`_run_values` spread over heights 1..N."""
-        out = np.repeat(self._run_values(values, tail, plateau), self._run_lengths)
+    def _dense(self, values: list[float], tail: float,
+               plateau: float | None = None) -> np.ndarray:
+        """:meth:`_run_values` spread over heights 1..N, as a read-only array."""
+        import numpy as np
+
+        out = np.repeat(self._run_values(values, tail, plateau), self._run_lengths())
         out.flags.writeable = False
         return out
 
-    def column_runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def column_runs(self) -> tuple[list[float], list[float], list[int]]:
         """Survival and pmf over k = 1..N as runs: ``(survival, pmf, lengths)``.
 
         ``np.repeat(survival, lengths)`` is ``survival_values()`` and
@@ -213,12 +230,13 @@ class HeightDistribution:
         runs, one more with a plateau, whatever N is; some may have length 0.
         """
         _, _, surv, pmf = self._support
-        return self._run_values(surv, 0.0), self._run_values(pmf, 0.0, -0.0), self._run_lengths
+        return (self._run_values(surv, 0.0), self._run_values(pmf, 0.0, -0.0),
+                self._run_lengths())
 
     @cached_property
     def log_survival(self) -> np.ndarray:
         """log P(H >= k) for k = 1..N; -inf where P(H >= k) underflows to 0."""
-        return self._dense(self._support[1], -np.inf)
+        return self._dense(self._support[1], -math.inf)
 
     @cached_property
     def pmf(self) -> np.ndarray:
@@ -233,6 +251,8 @@ class HeightDistribution:
 
     @cached_property
     def _cdf(self) -> np.ndarray:
+        import numpy as np
+
         out = 1.0 - np.append(self._survival[1:], 0.0)
         out.flags.writeable = False
         return out
@@ -250,8 +270,8 @@ class HeightDistribution:
         if not 1 <= k <= self.N:
             raise ParameterError(f"level must be in [1, {self.N}], got {k!r}")
         heights, _, surv, _ = self._support
-        j = int(np.searchsorted(heights, k))
-        return float(surv[j]) if j < len(heights) else 0.0
+        j = bisect_left(heights, k)
+        return surv[j] if j < len(heights) else 0.0
 
 
 @dataclass(frozen=True)
@@ -275,84 +295,89 @@ def _check_rho(rho) -> float:
 
 # Cephes lgam for integer-valued x >= 1 (see the module docstring).  Below
 # 13 it is the log of (x-1)!, which is exact in a double there.
-_LOG_FACTORIAL = np.array([math.log(float(math.factorial(j))) for j in range(12)])
+_LOG_FACTORIAL = tuple(math.log(float(math.factorial(j))) for j in range(12))
 _LS2PI = 0.91893853320467274178  # log(sqrt(2 pi))
 _MAXLGM = 2.556348e305
-_STIRLING = (8.11614167470508450300E-4, -5.95061904284301438324E-4,
-             7.93650340457716943945E-4, -2.77777777730099687205E-3,
-             8.33333333333331927722E-2)
 
 
-def _tail_large(x, p):
-    # Cephes' short series for 1000 <= x <= 1e8, with p = 1/x^2
-    return ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
-            + 0.0833333333333333333333) / x
+def _tail_large(xs: list[float]) -> list[float]:
+    # Cephes' short series for 1000 <= x <= 1e8, in p = 1/x^2
+    return [((7.9365079365079365079365e-4 * (p := 1.0 / (x * x)) - 2.7777777777777777777778e-3)
+             * p + 0.0833333333333333333333) / x for x in xs]
 
 
-def _tail_poly(x, p):
-    # Cephes' polevl(p, A, 4) / x for 13 <= x < 1000
-    c = _STIRLING[0]
-    for a in _STIRLING[1:]:
-        c = c * p + a
-    return c / x
+def _tail_poly(xs: list[float]) -> list[float]:
+    # Cephes' polevl(p, A, 4) / x for 13 <= x < 1000, with p = 1/x^2
+    return [((((8.11614167470508450300E-4 * (p := 1.0 / (x * x)) - 5.95061904284301438324E-4)
+               * p + 7.93650340457716943945E-4) * p - 2.77777777730099687205E-3) * p
+             + 8.33333333333331927722E-2) / x for x in xs]
 
 
 def _lgam(x: float) -> float:
     """log Gamma(x) for one integer-valued x >= 1, bit-identical to Cephes."""
     if x < 13.0:
-        return float(_LOG_FACTORIAL[int(x) - 1])
+        return _LOG_FACTORIAL[int(x) - 1]
     if x > _MAXLGM:
         return math.inf
     q = (x - 0.5) * math.log(x) - x + _LS2PI
     if x > 1e8:
         return q
-    return q + (_tail_large if x >= 1000.0 else _tail_poly)(x, 1.0 / (x * x))
+    return q + (_tail_large if x >= 1000.0 else _tail_poly)([x])[0]
 
 
-def _lgam_array(x: np.ndarray) -> np.ndarray:
-    """:func:`_lgam` elementwise.  Only the log is taken per element, with
-    ``math.log``: NumPy's SIMD log can differ from the C library's in the
-    last bit, and Cephes uses the latter."""
-    out = np.full(x.shape, math.inf)
-    small = x < 13.0
-    out[small] = _LOG_FACTORIAL[x[small].astype(np.intp) - 1]
-    stirling = ~small & (x <= _MAXLGM)
-    y = x[stirling]
-    q = (y - 0.5) * np.fromiter(map(math.log, y.tolist()), float, y.size) - y + _LS2PI
-    series = y <= 1e8
-    z = y[series]
-    p = 1.0 / (z * z)
-    q[series] += np.where(z >= 1000.0, _tail_large(z, p), _tail_poly(z, p))
-    out[stirling] = q
-    return out
+def _lgam_run(xs: list[float]) -> list[float]:
+    """:func:`_lgam` over an ascending run of integer-valued floats, with the
+    same operations in the same order.  The run is cut at the port's branch
+    points and each piece is one pass."""
+    cuts = [0, bisect_left(xs, 13.0), bisect_left(xs, 1000.0), bisect_right(xs, 1e8),
+            bisect_right(xs, _MAXLGM), len(xs)]
+    small, poly, large, big, over = (xs[lo:hi] for lo, hi in zip(cuts, cuts[1:]))
+    return [*[_LOG_FACTORIAL[int(x) - 1] for x in small],
+            *[(x - 0.5) * lg - x + _LS2PI + tail
+              for x, lg, tail in zip(poly, map(math.log, poly), _tail_poly(poly))],
+            *[(x - 0.5) * lg - x + _LS2PI + tail
+              for x, lg, tail in zip(large, map(math.log, large), _tail_large(large))],
+            *[(x - 0.5) * lg - x + _LS2PI for x, lg in zip(big, map(math.log, big))],
+            *[math.inf] * len(over)]
 
 
 def _log_t(n: int, rho: float):
-    """log t as a function of the float index (or index array) x: the one
-    evaluation of the term."""
+    """log t at one float index x, and over the indices [lo, hi) as a list:
+    the one evaluation of the term."""
     log_rho, lgam_n = math.log(rho), _lgam(float(n))
 
-    def log_t(x):
-        if isinstance(x, np.ndarray):
-            lgam_i, lgam_ni = _lgam_array(np.stack([x + 1.0, n - x]))
-            return -x * log_rho - (lgam_n - lgam_i - lgam_ni)
+    def log_t(x: float) -> float:
         return -x * log_rho - (lgam_n - _lgam(x + 1.0) - _lgam(n - x))
-    return log_t
+
+    def log_t_run(lo: int, hi: int) -> list[float]:
+        xs = [*map(float, range(lo, hi))]
+        lgam_i = _lgam_run([x + 1.0 for x in xs])
+        lgam_ni = reversed(_lgam_run([n - x for x in reversed(xs)]))
+        return [-x * log_rho - (lgam_n - gi - gni) for x, gi, gni in zip(xs, lgam_i, lgam_ni)]
+    return log_t, log_t_run
 
 
 def log_r_term(n: int, rho: float, i) -> float | np.ndarray:
     """log t_i = -i log rho - log C(n-1, i), via log-gamma.
 
-    Accepts a scalar or an integer array for ``i``; every entry must lie
-    in [0, n-1].
+    Accepts a scalar or an integer array for ``i`` (the array form
+    imports numpy); every entry must lie in [0, n-1].
     """
     rho = _check_rho(rho)
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
+    log_t = _log_t(n, rho)[0]
+    if isinstance(i, numbers.Real):
+        if not 0 <= i <= n - 1:
+            raise ParameterError(f"term index must be in [0, {n - 1}], got {i!r}")
+        return log_t(float(i))
+    import numpy as np
+
     i_arr = np.asarray(i)
     if i_arr.size and (i_arr.min() < 0 or i_arr.max() > n - 1):
         raise ParameterError(f"term index must be in [0, {n - 1}], got {i!r}")
-    return _log_t(n, rho)(float(i) if np.isscalar(i) else i_arr.astype(float))
+    x = i_arr.astype(float)
+    return np.array([*map(log_t, x.ravel().tolist())]).reshape(x.shape)
 
 
 def r_term_turning_point(n: int, rho: float) -> float:
@@ -376,31 +401,53 @@ def _first(pred, lo: int, hi: int) -> int:
     return lo
 
 
+def _noop_gap(s: float) -> float:
+    """How far below the running log-sum ``s >= 0`` a term must lie to
+    leave it unchanged (see the module docstring)."""
+    return min((53 - math.frexp(s)[1]) * _LOG2 + 5.0, _NOOP_GAP) if s > 0.0 else _NOOP_GAP
+
+
+def _running_log_sums(s: float, terms: list[float]) -> list[float]:
+    """Minus the running log-sums of ``terms`` continued from the log-sum
+    ``s``, each step as numpy's scalar ``npy_logaddexp`` takes it, so the
+    sums are those of ``np.logaddexp.accumulate``."""
+    out = []
+    for v in terms:
+        if s == v:
+            s += _LOG2
+        elif s > v:
+            s += math.log1p(math.exp(v - s))
+        else:
+            s = v + math.log1p(math.exp(s - v))
+        out.append(-s)
+    return out
+
+
 def height_distribution(p: ModelParams) -> HeightDistribution:
     """Law of H from the head and window terms, O(log N + window) work."""
     N, rho = p.N, p.rho
-    log_t = _log_t(N, rho)
+    log_t, terms = _log_t(N, rho)
 
     def t(i: int) -> float:
         return log_t(float(i))
 
-    def terms(lo: int, hi: int) -> np.ndarray:
-        return log_t(np.arange(lo, hi, dtype=float))
-
     # t decreases on [0, m] and increases on [m, N-1].  The turning point is
     # inf once rho (N-1) overflows, and then t decreases throughout.
     m = min(max(math.ceil(min(r_term_turning_point(N, rho), N)), 0), N - 1)
-    a = _first(lambda i: t(i) <= -_NOOP_GAP, 1, m + 1)
-    head = -np.logaddexp.accumulate(terms(0, a))
+    # t_1 <= t_0 = 0 when m >= 1; at t_1 <= -750, l1 is 0 and a is 1
+    l1 = math.log1p(math.exp(t(1))) if m >= 1 else 0.0
+    a = _first(lambda i: t(i) <= l1 - _noop_gap(l1), 1, m + 1)
+    first, *rest = terms(0, a)
+    head = [-first, *_running_log_sums(first, rest)]
     top = -head[-1]
-    b = _first(lambda i: t(i) > top - _NOOP_GAP, m + 1, N)
+    b = _first(lambda i: t(i) > top - _noop_gap(top), m + 1, N)
     end = _first(lambda i: t(i) > _NOOP_GAP, b, N)
     # the window's running log-sums continue from the head's, top
-    window = -np.logaddexp.accumulate(np.append(top, terms(b, min(end + 1, N))))[1:]
-    underflow = np.flatnonzero(np.exp(window) == 0.0)
-    if underflow.size:
-        window = window[:underflow[0] + 1]
-    return HeightDistribution(N=N, rho=rho, head=head, plateau=(a, b), window=window)
+    window = _running_log_sums(top, terms(b, min(end + 1, N)))
+    # the log-survival never increases, so its underflow to 0.0 is a cut
+    cut = _first(lambda j: math.exp(window[j]) == 0.0, 0, len(window))
+    return HeightDistribution(N=N, rho=rho, head=tuple(head), plateau=(a, b),
+                              window=tuple(window[:cut + 1]))
 
 
 def exact_rational_distribution(N: int, rho_num: int, rho_den: int,
@@ -414,7 +461,7 @@ def exact_rational_distribution(N: int, rho_num: int, rho_den: int,
     beyond the cap the float path is authoritative.
     """
     for name, v in (("N", N), ("rho_num", rho_num), ("rho_den", rho_den)):
-        if isinstance(v, bool) or not isinstance(v, (int, np.integer)) or v < 1:
+        if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 1:
             raise ParameterError(f"{name} must be a positive integer, got {v!r}")
     N, rho_num, rho_den = int(N), int(rho_num), int(rho_den)
     if N > cap:

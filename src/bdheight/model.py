@@ -21,11 +21,14 @@ threads.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import ParameterError
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "ModelParams",
@@ -82,7 +85,7 @@ def make_params(N: int, nu: float | None = None, mu: float | None = None,
     non-finite rates, a ratio nu / mu that rounds to 0 or overflows, or an
     ambiguous combination of arguments.
     """
-    if isinstance(N, bool) or not isinstance(N, (int, np.integer)):
+    if isinstance(N, bool) or not isinstance(N, numbers.Integral):
         raise ParameterError(f"N must be an integer >= 1, got {N!r}")
     N = int(N)
     if N < 1:
@@ -107,6 +110,8 @@ def make_params(N: int, nu: float | None = None, mu: float | None = None,
 
 def jump_up_probs(p: ModelParams) -> np.ndarray:
     """Up-move probabilities p_i for all states i = 0..N (1 at 0, 0 at N)."""
+    import numpy as np
+
     up = np.empty(p.N + 1)
     up[0] = 1.0
     up[p.N] = 0.0

@@ -39,9 +39,8 @@ Samples are partitioned into chunks of ``_CHUNK_SAMPLES`` and chunk c
 draws from its own counter-based Philox stream seeded by
 ``SeedSequence((seed, c))``.  Chunks run in order on the calling thread,
 so a fixed ``SimulationConfig`` produces bit-identical summaries.
-``worker_count`` is validated and kept for the record (the CLI writes it
-into the manifest) but does not change execution: on two cores a thread
-pool made the walks slower, not faster.  Scalar aggregates are computed
+``worker_count`` is validated but does not change execution: on two
+cores a thread pool made the walks slower, not faster.  Scalar aggregates are computed
 exactly (integer moments; ``math.fsum`` for durations, which rounds the
 exact sum once), so no accumulation order can leak into the output.
 """
@@ -81,7 +80,7 @@ class SimulationConfig:
     n_samples: int
     seed: int
     mode: str = LADDER
-    worker_count: int = 1  # validated and recorded; chunks always run on one thread
+    worker_count: int = 1  # validated only; chunks always run on one thread
     dkw_delta: float = 0.01
     max_excursion_steps: int = DEFAULT_MAX_EXCURSION_STEPS
     max_total_steps: float = DEFAULT_MAX_TOTAL_STEPS

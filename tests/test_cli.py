@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import bdheight
 from bdheight import height_distribution, make_params
-from bdheight.cli import MAX_ROWS, _CHUNK, _canonical, _emit_json, _Runs, _write, main
+from bdheight.cli import MAX_ROWS, _CHUNK, _canonical, _emit_json, _Runs, _runs, _write, main
 
 
 def run_cli(capsys, *argv):
@@ -204,15 +204,6 @@ class TestSimulateCommand:
         assert "counts" not in summary and "empirical_pmf" not in summary
         assert sum(rows["count"]) == summary["n_samples"] == 5000
 
-    def test_worker_count_does_not_change_data(self, capsys):
-        rc1, doc1, _ = run_json(capsys, "simulate", "--n", "30", "--rho", "0.6",
-                                "--samples", "9000", "--seed", "4", "--workers", "1")
-        rc8, doc8, _ = run_json(capsys, "simulate", "--n", "30", "--rho", "0.6",
-                                "--samples", "9000", "--seed", "4", "--workers", "8")
-        assert rc1 == rc8 == 0
-        assert doc1["data"] == doc8["data"]
-        assert doc1["manifest"]["data_sha256"] == doc8["manifest"]["data_sha256"]
-
     def test_infeasible_walk_exits_2_with_warning(self, capsys):
         rc, _, err = run_cli(capsys, "simulate", "--n", "50", "--rho", "0.8",
                              "--samples", "1000", "--mode", "jump-chain")
@@ -225,13 +216,6 @@ class TestSimulateCommand:
         assert rc == 0
         header = out.splitlines()[1]
         assert header == "k,count,empirical_pmf,exact_pmf,empirical_cdf,exact_cdf"
-
-    def test_worker_env_var_is_honored(self, capsys, monkeypatch):
-        monkeypatch.setenv("BDHEIGHT_WORKERS", "3")
-        rc, doc, _ = run_json(capsys, "simulate", "--n", "20", "--rho", "0.5",
-                              "--samples", "1000", "--seed", "1")
-        assert rc == 0
-        assert doc["manifest"]["parameters"]["workers"] == 3
 
 
 class TestSweep:
@@ -416,20 +400,21 @@ class TestEmission:
         assert rc == 0
         assert peak < 4 * 2**20
 
-    # sha256 of whole artifacts at version 0.3.0, before the columns were
-    # written from runs; a version bump changes the manifest and so these.
+    # sha256 of whole artifacts at version 0.3.1.  Their data sections are
+    # those of 0.3.0 on a CPU without AVX-512; a version bump changes the
+    # manifest and so these.
     @pytest.mark.parametrize("argv,digest", [
         (["dist", "--n", "1000", "--rho", "0.5"],
-         "47524743dfcc5f1ac10e57d166456475e9cd9a1f86b027ea6ce8c386a31e1f17"),
+         "b3512331b792cbc85415d72e2214204b4d5d4d235f65e01c20483ca2da85a5e4"),
         (["dist", "--n", "1000", "--rho", "0.5", "--format", "csv"],
-         "6c0f1508dd81f43cd745cad98efe6619ce325ac1a792235cf0d5ad32f70097ff"),
+         "fc4800ba1e70774190dbcce890a4c64917f68ab0f4247e9ae724e4100b74163d"),
         (["dist", "--n", "1", "--rho", "2"],
-         "692f1b68b5d15bd836294bfb5318c6895858001b93f9fd99ba8f12c95cb31120"),
+         "ab7b14b7417375d18ba49ab55ba23741135f255166eaa93ace57958484a43dfc"),
         (["simulate", "--n", "50", "--rho", "0.5", "--samples", "1000", "--seed", "1"],
-         "2ee9ac7f30bc5ae7d6928342832fe4a2b72e5dad7cd0f3657a91ea39efddbbd4"),
-        # recorded before k was written by blocks of 10**4; its k reaches them
+         "a31a94517964d09c6aae16d3ea5c771f0549299ade73b527de8376ddffc93cc6"),
+        # its k column reaches the blocks of 10**4 entries
         (["dist", "--n", "123457", "--rho", "0.5"],
-         "34db06ac430cc71ace12c0444db6c2ea215f0bfbf92193bc8e11e8a1c38fd66b"),
+         "25f4605d65f17d47444cb4a8fa665e156d837f378dc333f971f47455178f232f"),
     ], ids=lambda v: "_".join(v) if isinstance(v, list) else "")
     def test_artifact_bytes_are_pinned(self, tmp_path, argv, digest):
         path = tmp_path / "artifact"
@@ -439,7 +424,7 @@ class TestEmission:
     def test_non_finite_value_writes_no_file(self, tmp_path):
         # The NaN sits after a column that would already have been streamed.
         path = tmp_path / "law.json"
-        data = {"rows": {"k": np.arange(1, 3 * _CHUNK), "x": np.array([0.5, math.nan])}}
+        data = {"rows": {"k": range(1, 3 * _CHUNK), "x": _Runs([0.5, math.nan], [1, 1])}}
         with pytest.raises(ValueError):
             _emit_json("dist", {}, data, str(path))
         assert not path.exists()
@@ -451,7 +436,7 @@ class TestEmission:
 
     def test_non_finite_value_writes_nothing_to_stdout(self, capsys):
         with pytest.raises(ValueError):
-            _emit_json("dist", {}, {"k": np.arange(5), "x": np.array([-math.inf])}, None)
+            _emit_json("dist", {}, {"k": range(5), "x": _Runs([-math.inf], [1])}, None)
         assert capsys.readouterr().out == ""
 
     def test_closed_stdout_exits_without_traceback(self):
@@ -513,7 +498,7 @@ class TestCanonicalEncoder:
     @settings(max_examples=300, deadline=None)
     def test_float_array_encodes_as_its_list(self, runs):
         a = np.array([v for v, n in runs for _ in range(n)], dtype=np.float64)
-        doc = {"rows": {"c": a, "b": a[::-1]}, "a": [0.5, None]}
+        doc = {"rows": {"c": _runs(a), "b": _runs(a[::-1])}, "a": [0.5, None]}
         listed = {"rows": {"c": a.tolist(), "b": a[::-1].tolist()}, "a": [0.5, None]}
         assert _canonical(doc) == canonical(listed)[:-1].encode()
 
@@ -524,7 +509,7 @@ class TestCanonicalEncoder:
         np.array([-2**63, -1, 0, 0, 0, 1, 2**63 - 1], dtype=np.int64),
     ], ids=["empty", "one", "arange", "extremes"])
     def test_int_array_encodes_as_its_list(self, a):
-        assert _canonical({"c": a}) == canonical({"c": a.tolist()})[:-1].encode()
+        assert _canonical({"c": _runs(a)}) == canonical({"c": a.tolist()})[:-1].encode()
 
     @given(values=st.lists(st.one_of(st.sampled_from(_INT_POOL),
                                      st.integers(-2**63, 2**63 - 1)), min_size=1, max_size=30),
@@ -532,7 +517,7 @@ class TestCanonicalEncoder:
     @settings(max_examples=200, deadline=None)
     def test_int64_column_encodes_as_its_list(self, values, length):
         a = np.resize(np.array(values, dtype=np.int64), length)
-        doc = {"rows": {"c": a, "b": a[::-1]}}
+        doc = {"rows": {"c": _runs(a), "b": _runs(a[::-1])}}
         listed = {"rows": {"c": a.tolist(), "b": a[::-1].tolist()}}
         assert _canonical(doc) == canonical(listed)[:-1].encode()
 
@@ -542,8 +527,8 @@ class TestCanonicalEncoder:
     @settings(max_examples=200, deadline=None)
     def test_runs_encode_as_their_repeat(self, runs, big):
         # runs of length 0 anywhere, the last one included, and one long run
-        values = np.array([0.5, *(v for v, _ in runs)])
-        lengths = np.array([big, *(n for _, n in runs)], dtype=np.int64)
+        values = [0.5, *(v for v, _ in runs)]
+        lengths = [big, *(n for _, n in runs)]
         listed = np.repeat(values, lengths).tolist()
         assert _canonical({"c": _Runs(values, lengths)}) == canonical({"c": listed})[:-1].encode()
 
@@ -564,7 +549,7 @@ class TestCanonicalEncoder:
     @pytest.mark.parametrize("length", [_CHUNK, _CHUNK + 1, 3 * _CHUNK + 7])
     def test_float_run_longer_than_a_piece(self, length):
         a = np.concatenate([[0.1, -0.0], np.full(length, 1 / 3), [0.0], np.full(length, 5e-324)])
-        assert _canonical({"c": a}) == canonical({"c": a.tolist()})[:-1].encode()
+        assert _canonical({"c": _runs(a)}) == canonical({"c": a.tolist()})[:-1].encode()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_float_raises(self, bad):
@@ -572,7 +557,7 @@ class TestCanonicalEncoder:
         with pytest.raises(ValueError):
             canonical({"c": a.tolist()})
         with pytest.raises(ValueError):
-            _canonical({"c": a})
+            _canonical({"c": _runs(a)})
 
 
 _SMALL_N_RUNS = [[*argv, "--n", n] for n in ("1", "2", "10") for argv in (
@@ -601,22 +586,29 @@ class TestStrictJson:
 
 
 def test_import_does_not_load_scipy():
-    # importing scipy.special alone costs ~0.45 s per CLI start; nothing
-    # at runtime needs any of scipy.  A dist run loads only the modules it
-    # uses, and every exported name still resolves on first use.
+    # importing scipy.special alone costs ~0.45 s per CLI start and numpy
+    # ~0.14 s; nothing at runtime needs any of scipy, and dist, alpha and
+    # sweep need no numpy.  A run loads only the modules it uses, and every
+    # exported name still resolves on first use.
     src = os.path.dirname(os.path.dirname(bdheight.__file__))
     code = """if True:
         import json, os, sys
         def loaded():
-            return sorted(m for m in sys.modules if m.split(".")[0] in ("bdheight", "scipy")
-                          or m in ("numpy", "fractions"))
+            return sorted(m for m in sys.modules
+                          if m.split(".")[0] in ("bdheight", "scipy", "numpy")
+                          or m == "fractions")
+        def run(*argv):
+            assert bdheight.cli.main([*argv, "--output", os.devnull]) == 0
+            return loaded()
         import bdheight
         steps = [loaded()]
         import bdheight.cli
         steps.append(loaded())
-        assert bdheight.cli.main(["dist", "--n", "20000", "--rho", "0.5",
-                                  "--output", os.devnull]) == 0
-        steps.append(loaded())
+        steps.append(run("dist", "--n", "20000", "--rho", "0.5"))
+        steps.append(run("alpha", "--rho", "0.5"))
+        steps.append(run("sweep", "--rho", "0.5", "--n", "1000"))
+        run("verify", "--rho", "0.5", "--n", "10")
+        run("simulate", "--n", "10", "--rho", "0.5", "--samples", "100")
         names = {name: getattr(bdheight, name) is not None for name in bdheight.__all__}
         scope = {}
         exec("from bdheight import *", scope)
@@ -628,7 +620,39 @@ def test_import_does_not_load_scipy():
                           capture_output=True, text=True, check=True)
     steps, names, star, exported, listed = json.loads(proc.stdout)
     cli_set = ["bdheight", "bdheight.cli", "bdheight.errors", "bdheight.exactdist",
-               "bdheight.model", "numpy"]
-    assert steps == [["bdheight"], cli_set, cli_set]
+               "bdheight.model"]
+    limits_set = sorted([*cli_set, "bdheight.asymptotics"])
+    assert steps == [["bdheight"], cli_set, cli_set, limits_set, limits_set]
     assert len(names) == 37 and all(names.values())  # __version__ and 36 exported names
     assert star == exported and listed
+
+
+def _dispatched_cpu_features() -> list[str]:
+    """The SIMD features above numpy's baseline that numpy dispatches to on this host."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    return [f for f in __cpu_dispatch__ if __cpu_features__.get(f)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["dist", "--n", "1000", "--rho", "0.5"],
+    ["dist", "--n", "1000", "--rho", "0.5", "--format", "csv"],
+    ["simulate", "--n", "50", "--rho", "0.5", "--samples", "1000", "--seed", "1"],
+    ["verify", "--n", "10", "1000"],
+], ids="_".join)
+def test_bytes_do_not_depend_on_numpy_cpu_dispatch(argv):
+    # numpy picks SIMD kernels (exp, expm1, log, ...) by CPU feature at run
+    # time, and they differ from the C library's in the last bit.  The same
+    # command must write the same bytes with those kernels switched off.
+    features = _dispatched_cpu_features()
+    if not features:
+        pytest.skip("numpy dispatches to no CPU feature above its baseline here")
+    src = os.path.dirname(os.path.dirname(bdheight.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop("NPY_DISABLE_CPU_FEATURES", None)
+    outputs = [subprocess.run([sys.executable, "-m", "bdheight.cli", *argv], env=run_env,
+                              capture_output=True, check=True).stdout
+               for run_env in (env, {**env, "NPY_DISABLE_CPU_FEATURES": " ".join(features)})]
+    assert outputs[0] == outputs[1]

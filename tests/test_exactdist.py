@@ -19,7 +19,7 @@ from bdheight import (
     make_params,
     solve_alpha,
 )
-from bdheight.exactdist import _MAXLGM, _lgam, _lgam_array, r_term_turning_point
+from bdheight.exactdist import _MAXLGM, _lgam, _lgam_run, r_term_turning_point
 
 # scipy is a test-only dependency: the reference for the lgam port
 gammaln = pytest.importorskip("scipy.special").gammaln
@@ -158,15 +158,18 @@ class TestHeightDistribution:
 
 def _dense_law(N, rho):
     """The law over all N terms, as version 0.2.0 evaluated it: one running
-    log-sum-exp, masses from adjacent log-survival steps."""
+    log-sum-exp, masses from adjacent log-survival steps.  exp and expm1
+    are the C library's, per element: numpy's SIMD kernels for them differ
+    in the last bit and depend on the CPU."""
     i = np.arange(N, dtype=float)
     log_t = -i * math.log(rho) - (gammaln(N) - gammaln(i + 1.0) - gammaln(N - i))
     ls = -np.logaddexp.accumulate(log_t)
-    surv = np.exp(ls)
-    pmf = surv * (-np.expm1(np.diff(ls, append=-np.inf)))
+    surv = np.array([math.exp(v) for v in ls.tolist()])
+    steps = np.diff(ls, append=-np.inf).tolist()
+    pmf = surv * -np.array([math.expm1(v) for v in steps])
     mean = math.fsum(surv)
     k = np.arange(1, N + 1, dtype=float)
-    return surv, pmf, mean, float(np.sum((k - mean) ** 2 * pmf))
+    return surv, pmf, mean, float(np.sum((k - mean) ** 2 * pmf)), ls
 
 
 def _bits(x):
@@ -178,8 +181,13 @@ class TestWindowedForm:
     @pytest.mark.parametrize("rho", [1e-300, 1e-20, 1e-3, 0.5, 0.99, 1.0, 2.0, 1e20, 1e300])
     @pytest.mark.parametrize("N", [1, 2, 3, 10, 999, 10**4, 10**6])
     def test_matches_dense_law_bit_for_bit(self, N, rho):
-        surv, pmf, mean, var = _dense_law(N, rho)
+        surv, pmf, mean, var, ls = _dense_law(N, rho)
         d = height_distribution(make_params(N, rho=rho))
+        # the log-domain law is the dense sweep's, bit for bit, up to the
+        # first underflow of P(H >= k); past it log P(H >= k) is -inf
+        held = np.isfinite(d.log_survival)
+        assert np.array_equal(_bits(d.log_survival[held]), _bits(ls[held]))
+        assert (surv[~held] == 0.0).all() and held.sum() >= (surv > 0.0).sum()
         assert np.array_equal(_bits(d.survival_values()), _bits(surv))
         assert np.array_equal(_bits(d.pmf), _bits(pmf))
         assert np.array_equal(_bits(d.cdf_values()), _bits(1.0 - np.append(surv[1:], 0.0)))
@@ -187,7 +195,7 @@ class TestWindowedForm:
         run_surv, run_pmf, lengths = d.column_runs()
         assert np.array_equal(_bits(np.repeat(run_surv, lengths)), _bits(surv))
         assert np.array_equal(_bits(np.repeat(run_pmf, lengths)), _bits(pmf))
-        assert lengths.size <= 2500
+        assert len(lengths) <= 2500
         assert d.mean == mean
         assert abs(d.variance - var) <= 1e-13 * var
 
@@ -227,9 +235,9 @@ class TestLgamPort:
 
     @staticmethod
     def _check(x):
-        x = np.asarray(x, dtype=float)
+        x = np.sort(np.asarray(x, dtype=float))  # the run form takes ascending runs
         want = _bits(gammaln(x))
-        assert np.array_equal(_bits(_lgam_array(x)), want)
+        assert np.array_equal(_bits(_lgam_run(x.tolist())), want)
         assert np.array_equal(_bits([_lgam(v) for v in x.tolist()]), want)
 
     def test_every_integer_up_to_2e5(self):
