@@ -22,25 +22,25 @@ Every value is checked before the first byte.  The ``rows`` columns of
 in pieces of at most ``_CHUNK`` entries: each run's ``repr`` is formatted
 once and repeated.  The law is constant outside an O(log N) window, so
 the law's own runs give ``dist`` a few hundred runs and no list of
-length N; ``simulate`` splits its numpy columns into runs.  The ``k``
-column is a ``range``, written a block of 10**4 entries at a time: each
-entry of a block is the block's shared leading digits followed by
-"0000," .. "9999,".  One ``bytearray`` per width of the leading digits
-holds those suffixes, and each block writes its digits into it by
-strided slice assignment, so there is no per-entry formatting.  A CSV
-body is built as byte pieces of ``_CHUNK`` lines, hashed as each is
-built, and written after the manifest line.  ``dist`` and ``simulate``
-refuse more than ``MAX_ROWS`` rows (exit 2); ``sweep`` and ``verify``
-build no column.
+length N; ``simulate`` builds its count and empirical columns as runs
+of its integer counts.  A CSV body is written from the same runs,
+spread out a row at a time.  The ``k`` column is a ``range``, written a
+block of 10**4 entries at a time: each entry of a block is the block's
+shared leading digits followed by "0000," .. "9999,".  One ``bytearray``
+per width of the leading digits holds those suffixes, and each block
+writes its digits into it by strided slice assignment, so there is no
+per-entry formatting.  A CSV body is built as byte pieces of ``_CHUNK``
+lines, hashed as each is built, and written after the manifest line.
+``dist`` and ``simulate`` refuse more than ``MAX_ROWS`` rows (exit 2);
+``sweep`` and ``verify`` build no column.
 
 Start-up: this module imports the ``errors``, ``model`` and ``exactdist``
 modules, which every subcommand needs, and no numpy.  The others are
 imported by the commands that use them: ``alpha`` and ``sweep`` import
 ``asymptotics``, ``verify`` imports ``asymptotics``, ``oracle`` and
 numpy, and ``simulate`` imports ``simulate`` (which loads ``oracle`` and
-numpy).  ``dist --format csv`` loads numpy through the law's dense
-columns.  So ``--version``, ``dist`` (JSON), ``alpha`` and ``sweep`` load
-no numpy, and none of them loads ``oracle`` or ``simulate``.
+numpy).  So ``--version``, ``dist``, ``alpha`` and ``sweep`` load no
+numpy, and none of them loads ``oracle`` or ``simulate``.
 """
 
 from __future__ import annotations
@@ -88,22 +88,20 @@ def _manifest(command: str, parameters: dict, data_sha256: str) -> dict:
 
 
 class _Runs(NamedTuple):
-    """A JSON column as runs: ``values[i]`` repeated ``lengths[i]`` times."""
+    """A column as runs: ``values[i]`` repeated ``lengths[i]`` times."""
 
     values: list
     lengths: list[int]
 
 
-def _runs(a) -> _Runs:
-    """A 1-D float64 or int64 numpy array as runs of identical bit patterns,
-    so ``-0.0`` and ``0.0`` stay apart."""
-    import numpy as np
-
-    bits = a.view(np.int64)
-    change = np.ones(a.size, dtype=bool)
-    np.not_equal(bits[1:], bits[:-1], out=change[1:])
-    starts = np.flatnonzero(change)
-    return _Runs(a[starts].tolist(), np.diff(starts, append=a.size).tolist())
+def _runs(ints: Iterable[int]) -> _Runs:
+    """Integers as runs of equal values.  Floats do not come here: ``==``
+    would join ``-0.0`` and ``0.0``."""
+    values, lengths = [], []
+    for value, group in itertools.groupby(ints):
+        values.append(value)
+        lengths.append(sum(1 for _ in group))
+    return _Runs(values, lengths)
 
 
 def _run_column(runs: _Runs) -> Iterator[bytes]:
@@ -240,13 +238,11 @@ def _csv_line(row) -> str:
     return ",".join(_fmt(x) for x in row)
 
 
-def _csv_lines(fmt: str, columns: list) -> Iterator[str]:
-    """``fmt % (k, *row)`` for k = 1..n over the rows of n-entry numpy
-    columns, taken a chunk of rows at a time."""
-    n = len(columns[0])
-    for start in range(0, n, _CHUNK):
-        chunk = [c[start:start + _CHUNK].tolist() for c in columns]
-        yield from map(fmt.__mod__, zip(range(start + 1, n + 1), *chunk))
+def _csv_lines(fmt: str, columns: list[_Runs]) -> Iterator[str]:
+    """``fmt % (k, *row)`` for k = 1, 2, .. over the rows of columns given
+    as runs, each spread out lazily."""
+    spread = [itertools.chain.from_iterable(map(itertools.repeat, *runs)) for runs in columns]
+    return map(fmt.__mod__, zip(itertools.count(1), *spread))
 
 
 def _emit_csv(command: str, parameters: dict, header: list[str],
@@ -299,18 +295,15 @@ def cmd_dist(args) -> int:
     p, resolved = _params_from_args(args)
     d = exactdist.height_distribution(p)
     parameters = {**resolved, "format": args.format}
+    surv, pmf, lengths = d.column_runs()
+    columns = {"survival": _Runs(surv, lengths), "pmf": _Runs(pmf, lengths)}
     if args.format == "csv":
-        lines = _csv_lines("%d,%.15g,%.15g", [d.survival_values(), d.pmf])
-        _emit_csv("dist", parameters, ["k", "survival", "pmf"], lines,
+        lines = _csv_lines("%d,%.15g,%.15g", list(columns.values()))
+        _emit_csv("dist", parameters, ["k", *columns], lines,
                   {"mean": d.mean, "variance": d.variance}, args.output)
     else:
-        surv, pmf, lengths = d.column_runs()
-        data = {
-            "rows": {"k": range(1, p.N + 1), "survival": _Runs(surv, lengths),
-                     "pmf": _Runs(pmf, lengths)},
-            "mean": d.mean,
-            "variance": d.variance,
-        }
+        data = {"rows": {"k": range(1, p.N + 1), **columns}, "mean": d.mean,
+                "variance": d.variance}
         _emit_json("dist", parameters, data, args.output)
     return 0
 
@@ -456,8 +449,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    import numpy as np
-
     from . import simulate
 
     p, resolved = _params_from_args(args)
@@ -469,27 +460,31 @@ def cmd_simulate(args) -> int:
             print(f"simulate: warning: estimated ~{est:.3g} total jump steps for this "
                   f"batch; consider --mode {LADDER}", file=sys.stderr)
     summary = simulate.run_batch(cfg)
-    exact = exactdist.height_distribution(p)
-    counts = np.fromiter(summary.counts, np.int64, p.N)
-    epmf = counts / args.samples  # summary.empirical_pmf: counts convert to floats exactly
+    surv, pmf, lengths = exactdist.height_distribution(p).column_runs()
+    # Counts are integers, so the running sums are exact and each value is
+    # divided once: the ECDF that sup_distance measures.
+    count = _runs(summary.counts)
+    cumulative = _runs(itertools.accumulate(summary.counts))
+    columns = {
+        "count": count,
+        "empirical_pmf": _Runs([c / args.samples for c in count.values], count.lengths),
+        "exact_pmf": _Runs(pmf, lengths),
+        "empirical_cdf": _Runs([c / args.samples for c in cumulative.values],
+                               cumulative.lengths),
+        # P(H <= k) = 1 - P(H >= k + 1): the survival runs one height on
+        "exact_cdf": _Runs([1.0 - v for v in surv],
+                           [lengths[0] - 1, *lengths[1:-1], lengths[-1] + 1]),
+    }
     parameters = {**resolved, "samples": args.samples, "seed": args.seed,
                   "mode": args.mode, "delta": args.delta, "format": args.format}
     # the counts are the rows' count column, not a scalar
     scalars = {f.name: getattr(summary, f.name) for f in dataclasses.fields(summary)
                if f.name != "counts"}
     if args.format == "csv":
-        columns = {"count": counts, "empirical_pmf": epmf, "exact_pmf": exact.pmf,
-                   "empirical_cdf": epmf.cumsum(), "exact_cdf": exact.cdf_values()}
         lines = _csv_lines("%d,%d,%.15g,%.15g,%.15g,%.15g", list(columns.values()))
         _emit_csv("simulate", parameters, ["k", *columns], lines, scalars, args.output)
     else:
-        surv, pmf, lengths = exact.column_runs()
-        # P(H <= k) = 1 - P(H >= k + 1): the survival runs one height on
-        cdf_lengths = [lengths[0] - 1, *lengths[1:-1], lengths[-1] + 1]
-        rows = {"k": range(1, p.N + 1), "count": _runs(counts), "empirical_pmf": _runs(epmf),
-                "exact_pmf": _Runs(pmf, lengths), "empirical_cdf": _runs(epmf.cumsum()),
-                "exact_cdf": _Runs([1.0 - v for v in surv], cdf_lengths),
-                "exact_survival": _Runs(surv, lengths)}
+        rows = {"k": range(1, p.N + 1), **columns, "exact_survival": _Runs(surv, lengths)}
         _emit_json("simulate", parameters, {"summary": scalars, "rows": rows}, args.output)
     if args.assert_dkw and not summary.dkw_pass:
         print(f"simulate: ECDF band exceeded: sup={summary.sup_distance:.6g} > "

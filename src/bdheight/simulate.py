@@ -38,7 +38,10 @@ Reproducibility
 Samples are partitioned into chunks of ``_CHUNK_SAMPLES`` and chunk c
 draws from its own counter-based Philox stream seeded by
 ``SeedSequence((seed, c))``.  Chunks run in order on the calling thread,
-so a fixed ``SimulationConfig`` produces bit-identical summaries.
+so a fixed ``SimulationConfig`` produces bit-identical summaries.  Each
+chunk's heights are added to the counts as the chunk is drawn, so a
+ladder batch holds O(N + chunk) numbers however many samples it draws;
+``full-ctmc`` also keeps every duration for the exact sum.
 ``worker_count`` is validated but does not change execution: on two
 cores a thread pool made the walks slower, not faster.  Scalar aggregates are computed
 exactly (integer moments; ``math.fsum`` for durations, which rounds the
@@ -47,8 +50,9 @@ exact sum once), so no accumulation order can leak into the output.
 
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -120,34 +124,8 @@ class SimulationSummary:
     dkw_pass: bool
     mean_busy_duration: float | None = None  # full-ctmc only, in units of 1/mu
 
-    @property
-    def empirical_pmf(self) -> np.ndarray:
-        return np.asarray(self.counts, dtype=float) / self.n_samples
-
-    def to_dict(self) -> dict:
-        return {
-            "N": self.N,
-            "rho": self.rho,
-            "nu": self.nu,
-            "mu": self.mu,
-            "mode": self.mode,
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-            "counts": list(self.counts),
-            "empirical_pmf": self.empirical_pmf.tolist(),
-            "empirical_mean": self.empirical_mean,
-            "empirical_variance": self.empirical_variance,
-            "sup_distance": self.sup_distance,
-            "dkw_delta": self.dkw_delta,
-            "dkw_epsilon": self.dkw_epsilon,
-            "dkw_pass": self.dkw_pass,
-            "mean_busy_duration": self.mean_busy_duration,
-        }
-
     def to_json_bytes(self) -> bytes:
-        import json
-
-        return json.dumps(self.to_dict(), sort_keys=True).encode("utf-8")
+        return json.dumps(asdict(self), sort_keys=True).encode("utf-8")
 
 
 def dkw_epsilon(n_samples: int, delta: float) -> float:
@@ -251,22 +229,21 @@ def run_batch(cfg: SimulationConfig) -> SimulationSummary:
                 f"(budget {cfg.max_total_steps:.3g}); the '{LADDER}' mode samples "
                 f"the same height law in O(log N) per sample")
 
-    chunks = [(c, min(_CHUNK_SAMPLES, n - lo))
-              for c, lo in enumerate(range(0, n, _CHUNK_SAMPLES))]
-
+    counts = np.zeros(p.N + 1, dtype=np.int64)
+    durations = []
     if cfg.mode == LADDER:
-        # H >= k exactly when E >= log S_k, with E ~ Exp(1)
         log_sums = oracle.log_hitting_sums(p)
-        results = [(np.searchsorted(log_sums, _chunk_rng(cfg.seed, c).standard_exponential(m),
-                                    side="right"), None) for c, m in chunks]
-    else:
-        with_durations = cfg.mode == FULL_CTMC
-        results = [_walk_chunk(p, m, _chunk_rng(cfg.seed, c), with_durations,
-                               cfg.max_excursion_steps)
-                   for c, m in chunks]
-
-    heights = np.concatenate([r[0] for r in results])
-    counts = np.bincount(heights, minlength=p.N + 1)[1:]
+    for c, lo in enumerate(range(0, n, _CHUNK_SAMPLES)):
+        m, rng = min(_CHUNK_SAMPLES, n - lo), _chunk_rng(cfg.seed, c)
+        if cfg.mode == LADDER:
+            # H >= k exactly when E >= log S_k, with E ~ Exp(1)
+            heights = np.searchsorted(log_sums, rng.standard_exponential(m), side="right")
+        else:
+            heights, chunk_durations = _walk_chunk(p, m, rng, cfg.mode == FULL_CTMC,
+                                                   cfg.max_excursion_steps)
+            durations.append(chunk_durations)
+        np.add.at(counts, heights, 1)
+    counts = counts[1:]
 
     mean, var = _exact_counts_moments(counts, n)
 
@@ -279,8 +256,7 @@ def run_batch(cfg: SimulationConfig) -> SimulationSummary:
     if cfg.mode == FULL_CTMC:
         # expressed in units of the mean service time 1/mu; fsum rounds
         # the exact sum once, so the value is independent of merge order
-        all_durations = np.concatenate([r[1] for r in results])
-        mean_duration = math.fsum(all_durations) / n * p.mu
+        mean_duration = math.fsum(np.concatenate(durations)) / n * p.mu
 
     return SimulationSummary(
         N=p.N, rho=p.rho, nu=p.nu, mu=p.mu, mode=cfg.mode,

@@ -17,7 +17,8 @@ from hypothesis import strategies as st
 
 import bdheight
 from bdheight import height_distribution, make_params
-from bdheight.cli import MAX_ROWS, _CHUNK, _canonical, _emit_json, _Runs, _runs, _write, main
+from bdheight.cli import (MAX_ROWS, _CHUNK, _canonical, _csv_lines, _emit_json, _Runs, _runs,
+                          _write, main)
 
 
 def run_cli(capsys, *argv):
@@ -400,21 +401,24 @@ class TestEmission:
         assert rc == 0
         assert peak < 4 * 2**20
 
-    # sha256 of whole artifacts at version 0.3.1.  Their data sections are
-    # those of 0.3.0 on a CPU without AVX-512; a version bump changes the
-    # manifest and so these.
+    # sha256 of whole artifacts at version 0.3.2.  Their data sections are
+    # those of 0.3.1, except simulate JSON's empirical_cdf, which 0.3.1 summed
+    # in floats; a version bump changes the manifest and so these.
     @pytest.mark.parametrize("argv,digest", [
         (["dist", "--n", "1000", "--rho", "0.5"],
-         "b3512331b792cbc85415d72e2214204b4d5d4d235f65e01c20483ca2da85a5e4"),
+         "d7529850b621d8c856eeffd9e2d391d59741565e89045bab0ec55edce865d4f6"),
         (["dist", "--n", "1000", "--rho", "0.5", "--format", "csv"],
-         "fc4800ba1e70774190dbcce890a4c64917f68ab0f4247e9ae724e4100b74163d"),
+         "d210a56d980ba0f301999e5010ad1a30799f2aeb4c3d2f85ec525872ac09e848"),
         (["dist", "--n", "1", "--rho", "2"],
-         "ab7b14b7417375d18ba49ab55ba23741135f255166eaa93ace57958484a43dfc"),
+         "0c5c198fe398f03c63fd86dab28ad66ef76aca49910eed63fcf72fc6d0c67f92"),
         (["simulate", "--n", "50", "--rho", "0.5", "--samples", "1000", "--seed", "1"],
-         "a31a94517964d09c6aae16d3ea5c771f0549299ade73b527de8376ddffc93cc6"),
+         "7f284ddd98941b22fc6ba69bad41a8294f792fd4a4a9c6a5e5a6c9ec910f3222"),
+        (["simulate", "--n", "50", "--rho", "0.5", "--samples", "1000", "--seed", "1",
+          "--format", "csv"],
+         "24db87473036e4f604fa4968ee81b9b7f567a3177e559b7fbde47040ef7bf9fb"),
         # its k column reaches the blocks of 10**4 entries
         (["dist", "--n", "123457", "--rho", "0.5"],
-         "25f4605d65f17d47444cb4a8fa665e156d837f378dc333f971f47455178f232f"),
+         "1ff2baa361004889747140bd29d8b10c6757a4fc27c1dab75c7b2cd8d27f52f5"),
     ], ids=lambda v: "_".join(v) if isinstance(v, list) else "")
     def test_artifact_bytes_are_pinned(self, tmp_path, argv, digest):
         path = tmp_path / "artifact"
@@ -468,6 +472,17 @@ class TestEmission:
         assert all(len(column) == n for column in rows.values())
         assert sum(rows["count"]) == samples
 
+    def test_empirical_cdf_is_the_measured_ecdf(self, capsys):
+        # sup_distance is measured against cumsum(counts) / samples; a running
+        # sum of the rounded pmf differs from it in the last bit.
+        rc, doc, _ = run_json(capsys, "simulate", "--n", "50", "--rho", "0.5",
+                              "--samples", "1000", "--seed", "1")
+        assert rc == 0
+        rows = doc["data"]["rows"]
+        ecdf = np.cumsum(rows["count"]) / 1000
+        assert np.array(rows["empirical_cdf"]).tobytes() == ecdf.tobytes()
+        assert rows["empirical_cdf"][-1] == 1.0
+
     def test_saturated_rho_writes_nothing_to_stderr(self):
         # A numpy warning goes to stderr, where it reads as a failure.
         src = os.path.dirname(os.path.dirname(bdheight.__file__))
@@ -492,13 +507,19 @@ _INT_POOL = [0, 1, -1, 9, 10, -10, 99, 10**9 - 1, 10**9, 2**32 - 1, 2**32, -2**3
              10**18, 2**63 - 1, -(2**63 - 1), -2**63]
 
 
+def _each(a) -> _Runs:
+    """A float array as runs of one entry each, so the encoder's joining of
+    equal neighbours (and keeping ``-0.0`` apart from ``0.0``) is tested."""
+    return _Runs(a.tolist(), [1] * a.size)
+
+
 class TestCanonicalEncoder:
     @given(runs=st.lists(st.tuples(st.sampled_from(_FLOAT_POOL), st.integers(1, 40)),
                          max_size=12))
     @settings(max_examples=300, deadline=None)
     def test_float_array_encodes_as_its_list(self, runs):
         a = np.array([v for v, n in runs for _ in range(n)], dtype=np.float64)
-        doc = {"rows": {"c": _runs(a), "b": _runs(a[::-1])}, "a": [0.5, None]}
+        doc = {"rows": {"c": _each(a), "b": _each(a[::-1])}, "a": [0.5, None]}
         listed = {"rows": {"c": a.tolist(), "b": a[::-1].tolist()}, "a": [0.5, None]}
         assert _canonical(doc) == canonical(listed)[:-1].encode()
 
@@ -509,7 +530,7 @@ class TestCanonicalEncoder:
         np.array([-2**63, -1, 0, 0, 0, 1, 2**63 - 1], dtype=np.int64),
     ], ids=["empty", "one", "arange", "extremes"])
     def test_int_array_encodes_as_its_list(self, a):
-        assert _canonical({"c": _runs(a)}) == canonical({"c": a.tolist()})[:-1].encode()
+        assert _canonical({"c": _runs(a.tolist())}) == canonical({"c": a.tolist()})[:-1].encode()
 
     @given(values=st.lists(st.one_of(st.sampled_from(_INT_POOL),
                                      st.integers(-2**63, 2**63 - 1)), min_size=1, max_size=30),
@@ -517,7 +538,7 @@ class TestCanonicalEncoder:
     @settings(max_examples=200, deadline=None)
     def test_int64_column_encodes_as_its_list(self, values, length):
         a = np.resize(np.array(values, dtype=np.int64), length)
-        doc = {"rows": {"c": _runs(a), "b": _runs(a[::-1])}}
+        doc = {"rows": {"c": _runs(a.tolist()), "b": _runs(a[::-1].tolist())}}
         listed = {"rows": {"c": a.tolist(), "b": a[::-1].tolist()}}
         assert _canonical(doc) == canonical(listed)[:-1].encode()
 
@@ -549,7 +570,7 @@ class TestCanonicalEncoder:
     @pytest.mark.parametrize("length", [_CHUNK, _CHUNK + 1, 3 * _CHUNK + 7])
     def test_float_run_longer_than_a_piece(self, length):
         a = np.concatenate([[0.1, -0.0], np.full(length, 1 / 3), [0.0], np.full(length, 5e-324)])
-        assert _canonical({"c": _runs(a)}) == canonical({"c": a.tolist()})[:-1].encode()
+        assert _canonical({"c": _each(a)}) == canonical({"c": a.tolist()})[:-1].encode()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_float_raises(self, bad):
@@ -557,7 +578,25 @@ class TestCanonicalEncoder:
         with pytest.raises(ValueError):
             canonical({"c": a.tolist()})
         with pytest.raises(ValueError):
-            _canonical({"c": _runs(a)})
+            _canonical({"c": _each(a)})
+
+
+@given(ints=st.lists(st.tuples(st.sampled_from(_INT_POOL), st.integers(0, 3)), max_size=8),
+       floats=st.lists(st.lists(st.tuples(st.sampled_from(_FLOAT_POOL), st.integers(0, 3)),
+                                max_size=8), min_size=2, max_size=2),
+       big=st.sampled_from([0, 1, _CHUNK + 1]))
+@settings(max_examples=100, deadline=None)
+def test_csv_lines_spread_the_runs(ints, floats, big):
+    # runs of length 0 anywhere, one long run, and each column padded to one length
+    columns = [[(first, big), *runs] for first, runs in zip((3, -0.0, 5e-324), (ints, *floats))]
+    rows = max(sum(n for _, n in runs) for runs in columns)
+    columns = [_Runs([v for v, _ in runs] + [runs[-1][0]],
+                     [n for _, n in runs] + [rows - sum(n for _, n in runs)])
+               for runs in columns]
+    dense = [np.repeat(c.values, c.lengths).tolist() for c in columns]
+    fmt = "%d,%d,%.15g,%.15g"
+    assert list(_csv_lines(fmt, columns)) == [fmt % (k, *row)
+                                              for k, row in enumerate(zip(*dense), 1)]
 
 
 _SMALL_N_RUNS = [[*argv, "--n", n] for n in ("1", "2", "10") for argv in (
@@ -605,6 +644,7 @@ def test_import_does_not_load_scipy():
         import bdheight.cli
         steps.append(loaded())
         steps.append(run("dist", "--n", "20000", "--rho", "0.5"))
+        steps.append(run("dist", "--n", "20000", "--rho", "0.5", "--format", "csv"))
         steps.append(run("alpha", "--rho", "0.5"))
         steps.append(run("sweep", "--rho", "0.5", "--n", "1000"))
         run("verify", "--rho", "0.5", "--n", "10")
@@ -622,7 +662,7 @@ def test_import_does_not_load_scipy():
     cli_set = ["bdheight", "bdheight.cli", "bdheight.errors", "bdheight.exactdist",
                "bdheight.model"]
     limits_set = sorted([*cli_set, "bdheight.asymptotics"])
-    assert steps == [["bdheight"], cli_set, cli_set, limits_set, limits_set]
+    assert steps == [["bdheight"], cli_set, cli_set, cli_set, limits_set, limits_set]
     assert len(names) == 37 and all(names.values())  # __version__ and 36 exported names
     assert star == exported and listed
 

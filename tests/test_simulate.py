@@ -182,6 +182,18 @@ class TestInversionSampler:
         assert sum(s.counts) == 256
         assert peak < 64 * 2**20
 
+    def test_memory_does_not_scale_with_samples(self):
+        # Holding every height would take 8 B per sample, 16 MiB here.
+        p = make_params(10, rho=0.5)
+        tracemalloc.start()
+        try:
+            s = run_batch(SimulationConfig(params=p, n_samples=2**21, seed=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(s.counts) == 2**21
+        assert peak < 4 * 2**20
+
 
 class TestWalkBatches:
     def test_direct_walk_matches_exact_law(self):
