@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import exactdist
 from .errors import ParameterError
@@ -81,8 +81,7 @@ FLOOR_SLACK = 1e-9
 MEAN_BOUND_MIN_N = 1000  # below this the bounds are reported but not asserted
 
 
-@dataclass(frozen=True)
-class AlphaSolution:
+class AlphaSolution(NamedTuple):
     """Root of g with its certificate: residual, bracket, iteration count."""
 
     rho: float
@@ -92,8 +91,7 @@ class AlphaSolution:
     bracket: tuple[float, float]
 
 
-@dataclass(frozen=True)
-class BoundConstants:
+class BoundConstants(NamedTuple):
     """Constants derived from alpha(rho), all strictly positive for rho in (0,1)."""
 
     rho: float
@@ -106,8 +104,7 @@ class BoundConstants:
         return peak_index(self.alpha, n)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Outcome of one certified inequality at one parameter point.
 
     ``lhs``/``rhs`` are in log scale for the ratio bounds and in natural
@@ -132,26 +129,17 @@ class BoundReport:
 
     def to_dict(self) -> dict:
         """JSON-ready fields; a NaN (no value) becomes None, i.e. ``null``."""
-        return {
-            "inequality": self.inequality,
-            "n": self.n,
-            "rho": self.rho,
-            "lhs": _or_none(self.lhs),
-            "rhs": _or_none(self.rhs),
-            "margin": _or_none(self.margin),
-            "passed": self.passed,
-            "applicable": self.applicable,
-            "floor_margin": _or_none(self.floor_margin),
-            "note": self.note,
-        }
+        fields = self._asdict()
+        for key in ("lhs", "rhs", "margin", "floor_margin"):
+            fields[key] = _or_none(fields[key])
+        return fields
 
 
 def _or_none(x: float) -> float | None:
     return None if math.isnan(x) else x
 
 
-@dataclass(frozen=True)
-class ConvergencePoint:
+class ConvergencePoint(NamedTuple):
     """One row of the limit table for a fixed rho."""
 
     N: int
@@ -161,12 +149,14 @@ class ConvergencePoint:
     var_ratio: float        # variance / N
     mean_limit: float       # f(rho)
     var_limit: float        # f(rho)^2 / rho
-    mean_gap: float = field(init=False)
-    var_gap: float = field(init=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "mean_gap", abs(self.mean_ratio - self.mean_limit))
-        object.__setattr__(self, "var_gap", abs(self.var_ratio - self.var_limit))
+    @property
+    def mean_gap(self) -> float:
+        return abs(self.mean_ratio - self.mean_limit)
+
+    @property
+    def var_gap(self) -> float:
+        return abs(self.var_ratio - self.var_limit)
 
 
 def _g(x: float, log_rho: float) -> float:

@@ -107,14 +107,12 @@ N and serves as the ground truth for the float path.
 from __future__ import annotations
 
 import math
-import numbers
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import CapacityError, ParameterError
-from .model import ModelParams
+from .model import ModelParams, ReadOnly
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -137,8 +135,7 @@ _NOOP_GAP = 750.0  # a term this far below a running log-sum >= 0 leaves it unch
 _LOG2 = math.log(2.0)
 
 
-@dataclass(frozen=True)
-class HeightDistribution:
+class HeightDistribution(ReadOnly):
     """Law of the height in windowed form, with moments.
 
     ``head[k-1] = log P(H >= k)`` for k = 1..a (entry 0 is exactly 0.0);
@@ -151,8 +148,9 @@ class HeightDistribution:
     survival and pmf as runs, as plain floats.  The dense numpy views
     ``log_survival`` (-inf past the window), ``pmf`` (``pmf[k-1] =
     P(H = k)``), ``survival_values()`` and ``cdf_values()`` import numpy
-    and are built from the runs on first use and cached.  Arrays are
-    read-only; instances may be shared across threads.
+    and are built from the runs on first use and cached.  Instances and
+    arrays are read-only: assigning an attribute raises ``AttributeError``.
+    Instances may be shared across threads.
     """
 
     N: int
@@ -160,21 +158,22 @@ class HeightDistribution:
     head: tuple[float, ...]
     plateau: tuple[int, int]
     window: tuple[float, ...]
-    mean: float = field(init=False)
-    variance: float = field(init=False)
+    mean: float
+    variance: float
 
-    def __post_init__(self):
+    def __init__(self, N: int, rho: float, head: tuple[float, ...],
+                 plateau: tuple[int, int], window: tuple[float, ...]):
+        vars(self).update(N=N, rho=rho, head=head, plateau=plateau, window=window)
         k, _, surv, pmf = self._support
-        a, b = self.plateau
+        a, b = plateau
         # The plateau's b - a equal values are already in surv once (at its
         # last entry); the other b - a - 1 enter as exact power-of-two
         # multiples, so fsum sees the dense vector's exact sum.
         extra = max(b - a - 1, 0)
         copies = [math.ldexp(surv[a], j) for j in range(extra.bit_length()) if extra >> j & 1]
         mean = math.fsum([*surv, *copies])
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "variance",
-                           math.fsum([(h - mean) * (h - mean) * m for h, m in zip(k, pmf)]))
+        vars(self).update(mean=mean, variance=math.fsum(
+            [(h - mean) * (h - mean) * m for h, m in zip(k, pmf)]))
 
     @cached_property
     def _support(self) -> tuple[list[int], list[float], list[float], list[float]]:
@@ -274,8 +273,7 @@ class HeightDistribution:
         return surv[j] if j < len(heights) else 0.0
 
 
-@dataclass(frozen=True)
-class RationalHeightDistribution:
+class RationalHeightDistribution(NamedTuple):
     """Exact-rational twin of :class:`HeightDistribution` (requires rational rho)."""
 
     N: int
@@ -367,6 +365,8 @@ def log_r_term(n: int, rho: float, i) -> float | np.ndarray:
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
     log_t = _log_t(n, rho)[0]
+    import numbers  # not at module level: dist, alpha and sweep never call this
+
     if isinstance(i, numbers.Real):
         if not 0 <= i <= n - 1:
             raise ParameterError(f"term index must be in [0, {n - 1}], got {i!r}")
@@ -461,7 +461,7 @@ def exact_rational_distribution(N: int, rho_num: int, rho_den: int,
     beyond the cap the float path is authoritative.
     """
     for name, v in (("N", N), ("rho_num", rho_num), ("rho_den", rho_den)):
-        if isinstance(v, bool) or not isinstance(v, numbers.Integral) or v < 1:
+        if isinstance(v, bool) or not hasattr(v, "__index__") or v < 1:
             raise ParameterError(f"{name} must be a positive integer, got {v!r}")
     N, rho_num, rho_den = int(N), int(rho_num), int(rho_den)
     if N > cap:

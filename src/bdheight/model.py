@@ -21,9 +21,8 @@ threads.
 from __future__ import annotations
 
 import math
-import numbers
-from dataclasses import dataclass
-from typing import TYPE_CHECKING
+import operator
+from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import ParameterError
 
@@ -44,9 +43,8 @@ FULL_CTMC = "full-ctmc"
 SAMPLER_MODES = (LADDER, JUMP_CHAIN, FULL_CTMC)
 
 
-@dataclass(frozen=True)
-class ModelParams:
-    """Validated chain parameters.
+class ModelParams(NamedTuple):
+    """Validated chain parameters, read-only.
 
     ``rho`` is derived, never independent: it equals ``nu / mu`` up to a
     single float rounding when built from explicit rates, and is stored
@@ -61,6 +59,17 @@ class ModelParams:
     nu: float
     mu: float
     rho: float
+
+
+class ReadOnly:
+    """Base of a class whose ``__init__`` sets its attributes through
+    ``vars(self)``: assigning or deleting one later raises ``AttributeError``."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign {name!r}: {type(self).__name__} is read-only")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {name!r}: {type(self).__name__} is read-only")
 
 
 def _positive_rate(name: str, value) -> float:
@@ -85,9 +94,10 @@ def make_params(N: int, nu: float | None = None, mu: float | None = None,
     non-finite rates, a ratio nu / mu that rounds to 0 or overflows, or an
     ambiguous combination of arguments.
     """
-    if isinstance(N, bool) or not isinstance(N, numbers.Integral):
+    # any integer type, numpy's included, but not bool
+    if isinstance(N, bool) or not hasattr(N, "__index__"):
         raise ParameterError(f"N must be an integer >= 1, got {N!r}")
-    N = int(N)
+    N = operator.index(N)
     if N < 1:
         raise ParameterError(f"N must be >= 1 (the chain needs a nonempty positive part), got {N}")
 

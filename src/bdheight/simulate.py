@@ -39,9 +39,9 @@ Samples are partitioned into chunks of ``_CHUNK_SAMPLES`` and chunk c
 draws from its own counter-based Philox stream seeded by
 ``SeedSequence((seed, c))``.  Chunks run in order on the calling thread,
 so a fixed ``SimulationConfig`` produces bit-identical summaries.  Each
-chunk's heights are added to the counts as the chunk is drawn, so a
-ladder batch holds O(N + chunk) numbers however many samples it draws;
-``full-ctmc`` also keeps every duration for the exact sum.
+chunk's heights are added to the counts as the chunk is drawn, and a
+``full-ctmc`` chunk's durations go into the exact sum as it is drawn, so
+a batch holds O(N + chunk) numbers however many samples it draws.
 ``worker_count`` is validated but does not change execution: on two
 cores a thread pool made the walks slower, not faster.  Scalar aggregates are computed
 exactly (integer moments; ``math.fsum`` for durations, which rounds the
@@ -50,16 +50,19 @@ exact sum once), so no accumulation order can leak into the output.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
-from dataclasses import asdict, dataclass
+from collections.abc import Iterator
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
 from . import exactdist, oracle
 from .errors import CapacityError, ParameterError, SimulationAbort
-from .model import FULL_CTMC, JUMP_CHAIN, LADDER, SAMPLER_MODES, ModelParams, jump_up_probs
+from .model import (FULL_CTMC, JUMP_CHAIN, LADDER, SAMPLER_MODES, ModelParams, ReadOnly,
+                    jump_up_probs)
 
 __all__ = [
     "LADDER",
@@ -76,34 +79,31 @@ DEFAULT_MAX_EXCURSION_STEPS = 10**10
 DEFAULT_MAX_TOTAL_STEPS = 1e9
 
 
-@dataclass(frozen=True)
-class SimulationConfig:
-    """Everything that determines a batch; equal configs give equal bytes."""
+class SimulationConfig(ReadOnly):
+    """Everything that determines a batch; equal configs give equal bytes.
+    Validated on construction and read-only after it."""
 
-    params: ModelParams
-    n_samples: int
-    seed: int
-    mode: str = LADDER
-    worker_count: int = 1  # validated only; chunks always run on one thread
-    dkw_delta: float = 0.01
-    max_excursion_steps: int = DEFAULT_MAX_EXCURSION_STEPS
-    max_total_steps: float = DEFAULT_MAX_TOTAL_STEPS
-
-    def __post_init__(self):
-        if self.mode not in SAMPLER_MODES:
-            raise ParameterError(f"mode must be one of {SAMPLER_MODES}, got {self.mode!r}")
-        if not isinstance(self.n_samples, int) or self.n_samples < 1:
-            raise ParameterError(f"n_samples must be a positive integer, got {self.n_samples!r}")
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or self.seed < 0:
-            raise ParameterError(f"seed must be a nonnegative integer, got {self.seed!r}")
-        if not isinstance(self.worker_count, int) or self.worker_count < 1:
-            raise ParameterError(f"worker_count must be >= 1, got {self.worker_count!r}")
-        if not 0.0 < self.dkw_delta < 1.0:
-            raise ParameterError(f"dkw_delta must be in (0, 1), got {self.dkw_delta!r}")
+    def __init__(self, params: ModelParams, n_samples: int, seed: int, mode: str = LADDER,
+                 worker_count: int = 1,  # validated only; chunks always run on one thread
+                 dkw_delta: float = 0.01,
+                 max_excursion_steps: int = DEFAULT_MAX_EXCURSION_STEPS,
+                 max_total_steps: float = DEFAULT_MAX_TOTAL_STEPS):
+        if mode not in SAMPLER_MODES:
+            raise ParameterError(f"mode must be one of {SAMPLER_MODES}, got {mode!r}")
+        if not isinstance(n_samples, int) or n_samples < 1:
+            raise ParameterError(f"n_samples must be a positive integer, got {n_samples!r}")
+        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+            raise ParameterError(f"seed must be a nonnegative integer, got {seed!r}")
+        if not isinstance(worker_count, int) or worker_count < 1:
+            raise ParameterError(f"worker_count must be >= 1, got {worker_count!r}")
+        if not 0.0 < dkw_delta < 1.0:
+            raise ParameterError(f"dkw_delta must be in (0, 1), got {dkw_delta!r}")
+        vars(self).update(params=params, n_samples=n_samples, seed=seed, mode=mode,
+                          worker_count=worker_count, dkw_delta=dkw_delta,
+                          max_excursion_steps=max_excursion_steps, max_total_steps=max_total_steps)
 
 
-@dataclass(frozen=True)
-class SimulationSummary:
+class SimulationSummary(NamedTuple):
     """Batch output.  Deliberately excludes the worker count: the
     partitioning of work is an execution detail and must not show up in
     the serialized artifact."""
@@ -125,7 +125,7 @@ class SimulationSummary:
     mean_busy_duration: float | None = None  # full-ctmc only, in units of 1/mu
 
     def to_json_bytes(self) -> bytes:
-        return json.dumps(asdict(self), sort_keys=True).encode("utf-8")
+        return json.dumps(self._asdict(), sort_keys=True).encode("utf-8")
 
 
 def dkw_epsilon(n_samples: int, delta: float) -> float:
@@ -210,6 +210,25 @@ def _exact_counts_moments(counts: np.ndarray, n: int) -> tuple[float, float]:
     return float(mean), float(var)
 
 
+def _draw(cfg: SimulationConfig, counts: np.ndarray) -> Iterator[list[float]]:
+    """Draw the batch chunk by chunk, adding each chunk's heights to
+    ``counts``, and yield each chunk's durations (``full-ctmc`` only)."""
+    p, n = cfg.params, cfg.n_samples
+    if cfg.mode == LADDER:
+        log_sums = oracle.log_hitting_sums(p)
+    for c, lo in enumerate(range(0, n, _CHUNK_SAMPLES)):
+        m, rng = min(_CHUNK_SAMPLES, n - lo), _chunk_rng(cfg.seed, c)
+        if cfg.mode == LADDER:
+            # H >= k exactly when E >= log S_k, with E ~ Exp(1)
+            heights = np.searchsorted(log_sums, rng.standard_exponential(m), side="right")
+        else:
+            heights, durations = _walk_chunk(p, m, rng, cfg.mode == FULL_CTMC,
+                                             cfg.max_excursion_steps)
+            if durations is not None:
+                yield durations.tolist()
+        np.add.at(counts, heights, 1)
+
+
 def run_batch(cfg: SimulationConfig) -> SimulationSummary:
     """Draw ``cfg.n_samples`` i.i.d. heights and compare against the exact law.
 
@@ -230,19 +249,10 @@ def run_batch(cfg: SimulationConfig) -> SimulationSummary:
                 f"the same height law in O(log N) per sample")
 
     counts = np.zeros(p.N + 1, dtype=np.int64)
-    durations = []
-    if cfg.mode == LADDER:
-        log_sums = oracle.log_hitting_sums(p)
-    for c, lo in enumerate(range(0, n, _CHUNK_SAMPLES)):
-        m, rng = min(_CHUNK_SAMPLES, n - lo), _chunk_rng(cfg.seed, c)
-        if cfg.mode == LADDER:
-            # H >= k exactly when E >= log S_k, with E ~ Exp(1)
-            heights = np.searchsorted(log_sums, rng.standard_exponential(m), side="right")
-        else:
-            heights, chunk_durations = _walk_chunk(p, m, rng, cfg.mode == FULL_CTMC,
-                                                   cfg.max_excursion_steps)
-            durations.append(chunk_durations)
-        np.add.at(counts, heights, 1)
+    # fsum runs the draw.  It takes each chunk's durations as the chunk is
+    # drawn and keeps only its partials, and it rounds the exact sum once,
+    # so the value does not depend on the chunking.
+    total_duration = math.fsum(itertools.chain.from_iterable(_draw(cfg, counts)))
     counts = counts[1:]
 
     mean, var = _exact_counts_moments(counts, n)
@@ -253,10 +263,8 @@ def run_batch(cfg: SimulationConfig) -> SimulationSummary:
     eps = dkw_epsilon(n, cfg.dkw_delta)
 
     mean_duration = None
-    if cfg.mode == FULL_CTMC:
-        # expressed in units of the mean service time 1/mu; fsum rounds
-        # the exact sum once, so the value is independent of merge order
-        mean_duration = math.fsum(np.concatenate(durations)) / n * p.mu
+    if cfg.mode == FULL_CTMC:  # in units of the mean service time 1/mu
+        mean_duration = total_duration / n * p.mu
 
     return SimulationSummary(
         N=p.N, rho=p.rho, nu=p.nu, mu=p.mu, mode=cfg.mode,

@@ -419,6 +419,17 @@ class TestEmission:
         # its k column reaches the blocks of 10**4 entries
         (["dist", "--n", "123457", "--rho", "0.5"],
          "1ff2baa361004889747140bd29d8b10c6757a4fc27c1dab75c7b2cd8d27f52f5"),
+        # the duration sum, the alpha and bound-constant records and the
+        # limit-table rows, as 0.3.2 wrote them
+        (["simulate", "--n", "5", "--rho", "0.5", "--samples", "20000", "--seed", "1",
+          "--mode", "full-ctmc"],
+         "5c79c1c477bd20672b32b824e840c6eb8f2f5fe715911c3a08f43e6d73a16c99"),
+        (["alpha", "--rho", "0.3"],
+         "2453610b33c8fd0bf045c881f3d1b72a5f80d179088361e7808cf406c48c2135"),
+        (["alpha", "--rho", "0.3", "--format", "csv"],
+         "1ff25c7682d625c34509fc9b4242eb5e56b475d1522043c82fc38122da3ee6f0"),
+        (["sweep", "--rho", "0.5", "--n", "1000", "1000000"],
+         "553c328de5b6134a100bdfa38d01eb7fa1ea803f924991da0b40b2a9283b82cf"),
     ], ids=lambda v: "_".join(v) if isinstance(v, list) else "")
     def test_artifact_bytes_are_pinned(self, tmp_path, argv, digest):
         path = tmp_path / "artifact"
@@ -628,11 +639,15 @@ def test_import_does_not_load_scipy():
     # importing scipy.special alone costs ~0.45 s per CLI start and numpy
     # ~0.14 s; nothing at runtime needs any of scipy, and dist, alpha and
     # sweep need no numpy.  A run loads only the modules it uses, and every
-    # exported name still resolves on first use.
+    # exported name still resolves on first use.  No subcommand loads
+    # dataclasses, whose inspect (with ast, dis and tokenize) costs ~12 ms;
+    # only numpy loads inspect.
     src = os.path.dirname(os.path.dirname(bdheight.__file__))
     code = """if True:
         import json, os, sys
+        startup = []
         def loaded():
+            startup.append([m for m in ("dataclasses", "inspect") if m in sys.modules])
             return sorted(m for m in sys.modules
                           if m.split(".")[0] in ("bdheight", "scipy", "numpy")
                           or m == "fractions")
@@ -653,18 +668,23 @@ def test_import_does_not_load_scipy():
         scope = {}
         exec("from bdheight import *", scope)
         print(json.dumps([steps, names, sorted(set(scope) - {"__builtins__"}),
-                          sorted(bdheight.__all__), "oracle" in dir(bdheight)]))
+                          sorted(bdheight.__all__), "oracle" in dir(bdheight), startup]))
     """
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
-    steps, names, star, exported, listed = json.loads(proc.stdout)
+    steps, names, star, exported, listed, startup = json.loads(proc.stdout)
     cli_set = ["bdheight", "bdheight.cli", "bdheight.errors", "bdheight.exactdist",
                "bdheight.model"]
     limits_set = sorted([*cli_set, "bdheight.asymptotics"])
     assert steps == [["bdheight"], cli_set, cli_set, cli_set, limits_set, limits_set]
     assert len(names) == 37 and all(names.values())  # __version__ and 36 exported names
     assert star == exported and listed
+    # bdheight, bdheight.cli, dist (JSON and CSV), alpha, sweep; then verify
+    # and simulate, whose numpy loads inspect
+    assert len(startup) == 8
+    assert startup[:6] == [[]] * 6
+    assert not any("dataclasses" in modules for modules in startup)
 
 
 def _dispatched_cpu_features() -> list[str]:

@@ -1,4 +1,5 @@
-"""Chain definition: parameter validation, stationary law, jump probabilities."""
+"""Chain definition: parameter validation, stationary law, jump probabilities,
+and the package's read-only records."""
 
 import math
 from fractions import Fraction
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bdheight
 from bdheight import ParameterError, jump_up_probs, make_params
 
 
@@ -54,6 +56,14 @@ class TestMakeParams:
             make_params(2.5, 1.0, 1.0)
         with pytest.raises(ParameterError):
             make_params(True, 1.0, 1.0)
+
+    def test_numpy_integer_n_accepted(self):
+        p = make_params(np.int64(5), rho=0.5)
+        assert p.N == 5 and type(p.N) is int
+        assert make_params(np.uint8(7), 1.0, 2.0).N == 7
+        for n in (np.float64(5.0), np.bool_(True), "5"):
+            with pytest.raises(ParameterError):
+                make_params(n, rho=0.5)
 
     def test_rho_only_construction(self):
         p = make_params(7, rho=0.8)
@@ -134,3 +144,34 @@ class TestJumpChain:
         down = i / (i + (N - i) * rho)
         assert np.abs(up + down - 1.0).max() <= 1e-15
         assert (np.diff(up) < 0).all()
+
+
+def _records():
+    """One instance of each record type the package returns, with a field of it."""
+    p = make_params(50, rho=0.5)
+    cfg = bdheight.SimulationConfig(params=p, n_samples=100, seed=1)
+    return [
+        (p, "N"),
+        (bdheight.height_distribution(p), "mean"),
+        (bdheight.exact_rational_distribution(5, 1, 2), "pmf"),
+        (bdheight.solve_alpha(0.5), "alpha"),
+        (bdheight.bound_constants(0.5), "c1"),
+        (bdheight.check_mean_bounds(1000, 0.5, 700.0), "passed"),
+        (bdheight.convergence_table(0.5, [1000])[0], "var_gap"),
+        (cfg, "n_samples"),
+        (bdheight.run_batch(cfg), "counts"),
+    ]
+
+
+class TestRecords:
+    @pytest.mark.parametrize("record,name", [pytest.param(record, name, id=type(record).__name__)
+                                             for record, name in _records()])
+    def test_fields_are_read_only(self, record, name):
+        before = getattr(record, name)
+        with pytest.raises(AttributeError):
+            setattr(record, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+        with pytest.raises(AttributeError):
+            record.not_a_field = 0
+        assert getattr(record, name) == before

@@ -237,6 +237,22 @@ class TestWalkBatches:
         s = run_batch(cfg)
         assert abs(s.mean_busy_duration - 1.0) <= 3.0 / math.sqrt(n)
 
+    def test_duration_memory_does_not_scale_with_samples(self):
+        # At N = 1 each excursion is one hold.  Keeping every duration for
+        # one sum would hold 8 B per sample, 4 MiB here, and twice that
+        # while they were joined.
+        n = 2**19
+        tracemalloc.start()
+        try:
+            s = run_batch(SimulationConfig(params=make_params(1, rho=0.5), n_samples=n,
+                                           seed=1, mode=FULL_CTMC))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(s.counts) == n
+        assert abs(s.mean_busy_duration - 1.0) <= 5.0 / math.sqrt(n)
+        assert peak < 2 * 2**20
+
     def test_infeasible_batch_is_refused(self):
         cfg = SimulationConfig(params=make_params(50, rho=0.8),
                                n_samples=100, seed=1, mode=JUMP_CHAIN)
