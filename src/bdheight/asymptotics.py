@@ -100,9 +100,6 @@ class BoundConstants(NamedTuple):
     c2: float
     c3: float
 
-    def peak_index(self, n: int) -> int:
-        return peak_index(self.alpha, n)
-
 
 class BoundReport(NamedTuple):
     """Outcome of one certified inequality at one parameter point.
@@ -277,10 +274,6 @@ def integer_part_candidates(x: float, *, slack: float = FLOOR_SLACK) -> tuple[in
     return tuple(sorted(c for c in cands if c >= 0))
 
 
-def _log_term(n: int, rho: float, i: int) -> float:
-    return float(exactdist.log_r_term(n, rho, int(i)))
-
-
 def check_peak_ratio_bounds(n: int, rho: float,
                             constants: BoundConstants | None = None
                             ) -> tuple[BoundReport, BoundReport]:
@@ -314,8 +307,8 @@ def check_peak_ratio_bounds(n: int, rho: float,
                 idx = h + sign * k
                 if not (0 <= idx <= n - 1 and 0 <= h <= n - 1):
                     continue
-                lhs = _log_term(n, rho, idx)
-                rhs = _log_term(n, rho, h) + rhs_shift
+                lhs = exactdist.log_r_term(n, rho, idx)
+                rhs = exactdist.log_r_term(n, rho, h) + rhs_shift
                 margin = (lhs - rhs) if sign > 0 else (rhs - lhs)
                 tried.append((h, k, margin))
                 if h == floor_h and k == floor_k:
@@ -328,8 +321,8 @@ def check_peak_ratio_bounds(n: int, rho: float,
                                applicable=False,
                                note="offset leaves the index range [0, n-1]")
         h, k, margin = best
-        lhs = _log_term(n, rho, h + sign * k)
-        rhs = _log_term(n, rho, h) + rhs_shift
+        lhs = exactdist.log_r_term(n, rho, h + sign * k)
+        rhs = exactdist.log_r_term(n, rho, h) + rhs_shift
         note = ("candidates (h, offset, log-margin): "
                 + "; ".join(f"({a}, {b}, {m:+.4f})" for a, b, m in tried))
         return BoundReport(inequality=name, n=n, rho=rho, lhs=lhs, rhs=rhs,
@@ -395,7 +388,7 @@ def stirling_ratio(n: int, rho: float) -> float:
         raise ParameterError(f"n must be >= 2, got {n}")
     a = solve_alpha(rho).alpha
     h = peak_index(a, n)
-    return float(math.exp(_log_term(n, rho, h) - 0.5 * math.log(n)))
+    return math.exp(exactdist.log_r_term(n, rho, h) - 0.5 * math.log(n))
 
 
 def convergence_table(rho: float, Ns: list[int]) -> list[ConvergencePoint]:
@@ -432,7 +425,7 @@ def concentration_mass_bound(N: int, rho: float) -> float:
     below the range of a double, at rho below ~1e-154."""
     c = bound_constants(rho)
     h = peak_index(c.alpha, N)
-    t_h = math.exp(_log_term(N, rho, h))
+    t_h = math.exp(exactdist.log_r_term(N, rho, h))
     scale = (N - 1) * rho * rho
     if scale == 0.0:  # rho**2 underflows: the bound is below every double
         return -math.inf

@@ -23,13 +23,13 @@ in pieces of at most ``_CHUNK`` entries: each run's ``repr`` is formatted
 once and repeated.  The law is constant outside an O(log N) window, so
 the law's own runs give ``dist`` a few hundred runs and no list of
 length N; ``simulate`` builds its count and empirical columns as runs
-of its integer counts.  A CSV body is written from the same runs,
-spread out a row at a time.  The ``k`` column is a ``range``, written a
-block of 10**4 entries at a time: each entry of a block is the block's
-shared leading digits followed by "0000," .. "9999,".  One ``bytearray``
-per width of the leading digits holds those suffixes, and each block
-writes its digits into it by strided slice assignment, so there is no
-per-entry formatting.  A CSV body is built as byte pieces of ``_CHUNK``
+from the batch's nonzero (height, count) pairs.  A CSV body is written
+from the same runs, spread out a row at a time.  The ``k`` column is a
+``range``, written a block of 10**4 entries at a time: each entry of a
+block is the block's shared leading digits followed by "0000," ..
+"9999,".  One ``bytearray`` per width of the leading digits holds those
+suffixes, and each block writes its digits into it by strided slice
+assignment, so there is no per-entry formatting.  A CSV body is built as byte pieces of ``_CHUNK``
 lines, hashed as each is built, and written after the manifest line.
 ``dist`` and ``simulate`` refuse more than ``MAX_ROWS`` rows (exit 2);
 ``sweep`` and ``verify`` build no column.
@@ -95,16 +95,6 @@ class _Runs(NamedTuple):
 
     values: list
     lengths: list[int]
-
-
-def _runs(ints: Iterable[int]) -> _Runs:
-    """Integers as runs of equal values.  Floats do not come here: ``==``
-    would join ``-0.0`` and ``0.0``."""
-    values, lengths = [], []
-    for value, group in itertools.groupby(ints):
-        values.append(value)
-        lengths.append(sum(1 for _ in group))
-    return _Runs(values, lengths)
 
 
 def _run_column(runs: _Runs) -> Iterator[bytes]:
@@ -377,33 +367,28 @@ def _verify_checks(rhos: list[float], ns: list[int], corrupt: bool) -> list[dict
             checks.append(asymptotics.check_mean_bounds(n, rho, laws[n].mean).to_dict())
         if rho < 1.0:
             ratios = [asymptotics.stirling_ratio(n, rho) for n in ns if n >= 2]
-            band = max(ratios) / min(ratios) if ratios else None
+            band = max(ratios) / min(ratios) if ratios else math.nan
             # t(h_n) ~ sqrt(n) needs an interior peak; at h_n = 0 every ratio is 1/sqrt(n).
             interior = asymptotics.peak_index(constants.alpha, max(ns)) >= 1
-            checks.append({
-                "inequality": "peak_term_sqrt_band",
-                "n": max(ns), "rho": rho,
-                "lhs": band, "rhs": _STIRLING_BAND_FACTOR,
-                "margin": None if band is None else _STIRLING_BAND_FACTOR - band,
-                "passed": band is not None and band <= _STIRLING_BAND_FACTOR,
-                "applicable": len(ratios) >= 2 and interior,
-                "floor_margin": None,
-                "note": f"ratios t(h_n)/sqrt(n) over n in {sorted(n for n in ns if n >= 2)}",
-            })
+            checks.append(asymptotics.BoundReport(
+                inequality="peak_term_sqrt_band", n=max(ns), rho=rho,
+                lhs=band, rhs=_STIRLING_BAND_FACTOR, margin=_STIRLING_BAND_FACTOR - band,
+                passed=band <= _STIRLING_BAND_FACTOR,
+                applicable=len(ratios) >= 2 and interior,
+                note=f"ratios t(h_n)/sqrt(n) over n in {sorted(n for n in ns if n >= 2)}",
+            ).to_dict())
             for n in ns:
                 if n >= asymptotics.MEAN_BOUND_MIN_N:
                     mass, lo, hi = asymptotics.window_mass(laws[n])
                     bound = asymptotics.concentration_mass_bound(n, rho)
                     finite = math.isfinite(bound)  # a bound of -inf holds vacuously
-                    checks.append({
-                        "inequality": "concentration_window_mass",
-                        "n": n, "rho": rho,
-                        "lhs": mass, "rhs": bound if finite else None,
-                        "margin": mass - bound if finite else None,
-                        "passed": mass >= bound, "applicable": finite,
-                        "floor_margin": None,
-                        "note": f"window [{lo}, {hi}]",
-                    })
+                    checks.append(asymptotics.BoundReport(
+                        inequality="concentration_window_mass", n=n, rho=rho,
+                        lhs=mass, rhs=bound if finite else math.nan,
+                        margin=mass - bound if finite else math.nan,
+                        passed=mass >= bound, applicable=finite,
+                        note=f"window [{lo}, {hi}]",
+                    ).to_dict())
     # closed form vs first-passage elimination
     for rho in rhos:
         gaps = []
@@ -412,16 +397,12 @@ def _verify_checks(rhos: list[float], ns: list[int], corrupt: bool) -> list[dict
             exact = exactdist.height_distribution(p).survival_values()
             gaps.append(abs(exact - oracle.height_dist_oracle(p)).max())
         worst = float(np.max(gaps))  # nan if any gap is: a nan fails the check
-        finite = not math.isnan(worst)
-        checks.append({
-            "inequality": "oracle_equivalence",
-            "n": max(_EQUIVALENCE_GRID_N), "rho": rho,
-            "lhs": worst if finite else None, "rhs": _EQUIVALENCE_TOL,
-            "margin": _EQUIVALENCE_TOL - worst if finite else None,
-            "passed": worst <= _EQUIVALENCE_TOL, "applicable": True,
-            "floor_margin": None,
-            "note": f"sup over k and N in {_EQUIVALENCE_GRID_N}",
-        })
+        checks.append(asymptotics.BoundReport(
+            inequality="oracle_equivalence", n=max(_EQUIVALENCE_GRID_N), rho=rho,
+            lhs=worst, rhs=_EQUIVALENCE_TOL, margin=_EQUIVALENCE_TOL - worst,
+            passed=worst <= _EQUIVALENCE_TOL, applicable=True,
+            note=f"sup over k and N in {_EQUIVALENCE_GRID_N}",
+        ).to_dict())
     return checks
 
 
@@ -462,16 +443,27 @@ def cmd_simulate(args) -> int:
                   f"batch; consider --mode {LADDER}", file=sys.stderr)
     summary = simulate.run_batch(cfg)
     surv, pmf, lengths = exactdist.height_distribution(p).column_runs()
-    # Counts are integers, so the running sums are exact and each value is
-    # divided once: the ECDF that sup_distance measures.
-    count = _runs(summary.counts)
-    cumulative = _runs(itertools.accumulate(summary.counts))
+    # The count column and its running total as runs over the nonzero
+    # (height, count) pairs: before each nonzero height a gap of 0, or of
+    # the total so far, and one such gap after the last.  Counts are
+    # integers, so the totals are exact and each value is divided once:
+    # the ECDF that sup_distance measures.
+    count_lengths: list[int] = []
+    count, cumulative = _Runs([], count_lengths), _Runs([], count_lengths)
+    last = total = 0
+    for k, c in summary.counts:
+        count.values.extend((0, c))
+        cumulative.values.extend((total, total + c))
+        count_lengths.extend((k - last - 1, 1))
+        last, total = k, total + c
+    count.values.append(0)
+    cumulative.values.append(total)
+    count_lengths.append(p.N - last)
     columns = {
         "count": count,
-        "empirical_pmf": _Runs([c / args.samples for c in count.values], count.lengths),
+        "empirical_pmf": _Runs([c / args.samples for c in count.values], count_lengths),
         "exact_pmf": _Runs(pmf, lengths),
-        "empirical_cdf": _Runs([c / args.samples for c in cumulative.values],
-                               cumulative.lengths),
+        "empirical_cdf": _Runs([c / args.samples for c in cumulative.values], count_lengths),
         # P(H <= k) = 1 - P(H >= k + 1): the survival runs one height on
         "exact_cdf": _Runs([1.0 - v for v in surv],
                            [lengths[0] - 1, *lengths[1:-1], lengths[-1] + 1]),

@@ -95,9 +95,10 @@ the terms, the running log-sum (each step as numpy's scalar
 ``expm1``.  NumPy's ``np.log``, ``np.exp`` and ``np.expm1`` run SIMD
 kernels that numpy picks at run time from the CPU's features, and these
 differ from libm in the last bit, so a law computed with them would have
-bytes that depend on the CPU.  numpy is imported only by the dense
-views of :class:`HeightDistribution` and the array form of
-:func:`log_r_term`.
+bytes that depend on the CPU.  numpy is imported only by the two
+dense views of :class:`HeightDistribution`, ``pmf`` and
+``survival_values()``, which spread its runs over all N heights; they
+remain because the benchmark's artifact checker reads them.
 
 An exact-rational twin (``exact_rational_distribution``) evaluates the
 same quantities in unbounded-precision rational arithmetic for moderate
@@ -107,6 +108,7 @@ N and serves as the ground truth for the float path.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left, bisect_right
 from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
@@ -145,11 +147,13 @@ class HeightDistribution(ReadOnly):
     is the whole law.
 
     ``survival_at(k)`` reads one level and ``column_runs()`` gives
-    survival and pmf as runs, as plain floats.  The dense numpy views
-    ``log_survival`` (-inf past the window), ``pmf`` (``pmf[k-1] =
-    P(H = k)``), ``survival_values()`` and ``cdf_values()`` import numpy
-    and are built from the runs on first use and cached.  Instances and
-    arrays are read-only: assigning an attribute raises ``AttributeError``.
+    survival and pmf as runs, as plain floats; the package's columns and
+    its sup distance are built from these.  Two dense numpy views remain,
+    each one ``np.repeat`` of the runs: ``pmf`` (``pmf[k-1] = P(H = k)``,
+    cached) and ``survival_values()``.  They stay because the benchmark's
+    artifact checker (``perfbench/artifact.py``) reads them; ``verify``'s
+    oracle gap and ``wlln_tail_mass`` also use them.  Instances and arrays
+    are read-only: assigning an attribute raises ``AttributeError``.
     Instances may be shared across threads.
     """
 
@@ -164,7 +168,7 @@ class HeightDistribution(ReadOnly):
     def __init__(self, N: int, rho: float, head: tuple[float, ...],
                  plateau: tuple[int, int], window: tuple[float, ...]):
         vars(self).update(N=N, rho=rho, head=head, plateau=plateau, window=window)
-        k, _, surv, pmf = self._support
+        k, surv, pmf = self._support
         a, b = plateau
         # The plateau's b - a equal values are already in surv once (at its
         # last entry); the other b - a - 1 enter as exact power-of-two
@@ -176,8 +180,8 @@ class HeightDistribution(ReadOnly):
             [(h - mean) * (h - mean) * m for h, m in zip(k, pmf)]))
 
     @cached_property
-    def _support(self) -> tuple[list[int], list[float], list[float], list[float]]:
-        """(heights, log-survival, survival, pmf) over the head, the plateau's
+    def _support(self) -> tuple[list[int], list[float], list[float]]:
+        """(heights, survival, pmf) over the head, the plateau's
         last entry and the window: every entry that can carry mass."""
         a, b = self.plateau
         slot = 1 if b > a else 0
@@ -189,7 +193,7 @@ class HeightDistribution(ReadOnly):
         # last one is -inf (past the window, or the virtual ls_{N+1}).
         pmf = [s * -math.expm1(nxt - cur)
                for s, cur, nxt in zip(surv, ls, [*ls[1:], -math.inf])]
-        return k, ls, surv, pmf
+        return k, surv, pmf
 
     def _run_lengths(self) -> list[int]:
         support = len(self._support[0])
@@ -197,80 +201,55 @@ class HeightDistribution(ReadOnly):
         inner = max(b - a - 1, 0)  # the plateau's entries before its last one
         return [*[1] * a, inner, *[1] * (support - a), self.N - support - inner]
 
-    def _run_values(self, values: list[float], tail: float,
-                    plateau: float | None = None) -> list[float]:
+    def _run_values(self, values: list[float], plateau: float | None = None) -> list[float]:
         """Per-entry ``values`` of the support as the values of the runs in
-        ``_run_lengths()``: ``tail`` past the window and, on the plateau
-        before its last entry, ``plateau`` (default: the plateau's own
-        value)."""
+        ``_run_lengths()``: 0.0 past the window and, on the plateau before
+        its last entry, ``plateau`` (default: the plateau's own value)."""
         a, b = self.plateau
         if plateau is None:
-            plateau = values[a] if b > a else tail  # a run of length 0 when b == a
-        return [*values[:a], plateau, *values[a:], tail]
-
-    def _dense(self, values: list[float], tail: float,
-               plateau: float | None = None) -> np.ndarray:
-        """:meth:`_run_values` spread over heights 1..N, as a read-only array."""
-        import numpy as np
-
-        out = np.repeat(self._run_values(values, tail, plateau), self._run_lengths())
-        out.flags.writeable = False
-        return out
+            plateau = values[a] if b > a else 0.0  # a run of length 0 when b == a
+        return [*values[:a], plateau, *values[a:], 0.0]
 
     def column_runs(self) -> tuple[list[float], list[float], list[int]]:
         """Survival and pmf over k = 1..N as runs: ``(survival, pmf, lengths)``.
 
-        ``np.repeat(survival, lengths)`` is ``survival_values()`` and
-        ``np.repeat(pmf, lengths)`` is ``pmf``, bit for bit, but nothing of
-        length N is built.  The runs are the head's entries (length 1
-        each), the plateau before its last entry (its survival value, and
-        a mass of -0.0), the plateau's last entry and the window (length 1
-        each), and the tail (0.0).  There are ``len(head) + len(window) + 2``
+        ``survival_values()`` and ``pmf`` are these runs spread out with
+        ``np.repeat``; here nothing of length N is built.  The runs are the
+        head's entries (length 1 each), the plateau before its last entry
+        (its survival value, and a mass of -0.0), the plateau's last entry
+        and the window (length 1 each), and the tail (0.0).  There are ``len(head) + len(window) + 2``
         runs, one more with a plateau, whatever N is; some may have length 0.
         """
-        _, _, surv, pmf = self._support
-        return (self._run_values(surv, 0.0), self._run_values(pmf, 0.0, -0.0),
-                self._run_lengths())
-
-    @cached_property
-    def log_survival(self) -> np.ndarray:
-        """log P(H >= k) for k = 1..N; -inf where P(H >= k) underflows to 0."""
-        return self._dense(self._support[1], -math.inf)
+        _, surv, pmf = self._support
+        return self._run_values(surv), self._run_values(pmf, -0.0), self._run_lengths()
 
     @cached_property
     def pmf(self) -> np.ndarray:
-        """P(H = k) for k = 1..N."""
-        # Inside the plateau ls_{k+1} - ls_k is 0.0, so each mass is
-        # surv * -expm1(0.0) = -0.0, as the dense formula gives.
-        return self._dense(self._support[3], 0.0, plateau=-0.0)
-
-    @cached_property
-    def _survival(self) -> np.ndarray:
-        return self._dense(self._support[2], 0.0)
-
-    @cached_property
-    def _cdf(self) -> np.ndarray:
-        import numpy as np
-
-        out = 1.0 - np.append(self._survival[1:], 0.0)
-        out.flags.writeable = False
-        return out
+        """P(H = k) for k = 1..N, as a read-only array."""
+        _, pmf, lengths = self.column_runs()
+        return _repeat(pmf, lengths)
 
     def survival_values(self) -> np.ndarray:
-        """P(H >= k) for k = 1..N."""
-        return self._survival
-
-    def cdf_values(self) -> np.ndarray:
-        """P(H <= k) for k = 1..N (exactly 1 at k = N)."""
-        return self._cdf
+        """P(H >= k) for k = 1..N, as a read-only array."""
+        survival, _, lengths = self.column_runs()
+        return _repeat(survival, lengths)
 
     def survival_at(self, k: int) -> float:
         """P(H >= k) for one level k in 1..N, without building a dense array."""
         if not 1 <= k <= self.N:
             raise ParameterError(f"level must be in [1, {self.N}], got {k!r}")
-        heights, _, surv, _ = self._support
+        heights, surv, _ = self._support
         j = bisect_left(heights, k)
         return surv[j] if j < len(heights) else 0.0
+
+
+def _repeat(values: list[float], lengths: list[int]) -> np.ndarray:
+    """Runs spread over heights 1..N, as a read-only array."""
+    import numpy as np
+
+    out = np.repeat(values, lengths)
+    out.flags.writeable = False
+    return out
 
 
 class RationalHeightDistribution(NamedTuple):
@@ -355,29 +334,16 @@ def _log_t(n: int, rho: float):
     return log_t, log_t_run
 
 
-def log_r_term(n: int, rho: float, i) -> float | np.ndarray:
-    """log t_i = -i log rho - log C(n-1, i), via log-gamma.
-
-    Accepts a scalar or an integer array for ``i`` (the array form
-    imports numpy); every entry must lie in [0, n-1].
-    """
+def log_r_term(n: int, rho: float, i: int) -> float:
+    """log t_i = -i log rho - log C(n-1, i), via log-gamma, for one integer
+    index ``i`` in [0, n-1] (any value with ``__index__``)."""
     rho = _check_rho(rho)
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
-    log_t = _log_t(n, rho)[0]
-    import numbers  # not at module level: dist, alpha and sweep never call this
-
-    if isinstance(i, numbers.Real):
-        if not 0 <= i <= n - 1:
-            raise ParameterError(f"term index must be in [0, {n - 1}], got {i!r}")
-        return log_t(float(i))
-    import numpy as np
-
-    i_arr = np.asarray(i)
-    if i_arr.size and (i_arr.min() < 0 or i_arr.max() > n - 1):
+    i = operator.index(i)
+    if not 0 <= i <= n - 1:
         raise ParameterError(f"term index must be in [0, {n - 1}], got {i!r}")
-    x = i_arr.astype(float)
-    return np.array([*map(log_t, x.ravel().tolist())]).reshape(x.shape)
+    return _log_t(n, rho)[0](float(i))
 
 
 def r_term_turning_point(n: int, rho: float) -> float:

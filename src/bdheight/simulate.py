@@ -41,7 +41,9 @@ draws from its own counter-based Philox stream seeded by
 so a fixed ``SimulationConfig`` produces bit-identical summaries.  Each
 chunk's heights are added to the counts as the chunk is drawn, and a
 ``full-ctmc`` chunk's durations go into the exact sum as it is drawn, so
-a batch holds O(N + chunk) numbers however many samples it draws.
+a batch holds O(N + chunk) numbers however many samples it draws.  The
+summary keeps only the nonzero counts, as ascending (height, count)
+pairs, and takes the exact moments and the sup distance from them.
 ``worker_count`` is validated but does not change execution: on two
 cores a thread pool made the walks slower, not faster.  Scalar aggregates are computed
 exactly (integer moments; ``math.fsum`` for durations, which rounds the
@@ -53,6 +55,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from bisect import bisect_right
 from collections.abc import Iterator
 from fractions import Fraction
 from typing import NamedTuple
@@ -115,7 +118,7 @@ class SimulationSummary(NamedTuple):
     mode: str
     n_samples: int
     seed: int
-    counts: tuple[int, ...]
+    counts: tuple[tuple[int, int], ...]  # (height, count), ascending, nonzero counts only
     empirical_mean: float
     empirical_variance: float
     sup_distance: float
@@ -196,18 +199,25 @@ def _walk_chunk(p: ModelParams, n: int, rng: np.random.Generator,
     return heights, durations
 
 
-def _exact_counts_moments(counts: np.ndarray, n: int) -> tuple[float, float]:
-    # Heights are integers, so the sample moments are ratios of integers;
-    # computing them that way makes the summary independent of any
-    # accumulation order.  Only the nonzero counts are visited: a few
-    # hundred of the N heights.
-    nonzero = np.flatnonzero(counts)
-    pairs = list(zip((nonzero + 1).tolist(), counts[nonzero].tolist()))
-    s1 = sum(k * c for k, c in pairs)
-    s2 = sum(k * k * c for k, c in pairs)
-    mean = Fraction(s1, n)
-    var = Fraction(n * s2 - s1 * s1, n * n)
-    return float(mean), float(var)
+def _sup_distance(law: exactdist.HeightDistribution,
+                  counts: tuple[tuple[int, int], ...], n: int) -> float:
+    """max over k of |C(k) / n - P(H <= k)|, C(k) the number of heights <= k.
+
+    Both sides are constant between their breakpoints: the ECDF changes
+    at a height with a nonzero count, and P(H <= k) = 1 - P(H >= k + 1)
+    where k + 1 starts a survival run.  So the sup is attained at k = 1 or
+    at a breakpoint, and it is the same double as the maximum over all N
+    heights.
+    """
+    heights = [k for k, _ in counts]
+    running = [0, *itertools.accumulate(c for _, c in counts)]
+    starts = itertools.accumulate(law.column_runs()[2], initial=1)
+    levels = {1, *heights, *(s - 1 for s in starts if 2 <= s <= law.N + 1)}
+
+    def gap(k: int) -> float:
+        exact = 1.0 - (law.survival_at(k + 1) if k < law.N else 0.0)
+        return abs(running[bisect_right(heights, k)] / n - exact)
+    return max(map(gap, levels))
 
 
 def _draw(cfg: SimulationConfig, counts: np.ndarray) -> Iterator[list[float]]:
@@ -253,13 +263,17 @@ def run_batch(cfg: SimulationConfig) -> SimulationSummary:
     # drawn and keeps only its partials, and it rounds the exact sum once,
     # so the value does not depend on the chunking.
     total_duration = math.fsum(itertools.chain.from_iterable(_draw(cfg, counts)))
-    counts = counts[1:]
+    heights = np.flatnonzero(counts)  # counts is indexed by height
+    pairs = tuple(zip(heights.tolist(), counts[heights].tolist()))
 
-    mean, var = _exact_counts_moments(counts, n)
+    # Heights are integers, so the sample moments are ratios of integers;
+    # computing them that way makes the summary independent of any
+    # accumulation order.
+    s1 = sum(k * c for k, c in pairs)
+    s2 = sum(k * k * c for k, c in pairs)
+    mean, var = Fraction(s1, n), Fraction(n * s2 - s1 * s1, n * n)
 
-    exact = exactdist.height_distribution(p)
-    ecdf = np.cumsum(counts) / n
-    sup = float(np.max(np.abs(ecdf - exact.cdf_values())))
+    sup = _sup_distance(exactdist.height_distribution(p), pairs, n)
     eps = dkw_epsilon(n, cfg.dkw_delta)
 
     mean_duration = None
@@ -268,7 +282,7 @@ def run_batch(cfg: SimulationConfig) -> SimulationSummary:
 
     return SimulationSummary(
         N=p.N, rho=p.rho, nu=p.nu, mu=p.mu, mode=cfg.mode,
-        n_samples=n, seed=cfg.seed, counts=tuple(counts.tolist()),
-        empirical_mean=mean, empirical_variance=var,
+        n_samples=n, seed=cfg.seed, counts=pairs,
+        empirical_mean=float(mean), empirical_variance=float(var),
         sup_distance=sup, dkw_delta=cfg.dkw_delta, dkw_epsilon=eps,
         dkw_pass=sup <= eps, mean_busy_duration=mean_duration)

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import bdheight
 from bdheight import height_distribution, make_params
-from bdheight.cli import (MAX_ROWS, _CHUNK, _canonical, _csv_lines, _emit_json, _Runs, _runs,
+from bdheight.cli import (MAX_ROWS, _CHUNK, _canonical, _csv_lines, _emit_json, _Runs,
                           _write, main)
 
 
@@ -519,8 +519,8 @@ _INT_POOL = [0, 1, -1, 9, 10, -10, 99, 10**9 - 1, 10**9, 2**32 - 1, 2**32, -2**3
 
 
 def _each(a) -> _Runs:
-    """A float array as runs of one entry each, so the encoder's joining of
-    equal neighbours (and keeping ``-0.0`` apart from ``0.0``) is tested."""
+    """An array as runs of one entry each, so the encoder's joining of equal
+    neighbours (and keeping ``-0.0`` apart from ``0.0``) is tested."""
     return _Runs(a.tolist(), [1] * a.size)
 
 
@@ -541,7 +541,7 @@ class TestCanonicalEncoder:
         np.array([-2**63, -1, 0, 0, 0, 1, 2**63 - 1], dtype=np.int64),
     ], ids=["empty", "one", "arange", "extremes"])
     def test_int_array_encodes_as_its_list(self, a):
-        assert _canonical({"c": _runs(a.tolist())}) == canonical({"c": a.tolist()})[:-1].encode()
+        assert _canonical({"c": _each(a)}) == canonical({"c": a.tolist()})[:-1].encode()
 
     @given(values=st.lists(st.one_of(st.sampled_from(_INT_POOL),
                                      st.integers(-2**63, 2**63 - 1)), min_size=1, max_size=30),
@@ -549,7 +549,7 @@ class TestCanonicalEncoder:
     @settings(max_examples=200, deadline=None)
     def test_int64_column_encodes_as_its_list(self, values, length):
         a = np.resize(np.array(values, dtype=np.int64), length)
-        doc = {"rows": {"c": _runs(a.tolist()), "b": _runs(a[::-1].tolist())}}
+        doc = {"rows": {"c": _each(a), "b": _each(a[::-1])}}
         listed = {"rows": {"c": a.tolist(), "b": a[::-1].tolist()}}
         assert _canonical(doc) == canonical(listed)[:-1].encode()
 

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bdheight import (
     FULL_CTMC,
@@ -23,7 +25,15 @@ from bdheight import (
     make_params,
     run_batch,
 )
-from bdheight.simulate import _CHUNK_SAMPLES, _exact_counts_moments
+from bdheight.simulate import _CHUNK_SAMPLES, _sup_distance
+
+
+def _dense(s):
+    """The batch's counts over heights 1..N, zero counts included."""
+    counts = [0] * s.N
+    for k, c in s.counts:
+        counts[k - 1] = c
+    return tuple(counts)
 
 
 class TestConfig:
@@ -71,7 +81,7 @@ class TestScalarSamplers:
     def test_single_node_height(self):
         s = run_batch(SimulationConfig(params=make_params(1, rho=0.7),
                                        n_samples=50, seed=1, mode=JUMP_CHAIN))
-        assert s.counts == (50,)
+        assert _dense(s) == (50,)
 
     def test_same_seed_same_stream(self):
         p = make_params(8, rho=0.4)
@@ -96,8 +106,8 @@ class TestScalarSamplers:
     def test_heights_in_range(self):
         s = run_batch(SimulationConfig(params=make_params(6, rho=0.5),
                                        n_samples=200, seed=11, mode=JUMP_CHAIN))
-        assert len(s.counts) == 6 and sum(s.counts) == 200
-        assert sum(c > 0 for c in s.counts) > 1
+        assert len(_dense(s)) == 6 and sum(_dense(s)) == 200
+        assert sum(c > 0 for c in _dense(s)) > 1
 
 
 class TestLadderBatch:
@@ -114,13 +124,13 @@ class TestLadderBatch:
         cfg = SimulationConfig(params=make_params(2, rho=1.0), n_samples=n, seed=3)
         s = run_batch(cfg)
         sigma = math.sqrt(0.25 / n)
-        assert abs(s.counts[1] / n - 0.5) <= 3 * sigma
+        assert abs(_dense(s)[1] / n - 0.5) <= 3 * sigma
 
     def test_exact_moment_bookkeeping(self):
         cfg = SimulationConfig(params=make_params(15, rho=0.6), n_samples=4096, seed=5)
         s = run_batch(cfg)
         ks = np.arange(1, 16)
-        counts = np.asarray(s.counts)
+        counts = np.asarray(_dense(s))
         assert counts.sum() == 4096
         mean = float(np.dot(ks, counts)) / 4096
         assert s.empirical_mean == pytest.approx(mean, rel=1e-15)
@@ -128,12 +138,16 @@ class TestLadderBatch:
         assert s.empirical_variance == pytest.approx(var, rel=1e-12)
 
     def test_moments_are_exact_with_zero_counts(self):
-        # heights 2 (x3), 5 (x2) and 9 (x1); the zero counts contribute nothing
-        counts = np.array([0, 3, 0, 0, 2, 0, 0, 0, 1, 0])
-        heights = [2, 2, 2, 5, 5, 9]
-        mean = Fraction(sum(heights), 6)
-        var = sum((h - mean) ** 2 for h in heights) / 6
-        assert _exact_counts_moments(counts, 6) == (float(mean), float(var))
+        # the moments are the exact ratios of the drawn heights, rounded once;
+        # the heights with no count contribute nothing
+        n = 300
+        s = run_batch(SimulationConfig(params=make_params(10, rho=0.3), n_samples=n,
+                                       seed=2, mode=JUMP_CHAIN))
+        assert 0 in _dense(s)
+        heights = [k for k, c in s.counts for _ in range(c)]
+        mean = Fraction(sum(heights), n)
+        var = sum((h - mean) ** 2 for h in heights) / n
+        assert (s.empirical_mean, s.empirical_variance) == (float(mean), float(var))
 
     def test_mean_tracks_exact_value(self):
         # 1e6 samples at N=3, rho=1: empirical mean within 3 sigma of 31/15.
@@ -150,7 +164,7 @@ class TestLadderBatch:
                                        n_samples=n, seed=21))
         ks = np.arange(1, N + 1)
         outside = np.abs(ks / N - f) > 0.05
-        freq = np.asarray(s.counts)[outside].sum() / n
+        freq = np.asarray(_dense(s))[outside].sum() / n
         assert freq <= 0.01
 
 
@@ -168,7 +182,18 @@ class TestInversionSampler:
             heights.append(np.searchsorted(log_sums, e, side="right"))
         want = np.bincount(np.concatenate(heights), minlength=p.N + 1)[1:]
         s = run_batch(SimulationConfig(params=p, n_samples=n, seed=seed))
-        assert s.counts == tuple(want.tolist())
+        assert _dense(s) == tuple(want.tolist())
+
+    def test_counts_are_sparse(self):
+        # the batch keeps its nonzero counts only, not one count per height
+        s = run_batch(SimulationConfig(params=make_params(10**6, rho=0.5), n_samples=1000,
+                                       seed=1))
+        heights = [k for k, _ in s.counts]
+        assert len(s.counts) <= 1000
+        assert all(a < b for a, b in zip(heights, heights[1:]))
+        assert 1 <= heights[0] and heights[-1] <= 10**6
+        assert all(c > 0 for _, c in s.counts)
+        assert sum(c for _, c in s.counts) == 1000
 
     def test_memory_does_not_scale_with_chunk_times_n(self):
         # A (samples, N) float matrix here would be 256 x 2e5 x 8 B ~ 0.4 GB.
@@ -179,7 +204,7 @@ class TestInversionSampler:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert sum(s.counts) == 256
+        assert sum(_dense(s)) == 256
         assert peak < 64 * 2**20
 
     def test_memory_does_not_scale_with_samples(self):
@@ -191,8 +216,44 @@ class TestInversionSampler:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert sum(s.counts) == 2**21
+        assert sum(_dense(s)) == 2**21
         assert peak < 4 * 2**20
+
+
+@st.composite
+def _batches(draw):
+    """A law with N in [1, 1e4] and rho in [1e-300, 1e300], and nonzero
+    counts at random heights: anywhere, or within 2 of a height where the
+    law carries mass, or close to a multiple of its pmf so that the sup is
+    small."""
+    N = draw(st.integers(1, 10**4))
+    rho = draw(st.floats(1e-300, 1e300))
+    law = height_distribution(make_params(N, rho=rho))
+    support = (np.flatnonzero(law.pmf) + 1).tolist()
+    if draw(st.booleans()):
+        scale = draw(st.integers(1, 10**6))
+        counts = {k: round(law.pmf[k - 1] * scale) + draw(st.integers(0, 2)) for k in support}
+    else:
+        near = st.builds(lambda k, d: min(max(k + d, 1), N), st.sampled_from(support),
+                         st.integers(-2, 2))
+        counts = draw(st.dictionaries(st.one_of(st.integers(1, N), near),
+                                      st.integers(1, 10**6), min_size=1, max_size=40))
+    pairs = tuple(sorted((k, c) for k, c in counts.items() if c))
+    return law, pairs or ((N, 1),)
+
+
+class TestSupDistance:
+    @given(batch=_batches())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_dense_maximum_bit_for_bit(self, batch):
+        law, pairs = batch
+        n = sum(c for _, c in pairs)
+        dense_counts = np.zeros(law.N, dtype=np.int64)
+        for k, c in pairs:
+            dense_counts[k - 1] = c
+        shifted = np.append(law.survival_values()[1:], 0.0)  # P(H >= k + 1)
+        dense = float(np.max(np.abs(np.cumsum(dense_counts) / n - (1.0 - shifted))))
+        assert _sup_distance(law, pairs, n) == dense
 
 
 class TestWalkBatches:
@@ -207,8 +268,8 @@ class TestWalkBatches:
         n = 2 * 10**4
         s1 = run_batch(SimulationConfig(params=p, n_samples=n, seed=31, mode=JUMP_CHAIN))
         s2 = run_batch(SimulationConfig(params=p, n_samples=n, seed=32, mode=LADDER))
-        e1 = np.cumsum(s1.counts) / n
-        e2 = np.cumsum(s2.counts) / n
+        e1 = np.cumsum(_dense(s1)) / n
+        e2 = np.cumsum(_dense(s2)) / n
         two_sample = np.abs(e1 - e2).max()
         assert two_sample <= dkw_epsilon(n, 0.01) + dkw_epsilon(n, 0.01)
 
@@ -225,7 +286,7 @@ class TestWalkBatches:
         cfg = SimulationConfig(params=make_params(1, nu=1.0, mu=1.0),
                                n_samples=n, seed=17, mode=FULL_CTMC)
         s = run_batch(cfg)
-        assert set(np.nonzero(s.counts)[0]) == {0}
+        assert set(np.nonzero(_dense(s))[0]) == {0}
         assert abs(s.mean_busy_duration - 1.0) <= 3.0 / math.sqrt(n)
 
     def test_duration_is_reported_in_service_time_units(self):
@@ -249,7 +310,7 @@ class TestWalkBatches:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert sum(s.counts) == n
+        assert sum(_dense(s)) == n
         assert abs(s.mean_busy_duration - 1.0) <= 5.0 / math.sqrt(n)
         assert peak < 2 * 2**20
 
@@ -292,11 +353,11 @@ class TestReproducibility:
         # Walk-mode batches of three chunks at N <= 1024, as drawn by 0.2.1.
         s = run_batch(SimulationConfig(params=make_params(N, rho=rho), n_samples=9000,
                                        seed=seed, mode=mode))
-        assert {k: c for k, c in enumerate(s.counts, start=1) if c} == counts
+        assert {k: c for k, c in enumerate(_dense(s), start=1) if c} == counts
         assert s.mean_busy_duration == duration
 
     def test_different_seed_different_counts(self):
         p = make_params(40, rho=0.9)
         a = run_batch(SimulationConfig(params=p, n_samples=5000, seed=1))
         b = run_batch(SimulationConfig(params=p, n_samples=5000, seed=2))
-        assert a.counts != b.counts
+        assert _dense(a) != _dense(b)
