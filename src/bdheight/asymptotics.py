@@ -44,6 +44,7 @@ float-rounding hazard when alpha*(n-1) lands within 1e-9 of an integer.
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from typing import NamedTuple
@@ -259,17 +260,17 @@ def peak_index(alpha: float, n: int) -> int:
     return math.floor(alpha * (n - 1))
 
 
-def integer_part_candidates(x: float, *, slack: float = FLOOR_SLACK) -> tuple[int, ...]:
+def integer_part_candidates(x: float) -> tuple[int, ...]:
     """Integer parts of x that a certifier should be willing to accept.
 
     Always contains floor(x) and floor(x) + 1 (the two roundings of an
-    asymptotic offset); when x sits within ``slack`` of an integer the
+    asymptotic offset); when x sits within ``FLOOR_SLACK`` of an integer the
     neighbour on the other side is included too, covering the case where
     a float alpha landed on the wrong side of the boundary.
     """
     f = math.floor(x)
     cands = {f, f + 1}
-    if x - f <= slack:
+    if x - f <= FLOOR_SLACK:
         cands.add(f - 1)
     return tuple(sorted(c for c in cands if c >= 0))
 
@@ -299,7 +300,6 @@ def check_peak_ratio_bounds(n: int, rho: float,
         # sign +1: t(h + K) >= t(h) * e^{rhs_shift}; sign -1: t(h - K) <= ...
         floor_h = peak_index(c.alpha, n)
         floor_k = math.floor((c.c1 if sign > 0 else c.c2) * log_n)
-        best = None
         floor_margin = math.nan
         tried = []
         for h in h_cands:
@@ -310,21 +310,18 @@ def check_peak_ratio_bounds(n: int, rho: float,
                 lhs = exactdist.log_r_term(n, rho, idx)
                 rhs = exactdist.log_r_term(n, rho, h) + rhs_shift
                 margin = (lhs - rhs) if sign > 0 else (rhs - lhs)
-                tried.append((h, k, margin))
+                tried.append((h, k, margin, lhs, rhs))
                 if h == floor_h and k == floor_k:
                     floor_margin = margin
-                if best is None or margin > best[2]:
-                    best = (h, k, margin)
-        if best is None:
+        if not tried:
             return BoundReport(inequality=name, n=n, rho=rho, lhs=math.nan,
                                rhs=math.nan, margin=math.nan, passed=True,
                                applicable=False,
                                note="offset leaves the index range [0, n-1]")
-        h, k, margin = best
-        lhs = exactdist.log_r_term(n, rho, h + sign * k)
-        rhs = exactdist.log_r_term(n, rho, h) + rhs_shift
+        # max keeps the first of equal margins
+        _, _, margin, lhs, rhs = max(tried, key=lambda t: t[2])
         note = ("candidates (h, offset, log-margin): "
-                + "; ".join(f"({a}, {b}, {m:+.4f})" for a, b, m in tried))
+                + "; ".join(f"({a}, {b}, {m:+.4f})" for a, b, m, _, _ in tried))
         return BoundReport(inequality=name, n=n, rho=rho, lhs=lhs, rhs=rhs,
                            margin=margin, passed=margin >= 0.0,
                            applicable=n >= MEAN_BOUND_MIN_N,
@@ -445,11 +442,11 @@ def window_mass(law: exactdist.HeightDistribution) -> tuple[float, int, int]:
 
 
 def wlln_tail_mass(N: int, rho: float, eps: float = 0.05) -> float:
-    """P(|H_N / N - f(rho)| > eps), evaluated from the exact law."""
-    import numpy as np
+    """P(|H_N / N - f(rho)| > eps), evaluated from the exact law's pmf runs.
 
+    A run longer than one height has no mass, so a run counts where its
+    first height lies outside the band."""
     f = height_fraction_limit(rho)
-    d = exactdist.height_distribution(make_params(N, rho=rho))
-    k = np.arange(1, N + 1, dtype=float)
-    outside = np.abs(k / N - f) > eps
-    return float(np.sum(d.pmf[outside]))
+    _, pmf, lengths = exactdist.height_distribution(make_params(N, rho=rho)).column_runs()
+    starts = itertools.accumulate(lengths, initial=1)
+    return math.fsum(m for m, k in zip(pmf, starts) if abs(k / N - f) > eps)

@@ -38,8 +38,8 @@ Start-up: this module imports the ``errors``, ``model`` and ``exactdist``
 modules, which every subcommand needs, and no numpy.  The others are
 imported by the commands that use them: ``alpha`` and ``sweep`` import
 ``asymptotics``, ``verify`` imports ``asymptotics``, ``oracle`` and
-numpy, and ``simulate`` imports ``simulate`` (which loads ``oracle``,
-``fractions`` and numpy).  So ``--version``, ``dist``, ``alpha`` and
+numpy, and ``simulate`` imports ``simulate`` (which loads ``oracle``
+and numpy).  So ``--version``, ``dist``, ``alpha`` and
 ``sweep`` load no numpy, and none of them loads ``oracle`` or
 ``simulate``.  Nor do they load ``inspect`` (with ``ast``, ``dis`` and
 ``tokenize``, ~12 ms), which ``verify`` and ``simulate`` load with numpy:
@@ -56,7 +56,7 @@ import json
 import math
 import os
 import sys
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from typing import NamedTuple
 
 from . import __version__, exactdist
@@ -93,8 +93,8 @@ def _manifest(command: str, parameters: dict, data_sha256: str) -> dict:
 class _Runs(NamedTuple):
     """A column as runs: ``values[i]`` repeated ``lengths[i]`` times."""
 
-    values: list
-    lengths: list[int]
+    values: Sequence
+    lengths: Sequence[int]
 
 
 def _run_column(runs: _Runs) -> Iterator[bytes]:
@@ -257,14 +257,7 @@ def _emit_csv(command: str, parameters: dict, header: list[str],
 
 
 def _params_from_args(args) -> tuple:
-    if args.rho is not None and (args.nu is not None or args.mu is not None):
-        raise ParameterError("pass either --rho or the pair --nu/--mu, not both")
-    if args.rho is not None:
-        p = make_params(args.n, rho=args.rho)
-    elif args.nu is not None and args.mu is not None:
-        p = make_params(args.n, nu=args.nu, mu=args.mu)
-    else:
-        raise ParameterError("pass either --rho or both --nu and --mu")
+    p = make_params(args.n, args.nu, args.mu, rho=args.rho)
     if p.N > MAX_ROWS:
         raise CapacityError(f"--n {p.N} exceeds the row limit of {MAX_ROWS} rows "
                             f"(MAX_ROWS); sweep gives the moments at any N")
@@ -303,36 +296,21 @@ def cmd_dist(args) -> int:
 
 def cmd_alpha(args) -> int:
     rho = args.rho
-    if rho is None or not math.isfinite(rho) or rho <= 0.0:
+    if not math.isfinite(rho) or rho <= 0.0:
         raise ParameterError(f"--rho must be a positive finite real, got {rho!r}")
     parameters = {"rho": rho, "format": args.format}
-    if rho >= 1.0:
-        data = {
-            "rho": rho,
-            "f": 1.0,
-            "alpha": None,
-            "residual": None,
-            "iterations": None,
-            "bracket": None,
-            "constants": None,
+    data = {"rho": rho, "f": 1.0, "alpha": None, "residual": None, "iterations": None,
+            "bracket": None, "constants": None,
             "note": "the mean-height fraction limit is exactly 1 for rho >= 1; "
-                    "alpha and the derived constants apply to rho < 1 only",
-        }
-    else:
+                    "alpha and the derived constants apply to rho < 1 only"}
+    if rho < 1.0:
         from . import asymptotics
 
         sol = asymptotics.solve_alpha(rho)
         c = asymptotics.bound_constants(rho)
-        data = {
-            "rho": rho,
-            "f": sol.alpha,
-            "alpha": sol.alpha,
-            "residual": sol.residual,
-            "iterations": sol.iterations,
-            "bracket": list(sol.bracket),
-            "constants": {"c1": c.c1, "c2": c.c2, "c3": c.c3},
-            "note": "",
-        }
+        data.update(f=sol.alpha, alpha=sol.alpha, residual=sol.residual,
+                    iterations=sol.iterations, bracket=list(sol.bracket),
+                    constants={"c1": c.c1, "c2": c.c2, "c3": c.c3}, note="")
     if args.format == "csv":
         keys = ["rho", "f", "alpha", "residual", "iterations", "c1", "c2", "c3"]
         cns = data["constants"] or {"c1": None, "c2": None, "c3": None}
@@ -443,27 +421,23 @@ def cmd_simulate(args) -> int:
                   f"batch; consider --mode {LADDER}", file=sys.stderr)
     summary = simulate.run_batch(cfg)
     surv, pmf, lengths = exactdist.height_distribution(p).column_runs()
-    # The count column and its running total as runs over the nonzero
-    # (height, count) pairs: before each nonzero height a gap of 0, or of
-    # the total so far, and one such gap after the last.  Counts are
-    # integers, so the totals are exact and each value is divided once:
-    # the ECDF that sup_distance measures.
-    count_lengths: list[int] = []
-    count, cumulative = _Runs([], count_lengths), _Runs([], count_lengths)
-    last = total = 0
+    # The count column as runs over the nonzero (height, count) pairs: a gap
+    # of 0 before each nonzero height and one after the last.  Each nonzero
+    # count is a run of length 1, so the running totals of the run values
+    # are the ECDF's counts.  They are integers, so each total is exact and
+    # divided once: the ECDF that sup_distance measures.
+    counts, count_lengths, last = [0], [], 0
     for k, c in summary.counts:
-        count.values.extend((0, c))
-        cumulative.values.extend((total, total + c))
+        counts.extend((c, 0))
         count_lengths.extend((k - last - 1, 1))
-        last, total = k, total + c
-    count.values.append(0)
-    cumulative.values.append(total)
+        last = k
     count_lengths.append(p.N - last)
     columns = {
-        "count": count,
-        "empirical_pmf": _Runs([c / args.samples for c in count.values], count_lengths),
+        "count": _Runs(counts, count_lengths),
+        "empirical_pmf": _Runs([c / args.samples for c in counts], count_lengths),
         "exact_pmf": _Runs(pmf, lengths),
-        "empirical_cdf": _Runs([c / args.samples for c in cumulative.values], count_lengths),
+        "empirical_cdf": _Runs([c / args.samples for c in itertools.accumulate(counts)],
+                               count_lengths),
         # P(H <= k) = 1 - P(H >= k + 1): the survival runs one height on
         "exact_cdf": _Runs([1.0 - v for v in surv],
                            [lengths[0] - 1, *lengths[1:-1], lengths[-1] + 1]),

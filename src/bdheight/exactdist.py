@@ -128,10 +128,10 @@ __all__ = [
     "r_term_turning_point",
     "height_distribution",
     "exact_rational_distribution",
-    "RATIONAL_CAP_DEFAULT",
+    "RATIONAL_CAP",
 ]
 
-RATIONAL_CAP_DEFAULT = 500
+RATIONAL_CAP = 500  # largest N of the exact-rational twin
 _RATIONAL_BIT_GUARD = 5_000_000  # combined numerator+denominator bits of a partial sum
 _NOOP_GAP = 750.0  # a term this far below a running log-sum >= 0 leaves it unchanged
 _LOG2 = math.log(2.0)
@@ -147,14 +147,14 @@ class HeightDistribution(ReadOnly):
     is the whole law.
 
     ``survival_at(k)`` reads one level and ``column_runs()`` gives
-    survival and pmf as runs, as plain floats; the package's columns and
-    its sup distance are built from these.  Two dense numpy views remain,
-    each one ``np.repeat`` of the runs: ``pmf`` (``pmf[k-1] = P(H = k)``,
+    survival and pmf as runs, as plain floats; both are built once, with
+    the moments, when the law is made, and the package's columns and its
+    sup distance are built from them.  Two dense numpy views remain, each
+    one ``np.repeat`` of the runs: ``pmf`` (``pmf[k-1] = P(H = k)``,
     cached) and ``survival_values()``.  They stay because the benchmark's
     artifact checker (``perfbench/artifact.py``) reads them; ``verify``'s
-    oracle gap and ``wlln_tail_mass`` also use them.  Instances and arrays
-    are read-only: assigning an attribute raises ``AttributeError``.
-    Instances may be shared across threads.
+    oracle gap also uses them.  Instances and arrays are read-only:
+    assigning an attribute raises ``AttributeError``.
     """
 
     N: int
@@ -167,50 +167,35 @@ class HeightDistribution(ReadOnly):
 
     def __init__(self, N: int, rho: float, head: tuple[float, ...],
                  plateau: tuple[int, int], window: tuple[float, ...]):
-        vars(self).update(N=N, rho=rho, head=head, plateau=plateau, window=window)
-        k, surv, pmf = self._support
+        # The support is every entry that can carry mass: the head, the
+        # plateau's last entry and the window.
         a, b = plateau
-        # The plateau's b - a equal values are already in surv once (at its
-        # last entry); the other b - a - 1 enter as exact power-of-two
-        # multiples, so fsum sees the dense vector's exact sum.
-        extra = max(b - a - 1, 0)
-        copies = [math.ldexp(surv[a], j) for j in range(extra.bit_length()) if extra >> j & 1]
-        mean = math.fsum([*surv, *copies])
-        vars(self).update(mean=mean, variance=math.fsum(
-            [(h - mean) * (h - mean) * m for h, m in zip(k, pmf)]))
-
-    @cached_property
-    def _support(self) -> tuple[list[int], list[float], list[float]]:
-        """(heights, survival, pmf) over the head, the plateau's
-        last entry and the window: every entry that can carry mass."""
-        a, b = self.plateau
         slot = 1 if b > a else 0
-        k = [*range(1, a + 1), *range(b + 1 - slot, b + 1 + len(self.window))]
+        heights = [*range(1, a + 1), *range(b + 1 - slot, b + 1 + len(window))]
         # the plateau keeps the head's last value
-        ls = [*self.head, *self.head[a - slot:], *self.window]
+        ls = [*head, *head[a - slot:], *window]
         surv = [*map(math.exp, ls)]
         # P(H = k) = surv_k * (1 - e^{ls_{k+1} - ls_k}); the next entry of the
         # last one is -inf (past the window, or the virtual ls_{N+1}).
         pmf = [s * -math.expm1(nxt - cur)
                for s, cur, nxt in zip(surv, ls, [*ls[1:], -math.inf])]
-        return k, surv, pmf
+        # The plateau's b - a equal values are already in surv once (at its
+        # last entry); the other b - a - 1 enter as exact power-of-two
+        # multiples, so fsum sees the dense vector's exact sum.
+        inner = max(b - a - 1, 0)
+        copies = [math.ldexp(surv[a], j) for j in range(inner.bit_length()) if inner >> j & 1]
+        mean = math.fsum([*surv, *copies])
+        variance = math.fsum([(h - mean) * (h - mean) * m for h, m in zip(heights, pmf)])
+        # The runs: the head's entries, the plateau before its last entry
+        # (of length 0 when b == a), the rest of the support, and the tail.
+        lengths = (*[1] * a, inner, *[1] * (len(heights) - a), N - len(heights) - inner)
+        runs = ((*surv[:a], surv[a] if b > a else 0.0, *surv[a:], 0.0),
+                (*pmf[:a], -0.0, *pmf[a:], 0.0), lengths)
+        vars(self).update(N=N, rho=rho, head=head, plateau=plateau, window=window,
+                          mean=mean, variance=variance,
+                          _heights=heights, _survival=surv, _runs=runs)
 
-    def _run_lengths(self) -> list[int]:
-        support = len(self._support[0])
-        a, b = self.plateau
-        inner = max(b - a - 1, 0)  # the plateau's entries before its last one
-        return [*[1] * a, inner, *[1] * (support - a), self.N - support - inner]
-
-    def _run_values(self, values: list[float], plateau: float | None = None) -> list[float]:
-        """Per-entry ``values`` of the support as the values of the runs in
-        ``_run_lengths()``: 0.0 past the window and, on the plateau before
-        its last entry, ``plateau`` (default: the plateau's own value)."""
-        a, b = self.plateau
-        if plateau is None:
-            plateau = values[a] if b > a else 0.0  # a run of length 0 when b == a
-        return [*values[:a], plateau, *values[a:], 0.0]
-
-    def column_runs(self) -> tuple[list[float], list[float], list[int]]:
+    def column_runs(self) -> tuple[tuple[float, ...], tuple[float, ...], tuple[int, ...]]:
         """Survival and pmf over k = 1..N as runs: ``(survival, pmf, lengths)``.
 
         ``survival_values()`` and ``pmf`` are these runs spread out with
@@ -220,27 +205,25 @@ class HeightDistribution(ReadOnly):
         and the window (length 1 each), and the tail (0.0).  There are ``len(head) + len(window) + 2``
         runs, one more with a plateau, whatever N is; some may have length 0.
         """
-        _, surv, pmf = self._support
-        return self._run_values(surv), self._run_values(pmf, -0.0), self._run_lengths()
+        return self._runs
 
     @cached_property
     def pmf(self) -> np.ndarray:
         """P(H = k) for k = 1..N, as a read-only array."""
-        _, pmf, lengths = self.column_runs()
+        _, pmf, lengths = self._runs
         return _repeat(pmf, lengths)
 
     def survival_values(self) -> np.ndarray:
         """P(H >= k) for k = 1..N, as a read-only array."""
-        survival, _, lengths = self.column_runs()
+        survival, _, lengths = self._runs
         return _repeat(survival, lengths)
 
     def survival_at(self, k: int) -> float:
         """P(H >= k) for one level k in 1..N, without building a dense array."""
         if not 1 <= k <= self.N:
             raise ParameterError(f"level must be in [1, {self.N}], got {k!r}")
-        heights, surv, _ = self._support
-        j = bisect_left(heights, k)
-        return surv[j] if j < len(heights) else 0.0
+        j = bisect_left(self._heights, k)
+        return self._survival[j] if j < len(self._heights) else 0.0
 
 
 def _repeat(values: list[float], lengths: list[int]) -> np.ndarray:
@@ -416,23 +399,23 @@ def height_distribution(p: ModelParams) -> HeightDistribution:
                               window=tuple(window[:cut + 1]))
 
 
-def exact_rational_distribution(N: int, rho_num: int, rho_den: int,
-                                *, cap: int = RATIONAL_CAP_DEFAULT) -> RationalHeightDistribution:
+def exact_rational_distribution(N: int, rho_num: int, rho_den: int
+                                ) -> RationalHeightDistribution:
     """Evaluate the height law exactly for rho = rho_num / rho_den.
 
     All survival values, masses and moments are ``Fraction``s; this is
     the ground-truth oracle for the float path.  Cost grows quickly with
     N (the partial sums accumulate enormous denominators), so N is capped
-    (default 500) and a bit-growth guard aborts pathological inputs;
+    at ``RATIONAL_CAP`` and a bit-growth guard aborts pathological inputs;
     beyond the cap the float path is authoritative.
     """
     for name, v in (("N", N), ("rho_num", rho_num), ("rho_den", rho_den)):
         if isinstance(v, bool) or not hasattr(v, "__index__") or v < 1:
             raise ParameterError(f"{name} must be a positive integer, got {v!r}")
     N, rho_num, rho_den = int(N), int(rho_num), int(rho_den)
-    if N > cap:
+    if N > RATIONAL_CAP:
         raise CapacityError(
-            f"exact rational path is capped at N = {cap} (got N = {N}); "
+            f"exact rational path is capped at N = {RATIONAL_CAP} (got N = {N}); "
             f"use the log-domain path for larger N")
 
     from fractions import Fraction  # loaded on first use: the float path never needs it

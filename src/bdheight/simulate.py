@@ -24,8 +24,8 @@ Three samplers share one reproducibility scheme:
     that is ~10^13 steps per excursion.  ``run_batch`` therefore
     estimates the cost analytically up front (a 100-excursion pilot
     would itself never terminate in the regimes it is supposed to warn
-    about) and refuses batches whose estimate exceeds the configured
-    budget.  Holding times are irrelevant to the height, so this walk
+    about) and refuses batches whose estimate exceeds
+    ``MAX_TOTAL_STEPS``.  Holding times are irrelevant to the height, so this walk
     samples the same height law as ``full-ctmc``.
 
 ``full-ctmc``
@@ -44,20 +44,17 @@ chunk's heights are added to the counts as the chunk is drawn, and a
 a batch holds O(N + chunk) numbers however many samples it draws.  The
 summary keeps only the nonzero counts, as ascending (height, count)
 pairs, and takes the exact moments and the sup distance from them.
-``worker_count`` is validated but does not change execution: on two
-cores a thread pool made the walks slower, not faster.  Scalar aggregates are computed
-exactly (integer moments; ``math.fsum`` for durations, which rounds the
-exact sum once), so no accumulation order can leak into the output.
+Scalar aggregates are rounded once from their exact values (integer
+moments divided once; ``math.fsum`` for durations), so no accumulation
+order can leak into the output.
 """
 
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from bisect import bisect_right
 from collections.abc import Iterator
-from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -78,8 +75,8 @@ __all__ = [
     "run_batch",
 ]
 
-DEFAULT_MAX_EXCURSION_STEPS = 10**10
-DEFAULT_MAX_TOTAL_STEPS = 1e9
+MAX_EXCURSION_STEPS = 10**10  # jump steps of one walk before the circuit breaker trips
+MAX_TOTAL_STEPS = 1e9  # estimated jump steps of a walk batch before it is refused
 
 
 class SimulationConfig(ReadOnly):
@@ -87,29 +84,22 @@ class SimulationConfig(ReadOnly):
     Validated on construction and read-only after it."""
 
     def __init__(self, params: ModelParams, n_samples: int, seed: int, mode: str = LADDER,
-                 worker_count: int = 1,  # validated only; chunks always run on one thread
-                 dkw_delta: float = 0.01,
-                 max_excursion_steps: int = DEFAULT_MAX_EXCURSION_STEPS,
-                 max_total_steps: float = DEFAULT_MAX_TOTAL_STEPS):
+                 dkw_delta: float = 0.01):
         if mode not in SAMPLER_MODES:
             raise ParameterError(f"mode must be one of {SAMPLER_MODES}, got {mode!r}")
         if not isinstance(n_samples, int) or n_samples < 1:
             raise ParameterError(f"n_samples must be a positive integer, got {n_samples!r}")
         if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
             raise ParameterError(f"seed must be a nonnegative integer, got {seed!r}")
-        if not isinstance(worker_count, int) or worker_count < 1:
-            raise ParameterError(f"worker_count must be >= 1, got {worker_count!r}")
         if not 0.0 < dkw_delta < 1.0:
             raise ParameterError(f"dkw_delta must be in (0, 1), got {dkw_delta!r}")
         vars(self).update(params=params, n_samples=n_samples, seed=seed, mode=mode,
-                          worker_count=worker_count, dkw_delta=dkw_delta,
-                          max_excursion_steps=max_excursion_steps, max_total_steps=max_total_steps)
+                          dkw_delta=dkw_delta)
 
 
 class SimulationSummary(NamedTuple):
-    """Batch output.  Deliberately excludes the worker count: the
-    partitioning of work is an execution detail and must not show up in
-    the serialized artifact."""
+    """Batch output: the configuration, the nonzero counts and what is
+    measured from them."""
 
     N: int
     rho: float
@@ -126,9 +116,6 @@ class SimulationSummary(NamedTuple):
     dkw_epsilon: float
     dkw_pass: bool
     mean_busy_duration: float | None = None  # full-ctmc only, in units of 1/mu
-
-    def to_json_bytes(self) -> bytes:
-        return json.dumps(self._asdict(), sort_keys=True).encode("utf-8")
 
 
 def dkw_epsilon(n_samples: int, delta: float) -> float:
@@ -233,7 +220,7 @@ def _draw(cfg: SimulationConfig, counts: np.ndarray) -> Iterator[list[float]]:
             heights = np.searchsorted(log_sums, rng.standard_exponential(m), side="right")
         else:
             heights, durations = _walk_chunk(p, m, rng, cfg.mode == FULL_CTMC,
-                                             cfg.max_excursion_steps)
+                                             MAX_EXCURSION_STEPS)
             if durations is not None:
                 yield durations.tolist()
         np.add.at(counts, heights, 1)
@@ -243,7 +230,7 @@ def run_batch(cfg: SimulationConfig) -> SimulationSummary:
     """Draw ``cfg.n_samples`` i.i.d. heights and compare against the exact law.
 
     Raises ``CapacityError`` for walk modes whose analytically estimated
-    total step count exceeds ``cfg.max_total_steps`` (use the ladder mode
+    total step count exceeds ``MAX_TOTAL_STEPS`` (use the ladder mode
     there), and propagates ``SimulationAbort`` from the circuit breaker.
     """
     p = cfg.params
@@ -251,11 +238,11 @@ def run_batch(cfg: SimulationConfig) -> SimulationSummary:
 
     if cfg.mode in (JUMP_CHAIN, FULL_CTMC):
         est = estimate_mean_excursion_steps(p) * n
-        if est > cfg.max_total_steps:
+        if est > MAX_TOTAL_STEPS:
             raise CapacityError(
                 f"direct {cfg.mode} simulation of {n} excursions at N={p.N}, "
                 f"rho={p.rho} needs ~{est:.3g} jump steps "
-                f"(budget {cfg.max_total_steps:.3g}); the '{LADDER}' mode samples "
+                f"(budget {MAX_TOTAL_STEPS:.3g}); the '{LADDER}' mode samples "
                 f"the same height law in O(log N) per sample")
 
     counts = np.zeros(p.N + 1, dtype=np.int64)
@@ -266,12 +253,11 @@ def run_batch(cfg: SimulationConfig) -> SimulationSummary:
     heights = np.flatnonzero(counts)  # counts is indexed by height
     pairs = tuple(zip(heights.tolist(), counts[heights].tolist()))
 
-    # Heights are integers, so the sample moments are ratios of integers;
-    # computing them that way makes the summary independent of any
-    # accumulation order.
+    # Heights are integers, so the sample moments are ratios of integers,
+    # and ``/`` on two ints rounds the exact ratio once: the summary does
+    # not depend on any accumulation order.
     s1 = sum(k * c for k, c in pairs)
     s2 = sum(k * k * c for k, c in pairs)
-    mean, var = Fraction(s1, n), Fraction(n * s2 - s1 * s1, n * n)
 
     sup = _sup_distance(exactdist.height_distribution(p), pairs, n)
     eps = dkw_epsilon(n, cfg.dkw_delta)
@@ -283,6 +269,6 @@ def run_batch(cfg: SimulationConfig) -> SimulationSummary:
     return SimulationSummary(
         N=p.N, rho=p.rho, nu=p.nu, mu=p.mu, mode=cfg.mode,
         n_samples=n, seed=cfg.seed, counts=pairs,
-        empirical_mean=float(mean), empirical_variance=float(var),
+        empirical_mean=s1 / n, empirical_variance=(n * s2 - s1 * s1) / (n * n),
         sup_distance=sup, dkw_delta=cfg.dkw_delta, dkw_epsilon=eps,
         dkw_pass=sup <= eps, mean_busy_duration=mean_duration)

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 import tracemalloc
 import warnings
@@ -618,7 +619,49 @@ _SMALL_N_RUNS = [[*argv, "--n", n] for n in ("1", "2", "10") for argv in (
 )] + [["alpha", "--rho", "0.5"], ["alpha", "--rho", "2"]]
 
 
+# rho log-uniform over [1e-300, 1e300), and the edges of that range and of alpha's
+_RHO = st.one_of(
+    st.builds(lambda m, e: m * 10.0 ** e, st.floats(1.0, 9.99), st.integers(-300, 299)),
+    st.sampled_from([1e-300, 0.9999999999999999, 1.0, 1e300]))
+
+
+@st.composite
+def _cli_runs(draw):
+    """An argv of any subcommand at N in [1, 1e4]; the law as --rho or as
+    --nu/--mu where the command takes both.  simulate draws at most 200
+    samples in ladder mode, since a walk mode may be accepted at 1e9 steps."""
+    command = draw(st.sampled_from(["dist", "alpha", "sweep", "verify", "simulate"]))
+    n, rho = str(draw(st.integers(1, 10**4))), draw(_RHO)
+    if command == "alpha":
+        return [command, "--rho", repr(rho)]
+    if command in ("sweep", "verify"):
+        return [command, "--rho", repr(rho), "--n", n]
+    law = ["--rho", repr(rho)]
+    if draw(st.booleans()):
+        mu = draw(st.floats(1e-3, 1e3))
+        law = ["--nu", repr(rho * mu), "--mu", repr(mu)]
+    if command == "dist":
+        return [command, "--n", n, *law]
+    return [command, "--n", n, *law, "--samples", str(draw(st.integers(1, 200))),
+            "--seed", str(draw(st.integers(0, 2**32)))]
+
+
 class TestStrictJson:
+    @given(argv=_cli_runs())
+    @settings(max_examples=200, deadline=None)
+    def test_every_run_writes_strict_json_or_refuses(self, argv):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "artifact")
+            rc = main([*argv, "--output", path])
+            if rc == 2:  # refused input writes no artifact
+                assert not os.path.exists(path)
+                return
+            with open(path) as fh:
+                doc = strict_loads(fh.read())
+        assert doc["manifest"]["command"] == argv[0]
+        # verify exits 1 when a check fails, as some do at rho = 0.01 and near 1
+        assert rc == 0 or (argv[0] == "verify" and rc == 1 and not doc["data"]["passed"])
+
     @pytest.mark.parametrize("argv", _SMALL_N_RUNS, ids="_".join)
     def test_artifacts_parse_strictly(self, capsys, argv):
         rc, out, _ = run_cli(capsys, *argv)
@@ -641,7 +684,8 @@ def test_import_does_not_load_scipy():
     # sweep need no numpy.  A run loads only the modules it uses, and every
     # exported name still resolves on first use.  No subcommand loads
     # dataclasses, whose inspect (with ast, dis and tokenize) costs ~12 ms;
-    # only numpy loads inspect.
+    # only numpy loads inspect.  simulate's moments are int / int, so
+    # no command loads fractions (with decimal, ~3 ms).
     src = os.path.dirname(os.path.dirname(bdheight.__file__))
     code = """if True:
         import json, os, sys
@@ -663,17 +707,18 @@ def test_import_does_not_load_scipy():
         steps.append(run("alpha", "--rho", "0.5"))
         steps.append(run("sweep", "--rho", "0.5", "--n", "1000"))
         run("verify", "--rho", "0.5", "--n", "10")
-        run("simulate", "--n", "10", "--rho", "0.5", "--samples", "100")
+        simulated = run("simulate", "--n", "10", "--rho", "0.5", "--samples", "100")
         names = {name: getattr(bdheight, name) is not None for name in bdheight.__all__}
         scope = {}
         exec("from bdheight import *", scope)
         print(json.dumps([steps, names, sorted(set(scope) - {"__builtins__"}),
-                          sorted(bdheight.__all__), "oracle" in dir(bdheight), startup]))
+                          sorted(bdheight.__all__), "oracle" in dir(bdheight), startup,
+                          simulated]))
     """
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
-    steps, names, star, exported, listed, startup = json.loads(proc.stdout)
+    steps, names, star, exported, listed, startup, simulated = json.loads(proc.stdout)
     cli_set = ["bdheight", "bdheight.cli", "bdheight.errors", "bdheight.exactdist",
                "bdheight.model"]
     limits_set = sorted([*cli_set, "bdheight.asymptotics"])
@@ -685,6 +730,7 @@ def test_import_does_not_load_scipy():
     assert len(startup) == 8
     assert startup[:6] == [[]] * 6
     assert not any("dataclasses" in modules for modules in startup)
+    assert "bdheight.simulate" in simulated and "fractions" not in simulated
 
 
 def _dispatched_cpu_features() -> list[str]:

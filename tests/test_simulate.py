@@ -1,5 +1,6 @@
 """Samplers: law agreement, reproducibility, feasibility guards."""
 
+import inspect
 import math
 import tracemalloc
 from fractions import Fraction
@@ -25,6 +26,7 @@ from bdheight import (
     make_params,
     run_batch,
 )
+from bdheight import simulate
 from bdheight.simulate import _CHUNK_SAMPLES, _sup_distance
 
 
@@ -45,8 +47,11 @@ class TestConfig:
             SimulationConfig(params=p, n_samples=10, seed=-1)
         with pytest.raises(ParameterError):
             SimulationConfig(params=p, n_samples=10, seed=1, mode="bogus")
-        with pytest.raises(ParameterError):
-            SimulationConfig(params=p, n_samples=10, seed=1, worker_count=0)
+
+    def test_fields(self):
+        # every field is a setting some caller needs; the step budgets are constants
+        assert list(inspect.signature(SimulationConfig).parameters) == [
+            "params", "n_samples", "seed", "mode", "dkw_delta"]
 
     def test_dkw_epsilon_formula(self):
         assert dkw_epsilon(10**5, 0.01) == pytest.approx(
@@ -89,13 +94,14 @@ class TestScalarSamplers:
             cfg = SimulationConfig(params=p, n_samples=5, seed=42, mode=mode)
             assert run_batch(cfg) == run_batch(cfg)
 
-    def test_circuit_breaker(self):
+    def test_circuit_breaker(self, monkeypatch):
         # rho = 5 gives a strong upward drift; 3 steps finish only the
         # excursions 1 -> 0 (height 1) and 1 -> 2 -> 1 -> 0 (height 2).
         n = 1000
+        monkeypatch.setattr(simulate, "MAX_EXCURSION_STEPS", 3)
+        monkeypatch.setattr(simulate, "MAX_TOTAL_STEPS", math.inf)
         cfg = SimulationConfig(params=make_params(30, rho=5.0), n_samples=n, seed=3,
-                               mode=JUMP_CHAIN, max_excursion_steps=3,
-                               max_total_steps=math.inf)
+                               mode=JUMP_CHAIN)
         with pytest.raises(SimulationAbort) as exc:
             run_batch(cfg)
         assert exc.value.steps_taken == 4
@@ -325,19 +331,10 @@ class TestReproducibility:
     def test_identical_config_identical_bytes(self):
         cfg = SimulationConfig(params=make_params(50, rho=0.8),
                                n_samples=20000, seed=99)
-        a = run_batch(cfg).to_json_bytes()
-        b = run_batch(cfg).to_json_bytes()
+        # repr keeps every float's bits
+        a = repr(run_batch(cfg))
+        b = repr(run_batch(cfg))
         assert a == b
-
-    @pytest.mark.parametrize("mode", [LADDER, JUMP_CHAIN, FULL_CTMC])
-    def test_worker_count_never_changes_results(self, mode):
-        p = make_params(10, rho=0.3) if mode != LADDER else make_params(200, rho=0.8)
-        n = 9000  # spans several chunks
-        one = run_batch(SimulationConfig(params=p, n_samples=n, seed=5, mode=mode,
-                                         worker_count=1))
-        eight = run_batch(SimulationConfig(params=p, n_samples=n, seed=5, mode=mode,
-                                           worker_count=8))
-        assert one.to_json_bytes() == eight.to_json_bytes()
 
     @pytest.mark.parametrize("mode,N,rho,seed,counts,duration", [
         (JUMP_CHAIN, 12, 0.5, 3,
