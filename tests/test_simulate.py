@@ -336,6 +336,33 @@ class TestReproducibility:
         b = repr(run_batch(cfg))
         assert a == b
 
+    @pytest.mark.parametrize("mode", [LADDER, JUMP_CHAIN, FULL_CTMC])
+    def test_chunks_do_not_depend_on_the_batch_size(self, mode):
+        # Chunk c draws from Philox(SeedSequence((seed, c))) whatever the
+        # batch size, so a batch of three chunks is its chunks drawn alone,
+        # and its first chunk is a one-chunk batch.
+        p = make_params(10, rho=0.3) if mode != LADDER else make_params(200, rho=0.8)
+        seed, n = 5, 2 * _CHUNK_SAMPLES + 100
+        counts, durations = np.zeros(p.N + 1, dtype=np.int64), []
+        for c, lo in enumerate(range(0, n, _CHUNK_SAMPLES)):
+            m, rng = min(_CHUNK_SAMPLES, n - lo), simulate._chunk_rng(seed, c)
+            if mode == LADDER:
+                heights = np.searchsorted(log_hitting_sums(p), rng.standard_exponential(m),
+                                          side="right")
+            else:
+                heights, d = simulate._walk_chunk(p, m, rng, mode == FULL_CTMC,
+                                                  simulate.MAX_EXCURSION_STEPS)
+                durations += [] if d is None else d.tolist()
+            counts += np.bincount(heights, minlength=p.N + 1)
+            if c == 0:
+                first = run_batch(SimulationConfig(params=p, n_samples=m, seed=seed,
+                                                   mode=mode))
+                assert _dense(first) == tuple(counts[1:].tolist())
+        s = run_batch(SimulationConfig(params=p, n_samples=n, seed=seed, mode=mode))
+        assert _dense(s) == tuple(counts[1:].tolist())
+        if mode == FULL_CTMC:
+            assert s.mean_busy_duration == math.fsum(durations) / n * p.mu
+
     @pytest.mark.parametrize("mode,N,rho,seed,counts,duration", [
         (JUMP_CHAIN, 12, 0.5, 3,
          {1: 1370, 2: 477, 3: 271, 4: 220, 5: 321, 6: 538, 7: 1159, 8: 1976, 9: 1936,
