@@ -303,12 +303,14 @@ def check_peak_ratio_bounds(n: int, rho: float,
         floor_margin = math.nan
         tried = []
         for h in h_cands:
+            if h > n - 1:
+                continue
+            rhs = exactdist.log_r_term(n, rho, h) + rhs_shift
             for k in offsets:
                 idx = h + sign * k
-                if not (0 <= idx <= n - 1 and 0 <= h <= n - 1):
+                if not 0 <= idx <= n - 1:
                     continue
                 lhs = exactdist.log_r_term(n, rho, idx)
-                rhs = exactdist.log_r_term(n, rho, h) + rhs_shift
                 margin = (lhs - rhs) if sign > 0 else (rhs - lhs)
                 tried.append((h, k, margin, lhs, rhs))
                 if h == floor_h and k == floor_k:
@@ -334,8 +336,7 @@ def check_peak_ratio_bounds(n: int, rho: float,
     return growth, decay
 
 
-def check_mean_bounds(N: int, rho: float, mean: float,
-                      constants: BoundConstants | None = None) -> BoundReport:
+def check_mean_bounds(N: int, rho: float, mean: float) -> BoundReport:
     """Certify the mean sandwich at (N, rho) for a mean computed elsewhere.
 
     rho < 1:  floor(alpha N) - floor(c2 log N) - c3 <= mean <= floor(alpha N) + 1.
@@ -358,7 +359,7 @@ def check_mean_bounds(N: int, rho: float, mean: float,
                            floor_margin=margin,
                            note=f"mean = {mean!r}")
 
-    c = constants if constants is not None else bound_constants(rho)
+    c = bound_constants(rho)
     log_n = math.log(N)
     lo_floor = (math.floor(c.alpha * N) - math.floor(c.c2 * log_n) - c.c3)
     hi_floor = math.floor(c.alpha * N) + 1.0
@@ -405,11 +406,10 @@ def convergence_table(rho: float, Ns: list[int]) -> list[ConvergencePoint]:
     return rows
 
 
-def concentration_window(N: int, rho: float,
-                         constants: BoundConstants | None = None) -> tuple[int, int]:
+def concentration_window(N: int, rho: float) -> tuple[int, int]:
     """The log-width window [h_N - ceil(c2 log N) - ceil(c3), h_N + ceil(c1 log N)]
     that carries almost all of the mass, clipped to [1, N]."""
-    c = constants if constants is not None else bound_constants(rho)
+    c = bound_constants(rho)
     h = peak_index(c.alpha, N)
     lo = h - math.ceil(c.c2 * math.log(N)) - math.ceil(c.c3)
     hi = h + math.ceil(c.c1 * math.log(N))

@@ -261,12 +261,11 @@ def _params_from_args(args) -> tuple:
     if p.N > MAX_ROWS:
         raise CapacityError(f"--n {p.N} exceeds the row limit of {MAX_ROWS} rows "
                             f"(MAX_ROWS); sweep gives the moments at any N")
-    resolved = {"N": p.N, "nu": p.nu, "mu": p.mu, "rho": p.rho}
-    return p, resolved
+    return p, p._asdict()
 
 
-def _add_param_flags(sub, n_help: str):
-    sub.add_argument("--n", type=int, required=True, help=n_help)
+def _add_param_flags(sub):
+    sub.add_argument("--n", type=int, required=True, help="number of nodes N (states 0..N)")
     sub.add_argument("--rho", type=float, default=None, help="birth/death rate ratio")
     sub.add_argument("--nu", type=float, default=None, help="per-idle-node birth rate")
     sub.add_argument("--mu", type=float, default=None, help="per-busy-node death rate")
@@ -464,8 +463,6 @@ def cmd_simulate(args) -> int:
 def cmd_sweep(args) -> int:
     from . import asymptotics
 
-    if args.rho is None:
-        raise ParameterError("--rho is required for sweep")
     rows = asymptotics.convergence_table(args.rho, args.n)
     parameters = {"rho": args.rho, "N": args.n, "format": args.format}
     header = ["N", "mean", "variance", "mean_over_N", "var_over_N",
@@ -489,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     sub = subs.add_parser("dist", help="exact height distribution")
-    _add_param_flags(sub, "number of nodes N (states 0..N)")
+    _add_param_flags(sub)
     _add_output_flags(sub)
     sub.set_defaults(func=cmd_dist)
 
@@ -506,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_verify)
 
     sub = subs.add_parser("simulate", help="Monte Carlo batch vs exact law")
-    _add_param_flags(sub, "number of nodes N (states 0..N)")
+    _add_param_flags(sub)
     sub.add_argument("--samples", type=int, required=True)
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--mode", choices=SAMPLER_MODES, default=LADDER)

@@ -82,11 +82,13 @@ Each log term is -i log rho - (lgam(N) - lgam(i + 1) - lgam(N - i)),
 where lgam is a private port of Cephes ``lgam`` (S. Moshier, *Methods and
 Programs for Mathematical Functions*, 1989), the routine behind
 ``scipy.special.gammaln``, so the terms are the same doubles gammaln
-gives.  The port only accepts integer-valued arguments x >= 1: below 13
-it reads log((x-1)!) from a table, from 13 up it is Cephes' Stirling
-series with its coefficients and branch points (1000, 1e8, and inf above
-MAXLGM = 2.556348e305).  Its logarithm is ``math.log``, the C library's,
-as in Cephes.
+gives.  The port is one scalar function, which evaluates every term:
+the bisection probes and the head and window runs alike.  It only
+accepts integer-valued arguments x >= 1: below 13 it reads log((x-1)!)
+from a table, from 13 up it is Cephes' Stirling series with its
+coefficients, operation order and branch points (1000, 1e8, and inf
+above MAXLGM = 2.556348e305).  Its logarithm is ``math.log``, the C
+library's, as in Cephes.
 
 The law is computed with ``math``, that is with the C library (libm):
 the terms, the running log-sum (each step as numpy's scalar
@@ -109,7 +111,7 @@ from __future__ import annotations
 
 import math
 import operator
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -260,19 +262,6 @@ _LS2PI = 0.91893853320467274178  # log(sqrt(2 pi))
 _MAXLGM = 2.556348e305
 
 
-def _tail_large(xs: list[float]) -> list[float]:
-    # Cephes' short series for 1000 <= x <= 1e8, in p = 1/x^2
-    return [((7.9365079365079365079365e-4 * (p := 1.0 / (x * x)) - 2.7777777777777777777778e-3)
-             * p + 0.0833333333333333333333) / x for x in xs]
-
-
-def _tail_poly(xs: list[float]) -> list[float]:
-    # Cephes' polevl(p, A, 4) / x for 13 <= x < 1000, with p = 1/x^2
-    return [((((8.11614167470508450300E-4 * (p := 1.0 / (x * x)) - 5.95061904284301438324E-4)
-               * p + 7.93650340457716943945E-4) * p - 2.77777777730099687205E-3) * p
-             + 8.33333333333331927722E-2) / x for x in xs]
-
-
 def _lgam(x: float) -> float:
     """log Gamma(x) for one integer-valued x >= 1, bit-identical to Cephes."""
     if x < 13.0:
@@ -282,39 +271,24 @@ def _lgam(x: float) -> float:
     q = (x - 0.5) * math.log(x) - x + _LS2PI
     if x > 1e8:
         return q
-    return q + (_tail_large if x >= 1000.0 else _tail_poly)([x])[0]
-
-
-def _lgam_run(xs: list[float]) -> list[float]:
-    """:func:`_lgam` over an ascending run of integer-valued floats, with the
-    same operations in the same order.  The run is cut at the port's branch
-    points and each piece is one pass."""
-    cuts = [0, bisect_left(xs, 13.0), bisect_left(xs, 1000.0), bisect_right(xs, 1e8),
-            bisect_right(xs, _MAXLGM), len(xs)]
-    small, poly, large, big, over = (xs[lo:hi] for lo, hi in zip(cuts, cuts[1:]))
-    return [*[_LOG_FACTORIAL[int(x) - 1] for x in small],
-            *[(x - 0.5) * lg - x + _LS2PI + tail
-              for x, lg, tail in zip(poly, map(math.log, poly), _tail_poly(poly))],
-            *[(x - 0.5) * lg - x + _LS2PI + tail
-              for x, lg, tail in zip(large, map(math.log, large), _tail_large(large))],
-            *[(x - 0.5) * lg - x + _LS2PI for x, lg in zip(big, map(math.log, big))],
-            *[math.inf] * len(over)]
+    p = 1.0 / (x * x)
+    if x >= 1000.0:
+        # Cephes' short series for 1000 <= x <= 1e8
+        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
+                    + 0.0833333333333333333333) / x
+    # Cephes' polevl(p, A, 4) / x for 13 <= x < 1000
+    return q + ((((8.11614167470508450300E-4 * p - 5.95061904284301438324E-4) * p
+                  + 7.93650340457716943945E-4) * p - 2.77777777730099687205E-3) * p
+                + 8.33333333333331927722E-2) / x
 
 
 def _log_t(n: int, rho: float):
-    """log t at one float index x, and over the indices [lo, hi) as a list:
-    the one evaluation of the term."""
+    """log t at one float index x: the one evaluation of the term."""
     log_rho, lgam_n = math.log(rho), _lgam(float(n))
 
     def log_t(x: float) -> float:
         return -x * log_rho - (lgam_n - _lgam(x + 1.0) - _lgam(n - x))
-
-    def log_t_run(lo: int, hi: int) -> list[float]:
-        xs = [*map(float, range(lo, hi))]
-        lgam_i = _lgam_run([x + 1.0 for x in xs])
-        lgam_ni = reversed(_lgam_run([n - x for x in reversed(xs)]))
-        return [-x * log_rho - (lgam_n - gi - gni) for x, gi, gni in zip(xs, lgam_i, lgam_ni)]
-    return log_t, log_t_run
+    return log_t
 
 
 def log_r_term(n: int, rho: float, i: int) -> float:
@@ -326,7 +300,7 @@ def log_r_term(n: int, rho: float, i: int) -> float:
     i = operator.index(i)
     if not 0 <= i <= n - 1:
         raise ParameterError(f"term index must be in [0, {n - 1}], got {i!r}")
-    return _log_t(n, rho)[0](float(i))
+    return _log_t(n, rho)(float(i))
 
 
 def r_term_turning_point(n: int, rho: float) -> float:
@@ -375,7 +349,7 @@ def _running_log_sums(s: float, terms: list[float]) -> list[float]:
 def height_distribution(p: ModelParams) -> HeightDistribution:
     """Law of H from the head and window terms, O(log N + window) work."""
     N, rho = p.N, p.rho
-    log_t, terms = _log_t(N, rho)
+    log_t = _log_t(N, rho)
 
     def t(i: int) -> float:
         return log_t(float(i))
@@ -386,13 +360,13 @@ def height_distribution(p: ModelParams) -> HeightDistribution:
     # t_1 <= t_0 = 0 when m >= 1; at t_1 <= -750, l1 is 0 and a is 1
     l1 = math.log1p(math.exp(t(1))) if m >= 1 else 0.0
     a = _first(lambda i: t(i) <= l1 - _noop_gap(l1), 1, m + 1)
-    first, *rest = terms(0, a)
+    first, *rest = [log_t(float(i)) for i in range(a)]
     head = [-first, *_running_log_sums(first, rest)]
     top = -head[-1]
     b = _first(lambda i: t(i) > top - _noop_gap(top), m + 1, N)
     end = _first(lambda i: t(i) > _NOOP_GAP, b, N)
     # the window's running log-sums continue from the head's, top
-    window = _running_log_sums(top, terms(b, min(end + 1, N)))
+    window = _running_log_sums(top, [log_t(float(i)) for i in range(b, min(end + 1, N))])
     # the log-survival never increases, so its underflow to 0.0 is a cut
     cut = _first(lambda j: math.exp(window[j]) == 0.0, 0, len(window))
     return HeightDistribution(N=N, rho=rho, head=tuple(head), plateau=(a, b),

@@ -150,11 +150,10 @@ def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
 
 
 def _walk_chunk(p: ModelParams, n: int, rng: np.random.Generator,
-                with_durations: bool, max_steps: int
-                ) -> tuple[np.ndarray, np.ndarray | None]:
+                with_durations: bool) -> tuple[np.ndarray, np.ndarray | None]:
     # All excursions of the chunk advance in lockstep; finished ones drop
     # out.  The per-round counter bounds every excursion's step count, so
-    # the circuit breaker trips once any excursion exceeds max_steps.
+    # the circuit breaker trips once any excursion exceeds MAX_EXCURSION_STEPS.
     up = jump_up_probs(p)
     rates = np.arange(p.N + 1, dtype=float) * p.mu + (p.N - np.arange(p.N + 1, dtype=float)) * p.nu
     state = np.ones(n, dtype=np.int64)
@@ -165,9 +164,9 @@ def _walk_chunk(p: ModelParams, n: int, rng: np.random.Generator,
     rounds = 0
     while active.size:
         rounds += 1
-        if rounds > max_steps:
+        if rounds > MAX_EXCURSION_STEPS:
             raise SimulationAbort(
-                f"excursions exceeded {max_steps} jump steps at N={p.N}, rho={p.rho}; "
+                f"excursions exceeded {MAX_EXCURSION_STEPS} jump steps at N={p.N}, rho={p.rho}; "
                 f"{n - active.size} of {n} chunk samples completed",
                 steps_taken=rounds,
                 completed_heights=heights[heights > 0].copy())
@@ -219,8 +218,7 @@ def _draw(cfg: SimulationConfig, counts: np.ndarray) -> Iterator[list[float]]:
             # H >= k exactly when E >= log S_k, with E ~ Exp(1)
             heights = np.searchsorted(log_sums, rng.standard_exponential(m), side="right")
         else:
-            heights, durations = _walk_chunk(p, m, rng, cfg.mode == FULL_CTMC,
-                                             MAX_EXCURSION_STEPS)
+            heights, durations = _walk_chunk(p, m, rng, cfg.mode == FULL_CTMC)
             if durations is not None:
                 yield durations.tolist()
         np.add.at(counts, heights, 1)

@@ -15,11 +15,12 @@ from bdheight import (
     exact_rational_distribution,
     height_dist_oracle,
     height_distribution,
+    log_hitting_sums,
     log_r_term,
     make_params,
     solve_alpha,
 )
-from bdheight.exactdist import _MAXLGM, _lgam, _lgam_run, r_term_turning_point
+from bdheight.exactdist import _MAXLGM, _lgam, r_term_turning_point
 
 # scipy is a test-only dependency: the reference for the lgam port
 gammaln = pytest.importorskip("scipy.special").gammaln
@@ -235,14 +236,47 @@ class TestWindowedForm:
         assert peak < 5 * 2**20
 
 
+# N up to 1e4 and rho log-uniform over the doubles' range, with its ends,
+# the double just below 1 and 1 itself
+_LAWS = st.tuples(
+    st.integers(1, 10**4),
+    st.one_of(st.floats(-300.0, 300.0, exclude_max=True).map(lambda e: 10.0 ** e),
+              st.sampled_from([1e-300, 0.9999999999999999, 1.0, 1e300])))
+
+
+class TestLawProperties:
+    @given(law=_LAWS)
+    @settings(max_examples=150, deadline=None)
+    def test_survival_runs_descend_from_one_and_masses_are_nonnegative(self, law):
+        surv, pmf, lengths = height_distribution(make_params(law[0], rho=law[1])).column_runs()
+        held = [s for s, n in zip(surv, lengths) if n > 0]
+        assert held[0] == 1.0
+        assert all(b <= a for a, b in zip(held, held[1:]))
+        assert all(m >= 0.0 for m in pmf)
+
+    @given(law=_LAWS)
+    @settings(max_examples=150, deadline=None)
+    def test_mass_sums_to_one(self, law):
+        _, pmf, lengths = height_distribution(make_params(law[0], rho=law[1])).column_runs()
+        assert abs(1.0 - math.fsum(m * n for m, n in zip(pmf, lengths))) <= 1e-14
+
+    @given(law=_LAWS)
+    @settings(max_examples=150, deadline=None)
+    def test_agrees_with_the_first_passage_sums(self, law):
+        # verify's tolerance for the oracle gap
+        p = make_params(law[0], rho=law[1])
+        surv, _, lengths = height_distribution(p).column_runs()
+        gap = np.abs(np.repeat(surv, lengths) - np.exp(-log_hitting_sums(p)))
+        assert gap.max() <= 1e-10
+
+
 class TestLgamPort:
     """The integer-only Cephes lgam port equals scipy's gammaln bit for bit."""
 
     @staticmethod
     def _check(x):
-        x = np.sort(np.asarray(x, dtype=float))  # the run form takes ascending runs
+        x = np.sort(np.asarray(x, dtype=float))
         want = _bits(gammaln(x))
-        assert np.array_equal(_bits(_lgam_run(x.tolist())), want)
         assert np.array_equal(_bits([_lgam(v) for v in x.tolist()]), want)
 
     def test_every_integer_up_to_2e5(self):

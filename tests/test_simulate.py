@@ -350,8 +350,7 @@ class TestReproducibility:
                 heights = np.searchsorted(log_hitting_sums(p), rng.standard_exponential(m),
                                           side="right")
             else:
-                heights, d = simulate._walk_chunk(p, m, rng, mode == FULL_CTMC,
-                                                  simulate.MAX_EXCURSION_STEPS)
+                heights, d = simulate._walk_chunk(p, m, rng, mode == FULL_CTMC)
                 durations += [] if d is None else d.tolist()
             counts += np.bincount(heights, minlength=p.N + 1)
             if c == 0:
