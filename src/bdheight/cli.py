@@ -37,14 +37,15 @@ lines, hashed as each is built, and written after the manifest line.
 Start-up: this module imports the ``errors``, ``model`` and ``exactdist``
 modules, which every subcommand needs, and no numpy.  The others are
 imported by the commands that use them: ``alpha`` and ``sweep`` import
-``asymptotics``, ``verify`` imports ``asymptotics``, ``oracle`` and
-numpy, and ``simulate`` imports ``simulate`` (which loads ``oracle``
-and numpy).  So ``--version``, ``dist``, ``alpha`` and
-``sweep`` load no numpy, and none of them loads ``oracle`` or
-``simulate``.  Nor do they load ``inspect`` (with ``ast``, ``dis`` and
-``tokenize``, ~12 ms), which ``verify`` and ``simulate`` load with numpy:
-the package's records are ``NamedTuple``s or small read-only classes,
-since the standard library's record decorators import ``inspect``.
+``asymptotics``, ``verify`` imports ``asymptotics`` and ``oracle``, and
+``simulate`` imports ``simulate`` (which loads ``oracle`` and numpy).
+So only ``simulate`` loads numpy, and only ``verify`` and ``simulate``
+load ``oracle``.  Nor does any other subcommand load ``inspect`` (with
+``ast``, ``dis`` and ``tokenize``, ~12 ms), which ``simulate`` loads
+with numpy: the package's records are ``NamedTuple``s or small
+read-only classes, since the standard library's record decorators
+import ``inspect``.  ``verify``'s oracle gap spreads the law's runs
+against the oracle's ``array('d')``, so it needs no dense view either.
 """
 
 from __future__ import annotations
@@ -323,8 +324,6 @@ def cmd_alpha(args) -> int:
 
 
 def _verify_checks(rhos: list[float], ns: list[int], corrupt: bool) -> list[dict]:
-    import numpy as np
-
     from . import asymptotics, oracle
 
     checks: list[dict] = []
@@ -371,9 +370,12 @@ def _verify_checks(rhos: list[float], ns: list[int], corrupt: bool) -> list[dict
         gaps = []
         for n in _EQUIVALENCE_GRID_N:
             p = make_params(n, rho=rho)
-            exact = exactdist.height_distribution(p).survival_values()
-            gaps.append(abs(exact - oracle.height_dist_oracle(p)).max())
-        worst = float(np.max(gaps))  # nan if any gap is: a nan fails the check
+            survival, _, lengths = exactdist.height_distribution(p).column_runs()
+            exact = itertools.chain.from_iterable(map(itertools.repeat, survival, lengths))
+            gaps += (abs(e - f) for e, f in zip(exact, oracle.height_dist_oracle(p)))
+        # nan if any gap is, so that a nan fails the check; max() alone would
+        # skip a nan that is not the first gap
+        worst = math.nan if any(map(math.isnan, gaps)) else float(max(gaps))
         checks.append(asymptotics.BoundReport(
             inequality="oracle_equivalence", n=max(_EQUIVALENCE_GRID_N), rho=rho,
             lhs=worst, rhs=_EQUIVALENCE_TOL, margin=_EQUIVALENCE_TOL - worst,

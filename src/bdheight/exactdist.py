@@ -154,8 +154,8 @@ class HeightDistribution(ReadOnly):
     sup distance are built from them.  Two dense numpy views remain, each
     one ``np.repeat`` of the runs: ``pmf`` (``pmf[k-1] = P(H = k)``,
     cached) and ``survival_values()``.  They stay because the benchmark's
-    artifact checker (``perfbench/artifact.py``) reads them; ``verify``'s
-    oracle gap also uses them.  Instances and arrays are read-only:
+    artifact checker (``perfbench/artifact.py``) reads them; the package
+    itself no longer does.  Instances and arrays are read-only:
     assigning an attribute raises ``AttributeError``.
     """
 

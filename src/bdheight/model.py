@@ -13,21 +13,22 @@ and down with the complementary probability q_i; state 0 always jumps to
 
 Everything downstream (the exact height law, the first-passage oracle,
 the samplers) consumes only ``ModelParams`` and the jump probabilities
-defined here.  All types are immutable after construction and all
-operations are pure functions, so values can be shared freely across
-threads.
+defined here.  ``jump_up_probs`` returns an ``array('d')`` computed in
+plain Python, so this module, which every subcommand loads, imports no
+numpy.  All types are immutable after construction and all operations
+are pure functions, so values can be shared freely across threads.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
-from typing import TYPE_CHECKING, NamedTuple
+from array import array
+from bisect import bisect_left
+from typing import NamedTuple
 
 from .errors import ParameterError
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "ModelParams",
@@ -118,19 +119,15 @@ def make_params(N: int, nu: float | None = None, mu: float | None = None,
     return ModelParams(N=N, nu=nu_f, mu=mu_f, rho=rho_f)
 
 
-def jump_up_probs(p: ModelParams) -> np.ndarray:
+def jump_up_probs(p: ModelParams) -> array:
     """Up-move probabilities p_i for all states i = 0..N (1 at 0, 0 at N)."""
-    import numpy as np
-
-    up = np.empty(p.N + 1)
-    up[0] = 1.0
-    up[p.N] = 0.0
-    if p.N > 1:
-        i = np.arange(1, p.N, dtype=float)
-        with np.errstate(over="ignore"):
-            w = (p.N - i) * p.rho
-        # Where (N - i) rho overflows, p_i is 1 to within 1e-290, and w / (i + w)
-        # would be inf / inf = nan.
-        up[1:p.N] = 1.0
-        np.divide(w, i + w, out=up[1:p.N], where=np.isfinite(w))
+    N, rho = p.N, p.rho
+    w, w_again = itertools.tee(map(rho.__rmul__, range(N - 1, 0, -1)))  # (N - i) rho
+    up = array("d", [1.0])
+    up.extend(map(operator.truediv, w, map(operator.add, w_again, range(1, N))))
+    # Where (N - i) rho overflows, p_i is 1 to within 1e-290, and w / (i + w)
+    # would be inf / inf = nan.  (N - i) rho falls with i, so those come first.
+    saturated = bisect_left(range(1, N), True, key=lambda i: (N - i) * rho < math.inf)
+    up[1:saturated + 1] = array("d", [1.0]) * saturated
+    up.append(0.0)
     return up

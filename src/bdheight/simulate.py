@@ -154,7 +154,7 @@ def _walk_chunk(p: ModelParams, n: int, rng: np.random.Generator,
     # All excursions of the chunk advance in lockstep; finished ones drop
     # out.  The per-round counter bounds every excursion's step count, so
     # the circuit breaker trips once any excursion exceeds MAX_EXCURSION_STEPS.
-    up = jump_up_probs(p)
+    up = np.frombuffer(jump_up_probs(p))
     rates = np.arange(p.N + 1, dtype=float) * p.mu + (p.N - np.arange(p.N + 1, dtype=float)) * p.nu
     state = np.ones(n, dtype=np.int64)
     peak = np.ones(n, dtype=np.int64)
@@ -211,7 +211,7 @@ def _draw(cfg: SimulationConfig, counts: np.ndarray) -> Iterator[list[float]]:
     ``counts``, and yield each chunk's durations (``full-ctmc`` only)."""
     p, n = cfg.params, cfg.n_samples
     if cfg.mode == LADDER:
-        log_sums = oracle.log_hitting_sums(p)
+        log_sums = np.frombuffer(oracle.log_hitting_sums(p))
     for c, lo in enumerate(range(0, n, _CHUNK_SAMPLES)):
         m, rng = min(_CHUNK_SAMPLES, n - lo), _chunk_rng(cfg.seed, c)
         if cfg.mode == LADDER:

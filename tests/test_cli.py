@@ -172,6 +172,26 @@ class TestVerify:
         assert check["passed"] is False
         assert check["lhs"] is None and check["margin"] is None
 
+    def test_nan_oracle_gap_after_the_first_fails(self, capsys, monkeypatch):
+        # One nan, in the last gap: max() over the gaps starts from a number
+        # and keeps it, since max(0.0, nan) is 0.0
+        from bdheight import oracle
+        from bdheight.cli import _EQUIVALENCE_GRID_N
+
+        def nan_at_the_end(p):
+            survival = height_distribution(p).survival_values().copy()
+            if p.N == _EQUIVALENCE_GRID_N[-1]:
+                survival[-1] = math.nan
+            return survival
+
+        monkeypatch.setattr(oracle, "height_dist_oracle", nan_at_the_end)
+        rc, out, err = run_cli(capsys, "verify", "--rho", "0.5", "--n", "10")
+        assert rc == 1 and "oracle_equivalence" in err
+        check, = [c for c in strict_loads(out)["data"]["checks"]
+                  if c["inequality"] == "oracle_equivalence"]
+        assert check["passed"] is False
+        assert check["lhs"] is None and check["margin"] is None
+
     def test_corrupted_constant_fails(self, capsys):
         rc, doc, err = run_json(capsys, "verify", "--rho", "0.5", "--n", "2000",
                                 "--selftest-corrupt")
@@ -687,8 +707,9 @@ def test_import_does_not_load_scipy():
     # sweep need no numpy.  A run loads only the modules it uses, and every
     # exported name still resolves on first use.  No subcommand loads
     # dataclasses, whose inspect (with ast, dis and tokenize) costs ~12 ms;
-    # only numpy loads inspect.  simulate's moments are int / int, so
-    # no command loads fractions (with decimal, ~3 ms).
+    # only numpy loads inspect, and only simulate loads numpy: the oracle
+    # that verify runs is plain Python.  simulate's moments are int / int,
+    # so no command loads fractions (with decimal, ~3 ms).
     src = os.path.dirname(os.path.dirname(bdheight.__file__))
     code = """if True:
         import json, os, sys
@@ -709,31 +730,43 @@ def test_import_does_not_load_scipy():
         steps.append(run("dist", "--n", "20000", "--rho", "0.5", "--format", "csv"))
         steps.append(run("alpha", "--rho", "0.5"))
         steps.append(run("sweep", "--rho", "0.5", "--n", "1000"))
-        run("verify", "--rho", "0.5", "--n", "10")
+        verified = run("verify", "--rho", "0.5", "--n", "10")
         simulated = run("simulate", "--n", "10", "--rho", "0.5", "--samples", "100")
         names = {name: getattr(bdheight, name) is not None for name in bdheight.__all__}
         scope = {}
         exec("from bdheight import *", scope)
         print(json.dumps([steps, names, sorted(set(scope) - {"__builtins__"}),
                           sorted(bdheight.__all__), "oracle" in dir(bdheight), startup,
-                          simulated]))
+                          verified, simulated]))
     """
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
-    steps, names, star, exported, listed, startup, simulated = json.loads(proc.stdout)
+    steps, names, star, exported, listed, startup, verified, simulated = json.loads(proc.stdout)
     cli_set = ["bdheight", "bdheight.cli", "bdheight.errors", "bdheight.exactdist",
                "bdheight.model"]
     limits_set = sorted([*cli_set, "bdheight.asymptotics"])
     assert steps == [["bdheight"], cli_set, cli_set, cli_set, limits_set, limits_set]
     assert len(names) == 37 and all(names.values())  # __version__ and 36 exported names
     assert star == exported and listed
-    # bdheight, bdheight.cli, dist (JSON and CSV), alpha, sweep; then verify
-    # and simulate, whose numpy loads inspect
+    # bdheight, bdheight.cli, dist (JSON and CSV), alpha, sweep, verify; then
+    # simulate, whose numpy loads inspect
     assert len(startup) == 8
-    assert startup[:6] == [[]] * 6
+    assert startup[:7] == [[]] * 7
+    assert verified == sorted([*limits_set, "bdheight.oracle"])
     assert not any("dataclasses" in modules for modules in startup)
     assert "bdheight.simulate" in simulated and "fractions" not in simulated
+    # the oracle alone, run once, loads no numpy either
+    code = """if True:
+        import sys
+        import bdheight.oracle
+        from bdheight import make_params
+        bdheight.oracle.log_hitting_sums(make_params(10, rho=0.5))
+        print(sorted(m for m in sys.modules if m.split(".")[0] == "numpy"))
+    """
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == ["[]"]
 
 
 def _dispatched_cpu_features() -> list[str]:
@@ -765,3 +798,30 @@ def test_bytes_do_not_depend_on_numpy_cpu_dispatch(argv):
                               capture_output=True, check=True).stdout
                for run_env in (env, {**env, "NPY_DISABLE_CPU_FEATURES": " ".join(features)})]
     assert outputs[0] == outputs[1]
+
+
+def test_oracle_bits_do_not_depend_on_numpy_cpu_dispatch():
+    # The oracle's logs and exps are the C library's, so its bits are the
+    # same with numpy's SIMD kernels switched on or off.  No artifact shows
+    # every bit of it, so its outputs are hashed directly.
+    features = _dispatched_cpu_features()
+    if not features:
+        pytest.skip("numpy dispatches to no CPU feature above its baseline here")
+    code = """if True:
+        import hashlib
+        from bdheight import height_dist_oracle, log_hitting_sums, make_params
+        digest = hashlib.sha256()
+        for n in (10, 200, 2000):
+            for rho in (0.25, 0.5, 0.75, 1.0, 2.0, 1e20):
+                p = make_params(n, rho=rho)
+                digest.update(log_hitting_sums(p))
+                digest.update(height_dist_oracle(p, cap=n))
+        print(digest.hexdigest())
+    """
+    src = os.path.dirname(os.path.dirname(bdheight.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    env.pop("NPY_DISABLE_CPU_FEATURES", None)
+    digests = [subprocess.run([sys.executable, "-c", code], env=run_env, capture_output=True,
+                              text=True, check=True).stdout
+               for run_env in (env, {**env, "NPY_DISABLE_CPU_FEATURES": " ".join(features)})]
+    assert digests[0] == digests[1]

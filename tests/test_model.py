@@ -21,7 +21,7 @@ def _stationary_law(p):
     lambda_i = (N - i) nu + i mu.  The recursion runs in log space so the
     large chains do not overflow before normalization.
     """
-    up = jump_up_probs(p)
+    up = np.asarray(jump_up_probs(p))
     i = np.arange(p.N + 1, dtype=float)
     log_rate = np.log((p.N - i) * p.nu + i * p.mu)
     step = np.log(up[:-1]) - np.log1p(-up[1:]) + log_rate[:-1] - log_rate[1:]
@@ -118,7 +118,7 @@ class TestStationaryLaw:
 
 class TestJumpChain:
     def test_boundary_rows(self):
-        up = jump_up_probs(make_params(6, rho=0.7))
+        up = np.asarray(jump_up_probs(make_params(6, rho=0.7)))
         assert up.shape == (7,)
         assert up[0] == 1.0
         assert up[6] == 0.0
@@ -131,7 +131,7 @@ class TestJumpChain:
         # (N - i) rho overflows for i < 9; below that it is the plain formula
         p = make_params(10, rho=1e308)
         with np.errstate(over="raise", invalid="raise"):
-            up = jump_up_probs(p)
+            up = np.asarray(jump_up_probs(p))
         assert (up[1:9] == 1.0).all()
         assert up[9] == 1e308 / (9.0 + 1e308)
 

@@ -4,10 +4,11 @@ import ast
 import inspect
 import math
 import warnings
+from array import array
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bdheight.oracle
@@ -23,7 +24,7 @@ from bdheight import (
 
 def _hitting_vector(p, k):
     """h[i] = P(hit k before 0 | start at i) = S_i / S_k for i = 0..k."""
-    surv = height_dist_oracle(p)  # surv[i-1] = 1 / S_i
+    surv = np.asarray(height_dist_oracle(p))  # surv[i-1] = 1 / S_i
     return np.concatenate(([0.0], surv[k - 1] / surv[:k]))
 
 
@@ -39,7 +40,7 @@ class TestFirstPassageProb:
     def test_three_node_hand_elimination(self):
         p = make_params(3, rho=1.0)
         want = [1.0, 2 / 3, 2 / 5]
-        got = height_dist_oracle(p)
+        got = np.asarray(height_dist_oracle(p))
         assert np.abs(got - want).max() <= 1e-12
 
     @given(N=st.integers(1, 100), rho=st.floats(0.01, 3.0))
@@ -101,14 +102,14 @@ class TestBatchedOracle:
         with pytest.raises(CapacityError):
             height_dist_oracle(make_params(2001, rho=1.0))
         # explicit cap raise is allowed
-        surv = height_dist_oracle(make_params(2001, rho=1.0), cap=2001)
+        surv = np.asarray(height_dist_oracle(make_params(2001, rho=1.0), cap=2001))
         assert surv.shape == (2001,)
 
     def test_ascent_probs_are_survival_ratios(self):
         # The sampler inverts these log-sums, so it relies on exactly this:
         # P(H >= k) = exp(-log S_k), log S_1 = 0, and no sum decreases.
         p = make_params(80, rho=0.7)
-        log_sums = log_hitting_sums(p)
+        log_sums = np.asarray(log_hitting_sums(p))
         surv = height_dist_oracle(p)
         assert log_sums.shape == (80,)
         assert log_sums[0] == 0.0
@@ -123,6 +124,51 @@ class TestBatchedOracle:
             warnings.simplefilter("error")
             surv = height_dist_oracle(p)
         assert np.abs(surv - height_distribution(p).survival_values()).max() <= 1e-15
+
+
+def _scalar_log_hitting_sums(p):
+    """log S_1..S_N from a plain loop over the states, one formula at a time:
+    p_i, log(q_i / p_i), the prefix sum, and numpy's ``npy_logaddexp``."""
+    N, rho = p.N, p.rho
+    log_g = s = 0.0
+    out = [s]
+    for i in range(1, N):
+        w = (N - i) * rho
+        p_i = w / (i + w) if w < math.inf else 1.0
+        log_q = math.log1p(-p_i) if p_i < 1.0 else -math.inf
+        log_p = math.log(p_i) if p_i > 0.0 else -math.inf
+        log_g += log_q - log_p
+        if s == log_g:
+            s += math.log(2.0)
+        else:
+            tmp = s - log_g
+            if tmp > 0:
+                s += math.log1p(math.exp(-tmp))
+            elif tmp <= 0:
+                s = log_g + math.log1p(math.exp(tmp))
+            else:
+                s = tmp
+        out.append(s)
+    return out
+
+
+_RHOS = st.one_of(st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e),
+                  st.sampled_from([1e20, 1e308, 1e-320, 5e-324]))
+
+
+class TestSweepBits:
+    @given(N=st.integers(1, 2000), rho=_RHOS)
+    @example(N=1, rho=0.5)
+    @example(N=2, rho=1e308)
+    @example(N=2, rho=5e-324)
+    @example(N=3, rho=5e-324)
+    @settings(max_examples=150, deadline=None)
+    def test_matches_a_per_state_loop(self, N, rho):
+        # The sweep chains whole-array maps and special-cases the saturated
+        # prefix (p_i = 1) and the underflowed suffix (p_i = 0); a loop that
+        # takes every state on its own must give the same bits.
+        p = make_params(N, rho=rho)
+        assert log_hitting_sums(p).tobytes() == array("d", _scalar_log_hitting_sums(p)).tobytes()
 
 
 def test_oracle_module_does_not_import_the_closed_form():
