@@ -38,14 +38,16 @@ Start-up: this module imports the ``errors``, ``model`` and ``exactdist``
 modules, which every subcommand needs, and no numpy.  The others are
 imported by the commands that use them: ``alpha`` and ``sweep`` import
 ``asymptotics``, ``verify`` imports ``asymptotics`` and ``oracle``, and
-``simulate`` imports ``simulate`` (which loads ``oracle`` and numpy).
-So only ``simulate`` loads numpy, and only ``verify`` and ``simulate``
-load ``oracle``.  Nor does any other subcommand load ``inspect`` (with
-``ast``, ``dis`` and ``tokenize``, ~12 ms), which ``simulate`` loads
-with numpy: the package's records are ``NamedTuple``s or small
-read-only classes, since the standard library's record decorators
-import ``inspect``.  ``verify``'s oracle gap spreads the law's runs
-against the oracle's ``array('d')``, so it needs no dense view either.
+``simulate`` imports ``simulate`` (which loads ``oracle``).  Only a
+walk-mode ``simulate`` (``--mode jump-chain`` or ``full-ctmc``) loads
+numpy, for its Philox streams; the default ladder draws from the
+standard library's ``random``.  Only ``verify`` and ``simulate`` load
+``oracle``.  No run but a walk loads ``inspect`` (with ``ast``, ``dis``
+and ``tokenize``, ~12 ms), which numpy loads: the package's records are
+``NamedTuple``s or small read-only classes, since the standard library's
+record decorators import ``inspect``.  ``verify``'s oracle gap spreads
+the law's runs against the oracle's ``array('d')``, so it needs no dense
+view either.
 """
 
 from __future__ import annotations
@@ -420,8 +422,9 @@ def cmd_simulate(args) -> int:
         if est > _WALK_WARN_STEPS:
             print(f"simulate: warning: estimated ~{est:.3g} total jump steps for this "
                   f"batch; consider --mode {LADDER}", file=sys.stderr)
-    summary = simulate.run_batch(cfg)
-    surv, pmf, lengths = exactdist.height_distribution(p).column_runs()
+    law = exactdist.height_distribution(p)
+    summary = simulate.run_batch(cfg, law)
+    surv, pmf, lengths = law.column_runs()
     # The count column as runs over the nonzero (height, count) pairs: a gap
     # of 0 before each nonzero height and one after the last.  Each nonzero
     # count is a run of length 1, so the running totals of the run values

@@ -22,7 +22,7 @@ state and the solution is garbage.  Accumulating log-odds and
 log-sum-exp partial sums is immune to both failure modes.
 
 ``log_hitting_sums`` returns the log S_k themselves, with no size cap,
-since the sweep is linear in N; the ladder sampler inverts them.
+since the sweep is linear in N; the ladder sampler draws from them.
 ``height_dist_oracle`` still refuses N above ``cap`` (default 2000)
 unless the caller raises it.  Both return an ``array('d')``.
 

@@ -1,19 +1,26 @@
 """Monte Carlo sampling of busy-period heights.
 
-Three samplers share one reproducibility scheme:
+Three samplers:
 
 ``ladder`` (default)
-    Exact-in-law sampling of the height alone, by inversion.  The
-    first-passage identity P(H >= k) = 1 / S_k turns the event H >= k
-    into E >= log S_k for one E ~ Exp(1), so the height is the number of
-    log-sums at or below E: one ``searchsorted`` of E into the
-    non-decreasing log S_1..S_N.  The log-sums come from the
+    Exact-in-law sampling of the heights' counts alone.  The
+    first-passage identity P(H >= k) = 1 / S_k gives the hazard
+    P(H = k | H >= k) = 1 - S_k / S_{k+1}, so the counts are a chain of
+    conditional binomials: of the samples with H >= k, Bin(rem, h_k)
+    stop at k, and the rest go on (a multinomial drawn one binomial per
+    height; Devroye 1986, ch. XI).  The log-sums come from the
     first-passage module (:mod:`bdheight.oracle`), not from the
     closed-form law, so a distributional comparison against
     :mod:`bdheight.exactdist` still crosses two independent code paths.
-    Cost is one O(N) sweep plus O(log N) per sample; exponential
-    variates also resolve tail masses below 2**-53, which uniforms
-    cannot.
+    The chain skips the heights whose log-sum does not step up, where
+    the hazard is exactly 0.  Once at most ``_INVERSION_SAMPLES`` samples
+    are left it inverts them one at a time: H >= j exactly when
+    E >= log S_j for one E ~ Exp(1), and given E >= log S_k, E is
+    log S_k + Exp(1), so each height is the number of log-sums at or
+    below that.  Exponential variates and the binomial's ``log1p`` also
+    resolve hazards below 2**-53, which bare uniforms cannot.  Cost is
+    one O(N) sweep plus O(steps of the log-sums + _INVERSION_SAMPLES
+    log N), whatever the number of samples.
 
 ``jump-chain``
     Literal step-by-step walk of the embedded jump chain from state 1
@@ -35,34 +42,42 @@ Three samplers share one reproducibility scheme:
 
 Reproducibility
 ---------------
-Samples are partitioned into chunks of ``_CHUNK_SAMPLES`` and chunk c
-draws from its own counter-based Philox stream seeded by
-``SeedSequence((seed, c))``.  Chunks run in order on the calling thread,
-so a fixed ``SimulationConfig`` produces bit-identical summaries.  Each
-chunk's heights are added to the counts as the chunk is drawn, and a
-``full-ctmc`` chunk's durations go into the exact sum as it is drawn, so
-a batch holds O(N + chunk) numbers however many samples it draws.  The
-summary keeps only the nonzero counts, as ascending (height, count)
-pairs, and takes the exact moments and the sup distance from them.
-Scalar aggregates are rounded once from their exact values (integer
-moments divided once; ``math.fsum`` for durations), so no accumulation
-order can leak into the output.
+The ladder draws from ``random.Random(seed)`` and uses only its
+``random()`` method, whose sequence Python keeps the same for a given
+seed across versions; its binomials are ``_binomial``, a port of
+CPython 3.12's ``binomialvariate`` on the C library's ``log``,
+``log1p`` and ``lgamma``.  The walks partition their samples into chunks
+of ``_CHUNK_SAMPLES``, and chunk c draws from its own counter-based
+Philox stream seeded by ``SeedSequence((seed, c))``; numpy is imported
+only there.  Chunks run in order on the calling thread, so a fixed
+``SimulationConfig`` produces bit-identical summaries.  The counts are
+a ``Counter`` keyed by height; each chunk's heights are added to it as
+the chunk is drawn, and a ``full-ctmc`` chunk's durations go into the
+exact sum as it is drawn, so a batch holds O(N + chunk) numbers however
+many samples it draws.  The summary keeps only the nonzero counts, as
+ascending (height, count) pairs, and takes the exact moments and the sup
+distance from them.  Scalar aggregates are rounded once from their exact
+values (integer moments divided once; ``math.fsum`` for durations), so
+no accumulation order can leak into the output.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import random
 from bisect import bisect_right
-from collections.abc import Iterator
-from typing import NamedTuple
-
-import numpy as np
+from collections import Counter
+from collections.abc import Callable, Iterator
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import exactdist, oracle
 from .errors import CapacityError, ParameterError, SimulationAbort
 from .model import (FULL_CTMC, JUMP_CHAIN, LADDER, SAMPLER_MODES, ModelParams, ReadOnly,
                     jump_up_probs)
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "LADDER",
@@ -140,12 +155,94 @@ def estimate_mean_excursion_steps(p: ModelParams) -> float:
     return math.expm1(log_return)  # return time minus the jump out of 0
 
 
-# Samples per chunk, and so per Philox stream.  A constant, so the stream
-# layout depends on nothing but the seed.
+# Once this few samples are left the ladder inverts them one at a time:
+# then a search per sample costs less than a binomial per remaining step
+# of the log-sums, of which a heavy tail (rho ~ 1) has many.
+_INVERSION_SAMPLES = 64
+
+
+def _binomial(rnd: Callable[[], float], n: int, p: float) -> int:
+    """One Bin(n, p) variate drawn from the uniforms ``rnd()``.
+
+    CPython 3.12's ``Random.binomialvariate``: Devroye's geometric method
+    for n p < 10, Hoermann's BTRS (J. Stat. Comput. Simul. 46, 1993)
+    otherwise, with p <= 1/2 by symmetry.  Changed: the geometric step
+    divides by ``log1p(-p)``, where CPython's ``log2(1 - p)`` is 0 for p
+    below 2**-53 and the draw is always 0; a step of n or more trials
+    (possibly inf there) ends the draw; every log takes 1 - ``rnd()``,
+    which is never 0, and a BTRS draw with ``rnd()`` = 0, whose hat point
+    is at infinity, is rejected.  The setup is done up front, and there
+    is no n = 1 shortcut.
+    """
+    if p <= 0.0:
+        return 0
+    if p >= 1.0:
+        return n
+    if p > 0.5:
+        return n - _binomial(rnd, n, 1.0 - p)
+    if n * p < 10.0:
+        x = y = 0  # successes so far, and the trial of the last one
+        c = math.log1p(-p)
+        while True:
+            y += math.floor(min(math.log(1.0 - rnd()) / c, n)) + 1
+            if y > n:
+                return x
+            x += 1
+    spq = math.sqrt(n * p * (1.0 - p))
+    b = 1.15 + 2.53 * spq
+    a = -0.0873 + 0.0248 * b + 0.01 * p
+    c = n * p + 0.5
+    vr = 0.92 - 4.2 / b
+    alpha = (2.83 + 5.1 / b) * spq
+    lpq = math.log(p / (1.0 - p))
+    m = math.floor((n + 1) * p)  # the mode
+    h = math.lgamma(m + 1) + math.lgamma(n - m + 1)
+    while True:
+        u = rnd() - 0.5
+        us = 0.5 - abs(u)
+        if us == 0.0:
+            continue
+        k = math.floor((2.0 * a / us + b) * u + c)
+        if k < 0 or k > n:
+            continue
+        v = 1.0 - rnd()
+        if us >= 0.07 and v <= vr:  # the squeeze
+            return k
+        v *= alpha / (a / (us * us) + b)
+        if math.log(v) <= h - math.lgamma(k + 1) - math.lgamma(n - k + 1) + (k - m) * lpq:
+            return k
+
+
+def _ladder_counts(p: ModelParams, n: int, seed: int, counts: Counter) -> None:
+    """Add the heights of ``n`` ladder samples to ``counts``."""
+    ls = oracle.log_hitting_sums(p)  # ls[k-1] = log S_k, never decreasing
+    rnd = random.Random(seed).random
+    k, rem = 1, n  # rem samples are left, each with H >= k
+    while rem > _INVERSION_SAMPLES:
+        # the hazard P(H = k | H >= k) = 1 - S_k / S_{k+1} is 0 until log S steps up
+        k = bisect_right(ls, ls[k - 1], k)
+        if k == p.N:  # where it is 1
+            counts[k] += rem
+            return
+        stop = _binomial(rnd, rem, -math.expm1(ls[k - 1] - ls[k]))
+        if stop:
+            counts[k] += stop
+            rem -= stop
+        k += 1
+    # H >= j exactly when E >= log S_j, E ~ Exp(1); given E >= log S_k,
+    # E is log S_k + Exp(1)
+    for _ in range(rem):
+        counts[bisect_right(ls, ls[k - 1] - math.log(1.0 - rnd()))] += 1
+
+
+# Samples per walk chunk, and so per Philox stream.  A constant, so the
+# stream layout depends on nothing but the seed.
 _CHUNK_SAMPLES = 4096
 
 
 def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
+    import numpy as np
+
     return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, chunk_index))))
 
 
@@ -154,6 +251,8 @@ def _walk_chunk(p: ModelParams, n: int, rng: np.random.Generator,
     # All excursions of the chunk advance in lockstep; finished ones drop
     # out.  The per-round counter bounds every excursion's step count, so
     # the circuit breaker trips once any excursion exceeds MAX_EXCURSION_STEPS.
+    import numpy as np
+
     up = np.frombuffer(jump_up_probs(p))
     rates = np.arange(p.N + 1, dtype=float) * p.mu + (p.N - np.arange(p.N + 1, dtype=float)) * p.nu
     state = np.ones(n, dtype=np.int64)
@@ -206,26 +305,27 @@ def _sup_distance(law: exactdist.HeightDistribution,
     return max(map(gap, levels))
 
 
-def _draw(cfg: SimulationConfig, counts: np.ndarray) -> Iterator[list[float]]:
-    """Draw the batch chunk by chunk, adding each chunk's heights to
-    ``counts``, and yield each chunk's durations (``full-ctmc`` only)."""
+def _draw(cfg: SimulationConfig, counts: Counter) -> Iterator[list[float]]:
+    """Draw the batch, adding its heights to ``counts`` (a walk's chunk by
+    chunk), and yield each chunk's durations (``full-ctmc`` only)."""
     p, n = cfg.params, cfg.n_samples
     if cfg.mode == LADDER:
-        log_sums = np.frombuffer(oracle.log_hitting_sums(p))
+        _ladder_counts(p, n, cfg.seed, counts)
+        return
     for c, lo in enumerate(range(0, n, _CHUNK_SAMPLES)):
-        m, rng = min(_CHUNK_SAMPLES, n - lo), _chunk_rng(cfg.seed, c)
-        if cfg.mode == LADDER:
-            # H >= k exactly when E >= log S_k, with E ~ Exp(1)
-            heights = np.searchsorted(log_sums, rng.standard_exponential(m), side="right")
-        else:
-            heights, durations = _walk_chunk(p, m, rng, cfg.mode == FULL_CTMC)
-            if durations is not None:
-                yield durations.tolist()
-        np.add.at(counts, heights, 1)
+        heights, durations = _walk_chunk(p, min(_CHUNK_SAMPLES, n - lo),
+                                         _chunk_rng(cfg.seed, c), cfg.mode == FULL_CTMC)
+        if durations is not None:
+            yield durations.tolist()
+        counts.update(heights.tolist())
 
 
-def run_batch(cfg: SimulationConfig) -> SimulationSummary:
+def run_batch(cfg: SimulationConfig,
+              law: exactdist.HeightDistribution | None = None) -> SimulationSummary:
     """Draw ``cfg.n_samples`` i.i.d. heights and compare against the exact law.
+
+    ``law`` is the exact law of ``cfg.params``, for a caller that has
+    built it already; by default it is built here.
 
     Raises ``CapacityError`` for walk modes whose analytically estimated
     total step count exceeds ``MAX_TOTAL_STEPS`` (use the ladder mode
@@ -241,15 +341,14 @@ def run_batch(cfg: SimulationConfig) -> SimulationSummary:
                 f"direct {cfg.mode} simulation of {n} excursions at N={p.N}, "
                 f"rho={p.rho} needs ~{est:.3g} jump steps "
                 f"(budget {MAX_TOTAL_STEPS:.3g}); the '{LADDER}' mode samples "
-                f"the same height law in O(log N) per sample")
+                f"the same height law without walking")
 
-    counts = np.zeros(p.N + 1, dtype=np.int64)
+    counts = Counter()
     # fsum runs the draw.  It takes each chunk's durations as the chunk is
     # drawn and keeps only its partials, and it rounds the exact sum once,
     # so the value does not depend on the chunking.
     total_duration = math.fsum(itertools.chain.from_iterable(_draw(cfg, counts)))
-    heights = np.flatnonzero(counts)  # counts is indexed by height
-    pairs = tuple(zip(heights.tolist(), counts[heights].tolist()))
+    pairs = tuple(sorted(counts.items()))
 
     # Heights are integers, so the sample moments are ratios of integers,
     # and ``/`` on two ints rounds the exact ratio once: the summary does
@@ -257,7 +356,9 @@ def run_batch(cfg: SimulationConfig) -> SimulationSummary:
     s1 = sum(k * c for k, c in pairs)
     s2 = sum(k * k * c for k, c in pairs)
 
-    sup = _sup_distance(exactdist.height_distribution(p), pairs, n)
+    if law is None:
+        law = exactdist.height_distribution(p)
+    sup = _sup_distance(law, pairs, n)
     eps = dkw_epsilon(n, cfg.dkw_delta)
 
     mean_duration = None

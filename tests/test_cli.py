@@ -422,38 +422,39 @@ class TestEmission:
         assert rc == 0
         assert peak < 4 * 2**20
 
-    # sha256 of whole artifacts at version 0.3.2.  Their data sections are
-    # those of 0.3.1, except simulate JSON's empirical_cdf, which 0.3.1 summed
-    # in floats; a version bump changes the manifest and so these.
+    # sha256 of whole artifacts at version 0.3.3.  Their data sections are
+    # those of 0.3.2, except the two ladder simulate runs, whose counts 0.3.3
+    # draws from random.Random(seed); a version bump changes the manifest
+    # and so these.
     @pytest.mark.parametrize("argv,digest", [
         (["dist", "--n", "1000", "--rho", "0.5"],
-         "d7529850b621d8c856eeffd9e2d391d59741565e89045bab0ec55edce865d4f6"),
+         "063aa81711fbc0bd2d0e4b0bf9613d85cbc352cd0fd24892fbd21e8ca0aaf9d6"),
         (["dist", "--n", "1000", "--rho", "0.5", "--format", "csv"],
-         "d210a56d980ba0f301999e5010ad1a30799f2aeb4c3d2f85ec525872ac09e848"),
+         "635cfa9000e4438ad35f6c04e3ca596491ca4272b0f164f726dc644fad72b2d6"),
         (["dist", "--n", "1", "--rho", "2"],
-         "0c5c198fe398f03c63fd86dab28ad66ef76aca49910eed63fcf72fc6d0c67f92"),
+         "7d7f3b03d1f861e9f7169c073fd2cfef35f670eabb644643c5c55e4c6d135946"),
         (["simulate", "--n", "50", "--rho", "0.5", "--samples", "1000", "--seed", "1"],
-         "7f284ddd98941b22fc6ba69bad41a8294f792fd4a4a9c6a5e5a6c9ec910f3222"),
+         "b820895de8d7791eb20f53d8b882d79253305a7b73f874ff968e1726132dc83d"),
         (["simulate", "--n", "50", "--rho", "0.5", "--samples", "1000", "--seed", "1",
           "--format", "csv"],
-         "24db87473036e4f604fa4968ee81b9b7f567a3177e559b7fbde47040ef7bf9fb"),
+         "c5f59ca426b413786e41018b4994e26005854128920bea590cca31489253be09"),
         # its k column reaches the blocks of 10**4 entries
         (["dist", "--n", "123457", "--rho", "0.5"],
-         "1ff2baa361004889747140bd29d8b10c6757a4fc27c1dab75c7b2cd8d27f52f5"),
+         "088583df9bf735dbe210b66ce39a10d3d0d70121e3f749e4f679c9bfd3fa82c7"),
         # the duration sum, the alpha and bound-constant records and the
         # limit-table rows, as 0.3.2 wrote them
         (["simulate", "--n", "5", "--rho", "0.5", "--samples", "20000", "--seed", "1",
           "--mode", "full-ctmc"],
-         "5c79c1c477bd20672b32b824e840c6eb8f2f5fe715911c3a08f43e6d73a16c99"),
+         "c54b16b34dfd6a55c49767d04de4b5077a3c62ffec8bbf2c492e9f4691443434"),
         (["alpha", "--rho", "0.3"],
-         "2453610b33c8fd0bf045c881f3d1b72a5f80d179088361e7808cf406c48c2135"),
+         "9944ebbe1da3f022f2e861035c5ce0334e506e2c2170043d1dcb345ace931416"),
         (["alpha", "--rho", "0.3", "--format", "csv"],
-         "1ff25c7682d625c34509fc9b4242eb5e56b475d1522043c82fc38122da3ee6f0"),
+         "d8172d5eaf5051f4b96f3a194d782c2cbcf9c23cf611326c779bb46066bbcb97"),
         (["sweep", "--rho", "0.5", "--n", "1000", "1000000"],
-         "553c328de5b6134a100bdfa38d01eb7fa1ea803f924991da0b40b2a9283b82cf"),
+         "ac3f4570ddddd0680928ae77b3cd0edadb7233ad4e9037647c35b8ad75c4f18c"),
         # laws whose lgam arguments pass 1e8, where the port drops its tail series
         (["sweep", "--rho", "0.5", "--n", "1000000000", "1000000000000"],
-         "a0dd890b0a5c0e563b9722ce253fa673c11cf343be658de3d828524635ff47d4"),
+         "7f2e6106e86d54963a9d1215132a2d0c07725d2aaaf70eaddc9b94a1bdc5ca52"),
     ], ids=lambda v: "_".join(v) if isinstance(v, list) else "")
     def test_artifact_bytes_are_pinned(self, tmp_path, argv, digest):
         path = tmp_path / "artifact"
@@ -703,13 +704,15 @@ class TestStrictJson:
 
 def test_import_does_not_load_scipy():
     # importing scipy.special alone costs ~0.45 s per CLI start and numpy
-    # ~0.14 s; nothing at runtime needs any of scipy, and dist, alpha and
-    # sweep need no numpy.  A run loads only the modules it uses, and every
-    # exported name still resolves on first use.  No subcommand loads
-    # dataclasses, whose inspect (with ast, dis and tokenize) costs ~12 ms;
-    # only numpy loads inspect, and only simulate loads numpy: the oracle
-    # that verify runs is plain Python.  simulate's moments are int / int,
-    # so no command loads fractions (with decimal, ~3 ms).
+    # ~0.14 s; nothing at runtime needs any of scipy, and no subcommand
+    # needs numpy but a walk-mode simulate.  A run loads only the modules it
+    # uses, and every exported name still resolves on first use.  No
+    # subcommand loads dataclasses, whose inspect (with ast, dis and
+    # tokenize) costs ~12 ms; only numpy loads inspect.  The oracle that
+    # verify and the ladder run is plain Python, and the ladder draws from
+    # the standard library's random; the walks import numpy for their
+    # Philox streams.  simulate's moments are int / int, so no command
+    # loads fractions (with decimal, ~3 ms).
     src = os.path.dirname(os.path.dirname(bdheight.__file__))
     code = """if True:
         import json, os, sys
@@ -732,30 +735,34 @@ def test_import_does_not_load_scipy():
         steps.append(run("sweep", "--rho", "0.5", "--n", "1000"))
         verified = run("verify", "--rho", "0.5", "--n", "10")
         simulated = run("simulate", "--n", "10", "--rho", "0.5", "--samples", "100")
+        walked = run("simulate", "--n", "10", "--rho", "0.5", "--samples", "100",
+                     "--mode", "jump-chain")
         names = {name: getattr(bdheight, name) is not None for name in bdheight.__all__}
         scope = {}
         exec("from bdheight import *", scope)
         print(json.dumps([steps, names, sorted(set(scope) - {"__builtins__"}),
                           sorted(bdheight.__all__), "oracle" in dir(bdheight), startup,
-                          verified, simulated]))
+                          verified, simulated, walked]))
     """
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
-    steps, names, star, exported, listed, startup, verified, simulated = json.loads(proc.stdout)
+    (steps, names, star, exported, listed, startup, verified, simulated,
+     walked) = json.loads(proc.stdout)
     cli_set = ["bdheight", "bdheight.cli", "bdheight.errors", "bdheight.exactdist",
                "bdheight.model"]
     limits_set = sorted([*cli_set, "bdheight.asymptotics"])
     assert steps == [["bdheight"], cli_set, cli_set, cli_set, limits_set, limits_set]
     assert len(names) == 37 and all(names.values())  # __version__ and 36 exported names
     assert star == exported and listed
-    # bdheight, bdheight.cli, dist (JSON and CSV), alpha, sweep, verify; then
-    # simulate, whose numpy loads inspect
-    assert len(startup) == 8
-    assert startup[:7] == [[]] * 7
+    # bdheight, bdheight.cli, dist (JSON and CSV), alpha, sweep, verify and
+    # a ladder simulate; then a walk, whose numpy loads inspect
+    assert len(startup) == 9
+    assert startup[:8] == [[]] * 8
     assert verified == sorted([*limits_set, "bdheight.oracle"])
+    assert simulated == sorted([*verified, "bdheight.simulate"])
     assert not any("dataclasses" in modules for modules in startup)
-    assert "bdheight.simulate" in simulated and "fractions" not in simulated
+    assert "numpy" in walked and "fractions" not in walked
     # the oracle alone, run once, loads no numpy either
     code = """if True:
         import sys

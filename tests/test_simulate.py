@@ -1,8 +1,12 @@
 """Samplers: law agreement, reproducibility, feasibility guards."""
 
+import bisect
 import inspect
+import itertools
 import math
+import random
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -27,7 +31,7 @@ from bdheight import (
     run_batch,
 )
 from bdheight import simulate
-from bdheight.simulate import _CHUNK_SAMPLES, _sup_distance
+from bdheight.simulate import _CHUNK_SAMPLES, _binomial, _sup_distance
 
 
 def _dense(s):
@@ -175,20 +179,25 @@ class TestLadderBatch:
 
 
 class TestInversionSampler:
-    def test_chunks_invert_their_own_streams(self):
-        # Chunk c draws its exponentials from Philox(SeedSequence((seed, c)));
-        # a height is the number of log-sums at or below its variate.
-        p = make_params(50, rho=0.8)
-        seed, n = 13, 2 * _CHUNK_SAMPLES + 100
-        log_sums = log_hitting_sums(p)
-        heights = []
-        for c, lo in enumerate(range(0, n, _CHUNK_SAMPLES)):
-            rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, c))))
-            e = rng.standard_exponential(min(_CHUNK_SAMPLES, n - lo))
-            heights.append(np.searchsorted(log_sums, e, side="right"))
-        want = np.bincount(np.concatenate(heights), minlength=p.N + 1)[1:]
+    @pytest.mark.parametrize("n", [1, 17, simulate._INVERSION_SAMPLES])
+    def test_small_batches_invert_their_own_uniforms(self, n):
+        # At most _INVERSION_SAMPLES samples skip the chain: sample i takes the
+        # i-th uniform U of Random(seed), and its height is the number of
+        # log-sums at or below E = -log(1 - U).
+        p, seed = make_params(50, rho=0.8), 13
+        log_sums, rnd = log_hitting_sums(p), random.Random(seed).random
+        want = Counter(bisect.bisect_right(log_sums, -math.log(1.0 - rnd())) for _ in range(n))
         s = run_batch(SimulationConfig(params=p, n_samples=n, seed=seed))
-        assert _dense(s) == tuple(want.tolist())
+        assert s.counts == tuple(sorted(want.items()))
+
+    @pytest.mark.parametrize("N", [1, 2, 50, 2000])
+    @pytest.mark.parametrize("rho", [1e-300, 0.5, 1.0, 2.0, 1e300])
+    def test_batches_follow_the_exact_law(self, N, rho):
+        # the chain and the inversion against the closed form, whose code
+        # path is independent of the log-sums the ladder draws from
+        s = run_batch(SimulationConfig(params=make_params(N, rho=rho), n_samples=20000,
+                                       seed=N))
+        assert s.dkw_pass
 
     def test_counts_are_sparse(self):
         # the batch keeps its nonzero counts only, not one count per height
@@ -224,6 +233,51 @@ class TestInversionSampler:
             tracemalloc.stop()
         assert sum(_dense(s)) == 2**21
         assert peak < 4 * 2**20
+
+
+def _binomial_cdf(n, p, upto):
+    """P(X <= k) for k = 0..upto, X ~ Bin(n, p) with 0 < p < 1, from math.comb."""
+    pmf = (math.exp(math.log(math.comb(n, k)) + k * math.log(p) + (n - k) * math.log1p(-p))
+           for k in range(upto + 1))
+    return list(itertools.accumulate(pmf))
+
+
+class TestBinomial:
+    """``_binomial`` against the exact Bin(n, p) law."""
+
+    @pytest.mark.parametrize("n,p", [
+        (0, 0.3), (1, 0.3), (1, 0.9), (7, 0.3), (7, 0.9),
+        (1000, 0.005), (1000, 0.3), (1000, 0.9),  # n p = 5 and 300, and p > 1/2
+        (10**6, 5e-6), (10**6, 2e-5), (10**6, 1 - 2e-5),  # n p = 5 and 20, and p > 1/2
+        (2**62, 2**-60),  # 1 - p rounds to 1
+    ])
+    def test_draws_follow_the_exact_law(self, n, p):
+        m = 20000
+        rnd = random.Random(n ^ m).random
+        draws = [_binomial(rnd, n, p) for _ in range(m)]
+        assert all(0 <= x <= n for x in draws)
+        if p > 0.5:  # n - X ~ Bin(n, 1 - p)
+            draws, p = [n - x for x in draws], 1.0 - p
+        counts = Counter(draws)
+        # both CDFs are 0 below 0, and past the largest draw the ECDF is 1
+        top = max(draws)
+        ecdf = itertools.accumulate(counts[k] / m for k in range(top + 1))
+        sup = max(abs(e - f) for e, f in zip(ecdf, _binomial_cdf(n, p, top)))
+        assert sup <= dkw_epsilon(m, 0.001)
+
+    def test_hazard_below_the_double_epsilon_fires(self):
+        # CPython's geometric step divides by log2(1 - p), which is 0 here,
+        # so binomialvariate returns 0 every time; the mean is 4.
+        rnd = random.Random(1).random
+        draws = [_binomial(rnd, 2**62, 2**-60) for _ in range(1000)]
+        assert abs(sum(draws) / 1000 - 4.0) <= 5 * math.sqrt(4.0 / 1000)
+
+    @pytest.mark.parametrize("n", [0, 1, 7, 10**6])
+    def test_certain_outcomes(self, n):
+        rnd = random.Random(3).random
+        assert _binomial(rnd, n, 0.0) == 0
+        assert _binomial(rnd, n, 1.0) == n
+        assert rnd() == random.Random(3).random()  # neither drew a uniform
 
 
 @st.composite
@@ -336,22 +390,18 @@ class TestReproducibility:
         b = repr(run_batch(cfg))
         assert a == b
 
-    @pytest.mark.parametrize("mode", [LADDER, JUMP_CHAIN, FULL_CTMC])
+    @pytest.mark.parametrize("mode", [JUMP_CHAIN, FULL_CTMC])
     def test_chunks_do_not_depend_on_the_batch_size(self, mode):
-        # Chunk c draws from Philox(SeedSequence((seed, c))) whatever the
+        # Walk chunk c draws from Philox(SeedSequence((seed, c))) whatever the
         # batch size, so a batch of three chunks is its chunks drawn alone,
         # and its first chunk is a one-chunk batch.
-        p = make_params(10, rho=0.3) if mode != LADDER else make_params(200, rho=0.8)
+        p = make_params(10, rho=0.3)
         seed, n = 5, 2 * _CHUNK_SAMPLES + 100
         counts, durations = np.zeros(p.N + 1, dtype=np.int64), []
         for c, lo in enumerate(range(0, n, _CHUNK_SAMPLES)):
             m, rng = min(_CHUNK_SAMPLES, n - lo), simulate._chunk_rng(seed, c)
-            if mode == LADDER:
-                heights = np.searchsorted(log_hitting_sums(p), rng.standard_exponential(m),
-                                          side="right")
-            else:
-                heights, d = simulate._walk_chunk(p, m, rng, mode == FULL_CTMC)
-                durations += [] if d is None else d.tolist()
+            heights, d = simulate._walk_chunk(p, m, rng, mode == FULL_CTMC)
+            durations += [] if d is None else d.tolist()
             counts += np.bincount(heights, minlength=p.N + 1)
             if c == 0:
                 first = run_batch(SimulationConfig(params=p, n_samples=m, seed=seed,
@@ -378,6 +428,22 @@ class TestReproducibility:
                                        seed=seed, mode=mode))
         assert {k: c for k, c in enumerate(_dense(s), start=1) if c} == counts
         assert s.mean_busy_duration == duration
+
+    @pytest.mark.parametrize("N,rho,n,seed,counts", [
+        (50, 0.8, 64, 13, {1: 1, 45: 2, 46: 37, 47: 23, 48: 1}),
+        (50, 0.8, 9000, 13,
+         {1: 213, 2: 13, 3: 4, 42: 2, 43: 12, 44: 70, 45: 852, 46: 4563, 47: 2985, 48: 267,
+          49: 19}),
+        (2000, 0.5, 20000, 77,
+         {1: 24, 1537: 1, 1538: 1, 1539: 5, 1540: 60, 1541: 419, 1542: 2266, 1543: 7753,
+          1544: 7175, 1545: 1957, 1546: 275, 1547: 54, 1548: 7, 1549: 3}),
+    ], ids=["inversion-50", "chain-50", "chain-2000"])
+    def test_ladder_counts_are_pinned(self, N, rho, n, seed, counts):
+        # Ladder batches as drawn by 0.3.3: all by inversion (at most
+        # _INVERSION_SAMPLES samples), and by the binomial chain.
+        s = run_batch(SimulationConfig(params=make_params(N, rho=rho), n_samples=n,
+                                       seed=seed))
+        assert dict(s.counts) == counts
 
     def test_different_seed_different_counts(self):
         p = make_params(40, rho=0.9)
