@@ -13,14 +13,11 @@ Three samplers:
     closed-form law, so a distributional comparison against
     :mod:`bdheight.exactdist` still crosses two independent code paths.
     The chain skips the heights whose log-sum does not step up, where
-    the hazard is exactly 0.  Once at most ``_INVERSION_SAMPLES`` samples
-    are left it inverts them one at a time: H >= j exactly when
-    E >= log S_j for one E ~ Exp(1), and given E >= log S_k, E is
-    log S_k + Exp(1), so each height is the number of log-sums at or
-    below that.  Exponential variates and the binomial's ``log1p`` also
-    resolve hazards below 2**-53, which bare uniforms cannot.  Cost is
-    one O(N) sweep plus O(steps of the log-sums + _INVERSION_SAMPLES
-    log N), whatever the number of samples.
+    the hazard is exactly 0, and stops once no sample is left.  The
+    binomial's ``log1p`` resolves hazards below 2**-53, which a bare
+    comparison of uniforms cannot.  Cost is one O(N) sweep plus one
+    binomial per step of the log-sums up to the largest height drawn,
+    whatever the number of samples.
 
 ``jump-chain``
     Literal step-by-step walk of the embedded jump chain from state 1
@@ -155,24 +152,20 @@ def estimate_mean_excursion_steps(p: ModelParams) -> float:
     return math.expm1(log_return)  # return time minus the jump out of 0
 
 
-# Once this few samples are left the ladder inverts them one at a time:
-# then a search per sample costs less than a binomial per remaining step
-# of the log-sums, of which a heavy tail (rho ~ 1) has many.
-_INVERSION_SAMPLES = 64
-
-
 def _binomial(rnd: Callable[[], float], n: int, p: float) -> int:
     """One Bin(n, p) variate drawn from the uniforms ``rnd()``.
 
     CPython 3.12's ``Random.binomialvariate``: Devroye's geometric method
     for n p < 10, Hoermann's BTRS (J. Stat. Comput. Simul. 46, 1993)
-    otherwise, with p <= 1/2 by symmetry.  Changed: the geometric step
-    divides by ``log1p(-p)``, where CPython's ``log2(1 - p)`` is 0 for p
-    below 2**-53 and the draw is always 0; a step of n or more trials
-    (possibly inf there) ends the draw; every log takes 1 - ``rnd()``,
-    which is never 0, and a BTRS draw with ``rnd()`` = 0, whose hat point
-    is at infinity, is rejected.  The setup is done up front, and there
-    is no n = 1 shortcut.
+    otherwise, with p <= 1/2 by symmetry.  For n p >= 10 it takes the
+    same uniforms and returns the same values as CPython's.  Changed: the
+    geometric step divides by ``log1p(-p)``, where CPython's
+    ``log2(1 - p)`` is 0 for p below 2**-53 and the draw is always 0; a
+    step of n or more trials (possibly inf there) ends the draw; its log
+    takes 1 - ``rnd()``, which is never 0.  A BTRS draw with ``rnd()`` = 0
+    is rejected when its hat point is at infinity and accepted when it is
+    the v of the acceptance test (log 0 = -inf), where CPython raises.
+    The setup is done up front, and there is no n = 1 shortcut.
     """
     if p <= 0.0:
         return 0
@@ -205,11 +198,12 @@ def _binomial(rnd: Callable[[], float], n: int, p: float) -> int:
         k = math.floor((2.0 * a / us + b) * u + c)
         if k < 0 or k > n:
             continue
-        v = 1.0 - rnd()
+        v = rnd()
         if us >= 0.07 and v <= vr:  # the squeeze
             return k
         v *= alpha / (a / (us * us) + b)
-        if math.log(v) <= h - math.lgamma(k + 1) - math.lgamma(n - k + 1) + (k - m) * lpq:
+        if v == 0.0 or (math.log(v) <= h - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+                        + (k - m) * lpq):
             return k
 
 
@@ -218,7 +212,7 @@ def _ladder_counts(p: ModelParams, n: int, seed: int, counts: Counter) -> None:
     ls = oracle.log_hitting_sums(p)  # ls[k-1] = log S_k, never decreasing
     rnd = random.Random(seed).random
     k, rem = 1, n  # rem samples are left, each with H >= k
-    while rem > _INVERSION_SAMPLES:
+    while rem:
         # the hazard P(H = k | H >= k) = 1 - S_k / S_{k+1} is 0 until log S steps up
         k = bisect_right(ls, ls[k - 1], k)
         if k == p.N:  # where it is 1
@@ -229,10 +223,6 @@ def _ladder_counts(p: ModelParams, n: int, seed: int, counts: Counter) -> None:
             counts[k] += stop
             rem -= stop
         k += 1
-    # H >= j exactly when E >= log S_j, E ~ Exp(1); given E >= log S_k,
-    # E is log S_k + Exp(1)
-    for _ in range(rem):
-        counts[bisect_right(ls, ls[k - 1] - math.log(1.0 - rnd()))] += 1
 
 
 # Samples per walk chunk, and so per Philox stream.  A constant, so the

@@ -434,10 +434,10 @@ class TestEmission:
         (["dist", "--n", "1", "--rho", "2"],
          "7d7f3b03d1f861e9f7169c073fd2cfef35f670eabb644643c5c55e4c6d135946"),
         (["simulate", "--n", "50", "--rho", "0.5", "--samples", "1000", "--seed", "1"],
-         "b820895de8d7791eb20f53d8b882d79253305a7b73f874ff968e1726132dc83d"),
+         "ee22cf5307c6fb2f4c817766d2eb2a91cc62a456082ed245c19ddd55fd3f5d35"),
         (["simulate", "--n", "50", "--rho", "0.5", "--samples", "1000", "--seed", "1",
           "--format", "csv"],
-         "c5f59ca426b413786e41018b4994e26005854128920bea590cca31489253be09"),
+         "d8bfaea805a7e9a4ce58f8f3a15b63112870135a94658abb3f0ffe240f2528ee"),
         # its k column reaches the blocks of 10**4 entries
         (["dist", "--n", "123457", "--rho", "0.5"],
          "088583df9bf735dbe210b66ce39a10d3d0d70121e3f749e4f679c9bfd3fa82c7"),

@@ -106,7 +106,7 @@ class TestBatchedOracle:
         assert surv.shape == (2001,)
 
     def test_ascent_probs_are_survival_ratios(self):
-        # The sampler inverts these log-sums, so it relies on exactly this:
+        # The ladder's hazards are ratios of these sums, so it relies on this:
         # P(H >= k) = exp(-log S_k), log S_1 = 0, and no sum decreases.
         p = make_params(80, rho=0.7)
         log_sums = np.asarray(log_hitting_sums(p))

@@ -1,6 +1,5 @@
 """Samplers: law agreement, reproducibility, feasibility guards."""
 
-import bisect
 import inspect
 import itertools
 import math
@@ -26,7 +25,6 @@ from bdheight import (
     estimate_mean_excursion_steps,
     height_distribution,
     height_fraction_limit,
-    log_hitting_sums,
     make_params,
     run_batch,
 )
@@ -179,22 +177,11 @@ class TestLadderBatch:
 
 
 class TestInversionSampler:
-    @pytest.mark.parametrize("n", [1, 17, simulate._INVERSION_SAMPLES])
-    def test_small_batches_invert_their_own_uniforms(self, n):
-        # At most _INVERSION_SAMPLES samples skip the chain: sample i takes the
-        # i-th uniform U of Random(seed), and its height is the number of
-        # log-sums at or below E = -log(1 - U).
-        p, seed = make_params(50, rho=0.8), 13
-        log_sums, rnd = log_hitting_sums(p), random.Random(seed).random
-        want = Counter(bisect.bisect_right(log_sums, -math.log(1.0 - rnd())) for _ in range(n))
-        s = run_batch(SimulationConfig(params=p, n_samples=n, seed=seed))
-        assert s.counts == tuple(sorted(want.items()))
-
     @pytest.mark.parametrize("N", [1, 2, 50, 2000])
     @pytest.mark.parametrize("rho", [1e-300, 0.5, 1.0, 2.0, 1e300])
     def test_batches_follow_the_exact_law(self, N, rho):
-        # the chain and the inversion against the closed form, whose code
-        # path is independent of the log-sums the ladder draws from
+        # the chain against the closed form, whose code path is independent
+        # of the log-sums the ladder draws from
         s = run_batch(SimulationConfig(params=make_params(N, rho=rho), n_samples=20000,
                                        seed=N))
         assert s.dkw_pass
@@ -249,7 +236,10 @@ class TestBinomial:
         (0, 0.3), (1, 0.3), (1, 0.9), (7, 0.3), (7, 0.9),
         (1000, 0.005), (1000, 0.3), (1000, 0.9),  # n p = 5 and 300, and p > 1/2
         (10**6, 5e-6), (10**6, 2e-5), (10**6, 1 - 2e-5),  # n p = 5 and 20, and p > 1/2
-        (2**62, 2**-60),  # 1 - p rounds to 1
+        # 1 - p rounds to 1, so CPython's geometric step, which divides by
+        # log2(1 - p) = 0, returns 0 every time; the ECDF would be 1 at 0
+        # against P(X = 0) = e**-4
+        (2**62, 2**-60),
     ])
     def test_draws_follow_the_exact_law(self, n, p):
         m = 20000
@@ -265,12 +255,25 @@ class TestBinomial:
         sup = max(abs(e - f) for e, f in zip(ecdf, _binomial_cdf(n, p, top)))
         assert sup <= dkw_epsilon(m, 0.001)
 
-    def test_hazard_below_the_double_epsilon_fires(self):
-        # CPython's geometric step divides by log2(1 - p), which is 0 here,
-        # so binomialvariate returns 0 every time; the mean is 4.
-        rnd = random.Random(1).random
-        draws = [_binomial(rnd, 2**62, 2**-60) for _ in range(1000)]
-        assert abs(sum(draws) / 1000 - 4.0) <= 5 * math.sqrt(4.0 / 1000)
+    @pytest.mark.parametrize("n,p,total,after", [
+        (20, 0.5, 100100, 0.9005693874465123),  # n p = 10
+        (1000, 0.3, 3001261, 0.11256751381533525),
+        (1000, 0.9, 8999028, 0.35236775303291834),
+        (10**6, 2e-5, 200706, 0.4575185654738795),
+        (10**9, 0.25, 2500001486687, 0.7338572392412357),
+    ])
+    def test_btrs_replays_cpython(self, n, p, total, after):
+        # For n min(p, 1 - p) >= 10 the draws are CPython's BTRS uniform for
+        # uniform: ``total`` is the sum of 10**4 draws of
+        # Random(5).binomialvariate(n, p) on CPython 3.12, and ``after`` the
+        # uniform that follows them, so a changed constant or test that
+        # moves one acceptance moves one of them.
+        rnd = random.Random(5).random
+        draws = [_binomial(rnd, n, p) for _ in range(10**4)]
+        assert (sum(draws), rnd()) == (total, after)
+        if hasattr(random.Random, "binomialvariate"):  # CPython 3.12 on
+            r = random.Random(5)
+            assert draws == [r.binomialvariate(n, p) for _ in range(10**4)]
 
     @pytest.mark.parametrize("n", [0, 1, 7, 10**6])
     def test_certain_outcomes(self, n):
@@ -430,17 +433,17 @@ class TestReproducibility:
         assert s.mean_busy_duration == duration
 
     @pytest.mark.parametrize("N,rho,n,seed,counts", [
-        (50, 0.8, 64, 13, {1: 1, 45: 2, 46: 37, 47: 23, 48: 1}),
+        (50, 0.8, 64, 13, {1: 2, 44: 2, 45: 11, 46: 21, 47: 27, 48: 1}),
         (50, 0.8, 9000, 13,
-         {1: 213, 2: 13, 3: 4, 42: 2, 43: 12, 44: 70, 45: 852, 46: 4563, 47: 2985, 48: 267,
-          49: 19}),
+         {1: 213, 2: 8, 3: 2, 42: 2, 43: 12, 44: 98, 45: 786, 46: 4490, 47: 3131, 48: 252,
+          49: 6}),
         (2000, 0.5, 20000, 77,
-         {1: 24, 1537: 1, 1538: 1, 1539: 5, 1540: 60, 1541: 419, 1542: 2266, 1543: 7753,
-          1544: 7175, 1545: 1957, 1546: 275, 1547: 54, 1548: 7, 1549: 3}),
-    ], ids=["inversion-50", "chain-50", "chain-2000"])
+         {1: 24, 1537: 1, 1538: 1, 1539: 5, 1540: 71, 1541: 399, 1542: 2373, 1543: 7558,
+          1544: 7155, 1545: 1979, 1546: 376, 1547: 50, 1548: 7, 1549: 1}),
+    ], ids=["64-at-50", "9000-at-50", "20000-at-2000"])
     def test_ladder_counts_are_pinned(self, N, rho, n, seed, counts):
-        # Ladder batches as drawn by 0.3.3: all by inversion (at most
-        # _INVERSION_SAMPLES samples), and by the binomial chain.
+        # Ladder batches as drawn by 0.3.3; each chain draws 2 to 11 of its
+        # binomials by BTRS and the rest by the geometric method.
         s = run_batch(SimulationConfig(params=make_params(N, rho=rho), n_samples=n,
                                        seed=seed))
         assert dict(s.counts) == counts
