@@ -12,7 +12,7 @@ Every artifact embeds a run manifest (tool, version, command, full
 parameter set, SHA-256 of the data section); re-running the same command
 reproduces the artifact byte for byte.  Exit codes: 0 success, 1 a
 requested check failed or stdout was closed before the artifact was
-written, 2 usage or validation error.
+written, 2 usage or validation error, a refused input or an aborted walk.
 
 A JSON artifact is exactly ``json.dumps(doc, sort_keys=True,
 separators=(",", ":"), allow_nan=False)`` plus a newline, streamed as
@@ -63,7 +63,7 @@ from collections.abc import Iterable, Iterator, Sequence
 from typing import NamedTuple
 
 from . import __version__, exactdist
-from .errors import CapacityError, ParameterError
+from .errors import CapacityError, ParameterError, SimulationAbort
 from .model import LADDER, SAMPLER_MODES, make_params
 
 __all__ = ["main", "entrypoint"]
@@ -330,6 +330,8 @@ def _verify_checks(rhos: list[float], ns: list[int], corrupt: bool) -> list[dict
 
     checks: list[dict] = []
     for rho in rhos:
+        # the laws first: they refuse an N too large for the bounds' floats
+        laws = {n: exactdist.height_distribution(make_params(n, rho=rho)) for n in ns}
         if rho < 1.0:
             constants = asymptotics.bound_constants(rho)
             if corrupt:
@@ -340,7 +342,6 @@ def _verify_checks(rhos: list[float], ns: list[int], corrupt: bool) -> list[dict
                 growth, decay = asymptotics.check_peak_ratio_bounds(n, rho, constants)
                 checks.append(growth.to_dict())
                 checks.append(decay.to_dict())
-        laws = {n: exactdist.height_distribution(make_params(n, rho=rho)) for n in ns}
         for n in ns:
             checks.append(asymptotics.check_mean_bounds(n, rho, laws[n].mean).to_dict())
         if rho < 1.0:
@@ -533,7 +534,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParameterError, CapacityError) as exc:
+    except (ParameterError, CapacityError, SimulationAbort) as exc:
         print(f"{args.command}: error: {exc}", file=sys.stderr)
         return 2
 

@@ -78,22 +78,14 @@ The variance is the centered second moment over the masses, summed with
 catastrophically cancelling for rho >= 1 where mean ~ N, and is not
 used.
 
-Each log term is -i log rho - (lgam(N) - lgam(i + 1) - lgam(N - i)),
-where lgam is a private port of Cephes ``lgam`` (S. Moshier, *Methods and
-Programs for Mathematical Functions*, 1989), the routine behind
-``scipy.special.gammaln``, so the terms are the same doubles gammaln
-gives.  The port is one scalar function, which evaluates every term:
-the bisection probes and the head and window runs alike.  It only
-accepts integer-valued arguments x >= 1: below 13 it reads log((x-1)!)
-from a table, from 13 up it is Cephes' Stirling series with its
-coefficients, operation order and branch points (1000, 1e8, and inf
-above MAXLGM = 2.556348e305).  Its logarithm is ``math.log``, the C
-library's, as in Cephes.
+Each log term is -i log rho - (lgamma(N) - lgamma(i + 1) - lgamma(N - i))
+with CPython's ``math.lgamma``, for the bisection probes and the runs
+alike.  N is capped at 2**53, so every index i and N - i is a double.
 
-The law is computed with ``math``, that is with the C library (libm):
-the terms, the running log-sum (each step as numpy's scalar
-``npy_logaddexp``, so the log-survival is that of
-``np.logaddexp.accumulate``), the survival ``exp`` and the mass
+The law is computed with ``math``, that is with CPython's ``lgamma``
+and otherwise the C library (libm): the terms, the running log-sum
+(each step as numpy's scalar ``npy_logaddexp``, so the log-survival is
+that of ``np.logaddexp.accumulate``), the survival ``exp`` and the mass
 ``expm1``.  NumPy's ``np.log``, ``np.exp`` and ``np.expm1`` run SIMD
 kernels that numpy picks at run time from the CPU's features, and these
 differ from libm in the last bit, so a law computed with them would have
@@ -137,6 +129,7 @@ RATIONAL_CAP = 500  # largest N of the exact-rational twin
 _RATIONAL_BIT_GUARD = 5_000_000  # combined numerator+denominator bits of a partial sum
 _NOOP_GAP = 750.0  # a term this far below a running log-sum >= 0 leaves it unchanged
 _LOG2 = math.log(2.0)
+_MAX_N = 2**53  # every integer up to here is a double; the next one is not
 
 
 class HeightDistribution(ReadOnly):
@@ -255,39 +248,18 @@ def _check_rho(rho) -> float:
     return rho
 
 
-# Cephes lgam for integer-valued x >= 1 (see the module docstring).  Below
-# 13 it is the log of (x-1)!, which is exact in a double there.
-_LOG_FACTORIAL = tuple(math.log(float(math.factorial(j))) for j in range(12))
-_LS2PI = 0.91893853320467274178  # log(sqrt(2 pi))
-_MAXLGM = 2.556348e305
-
-
-def _lgam(x: float) -> float:
-    """log Gamma(x) for one integer-valued x >= 1, bit-identical to Cephes."""
-    if x < 13.0:
-        return _LOG_FACTORIAL[int(x) - 1]
-    if x > _MAXLGM:
-        return math.inf
-    q = (x - 0.5) * math.log(x) - x + _LS2PI
-    if x > 1e8:
-        return q
-    p = 1.0 / (x * x)
-    if x >= 1000.0:
-        # Cephes' short series for 1000 <= x <= 1e8
-        return q + ((7.9365079365079365079365e-4 * p - 2.7777777777777777777778e-3) * p
-                    + 0.0833333333333333333333) / x
-    # Cephes' polevl(p, A, 4) / x for 13 <= x < 1000
-    return q + ((((8.11614167470508450300E-4 * p - 5.95061904284301438324E-4) * p
-                  + 7.93650340457716943945E-4) * p - 2.77777777730099687205E-3) * p
-                + 8.33333333333331927722E-2) / x
-
-
 def _log_t(n: int, rho: float):
-    """log t at one float index x: the one evaluation of the term."""
-    log_rho, lgam_n = math.log(rho), _lgam(float(n))
+    """log t at one float index x: the one evaluation of the term.
+
+    Refuses n above 2**53, where an index and n minus it stop being exact
+    doubles."""
+    if n > _MAX_N:
+        raise CapacityError(f"N is capped at 2**53 = {_MAX_N}, the largest N whose "
+                            f"term indices are all exact doubles (got N = {n})")
+    log_rho, lgamma_n = math.log(rho), math.lgamma(n)
 
     def log_t(x: float) -> float:
-        return -x * log_rho - (lgam_n - _lgam(x + 1.0) - _lgam(n - x))
+        return -x * log_rho - (lgamma_n - math.lgamma(x + 1.0) - math.lgamma(n - x))
     return log_t
 
 

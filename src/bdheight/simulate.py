@@ -42,11 +42,11 @@ Reproducibility
 The ladder draws from ``random.Random(seed)`` and uses only its
 ``random()`` method, whose sequence Python keeps the same for a given
 seed across versions; its binomials are ``_binomial``, a port of
-CPython 3.12's ``binomialvariate`` on the C library's ``log``,
-``log1p`` and ``lgamma``.  The walks partition their samples into chunks
-of ``_CHUNK_SAMPLES``, and chunk c draws from its own counter-based
-Philox stream seeded by ``SeedSequence((seed, c))``; numpy is imported
-only there.  Chunks run in order on the calling thread, so a fixed
+CPython 3.12's ``binomialvariate`` on the C library's ``log`` and
+``log1p`` and on CPython's own ``lgamma``.  The walks partition their
+samples into chunks of ``_CHUNK_SAMPLES``, and chunk c draws from its
+own counter-based Philox stream seeded by ``SeedSequence((seed, c))``;
+numpy is imported only there.  Chunks run in order on the calling thread, so a fixed
 ``SimulationConfig`` produces bit-identical summaries.  The counts are
 a ``Counter`` keyed by height; each chunk's heights are added to it as
 the chunk is drawn, and a ``full-ctmc`` chunk's durations go into the
@@ -255,8 +255,7 @@ def _walk_chunk(p: ModelParams, n: int, rng: np.random.Generator,
         rounds += 1
         if rounds > MAX_EXCURSION_STEPS:
             raise SimulationAbort(
-                f"excursions exceeded {MAX_EXCURSION_STEPS} jump steps at N={p.N}, rho={p.rho}; "
-                f"{n - active.size} of {n} chunk samples completed",
+                f"excursions exceeded {MAX_EXCURSION_STEPS} jump steps at N={p.N}, rho={p.rho}",
                 steps_taken=rounds,
                 completed_heights=heights[heights > 0].copy())
         s = state[active]
@@ -303,8 +302,12 @@ def _draw(cfg: SimulationConfig, counts: Counter) -> Iterator[list[float]]:
         _ladder_counts(p, n, cfg.seed, counts)
         return
     for c, lo in enumerate(range(0, n, _CHUNK_SAMPLES)):
-        heights, durations = _walk_chunk(p, min(_CHUNK_SAMPLES, n - lo),
-                                         _chunk_rng(cfg.seed, c), cfg.mode == FULL_CTMC)
+        try:
+            heights, durations = _walk_chunk(p, min(_CHUNK_SAMPLES, n - lo),
+                                             _chunk_rng(cfg.seed, c), cfg.mode == FULL_CTMC)
+        except SimulationAbort as exc:  # the earlier chunks completed in full
+            exc.args = (f"{exc}; {lo + exc.completed_heights.size} of {n} samples completed",)
+            raise
         if durations is not None:
             yield durations.tolist()
         counts.update(heights.tolist())

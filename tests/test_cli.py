@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -17,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bdheight
+import bdheight.simulate as simulate_module
 from bdheight import height_distribution, make_params
 from bdheight.cli import (MAX_ROWS, _CHUNK, _canonical, _csv_lines, _emit_json, _Runs,
                           _write, main)
@@ -232,6 +234,19 @@ class TestSimulateCommand:
         assert rc == 2
         assert "warning" in err or "error" in err
 
+    def test_tripped_circuit_breaker_exits_2(self, capsys, monkeypatch):
+        # test_simulate's circuit-breaker batch: 3 steps finish only the
+        # excursions of height 1 and 2
+        monkeypatch.setattr(simulate_module, "MAX_EXCURSION_STEPS", 3)
+        monkeypatch.setattr(simulate_module, "MAX_TOTAL_STEPS", math.inf)
+        rc, out, err = run_cli(capsys, "simulate", "--n", "30", "--rho", "5",
+                               "--samples", "1000", "--seed", "3", "--mode", "jump-chain")
+        assert (rc, out) == (2, "")
+        # after the step-estimate warning, one error line
+        done = re.fullmatch(r"simulate: error: excursions exceeded 3 jump steps .*; "
+                            r"(\d+) of 1000 samples completed", err.splitlines()[-1])
+        assert done and 0 < int(done[1]) < 1000
+
     def test_csv_contains_comparison_columns(self, capsys):
         rc, out, _ = run_cli(capsys, "simulate", "--n", "5", "--rho", "1",
                              "--samples", "1000", "--seed", "2", "--format", "csv")
@@ -261,6 +276,34 @@ class TestSweep:
         rc, _, err = run_cli(capsys, "sweep", "--rho", "2", "--n", "100", "100")
         assert rc == 2
         assert "ascending" in err
+
+
+_CLOSED_FORM_COMMANDS = pytest.mark.parametrize(
+    "argv", [["sweep", "--rho", "0.5"], ["verify"]], ids=["sweep", "verify"])
+
+
+class TestLargestN:
+    """The closed form takes N up to 2**53, where every index is an exact
+    double, and refuses larger N up front, at any size."""
+
+    @_CLOSED_FORM_COMMANDS
+    def test_answers_at_2_to_the_53(self, capsys, argv):
+        start = time.perf_counter()
+        rc, doc, _ = run_json(capsys, *argv, "--n", str(2**53))
+        assert time.perf_counter() - start < 1.0
+        # verify answers with exit 1 where a check fails: at 2**53 the
+        # log terms are too coarse for peak_growth (README, Known limits)
+        assert rc in ((0,) if argv[0] == "sweep" else (0, 1))
+        assert doc["manifest"]["command"] == argv[0]
+
+    @pytest.mark.parametrize("n", [2**53 + 1, 10**30, 10**400], ids=["2**53+1", "1e30", "1e400"])
+    @_CLOSED_FORM_COMMANDS
+    def test_refuses_larger_n(self, capsys, argv, n):
+        start = time.perf_counter()
+        rc, out, err = run_cli(capsys, *argv, "--n", str(n))
+        assert time.perf_counter() - start < 1.0
+        assert (rc, out) == (2, "")
+        assert err.startswith(f"{argv[0]}: error: N is capped at 2**53") and err.count("\n") == 1
 
 
 class TestParserContract:
@@ -422,39 +465,37 @@ class TestEmission:
         assert rc == 0
         assert peak < 4 * 2**20
 
-    # sha256 of whole artifacts at version 0.3.3.  Their data sections are
-    # those of 0.3.2, except the two ladder simulate runs, whose counts 0.3.3
-    # draws from random.Random(seed); a version bump changes the manifest
-    # and so these.
+    # sha256 of whole artifacts at version 0.3.4, whose ladder terms are
+    # built on math.lgamma; a version bump changes the manifest and so these.
     @pytest.mark.parametrize("argv,digest", [
         (["dist", "--n", "1000", "--rho", "0.5"],
-         "063aa81711fbc0bd2d0e4b0bf9613d85cbc352cd0fd24892fbd21e8ca0aaf9d6"),
+         "2d311d1d9d8b4ed72c7d78905b8c8bd99deae065b82c43c4dbb9442c3274c7da"),
         (["dist", "--n", "1000", "--rho", "0.5", "--format", "csv"],
-         "635cfa9000e4438ad35f6c04e3ca596491ca4272b0f164f726dc644fad72b2d6"),
+         "c98c2eb04e26792382b4767c1abb3c76eebd6533b06ee310c940f4f9dd879990"),
         (["dist", "--n", "1", "--rho", "2"],
-         "7d7f3b03d1f861e9f7169c073fd2cfef35f670eabb644643c5c55e4c6d135946"),
+         "e0ffae3c6ebcad6aade11f084dca758905b6d5c0cea6274ffdd5f1602051ce9a"),
         (["simulate", "--n", "50", "--rho", "0.5", "--samples", "1000", "--seed", "1"],
-         "ee22cf5307c6fb2f4c817766d2eb2a91cc62a456082ed245c19ddd55fd3f5d35"),
+         "244c45601ab4f25e475f14d7574bd3e0281bb013a3f2100c939eb9152127a3de"),
         (["simulate", "--n", "50", "--rho", "0.5", "--samples", "1000", "--seed", "1",
           "--format", "csv"],
-         "d8bfaea805a7e9a4ce58f8f3a15b63112870135a94658abb3f0ffe240f2528ee"),
+         "69259a75eaf84e77d5801b1206c6bd5cdd18b7dd2a34bf87cb0fe140c2acad84"),
         # its k column reaches the blocks of 10**4 entries
         (["dist", "--n", "123457", "--rho", "0.5"],
-         "088583df9bf735dbe210b66ce39a10d3d0d70121e3f749e4f679c9bfd3fa82c7"),
+         "c357a79d20ede74b61a1c80d49c985f0871d8ec215c03a917c6f9b8415ed4dd2"),
         # the duration sum, the alpha and bound-constant records and the
-        # limit-table rows, as 0.3.2 wrote them
+        # limit-table rows
         (["simulate", "--n", "5", "--rho", "0.5", "--samples", "20000", "--seed", "1",
           "--mode", "full-ctmc"],
-         "c54b16b34dfd6a55c49767d04de4b5077a3c62ffec8bbf2c492e9f4691443434"),
+         "bde0eb08a873d0d4ffd1533f80955971d26da90a908f3057ffd95021158f0817"),
         (["alpha", "--rho", "0.3"],
-         "9944ebbe1da3f022f2e861035c5ce0334e506e2c2170043d1dcb345ace931416"),
+         "9b5cd2eb08e49b1989d55e4aa0a8bf47337e56c7d07afa9cdfaa3d894bc29b52"),
         (["alpha", "--rho", "0.3", "--format", "csv"],
-         "d8172d5eaf5051f4b96f3a194d782c2cbcf9c23cf611326c779bb46066bbcb97"),
+         "dece51ff86d93e31afa52a64bc6fb1c635da41b175d5b2516124319b9ceed36f"),
         (["sweep", "--rho", "0.5", "--n", "1000", "1000000"],
-         "ac3f4570ddddd0680928ae77b3cd0edadb7233ad4e9037647c35b8ad75c4f18c"),
-        # laws whose lgam arguments pass 1e8, where the port drops its tail series
+         "02c3e80f7e2584d793eb347bfef5b13abd914222f42f89bff699de2903d8f7ec"),
+        # laws at N = 1e9 and 1e12, far past the default grid
         (["sweep", "--rho", "0.5", "--n", "1000000000", "1000000000000"],
-         "7f2e6106e86d54963a9d1215132a2d0c07725d2aaaf70eaddc9b94a1bdc5ca52"),
+         "87b6a8c2042bc0c13599e12df7d7bcaebf97fafb89b7378dc424cc10128d2fc7"),
     ], ids=lambda v: "_".join(v) if isinstance(v, list) else "")
     def test_artifact_bytes_are_pinned(self, tmp_path, argv, digest):
         path = tmp_path / "artifact"
