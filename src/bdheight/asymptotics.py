@@ -51,7 +51,7 @@ from typing import NamedTuple
 
 from . import exactdist
 from .errors import ParameterError
-from .model import make_params
+from .model import _positive_rate, make_params
 
 __all__ = [
     "AlphaSolution",
@@ -220,9 +220,7 @@ def solve_alpha(rho: float) -> AlphaSolution:
 
 def height_fraction_limit(rho: float) -> float:
     """Limit of E[H_N] / N: alpha(rho) for rho < 1, exactly 1 for rho >= 1."""
-    rho = float(rho)
-    if not math.isfinite(rho) or rho <= 0.0:
-        raise ParameterError(f"rho must be a positive finite real, got {rho!r}")
+    rho = _positive_rate("rho", rho)
     if rho >= 1.0:
         return 1.0
     return solve_alpha(rho).alpha

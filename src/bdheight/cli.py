@@ -16,23 +16,24 @@ written, 2 usage or validation error, a refused input or an aborted walk.
 
 A JSON artifact is exactly ``json.dumps(doc, sort_keys=True,
 separators=(",", ":"), allow_nan=False)`` plus a newline, streamed as
-byte pieces that are hashed as they are written; the manifest comes last.
-Every value is checked before the first byte.  The ``rows`` columns of
-``dist`` and ``simulate`` are written from runs of bit-identical values,
-in pieces of at most ``_CHUNK`` entries: each run's ``repr`` is formatted
-once and repeated.  The law is constant outside an O(log N) window, so
-the law's own runs give ``dist`` a few hundred runs and no list of
-length N; ``simulate`` builds its count and empirical columns as runs
-from the batch's nonzero (height, count) pairs.  A CSV body is written
-from the same runs, spread out a row at a time.  The ``k`` column is a
-``range``, written a block of 10**4 entries at a time: each entry of a
-block is the block's shared leading digits followed by "0000," ..
-"9999,".  One ``bytearray`` per width of the leading digits holds those
-suffixes, and each block writes its digits into it by strided slice
-assignment, so there is no per-entry formatting.  A CSV body is built as byte pieces of ``_CHUNK``
-lines, hashed as each is built, and written after the manifest line.
-``dist`` and ``simulate`` refuse more than ``MAX_ROWS`` rows (exit 2);
-``sweep`` and ``verify`` build no column.
+byte pieces that are hashed as they are written; the manifest comes
+last.  Every value is checked before the first byte.  The ``rows``
+columns of ``dist`` and ``simulate`` are written from runs of
+bit-identical values, run by run: each run's ``repr`` is formatted once
+and repeated, in pieces of at most ``_CHUNK`` entries, a long run's full
+pieces shared.  The law is constant outside an O(log N) window, so the
+law's own runs give ``dist`` a few hundred runs and no list of length N;
+``simulate`` builds its count and empirical columns as runs from the
+batch's nonzero (height, count) pairs.  A CSV body is written from the
+same runs, spread out a row at a time.  The ``k`` column is a ``range``,
+written a block of 10**4 entries at a time: each entry of a block is the
+block's shared leading digits followed by "0000," .. "9999,".  One
+``bytearray`` per width of the leading digits holds those suffixes, and
+each block writes its digits into it by strided slice assignment, so
+there is no per-entry formatting.  A CSV body is built as byte pieces of
+``_CHUNK`` lines, hashed as each is built, and written after the
+manifest line.  ``dist`` and ``simulate`` refuse more than ``MAX_ROWS``
+rows (exit 2); ``sweep`` and ``verify`` build no column.
 
 Start-up: this module imports the ``errors``, ``model`` and ``exactdist``
 modules, which every subcommand needs, and no numpy.  The others are
@@ -64,7 +65,7 @@ from typing import NamedTuple
 
 from . import __version__, exactdist
 from .errors import CapacityError, ParameterError, SimulationAbort
-from .model import LADDER, SAMPLER_MODES, make_params
+from .model import LADDER, SAMPLER_MODES, _positive_rate, make_params
 
 __all__ = ["main", "entrypoint"]
 
@@ -101,34 +102,18 @@ class _Runs(NamedTuple):
 
 
 def _run_column(runs: _Runs) -> Iterator[bytes]:
-    """Yield the JSON list of ``runs`` spread out, in pieces of at most
-    ``_CHUNK`` entries.  Adjacent runs of one value are joined (``-0.0`` and
-    ``0.0`` stay apart), and each run's ``repr`` is formatted once and
-    repeated."""
-    values, lengths = [], []
-    for value, n in zip(*runs):
-        if not n:
-            continue
-        if lengths and value == values[-1] and (
-                value or math.copysign(1.0, value) == math.copysign(1.0, values[-1])):
-            lengths[-1] += n
-        else:
-            values.append(value)
-            lengths.append(n)
-    if lengths:
-        lengths[-1] -= 1  # the last entry goes without its comma
+    """Yield the JSON list of ``runs`` spread out, run by run, in pieces of
+    at most ``_CHUNK`` entries, a long run's full pieces shared."""
+    items = [(b"%r," % value, n) for value, n in zip(*runs) if n]
+    if items:  # the last entry goes without its comma
+        items[-1] = items[-1][0], items[-1][1] - 1
     yield b"["
-    parts, room = [], _CHUNK
-    for item, n in zip(map("{!r},".format, values), lengths):
-        while n:
-            take = min(n, room)
-            parts.append(item * take)
-            n -= take
-            room -= take
-            if not room:
-                yield "".join(parts).encode()
-                parts, room = [], _CHUNK
-    yield ("".join(parts) + json.dumps(values[-1:])[1:]).encode()  # the last entry, and "]"
+    for item, n in items:
+        if n >= _CHUNK:
+            yield from itertools.repeat(item * _CHUNK, n // _CHUNK)
+        if n % _CHUNK:
+            yield item * (n % _CHUNK)
+    yield items[-1][0][:-1] + b"]" if items else b"]"
 
 
 def _range_column(r: range) -> Iterator[bytes]:
@@ -139,13 +124,13 @@ def _range_column(r: range) -> Iterator[bytes]:
     For each width of P one ``bytearray`` block of 10**4 entries holds the
     suffixes, written once; each block of equal P then writes the digits
     of P into it by strided slice assignment and is copied out.  Entries
-    below 10**4 are formatted one by one."""
+    below 10**4 are formatted by one bytes ``%``."""
     yield b"["
     body = r[:-1]
     start = body.start
     if start < min(body.stop, _BLOCK):
         stop = min(body.stop, _BLOCK)
-        yield ",".join(map(str, range(start, stop))).encode() + b","
+        yield b"%d," * (stop - start) % tuple(range(start, stop))
         start = stop
     # byte c of "%04d," % j for j = 0..9999: the digit of each place, then ","
     suffix_columns = [b"".join(bytes([d]) * step for d in b"0123456789") * (_BLOCK // step // 10)
@@ -297,9 +282,7 @@ def cmd_dist(args) -> int:
 
 
 def cmd_alpha(args) -> int:
-    rho = args.rho
-    if not math.isfinite(rho) or rho <= 0.0:
-        raise ParameterError(f"--rho must be a positive finite real, got {rho!r}")
+    rho = _positive_rate("rho", args.rho)
     parameters = {"rho": rho, "format": args.format}
     data = {"rho": rho, "f": 1.0, "alpha": None, "residual": None, "iterations": None,
             "bracket": None, "constants": None,

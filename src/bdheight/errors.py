@@ -16,10 +16,10 @@ class CapacityError(BDHeightError):
 class SimulationAbort(BDHeightError, RuntimeError):
     """A sampling run was stopped by the per-excursion step circuit breaker.
 
-    Carries whatever was completed so a caller can report partial results.
+    ``steps_taken`` is the step count at which it tripped; the message
+    says how many of the batch's samples completed.
     """
 
-    def __init__(self, message, *, steps_taken=None, completed_heights=None):
-        super().__init__(message)
+    def __init__(self, *args, steps_taken=None):
+        super().__init__(*args)
         self.steps_taken = steps_taken
-        self.completed_heights = completed_heights

@@ -108,7 +108,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import CapacityError, ParameterError
-from .model import ModelParams, ReadOnly
+from .model import ModelParams, ReadOnly, _positive_rate
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -241,13 +241,6 @@ class RationalHeightDistribution(NamedTuple):
     variance: Fraction
 
 
-def _check_rho(rho) -> float:
-    rho = float(rho)
-    if not math.isfinite(rho) or rho <= 0.0:
-        raise ParameterError(f"rho must be a positive finite real, got {rho!r}")
-    return rho
-
-
 def _log_t(n: int, rho: float):
     """log t at one float index x: the one evaluation of the term.
 
@@ -266,7 +259,7 @@ def _log_t(n: int, rho: float):
 def log_r_term(n: int, rho: float, i: int) -> float:
     """log t_i = -i log rho - log C(n-1, i), via log-gamma, for one integer
     index ``i`` in [0, n-1] (any value with ``__index__``)."""
-    rho = _check_rho(rho)
+    rho = _positive_rate("rho", rho)
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
     i = operator.index(i)

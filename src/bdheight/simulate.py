@@ -256,8 +256,7 @@ def _walk_chunk(p: ModelParams, n: int, rng: np.random.Generator,
         if rounds > MAX_EXCURSION_STEPS:
             raise SimulationAbort(
                 f"excursions exceeded {MAX_EXCURSION_STEPS} jump steps at N={p.N}, rho={p.rho}",
-                steps_taken=rounds,
-                completed_heights=heights[heights > 0].copy())
+                int(np.count_nonzero(heights)), steps_taken=rounds)
         s = state[active]
         if with_durations:
             durations[active] += rng.exponential(1.0, s.size) / rates[s]
@@ -306,7 +305,8 @@ def _draw(cfg: SimulationConfig, counts: Counter) -> Iterator[list[float]]:
             heights, durations = _walk_chunk(p, min(_CHUNK_SAMPLES, n - lo),
                                              _chunk_rng(cfg.seed, c), cfg.mode == FULL_CTMC)
         except SimulationAbort as exc:  # the earlier chunks completed in full
-            exc.args = (f"{exc}; {lo + exc.completed_heights.size} of {n} samples completed",)
+            message, done = exc.args  # done: the samples this chunk completed
+            exc.args = (f"{message}; {lo + done} of {n} samples completed",)
             raise
         if durations is not None:
             yield durations.tolist()

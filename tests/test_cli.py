@@ -14,14 +14,14 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bdheight
 import bdheight.simulate as simulate_module
 from bdheight import height_distribution, make_params
-from bdheight.cli import (MAX_ROWS, _CHUNK, _canonical, _csv_lines, _emit_json, _Runs,
-                          _write, main)
+from bdheight.cli import (MAX_ROWS, _CHUNK, _canonical, _csv_lines, _emit_json, _run_column,
+                          _Runs, _write, main)
 
 
 def run_cli(capsys, *argv):
@@ -585,8 +585,8 @@ _INT_POOL = [0, 1, -1, 9, 10, -10, 99, 10**9 - 1, 10**9, 2**32 - 1, 2**32, -2**3
 
 
 def _each(a) -> _Runs:
-    """An array as runs of one entry each, so the encoder's joining of equal
-    neighbours (and keeping ``-0.0`` apart from ``0.0``) is tested."""
+    """An array as runs of one entry each, so equal neighbours (``-0.0`` next
+    to ``0.0`` too) are written as runs of their own."""
     return _Runs(a.tolist(), [1] * a.size)
 
 
@@ -629,6 +629,20 @@ class TestCanonicalEncoder:
         lengths = [big, *(n for _, n in runs)]
         listed = np.repeat(values, lengths).tolist()
         assert _canonical({"c": _Runs(values, lengths)}) == canonical({"c": listed})[:-1].encode()
+
+    @given(runs=st.lists(st.tuples(st.sampled_from(_FLOAT_POOL + _INT_POOL),
+                                   st.sampled_from([0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1,
+                                                    3 * _CHUNK + 7])), max_size=4))
+    @example(runs=[(0.5, 3 * _CHUNK + 7), (-0.0, 0), (7, _CHUNK), (1.0, 0)])
+    @settings(max_examples=60, deadline=None)
+    def test_run_pieces_hold_at_most_a_chunk(self, runs):
+        # runs of length 0 anywhere, the last one included, and runs on both
+        # sides of a piece; no entry holds a comma, so a piece's commas count
+        # its entries
+        pieces = list(_run_column(_Runs([v for v, _ in runs], [n for _, n in runs])))
+        assert max(piece.count(b",") for piece in pieces) <= _CHUNK
+        listed = [v for v, n in runs for _ in range(n)]
+        assert b"".join(pieces) == json.dumps(listed, separators=(",", ":")).encode()
 
     @pytest.mark.parametrize("r", [
         range(1, 1), range(1, 2), range(1, _CHUNK + 1), range(1, 2 * _CHUNK + 3),
