@@ -23,9 +23,9 @@ bit-identical values, run by run: each run's ``repr`` is formatted once
 and repeated, in pieces of at most ``_CHUNK`` entries, a long run's full
 pieces shared.  The law is constant outside an O(log N) window, so the
 law's own runs give ``dist`` a few hundred runs and no list of length N;
-``simulate`` builds its count and empirical columns as runs from the
-batch's nonzero (height, count) pairs.  A CSV body is written from the
-same runs, spread out a row at a time.  The ``k`` column is a ``range``,
+``simulate`` writes ``simulate.batch_columns``, the runs that its sup
+distance is measured on.  A CSV body is written from the same runs,
+spread out a row at a time.  The ``k`` column is a ``range``,
 written a block of 10**4 entries at a time: each entry of a block is the
 block's shared leading digits followed by "0000," .. "9999,".  One
 ``bytearray`` per width of the leading digits holds those suffixes, and
@@ -298,11 +298,9 @@ def cmd_alpha(args) -> int:
                     constants={"c1": c.c1, "c2": c.c2, "c3": c.c3}, note="")
     if args.format == "csv":
         keys = ["rho", "f", "alpha", "residual", "iterations", "c1", "c2", "c3"]
-        cns = data["constants"] or {"c1": None, "c2": None, "c3": None}
-        row = [data["rho"], data["f"], data["alpha"], data["residual"],
-               data["iterations"], cns["c1"], cns["c2"], cns["c3"]]
-        _emit_csv("alpha", parameters, keys, [_csv_line(row)], {"note": data["note"]},
-                  args.output)
+        row = {**data, **(data["constants"] or dict.fromkeys(("c1", "c2", "c3")))}
+        _emit_csv("alpha", parameters, keys, [_csv_line(row[k] for k in keys)],
+                  {"note": data["note"]}, args.output)
     else:
         _emit_json("alpha", parameters, data, args.output)
     return 0
@@ -408,28 +406,8 @@ def cmd_simulate(args) -> int:
                   f"batch; consider --mode {LADDER}", file=sys.stderr)
     law = exactdist.height_distribution(p)
     summary = simulate.run_batch(cfg, law)
-    surv, pmf, lengths = law.column_runs()
-    # The count column as runs over the nonzero (height, count) pairs: a gap
-    # of 0 before each nonzero height and one after the last.  Each nonzero
-    # count is a run of length 1, so the running totals of the run values
-    # are the ECDF's counts.  They are integers, so each total is exact and
-    # divided once: the ECDF that sup_distance measures.
-    counts, count_lengths, last = [0], [], 0
-    for k, c in summary.counts:
-        counts.extend((c, 0))
-        count_lengths.extend((k - last - 1, 1))
-        last = k
-    count_lengths.append(p.N - last)
-    columns = {
-        "count": _Runs(counts, count_lengths),
-        "empirical_pmf": _Runs([c / args.samples for c in counts], count_lengths),
-        "exact_pmf": _Runs(pmf, lengths),
-        "empirical_cdf": _Runs([c / args.samples for c in itertools.accumulate(counts)],
-                               count_lengths),
-        # P(H <= k) = 1 - P(H >= k + 1): the survival runs one height on
-        "exact_cdf": _Runs([1.0 - v for v in surv],
-                           [lengths[0] - 1, *lengths[1:-1], lengths[-1] + 1]),
-    }
+    columns = {name: _Runs(*runs) for name, runs in
+               simulate.batch_columns(law, summary.counts, args.samples).items()}
     parameters = {**resolved, "samples": args.samples, "seed": args.seed,
                   "mode": args.mode, "delta": args.delta, "format": args.format}
     # the counts are the rows' count column, not a scalar; the CSV footer
@@ -440,6 +418,7 @@ def cmd_simulate(args) -> int:
         lines = _csv_lines("%d,%d,%.15g,%.15g,%.15g,%.15g", list(columns.values()))
         _emit_csv("simulate", parameters, ["k", *columns], lines, scalars, args.output)
     else:
+        surv, _, lengths = law.column_runs()
         rows = {"k": range(1, p.N + 1), **columns, "exact_survival": _Runs(surv, lengths)}
         _emit_json("simulate", parameters, {"summary": scalars, "rows": rows}, args.output)
     if args.assert_dkw and not summary.dkw_pass:

@@ -277,18 +277,6 @@ def r_term_turning_point(n: int, rho: float) -> float:
     return (rho * (n - 1) - 1.0) / (1.0 + rho)
 
 
-def _first(pred, lo: int, hi: int) -> int:
-    """Smallest i in [lo, hi) with pred(i), for pred monotone from False to
-    True on that range; hi if there is none."""
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if pred(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
 def _noop_gap(s: float) -> float:
     """How far below the running log-sum ``s >= 0`` a term must lie to
     leave it unchanged (see the module docstring)."""
@@ -324,16 +312,16 @@ def height_distribution(p: ModelParams) -> HeightDistribution:
     m = min(max(math.ceil(min(r_term_turning_point(N, rho), N)), 0), N - 1)
     # t_1 <= t_0 = 0 when m >= 1; at t_1 <= -750, l1 is 0 and a is 1
     l1 = math.log1p(math.exp(t(1))) if m >= 1 else 0.0
-    a = _first(lambda i: t(i) <= l1 - _noop_gap(l1), 1, m + 1)
+    a = bisect_left(range(m + 1), True, 1, key=lambda i: t(i) <= l1 - _noop_gap(l1))
     first, *rest = [log_t(float(i)) for i in range(a)]
     head = [-first, *_running_log_sums(first, rest)]
     top = -head[-1]
-    b = _first(lambda i: t(i) > top - _noop_gap(top), m + 1, N)
-    end = _first(lambda i: t(i) > _NOOP_GAP, b, N)
+    b = bisect_left(range(N), True, m + 1, key=lambda i: t(i) > top - _noop_gap(top))
+    end = bisect_left(range(N), True, b, key=lambda i: t(i) > _NOOP_GAP)
     # the window's running log-sums continue from the head's, top
     window = _running_log_sums(top, [log_t(float(i)) for i in range(b, min(end + 1, N))])
     # the log-survival never increases, so its underflow to 0.0 is a cut
-    cut = _first(lambda j: math.exp(window[j]) == 0.0, 0, len(window))
+    cut = bisect_left(window, True, key=lambda v: math.exp(v) == 0.0)
     return HeightDistribution(N=N, rho=rho, head=tuple(head), plateau=(a, b),
                               window=tuple(window[:cut + 1]))
 

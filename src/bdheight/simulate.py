@@ -52,10 +52,11 @@ a ``Counter`` keyed by height; each chunk's heights are added to it as
 the chunk is drawn, and a ``full-ctmc`` chunk's durations go into the
 exact sum as it is drawn, so a batch holds O(N + chunk) numbers however
 many samples it draws.  The summary keeps only the nonzero counts, as
-ascending (height, count) pairs, and takes the exact moments and the sup
-distance from them.  Scalar aggregates are rounded once from their exact
-values (integer moments divided once; ``math.fsum`` for durations), so
-no accumulation order can leak into the output.
+ascending (height, count) pairs, and takes the exact moments from them
+and the sup distance from the runs ``batch_columns`` builds of them.
+Scalar aggregates are rounded once from their exact values (integer
+moments divided once; ``math.fsum`` for durations), so no accumulation
+order can leak into the output.
 """
 
 from __future__ import annotations
@@ -63,7 +64,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from collections.abc import Callable, Iterator
 from typing import TYPE_CHECKING, NamedTuple
@@ -82,6 +83,7 @@ __all__ = [
     "FULL_CTMC",
     "SimulationConfig",
     "SimulationSummary",
+    "batch_columns",
     "dkw_epsilon",
     "estimate_mean_excursion_steps",
     "run_batch",
@@ -99,12 +101,12 @@ class SimulationConfig(ReadOnly):
                  dkw_delta: float = 0.01):
         if mode not in SAMPLER_MODES:
             raise ParameterError(f"mode must be one of {SAMPLER_MODES}, got {mode!r}")
-        if not isinstance(n_samples, int) or n_samples < 1:
+        if not isinstance(n_samples, int) or isinstance(n_samples, bool) or n_samples < 1:
             raise ParameterError(f"n_samples must be a positive integer, got {n_samples!r}")
         if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
             raise ParameterError(f"seed must be a nonnegative integer, got {seed!r}")
-        if not 0.0 < dkw_delta < 1.0:
-            raise ParameterError(f"dkw_delta must be in (0, 1), got {dkw_delta!r}")
+        if not isinstance(dkw_delta, (int, float)) or not 0.0 < dkw_delta < 1.0:
+            raise ParameterError(f"dkw_delta must be a real in (0, 1), got {dkw_delta!r}")
         vars(self).update(params=params, n_samples=n_samples, seed=seed, mode=mode,
                           dkw_delta=dkw_delta)
 
@@ -272,25 +274,40 @@ def _walk_chunk(p: ModelParams, n: int, rng: np.random.Generator,
     return heights, durations
 
 
+def batch_columns(law: exactdist.HeightDistribution,
+                  counts: tuple[tuple[int, int], ...], n: int) -> dict[str, tuple[list, list]]:
+    """The artifact's columns over k = 1..N as (values, lengths) runs, in CSV
+    order, for the nonzero (height, count) pairs ``counts`` of ``n`` samples.
+    The counts have a gap of 0 before each nonzero height and after the
+    last, so their running totals, integers each divided once by ``n``, are
+    the ECDF.  P(H <= k) = 1 - P(H >= k + 1): the survival one height on."""
+    values, lengths, last = [0], [], 0
+    for k, c in counts:
+        values += c, 0
+        lengths += k - last - 1, 1
+        last = k
+    lengths.append(law.N - last)
+    surv, pmf, runs = law.column_runs()
+    return {"count": (values, lengths),
+            "empirical_pmf": ([c / n for c in values], lengths),
+            "exact_pmf": (pmf, runs),
+            "empirical_cdf": ([c / n for c in itertools.accumulate(values)], lengths),
+            "exact_cdf": ([1.0 - v for v in surv], [runs[0] - 1, *runs[1:-1], runs[-1] + 1])}
+
+
 def _sup_distance(law: exactdist.HeightDistribution,
                   counts: tuple[tuple[int, int], ...], n: int) -> float:
-    """max over k of |C(k) / n - P(H <= k)|, C(k) the number of heights <= k.
-
-    Both sides are constant between their breakpoints: the ECDF changes
-    at a height with a nonzero count, and P(H <= k) = 1 - P(H >= k + 1)
-    where k + 1 starts a survival run.  So the sup is attained at k = 1 or
-    at a breakpoint, and it is the same double as the maximum over all N
-    heights.
-    """
-    heights = [k for k, _ in counts]
-    running = [0, *itertools.accumulate(c for _, c in counts)]
-    starts = itertools.accumulate(law.column_runs()[2], initial=1)
-    levels = {1, *heights, *(s - 1 for s in starts if 2 <= s <= law.N + 1)}
-
-    def gap(k: int) -> float:
-        exact = 1.0 - (law.survival_at(k + 1) if k < law.N else 0.0)
-        return abs(running[bisect_right(heights, k)] / n - exact)
-    return max(map(gap, levels))
+    """max over k of |C(k) / n - P(H <= k)|, C(k) the number of heights <= k,
+    on the ECDF and exact-CDF runs of ``batch_columns``: once per stretch of
+    heights where neither changes, which ends at a run end e of either.  A
+    column holds there the value of its first run that ends at e or later,
+    so runs of length 0 drop out.  The same double as the maximum over all N."""
+    columns = batch_columns(law, counts, n)
+    (ecdf, ecdf_ends), (cdf, cdf_ends) = [
+        (values, list(itertools.accumulate(lengths)))
+        for values, lengths in (columns["empirical_cdf"], columns["exact_cdf"])]
+    return max(abs(ecdf[bisect_left(ecdf_ends, e)] - cdf[bisect_left(cdf_ends, e)])
+               for e in {*ecdf_ends, *cdf_ends} if e)
 
 
 def _draw(cfg: SimulationConfig, counts: Counter) -> Iterator[list[float]]:

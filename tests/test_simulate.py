@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from bdheight import (
@@ -50,6 +50,11 @@ class TestConfig:
             SimulationConfig(params=p, n_samples=10, seed=-1)
         with pytest.raises(ParameterError):
             SimulationConfig(params=p, n_samples=10, seed=1, mode="bogus")
+        with pytest.raises(ParameterError):
+            SimulationConfig(params=p, n_samples=True, seed=1)
+        for delta in ("0.1", None):
+            with pytest.raises(ParameterError):
+                SimulationConfig(params=p, n_samples=10, seed=1, dkw_delta=delta)
 
     def test_fields(self):
         # every field is a setting some caller needs; the step budgets are constants
@@ -317,6 +322,32 @@ class TestSupDistance:
         shifted = np.append(law.survival_values()[1:], 0.0)  # P(H >= k + 1)
         dense = float(np.max(np.abs(np.cumsum(dense_counts) / n - (1.0 - shifted))))
         assert _sup_distance(law, pairs, n) == dense
+
+
+class TestBatchColumns:
+    @given(batch=_batches())
+    @example(batch=(height_distribution(make_params(1, rho=0.5)), ((1, 3),)))
+    @example(batch=(height_distribution(make_params(2, rho=2.0)), ((2, 5),)))
+    @settings(max_examples=100, deadline=None)
+    def test_columns_spread_to_the_dense_columns_bit_for_bit(self, batch):
+        law, pairs = batch
+        n = sum(c for _, c in pairs)
+        dense = np.zeros(law.N, dtype=np.int64)
+        for k, c in pairs:
+            dense[k - 1] = c
+        columns = simulate.batch_columns(law, pairs, n)
+        assert list(columns) == ["count", "empirical_pmf", "exact_pmf", "empirical_cdf",
+                                 "exact_cdf"]
+        spread = {}
+        for name, (values, lengths) in columns.items():
+            assert sum(lengths) == law.N, name
+            spread[name] = np.repeat(values, lengths)
+        assert spread["count"].tolist() == dense.tolist()
+        assert spread["empirical_pmf"].tobytes() == (dense / n).tobytes()
+        assert spread["exact_pmf"].tobytes() == law.pmf.tobytes()
+        assert spread["empirical_cdf"].tobytes() == (np.cumsum(dense) / n).tobytes()
+        exact_cdf = 1.0 - np.append(law.survival_values()[1:], 0.0)
+        assert spread["exact_cdf"].tobytes() == exact_cdf.tobytes()
 
 
 class TestWalkBatches:
