@@ -47,6 +47,7 @@ from __future__ import annotations
 import itertools
 import math
 import sys
+from bisect import bisect_left
 from typing import NamedTuple
 
 from . import exactdist
@@ -433,10 +434,12 @@ def concentration_mass(N: int, rho: float) -> tuple[float, int, int]:
 
 
 def window_mass(law: exactdist.HeightDistribution) -> tuple[float, int, int]:
-    """:func:`concentration_mass` of a law already computed."""
+    """:func:`concentration_mass` of a law already computed: S(lo) - S(hi + 1),
+    S(k) read off the survival runs at the first run end >= k."""
     lo, hi = concentration_window(law.N, law.rho)
-    mass = law.survival_at(lo) - (law.survival_at(hi + 1) if hi < law.N else 0.0)
-    return mass, lo, hi
+    surv, _, lengths = law.column_runs()
+    ends = list(itertools.accumulate([*lengths[:-1], lengths[-1] + 1]))  # the tail of 0.0 to N + 1
+    return surv[bisect_left(ends, lo)] - surv[bisect_left(ends, hi + 1)], lo, hi
 
 
 def wlln_tail_mass(N: int, rho: float, eps: float = 0.05) -> float:

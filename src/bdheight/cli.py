@@ -24,16 +24,16 @@ and repeated, in pieces of at most ``_CHUNK`` entries, a long run's full
 pieces shared.  The law is constant outside an O(log N) window, so the
 law's own runs give ``dist`` a few hundred runs and no list of length N;
 ``simulate`` writes ``simulate.batch_columns``, the runs that its sup
-distance is measured on.  A CSV body is written from the same runs,
-spread out a row at a time.  The ``k`` column is a ``range``,
-written a block of 10**4 entries at a time: each entry of a block is the
-block's shared leading digits followed by "0000," .. "9999,".  One
+distance is measured on.  The ``k`` column is a ``range``, written a
+block of 10**4 entries at a time: each entry of a block is the block's
+shared leading digits followed by "0000," .. "9999,".  One
 ``bytearray`` per width of the leading digits holds those suffixes, and
 each block writes its digits into it by strided slice assignment, so
-there is no per-entry formatting.  A CSV body is built as byte pieces of
-``_CHUNK`` lines, hashed as each is built, and written after the
-manifest line.  ``dist`` and ``simulate`` refuse more than ``MAX_ROWS``
-rows (exit 2); ``sweep`` and ``verify`` build no column.
+there is no per-entry formatting.  A CSV body is written from the same
+runs: a run's values are formatted once and its k values joined with
+them, in pieces of at most ``_CHUNK`` lines, hashed as each is built
+and written after the manifest line.  ``dist`` and ``simulate`` refuse
+more than ``MAX_ROWS`` rows (exit 2); ``sweep`` and ``verify`` build no column.
 
 Start-up: this module imports the ``errors``, ``model`` and ``exactdist``
 modules, which every subcommand needs, and no numpy.  The others are
@@ -73,7 +73,7 @@ _EQUIVALENCE_GRID_N = (1, 2, 3, 5, 10, 20, 50, 100, 200)
 _EQUIVALENCE_TOL = 1e-10
 _STIRLING_BAND_FACTOR = 10.0
 _WALK_WARN_STEPS = 1e7
-_CHUNK = 1 << 14  # entries per piece of a JSON column
+_CHUNK = 1 << 14  # entries per piece of a JSON column, lines per piece of a CSV body
 _BLOCK = 10**4  # entries per piece of a range column: those that share all but 4 digits
 MAX_ROWS = 10**7  # rows of a dist or simulate artifact; 1e7 rows is ~0.3 GB of JSON
 
@@ -216,32 +216,33 @@ def _emit_json(command: str, parameters: dict, data, output: str | None) -> None
 
 
 def _csv_line(row) -> str:
-    return ",".join(_fmt(x) for x in row)
+    return ",".join(map(_fmt, row)) + "\n"
 
 
-def _csv_lines(fmt: str, columns: list[_Runs]) -> Iterator[str]:
-    """``fmt % (k, *row)`` for k = 1, 2, .. over the rows of columns given
-    as runs, each spread out lazily."""
-    spread = [itertools.chain.from_iterable(map(itertools.repeat, *runs)) for runs in columns]
-    return map(fmt.__mod__, zip(itertools.count(1), *spread))
+def _csv_body(columns: list[_Runs]) -> Iterator[str]:
+    """The CSV rows ``k,value,..`` for k = 1, 2, .. of columns given as runs on
+    one lengths list, each run's values formatted once, in pieces of at most
+    ``_CHUNK`` whole lines."""
+    bounds = itertools.pairwise(itertools.accumulate(columns[0].lengths, initial=1))
+    for *row, (lo, hi) in zip(*(c.values for c in columns), bounds):
+        sep = "," + _csv_line(row)
+        for start in range(lo, hi, _CHUNK):
+            yield sep.join(map(str, range(start, min(start + _CHUNK, hi)))) + sep
 
 
 def _emit_csv(command: str, parameters: dict, header: list[str],
-              lines: Iterable[str], footer: dict, output: str | None) -> None:
-    """Write a CSV artifact whose body rows ``lines`` are already formatted.
-
-    The body is encoded ``_CHUNK`` lines at a time and hashed as each piece
-    is built; the manifest line, which carries the digest, comes first."""
-    lines = itertools.chain([",".join(header)], lines,
-                            (f"# {key}={_fmt(value)}" for key, value in footer.items()))
+              body: Iterable[str], footer: dict, output: str | None) -> None:
+    """Write a CSV artifact whose body rows come as pieces of whole lines.
+    Each piece is encoded and hashed in turn; the manifest line, which
+    carries the digest, comes first."""
+    pieces = [piece.encode("utf-8") for piece in itertools.chain(
+        [_csv_line(header)], body, (f"# {k}={_fmt(v)}\n" for k, v in footer.items()))]
     digest = hashlib.sha256()
-    body = []
-    while chunk := list(itertools.islice(lines, _CHUNK)):
-        body.append(("\n".join(chunk) + "\n").encode("utf-8"))
-        digest.update(body[-1])
+    for piece in pieces:
+        digest.update(piece)
     manifest = json.dumps(_manifest(command, parameters, digest.hexdigest()),
                           sort_keys=True, allow_nan=False)
-    _write((f"# manifest: {manifest}\n".encode("utf-8"), *body), output)
+    _write((f"# manifest: {manifest}\n".encode("utf-8"), *pieces), output)
 
 
 def _params_from_args(args) -> tuple:
@@ -271,8 +272,7 @@ def cmd_dist(args) -> int:
     surv, pmf, lengths = d.column_runs()
     columns = {"survival": _Runs(surv, lengths), "pmf": _Runs(pmf, lengths)}
     if args.format == "csv":
-        lines = _csv_lines("%d,%.15g,%.15g", list(columns.values()))
-        _emit_csv("dist", parameters, ["k", *columns], lines,
+        _emit_csv("dist", parameters, ["k", *columns], _csv_body(list(columns.values())),
                   {"mean": d.mean, "variance": d.variance}, args.output)
     else:
         data = {"rows": {"k": range(1, p.N + 1), **columns}, "mean": d.mean,
@@ -415,8 +415,8 @@ def cmd_simulate(args) -> int:
     scalars = summary._asdict()
     del scalars["counts"]
     if args.format == "csv":
-        lines = _csv_lines("%d,%d,%.15g,%.15g,%.15g,%.15g", list(columns.values()))
-        _emit_csv("simulate", parameters, ["k", *columns], lines, scalars, args.output)
+        _emit_csv("simulate", parameters, ["k", *columns], _csv_body(list(columns.values())),
+                  scalars, args.output)
     else:
         surv, _, lengths = law.column_runs()
         rows = {"k": range(1, p.N + 1), **columns, "exact_survival": _Runs(surv, lengths)}

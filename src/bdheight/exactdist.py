@@ -141,15 +141,15 @@ class HeightDistribution(ReadOnly):
     P(H >= k) is exactly 0.  See the module docstring for why this form
     is the whole law.
 
-    ``survival_at(k)`` reads one level and ``column_runs()`` gives
-    survival and pmf as runs, as plain floats; both are built once, with
-    the moments, when the law is made, and the package's columns and its
-    sup distance are built from them.  Two dense numpy views remain, each
-    one ``np.repeat`` of the runs: ``pmf`` (``pmf[k-1] = P(H = k)``,
-    cached) and ``survival_values()``.  They stay because the benchmark's
-    artifact checker (``perfbench/artifact.py``) reads them; the package
-    itself no longer does.  Instances and arrays are read-only:
-    assigning an attribute raises ``AttributeError``.
+    ``column_runs()`` gives survival and pmf as runs, as plain floats,
+    built once, with the moments, when the law is made; the package's
+    columns, its sup distance and its window mass are read from them.
+    Two dense numpy views remain, each one ``np.repeat`` of the runs:
+    ``pmf`` (``pmf[k-1] = P(H = k)``, cached) and ``survival_values()``.
+    They stay because the benchmark's artifact checker
+    (``perfbench/artifact.py``) reads them; the package itself no longer
+    does.  Instances and arrays are read-only: assigning an attribute
+    raises ``AttributeError``.
     """
 
     N: int
@@ -187,8 +187,7 @@ class HeightDistribution(ReadOnly):
         runs = ((*surv[:a], surv[a] if b > a else 0.0, *surv[a:], 0.0),
                 (*pmf[:a], -0.0, *pmf[a:], 0.0), lengths)
         vars(self).update(N=N, rho=rho, head=head, plateau=plateau, window=window,
-                          mean=mean, variance=variance,
-                          _heights=heights, _survival=surv, _runs=runs)
+                          mean=mean, variance=variance, _runs=runs)
 
     def column_runs(self) -> tuple[tuple[float, ...], tuple[float, ...], tuple[int, ...]]:
         """Survival and pmf over k = 1..N as runs: ``(survival, pmf, lengths)``.
@@ -212,13 +211,6 @@ class HeightDistribution(ReadOnly):
         """P(H >= k) for k = 1..N, as a read-only array."""
         survival, _, lengths = self._runs
         return _repeat(survival, lengths)
-
-    def survival_at(self, k: int) -> float:
-        """P(H >= k) for one level k in 1..N, without building a dense array."""
-        if not 1 <= k <= self.N:
-            raise ParameterError(f"level must be in [1, {self.N}], got {k!r}")
-        j = bisect_left(self._heights, k)
-        return self._survival[j] if j < len(self._heights) else 0.0
 
 
 def _repeat(values: list[float], lengths: list[int]) -> np.ndarray:

@@ -99,6 +99,8 @@ class SimulationConfig(ReadOnly):
 
     def __init__(self, params: ModelParams, n_samples: int, seed: int, mode: str = LADDER,
                  dkw_delta: float = 0.01):
+        if not isinstance(params, ModelParams):
+            raise ParameterError(f"params must be a ModelParams, got {params!r}")
         if mode not in SAMPLER_MODES:
             raise ParameterError(f"mode must be one of {SAMPLER_MODES}, got {mode!r}")
         if not isinstance(n_samples, int) or isinstance(n_samples, bool) or n_samples < 1:
@@ -280,7 +282,10 @@ def batch_columns(law: exactdist.HeightDistribution,
     order, for the nonzero (height, count) pairs ``counts`` of ``n`` samples.
     The counts have a gap of 0 before each nonzero height and after the
     last, so their running totals, integers each divided once by ``n``, are
-    the ECDF.  P(H <= k) = 1 - P(H >= k + 1): the survival one height on."""
+    the ECDF.  P(H <= k) = 1 - P(H >= k + 1): the survival one height on.
+    The columns are cut at the union of their run ends, so they share one
+    lengths list with no zero; a column holds on a cut its first run that
+    ends there or later."""
     values, lengths, last = [0], [], 0
     for k, c in counts:
         values += c, 0
@@ -288,26 +293,25 @@ def batch_columns(law: exactdist.HeightDistribution,
         last = k
     lengths.append(law.N - last)
     surv, pmf, runs = law.column_runs()
-    return {"count": (values, lengths),
-            "empirical_pmf": ([c / n for c in values], lengths),
-            "exact_pmf": (pmf, runs),
-            "empirical_cdf": ([c / n for c in itertools.accumulate(values)], lengths),
-            "exact_cdf": ([1.0 - v for v in surv], [runs[0] - 1, *runs[1:-1], runs[-1] + 1])}
+    columns = {"count": (values, lengths),
+               "empirical_pmf": ([c / n for c in values], lengths),
+               "exact_pmf": (pmf, runs),
+               "empirical_cdf": ([c / n for c in itertools.accumulate(values)], lengths),
+               "exact_cdf": ([1.0 - v for v in surv], [runs[0] - 1, *runs[1:-1], runs[-1] + 1])}
+    ends = {name: list(itertools.accumulate(lengths)) for name, (_, lengths) in columns.items()}
+    cuts = sorted({*itertools.chain.from_iterable(ends.values())} - {0})
+    shared = [b - a for a, b in zip([0, *cuts], cuts)]
+    return {name: ([values[bisect_left(ends[name], e)] for e in cuts], shared)
+            for name, (values, _) in columns.items()}
 
 
 def _sup_distance(law: exactdist.HeightDistribution,
                   counts: tuple[tuple[int, int], ...], n: int) -> float:
     """max over k of |C(k) / n - P(H <= k)|, C(k) the number of heights <= k,
-    on the ECDF and exact-CDF runs of ``batch_columns``: once per stretch of
-    heights where neither changes, which ends at a run end e of either.  A
-    column holds there the value of its first run that ends at e or later,
-    so runs of length 0 drop out.  The same double as the maximum over all N."""
+    once per run of ``batch_columns``, where neither the ECDF nor the exact
+    CDF changes: the same double as the maximum over all N."""
     columns = batch_columns(law, counts, n)
-    (ecdf, ecdf_ends), (cdf, cdf_ends) = [
-        (values, list(itertools.accumulate(lengths)))
-        for values, lengths in (columns["empirical_cdf"], columns["exact_cdf"])]
-    return max(abs(ecdf[bisect_left(ecdf_ends, e)] - cdf[bisect_left(cdf_ends, e)])
-               for e in {*ecdf_ends, *cdf_ends} if e)
+    return max(abs(a - b) for a, b in zip(columns["empirical_cdf"][0], columns["exact_cdf"][0]))
 
 
 def _draw(cfg: SimulationConfig, counts: Counter) -> Iterator[list[float]]:

@@ -28,6 +28,7 @@ from bdheight import (
     wlln_tail_mass,
 )
 from bdheight.asymptotics import concentration_window, peak_index
+from bdheight.cli import main
 
 _dist_cache = {}
 
@@ -227,6 +228,18 @@ def test_a11_weak_law():
         ok &= tail <= 0.01
         details.append(f"rho={rho}: P(|H/N - f| > 0.05) = {tail:.2e}")
     assert _report("A11 weak law of large numbers", ok, "; ".join(details))
+
+
+def test_dist_csv_runtime_budget(tmp_path):
+    # the CSV body is written run by run, at most a piece of lines at a time
+    path = tmp_path / "law.csv"
+    t0 = time.perf_counter()
+    rc = main(["dist", "--n", "1000000", "--rho", "0.5", "--format", "csv",
+               "--output", str(path)])
+    elapsed = time.perf_counter() - t0
+    ok = rc == 0 and elapsed < 0.5
+    assert _report("dist CSV at N = 1e6", ok,
+                   f"{path.stat().st_size} bytes, {elapsed:.2f}s < 0.5s")
 
 
 def test_a0_peak_index_sanity():

@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 import bdheight
 import bdheight.simulate as simulate_module
 from bdheight import height_distribution, make_params
-from bdheight.cli import (MAX_ROWS, _CHUNK, _canonical, _csv_lines, _emit_json, _run_column,
+from bdheight.cli import (MAX_ROWS, _CHUNK, _canonical, _csv_body, _emit_json, _run_column,
                           _Runs, _write, main)
 
 
@@ -672,22 +672,25 @@ class TestCanonicalEncoder:
             _canonical({"c": _each(a)})
 
 
-@given(ints=st.lists(st.tuples(st.sampled_from(_INT_POOL), st.integers(0, 3)), max_size=8),
-       floats=st.lists(st.lists(st.tuples(st.sampled_from(_FLOAT_POOL), st.integers(0, 3)),
-                                max_size=8), min_size=2, max_size=2),
-       big=st.sampled_from([0, 1, _CHUNK + 1]))
+_CSV_RUN_LENGTHS = st.one_of(st.integers(0, 2),
+                             st.sampled_from([_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3]))
+
+
+@given(runs=st.lists(st.tuples(st.sampled_from(_INT_POOL), st.sampled_from(_FLOAT_POOL),
+                               st.sampled_from(_FLOAT_POOL), _CSV_RUN_LENGTHS), max_size=6))
+@example(runs=[(3, -0.0, 5e-324, 0), (1, 0.5, 1.0, _CHUNK - 1), (0, 0.1, 0.0, 0),
+               (-1, 1e-310, 2.0, _CHUNK), (2**63 - 1, 0.0, -0.0, _CHUNK + 1),
+               (9, 1 / 3, 1e300, 2 * _CHUNK + 3), (10, 2.5, 0.25, 0)])
 @settings(max_examples=100, deadline=None)
-def test_csv_lines_spread_the_runs(ints, floats, big):
-    # runs of length 0 anywhere, one long run, and each column padded to one length
-    columns = [[(first, big), *runs] for first, runs in zip((3, -0.0, 5e-324), (ints, *floats))]
-    rows = max(sum(n for _, n in runs) for runs in columns)
-    columns = [_Runs([v for v, _ in runs] + [runs[-1][0]],
-                     [n for _, n in runs] + [rows - sum(n for _, n in runs)])
-               for runs in columns]
-    dense = [np.repeat(c.values, c.lengths).tolist() for c in columns]
-    fmt = "%d,%d,%.15g,%.15g"
-    assert list(_csv_lines(fmt, columns)) == [fmt % (k, *row)
-                                              for k, row in enumerate(zip(*dense), 1)]
+def test_csv_body_writes_the_rows_of_the_runs(runs):
+    # one lengths list, runs of length 0 anywhere, and runs about a piece long
+    lengths = [n for *_, n in runs]
+    columns = [_Runs([run[i] for run in runs], lengths) for i in range(3)]
+    pieces = list(_csv_body(columns))
+    assert all(piece.endswith("\n") and piece.count("\n") <= _CHUNK for piece in pieces)
+    dense = [np.repeat(np.array(c.values, dtype=object), c.lengths).tolist() for c in columns]
+    assert "".join(pieces).splitlines(keepends=True) == [
+        "%d,%d,%.15g,%.15g\n" % (k, *row) for k, row in enumerate(zip(*dense), 1)]
 
 
 _SMALL_N_RUNS = [[*argv, "--n", n] for n in ("1", "2", "10") for argv in (

@@ -21,6 +21,7 @@ from bdheight import (
     make_params,
     solve_alpha,
 )
+from bdheight.asymptotics import window_mass
 from bdheight.exactdist import r_term_turning_point
 
 
@@ -204,21 +205,16 @@ class TestWindowedForm:
         assert d.mean == mean
         assert abs(d.variance - var) <= 1e-13 * var
 
-    # head, plateau, window and tail: (1e4, 0.5) has all four, (1e4, 2) a
-    # plateau that runs to N, (1e4, 1e-20) a law rising from i = 0
-    @pytest.mark.parametrize("N,rho", [(1, 0.5), (2, 2.0), (10**4, 0.5), (10**4, 2.0),
-                                       (10**4, 1e-20), (999, 1e300)])
-    def test_survival_at_matches_dense_at_the_boundaries(self, N, rho):
+    # head, plateau, window and tail: (1e4, 0.5) has all four, (1e4, 1e-20)
+    # a law rising from i = 0, and (1000, 0.999) a window clipped to [1, N]
+    @pytest.mark.parametrize("N,rho", [(1, 0.5), (2, 0.5), (10**4, 0.5), (10**4, 1e-20),
+                                       (1000, 0.999)])
+    def test_window_mass_matches_dense_bit_for_bit(self, N, rho):
         surv = _dense_law(N, rho)[0]
-        d = height_distribution(make_params(N, rho=rho))
-        a, b = d.plateau
-        w = b + len(d.window)
-        for k in {1, a, a + 1, b, b + 1, w, w + 1, N}:
-            if 1 <= k <= N:
-                assert _bits(d.survival_at(k)) == _bits(surv[k - 1]), k
-        for k in (0, N + 1):
-            with pytest.raises(ParameterError):
-                d.survival_at(k)
+        mass, lo, hi = window_mass(height_distribution(make_params(N, rho=rho)))
+        assert 1 <= lo and hi <= N  # hi = lo - 1 at N = 1: an empty window
+        want = surv[lo - 1] - (surv[hi] if hi < N else 0.0)
+        assert _bits(mass) == _bits(want)
 
     @pytest.mark.parametrize("work", [
         lambda: (lambda d: (d.mean, d.variance))(height_distribution(make_params(10**7, rho=0.5))),

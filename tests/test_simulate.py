@@ -55,6 +55,9 @@ class TestConfig:
         for delta in ("0.1", None):
             with pytest.raises(ParameterError):
                 SimulationConfig(params=p, n_samples=10, seed=1, dkw_delta=delta)
+        for params in ((5, 1.0, 1.0, 1.0), None):
+            with pytest.raises(ParameterError):
+                SimulationConfig(params=params, n_samples=10, seed=1)
 
     def test_fields(self):
         # every field is a setting some caller needs; the step budgets are constants
@@ -348,6 +351,10 @@ class TestBatchColumns:
         assert spread["empirical_cdf"].tobytes() == (np.cumsum(dense) / n).tobytes()
         exact_cdf = 1.0 - np.append(law.survival_values()[1:], 0.0)
         assert spread["exact_cdf"].tobytes() == exact_cdf.tobytes()
+        # one lengths list with no zero in it, so the columns zip run by run
+        shared = columns["count"][1]
+        assert 0 not in shared
+        assert all(lengths == shared for _, lengths in columns.values())
 
 
 class TestWalkBatches:
