@@ -13,7 +13,7 @@ and down with the complementary probability q_i; state 0 always jumps to
 
 Everything downstream (the exact height law, the first-passage oracle,
 the samplers) consumes only ``ModelParams`` and the jump probabilities
-defined here.  ``jump_up_probs`` returns an ``array('d')`` computed in
+defined here.  ``jump_up_probs`` yields the p_i one state at a time in
 plain Python, so this module, which every subcommand loads, imports no
 numpy.  All types are immutable after construction and all operations
 are pure functions, so values can be shared freely across threads.
@@ -21,11 +21,9 @@ are pure functions, so values can be shared freely across threads.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
-from array import array
-from bisect import bisect_left
+from collections.abc import Iterator
 from typing import NamedTuple
 
 from .errors import ParameterError
@@ -119,15 +117,13 @@ def make_params(N: int, nu: float | None = None, mu: float | None = None,
     return ModelParams(N=N, nu=nu_f, mu=mu_f, rho=rho_f)
 
 
-def jump_up_probs(p: ModelParams) -> array:
-    """Up-move probabilities p_i for all states i = 0..N (1 at 0, 0 at N)."""
+def jump_up_probs(p: ModelParams) -> Iterator[float]:
+    """Up-move probabilities p_i for the states i = 0..N in turn (1 at 0, 0 at N)."""
     N, rho = p.N, p.rho
-    w, w_again = itertools.tee(map(rho.__rmul__, range(N - 1, 0, -1)))  # (N - i) rho
-    up = array("d", [1.0])
-    up.extend(map(operator.truediv, w, map(operator.add, w_again, range(1, N))))
-    # Where (N - i) rho overflows, p_i is 1 to within 1e-290, and w / (i + w)
-    # would be inf / inf = nan.  (N - i) rho falls with i, so those come first.
-    saturated = bisect_left(range(1, N), True, key=lambda i: (N - i) * rho < math.inf)
-    up[1:saturated + 1] = array("d", [1.0]) * saturated
-    up.append(0.0)
-    return up
+    yield 1.0
+    for i in range(1, N):
+        w = (N - i) * rho
+        # Where (N - i) rho overflows, p_i is 1 to within 1e-290, and
+        # w / (i + w) would be inf / inf = nan.
+        yield w / (i + w) if w < math.inf else 1.0
+    yield 0.0

@@ -21,10 +21,10 @@ valley, after which rounding noise is amplified by a factor q/p per
 state and the solution is garbage.  Accumulating log-odds and
 log-sum-exp partial sums is immune to both failure modes.
 
-``log_hitting_sums`` returns the log S_k themselves, with no size cap,
-since the sweep is linear in N; the ladder sampler draws from them.
-``height_dist_oracle`` still refuses N above ``cap`` (default 2000)
-unless the caller raises it.  Both return an ``array('d')``.
+``log_hitting_sums`` yields the log S_k in turn, with no size cap, so a
+caller reads only as far as it needs; the ladder sampler draws from
+them.  ``height_dist_oracle`` still refuses N above ``cap`` (default
+2000) unless the caller raises it, and returns an ``array('d')``.
 
 The sweep runs on ``math`` (the C library's ``log``, ``log1p`` and
 ``exp``), one state at a time, and imports no numpy.  numpy picks its
@@ -33,7 +33,7 @@ differ from the C library's in the last bit, so the oracle's bits would
 depend on the CPU.  The steps are those numpy took with its dispatched
 kernels switched off: ``log1p(-p_i) - log(p_i)``, a sequential prefix
 sum, and numpy's scalar ``npy_logaddexp`` for the running log-sums.  It
-costs ~1 us per state, against ~0.07 us for numpy's kernels.
+costs ~0.4 us per state, p_i included.
 
 This module intentionally does not import the closed-form module
 (:mod:`bdheight.exactdist`); their agreement is the package's strongest
@@ -46,8 +46,8 @@ from __future__ import annotations
 import math
 from array import array
 from collections.abc import Iterator
-from itertools import accumulate, chain, repeat
-from operator import neg, sub
+from itertools import islice
+from operator import neg
 
 from .errors import CapacityError
 from .model import ModelParams, jump_up_probs
@@ -62,39 +62,29 @@ ORACLE_CAP_DEFAULT = 2000
 _LOG2 = math.log(2.0)
 
 
-def _running_log_sums(terms: Iterator[float]) -> Iterator[float]:
-    """The running log-sums of ``terms``, each step as numpy's scalar
-    ``npy_logaddexp`` takes it, so they are those of ``np.logaddexp.accumulate``."""
-    s = next(terms)
+def log_hitting_sums(p: ModelParams) -> Iterator[float]:
+    """log of the elimination partial sums for targets 1..N, in turn.
+
+    Value k is log S_k = log sum_{i=0}^{k-1} g_i where g_0 = 1 and
+    g_i = prod_{m<=i} q_m / p_m; P(hit k before 0 | start 1) is the
+    reciprocal of that sum.  The first value is 0 and none decreases.
+    """
+    log_g = s = 0.0  # log g_i, and the running log-sum log S_{i+1}
     yield s
-    for v in terms:
-        if s > v:
-            s += math.log1p(math.exp(v - s))
-        elif s == v:
+    for p_i in islice(jump_up_probs(p), 1, p.N):
+        # p_i rounds to 1.0 where rho >~ 1e16 and to 0.0 where rho is
+        # subnormal.  There log(q_i / p_i) is -inf, a zero term of the
+        # log-sum-exp, and +inf; the C library's log1p(-1) and log(0) would raise.
+        log_g += (-math.inf if p_i == 1.0 else math.inf if p_i == 0.0
+                  else math.log1p(-p_i) - math.log(p_i))
+        # numpy's scalar npy_logaddexp, so the sums are np.logaddexp.accumulate's
+        if s > log_g:
+            s += math.log1p(math.exp(log_g - s))
+        elif s == log_g:
             s += _LOG2
         else:
-            s = v + math.log1p(math.exp(s - v))
+            s = log_g + math.log1p(math.exp(s - log_g))
         yield s
-
-
-def log_hitting_sums(p: ModelParams) -> array:
-    """log of the elimination partial sums for targets 1..N.
-
-    Entry k-1 is log S_k = log sum_{i=0}^{k-1} g_i where g_0 = 1 and
-    g_i = prod_{m<=i} q_m / p_m; P(hit k before 0 | start 1) is the
-    reciprocal of that sum.  Entry 0 is 0 and the entries never decrease.
-    """
-    up = jump_up_probs(p)
-    # p_i falls with i, and it rounds to 1.0 (rho >~ 1e16) only on a prefix
-    # of the states 1..N-1 and to 0.0 (a subnormal rho) only on a suffix.
-    # There log(q_i / p_i) is -inf, a zero term of the log-sum-exp below,
-    # and +inf; the C library's log1p(-1) and log(0) would raise.
-    ones, zeros = up.count(1.0) - 1, up.count(0.0) - 1  # up[0] = 1, up[N] = 0
-    inner = memoryview(up)[1 + ones:p.N - zeros]
-    log_odds = chain(repeat(-math.inf, ones),
-                     map(sub, map(math.log1p, map(neg, inner)), map(math.log, inner)),
-                     repeat(math.inf, zeros))  # log(q_i / p_i), i = 1..N-1
-    return array("d", _running_log_sums(chain([0.0], accumulate(log_odds))))
 
 
 def height_dist_oracle(p: ModelParams, *, cap: int = ORACLE_CAP_DEFAULT) -> array:

@@ -15,9 +15,11 @@ Three samplers:
     The chain skips the heights whose log-sum does not step up, where
     the hazard is exactly 0, and stops once no sample is left.  The
     binomial's ``log1p`` resolves hazards below 2**-53, which a bare
-    comparison of uniforms cannot.  Cost is one O(N) sweep plus one
-    binomial per step of the log-sums up to the largest height drawn,
-    whatever the number of samples.
+    comparison of uniforms cannot.  The log-sums are read as a stream,
+    so the sweep stops at the largest height drawn: cost is one sweep
+    step per height up to it plus one binomial per height where the
+    log-sum steps up, whatever the number of samples, and the ladder
+    holds O(1) numbers besides its counts.
 
 ``jump-chain``
     Literal step-by-step walk of the embedded jump chain from state 1
@@ -50,8 +52,8 @@ numpy is imported only there.  Chunks run in order on the calling thread, so a f
 ``SimulationConfig`` produces bit-identical summaries.  The counts are
 a ``Counter`` keyed by height; each chunk's heights are added to it as
 the chunk is drawn, and a ``full-ctmc`` chunk's durations go into the
-exact sum as it is drawn, so a batch holds O(N + chunk) numbers however
-many samples it draws.  The summary keeps only the nonzero counts, as
+exact sum as it is drawn, so a walk batch holds O(N + chunk) numbers
+however many samples it draws.  The summary keeps only the nonzero counts, as
 ascending (height, count) pairs, and takes the exact moments from them
 and the sup distance from the runs ``batch_columns`` builds of them.
 Scalar aggregates are rounded once from their exact values (integer
@@ -64,7 +66,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections import Counter
 from collections.abc import Callable, Iterator
 from typing import TYPE_CHECKING, NamedTuple
@@ -136,7 +138,9 @@ class SimulationSummary(NamedTuple):
 
 def dkw_epsilon(n_samples: int, delta: float) -> float:
     """Half-width of the level-(1 - delta) distribution-free ECDF band."""
-    return math.sqrt(math.log(2.0 / delta) / (2.0 * n_samples))
+    ratio = 2.0 / delta  # overflows for delta below ~1.1e-308; its log does not
+    log_ratio = math.log(ratio) if ratio < math.inf else math.log(2.0) - math.log(delta)
+    return math.sqrt(log_ratio / (2.0 * n_samples))
 
 
 def estimate_mean_excursion_steps(p: ModelParams) -> float:
@@ -213,20 +217,21 @@ def _binomial(rnd: Callable[[], float], n: int, p: float) -> int:
 
 def _ladder_counts(p: ModelParams, n: int, seed: int, counts: Counter) -> None:
     """Add the heights of ``n`` ladder samples to ``counts``."""
-    ls = oracle.log_hitting_sums(p)  # ls[k-1] = log S_k, never decreasing
     rnd = random.Random(seed).random
-    k, rem = 1, n  # rem samples are left, each with H >= k
-    while rem:
+    rem = n  # rem samples are left, each with H >= k
+    log_sums = oracle.log_hitting_sums(p)  # log S_1, log S_2, ..., never decreasing
+    prev = next(log_sums)
+    for k, cur in enumerate(log_sums, 1):  # prev, cur = log S_k, log S_{k+1}
         # the hazard P(H = k | H >= k) = 1 - S_k / S_{k+1} is 0 until log S steps up
-        k = bisect_right(ls, ls[k - 1], k)
-        if k == p.N:  # where it is 1
-            counts[k] += rem
-            return
-        stop = _binomial(rnd, rem, -math.expm1(ls[k - 1] - ls[k]))
-        if stop:
-            counts[k] += stop
-            rem -= stop
-        k += 1
+        if cur != prev:
+            stop = _binomial(rnd, rem, -math.expm1(prev - cur))
+            if stop:
+                counts[k] += stop
+                rem -= stop
+                if not rem:
+                    return
+        prev = cur
+    counts[p.N] += rem  # where the hazard is 1
 
 
 # Samples per walk chunk, and so per Philox stream.  A constant, so the
@@ -247,7 +252,7 @@ def _walk_chunk(p: ModelParams, n: int, rng: np.random.Generator,
     # the circuit breaker trips once any excursion exceeds MAX_EXCURSION_STEPS.
     import numpy as np
 
-    up = np.frombuffer(jump_up_probs(p))
+    up = np.fromiter(jump_up_probs(p), float, p.N + 1)
     rates = np.arange(p.N + 1, dtype=float) * p.mu + (p.N - np.arange(p.N + 1, dtype=float)) * p.nu
     state = np.ones(n, dtype=np.int64)
     peak = np.ones(n, dtype=np.int64)

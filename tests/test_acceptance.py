@@ -242,6 +242,18 @@ def test_dist_csv_runtime_budget(tmp_path):
                    f"{path.stat().st_size} bytes, {elapsed:.2f}s < 0.5s")
 
 
+def test_ladder_runtime_budget():
+    # the ladder reads the first-passage sums as a stream and stops at the
+    # largest height drawn, ~0.03 N here
+    t0 = time.perf_counter()
+    s = run_batch(SimulationConfig(params=make_params(10**7, rho=0.01), n_samples=1000,
+                                   seed=1))
+    elapsed = time.perf_counter() - t0
+    ok = sum(c for _, c in s.counts) == 1000 and elapsed < 1.0
+    assert _report("ladder at N = 1e7, rho = 0.01", ok,
+                   f"largest height {s.counts[-1][0]}, {elapsed:.2f}s < 1s")
+
+
 def test_a0_peak_index_sanity():
     # Shared plumbing used above: the peak index respects its definition.
     a = solve_alpha(0.5).alpha

@@ -11,6 +11,7 @@ import tempfile
 import time
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -672,22 +673,27 @@ class TestCanonicalEncoder:
             _canonical({"c": _each(a)})
 
 
-_CSV_RUN_LENGTHS = st.one_of(st.integers(0, 2),
-                             st.sampled_from([_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3]))
+# A run's length as (m, a): m pieces and a lines, 0 to 2 lines or about one or two pieces.
+_CSV_RUN_LENGTHS = st.one_of(st.tuples(st.just(0), st.integers(0, 2)),
+                             st.sampled_from([(1, -1), (1, 0), (1, 1), (2, 3)]))
 
 
-@given(runs=st.lists(st.tuples(st.sampled_from(_INT_POOL), st.sampled_from(_FLOAT_POOL),
+@given(chunk=st.integers(1, 8),
+       runs=st.lists(st.tuples(st.sampled_from(_INT_POOL), st.sampled_from(_FLOAT_POOL),
                                st.sampled_from(_FLOAT_POOL), _CSV_RUN_LENGTHS), max_size=6))
-@example(runs=[(3, -0.0, 5e-324, 0), (1, 0.5, 1.0, _CHUNK - 1), (0, 0.1, 0.0, 0),
-               (-1, 1e-310, 2.0, _CHUNK), (2**63 - 1, 0.0, -0.0, _CHUNK + 1),
-               (9, 1 / 3, 1e300, 2 * _CHUNK + 3), (10, 2.5, 0.25, 0)])
+@example(chunk=_CHUNK,
+         runs=[(3, -0.0, 5e-324, (0, 0)), (1, 0.5, 1.0, (1, -1)), (0, 0.1, 0.0, (0, 0)),
+               (-1, 1e-310, 2.0, (1, 0)), (2**63 - 1, 0.0, -0.0, (1, 1)),
+               (9, 1 / 3, 1e300, (2, 3)), (10, 2.5, 0.25, (0, 0))])
 @settings(max_examples=100, deadline=None)
-def test_csv_body_writes_the_rows_of_the_runs(runs):
-    # one lengths list, runs of length 0 anywhere, and runs about a piece long
-    lengths = [n for *_, n in runs]
+def test_csv_body_writes_the_rows_of_the_runs(chunk, runs):
+    # one lengths list, runs of length 0 anywhere, and runs about a piece long,
+    # with pieces of ``chunk`` lines
+    lengths = [m * chunk + a for *_, (m, a) in runs]
     columns = [_Runs([run[i] for run in runs], lengths) for i in range(3)]
-    pieces = list(_csv_body(columns))
-    assert all(piece.endswith("\n") and piece.count("\n") <= _CHUNK for piece in pieces)
+    with mock.patch.object(bdheight.cli, "_CHUNK", chunk):
+        pieces = list(_csv_body(columns))
+    assert all(piece.endswith("\n") and piece.count("\n") <= chunk for piece in pieces)
     dense = [np.repeat(np.array(c.values, dtype=object), c.lengths).tolist() for c in columns]
     assert "".join(pieces).splitlines(keepends=True) == [
         "%d,%d,%.15g,%.15g\n" % (k, *row) for k, row in enumerate(zip(*dense), 1)]
@@ -751,6 +757,15 @@ class TestStrictJson:
             assert out == ""
             return
         assert strict_loads(out)["manifest"]["command"] == argv[0]
+
+    @pytest.mark.parametrize("delta", ["1e-310", "5e-324"])
+    def test_subnormal_delta_writes_strict_json(self, capsys, delta):
+        # 2 / delta overflows a double there, but the band's half-width does not
+        rc, out, _ = run_cli(capsys, "simulate", "--n", "5", "--rho", "0.5", "--samples", "10",
+                             "--delta", delta)
+        assert rc == 0
+        summary = strict_loads(out)["data"]["summary"]
+        assert summary["dkw_delta"] == float(delta) and summary["dkw_pass"]
 
     def test_not_applicable_values_are_null(self, capsys):
         rc, out, _ = run_cli(capsys, "verify", "--rho", "0.5", "--n", "10")
@@ -826,7 +841,7 @@ def test_import_does_not_load_scipy():
         import sys
         import bdheight.oracle
         from bdheight import make_params
-        bdheight.oracle.log_hitting_sums(make_params(10, rho=0.5))
+        list(bdheight.oracle.log_hitting_sums(make_params(10, rho=0.5)))
         print(sorted(m for m in sys.modules if m.split(".")[0] == "numpy"))
     """
     proc = subprocess.run([sys.executable, "-c", code], env=env,
@@ -874,12 +889,13 @@ def test_oracle_bits_do_not_depend_on_numpy_cpu_dispatch():
         pytest.skip("numpy dispatches to no CPU feature above its baseline here")
     code = """if True:
         import hashlib
+        from array import array
         from bdheight import height_dist_oracle, log_hitting_sums, make_params
         digest = hashlib.sha256()
         for n in (10, 200, 2000):
             for rho in (0.25, 0.5, 0.75, 1.0, 2.0, 1e20):
                 p = make_params(n, rho=rho)
-                digest.update(log_hitting_sums(p))
+                digest.update(array("d", log_hitting_sums(p)))
                 digest.update(height_dist_oracle(p, cap=n))
         print(digest.hexdigest())
     """

@@ -261,7 +261,7 @@ class TestLawProperties:
         # verify's tolerance for the oracle gap
         p = make_params(law[0], rho=law[1])
         surv, _, lengths = height_distribution(p).column_runs()
-        gap = np.abs(np.repeat(surv, lengths) - np.exp(-np.asarray(log_hitting_sums(p))))
+        gap = np.abs(np.repeat(surv, lengths) - np.exp(-np.fromiter(log_hitting_sums(p), float)))
         assert gap.max() <= 1e-10
 
 

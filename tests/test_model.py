@@ -21,7 +21,7 @@ def _stationary_law(p):
     lambda_i = (N - i) nu + i mu.  The recursion runs in log space so the
     large chains do not overflow before normalization.
     """
-    up = np.asarray(jump_up_probs(p))
+    up = np.fromiter(jump_up_probs(p), float)
     i = np.arange(p.N + 1, dtype=float)
     log_rate = np.log((p.N - i) * p.nu + i * p.mu)
     step = np.log(up[:-1]) - np.log1p(-up[1:]) + log_rate[:-1] - log_rate[1:]
@@ -118,27 +118,27 @@ class TestStationaryLaw:
 
 class TestJumpChain:
     def test_boundary_rows(self):
-        up = np.asarray(jump_up_probs(make_params(6, rho=0.7)))
+        up = np.fromiter(jump_up_probs(make_params(6, rho=0.7)), float)
         assert up.shape == (7,)
         assert up[0] == 1.0
         assert up[6] == 0.0
 
     def test_interior_formula(self):
-        up = jump_up_probs(make_params(2, rho=1.0))
+        up = list(jump_up_probs(make_params(2, rho=1.0)))
         assert up[1] == pytest.approx(0.5, abs=1e-15)
 
     def test_overflowing_rate_saturates_to_one(self):
         # (N - i) rho overflows for i < 9; below that it is the plain formula
         p = make_params(10, rho=1e308)
         with np.errstate(over="raise", invalid="raise"):
-            up = np.asarray(jump_up_probs(p))
+            up = np.fromiter(jump_up_probs(p), float)
         assert (up[1:9] == 1.0).all()
         assert up[9] == 1e308 / (9.0 + 1e308)
 
     @given(N=st.integers(1, 150), rho=st.floats(0.01, 4.0))
     @settings(max_examples=60, deadline=None)
     def test_complement_and_monotonicity(self, N, rho):
-        up = jump_up_probs(make_params(N, rho=rho))
+        up = np.fromiter(jump_up_probs(make_params(N, rho=rho)), float)
         # q_i = i / (i + (N - i) rho) from the death side of the rates
         i = np.arange(N + 1, dtype=float)
         down = i / (i + (N - i) * rho)

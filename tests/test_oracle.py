@@ -76,7 +76,7 @@ class TestSolvedSystem:
     def test_interior_residuals(self, N, rho, k):
         p = make_params(N, rho=rho)
         h = _hitting_vector(p, k)
-        up = jump_up_probs(p)
+        up = list(jump_up_probs(p))
         for i in range(1, k):
             res = h[i] - up[i] * h[i + 1] - (1.0 - up[i]) * h[i - 1]
             assert abs(res) <= 1e-12 * max(h[i], 1e-300)
@@ -84,7 +84,7 @@ class TestSolvedSystem:
     def test_first_entry_is_first_passage_prob(self):
         # h[1] for target k is P(H >= k) = 1 / S_k.
         p = make_params(60, rho=0.9)
-        log_sums = log_hitting_sums(p)
+        log_sums = list(log_hitting_sums(p))
         for k in (1, 2, 30, 60):
             h = _hitting_vector(p, k)
             assert h[1] == pytest.approx(math.exp(-log_sums[k - 1]), rel=1e-14)
@@ -109,7 +109,7 @@ class TestBatchedOracle:
         # The ladder's hazards are ratios of these sums, so it relies on this:
         # P(H >= k) = exp(-log S_k), log S_1 = 0, and no sum decreases.
         p = make_params(80, rho=0.7)
-        log_sums = np.asarray(log_hitting_sums(p))
+        log_sums = np.fromiter(log_hitting_sums(p), float)
         surv = height_dist_oracle(p)
         assert log_sums.shape == (80,)
         assert log_sums[0] == 0.0
@@ -164,11 +164,12 @@ class TestSweepBits:
     @example(N=3, rho=5e-324)
     @settings(max_examples=150, deadline=None)
     def test_matches_a_per_state_loop(self, N, rho):
-        # The sweep chains whole-array maps and special-cases the saturated
-        # prefix (p_i = 1) and the underflowed suffix (p_i = 0); a loop that
-        # takes every state on its own must give the same bits.
+        # The sweep special-cases the saturated states (p_i = 1) and the
+        # underflowed ones (p_i = 0) in one expression; a loop that takes
+        # every formula on its own must give the same bits.
         p = make_params(N, rho=rho)
-        assert log_hitting_sums(p).tobytes() == array("d", _scalar_log_hitting_sums(p)).tobytes()
+        assert (array("d", log_hitting_sums(p)).tobytes()
+                == array("d", _scalar_log_hitting_sums(p)).tobytes())
 
 
 def test_oracle_module_does_not_import_the_closed_form():

@@ -6,6 +6,8 @@ import math
 import random
 import re
 import tracemalloc
+from array import array
+from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
 
@@ -26,6 +28,7 @@ from bdheight import (
     estimate_mean_excursion_steps,
     height_distribution,
     height_fraction_limit,
+    log_hitting_sums,
     make_params,
     run_batch,
 )
@@ -67,6 +70,11 @@ class TestConfig:
     def test_dkw_epsilon_formula(self):
         assert dkw_epsilon(10**5, 0.01) == pytest.approx(
             math.sqrt(math.log(200.0) / (2 * 10**5)), rel=1e-15)
+
+    @pytest.mark.parametrize("delta", [2.3e-308, 1e-308, 1e-310, 5e-324])
+    def test_dkw_epsilon_is_finite_where_two_over_delta_overflows(self, delta):
+        eps = dkw_epsilon(10, delta)
+        assert eps == pytest.approx(math.sqrt((math.log(2.0) - math.log(delta)) / 20), rel=1e-15)
 
 
 class TestExcursionLengthEstimate:
@@ -228,6 +236,68 @@ class TestInversionSampler:
             tracemalloc.stop()
         assert sum(_dense(s)) == 2**21
         assert peak < 4 * 2**20
+
+
+def _bisect_ladder_counts(p, n, seed):
+    """The ladder as it was drawn over the whole array of log-sums: bisect
+    for the next height where log S steps up, draw there, stop at N."""
+    ls = array("d", log_hitting_sums(p))
+    rnd = random.Random(seed).random
+    counts = Counter()
+    k, rem = 1, n
+    while rem:
+        k = bisect_right(ls, ls[k - 1], k)
+        if k == p.N:
+            counts[k] += rem
+            break
+        stop = _binomial(rnd, rem, -math.expm1(ls[k - 1] - ls[k]))
+        if stop:
+            counts[k] += stop
+            rem -= stop
+        k += 1
+    return counts
+
+
+class TestLadderStream:
+    @given(N=st.integers(1, 3000),
+           rho=st.one_of(st.floats(-323.0, 308.0).map(lambda e: 10.0 ** e),
+                         st.sampled_from([1e20, 1e308, 5e-324])),
+           n=st.sampled_from([1, 2, 10, 1000, 10**6, 10**12]),
+           seed=st.integers(0, 2**64))
+    @example(N=1, rho=0.5, n=10, seed=0)
+    @example(N=2000, rho=0.5, n=20000, seed=77)
+    @settings(max_examples=150, deadline=None)
+    def test_draws_what_the_bisect_ladder_draws(self, N, rho, n, seed):
+        p = make_params(N, rho=rho)
+        counts = Counter()
+        simulate._ladder_counts(p, n, seed, counts)
+        assert dict(counts) == dict(_bisect_ladder_counts(p, n, seed))
+
+    @pytest.mark.parametrize("N,rho,n", [(1, 0.5, 10), (50, 0.8, 9000), (2000, 0.5, 20000),
+                                         (10**5, 0.01, 1000), (100, 1e20, 10)])
+    def test_stops_at_the_largest_height_drawn(self, monkeypatch, N, rho, n):
+        pulled = []
+
+        def counting(p):
+            for v in log_hitting_sums(p):
+                pulled.append(v)
+                yield v
+
+        monkeypatch.setattr(simulate.oracle, "log_hitting_sums", counting)
+        s = run_batch(SimulationConfig(params=make_params(N, rho=rho), n_samples=n, seed=1))
+        assert len(pulled) <= s.counts[-1][0] + 1
+
+    def test_memory_does_not_scale_with_N(self):
+        # The sweep held whole would be two arrays of N + 1 doubles, 16 MB here.
+        p = make_params(10**6, rho=0.01)
+        tracemalloc.start()
+        try:
+            s = run_batch(SimulationConfig(params=p, n_samples=1000, seed=1))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(_dense(s)) == 1000
+        assert peak < 2**20
 
 
 def _binomial_cdf(n, p, upto):
