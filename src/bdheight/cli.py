@@ -23,10 +23,11 @@ bit-identical values, run by run: each run's ``repr`` is formatted once
 and repeated, in pieces of at most ``_CHUNK`` entries, a long run's full
 pieces shared.  The law is constant outside an O(log N) window, so the
 law's own runs give ``dist`` a few hundred runs and no list of length N;
-``simulate`` writes ``simulate.batch_columns``, the runs that its sup
-distance is measured on.  The ``k`` column is a ``range``, written a
-block of 10**4 entries at a time: each entry of a block is the block's
-shared leading digits followed by "0000," .. "9999,".  One
+``simulate`` writes ``SimulationSummary.columns``, the runs that
+``run_batch`` measured its sup distance on.  The ``k`` column is a
+``range``, written a block of 10**4 entries at a time: each entry
+of a block is the block's shared leading digits followed by
+"0000," .. "9999,".  One
 ``bytearray`` per width of the leading digits holds those suffixes, and
 each block writes its digits into it by strided slice assignment, so
 there is no per-entry formatting.  A CSV body is written from the same
@@ -401,25 +402,23 @@ def cmd_simulate(args) -> int:
                                     mode=args.mode, dkw_delta=args.delta)
     if cfg.mode != LADDER:
         est = simulate.estimate_mean_excursion_steps(p) * args.samples
-        if est > _WALK_WARN_STEPS:
+        if _WALK_WARN_STEPS < est <= simulate.MAX_TOTAL_STEPS:  # a larger batch is refused
             print(f"simulate: warning: estimated ~{est:.3g} total jump steps for this "
                   f"batch; consider --mode {LADDER}", file=sys.stderr)
-    law = exactdist.height_distribution(p)
-    summary = simulate.run_batch(cfg, law)
-    columns = {name: _Runs(*runs) for name, runs in
-               simulate.batch_columns(law, summary.counts, args.samples).items()}
+    summary = simulate.run_batch(cfg)
+    columns = {name: _Runs(*runs) for name, runs in summary.columns.items()}
     parameters = {**resolved, "samples": args.samples, "seed": args.seed,
                   "mode": args.mode, "delta": args.delta, "format": args.format}
-    # the counts are the rows' count column, not a scalar; the CSV footer
+    # the counts and columns are the rows, not scalars; the CSV footer
     # keeps the summary's field order
     scalars = summary._asdict()
-    del scalars["counts"]
+    del scalars["counts"], scalars["columns"]
     if args.format == "csv":
+        del columns["exact_survival"]  # a JSON-only column
         _emit_csv("simulate", parameters, ["k", *columns], _csv_body(list(columns.values())),
                   scalars, args.output)
     else:
-        surv, _, lengths = law.column_runs()
-        rows = {"k": range(1, p.N + 1), **columns, "exact_survival": _Runs(surv, lengths)}
+        rows = {"k": range(1, p.N + 1), **columns}
         _emit_json("simulate", parameters, {"summary": scalars, "rows": rows}, args.output)
     if args.assert_dkw and not summary.dkw_pass:
         print(f"simulate: ECDF band exceeded: sup={summary.sup_distance:.6g} > "

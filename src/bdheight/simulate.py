@@ -35,9 +35,9 @@ Three samplers:
     samples the same height law as ``full-ctmc``.
 
 ``full-ctmc``
-    The same walk with exponential holding times (rate i mu + (N-i) nu
-    at state i); additionally records the busy-period duration in units
-    of 1/mu.  Same feasibility constraint.
+    The same walk with exponential holds at rate i + (N - i) rho at state
+    i, the rates in units of mu, so the busy-period duration it records
+    is in units of 1/mu at any size of nu and mu.  Same feasibility constraint.
 
 Reproducibility
 ---------------
@@ -55,7 +55,8 @@ the chunk is drawn, and a ``full-ctmc`` chunk's durations go into the
 exact sum as it is drawn, so a walk batch holds O(N + chunk) numbers
 however many samples it draws.  The summary keeps only the nonzero counts, as
 ascending (height, count) pairs, and takes the exact moments from them
-and the sup distance from the runs ``batch_columns`` builds of them.
+and the sup distance from its ``columns``, the runs that ``batch_columns``
+builds of them and the exact law, once per batch.
 Scalar aggregates are rounded once from their exact values (integer
 moments divided once; ``math.fsum`` for durations), so no accumulation
 order can leak into the output.
@@ -65,6 +66,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from bisect import bisect_left
 from collections import Counter
@@ -105,19 +107,20 @@ class SimulationConfig(ReadOnly):
             raise ParameterError(f"params must be a ModelParams, got {params!r}")
         if mode not in SAMPLER_MODES:
             raise ParameterError(f"mode must be one of {SAMPLER_MODES}, got {mode!r}")
-        if not isinstance(n_samples, int) or isinstance(n_samples, bool) or n_samples < 1:
+        # any integer type, numpy's included, but not bool, as make_params takes N
+        if isinstance(n_samples, bool) or not hasattr(n_samples, "__index__") or n_samples < 1:
             raise ParameterError(f"n_samples must be a positive integer, got {n_samples!r}")
-        if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
+        if isinstance(seed, bool) or not hasattr(seed, "__index__") or seed < 0:
             raise ParameterError(f"seed must be a nonnegative integer, got {seed!r}")
         if not isinstance(dkw_delta, (int, float)) or not 0.0 < dkw_delta < 1.0:
             raise ParameterError(f"dkw_delta must be a real in (0, 1), got {dkw_delta!r}")
-        vars(self).update(params=params, n_samples=n_samples, seed=seed, mode=mode,
-                          dkw_delta=dkw_delta)
+        vars(self).update(params=params, n_samples=operator.index(n_samples),
+                          seed=operator.index(seed), mode=mode, dkw_delta=dkw_delta)
 
 
 class SimulationSummary(NamedTuple):
-    """Batch output: the configuration, the nonzero counts and what is
-    measured from them."""
+    """Batch output: the configuration, the nonzero counts, the columns
+    built of them (``batch_columns``) and what is measured from them."""
 
     N: int
     rho: float
@@ -127,6 +130,7 @@ class SimulationSummary(NamedTuple):
     n_samples: int
     seed: int
     counts: tuple[tuple[int, int], ...]  # (height, count), ascending, nonzero counts only
+    columns: dict[str, tuple[list, list]]  # the runs of batch_columns(law, counts, n_samples)
     empirical_mean: float
     empirical_variance: float
     sup_distance: float
@@ -253,7 +257,8 @@ def _walk_chunk(p: ModelParams, n: int, rng: np.random.Generator,
     import numpy as np
 
     up = np.fromiter(jump_up_probs(p), float, p.N + 1)
-    rates = np.arange(p.N + 1, dtype=float) * p.mu + (p.N - np.arange(p.N + 1, dtype=float)) * p.nu
+    i = np.arange(p.N + 1, dtype=float)
+    rates = i + (p.N - i) * p.rho  # in units of mu, so the holds are in units of 1/mu
     state = np.ones(n, dtype=np.int64)
     peak = np.ones(n, dtype=np.int64)
     heights = np.zeros(n, dtype=np.int64)
@@ -284,7 +289,8 @@ def _walk_chunk(p: ModelParams, n: int, rng: np.random.Generator,
 def batch_columns(law: exactdist.HeightDistribution,
                   counts: tuple[tuple[int, int], ...], n: int) -> dict[str, tuple[list, list]]:
     """The artifact's columns over k = 1..N as (values, lengths) runs, in CSV
-    order, for the nonzero (height, count) pairs ``counts`` of ``n`` samples.
+    order and then the JSON-only ``exact_survival``, P(H >= k), for the
+    nonzero (height, count) pairs ``counts`` of ``n`` samples.
     The counts have a gap of 0 before each nonzero height and after the
     last, so their running totals, integers each divided once by ``n``, are
     the ECDF.  P(H <= k) = 1 - P(H >= k + 1): the survival one height on.
@@ -302,21 +308,13 @@ def batch_columns(law: exactdist.HeightDistribution,
                "empirical_pmf": ([c / n for c in values], lengths),
                "exact_pmf": (pmf, runs),
                "empirical_cdf": ([c / n for c in itertools.accumulate(values)], lengths),
-               "exact_cdf": ([1.0 - v for v in surv], [runs[0] - 1, *runs[1:-1], runs[-1] + 1])}
+               "exact_cdf": ([1.0 - v for v in surv], [runs[0] - 1, *runs[1:-1], runs[-1] + 1]),
+               "exact_survival": (surv, runs)}
     ends = {name: list(itertools.accumulate(lengths)) for name, (_, lengths) in columns.items()}
     cuts = sorted({*itertools.chain.from_iterable(ends.values())} - {0})
     shared = [b - a for a, b in zip([0, *cuts], cuts)]
     return {name: ([values[bisect_left(ends[name], e)] for e in cuts], shared)
             for name, (values, _) in columns.items()}
-
-
-def _sup_distance(law: exactdist.HeightDistribution,
-                  counts: tuple[tuple[int, int], ...], n: int) -> float:
-    """max over k of |C(k) / n - P(H <= k)|, C(k) the number of heights <= k,
-    once per run of ``batch_columns``, where neither the ECDF nor the exact
-    CDF changes: the same double as the maximum over all N."""
-    columns = batch_columns(law, counts, n)
-    return max(abs(a - b) for a, b in zip(columns["empirical_cdf"][0], columns["exact_cdf"][0]))
 
 
 def _draw(cfg: SimulationConfig, counts: Counter) -> Iterator[list[float]]:
@@ -339,12 +337,8 @@ def _draw(cfg: SimulationConfig, counts: Counter) -> Iterator[list[float]]:
         counts.update(heights.tolist())
 
 
-def run_batch(cfg: SimulationConfig,
-              law: exactdist.HeightDistribution | None = None) -> SimulationSummary:
+def run_batch(cfg: SimulationConfig) -> SimulationSummary:
     """Draw ``cfg.n_samples`` i.i.d. heights and compare against the exact law.
-
-    ``law`` is the exact law of ``cfg.params``, for a caller that has
-    built it already; by default it is built here.
 
     Raises ``CapacityError`` for walk modes whose analytically estimated
     total step count exceeds ``MAX_TOTAL_STEPS`` (use the ladder mode
@@ -375,18 +369,20 @@ def run_batch(cfg: SimulationConfig,
     s1 = sum(k * c for k, c in pairs)
     s2 = sum(k * k * c for k, c in pairs)
 
-    if law is None:
-        law = exactdist.height_distribution(p)
-    sup = _sup_distance(law, pairs, n)
+    law = exactdist.height_distribution(p)
+    columns = batch_columns(law, pairs, n)
+    # max over k of |C(k) / n - P(H <= k)|, once per run, where neither CDF
+    # changes: the same double as the maximum over all N
+    sup = max(abs(a - b) for a, b in zip(columns["empirical_cdf"][0], columns["exact_cdf"][0]))
     eps = dkw_epsilon(n, cfg.dkw_delta)
 
     mean_duration = None
     if cfg.mode == FULL_CTMC:  # in units of the mean service time 1/mu
-        mean_duration = total_duration / n * p.mu
+        mean_duration = total_duration / n
 
     return SimulationSummary(
         N=p.N, rho=p.rho, nu=p.nu, mu=p.mu, mode=cfg.mode,
-        n_samples=n, seed=cfg.seed, counts=pairs,
+        n_samples=n, seed=cfg.seed, counts=pairs, columns=columns,
         empirical_mean=s1 / n, empirical_variance=(n * s2 - s1 * s1) / (n * n),
         sup_distance=sup, dkw_delta=cfg.dkw_delta, dkw_epsilon=eps,
         dkw_pass=sup <= eps, mean_busy_duration=mean_duration)

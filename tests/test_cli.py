@@ -230,10 +230,54 @@ class TestSimulateCommand:
         assert sum(rows["count"]) == summary["n_samples"] == 5000
 
     def test_infeasible_walk_exits_2_with_warning(self, capsys):
-        rc, _, err = run_cli(capsys, "simulate", "--n", "50", "--rho", "0.8",
-                             "--samples", "1000", "--mode", "jump-chain")
-        assert rc == 2
-        assert "warning" in err or "error" in err
+        # a refused batch gets the refusal alone, not first a warning to switch modes
+        for argv in (("--n", "50", "--rho", "0.8", "--samples", "1000"),
+                     ("--n", "30", "--rho", "1", "--samples", "100000")):
+            rc, out, err = run_cli(capsys, "simulate", *argv, "--mode", "jump-chain")
+            assert (rc, out) == (2, "")
+            assert len(err.splitlines()) == 1 and err.startswith("simulate: error: "), err
+
+    def test_long_walk_warns_and_runs(self, capsys, monkeypatch):
+        # ~4.4e4 estimated steps: above a lowered warning threshold, within the budget
+        monkeypatch.setattr(bdheight.cli, "_WALK_WARN_STEPS", 1e4)
+        rc, _, err = run_cli(capsys, "simulate", "--n", "20", "--rho", "0.5", "--samples", "10",
+                             "--mode", "jump-chain")
+        assert rc == 0
+        assert err.startswith("simulate: warning: ") and len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_law_and_columns_are_built_once(self, capsys, monkeypatch, fmt):
+        calls = {"height_distribution": 0, "batch_columns": 0}
+
+        def counted(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+        counted(bdheight.exactdist, "height_distribution")
+        counted(simulate_module, "batch_columns")
+        rc, _, _ = run_cli(capsys, "simulate", "--n", "30", "--rho", "0.6", "--samples", "500",
+                           "--seed", "3", "--format", fmt)
+        assert rc == 0
+        assert calls == {"height_distribution": 1, "batch_columns": 1}
+
+    @pytest.mark.parametrize("N", ["1", "2"])
+    def test_full_ctmc_takes_any_rate_pair(self, capsys, N):
+        # the holds are drawn in units of mu, so equal rates of any size give
+        # the rho = 1 walk's durations, with no rate overflowing or underflowing
+        base = ["simulate", "--n", N, "--samples", "200", "--seed", "4", "--mode", "full-ctmc"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rc, out, err = run_cli(capsys, *base, "--rho", "1")
+            assert (rc, err) == (0, "")
+            expected = strict_loads(out)["data"]["summary"]["mean_busy_duration"]
+            for s in ("1e-310", "1e-300", "1", "1e300", "1e308"):
+                rc, out, err = run_cli(capsys, *base, "--nu", s, "--mu", s)
+                assert (rc, err) == (0, ""), s
+                summary = strict_loads(out)["data"]["summary"]
+                assert summary["mean_busy_duration"] == expected, s
 
     def test_tripped_circuit_breaker_exits_2(self, capsys, monkeypatch):
         # test_simulate's circuit-breaker batch: 3 steps finish only the

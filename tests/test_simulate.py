@@ -33,7 +33,7 @@ from bdheight import (
     run_batch,
 )
 from bdheight import simulate
-from bdheight.simulate import _CHUNK_SAMPLES, _binomial, _sup_distance
+from bdheight.simulate import _CHUNK_SAMPLES, _binomial
 
 
 def _dense(s):
@@ -61,6 +61,19 @@ class TestConfig:
         for params in ((5, 1.0, 1.0, 1.0), None):
             with pytest.raises(ParameterError):
                 SimulationConfig(params=params, n_samples=10, seed=1)
+        for n_samples, seed in ((np.bool_(True), 1), (10.0, 1), (10, np.bool_(False)),
+                                (np.int64(0), 1), (10, np.int64(-1)), (10, 1.0)):
+            with pytest.raises(ParameterError):
+                SimulationConfig(params=p, n_samples=n_samples, seed=seed)
+
+    @pytest.mark.parametrize("to_int", [np.int64, np.uint32, np.int8])
+    def test_numpy_integers_accepted(self, to_int):
+        # as make_params takes a numpy N; stored as plain ints, so the
+        # summary is the int config's
+        p = make_params(5, rho=0.5)
+        cfg = SimulationConfig(params=p, n_samples=to_int(10), seed=to_int(3))
+        assert type(cfg.n_samples) is int and type(cfg.seed) is int
+        assert run_batch(cfg) == run_batch(SimulationConfig(params=p, n_samples=10, seed=3))
 
     def test_fields(self):
         # every field is a setting some caller needs; the step budgets are constants
@@ -151,8 +164,8 @@ class TestLadderBatch:
         assert abs(_dense(s)[1] / n - 0.5) <= 3 * sigma
 
     def test_exact_moment_bookkeeping(self):
-        cfg = SimulationConfig(params=make_params(15, rho=0.6), n_samples=4096, seed=5)
-        s = run_batch(cfg)
+        p = make_params(15, rho=0.6)
+        s = run_batch(SimulationConfig(params=p, n_samples=4096, seed=5))
         ks = np.arange(1, 16)
         counts = np.asarray(_dense(s))
         assert counts.sum() == 4096
@@ -160,6 +173,10 @@ class TestLadderBatch:
         assert s.empirical_mean == pytest.approx(mean, rel=1e-15)
         var = float(np.dot((ks - mean) ** 2, counts)) / 4096
         assert s.empirical_variance == pytest.approx(var, rel=1e-12)
+        # the sup distance is the dense maximum over all heights, bit for bit
+        exact_cdf = 1.0 - np.append(height_distribution(p).survival_values()[1:], 0.0)
+        assert s.sup_distance == float(np.max(np.abs(np.cumsum(counts) / 4096 - exact_cdf)))
+        assert s.columns == simulate.batch_columns(height_distribution(p), s.counts, 4096)
 
     def test_moments_are_exact_with_zero_counts(self):
         # the moments are the exact ratios of the drawn heights, rounded once;
@@ -193,6 +210,9 @@ class TestLadderBatch:
 
 
 class TestInversionSampler:
+    """Ladder batches: the exact law from rho = 1e-300 to 1e300, sparse
+    counts, and memory that grows with neither N nor the sample count."""
+
     @pytest.mark.parametrize("N", [1, 2, 50, 2000])
     @pytest.mark.parametrize("rho", [1e-300, 0.5, 1.0, 2.0, 1e300])
     def test_batches_follow_the_exact_law(self, N, rho):
@@ -394,7 +414,10 @@ class TestSupDistance:
             dense_counts[k - 1] = c
         shifted = np.append(law.survival_values()[1:], 0.0)  # P(H >= k + 1)
         dense = float(np.max(np.abs(np.cumsum(dense_counts) / n - (1.0 - shifted))))
-        assert _sup_distance(law, pairs, n) == dense
+        # the maximum over the runs of the two CDF columns, as run_batch takes it
+        columns = simulate.batch_columns(law, pairs, n)
+        assert max(abs(a - b) for a, b in zip(columns["empirical_cdf"][0],
+                                              columns["exact_cdf"][0])) == dense
 
 
 class TestBatchColumns:
@@ -410,7 +433,7 @@ class TestBatchColumns:
             dense[k - 1] = c
         columns = simulate.batch_columns(law, pairs, n)
         assert list(columns) == ["count", "empirical_pmf", "exact_pmf", "empirical_cdf",
-                                 "exact_cdf"]
+                                 "exact_cdf", "exact_survival"]
         spread = {}
         for name, (values, lengths) in columns.items():
             assert sum(lengths) == law.N, name
@@ -421,6 +444,7 @@ class TestBatchColumns:
         assert spread["empirical_cdf"].tobytes() == (np.cumsum(dense) / n).tobytes()
         exact_cdf = 1.0 - np.append(law.survival_values()[1:], 0.0)
         assert spread["exact_cdf"].tobytes() == exact_cdf.tobytes()
+        assert spread["exact_survival"].tobytes() == law.survival_values().tobytes()
         # one lengths list with no zero in it, so the columns zip run by run
         shared = columns["count"][1]
         assert 0 not in shared
