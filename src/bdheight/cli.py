@@ -12,29 +12,26 @@ Every artifact embeds a run manifest (tool, version, command, full
 parameter set, SHA-256 of the data section); re-running the same command
 reproduces the artifact byte for byte.  Exit codes: 0 success, 1 a
 requested check failed or stdout was closed before the artifact was
-written, 2 usage or validation error, a refused input or an aborted walk.
+written, 2 a usage, validation or unopenable --output error, a refused
+input or an aborted walk.
 
 A JSON artifact is exactly ``json.dumps(doc, sort_keys=True,
 separators=(",", ":"), allow_nan=False)`` plus a newline, streamed as
 byte pieces that are hashed as they are written; the manifest comes
 last.  Every value is checked before the first byte.  The ``rows``
 columns of ``dist`` and ``simulate`` are written from runs of
-bit-identical values, run by run: each run's ``repr`` is formatted once
-and repeated, in pieces of at most ``_CHUNK`` entries, a long run's full
-pieces shared.  The law is constant outside an O(log N) window, so the
-law's own runs give ``dist`` a few hundred runs and no list of length N;
-``simulate`` writes ``SimulationSummary.columns``, the runs that
-``run_batch`` measured its sup distance on.  The ``k`` column is a
-``range``, written a block of 10**4 entries at a time: each entry
-of a block is the block's shared leading digits followed by
-"0000," .. "9999,".  One
-``bytearray`` per width of the leading digits holds those suffixes, and
-each block writes its digits into it by strided slice assignment, so
-there is no per-entry formatting.  A CSV body is written from the same
-runs: a run's values are formatted once and its k values joined with
-them, in pieces of at most ``_CHUNK`` lines, hashed as each is built
-and written after the manifest line.  ``dist`` and ``simulate`` refuse
-more than ``MAX_ROWS`` rows (exit 2); ``sweep`` and ``verify`` build no column.
+bit-identical values, run by run, in pieces of at most ``_BLOCK``
+entries: each run's ``repr`` is formatted once and repeated.  The law is
+constant outside an O(log N) window, so the law's own runs give ``dist``
+a few hundred runs and no list of length N; ``simulate`` writes
+``SimulationSummary.columns``, the runs that ``run_batch`` measured its
+sup distance on.  One block writer, ``_ints``, writes the integers k of
+the ``k`` column and of a CSV run's lines, each followed by a separator
+(a comma, or the run's CSV values), 10**4 at a time by strided slice
+assignment, with no per-entry formatting.  A CSV artifact's manifest
+line, which carries the digest, comes first, so its pieces are made
+twice: hashed, then written.  ``dist`` and ``simulate`` refuse more than
+``MAX_ROWS`` rows (exit 2); ``sweep`` and ``verify`` build no column.
 
 Start-up: this module imports the ``errors``, ``model`` and ``exactdist``
 modules, which every subcommand needs, and no numpy.  The others are
@@ -61,7 +58,7 @@ import json
 import math
 import os
 import sys
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from typing import NamedTuple
 
 from . import __version__, exactdist
@@ -74,8 +71,7 @@ _EQUIVALENCE_GRID_N = (1, 2, 3, 5, 10, 20, 50, 100, 200)
 _EQUIVALENCE_TOL = 1e-10
 _STIRLING_BAND_FACTOR = 10.0
 _WALK_WARN_STEPS = 1e7
-_CHUNK = 1 << 14  # entries per piece of a JSON column, lines per piece of a CSV body
-_BLOCK = 10**4  # entries per piece of a range column: those that share all but 4 digits
+_BLOCK = 10**4  # entries per piece of a column or lines per piece of a CSV body
 MAX_ROWS = 10**7  # rows of a dist or simulate artifact; 1e7 rows is ~0.3 GB of JSON
 
 
@@ -104,54 +100,52 @@ class _Runs(NamedTuple):
 
 def _run_column(runs: _Runs) -> Iterator[bytes]:
     """Yield the JSON list of ``runs`` spread out, run by run, in pieces of
-    at most ``_CHUNK`` entries, a long run's full pieces shared."""
+    at most ``_BLOCK`` entries, a long run's full pieces shared."""
     items = [(b"%r," % value, n) for value, n in zip(*runs) if n]
     if items:  # the last entry goes without its comma
         items[-1] = items[-1][0], items[-1][1] - 1
     yield b"["
     for item, n in items:
-        if n >= _CHUNK:
-            yield from itertools.repeat(item * _CHUNK, n // _CHUNK)
-        if n % _CHUNK:
-            yield item * (n % _CHUNK)
+        if n >= _BLOCK:
+            yield from itertools.repeat(item * _BLOCK, n // _BLOCK)
+        if n % _BLOCK:
+            yield item * (n % _BLOCK)
     yield items[-1][0][:-1] + b"]" if items else b"]"
 
 
-def _range_column(r: range) -> Iterator[bytes]:
-    """Yield ``json.dumps(list(r))`` for a range of nonnegative integers with
-    step 1, in pieces of at most ``_BLOCK`` entries.
+def _ints(lo: int, hi: int, sep: bytes) -> Iterator[bytes]:
+    """Yield ``b"%d" % k + sep`` for the nonnegative k in [lo, hi), in pieces
+    of at most ``_BLOCK`` entries; ``sep`` holds no ``%``.
 
-    The entry P * 10**4 + j is the digits of P followed by ``"%04d," % j``.
-    For each width of P one ``bytearray`` block of 10**4 entries holds the
-    suffixes, written once; each block of equal P then writes the digits
-    of P into it by strided slice assignment and is copied out.  Entries
-    below 10**4 are formatted by one bytes ``%``."""
-    yield b"["
-    body = r[:-1]
-    start = body.start
-    if start < min(body.stop, _BLOCK):
-        stop = min(body.stop, _BLOCK)
-        yield b"%d," * (stop - start) % tuple(range(start, stop))
-        start = stop
-    # byte c of "%04d," % j for j = 0..9999: the digit of each place, then ","
+    The entry P * 10**4 + j is the digits of P, ``b"%04d" % j`` and ``sep``.
+    One ``bytearray`` block of 10**4 entries per width of P holds those
+    suffixes; each block of equal P writes the digits of P into it by
+    strided slice assignment and is copied out.  Entries below 10**4, and
+    a range shorter than a block, are formatted by one bytes ``%``."""
+    stop = hi if hi - lo < _BLOCK else max(lo, _BLOCK)
+    if lo < stop:
+        yield (b"%d" + sep) * (stop - lo) % tuple(range(lo, stop))
+    if stop >= hi:
+        return
+    lo = stop
+    # byte c of b"%04d" % j + sep for j = 0..9999: the digit of each place, then sep
     suffix_columns = [b"".join(bytes([d]) * step for d in b"0123456789") * (_BLOCK // step // 10)
-                      for step in (1000, 100, 10, 1)] + [b"," * _BLOCK]
+                      for step in (1000, 100, 10, 1)] + [bytes([c]) * _BLOCK for c in sep]
     block, width = bytearray(), 0
-    while start < body.stop:  # here start >= 10**4
-        prefix, j = divmod(start, _BLOCK)
-        stop = min(body.stop, start - j + _BLOCK)
+    while lo < hi:  # here lo >= 10**4
+        prefix, j = divmod(lo, _BLOCK)
+        stop = min(hi, lo - j + _BLOCK)
         digits = str(prefix).encode()
         if len(digits) != width:  # a new width of P: lay out the suffixes
             width = len(digits)
-            w = width + 5
+            w = width + len(suffix_columns)
             block = bytearray(_BLOCK * w)
             for c, column in enumerate(suffix_columns):
                 block[width + c::w] = column
         for place, digit in enumerate(digits):
             block[place::w] = bytes([digit]) * _BLOCK
-        yield bytes(memoryview(block)[j * w:(stop - start + j) * w])
-        start = stop
-    yield json.dumps(list(r[-1:]))[1:].encode()  # the last entry without its comma, and "]"
+        yield bytes(memoryview(block)[j * w:(stop - lo + j) * w])
+        lo = stop
 
 
 def _encode(value, parts: list) -> None:
@@ -166,7 +160,8 @@ def _encode(value, parts: list) -> None:
             raise ValueError("Out of range float values are not JSON compliant")
         parts.append(_run_column(value))
     elif isinstance(value, range) and value.step == 1:
-        parts.append(_range_column(value))
+        last = json.dumps(list(value[-1:]))[1:].encode()  # without its comma, and "]"
+        parts += [b"[", _ints(value.start, value.stop - 1, b","), last]
     else:
         parts.append(json.dumps(value, sort_keys=True, separators=(",", ":"),
                                 allow_nan=False).encode())
@@ -191,7 +186,11 @@ def _canonical(data) -> bytes:
 
 def _write(pieces: Iterable[bytes], output: str | None) -> None:
     if output:
-        with open(output, "wb") as fh:
+        try:
+            fh = open(output, "wb")
+        except OSError as exc:  # not a BrokenPipeError, which only a write raises
+            raise ParameterError(f"cannot write --output {output}: {exc.strerror}") from None
+        with fh:
             fh.writelines(pieces)
         return
     sys.stdout.flush()  # text written before the artifact comes first
@@ -220,30 +219,31 @@ def _csv_line(row) -> str:
     return ",".join(map(_fmt, row)) + "\n"
 
 
-def _csv_body(columns: list[_Runs]) -> Iterator[str]:
+def _csv_body(columns: list[_Runs]) -> Iterator[bytes]:
     """The CSV rows ``k,value,..`` for k = 1, 2, .. of columns given as runs on
     one lengths list, each run's values formatted once, in pieces of at most
-    ``_CHUNK`` whole lines."""
+    ``_BLOCK`` whole lines."""
     bounds = itertools.pairwise(itertools.accumulate(columns[0].lengths, initial=1))
     for *row, (lo, hi) in zip(*(c.values for c in columns), bounds):
-        sep = "," + _csv_line(row)
-        for start in range(lo, hi, _CHUNK):
-            yield sep.join(map(str, range(start, min(start + _CHUNK, hi)))) + sep
+        yield from _ints(lo, hi, ("," + _csv_line(row)).encode())
 
 
 def _emit_csv(command: str, parameters: dict, header: list[str],
-              body: Iterable[str], footer: dict, output: str | None) -> None:
-    """Write a CSV artifact whose body rows come as pieces of whole lines.
-    Each piece is encoded and hashed in turn; the manifest line, which
-    carries the digest, comes first."""
-    pieces = [piece.encode("utf-8") for piece in itertools.chain(
-        [_csv_line(header)], body, (f"# {k}={_fmt(v)}\n" for k, v in footer.items()))]
+              body: Callable[[], Iterable[bytes]], footer: dict, output: str | None) -> None:
+    """Write a CSV artifact whose body rows are byte pieces of whole lines
+    from ``body()``.  The manifest line, with the digest of the rest, comes
+    first, so the pieces are made twice: hashed, then written."""
+    def pieces() -> Iterator[bytes]:
+        yield _csv_line(header).encode()
+        yield from body()
+        yield from (f"# {k}={_fmt(v)}\n".encode() for k, v in footer.items())
+
     digest = hashlib.sha256()
-    for piece in pieces:
+    for piece in pieces():
         digest.update(piece)
     manifest = json.dumps(_manifest(command, parameters, digest.hexdigest()),
                           sort_keys=True, allow_nan=False)
-    _write((f"# manifest: {manifest}\n".encode("utf-8"), *pieces), output)
+    _write(itertools.chain([f"# manifest: {manifest}\n".encode()], pieces()), output)
 
 
 def _params_from_args(args) -> tuple:
@@ -273,7 +273,7 @@ def cmd_dist(args) -> int:
     surv, pmf, lengths = d.column_runs()
     columns = {"survival": _Runs(surv, lengths), "pmf": _Runs(pmf, lengths)}
     if args.format == "csv":
-        _emit_csv("dist", parameters, ["k", *columns], _csv_body(list(columns.values())),
+        _emit_csv("dist", parameters, ["k", *columns], lambda: _csv_body([*columns.values()]),
                   {"mean": d.mean, "variance": d.variance}, args.output)
     else:
         data = {"rows": {"k": range(1, p.N + 1), **columns}, "mean": d.mean,
@@ -300,8 +300,8 @@ def cmd_alpha(args) -> int:
     if args.format == "csv":
         keys = ["rho", "f", "alpha", "residual", "iterations", "c1", "c2", "c3"]
         row = {**data, **(data["constants"] or dict.fromkeys(("c1", "c2", "c3")))}
-        _emit_csv("alpha", parameters, keys, [_csv_line(row[k] for k in keys)],
-                  {"note": data["note"]}, args.output)
+        line = _csv_line(row[k] for k in keys).encode()
+        _emit_csv("alpha", parameters, keys, lambda: [line], {"note": data["note"]}, args.output)
     else:
         _emit_json("alpha", parameters, data, args.output)
     return 0
@@ -400,11 +400,9 @@ def cmd_simulate(args) -> int:
     p, resolved = _params_from_args(args)
     cfg = simulate.SimulationConfig(params=p, n_samples=args.samples, seed=args.seed,
                                     mode=args.mode, dkw_delta=args.delta)
-    if cfg.mode != LADDER:
-        est = simulate.estimate_mean_excursion_steps(p) * args.samples
-        if _WALK_WARN_STEPS < est <= simulate.MAX_TOTAL_STEPS:  # a larger batch is refused
-            print(f"simulate: warning: estimated ~{est:.3g} total jump steps for this "
-                  f"batch; consider --mode {LADDER}", file=sys.stderr)
+    if (est := simulate._walk_steps(cfg)) > _WALK_WARN_STEPS:  # a batch over budget is refused
+        print(f"simulate: warning: estimated ~{est:.3g} total jump steps for this "
+              f"batch; consider --mode {LADDER}", file=sys.stderr)
     summary = simulate.run_batch(cfg)
     columns = {name: _Runs(*runs) for name, runs in summary.columns.items()}
     parameters = {**resolved, "samples": args.samples, "seed": args.seed,
@@ -415,8 +413,8 @@ def cmd_simulate(args) -> int:
     del scalars["counts"], scalars["columns"]
     if args.format == "csv":
         del columns["exact_survival"]  # a JSON-only column
-        _emit_csv("simulate", parameters, ["k", *columns], _csv_body(list(columns.values())),
-                  scalars, args.output)
+        _emit_csv("simulate", parameters, ["k", *columns],
+                  lambda: _csv_body([*columns.values()]), scalars, args.output)
     else:
         rows = {"k": range(1, p.N + 1), **columns}
         _emit_json("simulate", parameters, {"summary": scalars, "rows": rows}, args.output)
@@ -437,7 +435,8 @@ def cmd_sweep(args) -> int:
     table = [[r.N, r.mean, r.variance, r.mean_ratio, r.var_ratio,
               r.mean_limit, r.var_limit, r.mean_gap, r.var_gap] for r in rows]
     if args.format == "csv":
-        _emit_csv("sweep", parameters, header, map(_csv_line, table), {}, args.output)
+        _emit_csv("sweep", parameters, header,
+                  lambda: (_csv_line(row).encode() for row in table), {}, args.output)
     else:
         data = {"rows": [dict(zip(header, row)) for row in table]}
         _emit_json("sweep", parameters, data, args.output)

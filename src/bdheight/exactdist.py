@@ -102,13 +102,12 @@ N and serves as the ground truth for the float path.
 from __future__ import annotations
 
 import math
-import operator
 from bisect import bisect_left
 from functools import cached_property
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import CapacityError, ParameterError
-from .model import ModelParams, ReadOnly, _positive_rate
+from .model import ModelParams, ReadOnly, _integer, _positive_rate
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -250,12 +249,10 @@ def _log_t(n: int, rho: float):
 
 def log_r_term(n: int, rho: float, i: int) -> float:
     """log t_i = -i log rho - log C(n-1, i), via log-gamma, for one integer
-    index ``i`` in [0, n-1] (any value with ``__index__``)."""
+    index ``i`` in [0, n-1] (any integer type but bool)."""
     rho = _positive_rate("rho", rho)
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
-    i = operator.index(i)
-    if not 0 <= i <= n - 1:
+    n, i = _integer("n", n, 1), _integer("term index", i, 0)
+    if i > n - 1:
         raise ParameterError(f"term index must be in [0, {n - 1}], got {i!r}")
     return _log_t(n, rho)(float(i))
 
@@ -328,10 +325,8 @@ def exact_rational_distribution(N: int, rho_num: int, rho_den: int
     at ``RATIONAL_CAP`` and a bit-growth guard aborts pathological inputs;
     beyond the cap the float path is authoritative.
     """
-    for name, v in (("N", N), ("rho_num", rho_num), ("rho_den", rho_den)):
-        if isinstance(v, bool) or not hasattr(v, "__index__") or v < 1:
-            raise ParameterError(f"{name} must be a positive integer, got {v!r}")
-    N, rho_num, rho_den = int(N), int(rho_num), int(rho_den)
+    N, rho_num, rho_den = (_integer(name, v, 1) for name, v in
+                           (("N", N), ("rho_num", rho_num), ("rho_den", rho_den)))
     if N > RATIONAL_CAP:
         raise CapacityError(
             f"exact rational path is capped at N = {RATIONAL_CAP} (got N = {N}); "

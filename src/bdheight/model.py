@@ -81,6 +81,16 @@ def _positive_rate(name: str, value) -> float:
     return x
 
 
+def _integer(name: str, value, minimum: int) -> int:
+    """``value`` as a plain int: any integer type, numpy's included, but not
+    bool, at least ``minimum``."""
+    if isinstance(value, bool) or not hasattr(value, "__index__"):
+        raise ParameterError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    if (value := operator.index(value)) < minimum:
+        raise ParameterError(f"{name} must be >= {minimum}, got {value}")
+    return value
+
+
 def make_params(N: int, nu: float | None = None, mu: float | None = None,
                 *, rho: float | None = None) -> ModelParams:
     """Validate and freeze chain parameters.
@@ -93,13 +103,7 @@ def make_params(N: int, nu: float | None = None, mu: float | None = None,
     non-finite rates, a ratio nu / mu that rounds to 0 or overflows, or an
     ambiguous combination of arguments.
     """
-    # any integer type, numpy's included, but not bool
-    if isinstance(N, bool) or not hasattr(N, "__index__"):
-        raise ParameterError(f"N must be an integer >= 1, got {N!r}")
-    N = operator.index(N)
-    if N < 1:
-        raise ParameterError(f"N must be >= 1 (the chain needs a nonempty positive part), got {N}")
-
+    N = _integer("N", N, 1)  # the chain needs a nonempty positive part
     if rho is not None:
         if nu is not None or mu is not None:
             raise ParameterError("pass either rho or the pair (nu, mu), not both")

@@ -66,7 +66,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 import random
 from bisect import bisect_left
 from collections import Counter
@@ -76,7 +75,7 @@ from typing import TYPE_CHECKING, NamedTuple
 from . import exactdist, oracle
 from .errors import CapacityError, ParameterError, SimulationAbort
 from .model import (FULL_CTMC, JUMP_CHAIN, LADDER, SAMPLER_MODES, ModelParams, ReadOnly,
-                    jump_up_probs)
+                    _integer, jump_up_probs)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -107,15 +106,11 @@ class SimulationConfig(ReadOnly):
             raise ParameterError(f"params must be a ModelParams, got {params!r}")
         if mode not in SAMPLER_MODES:
             raise ParameterError(f"mode must be one of {SAMPLER_MODES}, got {mode!r}")
-        # any integer type, numpy's included, but not bool, as make_params takes N
-        if isinstance(n_samples, bool) or not hasattr(n_samples, "__index__") or n_samples < 1:
-            raise ParameterError(f"n_samples must be a positive integer, got {n_samples!r}")
-        if isinstance(seed, bool) or not hasattr(seed, "__index__") or seed < 0:
-            raise ParameterError(f"seed must be a nonnegative integer, got {seed!r}")
+        n_samples, seed = _integer("n_samples", n_samples, 1), _integer("seed", seed, 0)
         if not isinstance(dkw_delta, (int, float)) or not 0.0 < dkw_delta < 1.0:
             raise ParameterError(f"dkw_delta must be a real in (0, 1), got {dkw_delta!r}")
-        vars(self).update(params=params, n_samples=operator.index(n_samples),
-                          seed=operator.index(seed), mode=mode, dkw_delta=dkw_delta)
+        vars(self).update(params=params, n_samples=n_samples, seed=seed, mode=mode,
+                          dkw_delta=dkw_delta)
 
 
 class SimulationSummary(NamedTuple):
@@ -337,6 +332,22 @@ def _draw(cfg: SimulationConfig, counts: Counter) -> Iterator[list[float]]:
         counts.update(heights.tolist())
 
 
+def _walk_steps(cfg: SimulationConfig) -> float:
+    """The estimated jump steps of the batch: 0.0 for the ladder, which does
+    not walk.  Raises ``CapacityError`` above ``MAX_TOTAL_STEPS``."""
+    if cfg.mode == LADDER:
+        return 0.0
+    p, n = cfg.params, cfg.n_samples
+    est = estimate_mean_excursion_steps(p) * n
+    if est > MAX_TOTAL_STEPS:
+        raise CapacityError(
+            f"direct {cfg.mode} simulation of {n} excursions at N={p.N}, "
+            f"rho={p.rho} needs ~{est:.3g} jump steps "
+            f"(budget {MAX_TOTAL_STEPS:.3g}); the '{LADDER}' mode samples "
+            f"the same height law without walking")
+    return est
+
+
 def run_batch(cfg: SimulationConfig) -> SimulationSummary:
     """Draw ``cfg.n_samples`` i.i.d. heights and compare against the exact law.
 
@@ -344,18 +355,8 @@ def run_batch(cfg: SimulationConfig) -> SimulationSummary:
     total step count exceeds ``MAX_TOTAL_STEPS`` (use the ladder mode
     there), and propagates ``SimulationAbort`` from the circuit breaker.
     """
-    p = cfg.params
-    n = cfg.n_samples
-
-    if cfg.mode in (JUMP_CHAIN, FULL_CTMC):
-        est = estimate_mean_excursion_steps(p) * n
-        if est > MAX_TOTAL_STEPS:
-            raise CapacityError(
-                f"direct {cfg.mode} simulation of {n} excursions at N={p.N}, "
-                f"rho={p.rho} needs ~{est:.3g} jump steps "
-                f"(budget {MAX_TOTAL_STEPS:.3g}); the '{LADDER}' mode samples "
-                f"the same height law without walking")
-
+    _walk_steps(cfg)
+    p, n = cfg.params, cfg.n_samples
     counts = Counter()
     # fsum runs the draw.  It takes each chunk's durations as the chunk is
     # drawn and keeps only its partials, and it rounds the exact sum once,

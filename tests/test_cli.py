@@ -11,7 +11,6 @@ import tempfile
 import time
 import tracemalloc
 import warnings
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -21,8 +20,8 @@ from hypothesis import strategies as st
 import bdheight
 import bdheight.simulate as simulate_module
 from bdheight import height_distribution, make_params
-from bdheight.cli import (MAX_ROWS, _CHUNK, _canonical, _csv_body, _emit_json, _run_column,
-                          _Runs, _write, main)
+from bdheight.cli import (MAX_ROWS, _BLOCK, _canonical, _csv_body, _emit_json, _ints,
+                          _run_column, _Runs, _write, main)
 
 
 def run_cli(capsys, *argv):
@@ -510,6 +509,29 @@ class TestEmission:
         assert rc == 0
         assert peak < 4 * 2**20
 
+    def test_csv_streams_its_body(self, tmp_path):
+        # The body is made twice, to hash and to write, a block of lines at
+        # a time.  Holding every line's bytes until the digest is known
+        # traced ~22 MiB.
+        tracemalloc.start()
+        try:
+            rc = main(["dist", "--n", "1000000", "--rho", "0.5", "--format", "csv",
+                       "--output", str(tmp_path / "law.csv")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("target", ["missing_dir", "directory"])
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, fmt, target):
+        output = tmp_path / "missing" / "x" if target == "missing_dir" else tmp_path
+        rc, out, err = run_cli(capsys, "dist", "--n", "5", "--rho", "0.5", "--format", fmt,
+                               "--output", str(output))
+        assert (rc, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("dist: error: "), err
+
     # sha256 of whole artifacts at version 0.3.4, whose ladder terms are
     # built on math.lgamma; a version bump changes the manifest and so these.
     @pytest.mark.parametrize("argv,digest", [
@@ -550,7 +572,7 @@ class TestEmission:
     def test_non_finite_value_writes_no_file(self, tmp_path):
         # The NaN sits after a column that would already have been streamed.
         path = tmp_path / "law.json"
-        data = {"rows": {"k": range(1, 3 * _CHUNK), "x": _Runs([0.5, math.nan], [1, 1])}}
+        data = {"rows": {"k": range(1, 3 * _BLOCK), "x": _Runs([0.5, math.nan], [1, 1])}}
         with pytest.raises(ValueError):
             _emit_json("dist", {}, data, str(path))
         assert not path.exists()
@@ -635,6 +657,20 @@ def _each(a) -> _Runs:
     return _Runs(a.tolist(), [1] * a.size)
 
 
+# Step-1 ranges: empty, single, about a piece long, at the 32- and 64-bit edges,
+# and ones that start or end at a block of 10**4 entries or at a digit edge.
+_RANGES = [
+    range(1, 1), range(1, 2), range(1, 2**14 + 1), range(1, 2**15 + 3),
+    range(0, 12), range(10**9 - 5, 10**9 + 5), range(2**63 - 4, 2**63 - 1),
+    range(1, 9999), range(1, 10**4), range(1, 10**4 + 1), range(1, 10**4 + 2),
+    range(9999, 10**4 + 7), range(10**4, 3 * 10**4), range(10**4 + 1, 10**5 - 1),
+    range(10**5 - 1, 10**5 + 1), range(10**5 + 1, 10**6 - 1), range(10**6 - 1, 10**6 + 2),
+    range(1, 10**6 + 2),
+    # one partial block inside a large prefix
+    range(123456789 * 10**4 + 17, 123456789 * 10**4 + 4321),
+]
+
+
 class TestCanonicalEncoder:
     @given(runs=st.lists(st.tuples(st.sampled_from(_FLOAT_POOL), st.integers(1, 40)),
                          max_size=12))
@@ -656,7 +692,7 @@ class TestCanonicalEncoder:
 
     @given(values=st.lists(st.one_of(st.sampled_from(_INT_POOL),
                                      st.integers(-2**63, 2**63 - 1)), min_size=1, max_size=30),
-           length=st.sampled_from([0, 1, 2, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3]))
+           length=st.sampled_from([0, 1, 2, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3]))
     @settings(max_examples=200, deadline=None)
     def test_int64_column_encodes_as_its_list(self, values, length):
         a = np.resize(np.array(values, dtype=np.int64), length)
@@ -666,7 +702,7 @@ class TestCanonicalEncoder:
 
     @given(runs=st.lists(st.tuples(st.sampled_from(_FLOAT_POOL), st.integers(0, 3)),
                          max_size=12),
-           big=st.sampled_from([0, _CHUNK - 1, _CHUNK, 2 * _CHUNK + 1]))
+           big=st.sampled_from([0, _BLOCK - 1, _BLOCK, 2 * _BLOCK + 1]))
     @settings(max_examples=200, deadline=None)
     def test_runs_encode_as_their_repeat(self, runs, big):
         # runs of length 0 anywhere, the last one included, and one long run
@@ -676,34 +712,33 @@ class TestCanonicalEncoder:
         assert _canonical({"c": _Runs(values, lengths)}) == canonical({"c": listed})[:-1].encode()
 
     @given(runs=st.lists(st.tuples(st.sampled_from(_FLOAT_POOL + _INT_POOL),
-                                   st.sampled_from([0, 1, _CHUNK - 1, _CHUNK, _CHUNK + 1,
-                                                    3 * _CHUNK + 7])), max_size=4))
-    @example(runs=[(0.5, 3 * _CHUNK + 7), (-0.0, 0), (7, _CHUNK), (1.0, 0)])
+                                   st.sampled_from([0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1,
+                                                    3 * _BLOCK + 7])), max_size=4))
+    @example(runs=[(0.5, 3 * _BLOCK + 7), (-0.0, 0), (7, _BLOCK), (1.0, 0)])
     @settings(max_examples=60, deadline=None)
     def test_run_pieces_hold_at_most_a_chunk(self, runs):
         # runs of length 0 anywhere, the last one included, and runs on both
         # sides of a piece; no entry holds a comma, so a piece's commas count
         # its entries
         pieces = list(_run_column(_Runs([v for v, _ in runs], [n for _, n in runs])))
-        assert max(piece.count(b",") for piece in pieces) <= _CHUNK
+        assert max(piece.count(b",") for piece in pieces) <= _BLOCK
         listed = [v for v, n in runs for _ in range(n)]
         assert b"".join(pieces) == json.dumps(listed, separators=(",", ":")).encode()
 
-    @pytest.mark.parametrize("r", [
-        range(1, 1), range(1, 2), range(1, _CHUNK + 1), range(1, 2 * _CHUNK + 3),
-        range(0, 12), range(10**9 - 5, 10**9 + 5), range(2**63 - 4, 2**63 - 1),
-        # blocks of 10**4 entries: ranges that start or end at a block or digit edge
-        range(1, 9999), range(1, 10**4), range(1, 10**4 + 1), range(1, 10**4 + 2),
-        range(9999, 10**4 + 7), range(10**4, 3 * 10**4), range(10**4 + 1, 10**5 - 1),
-        range(10**5 - 1, 10**5 + 1), range(10**5 + 1, 10**6 - 1), range(10**6 - 1, 10**6 + 2),
-        range(1, 10**6 + 2),
-        # one partial block inside a large prefix
-        range(123456789 * 10**4 + 17, 123456789 * 10**4 + 4321),
-    ], ids=str)
+    @pytest.mark.parametrize("r", _RANGES, ids=str)
     def test_range_encodes_as_its_list(self, r):
         assert _canonical({"k": r}) == canonical({"k": list(r)})[:-1].encode()
 
-    @pytest.mark.parametrize("length", [_CHUNK, _CHUNK + 1, 3 * _CHUNK + 7])
+    @pytest.mark.parametrize("r", [*_RANGES, range(10**4 + 5, 10**4 + 50),
+                                   range(123456, 123457), range(10**5 - 3, 10**5 + 3)], ids=str)
+    @pytest.mark.parametrize("sep", [b",", b",0.5,5e-324\n"])
+    def test_ints_writes_each_entry(self, r, sep):
+        # short runs above 10**4 too
+        pieces = list(_ints(r.start, r.stop, sep))
+        assert b"".join(pieces) == b"".join(b"%d%b" % (k, sep) for k in r)
+        assert all(piece.count(sep[-1:]) <= _BLOCK for piece in pieces)
+
+    @pytest.mark.parametrize("length", [_BLOCK, _BLOCK + 1, 2**14, 2**14 + 1, 3 * 2**14 + 7])
     def test_float_run_longer_than_a_piece(self, length):
         a = np.concatenate([[0.1, -0.0], np.full(length, 1 / 3), [0.0], np.full(length, 5e-324)])
         assert _canonical({"c": _each(a)}) == canonical({"c": a.tolist()})[:-1].encode()
@@ -717,30 +752,24 @@ class TestCanonicalEncoder:
             _canonical({"c": _each(a)})
 
 
-# A run's length as (m, a): m pieces and a lines, 0 to 2 lines or about one or two pieces.
-_CSV_RUN_LENGTHS = st.one_of(st.tuples(st.just(0), st.integers(0, 2)),
-                             st.sampled_from([(1, -1), (1, 0), (1, 1), (2, 3)]))
-
-
-@given(chunk=st.integers(1, 8),
-       runs=st.lists(st.tuples(st.sampled_from(_INT_POOL), st.sampled_from(_FLOAT_POOL),
-                               st.sampled_from(_FLOAT_POOL), _CSV_RUN_LENGTHS), max_size=6))
-@example(chunk=_CHUNK,
-         runs=[(3, -0.0, 5e-324, (0, 0)), (1, 0.5, 1.0, (1, -1)), (0, 0.1, 0.0, (0, 0)),
-               (-1, 1e-310, 2.0, (1, 0)), (2**63 - 1, 0.0, -0.0, (1, 1)),
-               (9, 1 / 3, 1e300, (2, 3)), (10, 2.5, 0.25, (0, 0))])
+@given(runs=st.lists(st.tuples(st.sampled_from(_INT_POOL), st.sampled_from(_FLOAT_POOL),
+                               st.sampled_from(_FLOAT_POOL), st.integers(0, 12)), max_size=6))
+# runs about a block long, and rows that cross k = 10**4 in a short run and in
+# a long one
+@example(runs=[(3, -0.0, 5e-324, 0), (1, 0.5, 1.0, _BLOCK - 1), (0, 0.1, 0.0, 0),
+               (-1, 1e-310, 2.0, _BLOCK), (2**63 - 1, 0.0, -0.0, _BLOCK + 1),
+               (9, 1 / 3, 1e300, 2 * _BLOCK + 3), (10, 2.5, 0.25, 0)])
+@example(runs=[(1, 0.5, 1.0, _BLOCK - 7), (2, 0.25, 0.5, 20), (3, 1 / 3, 1e-310, 3 * _BLOCK)])
 @settings(max_examples=100, deadline=None)
-def test_csv_body_writes_the_rows_of_the_runs(chunk, runs):
-    # one lengths list, runs of length 0 anywhere, and runs about a piece long,
-    # with pieces of ``chunk`` lines
-    lengths = [m * chunk + a for *_, (m, a) in runs]
+def test_csv_body_writes_the_rows_of_the_runs(runs):
+    # one lengths list and runs of length 0 anywhere
+    lengths = [n for *_, n in runs]
     columns = [_Runs([run[i] for run in runs], lengths) for i in range(3)]
-    with mock.patch.object(bdheight.cli, "_CHUNK", chunk):
-        pieces = list(_csv_body(columns))
-    assert all(piece.endswith("\n") and piece.count("\n") <= chunk for piece in pieces)
+    pieces = list(_csv_body(columns))
+    assert all(piece.endswith(b"\n") and piece.count(b"\n") <= _BLOCK for piece in pieces)
     dense = [np.repeat(np.array(c.values, dtype=object), c.lengths).tolist() for c in columns]
-    assert "".join(pieces).splitlines(keepends=True) == [
-        "%d,%d,%.15g,%.15g\n" % (k, *row) for k, row in enumerate(zip(*dense), 1)]
+    assert b"".join(pieces).splitlines(keepends=True) == [
+        b"%d,%d,%.15g,%.15g\n" % (k, *row) for k, row in enumerate(zip(*dense), 1)]
 
 
 _SMALL_N_RUNS = [[*argv, "--n", n] for n in ("1", "2", "10") for argv in (

@@ -36,10 +36,11 @@ class TestLogRTerm:
         assert log_r_term(3, 1.0, 2) == pytest.approx(0.0, abs=1e-14)
 
     def test_out_of_range_index_rejected(self):
-        with pytest.raises(ParameterError):
-            log_r_term(5, 1.0, 5)
-        with pytest.raises(ParameterError):
-            log_r_term(5, 1.0, -1)
+        # and a float or bool n or index, and n below 1
+        for args in [(5, 1.0, 5), (5, 1.0, -1), (10.5, 0.5, 2), (True, 0.5, 0), (5, 0.5, True),
+                     (5, 0.5, 2.0), (0, 0.5, 0)]:
+            with pytest.raises(ParameterError):
+                log_r_term(*args)
 
     @pytest.mark.parametrize("rho", [Fraction(1, 4), Fraction(1, 2), Fraction(2)])
     def test_matches_rational_evaluation_up_to_n60(self, rho):
@@ -360,6 +361,7 @@ class TestRationalTwin:
             exact_rational_distribution(501, 1, 2)
 
     def test_bad_arguments_rejected(self):
-        for args in [(0, 1, 1), (3, 0, 1), (3, 1, 0), (3, -1, 2)]:
+        for args in [(0, 1, 1), (3, 0, 1), (3, 1, 0), (3, -1, 2), (3.0, 1, 2), (True, 1, 2),
+                     (3, True, 2), (3, 1, 2.0)]:
             with pytest.raises(ParameterError):
                 exact_rational_distribution(*args)

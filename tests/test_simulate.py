@@ -33,7 +33,7 @@ from bdheight import (
     run_batch,
 )
 from bdheight import simulate
-from bdheight.simulate import _CHUNK_SAMPLES, _binomial
+from bdheight.simulate import _CHUNK_SAMPLES, _binomial, _walk_steps
 
 
 def _dense(s):
@@ -514,6 +514,17 @@ class TestWalkBatches:
                                n_samples=100, seed=1, mode=JUMP_CHAIN)
         with pytest.raises(CapacityError):
             run_batch(cfg)
+
+    def test_walk_steps_are_the_estimate_within_the_budget(self):
+        p = make_params(20, rho=0.5)
+        for mode in (JUMP_CHAIN, FULL_CTMC):
+            cfg = SimulationConfig(params=p, n_samples=10, seed=1, mode=mode)
+            assert _walk_steps(cfg) == simulate.estimate_mean_excursion_steps(p) * 10
+        # the ladder does not walk, at any N
+        big = make_params(10**6, rho=0.5)
+        assert _walk_steps(SimulationConfig(params=big, n_samples=10**6, seed=1)) == 0.0
+        with pytest.raises(CapacityError):
+            _walk_steps(SimulationConfig(params=big, n_samples=1, seed=1, mode=JUMP_CHAIN))
 
 
 class TestReproducibility:
