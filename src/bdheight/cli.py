@@ -373,8 +373,6 @@ def _verify_checks(rhos: list[float], ns: list[int], corrupt: bool) -> list[dict
 def cmd_verify(args) -> int:
     rhos = args.rho if args.rho else [0.25, 0.5, 0.75, 1.0, 2.0]
     ns = args.n if args.n else [1000, 10000, 100000]
-    if not rhos or not ns:
-        raise ParameterError("verify needs nonempty rho and N grids")
     checks = _verify_checks(rhos, ns, args.selftest_corrupt)
     failed = [c for c in checks if c["applicable"] and not c["passed"]]
     data = {
@@ -401,8 +399,8 @@ def cmd_simulate(args) -> int:
     cfg = simulate.SimulationConfig(params=p, n_samples=args.samples, seed=args.seed,
                                     mode=args.mode, dkw_delta=args.delta)
     if (est := simulate._walk_steps(cfg)) > _WALK_WARN_STEPS:  # a batch over budget is refused
-        print(f"simulate: warning: estimated ~{est:.3g} total jump steps for this "
-              f"batch; consider --mode {LADDER}", file=sys.stderr)
+        print(f"simulate: warning: this batch costs an estimated ~{est:.3g} jump "
+              f"steps, its rounds included; consider --mode {LADDER}", file=sys.stderr)
     summary = simulate.run_batch(cfg)
     columns = {name: _Runs(*runs) for name, runs in summary.columns.items()}
     parameters = {**resolved, "samples": args.samples, "seed": args.seed,

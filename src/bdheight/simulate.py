@@ -30,9 +30,10 @@ Three samplers:
     that is ~10^13 steps per excursion.  ``run_batch`` therefore
     estimates the cost analytically up front (a 100-excursion pilot
     would itself never terminate in the regimes it is supposed to warn
-    about) and refuses batches whose estimate exceeds
-    ``MAX_TOTAL_STEPS``.  Holding times are irrelevant to the height, so this walk
-    samples the same height law as ``full-ctmc``.
+    about), the samples' steps and each chunk's lockstep rounds, and
+    refuses batches whose estimate exceeds ``MAX_TOTAL_STEPS``.  Holding
+    times are irrelevant to the height, so this walk samples the same
+    height law as ``full-ctmc``.
 
 ``full-ctmc``
     The same walk with exponential holds at rate i + (N - i) rho at state
@@ -48,15 +49,17 @@ CPython 3.12's ``binomialvariate`` on the C library's ``log`` and
 ``log1p`` and on CPython's own ``lgamma``.  The walks partition their
 samples into chunks of ``_CHUNK_SAMPLES``, and chunk c draws from its
 own counter-based Philox stream seeded by ``SeedSequence((seed, c))``;
-numpy is imported only there.  Chunks run in order on the calling thread, so a fixed
-``SimulationConfig`` produces bit-identical summaries.  The counts are
-a ``Counter`` keyed by height; each chunk's heights are added to it as
-the chunk is drawn, and a ``full-ctmc`` chunk's durations go into the
-exact sum as it is drawn, so a walk batch holds O(N + chunk) numbers
-however many samples it draws.  The summary keeps only the nonzero counts, as
-ascending (height, count) pairs, and takes the exact moments from them
-and the sup distance from its ``columns``, the runs that ``batch_columns``
-builds of them and the exact law, once per batch.
+numpy is imported only there.  Chunks run in order on the calling
+thread, and a chunk keeps only its live excursions, in their original
+order, so each round draws the same variates whatever has finished: a
+fixed ``SimulationConfig`` produces bit-identical summaries.  The counts
+are a ``Counter`` keyed by height; excursions' heights are added to it
+as they finish, and a ``full-ctmc`` chunk's durations go into the exact
+sum once the chunk is walked, so a walk batch holds O(N + chunk)
+numbers however many samples it draws.  The summary keeps only the
+nonzero counts, as ascending (height, count) pairs, and takes the exact
+moments from them and the sup distance from its ``columns``, the runs
+that ``batch_columns`` builds of them and the exact law, once per batch.
 Scalar aggregates are rounded once from their exact values (integer
 moments divided once; ``math.fsum`` for durations), so no accumulation
 order can leak into the output.
@@ -70,15 +73,12 @@ import random
 from bisect import bisect_left
 from collections import Counter
 from collections.abc import Callable, Iterator
-from typing import TYPE_CHECKING, NamedTuple
+from typing import NamedTuple
 
 from . import exactdist, oracle
 from .errors import CapacityError, ParameterError, SimulationAbort
 from .model import (FULL_CTMC, JUMP_CHAIN, LADDER, SAMPLER_MODES, ModelParams, ReadOnly,
                     _integer, jump_up_probs)
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "LADDER",
@@ -236,49 +236,50 @@ def _ladder_counts(p: ModelParams, n: int, seed: int, counts: Counter) -> None:
 # Samples per walk chunk, and so per Philox stream.  A constant, so the
 # stream layout depends on nothing but the seed.
 _CHUNK_SAMPLES = 4096
+# One walk round costs about this many sample-steps of a full chunk: ~6 us
+# against ~28 ns (jump-chain), ~8 us against ~45 ns (full-ctmc), numpy 2 on
+# a 2-vCPU Xeon.  The budget charges each chunk a mean excursion's rounds.
+_ROUND_STEPS = 200
 
 
-def _chunk_rng(seed: int, chunk_index: int) -> np.random.Generator:
+def _walk(cfg: SimulationConfig, counts: Counter) -> Iterator[list[float]]:
+    """Walk the batch chunk by chunk, adding the heights to ``counts`` as
+    the excursions finish, and yield each chunk's durations (none for
+    ``jump-chain``).  The up-move probabilities, and the rates of
+    ``full-ctmc`` only, are built once.  A chunk's live excursions advance
+    in lockstep, one jump each per round, and the finished ones drop out.
+    The round count bounds every excursion's step count, so the circuit
+    breaker trips once any excursion exceeds MAX_EXCURSION_STEPS."""
     import numpy as np
 
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence((seed, chunk_index))))
-
-
-def _walk_chunk(p: ModelParams, n: int, rng: np.random.Generator,
-                with_durations: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    # All excursions of the chunk advance in lockstep; finished ones drop
-    # out.  The per-round counter bounds every excursion's step count, so
-    # the circuit breaker trips once any excursion exceeds MAX_EXCURSION_STEPS.
-    import numpy as np
-
+    p, n, ctmc = cfg.params, cfg.n_samples, cfg.mode == FULL_CTMC
     up = np.fromiter(jump_up_probs(p), float, p.N + 1)
-    i = np.arange(p.N + 1, dtype=float)
-    rates = i + (p.N - i) * p.rho  # in units of mu, so the holds are in units of 1/mu
-    state = np.ones(n, dtype=np.int64)
-    peak = np.ones(n, dtype=np.int64)
-    heights = np.zeros(n, dtype=np.int64)
-    durations = np.zeros(n) if with_durations else None
-    active = np.arange(n)
-    rounds = 0
-    while active.size:
-        rounds += 1
-        if rounds > MAX_EXCURSION_STEPS:
-            raise SimulationAbort(
-                f"excursions exceeded {MAX_EXCURSION_STEPS} jump steps at N={p.N}, rho={p.rho}",
-                int(np.count_nonzero(heights)), steps_taken=rounds)
-        s = state[active]
-        if with_durations:
-            durations[active] += rng.exponential(1.0, s.size) / rates[s]
-        go_up = rng.random(s.size) < up[s]
-        s = s + np.where(go_up, 1, -1)
-        state[active] = s
-        peak[active] = np.maximum(peak[active], s)
-        done = s == 0
-        if done.any():
-            finished = active[done]
-            heights[finished] = peak[finished]
-            active = active[~done]
-    return heights, durations
+    if ctmc:  # in units of mu, so the holds are in units of 1/mu
+        i = np.arange(p.N + 1, dtype=float)
+        rates = i + (p.N - i) * p.rho
+    for c, lo in enumerate(range(0, n, _CHUNK_SAMPLES)):
+        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((cfg.seed, c))))
+        m = min(_CHUNK_SAMPLES, n - lo)
+        state, peak, held = np.ones(m, dtype=np.int64), np.ones(m, dtype=np.int64), np.zeros(m)
+        durations, rounds = [], 0
+        while state.size:
+            rounds += 1
+            if rounds > MAX_EXCURSION_STEPS:
+                raise SimulationAbort(
+                    f"excursions exceeded {MAX_EXCURSION_STEPS} jump steps at N={p.N}, "
+                    f"rho={p.rho}; {lo + m - state.size} of {n} samples completed",
+                    steps_taken=rounds)
+            if ctmc:
+                held += rng.exponential(1.0, state.size) / rates[state]
+            state += np.where(rng.random(state.size) < up[state], 1, -1)
+            np.maximum(peak, state, out=peak)
+            if (done := state == 0).any():
+                counts.update(peak[done].tolist())
+                if ctmc:
+                    durations += held[done].tolist()
+                live = ~done
+                state, peak, held = state[live], peak[live], held[live]
+        yield durations
 
 
 def batch_columns(law: exactdist.HeightDistribution,
@@ -312,37 +313,19 @@ def batch_columns(law: exactdist.HeightDistribution,
             for name, (values, _) in columns.items()}
 
 
-def _draw(cfg: SimulationConfig, counts: Counter) -> Iterator[list[float]]:
-    """Draw the batch, adding its heights to ``counts`` (a walk's chunk by
-    chunk), and yield each chunk's durations (``full-ctmc`` only)."""
-    p, n = cfg.params, cfg.n_samples
-    if cfg.mode == LADDER:
-        _ladder_counts(p, n, cfg.seed, counts)
-        return
-    for c, lo in enumerate(range(0, n, _CHUNK_SAMPLES)):
-        try:
-            heights, durations = _walk_chunk(p, min(_CHUNK_SAMPLES, n - lo),
-                                             _chunk_rng(cfg.seed, c), cfg.mode == FULL_CTMC)
-        except SimulationAbort as exc:  # the earlier chunks completed in full
-            message, done = exc.args  # done: the samples this chunk completed
-            exc.args = (f"{message}; {lo + done} of {n} samples completed",)
-            raise
-        if durations is not None:
-            yield durations.tolist()
-        counts.update(heights.tolist())
-
-
 def _walk_steps(cfg: SimulationConfig) -> float:
-    """The estimated jump steps of the batch: 0.0 for the ladder, which does
-    not walk.  Raises ``CapacityError`` above ``MAX_TOTAL_STEPS``."""
+    """The estimated cost of the batch in jump steps: 0.0 for the ladder,
+    which does not walk.  Each chunk's rounds are charged as well as its
+    samples' steps.  Raises ``CapacityError`` above ``MAX_TOTAL_STEPS``."""
     if cfg.mode == LADDER:
         return 0.0
     p, n = cfg.params, cfg.n_samples
-    est = estimate_mean_excursion_steps(p) * n
+    chunks = -(-n // _CHUNK_SAMPLES)
+    est = estimate_mean_excursion_steps(p) * (n + chunks * _ROUND_STEPS)
     if est > MAX_TOTAL_STEPS:
         raise CapacityError(
             f"direct {cfg.mode} simulation of {n} excursions at N={p.N}, "
-            f"rho={p.rho} needs ~{est:.3g} jump steps "
+            f"rho={p.rho} costs ~{est:.3g} jump steps, its rounds included "
             f"(budget {MAX_TOTAL_STEPS:.3g}); the '{LADDER}' mode samples "
             f"the same height law without walking")
     return est
@@ -352,16 +335,22 @@ def run_batch(cfg: SimulationConfig) -> SimulationSummary:
     """Draw ``cfg.n_samples`` i.i.d. heights and compare against the exact law.
 
     Raises ``CapacityError`` for walk modes whose analytically estimated
-    total step count exceeds ``MAX_TOTAL_STEPS`` (use the ladder mode
+    cost (``_walk_steps``) exceeds ``MAX_TOTAL_STEPS`` (use the ladder mode
     there), and propagates ``SimulationAbort`` from the circuit breaker.
     """
     _walk_steps(cfg)
     p, n = cfg.params, cfg.n_samples
-    counts = Counter()
-    # fsum runs the draw.  It takes each chunk's durations as the chunk is
-    # drawn and keeps only its partials, and it rounds the exact sum once,
-    # so the value does not depend on the chunking.
-    total_duration = math.fsum(itertools.chain.from_iterable(_draw(cfg, counts)))
+    counts, mean_duration = Counter(), None
+    if cfg.mode == LADDER:
+        _ladder_counts(p, n, cfg.seed, counts)
+    else:
+        # fsum runs the walk.  It takes each chunk's durations as the chunk
+        # is walked and keeps only its partials, and it rounds the exact sum
+        # once, so the value depends on neither the chunking nor the order
+        # in which the excursions finish.
+        total_duration = math.fsum(itertools.chain.from_iterable(_walk(cfg, counts)))
+        if cfg.mode == FULL_CTMC:  # in units of the mean service time 1/mu
+            mean_duration = total_duration / n
     pairs = tuple(sorted(counts.items()))
 
     # Heights are integers, so the sample moments are ratios of integers,
@@ -376,10 +365,6 @@ def run_batch(cfg: SimulationConfig) -> SimulationSummary:
     # changes: the same double as the maximum over all N
     sup = max(abs(a - b) for a, b in zip(columns["empirical_cdf"][0], columns["exact_cdf"][0]))
     eps = dkw_epsilon(n, cfg.dkw_delta)
-
-    mean_duration = None
-    if cfg.mode == FULL_CTMC:  # in units of the mean service time 1/mu
-        mean_duration = total_duration / n
 
     return SimulationSummary(
         N=p.N, rho=p.rho, nu=p.nu, mu=p.mu, mode=cfg.mode,

@@ -202,6 +202,10 @@ class TestPeakRatioBounds:
         _, decay = check_peak_ratio_bounds(10**5, 0.5)
         assert decay.margin > 50.0  # far below n^-3 in log scale
 
+    def test_empty_system_rejected(self):
+        with pytest.raises(ParameterError, match="n must be >= 1"):
+            check_peak_ratio_bounds(0, 0.5)
+
 
 class TestMeanBounds:
     @pytest.mark.parametrize("rho", [0.25, 0.5, 0.75])
@@ -228,11 +232,17 @@ class TestMeanBounds:
         assert not rep.applicable
         assert isinstance(rep.passed, bool)
 
+    def test_empty_system_rejected(self):
+        with pytest.raises(ParameterError, match="N must be >= 1"):
+            check_mean_bounds(0, 0.5, 1.0)
+
 
 class TestStirlingRatio:
     def test_degenerate_small_n(self):
         val = stirling_ratio(2, 0.5)
         assert math.isfinite(val) and val > 0
+        with pytest.raises(ParameterError, match="n must be >= 2"):
+            stirling_ratio(1, 0.5)
 
     def test_doubling(self):
         r1 = stirling_ratio(10**4, 0.25)

@@ -153,6 +153,14 @@ class TestVerify:
         assert not bands["1e-16"]["applicable"]
         assert bands["0.5"]["applicable"] and bands["0.5"]["passed"]
 
+    @pytest.mark.parametrize("flag", ["--rho", "--n"])
+    def test_empty_grid_exits_2(self, capsys, flag):
+        # nargs="+" refuses a flag with no values before verify runs
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", flag])
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+
     def test_csv_format_is_refused(self, capsys):
         # the nested check records have no CSV form, so argparse refuses it
         with pytest.raises(SystemExit) as exc:
@@ -230,14 +238,18 @@ class TestSimulateCommand:
 
     def test_infeasible_walk_exits_2_with_warning(self, capsys):
         # a refused batch gets the refusal alone, not first a warning to switch modes
+        # --n 29 --samples 1: one excursion of ~5.4e8 expected steps, refused for
+        # its rounds, which cost ~200 steps each
         for argv in (("--n", "50", "--rho", "0.8", "--samples", "1000"),
-                     ("--n", "30", "--rho", "1", "--samples", "100000")):
+                     ("--n", "30", "--rho", "1", "--samples", "100000"),
+                     ("--n", "29", "--rho", "1", "--samples", "1")):
             rc, out, err = run_cli(capsys, "simulate", *argv, "--mode", "jump-chain")
             assert (rc, out) == (2, "")
             assert len(err.splitlines()) == 1 and err.startswith("simulate: error: "), err
 
     def test_long_walk_warns_and_runs(self, capsys, monkeypatch):
-        # ~4.4e4 estimated steps: above a lowered warning threshold, within the budget
+        # ~9.3e5 estimated steps, rounds included: above a lowered warning
+        # threshold, within the budget
         monkeypatch.setattr(bdheight.cli, "_WALK_WARN_STEPS", 1e4)
         rc, _, err = run_cli(capsys, "simulate", "--n", "20", "--rho", "0.5", "--samples", "10",
                              "--mode", "jump-chain")
@@ -291,6 +303,18 @@ class TestSimulateCommand:
                             r"(\d+) of 1000 samples completed", err.splitlines()[-1])
         assert done and 0 < int(done[1]) < 1000
 
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_failed_band_with_assert_exits_1(self, tmp_path, capsys, monkeypatch, fmt):
+        # a zero-width band fails every batch; the artifact is still written
+        monkeypatch.setattr(simulate_module, "dkw_epsilon", lambda n, delta: 0.0)
+        path = tmp_path / "batch"
+        rc, out, err = run_cli(capsys, "simulate", "--n", "10", "--rho", "0.5", "--samples",
+                               "100", "--format", fmt, "--output", str(path), "--assert")
+        assert (rc, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("simulate: ECDF band exceeded: sup=") and "> eps=0\n" in err
+        assert path.stat().st_size > 0
+
     def test_csv_contains_comparison_columns(self, capsys):
         rc, out, _ = run_cli(capsys, "simulate", "--n", "5", "--rho", "1",
                              "--samples", "1000", "--seed", "2", "--format", "csv")
@@ -315,6 +339,16 @@ class TestSweep:
             main(["sweep", "--rho", "2"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+    def test_csv_has_one_line_per_n(self, capsys):
+        rc, out, err = run_cli(capsys, "sweep", "--rho", "0.5", "--n", "10", "100", "--format",
+                               "csv")
+        assert (rc, err) == (0, "")
+        lines = out.splitlines()
+        assert lines[0].startswith("# manifest: ")
+        assert lines[1] == ("N,mean,variance,mean_over_N,var_over_N,mean_limit,var_limit,"
+                            "mean_gap,var_gap")
+        assert [line.split(",")[0] for line in lines[2:]] == ["10", "100"]
 
     def test_non_ascending_grid_exits_2(self, capsys):
         rc, _, err = run_cli(capsys, "sweep", "--rho", "2", "--n", "100", "100")
@@ -560,6 +594,8 @@ class TestEmission:
          "dece51ff86d93e31afa52a64bc6fb1c635da41b175d5b2516124319b9ceed36f"),
         (["sweep", "--rho", "0.5", "--n", "1000", "1000000"],
          "02c3e80f7e2584d793eb347bfef5b13abd914222f42f89bff699de2903d8f7ec"),
+        (["sweep", "--rho", "0.5", "--n", "1000", "1000000", "--format", "csv"],
+         "b7b89fab101d1cc6dea0f89c90ea60557f09f9d84976ad69f83502f00a68243c"),
         # laws at N = 1e9 and 1e12, far past the default grid
         (["sweep", "--rho", "0.5", "--n", "1000000000", "1000000000000"],
          "87b6a8c2042bc0c13599e12df7d7bcaebf97fafb89b7378dc424cc10128d2fc7"),

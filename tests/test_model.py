@@ -68,6 +68,8 @@ class TestMakeParams:
     def test_rho_only_construction(self):
         p = make_params(7, rho=0.8)
         assert (p.nu, p.mu, p.rho) == (0.8, 1.0, 0.8)
+        with pytest.raises(ParameterError, match="rho"):
+            make_params(5, rho="x")
 
     def test_rho_and_rates_are_mutually_exclusive(self):
         with pytest.raises(ParameterError):

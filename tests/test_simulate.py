@@ -516,10 +516,21 @@ class TestWalkBatches:
             run_batch(cfg)
 
     def test_walk_steps_are_the_estimate_within_the_budget(self):
+        # the mean excursion's steps for each sample and for each round of
+        # each chunk, a round charged as _ROUND_STEPS steps
         p = make_params(20, rho=0.5)
+        mean = simulate.estimate_mean_excursion_steps(p)
         for mode in (JUMP_CHAIN, FULL_CTMC):
-            cfg = SimulationConfig(params=p, n_samples=10, seed=1, mode=mode)
-            assert _walk_steps(cfg) == simulate.estimate_mean_excursion_steps(p) * 10
+            for n, chunks in ((10, 1), (_CHUNK_SAMPLES, 1), (_CHUNK_SAMPLES + 1, 2), (20000, 5)):
+                cfg = SimulationConfig(params=p, n_samples=n, seed=1, mode=mode)
+                assert _walk_steps(cfg) == mean * (n + chunks * simulate._ROUND_STEPS)
+        # one excursion is within the budget at N = 20, rho = 1 and refused at N = 29
+        one = SimulationConfig(params=make_params(20, rho=1.0), n_samples=1, seed=1,
+                               mode=JUMP_CHAIN)
+        assert _walk_steps(one) < simulate.MAX_TOTAL_STEPS
+        with pytest.raises(CapacityError, match="rounds included"):
+            _walk_steps(SimulationConfig(params=make_params(29, rho=1.0), n_samples=1, seed=1,
+                                         mode=JUMP_CHAIN))
         # the ladder does not walk, at any N
         big = make_params(10**6, rho=0.5)
         assert _walk_steps(SimulationConfig(params=big, n_samples=10**6, seed=1)) == 0.0
@@ -539,24 +550,25 @@ class TestReproducibility:
     @pytest.mark.parametrize("mode", [JUMP_CHAIN, FULL_CTMC])
     def test_chunks_do_not_depend_on_the_batch_size(self, mode):
         # Walk chunk c draws from Philox(SeedSequence((seed, c))) whatever the
-        # batch size, so a batch of three chunks is its chunks drawn alone,
-        # and its first chunk is a one-chunk batch.
+        # batch size, so the first c chunks of a batch of three are a batch of
+        # c chunks: the first is a one-chunk batch, and all three are the
+        # batch.  _walk yields each chunk's durations once its heights are in
+        # the counts.
         p = make_params(10, rho=0.3)
         seed, n = 5, 2 * _CHUNK_SAMPLES + 100
-        counts, durations = np.zeros(p.N + 1, dtype=np.int64), []
-        for c, lo in enumerate(range(0, n, _CHUNK_SAMPLES)):
-            m, rng = min(_CHUNK_SAMPLES, n - lo), simulate._chunk_rng(seed, c)
-            heights, d = simulate._walk_chunk(p, m, rng, mode == FULL_CTMC)
-            durations += [] if d is None else d.tolist()
-            counts += np.bincount(heights, minlength=p.N + 1)
-            if c == 0:
-                first = run_batch(SimulationConfig(params=p, n_samples=m, seed=seed,
-                                                   mode=mode))
-                assert _dense(first) == tuple(counts[1:].tolist())
-        s = run_batch(SimulationConfig(params=p, n_samples=n, seed=seed, mode=mode))
-        assert _dense(s) == tuple(counts[1:].tolist())
-        if mode == FULL_CTMC:
-            assert s.mean_busy_duration == math.fsum(durations) / n * p.mu
+        counts, durations = Counter(), []
+        walk = simulate._walk(SimulationConfig(params=p, n_samples=n, seed=seed, mode=mode),
+                              counts)
+        for c, chunk in enumerate(walk, 1):
+            m = min(c * _CHUNK_SAMPLES, n)
+            assert sum(counts.values()) == m
+            assert len(chunk) == (m - len(durations) if mode == FULL_CTMC else 0)
+            durations += chunk
+            s = run_batch(SimulationConfig(params=p, n_samples=m, seed=seed, mode=mode))
+            assert s.counts == tuple(sorted(counts.items()))
+            if mode == FULL_CTMC:
+                assert s.mean_busy_duration == math.fsum(durations) / m
+        assert c == 3 and m == n
 
     @pytest.mark.parametrize("mode,N,rho,seed,counts,duration", [
         (JUMP_CHAIN, 12, 0.5, 3,
