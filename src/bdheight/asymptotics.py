@@ -24,7 +24,9 @@ steps above the peak, their n**-3 decay c2*log n steps below it, the
 mean sandwich floor(alpha N) - floor(c2 log N) - c3 <= E[H_N]
 <= floor(alpha N) + 1 (and N-4 <= E[H_N] <= N for rho >= 1), the
 sqrt(n) order of the peak term, and the concentration of mass in the
-log-width window.
+log-width window.  ``verify_reports`` is the suite the CLI's ``verify``
+runs: these certificates over a grid, and the closed form against the
+first-passage oracle.
 
 Integer-part robustness
 -----------------------
@@ -74,6 +76,7 @@ __all__ = [
     "concentration_mass",
     "window_mass",
     "wlln_tail_mass",
+    "verify_reports",
     "MEAN_BOUND_MIN_N",
 ]
 
@@ -81,6 +84,9 @@ RESIDUAL_TOL = 1e-13  # relative to the size of g's terms
 _MAX_HALVINGS = 1100  # ~1080 halvings from (5e-324, 1) to adjacent doubles
 FLOOR_SLACK = 1e-9
 MEAN_BOUND_MIN_N = 1000  # below this the bounds are reported but not asserted
+_STIRLING_BAND_FACTOR = 10.0  # the largest max/min of t(h_n)/sqrt(n) over the n grid
+_EQUIVALENCE_GRID_N = (1, 2, 3, 5, 10, 20, 50, 100, 200)  # the oracle's N in verify
+_EQUIVALENCE_TOL = 1e-10  # the largest |closed form - oracle| survival gap
 
 
 class AlphaSolution(NamedTuple):
@@ -451,3 +457,62 @@ def wlln_tail_mass(N: int, rho: float, eps: float = 0.05) -> float:
     _, pmf, lengths = exactdist.height_distribution(make_params(N, rho=rho)).column_runs()
     starts = itertools.accumulate(lengths, initial=1)
     return math.fsum(m for m, k in zip(pmf, starts) if abs(k / N - f) > eps)
+
+
+def verify_reports(rhos: list[float], ns: list[int], *,
+                   selftest_corrupt: bool = False) -> list[BoundReport]:
+    """The certificate suite over the grid: per rho, the peak-ratio bounds
+    (rho < 1), the mean sandwich, the band of t(h_n)/sqrt(n) and the window
+    mass (rho < 1), then per rho the closed form against the first-passage
+    oracle at N in ``_EQUIVALENCE_GRID_N``.  ``selftest_corrupt`` quarters c1,
+    so that a wrong growth constant must surface as a failing report."""
+    from . import oracle  # here, so that alpha and sweep never load it
+
+    reports: list[BoundReport] = []
+    for rho in rhos:
+        # the laws first: they refuse an N too large for the bounds' floats
+        laws = {n: exactdist.height_distribution(make_params(n, rho=rho)) for n in ns}
+        if rho < 1.0:
+            constants = bound_constants(rho)
+            if selftest_corrupt:
+                constants = constants._replace(c1=0.25 * constants.c1)
+            for n in ns:
+                reports += check_peak_ratio_bounds(n, rho, constants)
+        reports += (check_mean_bounds(n, rho, laws[n].mean) for n in ns)
+        if rho < 1.0:
+            ratios = [stirling_ratio(n, rho) for n in ns if n >= 2]
+            band = max(ratios) / min(ratios) if ratios else math.nan
+            # t(h_n) ~ sqrt(n) needs an interior peak; at h_n = 0 every ratio is 1/sqrt(n).
+            interior = peak_index(constants.alpha, max(ns)) >= 1
+            reports.append(BoundReport(
+                inequality="peak_term_sqrt_band", n=max(ns), rho=rho,
+                lhs=band, rhs=_STIRLING_BAND_FACTOR, margin=_STIRLING_BAND_FACTOR - band,
+                passed=band <= _STIRLING_BAND_FACTOR,
+                applicable=len(ratios) >= 2 and interior,
+                note=f"ratios t(h_n)/sqrt(n) over n in {sorted(n for n in ns if n >= 2)}"))
+            for n in ns:
+                if n >= MEAN_BOUND_MIN_N:
+                    mass, lo, hi = window_mass(laws[n])
+                    bound = concentration_mass_bound(n, rho)
+                    finite = math.isfinite(bound)  # a bound of -inf holds vacuously
+                    reports.append(BoundReport(
+                        inequality="concentration_window_mass", n=n, rho=rho,
+                        lhs=mass, rhs=bound if finite else math.nan,
+                        margin=mass - bound if finite else math.nan,
+                        passed=mass >= bound, applicable=finite, note=f"window [{lo}, {hi}]"))
+    for rho in rhos:  # closed form vs first-passage elimination
+        gaps = []
+        for n in _EQUIVALENCE_GRID_N:
+            p = make_params(n, rho=rho)
+            survival, _, lengths = exactdist.height_distribution(p).column_runs()
+            exact = itertools.chain.from_iterable(map(itertools.repeat, survival, lengths))
+            gaps += (abs(e - f) for e, f in zip(exact, oracle.height_dist_oracle(p)))
+        # nan if any gap is, so that a nan fails the check; max() alone would
+        # skip a nan that is not the first gap
+        worst = math.nan if any(map(math.isnan, gaps)) else float(max(gaps))
+        reports.append(BoundReport(
+            inequality="oracle_equivalence", n=max(_EQUIVALENCE_GRID_N), rho=rho,
+            lhs=worst, rhs=_EQUIVALENCE_TOL, margin=_EQUIVALENCE_TOL - worst,
+            passed=worst <= _EQUIVALENCE_TOL, applicable=True,
+            note=f"sup over k and N in {_EQUIVALENCE_GRID_N}"))
+    return reports

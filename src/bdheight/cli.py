@@ -12,8 +12,9 @@ Every artifact embeds a run manifest (tool, version, command, full
 parameter set, SHA-256 of the data section); re-running the same command
 reproduces the artifact byte for byte.  Exit codes: 0 success, 1 a
 requested check failed or stdout was closed before the artifact was
-written, 2 a usage, validation or unopenable --output error, a refused
-input or an aborted walk.
+written, 2 a usage or validation error, an artifact that cannot be
+opened, written or closed (on --output or stdout), a refused input or
+an aborted walk.
 
 A JSON artifact is exactly ``json.dumps(doc, sort_keys=True,
 separators=(",", ":"), allow_nan=False)`` plus a newline, streamed as
@@ -35,18 +36,18 @@ twice: hashed, then written.  ``dist`` and ``simulate`` refuse more than
 
 Start-up: this module imports the ``errors``, ``model`` and ``exactdist``
 modules, which every subcommand needs, and no numpy.  The others are
-imported by the commands that use them: ``alpha`` and ``sweep`` import
-``asymptotics``, ``verify`` imports ``asymptotics`` and ``oracle``, and
-``simulate`` imports ``simulate`` (which loads ``oracle``).  Only a
+imported by the commands that use them: ``alpha``, ``sweep`` and
+``verify`` import ``asymptotics``, whose certificate suite (``verify``)
+imports ``oracle`` when called, and ``simulate`` imports ``simulate``
+(which loads ``oracle``).  Only a
 walk-mode ``simulate`` (``--mode jump-chain`` or ``full-ctmc``) loads
 numpy, for its Philox streams; the default ladder draws from the
 standard library's ``random``.  Only ``verify`` and ``simulate`` load
 ``oracle``.  No run but a walk loads ``inspect`` (with ``ast``, ``dis``
 and ``tokenize``, ~12 ms), which numpy loads: the package's records are
 ``NamedTuple``s or small read-only classes, since the standard library's
-record decorators import ``inspect``.  ``verify``'s oracle gap spreads
-the law's runs against the oracle's ``array('d')``, so it needs no dense
-view either.
+record decorators import ``inspect``.  ``verify`` only emits the reports
+of ``asymptotics.verify_reports`` and names the failed ones.
 """
 
 from __future__ import annotations
@@ -67,9 +68,6 @@ from .model import LADDER, SAMPLER_MODES, _positive_rate, make_params
 
 __all__ = ["main", "entrypoint"]
 
-_EQUIVALENCE_GRID_N = (1, 2, 3, 5, 10, 20, 50, 100, 200)
-_EQUIVALENCE_TOL = 1e-10
-_STIRLING_BAND_FACTOR = 10.0
 _WALK_WARN_STEPS = 1e7
 _BLOCK = 10**4  # entries per piece of a column or lines per piece of a CSV body
 MAX_ROWS = 10**7  # rows of a dist or simulate artifact; 1e7 rows is ~0.3 GB of JSON
@@ -184,18 +182,30 @@ def _canonical(data) -> bytes:
     return b"".join(_pieces(data))
 
 
+def _stdout_to_devnull() -> None:
+    # Unwritten bytes stay buffered; on devnull the flush at exit cannot fail again.
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+
+
 def _write(pieces: Iterable[bytes], output: str | None) -> None:
-    if output:
-        try:
-            fh = open(output, "wb")
-        except OSError as exc:  # not a BrokenPipeError, which only a write raises
-            raise ParameterError(f"cannot write --output {output}: {exc.strerror}") from None
-        with fh:
-            fh.writelines(pieces)
-        return
-    sys.stdout.flush()  # text written before the artifact comes first
-    sys.stdout.buffer.writelines(pieces)
-    sys.stdout.buffer.flush()
+    """Write the artifact to ``output``, or to stdout if it is None.  An
+    ``OSError`` in opening, writing or closing is a ``ParameterError``
+    (exit 2), save a ``BrokenPipeError``, which ``entrypoint`` exits 1 on."""
+    try:
+        if output is not None:
+            with open(output, "wb") as fh:
+                fh.writelines(pieces)
+        else:
+            sys.stdout.flush()  # text written before the artifact comes first
+            sys.stdout.buffer.writelines(pieces)
+            sys.stdout.buffer.flush()
+    except BrokenPipeError:
+        raise
+    except OSError as exc:
+        if output is None:
+            _stdout_to_devnull()
+        target = "stdout" if output is None else f"--output {output}"
+        raise ParameterError(f"cannot write {target}: {exc.strerror}") from None
 
 
 def _emit_json(command: str, parameters: dict, data, output: str | None) -> None:
@@ -307,73 +317,13 @@ def cmd_alpha(args) -> int:
     return 0
 
 
-def _verify_checks(rhos: list[float], ns: list[int], corrupt: bool) -> list[dict]:
-    from . import asymptotics, oracle
-
-    checks: list[dict] = []
-    for rho in rhos:
-        # the laws first: they refuse an N too large for the bounds' floats
-        laws = {n: exactdist.height_distribution(make_params(n, rho=rho)) for n in ns}
-        if rho < 1.0:
-            constants = asymptotics.bound_constants(rho)
-            if corrupt:
-                # Harness self-test: a wrong growth constant must surface
-                # as a failing check and a nonzero exit.
-                constants = constants._replace(c1=0.25 * constants.c1)
-            for n in ns:
-                growth, decay = asymptotics.check_peak_ratio_bounds(n, rho, constants)
-                checks.append(growth.to_dict())
-                checks.append(decay.to_dict())
-        for n in ns:
-            checks.append(asymptotics.check_mean_bounds(n, rho, laws[n].mean).to_dict())
-        if rho < 1.0:
-            ratios = [asymptotics.stirling_ratio(n, rho) for n in ns if n >= 2]
-            band = max(ratios) / min(ratios) if ratios else math.nan
-            # t(h_n) ~ sqrt(n) needs an interior peak; at h_n = 0 every ratio is 1/sqrt(n).
-            interior = asymptotics.peak_index(constants.alpha, max(ns)) >= 1
-            checks.append(asymptotics.BoundReport(
-                inequality="peak_term_sqrt_band", n=max(ns), rho=rho,
-                lhs=band, rhs=_STIRLING_BAND_FACTOR, margin=_STIRLING_BAND_FACTOR - band,
-                passed=band <= _STIRLING_BAND_FACTOR,
-                applicable=len(ratios) >= 2 and interior,
-                note=f"ratios t(h_n)/sqrt(n) over n in {sorted(n for n in ns if n >= 2)}",
-            ).to_dict())
-            for n in ns:
-                if n >= asymptotics.MEAN_BOUND_MIN_N:
-                    mass, lo, hi = asymptotics.window_mass(laws[n])
-                    bound = asymptotics.concentration_mass_bound(n, rho)
-                    finite = math.isfinite(bound)  # a bound of -inf holds vacuously
-                    checks.append(asymptotics.BoundReport(
-                        inequality="concentration_window_mass", n=n, rho=rho,
-                        lhs=mass, rhs=bound if finite else math.nan,
-                        margin=mass - bound if finite else math.nan,
-                        passed=mass >= bound, applicable=finite,
-                        note=f"window [{lo}, {hi}]",
-                    ).to_dict())
-    # closed form vs first-passage elimination
-    for rho in rhos:
-        gaps = []
-        for n in _EQUIVALENCE_GRID_N:
-            p = make_params(n, rho=rho)
-            survival, _, lengths = exactdist.height_distribution(p).column_runs()
-            exact = itertools.chain.from_iterable(map(itertools.repeat, survival, lengths))
-            gaps += (abs(e - f) for e, f in zip(exact, oracle.height_dist_oracle(p)))
-        # nan if any gap is, so that a nan fails the check; max() alone would
-        # skip a nan that is not the first gap
-        worst = math.nan if any(map(math.isnan, gaps)) else float(max(gaps))
-        checks.append(asymptotics.BoundReport(
-            inequality="oracle_equivalence", n=max(_EQUIVALENCE_GRID_N), rho=rho,
-            lhs=worst, rhs=_EQUIVALENCE_TOL, margin=_EQUIVALENCE_TOL - worst,
-            passed=worst <= _EQUIVALENCE_TOL, applicable=True,
-            note=f"sup over k and N in {_EQUIVALENCE_GRID_N}",
-        ).to_dict())
-    return checks
-
-
 def cmd_verify(args) -> int:
+    from . import asymptotics
+
     rhos = args.rho if args.rho else [0.25, 0.5, 0.75, 1.0, 2.0]
     ns = args.n if args.n else [1000, 10000, 100000]
-    checks = _verify_checks(rhos, ns, args.selftest_corrupt)
+    checks = [r.to_dict() for r in
+              asymptotics.verify_reports(rhos, ns, selftest_corrupt=args.selftest_corrupt)]
     failed = [c for c in checks if c["applicable"] and not c["passed"]]
     data = {
         "checks": checks,
@@ -501,8 +451,7 @@ def entrypoint() -> None:
     try:
         code = main()
     except BrokenPipeError:  # the reader closed stdout early, as `| head` does
-        # Unwritten bytes stay buffered; on devnull the flush at exit cannot fail again.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        _stdout_to_devnull()
         code = 1
     sys.exit(code)
 

@@ -1,5 +1,6 @@
 """CLI contract: flags, exit codes, artifact formats, manifests, stability."""
 
+import errno
 import hashlib
 import json
 import math
@@ -186,7 +187,7 @@ class TestVerify:
         # One nan, in the last gap: max() over the gaps starts from a number
         # and keeps it, since max(0.0, nan) is 0.0
         from bdheight import oracle
-        from bdheight.cli import _EQUIVALENCE_GRID_N
+        from bdheight.asymptotics import _EQUIVALENCE_GRID_N
 
         def nan_at_the_end(p):
             survival = height_distribution(p).survival_values().copy()
@@ -202,12 +203,16 @@ class TestVerify:
         assert check["passed"] is False
         assert check["lhs"] is None and check["margin"] is None
 
-    def test_corrupted_constant_fails(self, capsys):
-        rc, doc, err = run_json(capsys, "verify", "--rho", "0.5", "--n", "2000",
-                                "--selftest-corrupt")
+    def test_corrupted_constant_fails(self, tmp_path, capsys):
+        path = tmp_path / "artifact"
+        rc = main(["verify", "--rho", "0.5", "--n", "2000", "--selftest-corrupt",
+                   "--output", str(path)])
         assert rc == 1
-        assert doc["data"]["n_failed"] > 0
-        assert "FAILED" in err
+        assert strict_loads(path.read_text())["data"]["n_failed"] > 0
+        assert "FAILED" in capsys.readouterr().err
+        # the failing artifact is pinned like the passing ones (version 0.3.4)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "7f8ebd6b93463e362196fb5ca4cc459648913ac9c0be3b0b87a64c8a85a2c220")
 
 
 class TestSimulateCommand:
@@ -558,13 +563,34 @@ class TestEmission:
         assert peak < 4 * 2**20
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
-    @pytest.mark.parametrize("target", ["missing_dir", "directory"])
+    @pytest.mark.parametrize("target", ["missing_dir", "directory", "empty", "dev_full"])
     def test_unwritable_output_exits_2(self, tmp_path, capsys, fmt, target):
-        output = tmp_path / "missing" / "x" if target == "missing_dir" else tmp_path
+        # an empty path is a path that cannot be opened, not stdout; on
+        # /dev/full the open succeeds and the close's flush fails with ENOSPC
+        if target == "dev_full" and not os.path.exists("/dev/full"):
+            pytest.skip("needs /dev/full")
+        output = {"missing_dir": str(tmp_path / "missing" / "x"), "directory": str(tmp_path),
+                  "empty": "", "dev_full": "/dev/full"}[target]
         rc, out, err = run_cli(capsys, "dist", "--n", "5", "--rho", "0.5", "--format", fmt,
-                               "--output", str(output))
+                               "--output", output)
         assert (rc, out) == (2, "")
-        assert len(err.splitlines()) == 1 and err.startswith("dist: error: "), err
+        assert len(err.splitlines()) == 1 and err.startswith("dist: error: cannot write"), err
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_full_stdout_exits_2_without_traceback(self, fmt):
+        # the 2.7 MB artifact fails in a write; the bytes left in stdout's
+        # buffer must not fail again at exit
+        src = os.path.dirname(os.path.dirname(bdheight.__file__))
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run(
+                [sys.executable, "-m", "bdheight.cli", "dist", "--n", "100000", "--rho", "0.5",
+                 "--format", fmt],
+                env={**os.environ, "PYTHONPATH": src}, stdout=full, stderr=subprocess.PIPE,
+                timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr.decode() == (
+            f"dist: error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n")
 
     # sha256 of whole artifacts at version 0.3.4, whose ladder terms are
     # built on math.lgamma; a version bump changes the manifest and so these.
@@ -599,6 +625,12 @@ class TestEmission:
         # laws at N = 1e9 and 1e12, far past the default grid
         (["sweep", "--rho", "0.5", "--n", "1000000000", "1000000000000"],
          "87b6a8c2042bc0c13599e12df7d7bcaebf97fafb89b7378dc424cc10128d2fc7"),
+        # the certificate records over the default rho grid, and with a
+        # rho >= 1 and an N below the asserted threshold
+        (["verify", "--n", "1000", "10000", "100000", "1000000"],
+         "f658f1cd81a08cb6ac41876bed0bc9735b7530f7f63f8b3eed4282c87722597a"),
+        (["verify", "--rho", "0.5", "2", "--n", "10", "1000"],
+         "43bf8a171ee31a78cb9df8f28b4dbe1e7d66ef333f1b4970f275f81a4f8d10e3"),
     ], ids=lambda v: "_".join(v) if isinstance(v, list) else "")
     def test_artifact_bytes_are_pinned(self, tmp_path, argv, digest):
         path = tmp_path / "artifact"
