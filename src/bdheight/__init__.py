@@ -26,8 +26,8 @@ _EXPORTS = {
     "oracle": ("height_dist_oracle", "log_hitting_sums"),
     "asymptotics": ("AlphaSolution", "BoundConstants", "BoundReport", "solve_alpha",
                     "height_fraction_limit", "variance_limit", "bound_constants",
-                    "check_peak_ratio_bounds", "check_mean_bounds", "stirling_ratio",
-                    "convergence_table", "concentration_window", "concentration_mass",
+                    "check_peak_ratio_bounds", "check_mean_bounds", "check_mean_near_capacity",
+                    "stirling_ratio", "convergence_table", "concentration_window",
                     "wlln_tail_mass"),
     "simulate": ("LADDER", "JUMP_CHAIN", "FULL_CTMC", "SimulationConfig", "SimulationSummary",
                  "run_batch", "dkw_epsilon", "estimate_mean_excursion_steps"),

@@ -24,9 +24,11 @@ steps above the peak, their n**-3 decay c2*log n steps below it, the
 mean sandwich floor(alpha N) - floor(c2 log N) - c3 <= E[H_N]
 <= floor(alpha N) + 1 (and N-4 <= E[H_N] <= N for rho >= 1), the
 sqrt(n) order of the peak term, and the concentration of mass in the
-log-width window.  ``verify_reports`` is the suite the CLI's ``verify``
-runs: these certificates over a grid, and the closed form against the
-first-passage oracle.
+log-width window.  A certificate that needs alpha takes the caller's
+``BoundConstants`` in place of rho, so a suite solves alpha once per rho.
+``verify_reports`` is the suite the CLI's ``verify`` runs: these
+certificates over a grid, and the closed form against the first-passage
+oracle.
 
 Integer-part robustness
 -----------------------
@@ -69,11 +71,11 @@ __all__ = [
     "integer_part_candidates",
     "check_peak_ratio_bounds",
     "check_mean_bounds",
+    "check_mean_near_capacity",
     "stirling_ratio",
     "convergence_table",
     "concentration_window",
     "concentration_mass_bound",
-    "concentration_mass",
     "window_mass",
     "wlln_tail_mass",
     "verify_reports",
@@ -280,10 +282,8 @@ def integer_part_candidates(x: float) -> tuple[int, ...]:
     return tuple(sorted(c for c in cands if c >= 0))
 
 
-def check_peak_ratio_bounds(n: int, rho: float,
-                            constants: BoundConstants | None = None
-                            ) -> tuple[BoundReport, BoundReport]:
-    """Certify the two ladder-ratio inequalities at (n, rho).
+def check_peak_ratio_bounds(n: int, c: BoundConstants) -> tuple[BoundReport, BoundReport]:
+    """Certify the two ladder-ratio inequalities at (n, c.rho).
 
     Growth: t(h_n + [c1 log n]) >= t(h_n) * n**2.
     Decay:  t(h_n - [c2 log n]) <= t(h_n) * n**-3.
@@ -296,7 +296,7 @@ def check_peak_ratio_bounds(n: int, rho: float,
     """
     if n < 1:
         raise ParameterError(f"n must be >= 1, got {n}")
-    c = constants if constants is not None else bound_constants(rho)
+    rho = c.rho
     log_n = math.log(n)
     h_cands = integer_part_candidates(c.alpha * (n - 1))
 
@@ -334,18 +334,16 @@ def check_peak_ratio_bounds(n: int, rho: float,
                            applicable=n >= MEAN_BOUND_MIN_N,
                            floor_margin=floor_margin, note=note)
 
-    growth = evaluate(integer_part_candidates(c.c1 * log_n), +1, 2.0 * log_n,
-                      "peak_growth")
-    decay = evaluate(integer_part_candidates(c.c2 * log_n), -1, -3.0 * log_n,
-                     "peak_decay")
-    return growth, decay
+    return (evaluate(integer_part_candidates(c.c1 * log_n), +1, 2.0 * log_n, "peak_growth"),
+            evaluate(integer_part_candidates(c.c2 * log_n), -1, -3.0 * log_n, "peak_decay"))
 
 
-def check_mean_bounds(N: int, rho: float, mean: float) -> BoundReport:
-    """Certify the mean sandwich at (N, rho) for a mean computed elsewhere.
+def check_mean_bounds(N: int, c: BoundConstants, mean: float) -> BoundReport:
+    """Certify the mean sandwich at (N, c.rho), rho < 1, for a mean computed
+    elsewhere:
 
-    rho < 1:  floor(alpha N) - floor(c2 log N) - c3 <= mean <= floor(alpha N) + 1.
-    rho >= 1: N - 4 <= mean <= N.
+        floor(alpha N) - floor(c2 log N) - c3 <= mean <= floor(alpha N) + 1.
+
     The margin is the distance to the nearest strict-floor bound;
     acceptance additionally allows the candidate roundings.  Reports for
     N below ``MEAN_BOUND_MIN_N`` are flagged not applicable (the sandwich
@@ -353,35 +351,38 @@ def check_mean_bounds(N: int, rho: float, mean: float) -> BoundReport:
     """
     if N < 1:
         raise ParameterError(f"N must be >= 1, got {N}")
-    rho = float(rho)
-    applicable = N >= MEAN_BOUND_MIN_N
-    if rho >= 1.0:
-        lo, hi = N - 4.0, float(N)
-        margin = min(mean - lo, hi - mean)
-        return BoundReport(inequality="mean_near_capacity", n=N, rho=rho,
-                           lhs=lo, rhs=hi, margin=margin,
-                           passed=lo <= mean <= hi, applicable=applicable,
-                           floor_margin=margin,
-                           note=f"mean = {mean!r}")
-
-    c = bound_constants(rho)
     log_n = math.log(N)
-    lo_floor = (math.floor(c.alpha * N) - math.floor(c.c2 * log_n) - c.c3)
+    lo_floor = math.floor(c.alpha * N) - math.floor(c.c2 * log_n) - c.c3
     hi_floor = math.floor(c.alpha * N) + 1.0
     lo_cands = [a - b - c.c3
                 for a in integer_part_candidates(c.alpha * N)
                 for b in integer_part_candidates(c.c2 * log_n)]
     hi_cands = [a + 1.0 for a in integer_part_candidates(c.alpha * N)]
-    passed = (min(lo_cands) <= mean <= max(hi_cands))
     margin = min(mean - lo_floor, hi_floor - mean)
-    return BoundReport(inequality="mean_sandwich", n=N, rho=rho,
+    return BoundReport(inequality="mean_sandwich", n=N, rho=c.rho,
                        lhs=lo_floor, rhs=hi_floor, margin=margin,
-                       passed=passed, applicable=applicable,
-                       floor_margin=margin,
+                       passed=min(lo_cands) <= mean <= max(hi_cands),
+                       applicable=N >= MEAN_BOUND_MIN_N, floor_margin=margin,
                        note=f"mean = {mean!r}, alpha = {c.alpha!r}")
 
 
-def stirling_ratio(n: int, rho: float) -> float:
+def check_mean_near_capacity(N: int, rho: float, mean: float) -> BoundReport:
+    """Certify N - 4 <= mean <= N at (N, rho), rho >= 1, for a mean computed
+    elsewhere; not applicable below ``MEAN_BOUND_MIN_N``, as the sandwich."""
+    if N < 1:
+        raise ParameterError(f"N must be >= 1, got {N}")
+    rho = float(rho)
+    if not rho >= 1.0:
+        raise ParameterError(f"the capacity bound needs rho >= 1, got {rho!r}")
+    lo, hi = N - 4.0, float(N)
+    margin = min(mean - lo, hi - mean)
+    return BoundReport(inequality="mean_near_capacity", n=N, rho=rho,
+                       lhs=lo, rhs=hi, margin=margin,
+                       passed=lo <= mean <= hi, applicable=N >= MEAN_BOUND_MIN_N,
+                       floor_margin=margin, note=f"mean = {mean!r}")
+
+
+def stirling_ratio(n: int, c: BoundConstants) -> float:
     """t(h_n) / sqrt(n), evaluated in the log domain.
 
     The peak term is Theta(sqrt(n)); no specific constant is asserted,
@@ -389,9 +390,8 @@ def stirling_ratio(n: int, rho: float) -> float:
     """
     if n < 2:
         raise ParameterError(f"n must be >= 2, got {n}")
-    a = solve_alpha(rho).alpha
-    h = peak_index(a, n)
-    return math.exp(exactdist.log_r_term(n, rho, h) - 0.5 * math.log(n))
+    h = peak_index(c.alpha, n)
+    return math.exp(exactdist.log_r_term(n, c.rho, h) - 0.5 * math.log(n))
 
 
 def convergence_table(rho: float, Ns: list[int]) -> list[ConvergencePoint]:
@@ -411,38 +411,35 @@ def convergence_table(rho: float, Ns: list[int]) -> list[ConvergencePoint]:
     return rows
 
 
-def concentration_window(N: int, rho: float) -> tuple[int, int]:
+def concentration_window(N: int, c: BoundConstants) -> tuple[int, int]:
     """The log-width window [h_N - ceil(c2 log N) - ceil(c3), h_N + ceil(c1 log N)]
     that carries almost all of the mass, clipped to [1, N]."""
-    c = bound_constants(rho)
     h = peak_index(c.alpha, N)
     lo = h - math.ceil(c.c2 * math.log(N)) - math.ceil(c.c3)
     hi = h + math.ceil(c.c1 * math.log(N))
     return max(1, lo), min(N, hi)
 
 
-def concentration_mass_bound(N: int, rho: float) -> float:
+def concentration_mass_bound(N: int, c: BoundConstants) -> float:
     """Provable lower bound on the window mass:
     1 - 2 (3 + rho) / ((N-1) rho^2) - 2 / t(h_N).  It is -inf where it is
     below the range of a double, at rho below ~1e-154."""
-    c = bound_constants(rho)
-    h = peak_index(c.alpha, N)
-    t_h = math.exp(exactdist.log_r_term(N, rho, h))
+    rho = c.rho
+    t_h = math.exp(exactdist.log_r_term(N, rho, peak_index(c.alpha, N)))
     scale = (N - 1) * rho * rho
     if scale == 0.0:  # rho**2 underflows: the bound is below every double
         return -math.inf
     return 1.0 - 2.0 * (3.0 + rho) / scale - 2.0 / t_h
 
 
-def concentration_mass(N: int, rho: float) -> tuple[float, int, int]:
-    """Exact mass of the concentration window, with the window itself."""
-    return window_mass(exactdist.height_distribution(make_params(N, rho=rho)))
-
-
-def window_mass(law: exactdist.HeightDistribution) -> tuple[float, int, int]:
-    """:func:`concentration_mass` of a law already computed: S(lo) - S(hi + 1),
-    S(k) read off the survival runs at the first run end >= k."""
-    lo, hi = concentration_window(law.N, law.rho)
+def window_mass(law: exactdist.HeightDistribution,
+                c: BoundConstants) -> tuple[float, int, int]:
+    """Exact mass of the law's concentration window, with the window itself:
+    S(lo) - S(hi + 1), S(k) read off the survival runs at the first run
+    end >= k.  ``c`` must be the constants of the law's rho."""
+    if law.rho != c.rho:
+        raise ParameterError(f"the law's rho {law.rho!r} is not the constants' rho {c.rho!r}")
+    lo, hi = concentration_window(law.N, c)
     surv, _, lengths = law.column_runs()
     ends = list(itertools.accumulate([*lengths[:-1], lengths[-1] + 1]))  # the tail of 0.0 to N + 1
     return surv[bisect_left(ends, lo)] - surv[bisect_left(ends, hi + 1)], lo, hi
@@ -461,29 +458,31 @@ def wlln_tail_mass(N: int, rho: float, eps: float = 0.05) -> float:
 
 def verify_reports(rhos: list[float], ns: list[int], *,
                    selftest_corrupt: bool = False) -> list[BoundReport]:
-    """The certificate suite over the grid: per rho, the peak-ratio bounds
-    (rho < 1), the mean sandwich, the band of t(h_n)/sqrt(n) and the window
-    mass (rho < 1), then per rho the closed form against the first-passage
-    oracle at N in ``_EQUIVALENCE_GRID_N``.  ``selftest_corrupt`` quarters c1,
-    so that a wrong growth constant must surface as a failing report."""
+    """The certificate suite over the grid: per rho < 1, on its one
+    ``BoundConstants``, the peak-ratio bounds, the mean sandwich, the band of
+    t(h_n)/sqrt(n) and the window mass; per rho >= 1 the mean near capacity;
+    then per rho the closed form against the first-passage oracle at N in
+    ``_EQUIVALENCE_GRID_N``.  ``selftest_corrupt`` quarters the c1 of the
+    peak-ratio bounds only, so that a wrong growth constant must surface as a
+    failing report."""
     from . import oracle  # here, so that alpha and sweep never load it
 
     reports: list[BoundReport] = []
     for rho in rhos:
         # the laws first: they refuse an N too large for the bounds' floats
         laws = {n: exactdist.height_distribution(make_params(n, rho=rho)) for n in ns}
-        if rho < 1.0:
-            constants = bound_constants(rho)
-            if selftest_corrupt:
-                constants = constants._replace(c1=0.25 * constants.c1)
+        if rho >= 1.0:
+            reports += (check_mean_near_capacity(n, rho, laws[n].mean) for n in ns)
+        else:
+            c = bound_constants(rho)
+            peak = c._replace(c1=0.25 * c.c1) if selftest_corrupt else c
             for n in ns:
-                reports += check_peak_ratio_bounds(n, rho, constants)
-        reports += (check_mean_bounds(n, rho, laws[n].mean) for n in ns)
-        if rho < 1.0:
-            ratios = [stirling_ratio(n, rho) for n in ns if n >= 2]
+                reports += check_peak_ratio_bounds(n, peak)
+            reports += (check_mean_bounds(n, c, laws[n].mean) for n in ns)
+            ratios = [stirling_ratio(n, c) for n in ns if n >= 2]
             band = max(ratios) / min(ratios) if ratios else math.nan
             # t(h_n) ~ sqrt(n) needs an interior peak; at h_n = 0 every ratio is 1/sqrt(n).
-            interior = peak_index(constants.alpha, max(ns)) >= 1
+            interior = peak_index(c.alpha, max(ns)) >= 1
             reports.append(BoundReport(
                 inequality="peak_term_sqrt_band", n=max(ns), rho=rho,
                 lhs=band, rhs=_STIRLING_BAND_FACTOR, margin=_STIRLING_BAND_FACTOR - band,
@@ -492,8 +491,8 @@ def verify_reports(rhos: list[float], ns: list[int], *,
                 note=f"ratios t(h_n)/sqrt(n) over n in {sorted(n for n in ns if n >= 2)}"))
             for n in ns:
                 if n >= MEAN_BOUND_MIN_N:
-                    mass, lo, hi = window_mass(laws[n])
-                    bound = concentration_mass_bound(n, rho)
+                    mass, lo, hi = window_mass(laws[n], c)
+                    bound = concentration_mass_bound(n, c)
                     finite = math.isfinite(bound)  # a bound of -inf holds vacuously
                     reports.append(BoundReport(
                         inequality="concentration_window_mass", n=n, rho=rho,

@@ -187,18 +187,49 @@ def _stdout_to_devnull() -> None:
     os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
+def _write_replacing(pieces: Iterable[bytes], output: str) -> None:
+    """Write a temporary file in ``output``'s directory, with the mode
+    ``open()`` would give, and move it onto ``output`` once complete; on
+    any error remove it, so the old ``output`` is left as it was."""
+    tmp = os.path.join(os.path.dirname(output), f".bdheight-{os.getpid()}.tmp")
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
+    try:
+        with open(fd, "wb") as fh:
+            fh.writelines(pieces)
+        os.replace(tmp, output)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
+def _replaceable(output: str) -> bool:
+    """Whether ``_write_replacing`` writes ``output``: a regular file that is
+    not a symbolic link, or a file name that does not exist yet.  A device
+    (/dev/null, /dev/full), a FIFO or a link such as /dev/stdout is not."""
+    if not os.path.lexists(output):
+        return bool(os.path.basename(output))  # '' and 'dir/' fail to open as before
+    return os.path.isfile(output) and not os.path.islink(output)
+
+
 def _write(pieces: Iterable[bytes], output: str | None) -> None:
     """Write the artifact to ``output``, or to stdout if it is None.  An
-    ``OSError`` in opening, writing or closing is a ``ParameterError``
-    (exit 2), save a ``BrokenPipeError``, which ``entrypoint`` exits 1 on."""
+    ``output`` that is ``_replaceable`` is replaced whole, and any other is
+    written in place.  An ``OSError`` in opening, writing, closing or
+    replacing is a ``ParameterError`` (exit 2), save a ``BrokenPipeError``,
+    which ``entrypoint`` exits 1 on."""
     try:
-        if output is not None:
-            with open(output, "wb") as fh:
-                fh.writelines(pieces)
-        else:
+        if output is None:
             sys.stdout.flush()  # text written before the artifact comes first
             sys.stdout.buffer.writelines(pieces)
             sys.stdout.buffer.flush()
+        elif _replaceable(output):
+            _write_replacing(pieces, output)
+        else:
+            with open(output, "wb") as fh:
+                fh.writelines(pieces)
     except BrokenPipeError:
         raise
     except OSError as exc:

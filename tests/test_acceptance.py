@@ -158,8 +158,9 @@ def test_a7_peak_ratio_bounds():
     ok = True
     margins = []
     for rho in (0.25, 0.5, 0.75):
+        c = bound_constants(rho)
         for n in (10**4, 10**5, 10**6):
-            growth, decay = check_peak_ratio_bounds(n, rho)
+            growth, decay = check_peak_ratio_bounds(n, c)
             ok &= growth.applicable and growth.passed
             ok &= decay.applicable and decay.passed
             margins.append(f"({n},{rho}): +{growth.margin:.2f}/floor {growth.floor_margin:+.2f}")
@@ -170,7 +171,8 @@ def test_a8_peak_term_order():
     ok = True
     details = []
     for rho in (0.25, 0.5, 0.75):
-        ratios = [stirling_ratio(n, rho) for n in NS_GRID]
+        c = bound_constants(rho)
+        ratios = [stirling_ratio(n, c) for n in NS_GRID]
         band = max(ratios) / min(ratios)
         ok &= band <= 10.0
         details.append(f"rho={rho}: band={band:.2f}")
@@ -196,7 +198,7 @@ def test_a10_concentration():
     N, rho = 2000, 0.5
     d = _dist(N, rho)
     surv = d.survival_values()
-    lo, hi = concentration_window(N, rho)
+    lo, hi = concentration_window(N, bound_constants(rho))
     mass = float(surv[lo - 1] - (surv[hi] if hi < N else 0.0))
     ok = mass >= 0.95
 

@@ -10,8 +10,8 @@ from bdheight import (
     ParameterError,
     bound_constants,
     check_mean_bounds,
+    check_mean_near_capacity,
     check_peak_ratio_bounds,
-    concentration_mass,
     concentration_window,
     convergence_table,
     height_distribution,
@@ -23,7 +23,12 @@ from bdheight import (
     wlln_tail_mass,
 )
 from bdheight import asymptotics
-from bdheight.asymptotics import concentration_mass_bound, integer_part_candidates, peak_index
+from bdheight.asymptotics import (
+    concentration_mass_bound,
+    integer_part_candidates,
+    peak_index,
+    window_mass,
+)
 
 RHO_GRID = [round(0.05 * i, 2) for i in range(1, 20)]  # 0.05 .. 0.95
 
@@ -177,7 +182,7 @@ class TestBoundConstants:
 class TestPeakRatioBounds:
     @pytest.mark.parametrize("n,rho", [(10**4, 0.5), (10**6, 0.25)])
     def test_pass_at_reference_points(self, n, rho):
-        growth, decay = check_peak_ratio_bounds(n, rho)
+        growth, decay = check_peak_ratio_bounds(n, bound_constants(rho))
         assert growth.applicable and growth.passed
         assert decay.applicable and decay.passed
         assert growth.margin > 0 and decay.margin > 0
@@ -186,25 +191,25 @@ class TestPeakRatioBounds:
         # At the strict floor offset the growth inequality loses a
         # constant factor; the report must expose that honestly while
         # passing through the rounding-candidate policy.
-        growth, _ = check_peak_ratio_bounds(10**4, 0.25)
+        growth, _ = check_peak_ratio_bounds(10**4, bound_constants(0.25))
         assert growth.passed
         assert growth.floor_margin < 0 < growth.margin
         assert "candidates" in growth.note
 
     def test_small_n_flags_not_applicable(self):
-        growth, decay = check_peak_ratio_bounds(10, 0.5)
+        growth, decay = check_peak_ratio_bounds(10, bound_constants(0.5))
         # c2 log 10 ~ 15 steps below a peak at 6: out of range.
         assert not decay.applicable
         assert not growth.applicable  # the offset fits, but n < MEAN_BOUND_MIN_N
         assert math.isfinite(growth.margin)
 
     def test_decay_is_deep(self):
-        _, decay = check_peak_ratio_bounds(10**5, 0.5)
+        _, decay = check_peak_ratio_bounds(10**5, bound_constants(0.5))
         assert decay.margin > 50.0  # far below n^-3 in log scale
 
     def test_empty_system_rejected(self):
         with pytest.raises(ParameterError, match="n must be >= 1"):
-            check_peak_ratio_bounds(0, 0.5)
+            check_peak_ratio_bounds(0, bound_constants(0.5))
 
 
 class TestMeanBounds:
@@ -212,46 +217,55 @@ class TestMeanBounds:
     def test_sandwich_subcritical(self, rho):
         N = 10**4
         d = height_distribution(make_params(N, rho=rho))
-        rep = check_mean_bounds(N, rho, d.mean)
+        c = bound_constants(rho)
+        rep = check_mean_bounds(N, c, d.mean)
         assert rep.applicable and rep.passed
         assert rep.lhs <= d.mean <= rep.rhs
-        c = bound_constants(rho)
         assert rep.rhs - rep.lhs <= c.c2 * math.log(N) + c.c3 + 1
 
     @pytest.mark.parametrize("rho", [1.0, 2.0])
     def test_near_capacity_supercritical(self, rho):
         N = 10**4
         d = height_distribution(make_params(N, rho=rho))
-        rep = check_mean_bounds(N, rho, d.mean)
+        rep = check_mean_near_capacity(N, rho, d.mean)
         assert rep.applicable and rep.passed
         assert N - 4 <= d.mean <= N
 
     def test_small_n_reported_not_asserted(self):
         d = height_distribution(make_params(100, rho=0.5))
-        rep = check_mean_bounds(100, 0.5, d.mean)
+        rep = check_mean_bounds(100, bound_constants(0.5), d.mean)
         assert not rep.applicable
         assert isinstance(rep.passed, bool)
 
     def test_empty_system_rejected(self):
         with pytest.raises(ParameterError, match="N must be >= 1"):
-            check_mean_bounds(0, 0.5, 1.0)
+            check_mean_bounds(0, bound_constants(0.5), 1.0)
+        with pytest.raises(ParameterError, match="N must be >= 1"):
+            check_mean_near_capacity(0, 2.0, 1.0)
+
+    def test_capacity_bound_refuses_rho_below_one(self):
+        with pytest.raises(ParameterError, match="rho >= 1"):
+            check_mean_near_capacity(1000, 0.5, 700.0)
 
 
 class TestStirlingRatio:
     def test_degenerate_small_n(self):
-        val = stirling_ratio(2, 0.5)
+        c = bound_constants(0.5)
+        val = stirling_ratio(2, c)
         assert math.isfinite(val) and val > 0
         with pytest.raises(ParameterError, match="n must be >= 2"):
-            stirling_ratio(1, 0.5)
+            stirling_ratio(1, c)
 
     def test_doubling(self):
-        r1 = stirling_ratio(10**4, 0.25)
-        r2 = stirling_ratio(4 * 10**4, 0.25)
+        c = bound_constants(0.25)
+        r1 = stirling_ratio(10**4, c)
+        r2 = stirling_ratio(4 * 10**4, c)
         assert 0.5 <= r2 / r1 <= 2.0
 
     @pytest.mark.parametrize("rho", [0.25, 0.5, 0.75])
     def test_band_over_decades(self, rho):
-        ratios = [stirling_ratio(n, rho) for n in (10**3, 10**4, 10**5, 10**6)]
+        c = bound_constants(rho)
+        ratios = [stirling_ratio(n, c) for n in (10**3, 10**4, 10**5, 10**6)]
         assert max(ratios) / min(ratios) <= 10.0
 
 
@@ -284,18 +298,25 @@ class TestConvergenceTable:
 class TestConcentration:
     @pytest.mark.parametrize("rho", [0.25, 0.5, 0.75])
     def test_window_mass_dominates_bound(self, rho):
+        c = bound_constants(rho)
         for N in (1000, 2000, 10**4):
-            mass, lo, hi = concentration_mass(N, rho)
+            mass, lo, hi = window_mass(height_distribution(make_params(N, rho=rho)), c)
             assert 1 <= lo < hi <= N
-            assert mass >= concentration_mass_bound(N, rho)
+            assert mass >= concentration_mass_bound(N, c)
 
     def test_bound_below_double_range_is_minus_inf(self):
-        assert concentration_mass_bound(1000, 1e-300) == -math.inf
-        assert concentration_mass(1000, 1e-300)[0] == 1.0
+        c = bound_constants(1e-300)
+        assert concentration_mass_bound(1000, c) == -math.inf
+        assert window_mass(height_distribution(make_params(1000, rho=1e-300)), c)[0] == 1.0
+
+    def test_window_mass_refuses_constants_of_another_rho(self):
+        law = height_distribution(make_params(1000, rho=0.5))
+        with pytest.raises(ParameterError, match="constants' rho"):
+            window_mass(law, bound_constants(0.25))
 
     def test_window_is_log_width(self):
         c = bound_constants(0.5)
-        lo, hi = concentration_window(10**4, 0.5)
+        lo, hi = concentration_window(10**4, c)
         h = peak_index(c.alpha, 10**4)
         assert hi - lo <= (c.c1 + c.c2) * math.log(10**4) + c.c3 + 3
         assert lo <= h <= hi
@@ -303,3 +324,30 @@ class TestConcentration:
     def test_wlln_tail_mass(self):
         assert wlln_tail_mass(2000, 0.5) <= 0.01
         assert wlln_tail_mass(2000, 2.0) <= 0.01
+
+
+class TestOneSolvePerRho:
+    def test_verify_grid_solves_alpha_once_per_rho_below_one(self, monkeypatch):
+        calls = []
+        solve = asymptotics.solve_alpha
+        monkeypatch.setattr(asymptotics, "solve_alpha",
+                            lambda rho: calls.append(rho) or solve(rho))
+        asymptotics.verify_reports([0.25, 0.5, 0.75, 1.0, 2.0],
+                                   [1000, 10000, 100000, 1000000])
+        assert calls == [0.25, 0.5, 0.75]
+
+    def test_certificates_take_the_callers_constants(self, monkeypatch):
+        c = bound_constants(0.5)
+        law = height_distribution(make_params(1000, rho=0.5))
+
+        def refuse(rho):
+            raise AssertionError(f"a certificate solved alpha at rho = {rho}")
+
+        monkeypatch.setattr(asymptotics, "solve_alpha", refuse)
+        monkeypatch.setattr(asymptotics, "bound_constants", refuse)
+        assert all(r.passed for r in check_peak_ratio_bounds(1000, c))
+        assert check_mean_bounds(1000, c, law.mean).passed
+        assert check_mean_near_capacity(1000, 2.0, 999.0).passed
+        assert stirling_ratio(1000, c) > 0.0
+        assert window_mass(law, c)[1:] == concentration_window(1000, c)
+        assert concentration_mass_bound(1000, c) <= window_mass(law, c)[0]

@@ -389,6 +389,42 @@ class TestLargestN:
         assert err.startswith(f"{argv[0]}: error: N is capped at 2**53") and err.count("\n") == 1
 
 
+_CORNER_RHOS = ["1e-300", "1e-16", "0.5", "1", "1e16", "1e300"]
+
+
+def _corner_runs():
+    """Every subcommand at the documented corners: N in {1, 2, 1e6} and rho
+    from 1e-300 to 1e300; simulate at N = 1e6 at three rho only, ~1 s each."""
+    yield from (["alpha", "--rho", rho] for rho in _CORNER_RHOS)
+    for command in ("sweep", "verify", "dist", "simulate"):
+        for n in ("1", "2", "1000000"):
+            for rho in _CORNER_RHOS:
+                if command != "simulate":
+                    yield [command, "--n", n, "--rho", rho]
+                elif n != "1000000" or rho in ("1e-300", "0.5", "1e300"):
+                    yield [command, "--n", n, "--rho", rho, "--samples", "1000", "--seed", "1"]
+
+
+class TestInputCorners:
+    @pytest.mark.parametrize("argv", list(_corner_runs()), ids="_".join)
+    def test_answers_or_refuses_cleanly(self, tmp_path, capsys, argv):
+        path = tmp_path / "artifact"
+        rc = main([*argv, "--output", str(path)])
+        err = capsys.readouterr().err
+        assert rc in (0, 2), err
+        assert err.count("\n") <= 1 and "Traceback" not in err
+        if rc == 2:
+            assert not path.exists()
+            return
+        if "1000000" in argv:  # tens of MB: scan for the non-standard tokens, not parse
+            text = path.read_bytes()
+            path.unlink()
+            assert text.startswith(b'{"data":') and text.endswith(b"}\n")
+            assert b"NaN" not in text and b"Infinity" not in text
+        else:
+            assert strict_loads(path.read_text())["manifest"]["command"] == argv[0]
+
+
 class TestParserContract:
     @pytest.mark.parametrize("sub", ["dist", "alpha", "verify", "simulate", "sweep"])
     def test_help_exits_0(self, sub, capsys):
@@ -576,6 +612,43 @@ class TestEmission:
         assert (rc, out) == (2, "")
         assert len(err.splitlines()) == 1 and err.startswith("dist: error: cannot write"), err
 
+    def test_failed_write_keeps_the_old_output(self, tmp_path):
+        # A 1 MiB file size limit, in the child only, fails the 2.7 MB
+        # artifact part way: the earlier file must survive it whole.
+        resource = pytest.importorskip("resource")
+        path = tmp_path / "law.json"
+        path.write_bytes(b"old artifact\n")
+        src = os.path.dirname(os.path.dirname(bdheight.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "bdheight.cli", "dist", "--n", "100000", "--rho", "0.5",
+             "--output", str(path)],
+            env={**os.environ, "PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_FSIZE, (2**20, 2**20)),
+            capture_output=True, timeout=60)
+        assert proc.returncode == 2
+        assert proc.stderr.decode() == (
+            f"dist: error: cannot write --output {path}: {os.strerror(errno.EFBIG)}\n")
+        assert path.read_bytes() == b"old artifact\n"
+        assert os.listdir(tmp_path) == ["law.json"]
+
+    def test_output_is_replaced_whole_with_the_mode_open_gives(self, tmp_path):
+        old, new, fresh = tmp_path / "old.json", tmp_path / "new.json", tmp_path / "fresh"
+        old.write_bytes(b"a longer earlier artifact" * 100)
+        fresh.write_bytes(b"")  # created by open(), under this process's umask
+        for path in (old, new):
+            assert main(["dist", "--n", "5", "--rho", "0.5", "--output", str(path)]) == 0
+            assert strict_loads(path.read_text())["manifest"]["command"] == "dist"
+        assert os.stat(new).st_mode == os.stat(fresh).st_mode
+        assert sorted(os.listdir(tmp_path)) == ["fresh", "new.json", "old.json"]
+
+    def test_symlinked_output_is_written_through_the_link(self, tmp_path):
+        target, link = tmp_path / "target.json", tmp_path / "link.json"
+        target.write_bytes(b"old")
+        link.symlink_to(target)
+        assert main(["dist", "--n", "5", "--rho", "0.5", "--output", str(link)]) == 0
+        assert link.is_symlink()
+        assert strict_loads(target.read_text())["manifest"]["command"] == "dist"
+
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_full_stdout_exits_2_without_traceback(self, fmt):
@@ -631,6 +704,10 @@ class TestEmission:
          "f658f1cd81a08cb6ac41876bed0bc9735b7530f7f63f8b3eed4282c87722597a"),
         (["verify", "--rho", "0.5", "2", "--n", "10", "1000"],
          "43bf8a171ee31a78cb9df8f28b4dbe1e7d66ef333f1b4970f275f81a4f8d10e3"),
+        # a mass bound of -inf, a decay and a band that are not applicable,
+        # and a rho near 1
+        (["verify", "--rho", "1e-300", "0.9", "--n", "1000", "100000"],
+         "8a6b805670ed4abe2030c3f6497c4a5aeb18c1e1e3e0780624ac843301447e8c"),
     ], ids=lambda v: "_".join(v) if isinstance(v, list) else "")
     def test_artifact_bytes_are_pinned(self, tmp_path, argv, digest):
         path = tmp_path / "artifact"

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from bdheight import (
     CapacityError,
     ParameterError,
-    concentration_mass,
+    bound_constants,
     exact_rational_distribution,
     height_dist_oracle,
     height_distribution,
@@ -212,15 +212,17 @@ class TestWindowedForm:
                                        (1000, 0.999)])
     def test_window_mass_matches_dense_bit_for_bit(self, N, rho):
         surv = _dense_law(N, rho)[0]
-        mass, lo, hi = window_mass(height_distribution(make_params(N, rho=rho)))
+        mass, lo, hi = window_mass(height_distribution(make_params(N, rho=rho)),
+                                   bound_constants(rho))
         assert 1 <= lo and hi <= N  # hi = lo - 1 at N = 1: an empty window
         want = surv[lo - 1] - (surv[hi] if hi < N else 0.0)
         assert _bits(mass) == _bits(want)
 
     @pytest.mark.parametrize("work", [
         lambda: (lambda d: (d.mean, d.variance))(height_distribution(make_params(10**7, rho=0.5))),
-        lambda: concentration_mass(10**7, 0.5),
-    ], ids=["law_moments", "concentration_mass"])
+        lambda: window_mass(height_distribution(make_params(10**7, rho=0.5)),
+                            bound_constants(0.5)),
+    ], ids=["law_moments", "window_mass"])
     def test_large_n_builds_no_dense_array(self, work):
         # one float64 array over N = 1e7 heights alone is 80 MB
         tracemalloc.start()

@@ -158,7 +158,7 @@ def _records():
         (bdheight.exact_rational_distribution(5, 1, 2), "pmf"),
         (bdheight.solve_alpha(0.5), "alpha"),
         (bdheight.bound_constants(0.5), "c1"),
-        (bdheight.check_mean_bounds(1000, 0.5, 700.0), "passed"),
+        (bdheight.check_mean_bounds(1000, bdheight.bound_constants(0.5), 700.0), "passed"),
         (bdheight.convergence_table(0.5, [1000])[0], "var_gap"),
         (cfg, "n_samples"),
         (bdheight.run_batch(cfg), "counts"),
