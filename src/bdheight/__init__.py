@@ -27,8 +27,7 @@ _EXPORTS = {
     "asymptotics": ("AlphaSolution", "BoundConstants", "BoundReport", "solve_alpha",
                     "height_fraction_limit", "variance_limit", "bound_constants",
                     "check_peak_ratio_bounds", "check_mean_bounds", "check_mean_near_capacity",
-                    "stirling_ratio", "convergence_table", "concentration_window",
-                    "wlln_tail_mass"),
+                    "stirling_ratio", "convergence_table", "concentration_window"),
     "simulate": ("LADDER", "JUMP_CHAIN", "FULL_CTMC", "SimulationConfig", "SimulationSummary",
                  "run_batch", "dkw_epsilon", "estimate_mean_excursion_steps"),
 }

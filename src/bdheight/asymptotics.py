@@ -77,7 +77,6 @@ __all__ = [
     "concentration_window",
     "concentration_mass_bound",
     "window_mass",
-    "wlln_tail_mass",
     "verify_reports",
     "MEAN_BOUND_MIN_N",
 ]
@@ -147,23 +146,18 @@ def _or_none(x: float) -> float | None:
 
 
 class ConvergencePoint(NamedTuple):
-    """One row of the limit table for a fixed rho."""
+    """One row of the limit table for a fixed rho: the ``sweep`` columns,
+    under the artifact's names and in its order."""
 
     N: int
     mean: float
     variance: float
-    mean_ratio: float       # mean / N
-    var_ratio: float        # variance / N
+    mean_over_N: float      # mean / N
+    var_over_N: float       # variance / N
     mean_limit: float       # f(rho)
     var_limit: float        # f(rho)^2 / rho
-
-    @property
-    def mean_gap(self) -> float:
-        return abs(self.mean_ratio - self.mean_limit)
-
-    @property
-    def var_gap(self) -> float:
-        return abs(self.var_ratio - self.var_limit)
+    mean_gap: float         # |mean / N - f(rho)|
+    var_gap: float          # |variance / N - f(rho)^2 / rho|
 
 
 def _g(x: float, log_rho: float) -> float:
@@ -395,7 +389,9 @@ def stirling_ratio(n: int, c: BoundConstants) -> float:
 
 
 def convergence_table(rho: float, Ns: list[int]) -> list[ConvergencePoint]:
-    """Mean/variance ratios against their limits along an ascending N grid."""
+    """Mean/variance ratios against their limits along an ascending N grid:
+    per N, the mean, the variance, their ratios to N, the limits f(rho) and
+    f(rho)**2 / rho and the ratios' gaps to them (``ConvergencePoint``)."""
     if not Ns:
         raise ParameterError("the N grid must be nonempty")
     if any(b <= a for a, b in zip(Ns, Ns[1:])):
@@ -406,8 +402,10 @@ def convergence_table(rho: float, Ns: list[int]) -> list[ConvergencePoint]:
     for n in Ns:
         d = exactdist.height_distribution(make_params(int(n), rho=rho))
         rows.append(ConvergencePoint(N=int(n), mean=d.mean, variance=d.variance,
-                                     mean_ratio=d.mean / n, var_ratio=d.variance / n,
-                                     mean_limit=f, var_limit=v))
+                                     mean_over_N=d.mean / n, var_over_N=d.variance / n,
+                                     mean_limit=f, var_limit=v,
+                                     mean_gap=abs(d.mean / n - f),
+                                     var_gap=abs(d.variance / n - v)))
     return rows
 
 
@@ -443,17 +441,6 @@ def window_mass(law: exactdist.HeightDistribution,
     surv, _, lengths = law.column_runs()
     ends = list(itertools.accumulate([*lengths[:-1], lengths[-1] + 1]))  # the tail of 0.0 to N + 1
     return surv[bisect_left(ends, lo)] - surv[bisect_left(ends, hi + 1)], lo, hi
-
-
-def wlln_tail_mass(N: int, rho: float, eps: float = 0.05) -> float:
-    """P(|H_N / N - f(rho)| > eps), evaluated from the exact law's pmf runs.
-
-    A run longer than one height has no mass, so a run counts where its
-    first height lies outside the band."""
-    f = height_fraction_limit(rho)
-    _, pmf, lengths = exactdist.height_distribution(make_params(N, rho=rho)).column_runs()
-    starts = itertools.accumulate(lengths, initial=1)
-    return math.fsum(m for m, k in zip(pmf, starts) if abs(k / N - f) > eps)
 
 
 def verify_reports(rhos: list[float], ns: list[int], *,

@@ -6,7 +6,8 @@ Subcommands
 ``alpha``     growth constant alpha(rho) with residual and derived constants
 ``verify``    certified inequality suite over (rho, N) grids; exit 1 on failure
 ``simulate``  Monte Carlo batch with exact-law comparison and the ECDF band
-``sweep``     mean/variance ratios against their limits along an N grid
+``sweep``     mean/variance ratios against their limits along an N grid, one
+              ``asymptotics.ConvergencePoint`` per row, its fields the columns
 
 Every artifact embeds a run manifest (tool, version, command, full
 parameter set, SHA-256 of the data section); re-running the same command
@@ -409,16 +410,11 @@ def cmd_sweep(args) -> int:
 
     rows = asymptotics.convergence_table(args.rho, args.n)
     parameters = {"rho": args.rho, "N": args.n, "format": args.format}
-    header = ["N", "mean", "variance", "mean_over_N", "var_over_N",
-              "mean_limit", "var_limit", "mean_gap", "var_gap"]
-    table = [[r.N, r.mean, r.variance, r.mean_ratio, r.var_ratio,
-              r.mean_limit, r.var_limit, r.mean_gap, r.var_gap] for r in rows]
     if args.format == "csv":
-        _emit_csv("sweep", parameters, header,
-                  lambda: (_csv_line(row).encode() for row in table), {}, args.output)
+        _emit_csv("sweep", parameters, list(asymptotics.ConvergencePoint._fields),
+                  lambda: (_csv_line(r).encode() for r in rows), {}, args.output)
     else:
-        data = {"rows": [dict(zip(header, row)) for row in table]}
-        _emit_json("sweep", parameters, data, args.output)
+        _emit_json("sweep", parameters, {"rows": [r._asdict() for r in rows]}, args.output)
     return 0
 
 

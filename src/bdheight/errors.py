@@ -1,5 +1,7 @@
 """Exception hierarchy shared across the package."""
 
+__all__ = ["BDHeightError", "ParameterError", "CapacityError", "SimulationAbort"]
+
 
 class BDHeightError(Exception):
     """Base class for all package-specific errors."""

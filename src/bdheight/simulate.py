@@ -55,11 +55,12 @@ order, so each round draws the same variates whatever has finished: a
 fixed ``SimulationConfig`` produces bit-identical summaries.  The counts
 are a ``Counter`` keyed by height; excursions' heights are added to it
 as they finish, and a ``full-ctmc`` chunk's durations go into the exact
-sum once the chunk is walked, so a walk batch holds O(N + chunk)
-numbers however many samples it draws.  The summary keeps only the
-nonzero counts, as ascending (height, count) pairs, and takes the exact
-moments from them and the sup distance from its ``columns``, the runs
-that ``batch_columns`` builds of them and the exact law, once per batch.
+sum once the chunk is walked, so a walk batch holds O(min(N, longest
+excursion) + chunk) numbers however many samples it draws.  The summary
+keeps only the nonzero counts, as ascending (height, count) pairs, and
+takes the exact moments from them and the sup distance from its
+``columns``, the runs that ``batch_columns`` builds of them and the exact
+law, once per batch.
 Scalar aggregates are rounded once from their exact values (integer
 moments divided once; ``math.fsum`` for durations), so no accumulation
 order can leak into the output.
@@ -246,17 +247,17 @@ def _walk(cfg: SimulationConfig, counts: Counter) -> Iterator[list[float]]:
     """Walk the batch chunk by chunk, adding the heights to ``counts`` as
     the excursions finish, and yield each chunk's durations (none for
     ``jump-chain``).  The up-move probabilities, and the rates of
-    ``full-ctmc`` only, are built once.  A chunk's live excursions advance
+    ``full-ctmc`` only, are tables over the states 0..size - 1 that live for
+    the batch.  A state never exceeds the round count, so they double
+    (up to N + 1 states) whenever the rounds reach their size, and hold
+    only the states a walk can reach.  A chunk's live excursions advance
     in lockstep, one jump each per round, and the finished ones drop out.
     The round count bounds every excursion's step count, so the circuit
     breaker trips once any excursion exceeds MAX_EXCURSION_STEPS."""
     import numpy as np
 
     p, n, ctmc = cfg.params, cfg.n_samples, cfg.mode == FULL_CTMC
-    up = np.fromiter(jump_up_probs(p), float, p.N + 1)
-    if ctmc:  # in units of mu, so the holds are in units of 1/mu
-        i = np.arange(p.N + 1, dtype=float)
-        rates = i + (p.N - i) * p.rho
+    probs, up, size = jump_up_probs(p), np.empty(0), 0  # the tables' states are 0..size - 1
     for c, lo in enumerate(range(0, n, _CHUNK_SAMPLES)):
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((cfg.seed, c))))
         m = min(_CHUNK_SAMPLES, n - lo)
@@ -269,6 +270,12 @@ def _walk(cfg: SimulationConfig, counts: Counter) -> Iterator[list[float]]:
                     f"excursions exceeded {MAX_EXCURSION_STEPS} jump steps at N={p.N}, "
                     f"rho={p.rho}; {lo + m - state.size} of {n} samples completed",
                     steps_taken=rounds)
+            if rounds >= size <= p.N:  # no state exceeds the round count
+                size = min(max(2 * size, 1024), p.N + 1)
+                up = np.append(up, np.fromiter(probs, float, size - up.size))
+                if ctmc:  # in units of mu, so the holds are in units of 1/mu
+                    i = np.arange(size, dtype=float)
+                    rates = i + (p.N - i) * p.rho
             if ctmc:
                 held += rng.exponential(1.0, state.size) / rates[state]
             state += np.where(rng.random(state.size) < up[state], 1, -1)

@@ -5,6 +5,7 @@ Each test certifies one criterion end to end and prints a single
 Stated runtime budgets are asserted alongside the numerics.
 """
 
+import itertools
 import math
 import time
 from fractions import Fraction
@@ -12,6 +13,8 @@ from fractions import Fraction
 import numpy as np
 
 from bdheight import (
+    FULL_CTMC,
+    JUMP_CHAIN,
     SimulationConfig,
     bound_constants,
     check_peak_ratio_bounds,
@@ -25,7 +28,6 @@ from bdheight import (
     solve_alpha,
     stirling_ratio,
     variance_limit,
-    wlln_tail_mass,
 )
 from bdheight.asymptotics import concentration_window, peak_index
 from bdheight.cli import main
@@ -225,8 +227,15 @@ def test_a10_concentration():
 def test_a11_weak_law():
     ok = True
     details = []
+    N, eps = 2000, 0.05
     for rho in (0.5, 2.0):
-        tail = wlln_tail_mass(2000, rho, eps=0.05)
+        # P(|H/N - f| > eps) from the law's pmf runs.  A run longer than one
+        # height has no mass, so a run counts where its first height lies
+        # outside the band.
+        f = height_fraction_limit(rho)
+        _, pmf, lengths = _dist(N, rho).column_runs()
+        starts = itertools.accumulate(lengths, initial=1)
+        tail = math.fsum(m for m, k in zip(pmf, starts) if abs(k / N - f) > eps)
         ok &= tail <= 0.01
         details.append(f"rho={rho}: P(|H/N - f| > 0.05) = {tail:.2e}")
     assert _report("A11 weak law of large numbers", ok, "; ".join(details))
@@ -254,6 +263,20 @@ def test_ladder_runtime_budget():
     ok = sum(c for _, c in s.counts) == 1000 and elapsed < 1.0
     assert _report("ladder at N = 1e7, rho = 0.01", ok,
                    f"largest height {s.counts[-1][0]}, {elapsed:.2f}s < 1s")
+
+
+def test_walk_runtime_budget():
+    # the walk tables grow with the rounds, to the longest excursion here
+    # (a few dozen states), not to N + 1
+    ok, details = True, []
+    for mode in (JUMP_CHAIN, FULL_CTMC):
+        t0 = time.perf_counter()
+        s = run_batch(SimulationConfig(params=make_params(10**7, rho=1e-7), n_samples=4096,
+                                       seed=1, mode=mode))
+        elapsed = time.perf_counter() - t0
+        ok &= sum(c for _, c in s.counts) == 4096 and elapsed < 0.3
+        details.append(f"{mode} {elapsed:.3f}s < 0.3s")
+    assert _report("walks at N = 1e7, rho = 1e-7", ok, ", ".join(details))
 
 
 def test_a0_peak_index_sanity():

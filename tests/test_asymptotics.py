@@ -20,7 +20,6 @@ from bdheight import (
     solve_alpha,
     stirling_ratio,
     variance_limit,
-    wlln_tail_mass,
 )
 from bdheight import asymptotics
 from bdheight.asymptotics import (
@@ -286,7 +285,7 @@ class TestConvergenceTable:
 
     def test_variance_ratio_near_limit(self):
         rows = convergence_table(0.25, [10**5])
-        assert abs(rows[0].var_ratio - 1.0) <= 0.1
+        assert abs(rows[0].var_over_N - 1.0) <= 0.1
 
     def test_bad_grids_rejected(self):
         with pytest.raises(ParameterError):
@@ -320,10 +319,6 @@ class TestConcentration:
         h = peak_index(c.alpha, 10**4)
         assert hi - lo <= (c.c1 + c.c2) * math.log(10**4) + c.c3 + 3
         assert lo <= h <= hi
-
-    def test_wlln_tail_mass(self):
-        assert wlln_tail_mass(2000, 0.5) <= 0.01
-        assert wlln_tail_mass(2000, 2.0) <= 0.01
 
 
 class TestOneSolvePerRho:

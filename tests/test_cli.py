@@ -993,6 +993,17 @@ class TestStrictJson:
         assert any(c["margin"] is None and c["floor_margin"] is None for c in skipped)
 
 
+@pytest.mark.parametrize("module", sorted(bdheight._EXPORTS))
+def test_export_lists_name_what_the_submodules_define(module):
+    # a star import fails on a listed name that is gone, and the package
+    # re-exports only names its submodule lists
+    scope = {}
+    exec(f"from bdheight.{module} import *", scope)
+    listed = set(sys.modules[f"bdheight.{module}"].__all__)
+    assert set(scope) - {"__builtins__"} == listed
+    assert set(bdheight._EXPORTS[module]) <= listed
+
+
 def test_import_does_not_load_scipy():
     # importing scipy.special alone costs ~0.45 s per CLI start and numpy
     # ~0.14 s; nothing at runtime needs any of scipy, and no subcommand
@@ -1044,7 +1055,7 @@ def test_import_does_not_load_scipy():
                "bdheight.model"]
     limits_set = sorted([*cli_set, "bdheight.asymptotics"])
     assert steps == [["bdheight"], cli_set, cli_set, cli_set, limits_set, limits_set]
-    assert len(names) == 37 and all(names.values())  # __version__ and 36 exported names
+    assert len(names) == 36 and all(names.values())  # __version__ and 35 exported names
     assert star == exported and listed
     # bdheight, bdheight.cli, dist (JSON and CSV), alpha, sweep, verify and
     # a ladder simulate; then a walk, whose numpy loads inspect

@@ -3,8 +3,11 @@
 import inspect
 import itertools
 import math
+import os
 import random
 import re
+import subprocess
+import sys
 import tracemalloc
 from array import array
 from bisect import bisect_right
@@ -508,6 +511,36 @@ class TestWalkBatches:
         assert sum(_dense(s)) == n
         assert abs(s.mean_busy_duration - 1.0) <= 5.0 / math.sqrt(n)
         assert peak < 2 * 2**20
+
+    @pytest.mark.parametrize("mode", [JUMP_CHAIN, FULL_CTMC])
+    def test_walk_tables_hold_only_the_states_reached(self, mode):
+        # No state exceeds the round count, so the tables grow to the longest
+        # excursion, not to N + 1 states: 8 TB at N = 1e12.  The 2 GiB
+        # address-space limit is set in the child only.  The child reports its
+        # peak RSS (VmHWM, Linux); a forked child's ru_maxrss would count the
+        # test process's pages from before the exec.
+        resource = pytest.importorskip("resource")
+        code = f"""if True:
+            import os
+            from bdheight import SimulationConfig, make_params, run_batch
+            for N, rho, n in ((10**12, 1e-12, 100), (10**7, 1e-7, 4096)):
+                s = run_batch(SimulationConfig(params=make_params(N, rho=rho), n_samples=n,
+                                               seed=1, mode={mode!r}))
+                print(sum(c for _, c in s.counts))
+            if os.path.exists("/proc/self/status"):
+                with open("/proc/self/status") as status:
+                    print(*(line.split()[1] for line in status if line.startswith("VmHWM:")))
+        """
+        src = os.path.dirname(os.path.dirname(simulate.__file__))
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2**31, 2**31)),
+            capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        counts, peak_kib = proc.stdout.split()[:2], proc.stdout.split()[2:]
+        assert counts == ["100", "4096"]
+        assert all(int(kib) < 50 * 1024 for kib in peak_kib)  # under 50 MB
 
     def test_infeasible_batch_is_refused(self):
         cfg = SimulationConfig(params=make_params(50, rho=0.8),
