@@ -25,7 +25,7 @@ _EXPORTS = {
                   "log_r_term", "exact_rational_distribution"),
     "oracle": ("height_dist_oracle", "log_hitting_sums"),
     "asymptotics": ("AlphaSolution", "BoundConstants", "BoundReport", "solve_alpha",
-                    "height_fraction_limit", "variance_limit", "bound_constants",
+                    "height_fraction_limit", "bound_constants",
                     "check_peak_ratio_bounds", "check_mean_bounds", "check_mean_near_capacity",
                     "stirling_ratio", "convergence_table", "concentration_window"),
     "simulate": ("LADDER", "JUMP_CHAIN", "FULL_CTMC", "SimulationConfig", "SimulationSummary",

@@ -24,8 +24,10 @@ steps above the peak, their n**-3 decay c2*log n steps below it, the
 mean sandwich floor(alpha N) - floor(c2 log N) - c3 <= E[H_N]
 <= floor(alpha N) + 1 (and N-4 <= E[H_N] <= N for rho >= 1), the
 sqrt(n) order of the peak term, and the concentration of mass in the
-log-width window.  A certificate that needs alpha takes the caller's
-``BoundConstants`` in place of rho, so a suite solves alpha once per rho.
+log-width window.  The constants come from the solution, as
+``bound_constants(solve_alpha(rho))``, and a certificate that needs alpha
+takes the caller's ``BoundConstants`` in place of rho, so a suite solves
+alpha once per rho.
 ``verify_reports`` is the suite the CLI's ``verify`` runs: these
 certificates over a grid, and the closed form against the first-passage
 oracle.
@@ -65,7 +67,6 @@ __all__ = [
     "ConvergencePoint",
     "solve_alpha",
     "height_fraction_limit",
-    "variance_limit",
     "bound_constants",
     "peak_index",
     "integer_part_candidates",
@@ -229,17 +230,10 @@ def height_fraction_limit(rho: float) -> float:
     return solve_alpha(rho).alpha
 
 
-def variance_limit(rho: float) -> float:
-    """Limit of Var(H_N) / N, equal to f(rho)**2 / rho."""
-    f = height_fraction_limit(rho)
-    return f * f / rho
-
-
-def bound_constants(rho: float) -> BoundConstants:
-    """c1, c2, c3 from alpha(rho); denominators are positive because
-    alpha > rho > rho (1 - alpha)."""
-    sol = solve_alpha(rho)
-    a = sol.alpha
+def bound_constants(sol: AlphaSolution) -> BoundConstants:
+    """c1, c2, c3 from a solved alpha(rho), ``bound_constants(solve_alpha(rho))``;
+    denominators are positive because alpha > rho > rho (1 - alpha)."""
+    rho, a = sol.rho, sol.alpha
     if a <= rho:  # only at the largest double below 1, where no double lies in (rho, 1)
         raise ParameterError(f"alpha(rho) rounds to rho = {rho!r}, where c2 = "
                              f"3 / (log alpha - log rho) is unbounded")
@@ -461,7 +455,7 @@ def verify_reports(rhos: list[float], ns: list[int], *,
         if rho >= 1.0:
             reports += (check_mean_near_capacity(n, rho, laws[n].mean) for n in ns)
         else:
-            c = bound_constants(rho)
+            c = bound_constants(solve_alpha(rho))
             peak = c._replace(c1=0.25 * c.c1) if selftest_corrupt else c
             for n in ns:
                 reports += check_peak_ratio_bounds(n, peak)

@@ -64,7 +64,7 @@ from collections.abc import Callable, Iterable, Iterator, Sequence
 from typing import NamedTuple
 
 from . import __version__, exactdist
-from .errors import CapacityError, ParameterError, SimulationAbort
+from .errors import BDHeightError, CapacityError, ParameterError
 from .model import LADDER, SAMPLER_MODES, _positive_rate, make_params
 
 __all__ = ["main", "entrypoint"]
@@ -335,7 +335,7 @@ def cmd_alpha(args) -> int:
         from . import asymptotics
 
         sol = asymptotics.solve_alpha(rho)
-        c = asymptotics.bound_constants(rho)
+        c = asymptotics.bound_constants(sol)
         data.update(f=sol.alpha, alpha=sol.alpha, residual=sol.residual,
                     iterations=sol.iterations, bracket=list(sol.bracket),
                     constants={"c1": c.c1, "c2": c.c2, "c3": c.c3}, note="")
@@ -352,10 +352,8 @@ def cmd_alpha(args) -> int:
 def cmd_verify(args) -> int:
     from . import asymptotics
 
-    rhos = args.rho if args.rho else [0.25, 0.5, 0.75, 1.0, 2.0]
-    ns = args.n if args.n else [1000, 10000, 100000]
-    checks = [r.to_dict() for r in
-              asymptotics.verify_reports(rhos, ns, selftest_corrupt=args.selftest_corrupt)]
+    checks = [r.to_dict() for r in asymptotics.verify_reports(
+        args.rho, args.n, selftest_corrupt=args.selftest_corrupt)]
     failed = [c for c in checks if c["applicable"] and not c["passed"]]
     data = {
         "checks": checks,
@@ -363,7 +361,7 @@ def cmd_verify(args) -> int:
         "n_failed": len(failed),
         "passed": not failed,
     }
-    parameters = {"rho": rhos, "N": ns, "format": args.format,
+    parameters = {"rho": args.rho, "N": args.n, "format": args.format,
                   "selftest_corrupt": args.selftest_corrupt}
     _emit_json("verify", parameters, data, args.output)
     if failed:
@@ -437,8 +435,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.set_defaults(func=cmd_alpha)
 
     sub = subs.add_parser("verify", help="run the certified inequality suite")
-    sub.add_argument("--rho", type=float, nargs="+", default=None)
-    sub.add_argument("--n", type=int, nargs="+", default=None)
+    sub.add_argument("--rho", type=float, nargs="+", default=[0.25, 0.5, 0.75, 1.0, 2.0])
+    sub.add_argument("--n", type=int, nargs="+", default=[1000, 10000, 100000])
     sub.add_argument("--selftest-corrupt", action="store_true", help=argparse.SUPPRESS)
     _add_output_flags(sub, formats=("json",))  # the nested check records have no CSV form
     sub.set_defaults(func=cmd_verify)
@@ -469,7 +467,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ParameterError, CapacityError, SimulationAbort) as exc:
+    except BDHeightError as exc:
         print(f"{args.command}: error: {exc}", file=sys.stderr)
         return 2
 

@@ -18,6 +18,7 @@ from bdheight import (
     SimulationConfig,
     bound_constants,
     check_peak_ratio_bounds,
+    convergence_table,
     dkw_epsilon,
     exact_rational_distribution,
     height_dist_oracle,
@@ -27,7 +28,6 @@ from bdheight import (
     run_batch,
     solve_alpha,
     stirling_ratio,
-    variance_limit,
 )
 from bdheight.asymptotics import concentration_window, peak_index
 from bdheight.cli import main
@@ -107,7 +107,7 @@ def test_a4_mean_sandwich():
     ok = True
     details = []
     for rho in (0.25, 0.5, 0.75):
-        c = bound_constants(rho)
+        c = bound_constants(solve_alpha(rho))
         for N in NS_GRID:
             mean = _dist(N, rho).mean
             lo = math.floor(c.alpha * N) - math.floor(c.c2 * math.log(N)) - c.c3
@@ -130,7 +130,7 @@ def test_a5_mean_limit_rate():
     ok = True
     worst = 0.0
     for rho in (0.25, 0.5, 0.75):
-        c = bound_constants(rho)
+        c = bound_constants(solve_alpha(rho))
         gap = abs(_dist(N, rho).mean / N - c.alpha)
         tol = (c.c2 * math.log(N) + c.c3 + 1.0) / N
         ok &= gap <= tol
@@ -147,9 +147,9 @@ def test_a6_variance_limit():
     ok = True
     details = []
     for rho in (0.25, 0.5, 1.0, 2.0):
-        lim = variance_limit(rho)
-        gaps = [abs(_dist(N, rho).variance / N - lim) for N in (10**4, 10**5, 10**6)]
-        rel = gaps[-1] / lim
+        rows = convergence_table(rho, [10**4, 10**5, 10**6])
+        gaps = [r.var_gap for r in rows]
+        rel = gaps[-1] / rows[-1].var_limit
         monotone = all(b <= a + 1e-3 for a, b in zip(gaps, gaps[1:]))
         ok &= rel <= 0.05 and monotone
         details.append(f"rho={rho}: rel={rel:.2e}, monotone={monotone}")
@@ -160,7 +160,7 @@ def test_a7_peak_ratio_bounds():
     ok = True
     margins = []
     for rho in (0.25, 0.5, 0.75):
-        c = bound_constants(rho)
+        c = bound_constants(solve_alpha(rho))
         for n in (10**4, 10**5, 10**6):
             growth, decay = check_peak_ratio_bounds(n, c)
             ok &= growth.applicable and growth.passed
@@ -173,7 +173,7 @@ def test_a8_peak_term_order():
     ok = True
     details = []
     for rho in (0.25, 0.5, 0.75):
-        c = bound_constants(rho)
+        c = bound_constants(solve_alpha(rho))
         ratios = [stirling_ratio(n, c) for n in NS_GRID]
         band = max(ratios) / min(ratios)
         ok &= band <= 10.0
@@ -200,7 +200,7 @@ def test_a10_concentration():
     N, rho = 2000, 0.5
     d = _dist(N, rho)
     surv = d.survival_values()
-    lo, hi = concentration_window(N, bound_constants(rho))
+    lo, hi = concentration_window(N, bound_constants(solve_alpha(rho)))
     mass = float(surv[lo - 1] - (surv[hi] if hi < N else 0.0))
     ok = mass >= 0.95
 

@@ -19,7 +19,6 @@ from bdheight import (
     make_params,
     solve_alpha,
     stirling_ratio,
-    variance_limit,
 )
 from bdheight import asymptotics
 from bdheight.asymptotics import (
@@ -28,6 +27,7 @@ from bdheight.asymptotics import (
     peak_index,
     window_mass,
 )
+from bdheight.cli import main
 
 RHO_GRID = [round(0.05 * i, 2) for i in range(1, 20)]  # 0.05 .. 0.95
 
@@ -137,6 +137,9 @@ class TestLimits:
         assert abs(height_fraction_limit(0.25) - 0.5) <= 1e-12
 
     def test_variance_limit_values(self):
+        def variance_limit(rho):
+            return convergence_table(rho, [1000])[0].var_limit
+
         assert variance_limit(1.0) == pytest.approx(1.0)
         assert variance_limit(2.0) == pytest.approx(0.5)
         assert variance_limit(0.25) == pytest.approx(1.0, rel=1e-11)
@@ -144,24 +147,24 @@ class TestLimits:
 
 class TestBoundConstants:
     def test_quarter_closed_forms(self):
-        c = bound_constants(0.25)
+        c = bound_constants(solve_alpha(0.25))
         assert c.c2 == pytest.approx(3.0 / math.log(2.0), rel=1e-11)
         assert c.c3 == pytest.approx(26.0, rel=1e-11)
 
     @pytest.mark.parametrize("rho", RHO_GRID)
     def test_positivity(self, rho):
-        c = bound_constants(rho)
+        c = bound_constants(solve_alpha(rho))
         assert c.c1 > 0 and c.c2 > 0 and c.c3 > 0
 
     @pytest.mark.parametrize("rho", [1e-160, 1e-300])
     def test_c3_survives_underflow_of_rho_squared(self, rho):
-        c = bound_constants(rho)
+        c = bound_constants(solve_alpha(rho))
         assert c.c3 == pytest.approx(3.0 * math.e / rho, rel=1e-10)
 
     @pytest.mark.parametrize("rho", [4e-308, 1e-310])
     def test_c3_overflow_is_a_parameter_error(self, rho):
         with pytest.raises(ParameterError, match="overflows"):
-            bound_constants(rho)
+            bound_constants(solve_alpha(rho))
 
     def test_alpha_rounding_to_rho_is_a_parameter_error(self):
         # At the largest double below 1 no double lies in (rho, 1), so alpha
@@ -169,8 +172,8 @@ class TestBoundConstants:
         rho = math.nextafter(1.0, 0.0)
         assert solve_alpha(rho).alpha == rho
         with pytest.raises(ParameterError, match="c2"):
-            bound_constants(rho)
-        assert bound_constants(math.nextafter(rho, 0.0)).c2 > 0.0
+            bound_constants(solve_alpha(rho))
+        assert bound_constants(solve_alpha(math.nextafter(rho, 0.0))).c2 > 0.0
 
     def test_integer_part_candidates(self):
         assert integer_part_candidates(7.3) == (7, 8)
@@ -181,7 +184,7 @@ class TestBoundConstants:
 class TestPeakRatioBounds:
     @pytest.mark.parametrize("n,rho", [(10**4, 0.5), (10**6, 0.25)])
     def test_pass_at_reference_points(self, n, rho):
-        growth, decay = check_peak_ratio_bounds(n, bound_constants(rho))
+        growth, decay = check_peak_ratio_bounds(n, bound_constants(solve_alpha(rho)))
         assert growth.applicable and growth.passed
         assert decay.applicable and decay.passed
         assert growth.margin > 0 and decay.margin > 0
@@ -190,25 +193,25 @@ class TestPeakRatioBounds:
         # At the strict floor offset the growth inequality loses a
         # constant factor; the report must expose that honestly while
         # passing through the rounding-candidate policy.
-        growth, _ = check_peak_ratio_bounds(10**4, bound_constants(0.25))
+        growth, _ = check_peak_ratio_bounds(10**4, bound_constants(solve_alpha(0.25)))
         assert growth.passed
         assert growth.floor_margin < 0 < growth.margin
         assert "candidates" in growth.note
 
     def test_small_n_flags_not_applicable(self):
-        growth, decay = check_peak_ratio_bounds(10, bound_constants(0.5))
+        growth, decay = check_peak_ratio_bounds(10, bound_constants(solve_alpha(0.5)))
         # c2 log 10 ~ 15 steps below a peak at 6: out of range.
         assert not decay.applicable
         assert not growth.applicable  # the offset fits, but n < MEAN_BOUND_MIN_N
         assert math.isfinite(growth.margin)
 
     def test_decay_is_deep(self):
-        _, decay = check_peak_ratio_bounds(10**5, bound_constants(0.5))
+        _, decay = check_peak_ratio_bounds(10**5, bound_constants(solve_alpha(0.5)))
         assert decay.margin > 50.0  # far below n^-3 in log scale
 
     def test_empty_system_rejected(self):
         with pytest.raises(ParameterError, match="n must be >= 1"):
-            check_peak_ratio_bounds(0, bound_constants(0.5))
+            check_peak_ratio_bounds(0, bound_constants(solve_alpha(0.5)))
 
 
 class TestMeanBounds:
@@ -216,7 +219,7 @@ class TestMeanBounds:
     def test_sandwich_subcritical(self, rho):
         N = 10**4
         d = height_distribution(make_params(N, rho=rho))
-        c = bound_constants(rho)
+        c = bound_constants(solve_alpha(rho))
         rep = check_mean_bounds(N, c, d.mean)
         assert rep.applicable and rep.passed
         assert rep.lhs <= d.mean <= rep.rhs
@@ -232,13 +235,13 @@ class TestMeanBounds:
 
     def test_small_n_reported_not_asserted(self):
         d = height_distribution(make_params(100, rho=0.5))
-        rep = check_mean_bounds(100, bound_constants(0.5), d.mean)
+        rep = check_mean_bounds(100, bound_constants(solve_alpha(0.5)), d.mean)
         assert not rep.applicable
         assert isinstance(rep.passed, bool)
 
     def test_empty_system_rejected(self):
         with pytest.raises(ParameterError, match="N must be >= 1"):
-            check_mean_bounds(0, bound_constants(0.5), 1.0)
+            check_mean_bounds(0, bound_constants(solve_alpha(0.5)), 1.0)
         with pytest.raises(ParameterError, match="N must be >= 1"):
             check_mean_near_capacity(0, 2.0, 1.0)
 
@@ -249,21 +252,21 @@ class TestMeanBounds:
 
 class TestStirlingRatio:
     def test_degenerate_small_n(self):
-        c = bound_constants(0.5)
+        c = bound_constants(solve_alpha(0.5))
         val = stirling_ratio(2, c)
         assert math.isfinite(val) and val > 0
         with pytest.raises(ParameterError, match="n must be >= 2"):
             stirling_ratio(1, c)
 
     def test_doubling(self):
-        c = bound_constants(0.25)
+        c = bound_constants(solve_alpha(0.25))
         r1 = stirling_ratio(10**4, c)
         r2 = stirling_ratio(4 * 10**4, c)
         assert 0.5 <= r2 / r1 <= 2.0
 
     @pytest.mark.parametrize("rho", [0.25, 0.5, 0.75])
     def test_band_over_decades(self, rho):
-        c = bound_constants(rho)
+        c = bound_constants(solve_alpha(rho))
         ratios = [stirling_ratio(n, c) for n in (10**3, 10**4, 10**5, 10**6)]
         assert max(ratios) / min(ratios) <= 10.0
 
@@ -279,7 +282,7 @@ class TestConvergenceTable:
         rows = convergence_table(0.5, [2000, 4000, 8000, 16000])
         gaps = [r.mean_gap for r in rows]
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
-        c = bound_constants(0.5)
+        c = bound_constants(solve_alpha(0.5))
         last = rows[-1]
         assert last.mean_gap <= (c.c2 * math.log(last.N) + c.c3 + 1) / last.N
 
@@ -297,24 +300,24 @@ class TestConvergenceTable:
 class TestConcentration:
     @pytest.mark.parametrize("rho", [0.25, 0.5, 0.75])
     def test_window_mass_dominates_bound(self, rho):
-        c = bound_constants(rho)
+        c = bound_constants(solve_alpha(rho))
         for N in (1000, 2000, 10**4):
             mass, lo, hi = window_mass(height_distribution(make_params(N, rho=rho)), c)
             assert 1 <= lo < hi <= N
             assert mass >= concentration_mass_bound(N, c)
 
     def test_bound_below_double_range_is_minus_inf(self):
-        c = bound_constants(1e-300)
+        c = bound_constants(solve_alpha(1e-300))
         assert concentration_mass_bound(1000, c) == -math.inf
         assert window_mass(height_distribution(make_params(1000, rho=1e-300)), c)[0] == 1.0
 
     def test_window_mass_refuses_constants_of_another_rho(self):
         law = height_distribution(make_params(1000, rho=0.5))
         with pytest.raises(ParameterError, match="constants' rho"):
-            window_mass(law, bound_constants(0.25))
+            window_mass(law, bound_constants(solve_alpha(0.25)))
 
     def test_window_is_log_width(self):
-        c = bound_constants(0.5)
+        c = bound_constants(solve_alpha(0.5))
         lo, hi = concentration_window(10**4, c)
         h = peak_index(c.alpha, 10**4)
         assert hi - lo <= (c.c1 + c.c2) * math.log(10**4) + c.c3 + 3
@@ -322,6 +325,21 @@ class TestConcentration:
 
 
 class TestOneSolvePerRho:
+    @pytest.mark.parametrize("argv, solves", [
+        (["alpha", "--rho", "0.3"], 1),
+        (["alpha", "--rho", "2"], 0),
+        (["sweep", "--rho", "0.3", "--n", "1000", "1000000"], 1),
+        (["verify", "--n", "1000", "10000", "100000", "1000000"], 3),
+    ])
+    def test_each_command_solves_alpha_once_per_rho_below_one(self, monkeypatch, tmp_path,
+                                                              argv, solves):
+        calls = []
+        solve = asymptotics.solve_alpha
+        monkeypatch.setattr(asymptotics, "solve_alpha",
+                            lambda rho: calls.append(rho) or solve(rho))
+        assert main([*argv, "--output", str(tmp_path / "out.json")]) == 0
+        assert len(calls) == solves
+
     def test_verify_grid_solves_alpha_once_per_rho_below_one(self, monkeypatch):
         calls = []
         solve = asymptotics.solve_alpha
@@ -332,7 +350,7 @@ class TestOneSolvePerRho:
         assert calls == [0.25, 0.5, 0.75]
 
     def test_certificates_take_the_callers_constants(self, monkeypatch):
-        c = bound_constants(0.5)
+        c = bound_constants(solve_alpha(0.5))
         law = height_distribution(make_params(1000, rho=0.5))
 
         def refuse(rho):

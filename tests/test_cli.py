@@ -1055,7 +1055,7 @@ def test_import_does_not_load_scipy():
                "bdheight.model"]
     limits_set = sorted([*cli_set, "bdheight.asymptotics"])
     assert steps == [["bdheight"], cli_set, cli_set, cli_set, limits_set, limits_set]
-    assert len(names) == 36 and all(names.values())  # __version__ and 35 exported names
+    assert len(names) == 35 and all(names.values())  # __version__ and 34 exported names
     assert star == exported and listed
     # bdheight, bdheight.cli, dist (JSON and CSV), alpha, sweep, verify and
     # a ladder simulate; then a walk, whose numpy loads inspect

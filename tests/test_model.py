@@ -152,13 +152,15 @@ def _records():
     """One instance of each record type the package returns, with a field of it."""
     p = make_params(50, rho=0.5)
     cfg = bdheight.SimulationConfig(params=p, n_samples=100, seed=1)
+    sol = bdheight.solve_alpha(0.5)
+    c = bdheight.bound_constants(sol)
     return [
         (p, "N"),
         (bdheight.height_distribution(p), "mean"),
         (bdheight.exact_rational_distribution(5, 1, 2), "pmf"),
-        (bdheight.solve_alpha(0.5), "alpha"),
-        (bdheight.bound_constants(0.5), "c1"),
-        (bdheight.check_mean_bounds(1000, bdheight.bound_constants(0.5), 700.0), "passed"),
+        (sol, "alpha"),
+        (c, "c1"),
+        (bdheight.check_mean_bounds(1000, c, 700.0), "passed"),
         (bdheight.convergence_table(0.5, [1000])[0], "var_gap"),
         (cfg, "n_samples"),
         (bdheight.run_batch(cfg), "counts"),
