@@ -9,13 +9,15 @@ Subcommands
 ``sweep``     mean/variance ratios against their limits along an N grid, one
               ``asymptotics.ConvergencePoint`` per row, its fields the columns
 
-Every artifact embeds a run manifest (tool, version, command, full
-parameter set, SHA-256 of the data section); re-running the same command
-reproduces the artifact byte for byte.  Exit codes: 0 success, 1 a
-requested check failed or stdout was closed before the artifact was
-written, 2 a usage or validation error, an artifact that cannot be
-opened, written or closed (on --output or stdout), a refused input or
-an aborted walk.
+``dist`` and ``simulate`` take the chain as ``--n`` and ``--rho``: every
+number the package computes depends on the rates nu and mu only through
+rho = nu / mu, so rho is the one rate it takes.  Every artifact embeds a
+run manifest (tool, version, command, full parameter set, SHA-256 of the
+data section); re-running the same command reproduces the artifact byte
+for byte.  Exit codes: 0 success, 1 a requested check failed or stdout
+was closed before the artifact was written, 2 a usage or validation
+error, an artifact that cannot be opened, written or closed (on
+--output or stdout), a refused input or an aborted walk.
 
 A JSON artifact is exactly ``json.dumps(doc, sort_keys=True,
 separators=(",", ":"), allow_nan=False)`` plus a newline, streamed as
@@ -32,7 +34,8 @@ the ``k`` column and of a CSV run's lines, each followed by a separator
 (a comma, or the run's CSV values), 10**4 at a time by strided slice
 assignment, with no per-entry formatting.  A CSV artifact's manifest
 line, which carries the digest, comes first, so its pieces are made
-twice: hashed, then written.  ``dist`` and ``simulate`` refuse more than
+twice: hashed, then written.  A value that JSON writes as ``null`` is
+an empty CSV value.  ``dist`` and ``simulate`` refuse more than
 ``MAX_ROWS`` rows (exit 2); ``sweep`` and ``verify`` build no column.
 
 Start-up: this module imports the ``errors``, ``model`` and ``exactdist``
@@ -77,7 +80,7 @@ MAX_ROWS = 10**7  # rows of a dist or simulate artifact; 1e7 rows is ~0.3 GB of 
 def _fmt(x) -> str:
     if isinstance(x, float):
         return format(x, ".15g")
-    return str(x)
+    return "" if x is None else str(x)  # JSON's null is an empty CSV value
 
 
 def _manifest(command: str, parameters: dict, data_sha256: str) -> dict:
@@ -191,9 +194,17 @@ def _stdout_to_devnull() -> None:
 def _write_replacing(pieces: Iterable[bytes], output: str) -> None:
     """Write a temporary file in ``output``'s directory, with the mode
     ``open()`` would give, and move it onto ``output`` once complete; on
-    any error remove it, so the old ``output`` is left as it was."""
-    tmp = os.path.join(os.path.dirname(output), f".bdheight-{os.getpid()}.tmp")
-    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
+    any error remove it, so the old ``output`` is left as it was.  The
+    file is ``.bdheight-<pid>.tmp``, or ``.bdheight-<pid>-<i>.tmp`` for the
+    least i >= 1 that is free, if a run killed mid-write left that name."""
+    stem = os.path.join(os.path.dirname(output), f".bdheight-{os.getpid()}")
+    for i in itertools.count():
+        tmp = f"{stem}-{i}.tmp" if i else f"{stem}.tmp"
+        try:
+            fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
+            break
+        except FileExistsError:
+            pass
     try:
         with open(fd, "wb") as fh:
             fh.writelines(pieces)
@@ -289,7 +300,7 @@ def _emit_csv(command: str, parameters: dict, header: list[str],
 
 
 def _params_from_args(args) -> tuple:
-    p = make_params(args.n, args.nu, args.mu, rho=args.rho)
+    p = make_params(args.n, args.rho)
     if p.N > MAX_ROWS:
         raise CapacityError(f"--n {p.N} exceeds the row limit of {MAX_ROWS} rows "
                             f"(MAX_ROWS); sweep gives the moments at any N")
@@ -298,9 +309,7 @@ def _params_from_args(args) -> tuple:
 
 def _add_param_flags(sub):
     sub.add_argument("--n", type=int, required=True, help="number of nodes N (states 0..N)")
-    sub.add_argument("--rho", type=float, default=None, help="birth/death rate ratio")
-    sub.add_argument("--nu", type=float, default=None, help="per-idle-node birth rate")
-    sub.add_argument("--mu", type=float, default=None, help="per-busy-node death rate")
+    sub.add_argument("--rho", type=float, required=True, help="rate ratio rho = nu/mu")
 
 
 def _add_output_flags(sub, formats=("json", "csv")):

@@ -3,8 +3,10 @@
 The chain lives on the states {0, 1, ..., N}.  In state i each of the
 N - i idle nodes becomes busy at rate nu and each of the i busy nodes
 frees up at rate mu, so the total birth rate is (N - i) * nu and the
-total death rate is i * mu; write rho = nu / mu.  The embedded jump
-chain moves from state i (0 < i < N) up with probability
+total death rate is i * mu.  Everything this package computes depends on
+the rates only through rho = nu / mu, so rho is the one rate parameter it
+takes: time is measured in units of the mean service time 1/mu.  The
+embedded jump chain moves from state i (0 < i < N) up with probability
 
     p_i = (N - i) * rho / (i + (N - i) * rho)
 
@@ -43,20 +45,10 @@ SAMPLER_MODES = (LADDER, JUMP_CHAIN, FULL_CTMC)
 
 
 class ModelParams(NamedTuple):
-    """Validated chain parameters, read-only.
-
-    ``rho`` is derived, never independent: it equals ``nu / mu`` up to a
-    single float rounding when built from explicit rates, and is stored
-    exactly as given when built from ``(N, rho)`` (in which case
-    ``nu = rho`` and ``mu = 1``).  The height law depends on the rates
-    only through ``rho``, and only through its logarithm at that, so the
-    one rounding is immaterial; the contract is stated here so nobody
-    has to guess.
-    """
+    """Validated chain parameters, read-only: the size N and the rate
+    ratio rho = nu / mu, stored exactly as given."""
 
     N: int
-    nu: float
-    mu: float
     rho: float
 
 
@@ -91,34 +83,14 @@ def _integer(name: str, value, minimum: int) -> int:
     return value
 
 
-def make_params(N: int, nu: float | None = None, mu: float | None = None,
-                *, rho: float | None = None) -> ModelParams:
+def make_params(N: int, rho: float) -> ModelParams:
     """Validate and freeze chain parameters.
 
-    Either both rates ``(nu, mu)`` or ``rho`` alone must be supplied; the
-    two forms are mutually exclusive.  ``rho`` alone means ``nu = rho``,
-    ``mu = 1``.
-
-    Raises ``ParameterError`` for N < 1, non-integer N, nonpositive or
-    non-finite rates, a ratio nu / mu that rounds to 0 or overflows, or an
-    ambiguous combination of arguments.
+    Raises ``ParameterError`` for N < 1, non-integer N, or a ``rho`` that
+    is not a positive finite real.
     """
     N = _integer("N", N, 1)  # the chain needs a nonempty positive part
-    if rho is not None:
-        if nu is not None or mu is not None:
-            raise ParameterError("pass either rho or the pair (nu, mu), not both")
-        r = _positive_rate("rho", rho)
-        return ModelParams(N=N, nu=r, mu=1.0, rho=r)
-
-    if nu is None or mu is None:
-        raise ParameterError("pass either rho or the pair (nu, mu)")
-    nu_f = _positive_rate("nu", nu)
-    mu_f = _positive_rate("mu", mu)
-    rho_f = nu_f / mu_f
-    if not math.isfinite(rho_f) or rho_f <= 0.0:
-        raise ParameterError(
-            f"rho = nu / mu must be a positive finite real, got {nu_f!r} / {mu_f!r} = {rho_f!r}")
-    return ModelParams(N=N, nu=nu_f, mu=mu_f, rho=rho_f)
+    return ModelParams(N=N, rho=_positive_rate("rho", rho))
 
 
 def jump_up_probs(p: ModelParams) -> Iterator[float]:

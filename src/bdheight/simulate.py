@@ -37,8 +37,9 @@ Three samplers:
 
 ``full-ctmc``
     The same walk with exponential holds at rate i + (N - i) rho at state
-    i, the rates in units of mu, so the busy-period duration it records
-    is in units of 1/mu at any size of nu and mu.  Same feasibility constraint.
+    i, the chain's rates in units of mu, so the busy-period duration it
+    records is in units of the mean service time 1/mu, the one time scale
+    that rho leaves.  Same feasibility constraint.
 
 Reproducibility
 ---------------
@@ -120,8 +121,6 @@ class SimulationSummary(NamedTuple):
 
     N: int
     rho: float
-    nu: float
-    mu: float
     mode: str
     n_samples: int
     seed: int
@@ -374,7 +373,7 @@ def run_batch(cfg: SimulationConfig) -> SimulationSummary:
     eps = dkw_epsilon(n, cfg.dkw_delta)
 
     return SimulationSummary(
-        N=p.N, rho=p.rho, nu=p.nu, mu=p.mu, mode=cfg.mode,
+        N=p.N, rho=p.rho, mode=cfg.mode,
         n_samples=n, seed=cfg.seed, counts=pairs, columns=columns,
         empirical_mean=s1 / n, empirical_variance=(n * s2 - s1 * s1) / (n * n),
         sup_distance=sup, dkw_delta=cfg.dkw_delta, dkw_epsilon=eps,

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bdheight
-from bdheight import ParameterError, jump_up_probs, make_params
+from bdheight import ModelParams, ParameterError, jump_up_probs, make_params
 
 
 def _stationary_law(p):
@@ -18,12 +18,12 @@ def _stationary_law(p):
 
     The jump chain is reversible, pi^J_i p_i = pi^J_{i+1} q_{i+1}, and the
     rate chain weighs each state by the mean holding time 1 / lambda_i,
-    lambda_i = (N - i) nu + i mu.  The recursion runs in log space so the
-    large chains do not overflow before normalization.
+    lambda_i = (N - i) rho + i in units of mu.  The recursion runs in log
+    space so the large chains do not overflow before normalization.
     """
     up = np.fromiter(jump_up_probs(p), float)
     i = np.arange(p.N + 1, dtype=float)
-    log_rate = np.log((p.N - i) * p.nu + i * p.mu)
+    log_rate = np.log((p.N - i) * p.rho + i)
     step = np.log(up[:-1]) - np.log1p(-up[1:]) + log_rate[:-1] - log_rate[1:]
     log_pi = np.concatenate(([0.0], np.cumsum(step)))
     pi = np.exp(log_pi - log_pi.max())
@@ -31,51 +31,33 @@ def _stationary_law(p):
 
 
 class TestMakeParams:
-    def test_rho_is_ratio_of_rates(self):
-        assert make_params(2, 1.0, 1.0).rho == 1.0
-        assert make_params(10, 1.0, 2.0).rho == 0.5
-
     def test_empty_positive_part_rejected(self):
         with pytest.raises(ParameterError):
-            make_params(0, 1.0, 1.0)
+            make_params(0, 1.0)
 
-    @pytest.mark.parametrize("nu,mu", [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0),
-                                       (math.nan, 1.0), (1.0, math.inf)])
-    def test_bad_rates_rejected(self, nu, mu):
-        with pytest.raises(ParameterError):
-            make_params(5, nu, mu)
-
-    @pytest.mark.parametrize("nu,mu", [(1e-300, 1e300), (1e300, 1e-300)])
-    def test_ratio_out_of_range_rejected(self, nu, mu):
-        # both rates are valid, but nu / mu rounds to 0.0 or overflows to inf
+    @pytest.mark.parametrize("rho", [0.0, -1.0, math.nan, math.inf, "x", None])
+    def test_bad_rates_rejected(self, rho):
         with pytest.raises(ParameterError, match="rho"):
-            make_params(5, nu, mu)
+            make_params(5, rho)
 
     def test_non_integer_n_rejected(self):
         with pytest.raises(ParameterError):
-            make_params(2.5, 1.0, 1.0)
+            make_params(2.5, 1.0)
         with pytest.raises(ParameterError):
-            make_params(True, 1.0, 1.0)
+            make_params(True, 1.0)
 
     def test_numpy_integer_n_accepted(self):
         p = make_params(np.int64(5), rho=0.5)
         assert p.N == 5 and type(p.N) is int
-        assert make_params(np.uint8(7), 1.0, 2.0).N == 7
+        assert make_params(np.uint8(7), 0.5).N == 7
         for n in (np.float64(5.0), np.bool_(True), "5"):
             with pytest.raises(ParameterError):
                 make_params(n, rho=0.5)
 
     def test_rho_only_construction(self):
-        p = make_params(7, rho=0.8)
-        assert (p.nu, p.mu, p.rho) == (0.8, 1.0, 0.8)
-        with pytest.raises(ParameterError, match="rho"):
-            make_params(5, rho="x")
-
-    def test_rho_and_rates_are_mutually_exclusive(self):
-        with pytest.raises(ParameterError):
-            make_params(3, 1.0, 1.0, rho=1.0)
-        with pytest.raises(ParameterError):
-            make_params(3, nu=1.0)
+        # every number depends on the rates only through rho = nu / mu
+        assert ModelParams._fields == ("N", "rho")
+        assert make_params(7, rho=0.8) == make_params(7, 0.8) == (7, 0.8)
 
 
 class TestStationaryLaw:
@@ -113,8 +95,8 @@ class TestStationaryLaw:
             p = make_params(N, rho=rho)
             pi = _stationary_law(p)
             for i in range(N):
-                lhs = pi[i] * (N - i) * p.nu
-                rhs = pi[i + 1] * (i + 1) * p.mu
+                lhs = pi[i] * (N - i) * p.rho
+                rhs = pi[i + 1] * (i + 1)
                 assert abs(lhs - rhs) <= 1e-12 * rhs
 
 

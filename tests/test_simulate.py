@@ -96,7 +96,7 @@ class TestConfig:
 class TestExcursionLengthEstimate:
     def test_single_node(self):
         # Return time to 0 is exactly 2 jumps, so one excursion is 1 step.
-        assert estimate_mean_excursion_steps(make_params(1, nu=1.0, mu=1.0)) == pytest.approx(1.0)
+        assert estimate_mean_excursion_steps(make_params(1, rho=1.0)) == pytest.approx(1.0)
 
     def test_supercritical_blowup(self):
         est = estimate_mean_excursion_steps(make_params(50, rho=0.8))
@@ -479,9 +479,9 @@ class TestWalkBatches:
         assert s.mean_busy_duration is not None and s.mean_busy_duration > 0
 
     def test_single_node_duration_is_unit_exponential(self):
-        # From state 1 with nu = mu = 1 the only hold has rate 1.
+        # From state 1 with rho = 1 the only hold has rate 1.
         n = 2 * 10**4
-        cfg = SimulationConfig(params=make_params(1, nu=1.0, mu=1.0),
+        cfg = SimulationConfig(params=make_params(1, rho=1.0),
                                n_samples=n, seed=17, mode=FULL_CTMC)
         s = run_batch(cfg)
         assert set(np.nonzero(_dense(s))[0]) == {0}
@@ -489,9 +489,9 @@ class TestWalkBatches:
 
     def test_duration_is_reported_in_service_time_units(self):
         # With N = 1 the busy period is one Exp(mu) hold, i.e. exactly one
-        # mean service time regardless of mu.
+        # mean service time regardless of rho.
         n = 2 * 10**4
-        cfg = SimulationConfig(params=make_params(1, nu=1.0, mu=4.0),
+        cfg = SimulationConfig(params=make_params(1, rho=0.25),
                                n_samples=n, seed=19, mode=FULL_CTMC)
         s = run_batch(cfg)
         assert abs(s.mean_busy_duration - 1.0) <= 3.0 / math.sqrt(n)
