@@ -193,8 +193,8 @@ def solve_alpha(rho: float) -> AlphaSolution:
     log(x / ((1-x) rho)) > 0 there), but only the sign change is used:
     g(rho+) = (1-rho) log(1-rho) < 0 and g(1) = -log rho > 0.
     """
-    rho = float(rho)
-    if not (0.0 < rho < 1.0) or not math.isfinite(rho):
+    rho = _positive_rate("rho", rho)
+    if rho >= 1.0:
         raise ParameterError(f"alpha(rho) is defined for rho in (0, 1), got {rho!r}")
     log_rho = math.log(rho)
     # The lower end is relative: an absolute step of 1e-15 would swamp rho <= 1e-16.
@@ -359,7 +359,7 @@ def check_mean_near_capacity(N: int, rho: float, mean: float) -> BoundReport:
     elsewhere; not applicable below ``MEAN_BOUND_MIN_N``, as the sandwich."""
     if N < 1:
         raise ParameterError(f"N must be >= 1, got {N}")
-    rho = float(rho)
+    rho = _positive_rate("rho", rho)
     if not rho >= 1.0:
         raise ParameterError(f"the capacity bound needs rho >= 1, got {rho!r}")
     lo, hi = N - 4.0, float(N)
@@ -445,9 +445,13 @@ def verify_reports(rhos: list[float], ns: list[int], *,
     then per rho the closed form against the first-passage oracle at N in
     ``_EQUIVALENCE_GRID_N``.  ``selftest_corrupt`` quarters the c1 of the
     peak-ratio bounds only, so that a wrong growth constant must surface as a
-    failing report."""
+    failing report.  The rho and N values may come in any order, and a
+    value given twice is a ``ParameterError``."""
     from . import oracle  # here, so that alpha and sweep never load it
 
+    for name, grid in (("rho", rhos), ("N", ns)):
+        if len(set(grid)) < len(grid):
+            raise ParameterError(f"the {name} grid must not repeat a value, got {grid}")
     reports: list[BoundReport] = []
     for rho in rhos:
         # the laws first: they refuse an N too large for the bounds' floats

@@ -11,18 +11,21 @@ Subcommands
 
 ``dist`` and ``simulate`` take the chain as ``--n`` and ``--rho``: every
 number the package computes depends on the rates nu and mu only through
-rho = nu / mu, so rho is the one rate it takes.  Every artifact embeds a
-run manifest (tool, version, command, full parameter set, SHA-256 of the
-data section); re-running the same command reproduces the artifact byte
-for byte.  Exit codes: 0 success, 1 a requested check failed or stdout
-was closed before the artifact was written, 2 a usage or validation
-error, an artifact that cannot be opened, written or closed (on
---output or stdout), a refused input or an aborted walk.
+rho = nu / mu, so rho is the one rate it takes.  Exit codes: 0 success, 1
+a requested check failed or stdout was closed before the artifact was
+written, 2 a usage or validation error, an artifact that cannot be
+opened, written or closed (on --output or stdout), a refused input or an
+aborted walk.
 
-A JSON artifact is exactly ``json.dumps(doc, sort_keys=True,
-separators=(",", ":"), allow_nan=False)`` plus a newline, streamed as
-byte pieces that are hashed as they are written; the manifest comes
-last.  Every value is checked before the first byte.  The ``rows``
+Every artifact has one shape and one writer, ``_emit``, which makes it in
+one pass: the data, streamed as byte pieces that are hashed as they are
+written, then the run manifest (tool, version, command, full parameter
+set, SHA-256 of the data) in its one canonical encoding, ``_canonical``.
+The manifest alone records the inputs, and re-running the same command
+reproduces the artifact byte for byte.  A JSON artifact is exactly
+``json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)``
+plus a newline; a CSV artifact's last line is ``# manifest: `` and the
+manifest.  Every value is checked before the first byte.  The ``rows``
 columns of ``dist`` and ``simulate`` are written from runs of
 bit-identical values, run by run, in pieces of at most ``_BLOCK``
 entries: each run's ``repr`` is formatted once and repeated.  The law is
@@ -32,10 +35,9 @@ a few hundred runs and no list of length N; ``simulate`` writes
 sup distance on.  One block writer, ``_ints``, writes the integers k of
 the ``k`` column and of a CSV run's lines, each followed by a separator
 (a comma, or the run's CSV values), 10**4 at a time by strided slice
-assignment, with no per-entry formatting.  A CSV artifact's manifest
-line, which carries the digest, comes first, so its pieces are made
-twice: hashed, then written.  A value that JSON writes as ``null`` is
-an empty CSV value.  ``dist`` and ``simulate`` refuse more than
+assignment, with no per-entry formatting.  A CSV value is written as JSON
+writes it where the two differ: ``null`` is an empty value, and a bool is
+``true`` or ``false``.  ``dist`` and ``simulate`` refuse more than
 ``MAX_ROWS`` rows (exit 2); ``sweep`` and ``verify`` build no column.
 
 Start-up: this module imports the ``errors``, ``model`` and ``exactdist``
@@ -63,7 +65,7 @@ import json
 import math
 import os
 import sys
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from typing import NamedTuple
 
 from . import __version__, exactdist
@@ -80,7 +82,8 @@ MAX_ROWS = 10**7  # rows of a dist or simulate artifact; 1e7 rows is ~0.3 GB of 
 def _fmt(x) -> str:
     if isinstance(x, float):
         return format(x, ".15g")
-    return "" if x is None else str(x)  # JSON's null is an empty CSV value
+    # as JSON writes them: null is an empty CSV value, and a bool is true or false
+    return "" if x is None else json.dumps(x) if isinstance(x, bool) else str(x)
 
 
 def _manifest(command: str, parameters: dict, data_sha256: str) -> dict:
@@ -251,19 +254,22 @@ def _write(pieces: Iterable[bytes], output: str | None) -> None:
         raise ParameterError(f"cannot write {target}: {exc.strerror}") from None
 
 
-def _emit_json(command: str, parameters: dict, data, output: str | None) -> None:
-    # data_sha256 hashes exactly the data bytes written.  "data" sorts before
-    # "manifest", so the artifact is the canonical {"data": ..., "manifest": ...}.
-    data_pieces = _pieces(data)
+def _emit(command: str, parameters: dict, pieces: Iterable[bytes], output: str | None,
+          csv: bool = False) -> None:
+    """Write an artifact in one pass: the data ``pieces``, hashed as they are
+    written, then the manifest with their digest in its canonical encoding.
+    JSON frames the two as the canonical {"data": ..., "manifest": ...}, since
+    "data" sorts first; CSV ends with the line ``# manifest: `` and the manifest."""
+    head, sep, end = ((b"", b"# manifest: ", b"\n") if csv
+                      else (b'{"data":', b',"manifest":', b"}\n"))
     digest = hashlib.sha256()
 
     def artifact() -> Iterator[bytes]:
-        yield b'{"data":'
-        for piece in data_pieces:
+        yield head
+        for piece in pieces:
             digest.update(piece)
             yield piece
-        yield b',"manifest":' + _canonical(_manifest(command, parameters, digest.hexdigest()))
-        yield b"}\n"
+        yield sep + _canonical(_manifest(command, parameters, digest.hexdigest())) + end
 
     _write(artifact(), output)
 
@@ -281,22 +287,13 @@ def _csv_body(columns: list[_Runs]) -> Iterator[bytes]:
         yield from _ints(lo, hi, ("," + _csv_line(row)).encode())
 
 
-def _emit_csv(command: str, parameters: dict, header: list[str],
-              body: Callable[[], Iterable[bytes]], footer: dict, output: str | None) -> None:
-    """Write a CSV artifact whose body rows are byte pieces of whole lines
-    from ``body()``.  The manifest line, with the digest of the rest, comes
-    first, so the pieces are made twice: hashed, then written."""
-    def pieces() -> Iterator[bytes]:
-        yield _csv_line(header).encode()
-        yield from body()
-        yield from (f"# {k}={_fmt(v)}\n".encode() for k, v in footer.items())
-
-    digest = hashlib.sha256()
-    for piece in pieces():
-        digest.update(piece)
-    manifest = json.dumps(_manifest(command, parameters, digest.hexdigest()),
-                          sort_keys=True, allow_nan=False)
-    _write(itertools.chain([f"# manifest: {manifest}\n".encode()], pieces()), output)
+def _emit_csv(command: str, parameters: dict, header: list[str], body: Iterable[bytes],
+              footer: dict, output: str | None) -> None:
+    """Write a CSV artifact: the header line, the body's byte pieces of whole
+    lines, the ``# key=value`` footer lines and, last, the manifest line."""
+    footer_lines = (f"# {k}={_fmt(v)}\n".encode() for k, v in footer.items())
+    _emit(command, parameters, itertools.chain([_csv_line(header).encode()], body, footer_lines),
+          output, csv=True)
 
 
 def _params_from_args(args) -> tuple:
@@ -312,8 +309,8 @@ def _add_param_flags(sub):
     sub.add_argument("--rho", type=float, required=True, help="rate ratio rho = nu/mu")
 
 
-def _add_output_flags(sub, formats=("json", "csv")):
-    sub.add_argument("--format", choices=formats, default="json")
+def _add_output_flags(sub):
+    sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.add_argument("--output", default=None, help="output path (default: stdout)")
 
 
@@ -324,12 +321,12 @@ def cmd_dist(args) -> int:
     surv, pmf, lengths = d.column_runs()
     columns = {"survival": _Runs(surv, lengths), "pmf": _Runs(pmf, lengths)}
     if args.format == "csv":
-        _emit_csv("dist", parameters, ["k", *columns], lambda: _csv_body([*columns.values()]),
+        _emit_csv("dist", parameters, ["k", *columns], _csv_body([*columns.values()]),
                   {"mean": d.mean, "variance": d.variance}, args.output)
     else:
         data = {"rows": {"k": range(1, p.N + 1), **columns}, "mean": d.mean,
                 "variance": d.variance}
-        _emit_json("dist", parameters, data, args.output)
+        _emit("dist", parameters, _pieces(data), args.output)
     return 0
 
 
@@ -351,10 +348,10 @@ def cmd_alpha(args) -> int:
     if args.format == "csv":
         keys = ["rho", "f", "alpha", "residual", "iterations", "c1", "c2", "c3"]
         row = {**data, **(data["constants"] or dict.fromkeys(("c1", "c2", "c3")))}
-        line = _csv_line(row[k] for k in keys).encode()
-        _emit_csv("alpha", parameters, keys, lambda: [line], {"note": data["note"]}, args.output)
+        _emit_csv("alpha", parameters, keys, [_csv_line(row[k] for k in keys).encode()],
+                  {"note": data["note"]}, args.output)
     else:
-        _emit_json("alpha", parameters, data, args.output)
+        _emit("alpha", parameters, _pieces(data), args.output)
     return 0
 
 
@@ -370,9 +367,8 @@ def cmd_verify(args) -> int:
         "n_failed": len(failed),
         "passed": not failed,
     }
-    parameters = {"rho": args.rho, "N": args.n, "format": args.format,
-                  "selftest_corrupt": args.selftest_corrupt}
-    _emit_json("verify", parameters, data, args.output)
+    parameters = {"rho": args.rho, "N": args.n, "selftest_corrupt": args.selftest_corrupt}
+    _emit("verify", parameters, _pieces(data), args.output)
     if failed:
         for c in failed:
             print(f"verify: FAILED {c['inequality']} at n={c['n']}, rho={c['rho']}: "
@@ -400,11 +396,11 @@ def cmd_simulate(args) -> int:
     del scalars["counts"], scalars["columns"]
     if args.format == "csv":
         del columns["exact_survival"]  # a JSON-only column
-        _emit_csv("simulate", parameters, ["k", *columns],
-                  lambda: _csv_body([*columns.values()]), scalars, args.output)
+        _emit_csv("simulate", parameters, ["k", *columns], _csv_body([*columns.values()]),
+                  scalars, args.output)
     else:
         rows = {"k": range(1, p.N + 1), **columns}
-        _emit_json("simulate", parameters, {"summary": scalars, "rows": rows}, args.output)
+        _emit("simulate", parameters, _pieces({"summary": scalars, "rows": rows}), args.output)
     if args.assert_dkw and not summary.dkw_pass:
         print(f"simulate: ECDF band exceeded: sup={summary.sup_distance:.6g} > "
               f"eps={summary.dkw_epsilon:.6g}", file=sys.stderr)
@@ -419,9 +415,9 @@ def cmd_sweep(args) -> int:
     parameters = {"rho": args.rho, "N": args.n, "format": args.format}
     if args.format == "csv":
         _emit_csv("sweep", parameters, list(asymptotics.ConvergencePoint._fields),
-                  lambda: (_csv_line(r).encode() for r in rows), {}, args.output)
+                  (_csv_line(r).encode() for r in rows), {}, args.output)
     else:
-        _emit_json("sweep", parameters, {"rows": [r._asdict() for r in rows]}, args.output)
+        _emit("sweep", parameters, _pieces({"rows": [r._asdict() for r in rows]}), args.output)
     return 0
 
 
@@ -447,7 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.add_argument("--rho", type=float, nargs="+", default=[0.25, 0.5, 0.75, 1.0, 2.0])
     sub.add_argument("--n", type=int, nargs="+", default=[1000, 10000, 100000])
     sub.add_argument("--selftest-corrupt", action="store_true", help=argparse.SUPPRESS)
-    _add_output_flags(sub, formats=("json",))  # the nested check records have no CSV form
+    # no --format: the nested check records have no CSV form
+    sub.add_argument("--output", default=None, help="output path (default: stdout)")
     sub.set_defaults(func=cmd_verify)
 
     sub = subs.add_parser("simulate", help="Monte Carlo batch vs exact law")

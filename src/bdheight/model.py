@@ -24,6 +24,7 @@ are pure functions, so values can be shared freely across threads.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 from collections.abc import Iterator
 from typing import NamedTuple
@@ -64,10 +65,13 @@ class ReadOnly:
 
 
 def _positive_rate(name: str, value) -> float:
+    """``value`` as a float: a ``numbers.Real`` (numpy's too) but bool, positive and finite."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ParameterError(f"{name} must be a positive real, got {value!r}")
     try:
         x = float(value)
-    except (TypeError, ValueError):
-        raise ParameterError(f"{name} must be a positive real, got {value!r}") from None
+    except OverflowError:  # an int or a Fraction beyond the largest double
+        x = math.inf
     if not math.isfinite(x) or x <= 0.0:
         raise ParameterError(f"{name} must be a positive finite real, got {value!r}")
     return x

@@ -58,8 +58,9 @@ are a ``Counter`` keyed by height; excursions' heights are added to it
 as they finish, and a ``full-ctmc`` chunk's durations go into the exact
 sum once the chunk is walked, so a walk batch holds O(min(N, longest
 excursion) + chunk) numbers however many samples it draws.  The summary
-keeps only the nonzero counts, as ascending (height, count) pairs, and
-takes the exact moments from them and the sup distance from its
+holds what the batch measured and none of its inputs, which are the
+config's.  It keeps only the nonzero counts, as ascending (height, count)
+pairs, and takes the exact moments from them and the sup distance from its
 ``columns``, the runs that ``batch_columns`` builds of them and the exact
 law, once per batch.
 Scalar aggregates are rounded once from their exact values (integer
@@ -116,20 +117,15 @@ class SimulationConfig(ReadOnly):
 
 
 class SimulationSummary(NamedTuple):
-    """Batch output: the configuration, the nonzero counts, the columns
-    built of them (``batch_columns``) and what is measured from them."""
+    """Batch output: the nonzero counts, the columns built of them
+    (``batch_columns``) and what is measured from them.  The inputs are the
+    ``SimulationConfig``'s, and an artifact records them in its manifest."""
 
-    N: int
-    rho: float
-    mode: str
-    n_samples: int
-    seed: int
     counts: tuple[tuple[int, int], ...]  # (height, count), ascending, nonzero counts only
     columns: dict[str, tuple[list, list]]  # the runs of batch_columns(law, counts, n_samples)
     empirical_mean: float
     empirical_variance: float
     sup_distance: float
-    dkw_delta: float
     dkw_epsilon: float
     dkw_pass: bool
     mean_busy_duration: float | None = None  # full-ctmc only, in units of 1/mu
@@ -373,8 +369,6 @@ def run_batch(cfg: SimulationConfig) -> SimulationSummary:
     eps = dkw_epsilon(n, cfg.dkw_delta)
 
     return SimulationSummary(
-        N=p.N, rho=p.rho, mode=cfg.mode,
-        n_samples=n, seed=cfg.seed, counts=pairs, columns=columns,
+        counts=pairs, columns=columns,
         empirical_mean=s1 / n, empirical_variance=(n * s2 - s1 * s1) / (n * n),
-        sup_distance=sup, dkw_delta=cfg.dkw_delta, dkw_epsilon=eps,
-        dkw_pass=sup <= eps, mean_busy_duration=mean_duration)
+        sup_distance=sup, dkw_epsilon=eps, dkw_pass=sup <= eps, mean_busy_duration=mean_duration)

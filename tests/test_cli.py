@@ -20,9 +20,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import bdheight
+import bdheight.cli as cli
 import bdheight.simulate as simulate_module
 from bdheight import height_distribution, make_params
-from bdheight.cli import (MAX_ROWS, _BLOCK, _canonical, _csv_body, _emit_json, _ints,
+from bdheight.cli import (MAX_ROWS, _BLOCK, _canonical, _csv_body, _emit, _ints, _pieces,
                           _run_column, _Runs, _write, main)
 
 
@@ -63,10 +64,9 @@ class TestDist:
         rc, out, _ = run_cli(capsys, "dist", "--n", "3", "--rho", "1", "--format", "csv")
         assert rc == 0
         lines = out.splitlines()
-        assert lines[0].startswith("# manifest: ")
-        assert lines[1] == "k,survival,pmf"
-        assert lines[2].split(",")[1] == "1"
-        assert lines[3].split(",")[1] == "0.666666666666667"  # 15 significant digits
+        assert lines[0] == "k,survival,pmf"
+        assert lines[1].split(",")[1] == "1"
+        assert lines[2].split(",")[1] == "0.666666666666667"  # 15 significant digits
         assert any(line.startswith("# mean=") for line in lines)
 
     def test_invalid_n_exits_2(self, capsys):
@@ -118,12 +118,12 @@ class TestAlpha:
     def test_csv_writes_null_as_an_empty_value(self, capsys):
         rc, out, _ = run_cli(capsys, "alpha", "--rho", "2", "--format", "csv")
         assert rc == 0
-        assert out.splitlines()[1:3] == ["rho,f,alpha,residual,iterations,c1,c2,c3",
-                                         "2,1,,,,,,"]
+        assert out.splitlines()[:2] == ["rho,f,alpha,residual,iterations,c1,c2,c3",
+                                        "2,1,,,,,,"]
         rc, out, _ = run_cli(capsys, "simulate", "--n", "5", "--rho", "0.5", "--samples", "10",
                              "--format", "csv")
         assert rc == 0
-        assert out.endswith("\n# mean_busy_duration=\n") and "None" not in out
+        assert "\n# mean_busy_duration=\n# manifest: " in out and "None" not in out
 
     def test_domain_edge_exits_2(self, capsys):
         assert run_cli(capsys, "alpha", "--rho", "0")[0] == 2
@@ -182,14 +182,34 @@ class TestVerify:
         assert flag in capsys.readouterr().err
 
     def test_csv_format_is_refused(self, capsys):
-        # the nested check records have no CSV form, so argparse refuses it
-        with pytest.raises(SystemExit) as exc:
-            main(["verify", "--rho", "0.5", "--n", "10", "--format", "csv"])
-        assert exc.value.code == 2
-        assert "--format" in capsys.readouterr().err
+        # the nested check records have no CSV form, so verify has no --format
+        for fmt in ("json", "csv"):
+            with pytest.raises(SystemExit) as exc:
+                main(["verify", "--rho", "0.5", "--n", "10", "--format", fmt])
+            out, err = capsys.readouterr()
+            assert (exc.value.code, out) == (2, "")
+            assert err.startswith("usage: bdheight ") and "Traceback" not in err
+            assert err.endswith(f": error: unrecognized arguments: --format {fmt}\n"), err
         rc, doc, _ = run_json(capsys, "verify", "--rho", "0.5", "--n", "10")
         assert rc == 0
-        assert doc["manifest"]["parameters"]["format"] == "json"
+        assert "format" not in doc["manifest"]["parameters"]
+
+    @pytest.mark.parametrize("grid", [["--rho", "0.5", "--n", "10", "10"],
+                                      ["--rho", "0.5", "0.5", "--n", "10"],
+                                      ["--rho", "0.5", "2", "0.5", "--n", "1000", "10"]],
+                             ids=["n", "rho", "rho_unordered"])
+    def test_repeated_grid_value_exits_2(self, capsys, grid):
+        # a repeat would solve and write its reports twice
+        rc, out, err = run_cli(capsys, "verify", *grid)
+        assert (rc, out) == (2, "")
+        assert len(err.splitlines()) == 1 and err.startswith("verify: error: "), err
+        assert "repeat" in err
+
+    def test_unordered_grid_answers(self, capsys):
+        rc, doc, _ = run_json(capsys, "verify", "--rho", "2", "0.5", "--n", "1000", "10")
+        assert rc == 0
+        assert doc["manifest"]["parameters"] == {"N": [1000, 10], "rho": [2.0, 0.5],
+                                                 "selftest_corrupt": False}
 
     def test_nan_oracle_gap_fails(self, capsys, monkeypatch):
         # max(0.0, nan) is 0.0, so a nan gap once passed with lhs 0.0
@@ -229,9 +249,9 @@ class TestVerify:
         assert rc == 1
         assert strict_loads(path.read_text())["data"]["n_failed"] > 0
         assert "FAILED" in capsys.readouterr().err
-        # the failing artifact is pinned like the passing ones (version 0.3.5)
+        # the failing artifact is pinned like the passing ones (version 0.3.6)
         assert hashlib.sha256(path.read_bytes()).hexdigest() == (
-            "cfaa63a7d3f8297ee1c7098332d250031784d12ad36c491b09c311bcad11ae8d")
+            "2d5179c4552fa6ba11c21cd08be3b3255a74e87fb0a6a3b070796704b6af3aee")
 
 
 class TestSimulateCommand:
@@ -258,7 +278,35 @@ class TestSimulateCommand:
         # the per-height numbers live in the rows; the summary holds scalars
         assert not any(isinstance(value, (list, dict)) for value in summary.values())
         assert "counts" not in summary and "empirical_pmf" not in summary
-        assert sum(rows["count"]) == summary["n_samples"] == 5000
+        assert sum(rows["count"]) == doc["manifest"]["parameters"]["samples"] == 5000
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_inputs_are_recorded_in_the_manifest_only(self, capsys, fmt):
+        rc, out, _ = run_cli(capsys, "simulate", "--n", "30", "--rho", "0.6", "--samples", "500",
+                             "--seed", "11", "--format", fmt)
+        assert rc == 0
+        if fmt == "json":
+            doc = strict_loads(out)
+            manifest, scalars = doc["manifest"], list(doc["data"]["summary"])
+        else:
+            *lines, last = out.splitlines()
+            manifest = strict_loads(last.removeprefix("# manifest: "))
+            scalars = [line[2:].split("=")[0] for line in lines if line.startswith("# ")]
+        # the summary's scalars, JSON's key-sorted and CSV's in field order
+        fields = ["empirical_mean", "empirical_variance", "sup_distance", "dkw_epsilon",
+                  "dkw_pass", "mean_busy_duration"]
+        assert scalars == (sorted(fields) if fmt == "json" else fields)
+        assert manifest["parameters"] == {"N": 30, "rho": 0.6, "samples": 500, "seed": 11,
+                                          "mode": "ladder", "delta": 0.01, "format": fmt}
+
+    def test_csv_writes_a_bool_as_json_does(self, capsys, monkeypatch):
+        argv = ["simulate", "--n", "10", "--rho", "0.5", "--samples", "100", "--format", "csv"]
+        for passed in ("true", "false"):
+            if passed == "false":  # a zero-width band fails every batch
+                monkeypatch.setattr(simulate_module, "dkw_epsilon", lambda n, delta: 0.0)
+            rc, out, _ = run_cli(capsys, *argv)
+            assert rc == 0
+            assert f"\n# dkw_pass={passed}\n" in out and "True" not in out and "False" not in out
 
     def test_infeasible_walk_exits_2_with_warning(self, capsys):
         # a refused batch gets the refusal alone, not first a warning to switch modes
@@ -327,7 +375,7 @@ class TestSimulateCommand:
         rc, out, _ = run_cli(capsys, "simulate", "--n", "5", "--rho", "1",
                              "--samples", "1000", "--seed", "2", "--format", "csv")
         assert rc == 0
-        header = out.splitlines()[1]
+        header = out.splitlines()[0]
         assert header == "k,count,empirical_pmf,exact_pmf,empirical_cdf,exact_cdf"
 
 
@@ -353,10 +401,9 @@ class TestSweep:
                                "csv")
         assert (rc, err) == (0, "")
         lines = out.splitlines()
-        assert lines[0].startswith("# manifest: ")
-        assert lines[1] == ("N,mean,variance,mean_over_N,var_over_N,mean_limit,var_limit,"
+        assert lines[0] == ("N,mean,variance,mean_over_N,var_over_N,mean_limit,var_limit,"
                             "mean_gap,var_gap")
-        assert [line.split(",")[0] for line in lines[2:]] == ["10", "100"]
+        assert [line.split(",")[0] for line in lines[1:-1]] == ["10", "100"]
 
     def test_non_ascending_grid_exits_2(self, capsys):
         rc, _, err = run_cli(capsys, "sweep", "--rho", "2", "--n", "100", "100")
@@ -606,8 +653,8 @@ class TestEmission:
         assert peak < 4 * 2**20
 
     def test_csv_streams_its_body(self, tmp_path):
-        # The body is made twice, to hash and to write, a block of lines at
-        # a time.  Holding every line's bytes until the digest is known
+        # The body is made once, hashed as it is written, a block of lines
+        # at a time.  Holding every line's bytes until the digest is known
         # traced ~22 MiB.
         tracemalloc.start()
         try:
@@ -697,71 +744,110 @@ class TestEmission:
         assert proc.stderr.decode() == (
             f"dist: error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n")
 
-    # sha256 of whole artifacts at version 0.3.5, whose ladder terms are
+    # sha256 of whole artifacts at version 0.3.6, whose ladder terms are
     # built on math.lgamma; a version bump changes the manifest and so these.
     @pytest.mark.parametrize("argv,digest", [
         (["dist", "--n", "1000", "--rho", "0.5"],
-         "ecc3c67b3221d394ff60efea8d4ff8a5a22138b7be759fef8da25365b0107d82"),
+         "c19a25b4f93f3f0c9553473eb6256ff752f5cfb4d112328447cf57f4b04b0624"),
         (["dist", "--n", "1000", "--rho", "0.5", "--format", "csv"],
-         "7542e4dfc403da90a9411d7521abe6016b0c5a86c8bb5cbcd683a5813a6bf3af"),
+         "5d784b65f872e5841881759e6d15e45d44274617d5dc475e21713da6b22f5e17"),
         (["dist", "--n", "1", "--rho", "2"],
-         "4f5efee35e92886bdbca12d3c1d8e2ed183f50160f9462ec2148fe2f3214f488"),
+         "80607317a91a8a92a9abbd265a3c94530495163a264bd015d8f45bce58a4e655"),
         (["simulate", "--n", "50", "--rho", "0.5", "--samples", "1000", "--seed", "1"],
-         "0e60408031e1e8016f747bcab406870ab4351c92abe3e1eda02f50e7437d9be0"),
+         "07f389b6ed7e6f6c508c7ecdf3fcdd9fad174ce7664a603dd1f29829a691f2c0"),
         (["simulate", "--n", "50", "--rho", "0.5", "--samples", "1000", "--seed", "1",
           "--format", "csv"],
-         "82eb7944bbfaa21eee50121ec7c2c9d8c10e6452461d8104e83602f1080fa688"),
+         "34f64410408345bc0a21d4319ff6d5aaec65fdaab5902e2255d6e35e0e53c2a4"),
         # its k column reaches the blocks of 10**4 entries
         (["dist", "--n", "123457", "--rho", "0.5"],
-         "522f82fae9286976574cd30ea2b1ab2b7397a54077dada3bc9bfd69096f71d36"),
+         "7f9f9ea992cff2af24aa5790d69e1b6cc0a1068ed9cb953a67ce4d81790aab69"),
         # the duration sum, the alpha and bound-constant records and the
         # limit-table rows
         (["simulate", "--n", "5", "--rho", "0.5", "--samples", "20000", "--seed", "1",
           "--mode", "full-ctmc"],
-         "1776c3855f737ea04d16490665edcb6921a845d718023f2ec57dba30ce991340"),
+         "245449ca85d309c46921d87ecaedb3b6597dc508f49fa722d62b44dc29122fc2"),
         (["alpha", "--rho", "0.3"],
-         "a17c755a15d2268839bcb97462d89813f6241462a84a61872b5bea96cda1147c"),
+         "4c172fe004bbbfef702463250612dc852ade214cd557538d72667133ad657149"),
         (["alpha", "--rho", "0.3", "--format", "csv"],
-         "de4d2680836a706c9d829a52e6e0b5232e1a90774a793761207b1a3d5f762957"),
+         "4338a067878394eba6240e3c82c4c4330644871e0dd18c1624fd1f4b5e81e2af"),
         (["sweep", "--rho", "0.5", "--n", "1000", "1000000"],
-         "04d47ef71283980acb538992f9166a6d95c0913f2444925dd5dc5a5675410907"),
+         "dcb0b1d28486318b76973758842d9183edaf858337ef21c265721f71d5336ec9"),
         (["sweep", "--rho", "0.5", "--n", "1000", "1000000", "--format", "csv"],
-         "21137763916fccd97d61b7eef768622d0a9f7ee10391f461a5249ffb7bdb2ed0"),
+         "cb9682dff601484c17ffe9f9ceb3a6025df24d0a677b7bc4932853cf255ba741"),
         # laws at N = 1e9 and 1e12, far past the default grid
         (["sweep", "--rho", "0.5", "--n", "1000000000", "1000000000000"],
-         "89fa299a11f166bb9c6d0d22da8d2dbd317dfe19a5c2177d0572ef6408ea4f28"),
+         "02befc23af4e56319f00bb456a24416f1c64cc1b20d2471873a42b055d2cd7c5"),
         # the certificate records over the default rho grid, and with a
         # rho >= 1 and an N below the asserted threshold
         (["verify", "--n", "1000", "10000", "100000", "1000000"],
-         "481a80a1186488c3105f1e22d32f8d6cc6a6d8a712b2d3eebc1b2c2aca2d7920"),
+         "8432a1b6d95d3eb423584fd542fbd3594e7e69852e08b331179defdb35f8af35"),
         (["verify", "--rho", "0.5", "2", "--n", "10", "1000"],
-         "a5b1b32b210d165409b1da49f16cf06de16d371803ec22505177f470d35b37cc"),
+         "ef8d74ddf215fb4d3eb9020846c8c8384cc9d74a82dcf6160be9e552644c8fa8"),
         # a mass bound of -inf, a decay and a band that are not applicable,
         # and a rho near 1
         (["verify", "--rho", "1e-300", "0.9", "--n", "1000", "100000"],
-         "f45eaaa705e3cbba41d43cee2b7b713ada132549c6a6f5c1a54ce89e78bdb020"),
+         "15cca979ba4181f7c2e83351956153250e0cf464098ec4effaa58512bf2b7671"),
     ], ids=lambda v: "_".join(v) if isinstance(v, list) else "")
     def test_artifact_bytes_are_pinned(self, tmp_path, argv, digest):
         path = tmp_path / "artifact"
         assert main([*argv, "--output", str(path)]) == 0
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
+    @pytest.mark.parametrize("argv", [
+        ["dist", "--n", "1000", "--rho", "0.5"],
+        ["alpha", "--rho", "0.3"],
+        ["sweep", "--rho", "0.5", "--n", "1000", "1000000"],
+        ["simulate", "--n", "50", "--rho", "0.5", "--samples", "1000", "--seed", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_csv_is_made_in_one_pass_with_the_manifest_last(self, capsys, monkeypatch, argv):
+        # Each line is formatted once: the header, each row of alpha and
+        # sweep, and each run's tail in the one body of dist and simulate.
+        # A manifest line written first needs every piece twice, to hash
+        # and then to write.
+        lines, bodies = [], []
+        csv_line, csv_body = cli._csv_line, cli._csv_body
+
+        def counted_line(row):
+            lines.append(row)
+            return csv_line(row)
+
+        def counted_body(columns):
+            bodies.append(columns)
+            return csv_body(columns)
+        monkeypatch.setattr(cli, "_csv_line", counted_line)
+        monkeypatch.setattr(cli, "_csv_body", counted_body)
+        rc, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        assert rc == 0
+        assert len(bodies) == (argv[0] in ("dist", "simulate"))
+        rows = [line for line in out.splitlines() if not line.startswith("#")]
+        runs = sum(len(columns[0].values) for columns in bodies)
+        assert len(lines) == (1 + runs if bodies else len(rows))
+        # the last line is the manifest in its one canonical encoding, and
+        # data_sha256 hashes every byte before it
+        *data, last = out.encode().splitlines(keepends=True)
+        assert last.startswith(b"# manifest: ") and last.endswith(b"\n")
+        manifest = strict_loads(last[len(b"# manifest: "):])
+        assert last == b"# manifest: " + _canonical(manifest) + b"\n"
+        assert manifest["command"] == argv[0] and manifest["parameters"]["format"] == "csv"
+        assert manifest["data_sha256"] == hashlib.sha256(b"".join(data)).hexdigest()
+        assert not any(line.startswith(b"# manifest") for line in data)
+
     def test_non_finite_value_writes_no_file(self, tmp_path):
         # The NaN sits after a column that would already have been streamed.
         path = tmp_path / "law.json"
         data = {"rows": {"k": range(1, 3 * _BLOCK), "x": _Runs([0.5, math.nan], [1, 1])}}
         with pytest.raises(ValueError):
-            _emit_json("dist", {}, data, str(path))
+            _emit("dist", {}, _pieces(data), str(path))
         assert not path.exists()
         path.write_bytes(b"an earlier artifact")
         with pytest.raises(ValueError):
-            _emit_json("dist", {}, {"rows": data["rows"]["k"], "variance": math.inf},
-                       str(path))
+            _emit("dist", {}, _pieces({"rows": data["rows"]["k"], "variance": math.inf}),
+                  str(path))
         assert path.read_bytes() == b"an earlier artifact"
 
     def test_non_finite_value_writes_nothing_to_stdout(self, capsys):
         with pytest.raises(ValueError):
-            _emit_json("dist", {}, {"k": range(5), "x": _Runs([-math.inf], [1])}, None)
+            _emit("dist", {}, _pieces({"k": range(5), "x": _Runs([-math.inf], [1])}), None)
         assert capsys.readouterr().out == ""
 
     def test_closed_stdout_exits_without_traceback(self):
@@ -1013,8 +1099,9 @@ class TestStrictJson:
         rc, out, _ = run_cli(capsys, "simulate", "--n", "5", "--rho", "0.5", "--samples", "10",
                              "--delta", delta)
         assert rc == 0
-        summary = strict_loads(out)["data"]["summary"]
-        assert summary["dkw_delta"] == float(delta) and summary["dkw_pass"]
+        doc = strict_loads(out)
+        assert doc["manifest"]["parameters"]["delta"] == float(delta)
+        assert doc["data"]["summary"]["dkw_pass"]
 
     def test_not_applicable_values_are_null(self, capsys):
         rc, out, _ = run_cli(capsys, "verify", "--rho", "0.5", "--n", "10")

@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import bdheight
-from bdheight import ModelParams, ParameterError, jump_up_probs, make_params
+from bdheight import (ModelParams, ParameterError, check_mean_near_capacity,
+                      height_fraction_limit, jump_up_probs, log_r_term, make_params, solve_alpha)
 
 
 def _stationary_law(p):
@@ -35,10 +36,31 @@ class TestMakeParams:
         with pytest.raises(ParameterError):
             make_params(0, 1.0)
 
-    @pytest.mark.parametrize("rho", [0.0, -1.0, math.nan, math.inf, "x", None])
+    @pytest.mark.parametrize("rho", [0.0, -1.0, math.nan, math.inf, "x", None,
+                                     pytest.param(10**400, id="10**400"),
+                                     pytest.param(-10**400, id="-10**400")])
     def test_bad_rates_rejected(self, rho):
         with pytest.raises(ParameterError, match="rho"):
             make_params(5, rho)
+
+    @pytest.mark.parametrize("rho", [2, 0.5, np.float64(0.5), np.float32(0.25), np.int64(2),
+                                     np.uint8(3)],
+                             ids=["int", "float", "float64", "float32", "int64", "uint8"])
+    def test_real_rho_accepted(self, rho):
+        p = make_params(5, rho)
+        assert p.rho == float(rho) and type(p.rho) is float
+        assert log_r_term(5, rho, 2) == log_r_term(5, float(rho), 2)
+        assert height_fraction_limit(rho) == height_fraction_limit(float(rho))
+
+    @pytest.mark.parametrize("rho", [True, False, np.bool_(True), "0.5", b"0.5"],
+                             ids=["True", "False", "numpy_bool", "str", "bytes"])
+    def test_non_real_rho_rejected(self, rho):
+        # as strictly as N: float() would take each of these
+        for check in (lambda r: make_params(5, r), lambda r: log_r_term(5, r, 2),
+                      height_fraction_limit, solve_alpha,
+                      lambda r: check_mean_near_capacity(1000, r, 999.0)):
+            with pytest.raises(ParameterError, match="rho"):
+                check(rho)
 
     def test_non_integer_n_rejected(self):
         with pytest.raises(ParameterError):

@@ -39,9 +39,10 @@ from bdheight import simulate
 from bdheight.simulate import _CHUNK_SAMPLES, _binomial, _walk_steps
 
 
-def _dense(s):
-    """The batch's counts over heights 1..N, zero counts included."""
-    counts = [0] * s.N
+def _dense(s, N):
+    """The batch's counts over heights 1..N, zero counts included; N is the
+    config's, since the summary records no input."""
+    counts = [0] * N
     for k, c in s.counts:
         counts[k - 1] = c
     return tuple(counts)
@@ -83,6 +84,11 @@ class TestConfig:
         assert list(inspect.signature(SimulationConfig).parameters) == [
             "params", "n_samples", "seed", "mode", "dkw_delta"]
 
+    def test_summary_records_no_input(self):
+        # the inputs are the config's, and an artifact records them in its manifest
+        assert not {"N", "rho", "mode", "n_samples", "seed", "dkw_delta"} & set(
+            simulate.SimulationSummary._fields)
+
     def test_dkw_epsilon_formula(self):
         assert dkw_epsilon(10**5, 0.01) == pytest.approx(
             math.sqrt(math.log(200.0) / (2 * 10**5)), rel=1e-15)
@@ -121,7 +127,7 @@ class TestScalarSamplers:
     def test_single_node_height(self):
         s = run_batch(SimulationConfig(params=make_params(1, rho=0.7),
                                        n_samples=50, seed=1, mode=JUMP_CHAIN))
-        assert _dense(s) == (50,)
+        assert _dense(s, 1) == (50,)
 
     def test_same_seed_same_stream(self):
         p = make_params(8, rho=0.4)
@@ -146,8 +152,8 @@ class TestScalarSamplers:
     def test_heights_in_range(self):
         s = run_batch(SimulationConfig(params=make_params(6, rho=0.5),
                                        n_samples=200, seed=11, mode=JUMP_CHAIN))
-        assert len(_dense(s)) == 6 and sum(_dense(s)) == 200
-        assert sum(c > 0 for c in _dense(s)) > 1
+        assert len(_dense(s, 6)) == 6 and sum(_dense(s, 6)) == 200
+        assert sum(c > 0 for c in _dense(s, 6)) > 1
 
 
 class TestLadderBatch:
@@ -164,13 +170,13 @@ class TestLadderBatch:
         cfg = SimulationConfig(params=make_params(2, rho=1.0), n_samples=n, seed=3)
         s = run_batch(cfg)
         sigma = math.sqrt(0.25 / n)
-        assert abs(_dense(s)[1] / n - 0.5) <= 3 * sigma
+        assert abs(_dense(s, cfg.params.N)[1] / n - 0.5) <= 3 * sigma
 
     def test_exact_moment_bookkeeping(self):
         p = make_params(15, rho=0.6)
         s = run_batch(SimulationConfig(params=p, n_samples=4096, seed=5))
         ks = np.arange(1, 16)
-        counts = np.asarray(_dense(s))
+        counts = np.asarray(_dense(s, p.N))
         assert counts.sum() == 4096
         mean = float(np.dot(ks, counts)) / 4096
         assert s.empirical_mean == pytest.approx(mean, rel=1e-15)
@@ -187,7 +193,7 @@ class TestLadderBatch:
         n = 300
         s = run_batch(SimulationConfig(params=make_params(10, rho=0.3), n_samples=n,
                                        seed=2, mode=JUMP_CHAIN))
-        assert 0 in _dense(s)
+        assert 0 in _dense(s, 10)
         heights = [k for k, c in s.counts for _ in range(c)]
         mean = Fraction(sum(heights), n)
         var = sum((h - mean) ** 2 for h in heights) / n
@@ -208,7 +214,7 @@ class TestLadderBatch:
                                        n_samples=n, seed=21))
         ks = np.arange(1, N + 1)
         outside = np.abs(ks / N - f) > 0.05
-        freq = np.asarray(_dense(s))[outside].sum() / n
+        freq = np.asarray(_dense(s, N))[outside].sum() / n
         assert freq <= 0.01
 
 
@@ -245,7 +251,7 @@ class TestInversionSampler:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert sum(_dense(s)) == 256
+        assert sum(_dense(s, p.N)) == 256
         assert peak < 64 * 2**20
 
     def test_memory_does_not_scale_with_samples(self):
@@ -257,7 +263,7 @@ class TestInversionSampler:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert sum(_dense(s)) == 2**21
+        assert sum(_dense(s, p.N)) == 2**21
         assert peak < 4 * 2**20
 
 
@@ -319,7 +325,7 @@ class TestLadderStream:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert sum(_dense(s)) == 1000
+        assert sum(_dense(s, p.N)) == 1000
         assert peak < 2**20
 
 
@@ -466,8 +472,8 @@ class TestWalkBatches:
         n = 2 * 10**4
         s1 = run_batch(SimulationConfig(params=p, n_samples=n, seed=31, mode=JUMP_CHAIN))
         s2 = run_batch(SimulationConfig(params=p, n_samples=n, seed=32, mode=LADDER))
-        e1 = np.cumsum(_dense(s1)) / n
-        e2 = np.cumsum(_dense(s2)) / n
+        e1 = np.cumsum(_dense(s1, p.N)) / n
+        e2 = np.cumsum(_dense(s2, p.N)) / n
         two_sample = np.abs(e1 - e2).max()
         assert two_sample <= dkw_epsilon(n, 0.01) + dkw_epsilon(n, 0.01)
 
@@ -484,7 +490,7 @@ class TestWalkBatches:
         cfg = SimulationConfig(params=make_params(1, rho=1.0),
                                n_samples=n, seed=17, mode=FULL_CTMC)
         s = run_batch(cfg)
-        assert set(np.nonzero(_dense(s))[0]) == {0}
+        assert set(np.nonzero(_dense(s, cfg.params.N))[0]) == {0}
         assert abs(s.mean_busy_duration - 1.0) <= 3.0 / math.sqrt(n)
 
     def test_duration_is_reported_in_service_time_units(self):
@@ -508,7 +514,7 @@ class TestWalkBatches:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert sum(_dense(s)) == n
+        assert sum(_dense(s, 1)) == n
         assert abs(s.mean_busy_duration - 1.0) <= 5.0 / math.sqrt(n)
         assert peak < 2 * 2**20
 
@@ -617,7 +623,7 @@ class TestReproducibility:
         # Walk-mode batches of three chunks at N <= 1024, as drawn by 0.2.1.
         s = run_batch(SimulationConfig(params=make_params(N, rho=rho), n_samples=9000,
                                        seed=seed, mode=mode))
-        assert {k: c for k, c in enumerate(_dense(s), start=1) if c} == counts
+        assert {k: c for k, c in enumerate(_dense(s, N), start=1) if c} == counts
         assert s.mean_busy_duration == duration
 
     @pytest.mark.parametrize("N,rho,n,seed,counts", [
@@ -640,4 +646,4 @@ class TestReproducibility:
         p = make_params(40, rho=0.9)
         a = run_batch(SimulationConfig(params=p, n_samples=5000, seed=1))
         b = run_batch(SimulationConfig(params=p, n_samples=5000, seed=2))
-        assert _dense(a) != _dense(b)
+        assert _dense(a, p.N) != _dense(b, p.N)
