@@ -74,9 +74,9 @@ path cannot resolve that inequality in the valley.)  Masses are nonzero
 only in the head, at the plateau's last entry and in the window.
 
 The variance is the centered second moment over the masses, summed with
-``math.fsum``.  The alternative sum(( 2k-1 ) P(H>=k)) - mean^2 is
-catastrophically cancelling for rho >= 1 where mean ~ N, and is not
-used.
+``math.fsum``.  In doubles the identity sum((2k-1) P(H>=k)) - mean^2
+cancels catastrophically for rho >= 1, where mean ~ N; the twin below
+uses it, since in Q nothing cancels.
 
 Each log term is -i log rho - (lgamma(N) - lgamma(i + 1) - lgamma(N - i))
 with CPython's ``math.lgamma``, for the bisection probes and the runs
@@ -94,9 +94,9 @@ dense views of :class:`HeightDistribution`, ``pmf`` and
 ``survival_values()``, which spread its runs over all N heights; they
 remain because the benchmark's artifact checker reads them.
 
-An exact-rational twin (``exact_rational_distribution``) evaluates the
-same quantities in unbounded-precision rational arithmetic for moderate
-N and serves as the ground truth for the float path.
+An exact-rational twin (``exact_rational_distribution``) gives the same
+quantities as ``Fraction``s up to N = 500 (a partial sum is an integer
+over one common denominator) and is the ground truth for the float path.
 """
 
 from __future__ import annotations
@@ -104,6 +104,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from functools import cached_property
+from itertools import accumulate
 from typing import TYPE_CHECKING, NamedTuple
 
 from .errors import CapacityError, ParameterError
@@ -125,7 +126,7 @@ __all__ = [
 ]
 
 RATIONAL_CAP = 500  # largest N of the exact-rational twin
-_RATIONAL_BIT_GUARD = 5_000_000  # combined numerator+denominator bits of a partial sum
+_RATIONAL_BIT_GUARD = 5_000_000  # bits of D and I_N, the partial sums' common form I_k / D
 _NOOP_GAP = 750.0  # a term this far below a running log-sum >= 0 leaves it unchanged
 _LOG2 = math.log(2.0)
 _MAX_N = 2**53  # every integer up to here is a double; the next one is not
@@ -319,11 +320,11 @@ def exact_rational_distribution(N: int, rho_num: int, rho_den: int
                                 ) -> RationalHeightDistribution:
     """Evaluate the height law exactly for rho = rho_num / rho_den.
 
-    All survival values, masses and moments are ``Fraction``s; this is
-    the ground-truth oracle for the float path.  Cost grows quickly with
-    N (the partial sums accumulate enormous denominators), so N is capped
-    at ``RATIONAL_CAP`` and a bit-growth guard aborts pathological inputs;
-    beyond the cap the float path is authoritative.
+    Every value is a ``Fraction``: the ground truth for the float path.
+    With rho = num/den in lowest terms and D = num^(N-1) (N-1)!, each
+    w_i = D t_i is an integer, so S_k = I_k / D with I_k = w_0 + ... + w_{k-1},
+    and E[H^2] = sum_k (2k - 1) P(H >= k).  Inputs past ``RATIONAL_CAP``, or
+    whose D and I_N could exceed ``_RATIONAL_BIT_GUARD`` bits, are refused.
     """
     N, rho_num, rho_den = (_integer(name, v, 1) for name, v in
                            (("N", N), ("rho_num", rho_num), ("rho_den", rho_den)))
@@ -335,19 +336,18 @@ def exact_rational_distribution(N: int, rho_num: int, rho_den: int
     from fractions import Fraction  # loaded on first use: the float path never needs it
 
     rho = Fraction(rho_num, rho_den)
-    partial = Fraction(0)
-    surv: list[Fraction] = []
-    for i in range(N):
-        # t_i = rho^{-i} / C(N-1, i)
-        partial += Fraction(rho_den ** i, rho_num ** i * math.comb(N - 1, i))
-        if partial.numerator.bit_length() + partial.denominator.bit_length() > _RATIONAL_BIT_GUARD:
-            raise CapacityError(
-                f"rational partial sums exceeded {_RATIONAL_BIT_GUARD} bits at N = {N}, "
-                f"rho = {rho_num}/{rho_den}")
-        surv.append(1 / partial)
-
-    pmf = [surv[k] - (surv[k + 1] if k + 1 < N else Fraction(0)) for k in range(N)]
-    mean = sum(surv, Fraction(0))
-    var = sum(((Fraction(k + 1) - mean) ** 2 * pmf[k] for k in range(N)), Fraction(0))
-    return RationalHeightDistribution(N=N, rho=rho, survival=tuple(surv),
-                                      pmf=tuple(pmf), mean=mean, variance=var)
+    num, den, fact = rho.numerator, rho.denominator, math.factorial(N - 1)
+    # D = num^(N-1) (N-1)! and I_N <= N max(num, den)^(N-1) (N-1)!
+    bits = (N - 1) * (num.bit_length() + max(num, den).bit_length()) + 2 * fact.bit_length()
+    if bits + N.bit_length() > _RATIONAL_BIT_GUARD:
+        raise CapacityError(f"rational partial sums would exceed {_RATIONAL_BIT_GUARD} bits at "
+                            f"N = {N}, rho of {num.bit_length()}/{den.bit_length()} bits")
+    w = [num ** (N - 1) * fact]  # w_{i+1} = w_i den (i+1) / (num (N-1-i)), exactly
+    for i in range(N - 1):
+        w.append(w[-1] * den * (i + 1) // (num * (N - 1 - i)))
+    surv = [Fraction(w[0], total) for total in accumulate(w)]
+    mean = sum(surv)
+    return RationalHeightDistribution(
+        N=N, rho=rho, survival=tuple(surv), mean=mean,
+        pmf=tuple(s - nxt for s, nxt in zip(surv, [*surv[1:], 0])),
+        variance=sum((2 * k - 1) * s for k, s in enumerate(surv, 1)) - mean**2)
