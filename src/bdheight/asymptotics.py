@@ -427,13 +427,14 @@ def concentration_mass_bound(N: int, c: BoundConstants) -> float:
 def window_mass(law: exactdist.HeightDistribution,
                 c: BoundConstants) -> tuple[float, int, int]:
     """Exact mass of the law's concentration window, with the window itself:
-    S(lo) - S(hi + 1), S(k) read off the survival runs at the first run
-    end >= k.  ``c`` must be the constants of the law's rho."""
+    S(lo) - S(hi + 1), S(k) read off the survival runs, closed by
+    S(N + 1) = 0, at the first run end >= k.  ``c`` must be the constants
+    of the law's rho."""
     if law.rho != c.rho:
         raise ParameterError(f"the law's rho {law.rho!r} is not the constants' rho {c.rho!r}")
     lo, hi = concentration_window(law.N, c)
     surv, _, lengths = law.column_runs()
-    ends = list(itertools.accumulate([*lengths[:-1], lengths[-1] + 1]))  # the tail of 0.0 to N + 1
+    surv, ends = (*surv, 0.0), list(itertools.accumulate((*lengths, 1)))
     return surv[bisect_left(ends, lo)] - surv[bisect_left(ends, hi + 1)], lo, hi
 
 
@@ -490,7 +491,7 @@ def verify_reports(rhos: list[float], ns: list[int], *,
             p = make_params(n, rho=rho)
             survival, _, lengths = exactdist.height_distribution(p).column_runs()
             exact = itertools.chain.from_iterable(map(itertools.repeat, survival, lengths))
-            gaps += (abs(e - f) for e, f in zip(exact, oracle.height_dist_oracle(p)))
+            gaps += (abs(e - f) for e, f in zip(exact, oracle.height_dist_oracle(p), strict=True))
         # nan if any gap is, so that a nan fails the check; max() alone would
         # skip a nan that is not the first gap
         worst = math.nan if any(map(math.isnan, gaps)) else float(max(gaps))

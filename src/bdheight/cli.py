@@ -27,18 +27,24 @@ reproduces the artifact byte for byte.  A JSON artifact is exactly
 plus a newline; a CSV artifact's last line is ``# manifest: `` and the
 manifest.  Every value is checked before the first byte.  The ``rows``
 columns of ``dist`` and ``simulate`` are written from runs of
-bit-identical values, run by run, in pieces of at most ``_BLOCK``
-entries: each run's ``repr`` is formatted once and repeated.  The law is
-constant outside an O(log N) window, so the law's own runs give ``dist``
-a few hundred runs and no list of length N; ``simulate`` writes
-``SimulationSummary.columns``, the runs that ``run_batch`` measured its
-sup distance on.  One block writer, ``_ints``, writes the integers k of
-the ``k`` column and of a CSV run's lines, each followed by a separator
-(a comma, or the run's CSV values), 10**4 at a time by strided slice
-assignment, with no per-entry formatting.  A CSV value is written as JSON
-writes it where the two differ: ``null`` is an empty value, and a bool is
-``true`` or ``false``.  ``dist`` and ``simulate`` refuse more than
-``MAX_ROWS`` rows (exit 2); ``sweep`` and ``verify`` build no column.
+bit-identical values, each of length at least 1, run by run, in pieces
+of at most ``_BLOCK`` entries: each run's ``repr`` is formatted once and
+repeated.  The law is constant outside an O(log N) window, so the law's
+own runs give ``dist`` a few hundred runs and no list of length N.
+Those runs are canonical (``HeightDistribution.column_runs``): every
+length is at least 1, the lengths sum to N, no two adjacent runs are
+equal on the bits of (survival, pmf), and ``np.repeat(values, lengths)``
+is the column.  They stop at k = N; ``simulate``, whose ``exact_cdf``
+reads the survival one height on, adds P(H >= N + 1) = 0 itself, and
+writes ``SimulationSummary.columns``, the runs that ``run_batch``
+measured its sup distance on.  One block writer, ``_ints``, writes the
+integers k of the ``k`` column and of a CSV run's lines, each followed by
+a separator (a comma, or the run's CSV values), 10**4 at a time by
+strided slice assignment, with no per-entry formatting.  A CSV value is
+written as JSON writes it where the two differ: ``null`` is an empty
+value, and a bool is ``true`` or ``false``.  ``dist`` and ``simulate``
+refuse more than ``MAX_ROWS`` rows (exit 2); ``sweep`` and ``verify``
+build no column.
 
 Start-up: this module imports the ``errors``, ``model`` and ``exactdist``
 modules, which every subcommand needs, and no numpy.  The others are
@@ -97,7 +103,8 @@ def _manifest(command: str, parameters: dict, data_sha256: str) -> dict:
 
 
 class _Runs(NamedTuple):
-    """A column as runs: ``values[i]`` repeated ``lengths[i]`` times."""
+    """A column as runs: ``values[i]`` repeated ``lengths[i]`` times, each
+    length at least 1."""
 
     values: Sequence
     lengths: Sequence[int]
@@ -106,7 +113,7 @@ class _Runs(NamedTuple):
 def _run_column(runs: _Runs) -> Iterator[bytes]:
     """Yield the JSON list of ``runs`` spread out, run by run, in pieces of
     at most ``_BLOCK`` entries, a long run's full pieces shared."""
-    items = [(b"%r," % value, n) for value, n in zip(*runs) if n]
+    items = [(b"%r," % value, n) for value, n in zip(*runs, strict=True)]
     if items:  # the last entry goes without its comma
         items[-1] = items[-1][0], items[-1][1] - 1
     yield b"["
@@ -283,7 +290,7 @@ def _csv_body(columns: list[_Runs]) -> Iterator[bytes]:
     one lengths list, each run's values formatted once, in pieces of at most
     ``_BLOCK`` whole lines."""
     bounds = itertools.pairwise(itertools.accumulate(columns[0].lengths, initial=1))
-    for *row, (lo, hi) in zip(*(c.values for c in columns), bounds):
+    for *row, (lo, hi) in zip(*(c.values for c in columns), bounds, strict=True):
         yield from _ints(lo, hi, ("," + _csv_line(row)).encode())
 
 

@@ -54,9 +54,22 @@ exact no-ops of its running log-sum, so every survival value and mass is
 bit-identical to that sweep's.  The whole law costs O(log N) bisection
 steps plus O(head + window) terms.
 
-The mean is sum_k P(H >= k).  It is formed as one ``math.fsum`` over the
-head and window survival values plus the plateau value counted as exact
-power-of-two copies ``ldexp(value, j)``, one per set bit j of b - a.
+The law is kept in one form only, built once by ``height_distribution``:
+canonical runs ``(survival, pmf, lengths)``, where heights
+``sum(lengths[:i]) + 1`` to ``sum(lengths[:i + 1])`` all have
+P(H >= k) = ``survival[i]`` and P(H = k) = ``pmf[i]``.  Canonical means
+that every length is at least 1, the lengths sum to N, and no two
+adjacent runs are equal on the bits of (survival, pmf), sign of zero
+included; ``np.repeat(values, lengths)`` is a column over k = 1..N.
+Only the plateau and the tail are runs of more than one height, save
+where an entry of the head or window joins an equal neighbour.  The runs
+end at k = N: P(H >= N + 1) = 0 is not among them, and a reader that
+steps one height on, as a CDF P(H <= k) = 1 - P(H >= k + 1) does, adds
+it.
+
+The mean is sum_k P(H >= k).  It is formed as one ``math.fsum`` over
+each run's survival value once and its other n - 1 copies as exact
+power-of-two multiples ``ldexp(value, j)``, one per set bit j of n - 1.
 That is the same exact sum as the dense survival vector's, and fsum
 rounds it correctly, so the mean equals ``math.fsum`` of the dense
 vector bit for bit.
@@ -71,10 +84,12 @@ inherent to 53-bit arithmetic and is why the exact-rational twin below
 exists.  (In exact arithmetic each mass equals t_i / (S_i * S_{i+1}),
 which is at most t_i because every partial sum is >= t_0 = 1; the float
 path cannot resolve that inequality in the valley.)  Masses are nonzero
-only in the head, at the plateau's last entry and in the window.
+only in the head, at the plateau's last entry and in the window; on the
+rest of the plateau each mass is ``s * -expm1(0.0)``, that is -0.0.
 
-The variance is the centered second moment over the masses, summed with
-``math.fsum``.  In doubles the identity sum((2k-1) P(H>=k)) - mean^2
+The variance is the centered second moment over the masses, one term
+(k - mean)^2 P(H = k) per height of each run with nonzero mass, summed
+with ``math.fsum``.  In doubles the identity sum((2k-1) P(H>=k)) - mean^2
 cancels catastrophically for rho >= 1, where mean ~ N; the twin below
 uses it, since in Q nothing cancels.
 
@@ -133,17 +148,17 @@ _MAX_N = 2**53  # every integer up to here is a double; the next one is not
 
 
 class HeightDistribution(ReadOnly):
-    """Law of the height in windowed form, with moments.
+    """Law of the height as canonical runs, with moments.
 
-    ``head[k-1] = log P(H >= k)`` for k = 1..a (entry 0 is exactly 0.0);
-    on the plateau ``(a, b)``, heights a+1..b, the log-survival stays at
-    ``head[-1]``; ``window[j] = log P(H >= b+1+j)``; past the window
-    P(H >= k) is exactly 0.  See the module docstring for why this form
-    is the whole law.
+    The law's one form is its canonical runs, ``column_runs()``: the
+    ``lengths[i]`` heights of run i all have P(H >= k) = ``survival[i]``
+    and P(H = k) = ``pmf[i]``, plain floats.  Every length is at least 1,
+    the lengths sum to N, no two adjacent runs are equal on the bits of
+    (survival, pmf), and ``np.repeat(values, lengths)`` spreads a column
+    over k = 1..N.  The mean and variance are formed from the runs when
+    the law is made.  See the module docstring for why so few runs are
+    the whole law.
 
-    ``column_runs()`` gives survival and pmf as runs, as plain floats,
-    built once, with the moments, when the law is made; the package's
-    columns, its sup distance and its window mass are read from them.
     Two dense numpy views remain, each one ``np.repeat`` of the runs:
     ``pmf`` (``pmf[k-1] = P(H = k)``, cached) and ``survival_values()``.
     They stay because the benchmark's artifact checker
@@ -154,50 +169,32 @@ class HeightDistribution(ReadOnly):
 
     N: int
     rho: float
-    head: tuple[float, ...]
-    plateau: tuple[int, int]
-    window: tuple[float, ...]
     mean: float
     variance: float
 
-    def __init__(self, N: int, rho: float, head: tuple[float, ...],
-                 plateau: tuple[int, int], window: tuple[float, ...]):
-        # The support is every entry that can carry mass: the head, the
-        # plateau's last entry and the window.
-        a, b = plateau
-        slot = 1 if b > a else 0
-        heights = [*range(1, a + 1), *range(b + 1 - slot, b + 1 + len(window))]
-        # the plateau keeps the head's last value
-        ls = [*head, *head[a - slot:], *window]
-        surv = [*map(math.exp, ls)]
-        # P(H = k) = surv_k * (1 - e^{ls_{k+1} - ls_k}); the next entry of the
-        # last one is -inf (past the window, or the virtual ls_{N+1}).
-        pmf = [s * -math.expm1(nxt - cur)
-               for s, cur, nxt in zip(surv, ls, [*ls[1:], -math.inf])]
-        # The plateau's b - a equal values are already in surv once (at its
-        # last entry); the other b - a - 1 enter as exact power-of-two
-        # multiples, so fsum sees the dense vector's exact sum.
-        inner = max(b - a - 1, 0)
-        copies = [math.ldexp(surv[a], j) for j in range(inner.bit_length()) if inner >> j & 1]
-        mean = math.fsum([*surv, *copies])
-        variance = math.fsum([(h - mean) * (h - mean) * m for h, m in zip(heights, pmf)])
-        # The runs: the head's entries, the plateau before its last entry
-        # (of length 0 when b == a), the rest of the support, and the tail.
-        lengths = (*[1] * a, inner, *[1] * (len(heights) - a), N - len(heights) - inner)
-        runs = ((*surv[:a], surv[a] if b > a else 0.0, *surv[a:], 0.0),
-                (*pmf[:a], -0.0, *pmf[a:], 0.0), lengths)
-        vars(self).update(N=N, rho=rho, head=head, plateau=plateau, window=window,
-                          mean=mean, variance=variance, _runs=runs)
+    def __init__(self, N: int, rho: float, survival: tuple, pmf: tuple, lengths: tuple):
+        # sum_k P(H >= k): each run's value once, and its other n - 1 copies
+        # as the exact power-of-two multiples ldexp(value, j), one per set bit
+        # j of n - 1, so fsum sees the dense vector's exact sum
+        mean = math.fsum([*survival, *(math.ldexp(s, j) for s, n in zip(survival, lengths) if n > 1
+                                       for j in range((n - 1).bit_length()) if n - 1 >> j & 1)])
+        # the centered second moment, one term per height of a run with mass
+        # (for a run of one height, a 1-tuple: a range per run costs ~10% of a law)
+        variance = math.fsum([(k - mean) * (k - mean) * m
+                              for m, n, end in zip(pmf, lengths, accumulate(lengths)) if m
+                              for k in ((end,) if n == 1 else range(end - n + 1, end + 1))])
+        vars(self).update(N=N, rho=rho, mean=mean, variance=variance, _runs=(survival, pmf, lengths))
 
     def column_runs(self) -> tuple[tuple[float, ...], tuple[float, ...], tuple[int, ...]]:
-        """Survival and pmf over k = 1..N as runs: ``(survival, pmf, lengths)``.
+        """Survival and pmf over k = 1..N as canonical runs: ``(survival, pmf, lengths)``.
 
-        ``survival_values()`` and ``pmf`` are these runs spread out with
-        ``np.repeat``; here nothing of length N is built.  The runs are the
-        head's entries (length 1 each), the plateau before its last entry
-        (its survival value, and a mass of -0.0), the plateau's last entry
-        and the window (length 1 each), and the tail (0.0).  There are ``len(head) + len(window) + 2``
-        runs, one more with a plateau, whatever N is; some may have length 0.
+        Every length is at least 1, the lengths sum to N, and no two
+        adjacent runs are equal on the bits of (survival, pmf), sign of
+        zero included.  ``np.repeat(values, lengths)`` spreads a column
+        over k = 1..N, as ``survival_values()`` and ``pmf`` do; here
+        nothing of length N is built.  The runs stop at k = N: a reader
+        that needs S(N + 1) = P(H >= N + 1) = 0, as a CDF read one height
+        on does, adds it.
         """
         return self._runs
 
@@ -234,7 +231,8 @@ class RationalHeightDistribution(NamedTuple):
 
 
 def _log_t(n: int, rho: float):
-    """log t at one float index x: the one evaluation of the term.
+    """log t at one integer index i, taken as a double: the one evaluation
+    of the term.
 
     Refuses n above 2**53, where an index and n minus it stop being exact
     doubles."""
@@ -243,7 +241,8 @@ def _log_t(n: int, rho: float):
                             f"term indices are all exact doubles (got N = {n})")
     log_rho, lgamma_n = math.log(rho), math.lgamma(n)
 
-    def log_t(x: float) -> float:
+    def log_t(i: int) -> float:
+        x = float(i)
         return -x * log_rho - (lgamma_n - math.lgamma(x + 1.0) - math.lgamma(n - x))
     return log_t
 
@@ -255,7 +254,7 @@ def log_r_term(n: int, rho: float, i: int) -> float:
     n, i = _integer("n", n, 1), _integer("term index", i, 0)
     if i > n - 1:
         raise ParameterError(f"term index must be in [0, {n - 1}], got {i!r}")
-    return _log_t(n, rho)(float(i))
+    return _log_t(n, rho)(i)
 
 
 def r_term_turning_point(n: int, rho: float) -> float:
@@ -292,28 +291,50 @@ def _running_log_sums(s: float, terms: list[float]) -> list[float]:
 def height_distribution(p: ModelParams) -> HeightDistribution:
     """Law of H from the head and window terms, O(log N + window) work."""
     N, rho = p.N, p.rho
-    log_t = _log_t(N, rho)
-
-    def t(i: int) -> float:
-        return log_t(float(i))
-
+    t = _log_t(N, rho)
     # t decreases on [0, m] and increases on [m, N-1].  The turning point is
     # inf once rho (N-1) overflows, and then t decreases throughout.
     m = min(max(math.ceil(min(r_term_turning_point(N, rho), N)), 0), N - 1)
     # t_1 <= t_0 = 0 when m >= 1; at t_1 <= -750, l1 is 0 and a is 1
     l1 = math.log1p(math.exp(t(1))) if m >= 1 else 0.0
     a = bisect_left(range(m + 1), True, 1, key=lambda i: t(i) <= l1 - _noop_gap(l1))
-    first, *rest = [log_t(float(i)) for i in range(a)]
+    first, *rest = map(t, range(a))
     head = [-first, *_running_log_sums(first, rest)]
     top = -head[-1]
     b = bisect_left(range(N), True, m + 1, key=lambda i: t(i) > top - _noop_gap(top))
     end = bisect_left(range(N), True, b, key=lambda i: t(i) > _NOOP_GAP)
     # the window's running log-sums continue from the head's, top
-    window = _running_log_sums(top, [log_t(float(i)) for i in range(b, min(end + 1, N))])
+    window = _running_log_sums(top, [*map(t, range(b, min(end + 1, N)))])
     # the log-survival never increases, so its underflow to 0.0 is a cut
-    cut = bisect_left(window, True, key=lambda v: math.exp(v) == 0.0)
-    return HeightDistribution(N=N, rho=rho, head=tuple(head), plateau=(a, b),
-                              window=tuple(window[:cut + 1]))
+    window = window[:bisect_left(window, True, key=lambda v: math.exp(v) == 0.0) + 1]
+    # The log-survival as entries held counts[i] heights each: the head on
+    # heights 1..a - 1, its last value on heights a..b - 1 (each followed by
+    # that same value) and again at height b, then the window.
+    ls = [*head, head[-1], *window]
+    surv = [*map(math.exp, ls)]
+    # P(H = k) = surv_k * (1 - e^{ls_{k+1} - ls_k}); the next value of the
+    # last one is -inf (past the window, or the virtual ls_{N+1})
+    pmf = [s * -math.expm1(nxt - cur) for s, cur, nxt in zip(surv, ls, [*ls[1:], -math.inf])]
+    # past the window, in the tail, P(H >= k) and P(H = k) are exactly 0.0
+    counts = [*[1] * (a - 1), b - a, 1, *[1] * len(window), N - b - len(window)]
+    return HeightDistribution(N, rho, *_canonical_runs([*surv, 0.0], [*pmf, 0.0], counts))
+
+
+def _canonical_runs(survival: list[float], pmf: list[float], counts: list[int]) -> tuple:
+    """Entry i held ``counts[i]`` heights, as canonical runs: the entries of
+    count 0 dropped, and adjacent entries equal on the bits of (survival,
+    pmf) joined.  A survival value is never -0.0, so ``==`` compares its
+    bits; a mass may be, so its sign is compared too."""
+    values, masses, lengths = [], [], []
+    for s, m, n in zip(survival, pmf, counts, strict=True):
+        if (lengths and s == values[-1] and m == masses[-1]
+                and math.copysign(1.0, m) == math.copysign(1.0, masses[-1])):
+            lengths[-1] += n
+        elif n:
+            values.append(s)
+            masses.append(m)
+            lengths.append(n)
+    return tuple(values), tuple(masses), tuple(lengths)
 
 
 def exact_rational_distribution(N: int, rho_num: int, rho_den: int

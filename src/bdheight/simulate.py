@@ -291,7 +291,8 @@ def batch_columns(law: exactdist.HeightDistribution,
     nonzero (height, count) pairs ``counts`` of ``n`` samples.
     The counts have a gap of 0 before each nonzero height and after the
     last, so their running totals, integers each divided once by ``n``, are
-    the ECDF.  P(H <= k) = 1 - P(H >= k + 1): the survival one height on.
+    the ECDF.  P(H <= k) = 1 - P(H >= k + 1): the survival one height on,
+    closed by P(H >= N + 1) = 0, which the law's runs stop short of.
     The columns are cut at the union of their run ends, so they share one
     lengths list with no zero; a column holds on a cut its first run that
     ends there or later."""
@@ -306,7 +307,7 @@ def batch_columns(law: exactdist.HeightDistribution,
                "empirical_pmf": ([c / n for c in values], lengths),
                "exact_pmf": (pmf, runs),
                "empirical_cdf": ([c / n for c in itertools.accumulate(values)], lengths),
-               "exact_cdf": ([1.0 - v for v in surv], [runs[0] - 1, *runs[1:-1], runs[-1] + 1]),
+               "exact_cdf": ([1.0 - v for v in (*surv, 0.0)], [runs[0] - 1, *runs[1:], 1]),
                "exact_survival": (surv, runs)}
     ends = {name: list(itertools.accumulate(lengths)) for name, (_, lengths) in columns.items()}
     cuts = sorted({*itertools.chain.from_iterable(ends.values())} - {0})
@@ -361,11 +362,11 @@ def run_batch(cfg: SimulationConfig) -> SimulationSummary:
     s1 = sum(k * c for k, c in pairs)
     s2 = sum(k * k * c for k, c in pairs)
 
-    law = exactdist.height_distribution(p)
-    columns = batch_columns(law, pairs, n)
+    columns = batch_columns(exactdist.height_distribution(p), pairs, n)
     # max over k of |C(k) / n - P(H <= k)|, once per run, where neither CDF
     # changes: the same double as the maximum over all N
-    sup = max(abs(a - b) for a, b in zip(columns["empirical_cdf"][0], columns["exact_cdf"][0]))
+    sup = max(abs(a - b) for a, b in zip(columns["empirical_cdf"][0], columns["exact_cdf"][0],
+                                         strict=True))
     eps = dkw_epsilon(n, cfg.dkw_delta)
 
     return SimulationSummary(

@@ -364,3 +364,19 @@ class TestOneSolvePerRho:
         assert stirling_ratio(1000, c) > 0.0
         assert window_mass(law, c)[1:] == concentration_window(1000, c)
         assert concentration_mass_bound(1000, c) <= window_mass(law, c)[0]
+
+
+@pytest.mark.parametrize("short", ["law", "oracle"])
+def test_oracle_check_refuses_columns_of_unequal_length(monkeypatch, short):
+    # a column one height short must not be compared on the other's prefix
+    from bdheight import exactdist, oracle
+
+    if short == "law":
+        runs = exactdist.HeightDistribution.column_runs
+        monkeypatch.setattr(exactdist.HeightDistribution, "column_runs",
+                            lambda law: tuple(column[:-1] for column in runs(law)))
+    else:
+        solve = oracle.height_dist_oracle
+        monkeypatch.setattr(oracle, "height_dist_oracle", lambda p: solve(p)[:-1])
+    with pytest.raises(ValueError, match="zip"):
+        asymptotics.verify_reports([2.0], [10])

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from bdheight import (
     CapacityError,
@@ -74,7 +74,7 @@ class TestSurvival:
 class TestHeightDistribution:
     def test_single_node(self):
         d = height_distribution(make_params(1, rho=0.7))
-        assert _log_survival(d)[0] == 0.0
+        assert d.column_runs() == ((1.0,), (1.0,), (1,))
         assert d.pmf.tolist() == [1.0]
         assert d.mean == 1.0
         assert d.variance == 0.0
@@ -96,15 +96,14 @@ class TestHeightDistribution:
     @pytest.mark.parametrize("N,rho", [(10, 0.25), (100, 1.0), (2000, 0.5), (500, 3.0)])
     def test_structural_invariants(self, N, rho):
         d = height_distribution(make_params(N, rho=rho))
-        ls = _log_survival(d)
-        assert ls[0] == 0.0
-        # elementwise, since ls is -inf past the underflow point and -inf - -inf is NaN
-        assert (ls[1:] <= ls[:-1]).all()
-        assert (d.pmf >= 0).all()
+        survival, pmf, _ = d.column_runs()
+        assert survival[0] == 1.0
+        assert all(b <= a for a, b in zip(survival, survival[1:]))
+        assert all(m >= 0.0 for m in pmf)
         assert abs(d.pmf.sum() - 1.0) <= 1e-10
-        mean_from_survival = math.fsum(np.exp(ls))
-        assert abs(d.mean - mean_from_survival) <= 1e-10 * mean_from_survival
         surv = d.survival_values()
+        mean_from_survival = math.fsum(surv)
+        assert abs(d.mean - mean_from_survival) <= 1e-10 * mean_from_survival
         strict = d.pmf > 1e-15
         assert (surv[:-1][strict[:-1]] > surv[1:][strict[:-1]]).all()
 
@@ -166,18 +165,7 @@ def _dense_law(N, rho):
     pmf = surv * -np.array([math.expm1(v) for v in steps])
     mean = math.fsum(surv)
     k = np.arange(1, N + 1, dtype=float)
-    return surv, pmf, mean, float(np.sum((k - mean) ** 2 * pmf)), ls
-
-
-def _log_survival(d):
-    """log P(H >= k) for k = 1..N from the law's windowed form: the head,
-    the plateau at the head's last value, the window, and -inf past it."""
-    a, b = d.plateau
-    ls = np.full(d.N, -np.inf)
-    ls[:a] = d.head
-    ls[a:b] = d.head[-1]
-    ls[b:b + len(d.window)] = d.window
-    return ls
+    return surv, pmf, mean, float(np.sum((k - mean) ** 2 * pmf))
 
 
 def _bits(x):
@@ -189,14 +177,8 @@ class TestWindowedForm:
     @pytest.mark.parametrize("rho", [1e-300, 1e-20, 1e-3, 0.5, 0.99, 1.0, 2.0, 1e20, 1e300])
     @pytest.mark.parametrize("N", [1, 2, 3, 10, 999, 10**4, 10**6])
     def test_matches_dense_law_bit_for_bit(self, N, rho):
-        surv, pmf, mean, var, ls = _dense_law(N, rho)
+        surv, pmf, mean, var = _dense_law(N, rho)
         d = height_distribution(make_params(N, rho=rho))
-        # the log-domain law is the dense sweep's, bit for bit, up to the
-        # first underflow of P(H >= k); past it log P(H >= k) is -inf
-        own = _log_survival(d)
-        held = np.isfinite(own)
-        assert np.array_equal(_bits(own[held]), _bits(ls[held]))
-        assert (surv[~held] == 0.0).all() and held.sum() >= (surv > 0.0).sum()
         assert np.array_equal(_bits(d.survival_values()), _bits(surv))
         assert np.array_equal(_bits(d.pmf), _bits(pmf))
         # the runs are the dense columns too, in a size that does not grow with N
@@ -252,6 +234,20 @@ class TestLawProperties:
         assert held[0] == 1.0
         assert all(b <= a for a, b in zip(held, held[1:]))
         assert all(m >= 0.0 for m in pmf)
+
+    @given(law=_LAWS)
+    @example(law=(1000, 0.5))
+    @example(law=(10**6, 0.5))
+    @example(law=(10**6, 2.0))
+    @settings(max_examples=150, deadline=None)
+    def test_runs_are_canonical(self, law):
+        # every run holds a height, the runs hold all N, and no two adjacent
+        # runs are equal on the bits of (survival, pmf)
+        surv, pmf, lengths = height_distribution(make_params(law[0], rho=law[1])).column_runs()
+        assert len(surv) == len(pmf) == len(lengths)
+        assert min(lengths) >= 1 and sum(lengths) == law[0]
+        keys = [*zip(_bits(surv).tolist(), _bits(pmf).tolist())]
+        assert all(a != b for a, b in zip(keys, keys[1:]))
 
     @given(law=_LAWS)
     @settings(max_examples=150, deadline=None)
