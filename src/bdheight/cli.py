@@ -25,19 +25,20 @@ The manifest alone records the inputs, and re-running the same command
 reproduces the artifact byte for byte.  A JSON artifact is exactly
 ``json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)``
 plus a newline; a CSV artifact's last line is ``# manifest: `` and the
-manifest.  Every value is checked before the first byte.  The ``rows``
-columns of ``dist`` and ``simulate`` are written from runs of
-bit-identical values, each of length at least 1, run by run, in pieces
-of at most ``_BLOCK`` entries: each run's ``repr`` is formatted once and
-repeated.  The law is constant outside an O(log N) window, so the law's
-own runs give ``dist`` a few hundred runs and no list of length N.
-Those runs are canonical (``HeightDistribution.column_runs``): every
-length is at least 1, the lengths sum to N, no two adjacent runs are
-equal on the bits of (survival, pmf), and ``np.repeat(values, lengths)``
-is the column.  They stop at k = N; ``simulate``, whose ``exact_cdf``
-reads the survival one height on, adds P(H >= N + 1) = 0 itself, and
-writes ``SimulationSummary.columns``, the runs that ``run_batch``
-measured its sup distance on.  One block writer, ``_ints``, writes the
+manifest.  Every value, and every run's length, is checked before the
+first byte.  The ``rows`` columns of ``dist`` and ``simulate`` are
+written from runs of bit-identical values, each of length at least 1,
+run by run, in pieces of at most ``_BLOCK`` entries: each run's ``repr``
+is formatted once and repeated.  The law is constant outside an
+O(log N) window, so the law's own runs give ``dist`` a few hundred runs
+and no list of length N.  Those runs are canonical
+(``HeightDistribution.column_runs``): every length is at least 1, the
+lengths sum to N, no two adjacent runs are equal in (survival, pmf),
+and ``np.repeat(values, lengths)`` is the column.  They stop at k = N;
+``simulate``, whose ``exact_cdf`` reads the survival one height on, adds
+P(H >= N + 1) = 0 itself, and writes ``SimulationSummary.columns``, the
+runs that ``run_batch`` measured its sup distance on, as the same
+columns in JSON and CSV.  One block writer, ``_ints``, writes the
 integers k of the ``k`` column and of a CSV run's lines, each followed by
 a separator (a comma, or the run's CSV values), 10**4 at a time by
 strided slice assignment, with no per-entry formatting.  A CSV value is
@@ -170,6 +171,8 @@ def _encode(value, parts: list) -> None:
     elif isinstance(value, _Runs):
         if not all(map(math.isfinite, value.values)):
             raise ValueError("Out of range float values are not JSON compliant")
+        if min(value.lengths, default=1) < 1:
+            raise ValueError("a run's length must be at least 1")
         parts.append(_run_column(value))
     elif isinstance(value, range) and value.step == 1:
         last = json.dumps(list(value[-1:]))[1:].encode()  # without its comma, and "]"
@@ -402,7 +405,6 @@ def cmd_simulate(args) -> int:
     scalars = summary._asdict()
     del scalars["counts"], scalars["columns"]
     if args.format == "csv":
-        del columns["exact_survival"]  # a JSON-only column
         _emit_csv("simulate", parameters, ["k", *columns], _csv_body([*columns.values()]),
                   scalars, args.output)
     else:

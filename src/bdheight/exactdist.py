@@ -59,8 +59,9 @@ canonical runs ``(survival, pmf, lengths)``, where heights
 ``sum(lengths[:i]) + 1`` to ``sum(lengths[:i + 1])`` all have
 P(H >= k) = ``survival[i]`` and P(H = k) = ``pmf[i]``.  Canonical means
 that every length is at least 1, the lengths sum to N, and no two
-adjacent runs are equal on the bits of (survival, pmf), sign of zero
-included; ``np.repeat(values, lengths)`` is a column over k = 1..N.
+adjacent runs are equal in (survival, pmf); no value is -0.0, so equal
+values have equal bits.  ``np.repeat(values, lengths)`` is a column over
+k = 1..N.
 Only the plateau and the tail are runs of more than one height, save
 where an entry of the head or window joins an equal neighbour.  The runs
 end at k = N: P(H >= N + 1) = 0 is not among them, and a reader that
@@ -75,9 +76,10 @@ rounds it correctly, so the mean equals ``math.fsum`` of the dense
 vector bit for bit.
 
 The point masses are differences of adjacent survival values.  They are
-computed as ``surv_k * (-expm1(ls_{k+1} - ls_k))`` with ls the
+computed as ``0.0 - surv_k * expm1(ls_{k+1} - ls_k)`` with ls the
 log-survival vector, which is exact about the sign (never a negative
-mass) and avoids the subtractive cancellation of ``exp(a) - exp(b)``.
+mass, and a zero mass is +0.0) and avoids the subtractive cancellation
+of ``exp(a) - exp(b)``.
 Deep in the valley consecutive ls values agree to the last ulp and the
 resulting masses are float noise at the ~1e-17 * survival level; this is
 inherent to 53-bit arithmetic and is why the exact-rational twin below
@@ -85,7 +87,7 @@ exists.  (In exact arithmetic each mass equals t_i / (S_i * S_{i+1}),
 which is at most t_i because every partial sum is >= t_0 = 1; the float
 path cannot resolve that inequality in the valley.)  Masses are nonzero
 only in the head, at the plateau's last entry and in the window; on the
-rest of the plateau each mass is ``s * -expm1(0.0)``, that is -0.0.
+rest of the plateau and in the tail each mass is 0.0.
 
 The variance is the centered second moment over the masses, one term
 (k - mean)^2 P(H = k) per height of each run with nonzero mass, summed
@@ -152,12 +154,12 @@ class HeightDistribution(ReadOnly):
 
     The law's one form is its canonical runs, ``column_runs()``: the
     ``lengths[i]`` heights of run i all have P(H >= k) = ``survival[i]``
-    and P(H = k) = ``pmf[i]``, plain floats.  Every length is at least 1,
-    the lengths sum to N, no two adjacent runs are equal on the bits of
-    (survival, pmf), and ``np.repeat(values, lengths)`` spreads a column
-    over k = 1..N.  The mean and variance are formed from the runs when
-    the law is made.  See the module docstring for why so few runs are
-    the whole law.
+    and P(H = k) = ``pmf[i]``, plain floats, none of them -0.0.  Every
+    length is at least 1, the lengths sum to N, no two adjacent runs are
+    equal in (survival, pmf), and ``np.repeat(values, lengths)`` spreads
+    a column over k = 1..N.  The mean and variance are formed from the
+    runs when the law is made.  See the module docstring for why so few
+    runs are the whole law.
 
     Two dense numpy views remain, each one ``np.repeat`` of the runs:
     ``pmf`` (``pmf[k-1] = P(H = k)``, cached) and ``survival_values()``.
@@ -189,12 +191,12 @@ class HeightDistribution(ReadOnly):
         """Survival and pmf over k = 1..N as canonical runs: ``(survival, pmf, lengths)``.
 
         Every length is at least 1, the lengths sum to N, and no two
-        adjacent runs are equal on the bits of (survival, pmf), sign of
-        zero included.  ``np.repeat(values, lengths)`` spreads a column
-        over k = 1..N, as ``survival_values()`` and ``pmf`` do; here
-        nothing of length N is built.  The runs stop at k = N: a reader
-        that needs S(N + 1) = P(H >= N + 1) = 0, as a CDF read one height
-        on does, adds it.
+        adjacent runs are equal in (survival, pmf); no value is -0.0, so
+        equal values have equal bits.  ``np.repeat(values, lengths)``
+        spreads a column over k = 1..N, as ``survival_values()`` and
+        ``pmf`` do; here nothing of length N is built.  The runs stop at
+        k = N: a reader that needs S(N + 1) = P(H >= N + 1) = 0, as a CDF
+        read one height on does, adds it.
         """
         return self._runs
 
@@ -313,8 +315,9 @@ def height_distribution(p: ModelParams) -> HeightDistribution:
     ls = [*head, head[-1], *window]
     surv = [*map(math.exp, ls)]
     # P(H = k) = surv_k * (1 - e^{ls_{k+1} - ls_k}); the next value of the
-    # last one is -inf (past the window, or the virtual ls_{N+1})
-    pmf = [s * -math.expm1(nxt - cur) for s, cur, nxt in zip(surv, ls, [*ls[1:], -math.inf])]
+    # last one is -inf (past the window, or the virtual ls_{N+1}).  Taken
+    # from 0.0, so a zero mass is +0.0, and a nonzero one keeps its bits.
+    pmf = [0.0 - s * math.expm1(nxt - cur) for s, cur, nxt in zip(surv, ls, [*ls[1:], -math.inf])]
     # past the window, in the tail, P(H >= k) and P(H = k) are exactly 0.0
     counts = [*[1] * (a - 1), b - a, 1, *[1] * len(window), N - b - len(window)]
     return HeightDistribution(N, rho, *_canonical_runs([*surv, 0.0], [*pmf, 0.0], counts))
@@ -322,13 +325,11 @@ def height_distribution(p: ModelParams) -> HeightDistribution:
 
 def _canonical_runs(survival: list[float], pmf: list[float], counts: list[int]) -> tuple:
     """Entry i held ``counts[i]`` heights, as canonical runs: the entries of
-    count 0 dropped, and adjacent entries equal on the bits of (survival,
-    pmf) joined.  A survival value is never -0.0, so ``==`` compares its
-    bits; a mass may be, so its sign is compared too."""
+    count 0 dropped, and adjacent entries equal in (survival, pmf) joined.
+    No value is -0.0 or NaN, so ``==`` compares bits."""
     values, masses, lengths = [], [], []
     for s, m, n in zip(survival, pmf, counts, strict=True):
-        if (lengths and s == values[-1] and m == masses[-1]
-                and math.copysign(1.0, m) == math.copysign(1.0, masses[-1])):
+        if lengths and s == values[-1] and m == masses[-1]:
             lengths[-1] += n
         elif n:
             values.append(s)

@@ -249,8 +249,8 @@ class TestVerify:
         assert rc == 1
         assert strict_loads(path.read_text())["data"]["n_failed"] > 0
         assert "FAILED" in capsys.readouterr().err
-        # the failing artifact is pinned like the passing ones (version 0.3.6)
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        # the failing artifact is pinned like the passing ones
+        assert _pinned_digest(path.read_bytes()) == (
             "2d5179c4552fa6ba11c21cd08be3b3255a74e87fb0a6a3b070796704b6af3aee")
 
 
@@ -376,7 +376,7 @@ class TestSimulateCommand:
                              "--samples", "1000", "--seed", "2", "--format", "csv")
         assert rc == 0
         header = out.splitlines()[0]
-        assert header == "k,count,empirical_pmf,exact_pmf,empirical_cdf,exact_cdf"
+        assert header == "k,count,empirical_pmf,exact_pmf,empirical_cdf,exact_cdf,exact_survival"
 
 
 class TestSweep:
@@ -583,6 +583,20 @@ def canonical(doc) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
 
 
+# The pinned digests are of artifacts written as version 0.3.6: an artifact's
+# version is set to that before it is hashed, so a version bump alone moves no
+# pin, and a pin that moves shows that the data moved.
+_PIN_VERSION = "0.3.6"
+
+
+def _pinned_digest(blob: bytes) -> str:
+    """sha256 of an artifact whose manifest's version is written as _PIN_VERSION."""
+    field = b'"version":"%s"' % bdheight.__version__.encode()
+    assert blob.count(field) == 1
+    return hashlib.sha256(blob.replace(field, b'"version":"%s"' % _PIN_VERSION.encode())
+                          ).hexdigest()
+
+
 class TestEmission:
     @pytest.mark.parametrize("argv", [
         ["dist", "--n", "10", "--rho", "0.5"],
@@ -744,23 +758,23 @@ class TestEmission:
         assert proc.stderr.decode() == (
             f"dist: error: cannot write stdout: {os.strerror(errno.ENOSPC)}\n")
 
-    # sha256 of whole artifacts at version 0.3.6, whose ladder terms are
-    # built on math.lgamma; a version bump changes the manifest and so these.
+    # sha256 of whole artifacts, their version set to _PIN_VERSION, whose
+    # ladder terms are built on math.lgamma
     @pytest.mark.parametrize("argv,digest", [
         (["dist", "--n", "1000", "--rho", "0.5"],
-         "c19a25b4f93f3f0c9553473eb6256ff752f5cfb4d112328447cf57f4b04b0624"),
+         "a42c13306fcde6f49f9bae82cce2b7ad37209dc9d44785f38d312eede4090ac3"),
         (["dist", "--n", "1000", "--rho", "0.5", "--format", "csv"],
-         "5d784b65f872e5841881759e6d15e45d44274617d5dc475e21713da6b22f5e17"),
+         "fd00c87c249eb766bdc9139a27584a3d60f2fe455703a567445b49639b18ed09"),
         (["dist", "--n", "1", "--rho", "2"],
          "80607317a91a8a92a9abbd265a3c94530495163a264bd015d8f45bce58a4e655"),
         (["simulate", "--n", "50", "--rho", "0.5", "--samples", "1000", "--seed", "1"],
          "07f389b6ed7e6f6c508c7ecdf3fcdd9fad174ce7664a603dd1f29829a691f2c0"),
         (["simulate", "--n", "50", "--rho", "0.5", "--samples", "1000", "--seed", "1",
           "--format", "csv"],
-         "34f64410408345bc0a21d4319ff6d5aaec65fdaab5902e2255d6e35e0e53c2a4"),
+         "31aac998093e1b494056f56b55fee43d81c39811f7f4cf8885a0f81b83c973b9"),
         # its k column reaches the blocks of 10**4 entries
         (["dist", "--n", "123457", "--rho", "0.5"],
-         "7f9f9ea992cff2af24aa5790d69e1b6cc0a1068ed9cb953a67ce4d81790aab69"),
+         "db7fde9a80a7a63895af7134a48738e132de7cdbf520b889f9a40533169576b7"),
         # the duration sum, the alpha and bound-constant records and the
         # limit-table rows
         (["simulate", "--n", "5", "--rho", "0.5", "--samples", "20000", "--seed", "1",
@@ -791,7 +805,10 @@ class TestEmission:
     def test_artifact_bytes_are_pinned(self, tmp_path, argv, digest):
         path = tmp_path / "artifact"
         assert main([*argv, "--output", str(path)]) == 0
-        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+        blob = path.read_bytes()
+        doc = json.loads(blob.rpartition(b"# manifest: ")[2])  # a CSV's manifest, or the JSON
+        assert doc.get("manifest", doc)["version"] == bdheight.__version__
+        assert _pinned_digest(blob) == digest
 
     @pytest.mark.parametrize("argv", [
         ["dist", "--n", "1000", "--rho", "0.5"],
@@ -1007,6 +1024,12 @@ class TestCanonicalEncoder:
         a = np.concatenate([[0.1, -0.0], np.full(length, 1 / 3), [0.0], np.full(length, 5e-324)])
         assert _canonical({"c": _each(a)}) == canonical({"c": a.tolist()})[:-1].encode()
 
+    @pytest.mark.parametrize("lengths", [[2, 0], [0, 3], [2, -1]], ids=str)
+    def test_run_length_below_one_raises(self, lengths):
+        # before any piece is formatted: a trailing 0 would write 9999 extra copies
+        with pytest.raises(ValueError, match="at least 1"):
+            _pieces({"c": _Runs([0.5, 0.25], lengths)})
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_float_raises(self, bad):
         a = np.array([1.0, bad, bad, 2.0])
@@ -1070,6 +1093,9 @@ def _cli_runs(draw):
 
 class TestStrictJson:
     @given(argv=_cli_runs())
+    # laws with a plateau, whose masses are zero
+    @example(argv=["dist", "--n", "1000", "--rho", "0.5"])
+    @example(argv=["simulate", "--n", "1000", "--rho", "0.5", "--samples", "10", "--seed", "1"])
     @settings(max_examples=200, deadline=None)
     def test_every_run_writes_strict_json_or_refuses(self, argv):
         with tempfile.TemporaryDirectory() as tmp:
@@ -1079,8 +1105,11 @@ class TestStrictJson:
                 assert not os.path.exists(path)
                 return
             with open(path) as fh:
-                doc = strict_loads(fh.read())
+                text = fh.read()
+        doc = strict_loads(text)
         assert doc["manifest"]["command"] == argv[0]
+        # a zero mass is +0.0: no column holds a -0.0
+        assert argv[0] not in ("dist", "simulate") or not re.search(r"[\[,:]-0\.0[],}]", text)
         # verify exits 1 when a check fails, as some do at rho = 0.01 and near 1
         assert rc == 0 or (argv[0] == "verify" and rc == 1 and not doc["data"]["passed"])
 

@@ -153,16 +153,17 @@ class TestHeightDistribution:
 
 def _dense_law(N, rho):
     """The law over all N terms, evaluated as version 0.2.0 did: one running
-    log-sum-exp, masses from adjacent log-survival steps.  exp and expm1
-    are the C library's, per element: numpy's SIMD kernels for them differ
-    in the last bit and depend on the CPU."""
+    log-sum-exp, masses from adjacent log-survival steps, each taken from
+    0.0 so that a zero mass is +0.0.  exp and expm1 are the C library's,
+    per element: numpy's SIMD kernels for them differ in the last bit and
+    depend on the CPU."""
     i = np.arange(N, dtype=float)
     lgamma = np.array([math.lgamma(j) for j in range(1, N + 1)])  # lgamma[j] = lgamma(j + 1)
     log_t = -i * math.log(rho) - (math.lgamma(N) - lgamma - lgamma[::-1])
     ls = -np.logaddexp.accumulate(log_t)
     surv = np.array([math.exp(v) for v in ls.tolist()])
     steps = np.diff(ls, append=-np.inf).tolist()
-    pmf = surv * -np.array([math.expm1(v) for v in steps])
+    pmf = 0.0 - surv * np.array([math.expm1(v) for v in steps])
     mean = math.fsum(surv)
     k = np.arange(1, N + 1, dtype=float)
     return surv, pmf, mean, float(np.sum((k - mean) ** 2 * pmf))
@@ -241,12 +242,13 @@ class TestLawProperties:
     @example(law=(10**6, 2.0))
     @settings(max_examples=150, deadline=None)
     def test_runs_are_canonical(self, law):
-        # every run holds a height, the runs hold all N, and no two adjacent
-        # runs are equal on the bits of (survival, pmf)
+        # every run holds a height, the runs hold all N, no value is -0.0, so
+        # == compares bits, and no two adjacent runs are equal in (survival, pmf)
         surv, pmf, lengths = height_distribution(make_params(law[0], rho=law[1])).column_runs()
         assert len(surv) == len(pmf) == len(lengths)
         assert min(lengths) >= 1 and sum(lengths) == law[0]
-        keys = [*zip(_bits(surv).tolist(), _bits(pmf).tolist())]
+        assert not any(math.copysign(1.0, v) < 0 for v in (*surv, *pmf))
+        keys = [*zip(surv, pmf)]
         assert all(a != b for a, b in zip(keys, keys[1:]))
 
     @given(law=_LAWS)
