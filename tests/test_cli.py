@@ -2,9 +2,11 @@
 
 import errno
 import hashlib
+import itertools
 import json
 import math
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -597,6 +599,9 @@ def _pinned_digest(blob: bytes) -> str:
                           ).hexdigest()
 
 
+_T = cli._SMALL_HASH_BYTES
+
+
 class TestEmission:
     @pytest.mark.parametrize("argv", [
         ["dist", "--n", "10", "--rho", "0.5"],
@@ -624,6 +629,60 @@ class TestEmission:
         data_bytes = blob[len(head):blob.rindex(tail)]
         sha = json.loads(blob)["manifest"]["data_sha256"]
         assert hashlib.sha256(data_bytes).hexdigest() == sha
+
+    @pytest.mark.parametrize("csv", [False, True], ids=["json", "csv"])
+    @pytest.mark.parametrize("split", ["whole", "bytewise", "mixed"])
+    @pytest.mark.parametrize("size", [0, 1, _T - 1, _T, _T + 1, 3 * _T + 7],
+                             ids=["0", "1", "T-1", "T", "T+1", "3T+7"])
+    def test_both_hash_paths_give_the_data_digest(self, tmp_path, monkeypatch, csv, split,
+                                                   size):
+        # Data within _SMALL_HASH_BYTES (T) is hashed by the built-in
+        # SHA-256 from its held pieces, and larger data by hashlib's, fed the
+        # held pieces and then the rest as it streams.  A piece lost,
+        # repeated or reordered at the switch changes the digest.
+        data = random.Random(size).randbytes(size)
+        cuts = {"bytewise": itertools.count(),
+                "mixed": itertools.accumulate(itertools.cycle([1, 0, 5, 4093, _T - 3, 2]),
+                                              initial=0)}
+        pieces = [data] if split == "whole" else (
+            data[lo:hi] for lo, hi in itertools.pairwise(itertools.chain(
+                itertools.takewhile(lambda c: c < size, cuts[split]), [size])))
+        builtin, builtin_used = cli._builtin_sha256, []
+
+        def builtin_sha256():
+            builtin_used.append(True)
+            return builtin()
+        monkeypatch.setattr(cli, "_builtin_sha256", builtin_sha256)
+        path = tmp_path / "artifact"
+        _emit("dist", {"N": 1}, pieces, str(path), csv=csv)
+        manifest = cli._manifest("dist", {"N": 1}, hashlib.sha256(data).hexdigest())
+        head, sep, end = ((b"", b"# manifest: ", b"\n") if csv
+                          else (b'{"data":', b',"manifest":', b"}\n"))
+        assert path.read_bytes() == head + data + sep + _canonical(manifest) + end
+        assert builtin_used == [True] * (size <= _T)
+
+    def test_without_the_builtin_sha256_hashlib_hashes_every_size(self, tmp_path):
+        # An interpreter built without _sha2 (3.12+) or _sha256 hashes every
+        # artifact with hashlib, to the same digest.
+        code = """if True:
+            import sys
+            sys.modules["_sha2"] = sys.modules["_sha256"] = None
+            import bdheight.cli as cli
+            assert cli._builtin_sha256 is None and "_hashlib" not in sys.modules
+            path, size = sys.argv[1], int(sys.argv[2])
+            cli._emit("dist", {}, [bytes(range(256)) * (size // 256)], path, csv=True)
+            print("_hashlib" in sys.modules)
+        """
+        src = os.path.dirname(os.path.dirname(bdheight.__file__))
+        for size in (0, 256, _T, 2 * _T):
+            path = tmp_path / f"{size}.csv"
+            proc = subprocess.run([sys.executable, "-c", code, str(path), str(size)],
+                                  env={**os.environ, "PYTHONPATH": src},
+                                  capture_output=True, text=True, check=True)
+            data = bytes(range(256)) * (size // 256)
+            manifest = cli._manifest("dist", {}, hashlib.sha256(data).hexdigest())
+            assert proc.stdout.split() == ["True"]
+            assert path.read_bytes() == data + b"# manifest: " + _canonical(manifest) + b"\n"
 
     def test_large_stdout_matches_file(self, tmp_path, capsys):
         # stdout gets the artifact's bytes through its binary buffer; a
@@ -1222,6 +1281,36 @@ def test_import_does_not_load_scipy():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert proc.stdout.split() == ["[]"]
+
+
+@pytest.mark.parametrize("argv, loads", [
+    (["--version"], False),
+    (["alpha", "--rho", "0.5"], False),
+    (["sweep", "--rho", "0.5", "--n", "1000", "1000000"], False),
+    (["verify", "--n", "1000", "10000"], False),
+    (["simulate", "--n", "2000", "--rho", "0.5", "--samples", "1000"], False),
+    (["dist", "--n", "1000", "--rho", "0.5"], False),
+    (["dist", "--n", "100000", "--rho", "0.5"], True),
+], ids=lambda v: "_".join(v) if isinstance(v, list) else None)
+def test_only_large_data_loads_openssl(argv, loads):
+    # hashlib loads OpenSSL's libcrypto, ~3.5 MB of RSS and 2.5-5 ms, so only
+    # an artifact whose data passes _SMALL_HASH_BYTES imports it (README's
+    # start-up table); dist --n 100000 writes ~2.5 MB.  Each command runs in
+    # a fresh process, since the first large artifact loads it for good.
+    code = """if True:
+        import sys
+        import bdheight.cli
+        try:
+            code = bdheight.cli.main(sys.argv[1:])
+        except SystemExit as exc:  # --version
+            code = exc.code
+        print(code, "_hashlib" in sys.modules, "hashlib" in sys.modules, file=sys.stderr)
+    """
+    src = os.path.dirname(os.path.dirname(bdheight.__file__))
+    proc = subprocess.run([sys.executable, "-c", code, *argv],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, check=True)
+    assert proc.stderr.split() == ["0", str(loads), str(loads)]
 
 
 def _dispatched_cpu_features() -> list[str]:
