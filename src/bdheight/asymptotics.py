@@ -58,7 +58,7 @@ from typing import NamedTuple
 
 from . import exactdist
 from .errors import ParameterError
-from .model import _positive_rate, make_params
+from .model import _grid, _integer, _positive_rate, make_params
 
 __all__ = [
     "AlphaSolution",
@@ -252,7 +252,7 @@ def bound_constants(sol: AlphaSolution) -> BoundConstants:
 
 def peak_index(alpha: float, n: int) -> int:
     """floor(alpha * (n-1)): the index where the ladder term is of order sqrt(n)."""
-    return math.floor(alpha * (n - 1))
+    return math.floor(alpha * (_integer("n", n, 1) - 1))
 
 
 def integer_part_candidates(x: float) -> tuple[int, ...]:
@@ -282,8 +282,7 @@ def check_peak_ratio_bounds(n: int, c: BoundConstants) -> tuple[BoundReport, Bou
     are flagged not applicable, as in ``check_mean_bounds``: the
     inequalities are eventual statements.
     """
-    if n < 1:
-        raise ParameterError(f"n must be >= 1, got {n}")
+    n = _integer("n", n, 1)
     rho = c.rho
     log_n = math.log(n)
     h_cands = integer_part_candidates(c.alpha * (n - 1))
@@ -337,8 +336,7 @@ def check_mean_bounds(N: int, c: BoundConstants, mean: float) -> BoundReport:
     N below ``MEAN_BOUND_MIN_N`` are flagged not applicable (the sandwich
     is an eventual statement; the threshold is this package's policy).
     """
-    if N < 1:
-        raise ParameterError(f"N must be >= 1, got {N}")
+    N = _integer("N", N, 1)
     log_n = math.log(N)
     lo_floor = math.floor(c.alpha * N) - math.floor(c.c2 * log_n) - c.c3
     hi_floor = math.floor(c.alpha * N) + 1.0
@@ -357,8 +355,7 @@ def check_mean_bounds(N: int, c: BoundConstants, mean: float) -> BoundReport:
 def check_mean_near_capacity(N: int, rho: float, mean: float) -> BoundReport:
     """Certify N - 4 <= mean <= N at (N, rho), rho >= 1, for a mean computed
     elsewhere; not applicable below ``MEAN_BOUND_MIN_N``, as the sandwich."""
-    if N < 1:
-        raise ParameterError(f"N must be >= 1, got {N}")
+    N = _integer("N", N, 1)
     rho = _positive_rate("rho", rho)
     if not rho >= 1.0:
         raise ParameterError(f"the capacity bound needs rho >= 1, got {rho!r}")
@@ -376,26 +373,23 @@ def stirling_ratio(n: int, c: BoundConstants) -> float:
     The peak term is Theta(sqrt(n)); no specific constant is asserted,
     only empirical boundedness of this ratio over sweeps.
     """
-    if n < 2:
-        raise ParameterError(f"n must be >= 2, got {n}")
+    n = _integer("n", n, 2)
     h = peak_index(c.alpha, n)
     return math.exp(exactdist.log_r_term(n, c.rho, h) - 0.5 * math.log(n))
 
 
 def convergence_table(rho: float, Ns: list[int]) -> list[ConvergencePoint]:
-    """Mean/variance ratios against their limits along an ascending N grid:
-    per N, the mean, the variance, their ratios to N, the limits f(rho) and
-    f(rho)**2 / rho and the ratios' gaps to them (``ConvergencePoint``)."""
-    if not Ns:
-        raise ParameterError("the N grid must be nonempty")
-    if any(b <= a for a, b in zip(Ns, Ns[1:])):
-        raise ParameterError(f"the N grid must be strictly ascending, got {Ns}")
+    """Mean/variance ratios against their limits along an N grid, a row per N
+    in the order given: the mean, the variance, their ratios to N, the limits
+    f(rho) and f(rho)**2 / rho and the ratios' gaps to them
+    (``ConvergencePoint``).  An empty grid or a repeated N is refused."""
+    Ns = _grid("N", Ns, _integer, 1)
     f = height_fraction_limit(rho)
     v = f * f / rho
     rows = []
     for n in Ns:
-        d = exactdist.height_distribution(make_params(int(n), rho=rho))
-        rows.append(ConvergencePoint(N=int(n), mean=d.mean, variance=d.variance,
+        d = exactdist.height_distribution(make_params(n, rho=rho))
+        rows.append(ConvergencePoint(N=n, mean=d.mean, variance=d.variance,
                                      mean_over_N=d.mean / n, var_over_N=d.variance / n,
                                      mean_limit=f, var_limit=v,
                                      mean_gap=abs(d.mean / n - f),
@@ -406,6 +400,7 @@ def convergence_table(rho: float, Ns: list[int]) -> list[ConvergencePoint]:
 def concentration_window(N: int, c: BoundConstants) -> tuple[int, int]:
     """The log-width window [h_N - ceil(c2 log N) - ceil(c3), h_N + ceil(c1 log N)]
     that carries almost all of the mass, clipped to [1, N]."""
+    N = _integer("N", N, 1)
     h = peak_index(c.alpha, N)
     lo = h - math.ceil(c.c2 * math.log(N)) - math.ceil(c.c3)
     hi = h + math.ceil(c.c1 * math.log(N))
@@ -416,6 +411,7 @@ def concentration_mass_bound(N: int, c: BoundConstants) -> float:
     """Provable lower bound on the window mass:
     1 - 2 (3 + rho) / ((N-1) rho^2) - 2 / t(h_N).  It is -inf where it is
     below the range of a double, at rho below ~1e-154."""
+    N = _integer("N", N, 1)
     rho = c.rho
     t_h = math.exp(exactdist.log_r_term(N, rho, peak_index(c.alpha, N)))
     scale = (N - 1) * rho * rho
@@ -438,21 +434,16 @@ def window_mass(law: exactdist.HeightDistribution,
     return surv[bisect_left(ends, lo)] - surv[bisect_left(ends, hi + 1)], lo, hi
 
 
-def verify_reports(rhos: list[float], ns: list[int], *,
-                   selftest_corrupt: bool = False) -> list[BoundReport]:
+def verify_reports(rhos: list[float], ns: list[int]) -> list[BoundReport]:
     """The certificate suite over the grid: per rho < 1, on its one
     ``BoundConstants``, the peak-ratio bounds, the mean sandwich, the band of
     t(h_n)/sqrt(n) and the window mass; per rho >= 1 the mean near capacity;
     then per rho the closed form against the first-passage oracle at N in
-    ``_EQUIVALENCE_GRID_N``.  ``selftest_corrupt`` quarters the c1 of the
-    peak-ratio bounds only, so that a wrong growth constant must surface as a
-    failing report.  The rho and N values may come in any order, and a
-    value given twice is a ``ParameterError``."""
+    ``_EQUIVALENCE_GRID_N``.  Both grids must be nonempty, their values may
+    come in any order, and a value given twice is a ``ParameterError``."""
     from . import oracle  # here, so that alpha and sweep never load it
 
-    for name, grid in (("rho", rhos), ("N", ns)):
-        if len(set(grid)) < len(grid):
-            raise ParameterError(f"the {name} grid must not repeat a value, got {grid}")
+    rhos, ns = _grid("rho", rhos, _positive_rate), _grid("N", ns, _integer, 1)
     reports: list[BoundReport] = []
     for rho in rhos:
         # the laws first: they refuse an N too large for the bounds' floats
@@ -461,9 +452,8 @@ def verify_reports(rhos: list[float], ns: list[int], *,
             reports += (check_mean_near_capacity(n, rho, laws[n].mean) for n in ns)
         else:
             c = bound_constants(solve_alpha(rho))
-            peak = c._replace(c1=0.25 * c.c1) if selftest_corrupt else c
             for n in ns:
-                reports += check_peak_ratio_bounds(n, peak)
+                reports += check_peak_ratio_bounds(n, c)
             reports += (check_mean_bounds(n, c, laws[n].mean) for n in ns)
             ratios = [stirling_ratio(n, c) for n in ns if n >= 2]
             band = max(ratios) / min(ratios) if ratios else math.nan

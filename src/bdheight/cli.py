@@ -410,8 +410,7 @@ def cmd_alpha(args) -> int:
 def cmd_verify(args) -> int:
     from . import asymptotics
 
-    checks = [r.to_dict() for r in asymptotics.verify_reports(
-        args.rho, args.n, selftest_corrupt=args.selftest_corrupt)]
+    checks = [r.to_dict() for r in asymptotics.verify_reports(args.rho, args.n)]
     failed = [c for c in checks if c["applicable"] and not c["passed"]]
     data = {
         "checks": checks,
@@ -419,7 +418,7 @@ def cmd_verify(args) -> int:
         "n_failed": len(failed),
         "passed": not failed,
     }
-    parameters = {"rho": args.rho, "N": args.n, "selftest_corrupt": args.selftest_corrupt}
+    parameters = {"rho": args.rho, "N": args.n}
     _emit("verify", parameters, _pieces(data), args.output)
     if failed:
         for c in failed:
@@ -493,7 +492,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser("verify", help="run the certified inequality suite")
     sub.add_argument("--rho", type=float, nargs="+", default=[0.25, 0.5, 0.75, 1.0, 2.0])
     sub.add_argument("--n", type=int, nargs="+", default=[1000, 10000, 100000])
-    sub.add_argument("--selftest-corrupt", action="store_true", help=argparse.SUPPRESS)
     # no --format: the nested check records have no CSV form
     sub.add_argument("--output", default=None, help="output path (default: stdout)")
     sub.set_defaults(func=cmd_verify)

@@ -16,12 +16,5 @@ class CapacityError(BDHeightError):
 
 
 class SimulationAbort(BDHeightError, RuntimeError):
-    """A sampling run was stopped by the per-excursion step circuit breaker.
-
-    ``steps_taken`` is the step count at which it tripped; the message
-    says how many of the batch's samples completed.
-    """
-
-    def __init__(self, *args, steps_taken=None):
-        super().__init__(*args)
-        self.steps_taken = steps_taken
+    """A sampling run was stopped by the per-excursion step circuit breaker; the
+    message says where it tripped and how many of the batch's samples completed."""

@@ -87,6 +87,17 @@ def _integer(name: str, value, minimum: int) -> int:
     return value
 
 
+def _grid(name: str, values, check, *args) -> list:
+    """The values of a nonempty grid, in the order given, each as
+    ``check(name, value, *args)`` gives it, no two equal."""
+    grid = [check(name, value, *args) for value in values]
+    if not grid:
+        raise ParameterError(f"the {name} grid must be nonempty")
+    if len(set(grid)) < len(grid):
+        raise ParameterError(f"the {name} grid must not repeat a value, got {grid}")
+    return grid
+
+
 def make_params(N: int, rho: float) -> ModelParams:
     """Validate and freeze chain parameters.
 

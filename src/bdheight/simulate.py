@@ -81,7 +81,7 @@ from typing import NamedTuple
 from . import exactdist, oracle
 from .errors import CapacityError, ParameterError, SimulationAbort
 from .model import (FULL_CTMC, JUMP_CHAIN, LADDER, SAMPLER_MODES, ModelParams, ReadOnly,
-                    _integer, jump_up_probs)
+                    _integer, _positive_rate, jump_up_probs)
 
 __all__ = [
     "LADDER",
@@ -110,10 +110,8 @@ class SimulationConfig(ReadOnly):
         if mode not in SAMPLER_MODES:
             raise ParameterError(f"mode must be one of {SAMPLER_MODES}, got {mode!r}")
         n_samples, seed = _integer("n_samples", n_samples, 1), _integer("seed", seed, 0)
-        if not isinstance(dkw_delta, (int, float)) or not 0.0 < dkw_delta < 1.0:
-            raise ParameterError(f"dkw_delta must be a real in (0, 1), got {dkw_delta!r}")
         vars(self).update(params=params, n_samples=n_samples, seed=seed, mode=mode,
-                          dkw_delta=dkw_delta)
+                          dkw_delta=_confidence("dkw_delta", dkw_delta))
 
 
 class SimulationSummary(NamedTuple):
@@ -131,8 +129,16 @@ class SimulationSummary(NamedTuple):
     mean_busy_duration: float | None = None  # full-ctmc only, in units of 1/mu
 
 
+def _confidence(name: str, value) -> float:
+    """``value`` as a float: a real, as ``_positive_rate`` takes it, below 1."""
+    if not (delta := _positive_rate(name, value)) < 1.0:
+        raise ParameterError(f"{name} must be a real in (0, 1), got {value!r}")
+    return delta
+
+
 def dkw_epsilon(n_samples: int, delta: float) -> float:
-    """Half-width of the level-(1 - delta) distribution-free ECDF band."""
+    """Half-width of the level-(1 - delta) distribution-free ECDF band of n_samples >= 1."""
+    n_samples, delta = _integer("n_samples", n_samples, 1), _confidence("delta", delta)
     ratio = 2.0 / delta  # overflows for delta below ~1.1e-308; its log does not
     log_ratio = math.log(ratio) if ratio < math.inf else math.log(2.0) - math.log(delta)
     return math.sqrt(log_ratio / (2.0 * n_samples))
@@ -263,8 +269,7 @@ def _walk(cfg: SimulationConfig, counts: Counter) -> Iterator[list[float]]:
             if rounds > MAX_EXCURSION_STEPS:
                 raise SimulationAbort(
                     f"excursions exceeded {MAX_EXCURSION_STEPS} jump steps at N={p.N}, "
-                    f"rho={p.rho}; {lo + m - state.size} of {n} samples completed",
-                    steps_taken=rounds)
+                    f"rho={p.rho}; {lo + m - state.size} of {n} samples completed")
             if rounds >= size <= p.N:  # no state exceeds the round count
                 size = min(max(2 * size, 1024), p.N + 1)
                 up = np.append(up, np.fromiter(probs, float, size - up.size))

@@ -210,8 +210,14 @@ class TestPeakRatioBounds:
         assert decay.margin > 50.0  # far below n^-3 in log scale
 
     def test_empty_system_rejected(self):
-        with pytest.raises(ParameterError, match="n must be >= 1"):
-            check_peak_ratio_bounds(0, bound_constants(solve_alpha(0.5)))
+        c = bound_constants(solve_alpha(0.5))
+        with pytest.raises(ParameterError, match="^n must be >= 1, got 0$"):
+            check_peak_ratio_bounds(0, c)
+        for n in (1000.5, True):
+            with pytest.raises(ParameterError, match="n must be an integer >= 1"):
+                check_peak_ratio_bounds(n, c)
+            with pytest.raises(ParameterError, match="n must be an integer >= 1"):
+                peak_index(c.alpha, n)
 
 
 class TestMeanBounds:
@@ -240,10 +246,19 @@ class TestMeanBounds:
         assert isinstance(rep.passed, bool)
 
     def test_empty_system_rejected(self):
-        with pytest.raises(ParameterError, match="N must be >= 1"):
-            check_mean_bounds(0, bound_constants(solve_alpha(0.5)), 1.0)
-        with pytest.raises(ParameterError, match="N must be >= 1"):
+        c = bound_constants(solve_alpha(0.5))
+        with pytest.raises(ParameterError, match="^N must be >= 1, got 0$"):
+            check_mean_bounds(0, c, 1.0)
+        with pytest.raises(ParameterError, match="^N must be >= 1, got 0$"):
             check_mean_near_capacity(0, 2.0, 1.0)
+        # a report must not carry an N that is no chain size
+        for N in (1000.5, True):
+            with pytest.raises(ParameterError, match="N must be an integer >= 1"):
+                check_mean_bounds(N, c, 770.0)
+        with pytest.raises(ParameterError, match="N must be an integer >= 1"):
+            check_mean_near_capacity(2000.5, 2.0, 1999.0)
+        # numpy's integers are taken, as make_params takes them, and reported as ints
+        assert type(check_mean_bounds(np.int64(1000), c, 770.0).n) is int
 
     def test_capacity_bound_refuses_rho_below_one(self):
         with pytest.raises(ParameterError, match="rho >= 1"):
@@ -255,8 +270,10 @@ class TestStirlingRatio:
         c = bound_constants(solve_alpha(0.5))
         val = stirling_ratio(2, c)
         assert math.isfinite(val) and val > 0
-        with pytest.raises(ParameterError, match="n must be >= 2"):
+        with pytest.raises(ParameterError, match="^n must be >= 2, got 1$"):
             stirling_ratio(1, c)
+        with pytest.raises(ParameterError, match="n must be an integer >= 2"):
+            stirling_ratio(1000.5, c)
 
     def test_doubling(self):
         c = bound_constants(solve_alpha(0.25))
@@ -291,10 +308,15 @@ class TestConvergenceTable:
         assert abs(rows[0].var_over_N - 1.0) <= 0.1
 
     def test_bad_grids_rejected(self):
-        with pytest.raises(ParameterError):
-            convergence_table(0.5, [])
-        with pytest.raises(ParameterError):
-            convergence_table(0.5, [100, 100])
+        # 1000.5 once answered for N = 1000, and True for N = 1
+        for grid in ([], [100, 100], [1000, 10, 1000], [1000.5], [True], [0], ["10"]):
+            with pytest.raises(ParameterError, match="the N grid|N must be"):
+                convergence_table(0.5, grid)
+
+    def test_rows_come_in_the_order_given(self):
+        rows = convergence_table(0.5, [1000, np.int64(10)])
+        assert [(r.N, type(r.N)) for r in rows] == [(1000, int), (10, int)]
+        assert rows == convergence_table(0.5, [1000]) + convergence_table(0.5, [10])
 
 
 class TestConcentration:
@@ -315,6 +337,14 @@ class TestConcentration:
         law = height_distribution(make_params(1000, rho=0.5))
         with pytest.raises(ParameterError, match="constants' rho"):
             window_mass(law, bound_constants(solve_alpha(0.25)))
+
+    def test_non_integer_N_rejected(self):
+        c = bound_constants(solve_alpha(0.5))
+        for N in (1000.5, True, 0):
+            with pytest.raises(ParameterError, match="N must be"):
+                concentration_window(N, c)
+            with pytest.raises(ParameterError, match="N must be"):
+                concentration_mass_bound(N, c)
 
     def test_window_is_log_width(self):
         c = bound_constants(solve_alpha(0.5))
@@ -364,6 +394,15 @@ class TestOneSolvePerRho:
         assert stirling_ratio(1000, c) > 0.0
         assert window_mass(law, c)[1:] == concentration_window(1000, c)
         assert concentration_mass_bound(1000, c) <= window_mass(law, c)[0]
+
+
+@pytest.mark.parametrize("rhos, ns, name", [([0.5], [], "N"), ([], [1000], "rho")],
+                         ids=["no_N", "no_rho"])
+def test_verify_reports_refuses_an_empty_grid(rhos, ns, name):
+    # an empty N grid once raised a bare ValueError from max(), and an empty
+    # rho grid returned an empty suite that passed
+    with pytest.raises(ParameterError, match=f"^the {name} grid must be nonempty$"):
+        asymptotics.verify_reports(rhos, ns)
 
 
 @pytest.mark.parametrize("short", ["law", "oracle"])

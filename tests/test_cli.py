@@ -196,6 +196,14 @@ class TestVerify:
         assert rc == 0
         assert "format" not in doc["manifest"]["parameters"]
 
+    def test_selftest_flag_is_gone(self, capsys):
+        # the corrupted-constant check is a test's monkeypatch, not a CLI setting
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--rho", "0.5", "--n", "10", "--selftest-corrupt"])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert err.endswith(": error: unrecognized arguments: --selftest-corrupt\n"), err
+
     @pytest.mark.parametrize("grid", [["--rho", "0.5", "--n", "10", "10"],
                                       ["--rho", "0.5", "0.5", "--n", "10"],
                                       ["--rho", "0.5", "2", "0.5", "--n", "1000", "10"]],
@@ -210,8 +218,7 @@ class TestVerify:
     def test_unordered_grid_answers(self, capsys):
         rc, doc, _ = run_json(capsys, "verify", "--rho", "2", "0.5", "--n", "1000", "10")
         assert rc == 0
-        assert doc["manifest"]["parameters"] == {"N": [1000, 10], "rho": [2.0, 0.5],
-                                                 "selftest_corrupt": False}
+        assert doc["manifest"]["parameters"] == {"N": [1000, 10], "rho": [2.0, 0.5]}
 
     def test_nan_oracle_gap_fails(self, capsys, monkeypatch):
         # max(0.0, nan) is 0.0, so a nan gap once passed with lhs 0.0
@@ -244,16 +251,22 @@ class TestVerify:
         assert check["passed"] is False
         assert check["lhs"] is None and check["margin"] is None
 
-    def test_corrupted_constant_fails(self, tmp_path, capsys):
+    def test_corrupted_constant_fails(self, tmp_path, capsys, monkeypatch):
+        # a quartered growth constant c1 must surface as a failing report
+        from bdheight import asymptotics
+        check = asymptotics.check_peak_ratio_bounds
+        monkeypatch.setattr(asymptotics, "check_peak_ratio_bounds",
+                            lambda n, c: check(n, c._replace(c1=0.25 * c.c1)))
         path = tmp_path / "artifact"
-        rc = main(["verify", "--rho", "0.5", "--n", "2000", "--selftest-corrupt",
-                   "--output", str(path)])
+        rc = main(["verify", "--rho", "0.5", "--n", "2000", "--output", str(path)])
         assert rc == 1
-        assert strict_loads(path.read_text())["data"]["n_failed"] > 0
-        assert "FAILED" in capsys.readouterr().err
+        failed = [c for c in strict_loads(path.read_text())["data"]["checks"]
+                  if c["applicable"] and not c["passed"]]
+        assert [c["inequality"] for c in failed] == ["peak_growth"]
+        assert capsys.readouterr().err.startswith("verify: FAILED peak_growth at n=2000, ")
         # the failing artifact is pinned like the passing ones
         assert _pinned_digest(path.read_bytes()) == (
-            "2d5179c4552fa6ba11c21cd08be3b3255a74e87fb0a6a3b070796704b6af3aee")
+            "a31b09b83de6d8678e149a80f81f673ede1d84244733387d1286d401372afd9e")
 
 
 class TestSimulateCommand:
@@ -407,10 +420,17 @@ class TestSweep:
                             "mean_gap,var_gap")
         assert [line.split(",")[0] for line in lines[1:-1]] == ["10", "100"]
 
-    def test_non_ascending_grid_exits_2(self, capsys):
-        rc, _, err = run_cli(capsys, "sweep", "--rho", "2", "--n", "100", "100")
-        assert rc == 2
-        assert "ascending" in err
+    def test_unordered_grid_answers_in_the_order_given(self, capsys):
+        rc, doc, _ = run_json(capsys, "sweep", "--rho", "0.5", "--n", "1000", "10")
+        assert rc == 0
+        assert [r["N"] for r in doc["data"]["rows"]] == [1000, 10]
+        assert doc["manifest"]["parameters"]["N"] == [1000, 10]
+
+    def test_repeated_grid_value_exits_2(self, capsys):
+        # the message is verify's
+        rc, out, err = run_cli(capsys, "sweep", "--rho", "2", "--n", "100", "100")
+        assert (rc, out) == (2, "")
+        assert err == "sweep: error: the N grid must not repeat a value, got [100, 100]\n"
 
 
 _CLOSED_FORM_COMMANDS = pytest.mark.parametrize(
@@ -853,13 +873,13 @@ class TestEmission:
         # the certificate records over the default rho grid, and with a
         # rho >= 1 and an N below the asserted threshold
         (["verify", "--n", "1000", "10000", "100000", "1000000"],
-         "8432a1b6d95d3eb423584fd542fbd3594e7e69852e08b331179defdb35f8af35"),
+         "78f74d671fe8869392c17feda039e58040067912a4681c3520f1575e527ee2fc"),
         (["verify", "--rho", "0.5", "2", "--n", "10", "1000"],
-         "ef8d74ddf215fb4d3eb9020846c8c8384cc9d74a82dcf6160be9e552644c8fa8"),
+         "7b8401e20548dc320ea6f725f767a17c604ec856735bcfdd8c8d0eadb27f691e"),
         # a mass bound of -inf, a decay and a band that are not applicable,
         # and a rho near 1
         (["verify", "--rho", "1e-300", "0.9", "--n", "1000", "100000"],
-         "15cca979ba4181f7c2e83351956153250e0cf464098ec4effaa58512bf2b7671"),
+         "e256517958f73be16d5533a9eae728eab05a46b05cc8d888ca9e80303e338467"),
     ], ids=lambda v: "_".join(v) if isinstance(v, list) else "")
     def test_artifact_bytes_are_pinned(self, tmp_path, argv, digest):
         path = tmp_path / "artifact"

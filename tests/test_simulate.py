@@ -59,8 +59,8 @@ class TestConfig:
             SimulationConfig(params=p, n_samples=10, seed=1, mode="bogus")
         with pytest.raises(ParameterError):
             SimulationConfig(params=p, n_samples=True, seed=1)
-        for delta in ("0.1", None):
-            with pytest.raises(ParameterError):
+        for delta in ("0.1", None, True, 0.0, 1.0, 1, math.nan, Fraction(3, 2)):
+            with pytest.raises(ParameterError, match="dkw_delta must be"):
                 SimulationConfig(params=p, n_samples=10, seed=1, dkw_delta=delta)
         for params in ((5, 1.0, 1.0, 1.0), None):
             with pytest.raises(ParameterError):
@@ -78,6 +78,24 @@ class TestConfig:
         cfg = SimulationConfig(params=p, n_samples=to_int(10), seed=to_int(3))
         assert type(cfg.n_samples) is int and type(cfg.seed) is int
         assert run_batch(cfg) == run_batch(SimulationConfig(params=p, n_samples=10, seed=3))
+
+    @pytest.mark.parametrize("delta", [Fraction(1, 100), np.float32(0.01), np.float64(0.01)],
+                             ids=["Fraction", "float32", "float64"])
+    def test_real_deltas_accepted(self, delta):
+        # taken as make_params takes a rho, and stored as the float it rounds to
+        p = make_params(5, rho=0.5)
+        cfg = SimulationConfig(params=p, n_samples=10, seed=3, dkw_delta=delta)
+        assert type(cfg.dkw_delta) is float and cfg.dkw_delta == float(delta)
+        assert run_batch(cfg) == run_batch(SimulationConfig(params=p, n_samples=10, seed=3,
+                                                            dkw_delta=float(delta)))
+
+    @pytest.mark.parametrize("n_samples, delta", [(0, 0.01), (10, 0.0), (10, 5.0), (10, 2.0),
+                                                  (10, 1.0), (10.5, 0.01), (True, 0.01),
+                                                  (10, "0.01")])
+    def test_dkw_epsilon_refuses_bad_inputs(self, n_samples, delta):
+        # these once raised ZeroDivisionError or a math domain error, or gave 0.0
+        with pytest.raises(ParameterError, match="n_samples must be|delta must be"):
+            dkw_epsilon(n_samples, delta)
 
     def test_fields(self):
         # every field is a setting some caller needs; the step budgets are constants
@@ -145,7 +163,7 @@ class TestScalarSamplers:
                                mode=JUMP_CHAIN)
         with pytest.raises(SimulationAbort) as exc:
             run_batch(cfg)
-        assert exc.value.steps_taken == 4
+        assert str(exc.value).startswith("excursions exceeded 3 jump steps at N=30, rho=5.0; ")
         done = int(re.search(rf"; (\d+) of {n} samples completed$", str(exc.value))[1])
         assert 0 < done < n
 
