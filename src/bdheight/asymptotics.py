@@ -481,7 +481,8 @@ def verify_reports(rhos: list[float], ns: list[int]) -> list[BoundReport]:
             p = make_params(n, rho=rho)
             survival, _, lengths = exactdist.height_distribution(p).column_runs()
             exact = itertools.chain.from_iterable(map(itertools.repeat, survival, lengths))
-            gaps += (abs(e - f) for e, f in zip(exact, oracle.height_dist_oracle(p), strict=True))
+            first_passage = (math.exp(-s) for s in oracle.log_hitting_sums(p))  # 1 / S_k
+            gaps += (abs(e - f) for e, f in zip(exact, first_passage, strict=True))
         # nan if any gap is, so that a nan fails the check; max() alone would
         # skip a nan that is not the first gap
         worst = math.nan if any(map(math.isnan, gaps)) else float(max(gaps))

@@ -41,9 +41,11 @@ runs that ``run_batch`` measured its sup distance on, as the same
 columns in JSON and CSV.  One block writer, ``_ints``, writes the
 integers k of the ``k`` column and of a CSV run's lines, each followed by
 a separator (a comma, or the run's CSV values), 10**4 at a time by
-strided slice assignment, with no per-entry formatting.  A CSV value is
-written as JSON writes it where the two differ: ``null`` is an empty
-value, and a bool is ``true`` or ``false``.  ``dist`` and ``simulate``
+strided slice assignment, with no per-entry formatting.  A CSV float is
+written with 15 significant digits (``format(x, ".15g")``), where JSON
+writes its shortest ``repr``: 1/3 is ``0.333333333333333`` in CSV and
+``0.3333333333333333`` in JSON.  A CSV ``null`` is an empty value, and a
+bool is ``true`` or ``false``, as in JSON.  ``dist`` and ``simulate``
 refuse more than ``MAX_ROWS`` rows (exit 2); ``sweep`` and ``verify``
 build no column.
 
@@ -52,12 +54,10 @@ modules, which every subcommand needs, and no numpy.  The others are
 imported by the commands that use them: ``alpha``, ``sweep`` and
 ``verify`` import ``asymptotics``, whose certificate suite (``verify``)
 imports ``oracle`` when called, and ``simulate`` imports ``simulate``
-(which loads ``oracle``).  Only a
-walk-mode ``simulate`` (``--mode jump-chain`` or ``full-ctmc``) loads
-numpy, for its Philox streams; the default ladder draws from the
-standard library's ``random``.  Only ``verify`` and ``simulate`` load
-``oracle``.  No run but a walk loads ``inspect`` (with ``ast``, ``dis``
-and ``tokenize``, ~12 ms), which numpy loads: the package's records are
+(which loads ``oracle``).  No run loads numpy: all three ``simulate``
+modes draw from the standard library's ``random``.  Only ``verify`` and
+``simulate`` load ``oracle``.  No run loads ``inspect`` (with ``ast``,
+``dis`` and ``tokenize``, ~12 ms): the package's records are
 ``NamedTuple``s or small read-only classes, since the standard library's
 record decorators import ``inspect``.  No run loads OpenSSL's libcrypto
 (``hashlib``, ~3.5 MB) but one whose data passes ``_SMALL_HASH_BYTES``
@@ -436,7 +436,7 @@ def cmd_simulate(args) -> int:
                                     mode=args.mode, dkw_delta=args.delta)
     if (est := simulate._walk_steps(cfg)) > _WALK_WARN_STEPS:  # a batch over budget is refused
         print(f"simulate: warning: this batch costs an estimated ~{est:.3g} jump "
-              f"steps, its rounds included; consider --mode {LADDER}", file=sys.stderr)
+              f"steps; consider --mode {LADDER}", file=sys.stderr)
     summary = simulate.run_batch(cfg)
     columns = {name: _Runs(*runs) for name, runs in summary.columns.items()}
     parameters = {**resolved, "samples": args.samples, "seed": args.seed,

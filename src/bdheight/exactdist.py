@@ -106,10 +106,11 @@ that of ``np.logaddexp.accumulate``), the survival ``exp`` and the mass
 ``expm1``.  NumPy's ``np.log``, ``np.exp`` and ``np.expm1`` run SIMD
 kernels that numpy picks at run time from the CPU's features, and these
 differ from libm in the last bit, so a law computed with them would have
-bytes that depend on the CPU.  numpy is imported only by the two
-dense views of :class:`HeightDistribution`, ``pmf`` and
-``survival_values()``, which spread its runs over all N heights; they
-remain because the benchmark's artifact checker reads them.
+bytes that depend on the CPU.  numpy is no runtime dependency (it comes
+with the ``test`` extra) and is imported only by the two dense views of
+:class:`HeightDistribution`, ``pmf`` and ``survival_values()``, which
+spread its runs over all N heights; they remain because the benchmark's
+artifact checker (``perfbench/artifact.py``) and the tests read them.
 
 An exact-rational twin (``exact_rational_distribution``) gives the same
 quantities as ``Fraction``s up to N = 500 (a partial sum is an integer

@@ -23,8 +23,9 @@ log-sum-exp partial sums is immune to both failure modes.
 
 ``log_hitting_sums`` yields the log S_k in turn, with no size cap, so a
 caller reads only as far as it needs; the ladder sampler draws from
-them.  ``height_dist_oracle`` still refuses N above ``cap`` (default
-2000) unless the caller raises it, and returns an ``array('d')``.
+them, and ``verify``'s cross-check takes exp(-log S_k) of them.
+``height_dist_oracle`` still refuses N above ``cap`` (default 2000)
+unless the caller raises it, and returns an ``array('d')``.
 
 The sweep runs on ``math`` (the C library's ``log``, ``log1p`` and
 ``exp``), one state at a time, and imports no numpy.  numpy picks its
@@ -88,7 +89,10 @@ def log_hitting_sums(p: ModelParams) -> Iterator[float]:
 
 
 def height_dist_oracle(p: ModelParams, *, cap: int = ORACLE_CAP_DEFAULT) -> array:
-    """Survival vector P(H >= k), k = 1..N, from one batched sweep."""
+    """Survival vector P(H >= k), k = 1..N, from one batched sweep.
+
+    No package code calls it: its callers are the benchmark's artifact
+    checker (``perfbench/artifact.py``) and the tests."""
     if p.N > cap:
         raise CapacityError(
             f"first-passage oracle is capped at N = {cap} (got N = {p.N}); "

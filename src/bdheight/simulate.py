@@ -30,8 +30,8 @@ Three samplers:
     that is ~10^13 steps per excursion.  ``run_batch`` therefore
     estimates the cost analytically up front (a 100-excursion pilot
     would itself never terminate in the regimes it is supposed to warn
-    about), the samples' steps and each chunk's lockstep rounds, and
-    refuses batches whose estimate exceeds ``MAX_TOTAL_STEPS``.  Holding
+    about), the mean excursion's steps times the samples, and refuses
+    batches whose estimate exceeds ``MAX_TOTAL_STEPS``.  Holding
     times are irrelevant to the height, so this walk samples the same
     height law as ``full-ctmc``.
 
@@ -47,20 +47,22 @@ The ladder draws from ``random.Random(seed)`` and uses only its
 ``random()`` method, whose sequence Python keeps the same for a given
 seed across versions; its binomials are ``_binomial``, a port of
 CPython 3.12's ``binomialvariate`` on the C library's ``log`` and
-``log1p`` and on CPython's own ``lgamma``.  The walks partition their
-samples into chunks of ``_CHUNK_SAMPLES``, and chunk c draws from its
-own counter-based Philox stream seeded by ``SeedSequence((seed, c))``;
-numpy is imported only there.  Chunks run in order on the calling
-thread, and a chunk keeps only its live excursions, in their original
-order, so each round draws the same variates whatever has finished: a
-fixed ``SimulationConfig`` produces bit-identical summaries.  The counts
-are a ``Counter`` keyed by height; excursions' heights are added to it
-as they finish, and a ``full-ctmc`` chunk's durations go into the exact
-sum once the chunk is walked, so a walk batch holds O(min(N, longest
-excursion) + chunk) numbers however many samples it draws.  The summary
-holds what the batch measured and none of its inputs, which are the
-config's.  It keeps only the nonzero counts, as ascending (height, count)
-pairs, and takes the exact moments from them and the sup distance from its
+``log1p`` and on CPython's own ``lgamma``.  The walks draw from the same
+kind of stream, ``random.Random(seed)``'s ``random()``, one per batch, and
+run the excursions in sample order, each to its end.  A ``jump-chain``
+step takes one uniform u and moves up if u < p_s at state s; a
+``full-ctmc`` step first takes the hold -log1p(-u) / (s + (N - s) rho),
+then the direction from the next uniform.  So a batch of m samples is the
+first m excursions of any larger batch of the same seed, and a fixed
+``SimulationConfig`` produces bit-identical summaries across Python
+versions (the durations also rest on the C library's ``log1p``).  The
+counts are a ``Counter`` keyed by height; each excursion's height is
+added to it as the excursion ends, and a ``full-ctmc`` duration goes into
+the exact sum then, so a walk batch holds O(min(N, highest state
+reached)) numbers however many samples it draws.  The summary holds what
+the batch measured and none of its inputs, which are the config's.  It
+keeps only the nonzero counts, as ascending (height, count) pairs, and
+takes the exact moments from them and the sup distance from its
 ``columns``, the runs that ``batch_columns`` builds of them and the exact
 law, once per batch.
 Scalar aggregates are rounded once from their exact values (integer
@@ -235,58 +237,46 @@ def _ladder_counts(p: ModelParams, n: int, seed: int, counts: Counter) -> None:
     counts[p.N] += rem  # where the hazard is 1
 
 
-# Samples per walk chunk, and so per Philox stream.  A constant, so the
-# stream layout depends on nothing but the seed.
-_CHUNK_SAMPLES = 4096
-# One walk round costs about this many sample-steps of a full chunk: ~6 us
-# against ~28 ns (jump-chain), ~8 us against ~45 ns (full-ctmc), numpy 2 on
-# a 2-vCPU Xeon.  The budget charges each chunk a mean excursion's rounds.
-_ROUND_STEPS = 200
-
-
-def _walk(cfg: SimulationConfig, counts: Counter) -> Iterator[list[float]]:
-    """Walk the batch chunk by chunk, adding the heights to ``counts`` as
-    the excursions finish, and yield each chunk's durations (none for
-    ``jump-chain``).  The up-move probabilities, and the rates of
-    ``full-ctmc`` only, are tables over the states 0..size - 1 that live for
-    the batch.  A state never exceeds the round count, so they double
-    (up to N + 1 states) whenever the rounds reach their size, and hold
-    only the states a walk can reach.  A chunk's live excursions advance
-    in lockstep, one jump each per round, and the finished ones drop out.
-    The round count bounds every excursion's step count, so the circuit
-    breaker trips once any excursion exceeds MAX_EXCURSION_STEPS."""
-    import numpy as np
-
-    p, n, ctmc = cfg.params, cfg.n_samples, cfg.mode == FULL_CTMC
-    probs, up, size = jump_up_probs(p), np.empty(0), 0  # the tables' states are 0..size - 1
-    for c, lo in enumerate(range(0, n, _CHUNK_SAMPLES)):
-        rng = np.random.Generator(np.random.Philox(np.random.SeedSequence((cfg.seed, c))))
-        m = min(_CHUNK_SAMPLES, n - lo)
-        state, peak, held = np.ones(m, dtype=np.int64), np.ones(m, dtype=np.int64), np.zeros(m)
-        durations, rounds = [], 0
-        while state.size:
-            rounds += 1
-            if rounds > MAX_EXCURSION_STEPS:
-                raise SimulationAbort(
-                    f"excursions exceeded {MAX_EXCURSION_STEPS} jump steps at N={p.N}, "
-                    f"rho={p.rho}; {lo + m - state.size} of {n} samples completed")
-            if rounds >= size <= p.N:  # no state exceeds the round count
-                size = min(max(2 * size, 1024), p.N + 1)
-                up = np.append(up, np.fromiter(probs, float, size - up.size))
-                if ctmc:  # in units of mu, so the holds are in units of 1/mu
-                    i = np.arange(size, dtype=float)
-                    rates = i + (p.N - i) * p.rho
-            if ctmc:
-                held += rng.exponential(1.0, state.size) / rates[state]
-            state += np.where(rng.random(state.size) < up[state], 1, -1)
-            np.maximum(peak, state, out=peak)
-            if (done := state == 0).any():
-                counts.update(peak[done].tolist())
-                if ctmc:
-                    durations += held[done].tolist()
-                live = ~done
-                state, peak, held = state[live], peak[live], held[live]
-        yield durations
+def _walk(cfg: SimulationConfig, counts: Counter) -> Iterator[float]:
+    """Walk the batch's excursions in sample order on one ``random()``
+    stream, adding each height to ``counts`` as its excursion ends, and
+    yield each ``full-ctmc`` duration then (none for ``jump-chain``).  The
+    up-move probabilities, and the rates in units of mu, are lists over the
+    states 0..len - 1 that grow with the highest state reached, so they hold
+    only the states a walk reaches.  An excursion draws its uniforms from a
+    ``map`` over the generator, which calls ``random()`` from C, one uniform
+    per jump (two in ``full-ctmc``) up to MAX_EXCURSION_STEPS jumps; the
+    circuit breaker trips when they run out."""
+    p, n, ctmc, limit = cfg.params, cfg.n_samples, cfg.mode == FULL_CTMC, MAX_EXCURSION_STEPS
+    rng, log1p = random.Random(cfg.seed), math.log1p
+    probs = jump_up_probs(p)
+    up, rates = [next(probs), next(probs)], [p.N * p.rho, 1.0 + (p.N - 1) * p.rho]
+    for done in range(n):
+        state = peak = 1
+        held = 0.0
+        uniforms = map(random.Random.random, itertools.repeat(rng, 2 * limit if ctmc else limit))
+        for u in uniforms:
+            if ctmc:  # the hold at the state, then the jump out of it
+                held -= log1p(-u) / rates[state]
+                u = next(uniforms)
+            if u < up[state]:
+                state += 1
+                if state > peak:
+                    peak = state
+                    if peak == len(up):
+                        up.append(next(probs))
+                        rates.append(peak + (p.N - peak) * p.rho)
+            else:
+                state -= 1
+                if not state:
+                    break
+        else:
+            raise SimulationAbort(
+                f"excursions exceeded {limit} jump steps at N={p.N}, "
+                f"rho={p.rho}; {done} of {n} samples completed")
+        counts[peak] += 1
+        if ctmc:
+            yield held
 
 
 def batch_columns(law: exactdist.HeightDistribution,
@@ -322,18 +312,17 @@ def batch_columns(law: exactdist.HeightDistribution,
 
 
 def _walk_steps(cfg: SimulationConfig) -> float:
-    """The estimated cost of the batch in jump steps: 0.0 for the ladder,
-    which does not walk.  Each chunk's rounds are charged as well as its
-    samples' steps.  Raises ``CapacityError`` above ``MAX_TOTAL_STEPS``."""
+    """The estimated cost of the batch in jump steps, the mean excursion's
+    steps times the samples: 0.0 for the ladder, which does not walk.
+    Raises ``CapacityError`` above ``MAX_TOTAL_STEPS``."""
     if cfg.mode == LADDER:
         return 0.0
     p, n = cfg.params, cfg.n_samples
-    chunks = -(-n // _CHUNK_SAMPLES)
-    est = estimate_mean_excursion_steps(p) * (n + chunks * _ROUND_STEPS)
+    est = estimate_mean_excursion_steps(p) * n
     if est > MAX_TOTAL_STEPS:
         raise CapacityError(
             f"direct {cfg.mode} simulation of {n} excursions at N={p.N}, "
-            f"rho={p.rho} costs ~{est:.3g} jump steps, its rounds included "
+            f"rho={p.rho} costs ~{est:.3g} jump steps "
             f"(budget {MAX_TOTAL_STEPS:.3g}); the '{LADDER}' mode samples "
             f"the same height law without walking")
     return est
@@ -352,11 +341,9 @@ def run_batch(cfg: SimulationConfig) -> SimulationSummary:
     if cfg.mode == LADDER:
         _ladder_counts(p, n, cfg.seed, counts)
     else:
-        # fsum runs the walk.  It takes each chunk's durations as the chunk
-        # is walked and keeps only its partials, and it rounds the exact sum
-        # once, so the value depends on neither the chunking nor the order
-        # in which the excursions finish.
-        total_duration = math.fsum(itertools.chain.from_iterable(_walk(cfg, counts)))
+        # fsum runs the walk.  It takes each duration as its excursion ends
+        # and keeps only its partials, and it rounds the exact sum once.
+        total_duration = math.fsum(_walk(cfg, counts))
         if cfg.mode == FULL_CTMC:  # in units of the mean service time 1/mu
             mean_duration = total_duration / n
     pairs = tuple(sorted(counts.items()))

@@ -415,7 +415,7 @@ def test_oracle_check_refuses_columns_of_unequal_length(monkeypatch, short):
         monkeypatch.setattr(exactdist.HeightDistribution, "column_runs",
                             lambda law: tuple(column[:-1] for column in runs(law)))
     else:
-        solve = oracle.height_dist_oracle
-        monkeypatch.setattr(oracle, "height_dist_oracle", lambda p: solve(p)[:-1])
+        solve = oracle.log_hitting_sums
+        monkeypatch.setattr(oracle, "log_hitting_sums", lambda p: list(solve(p))[:-1])
     with pytest.raises(ValueError, match="zip"):
         asymptotics.verify_reports([2.0], [10])

@@ -223,7 +223,7 @@ class TestVerify:
     def test_nan_oracle_gap_fails(self, capsys, monkeypatch):
         # max(0.0, nan) is 0.0, so a nan gap once passed with lhs 0.0
         from bdheight import oracle
-        monkeypatch.setattr(oracle, "height_dist_oracle", lambda p: np.full(p.N, math.nan))
+        monkeypatch.setattr(oracle, "log_hitting_sums", lambda p: iter([math.nan] * p.N))
         rc, out, err = run_cli(capsys, "verify", "--rho", "0.5", "--n", "10")
         assert rc == 1 and "oracle_equivalence" in err
         check, = [c for c in strict_loads(out)["data"]["checks"]
@@ -237,13 +237,15 @@ class TestVerify:
         from bdheight import oracle
         from bdheight.asymptotics import _EQUIVALENCE_GRID_N
 
-        def nan_at_the_end(p):
-            survival = height_distribution(p).survival_values().copy()
-            if p.N == _EQUIVALENCE_GRID_N[-1]:
-                survival[-1] = math.nan
-            return survival
+        solve = oracle.log_hitting_sums
 
-        monkeypatch.setattr(oracle, "height_dist_oracle", nan_at_the_end)
+        def nan_at_the_end(p):
+            log_sums = list(solve(p))
+            if p.N == _EQUIVALENCE_GRID_N[-1]:
+                log_sums[-1] = math.nan
+            return iter(log_sums)
+
+        monkeypatch.setattr(oracle, "log_hitting_sums", nan_at_the_end)
         rc, out, err = run_cli(capsys, "verify", "--rho", "0.5", "--n", "10")
         assert rc == 1 and "oracle_equivalence" in err
         check, = [c for c in strict_loads(out)["data"]["checks"]
@@ -325,18 +327,17 @@ class TestSimulateCommand:
 
     def test_infeasible_walk_exits_2_with_warning(self, capsys):
         # a refused batch gets the refusal alone, not first a warning to switch modes
-        # --n 29 --samples 1: one excursion of ~5.4e8 expected steps, refused for
-        # its rounds, which cost ~200 steps each
+        # --n 30 --samples 1: one excursion of ~1.07e9 expected steps
         for argv in (("--n", "50", "--rho", "0.8", "--samples", "1000"),
                      ("--n", "30", "--rho", "1", "--samples", "100000"),
-                     ("--n", "29", "--rho", "1", "--samples", "1")):
+                     ("--n", "30", "--rho", "1", "--samples", "1")):
             rc, out, err = run_cli(capsys, "simulate", *argv, "--mode", "jump-chain")
             assert (rc, out) == (2, "")
             assert len(err.splitlines()) == 1 and err.startswith("simulate: error: "), err
 
     def test_long_walk_warns_and_runs(self, capsys, monkeypatch):
-        # ~9.3e5 estimated steps, rounds included: above a lowered warning
-        # threshold, within the budget
+        # ~4.4e4 estimated steps: above a lowered warning threshold, within
+        # the budget
         monkeypatch.setattr(bdheight.cli, "_WALK_WARN_STEPS", 1e4)
         rc, _, err = run_cli(capsys, "simulate", "--n", "20", "--rho", "0.5", "--samples", "10",
                              "--mode", "jump-chain")
@@ -363,11 +364,12 @@ class TestSimulateCommand:
 
     def test_tripped_circuit_breaker_exits_2(self, capsys, monkeypatch):
         # test_simulate's circuit-breaker batch: 3 steps finish only the
-        # excursions of height 1 and 2
+        # excursions of height 1 and 2, and at rho = 0.01 most excursions
+        # are the one step 1 -> 0
         monkeypatch.setattr(simulate_module, "MAX_EXCURSION_STEPS", 3)
         monkeypatch.setattr(simulate_module, "MAX_TOTAL_STEPS", math.inf)
-        rc, out, err = run_cli(capsys, "simulate", "--n", "30", "--rho", "5",
-                               "--samples", "1000", "--seed", "3", "--mode", "jump-chain")
+        rc, out, err = run_cli(capsys, "simulate", "--n", "30", "--rho", "0.01",
+                               "--samples", "1000", "--seed", "6", "--mode", "jump-chain")
         assert (rc, out) == (2, "")
         # after the step-estimate warning, one error line
         done = re.fullmatch(r"simulate: error: excursions exceeded 3 jump steps .*; "
@@ -854,11 +856,11 @@ class TestEmission:
         # its k column reaches the blocks of 10**4 entries
         (["dist", "--n", "123457", "--rho", "0.5"],
          "db7fde9a80a7a63895af7134a48738e132de7cdbf520b889f9a40533169576b7"),
-        # the duration sum, the alpha and bound-constant records and the
-        # limit-table rows
+        # the duration sum (the walk as drawn by 0.3.9), the alpha and
+        # bound-constant records and the limit-table rows
         (["simulate", "--n", "5", "--rho", "0.5", "--samples", "20000", "--seed", "1",
           "--mode", "full-ctmc"],
-         "245449ca85d309c46921d87ecaedb3b6597dc508f49fa722d62b44dc29122fc2"),
+         "06fe2cf0a0de3da6c7a4836c483978f4d1d387740eed004433d039bcfcdf4ae9"),
         (["alpha", "--rho", "0.3"],
          "4c172fe004bbbfef702463250612dc852ade214cd557538d72667133ad657149"),
         (["alpha", "--rho", "0.3", "--format", "csv"],
@@ -1231,15 +1233,14 @@ def test_export_lists_name_what_the_submodules_define(module):
 
 def test_import_does_not_load_scipy():
     # importing scipy.special alone costs ~0.45 s per CLI start and numpy
-    # ~0.14 s; nothing at runtime needs any of scipy, and no subcommand
-    # needs numpy but a walk-mode simulate.  A run loads only the modules it
-    # uses, and every exported name still resolves on first use.  No
-    # subcommand loads dataclasses, whose inspect (with ast, dis and
-    # tokenize) costs ~12 ms; only numpy loads inspect.  The oracle that
-    # verify and the ladder run is plain Python, and the ladder draws from
-    # the standard library's random; the walks import numpy for their
-    # Philox streams.  simulate's moments are int / int, so no command
-    # loads fractions (with decimal, ~3 ms).
+    # ~0.14 s; nothing at runtime needs any of scipy or numpy.  A run loads
+    # only the modules it uses, and every exported name still resolves on
+    # first use.  No subcommand loads dataclasses, whose inspect (with ast,
+    # dis and tokenize) costs ~12 ms, nor numpy, which loads inspect.  The
+    # oracle that verify and the ladder run is plain Python, and all three
+    # simulate modes draw from the standard library's random.  simulate's
+    # moments are int / int, so no command loads fractions (with decimal,
+    # ~3 ms).
     src = os.path.dirname(os.path.dirname(bdheight.__file__))
     code = """if True:
         import json, os, sys
@@ -1282,14 +1283,11 @@ def test_import_does_not_load_scipy():
     assert steps == [["bdheight"], cli_set, cli_set, cli_set, limits_set, limits_set]
     assert len(names) == 35 and all(names.values())  # __version__ and 34 exported names
     assert star == exported and listed
-    # bdheight, bdheight.cli, dist (JSON and CSV), alpha, sweep, verify and
-    # a ladder simulate; then a walk, whose numpy loads inspect
-    assert len(startup) == 9
-    assert startup[:8] == [[]] * 8
+    # bdheight, bdheight.cli, dist (JSON and CSV), alpha, sweep, verify, a
+    # ladder simulate and a walk
+    assert startup == [[]] * 9
     assert verified == sorted([*limits_set, "bdheight.oracle"])
-    assert simulated == sorted([*verified, "bdheight.simulate"])
-    assert not any("dataclasses" in modules for modules in startup)
-    assert "numpy" in walked and "fractions" not in walked
+    assert simulated == walked == sorted([*verified, "bdheight.simulate"])
     # the oracle alone, run once, loads no numpy either
     code = """if True:
         import sys
@@ -1301,6 +1299,33 @@ def test_import_does_not_load_scipy():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert proc.stdout.split() == ["[]"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["--version"],
+    ["dist", "--n", "1000", "--rho", "0.5"],
+    ["dist", "--n", "1000", "--rho", "0.5", "--format", "csv"],
+    ["alpha", "--rho", "0.3"],
+    ["sweep", "--rho", "0.5", "--n", "1000", "1000000"],
+    ["verify", "--n", "10", "1000"],
+    ["simulate", "--n", "50", "--rho", "0.5", "--samples", "1000", "--seed", "1"],
+    ["simulate", "--n", "12", "--rho", "0.5", "--samples", "1000", "--mode", "jump-chain"],
+    ["simulate", "--n", "5", "--rho", "0.5", "--samples", "1000", "--mode", "full-ctmc"],
+], ids="_".join)
+def test_runs_without_numpy(argv):
+    # numpy is no runtime dependency: every subcommand, and each simulate
+    # mode, runs where importing numpy fails
+    code = """if True:
+        import sys
+        sys.modules["numpy"] = None  # any import of numpy raises ImportError
+        from bdheight.cli import entrypoint
+        entrypoint()
+    """
+    src = os.path.dirname(os.path.dirname(bdheight.__file__))
+    proc = subprocess.run([sys.executable, "-c", code, *argv],
+                          env={**os.environ, "PYTHONPATH": src}, capture_output=True)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout
 
 
 @pytest.mark.parametrize("argv, loads", [

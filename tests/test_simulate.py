@@ -36,7 +36,7 @@ from bdheight import (
     run_batch,
 )
 from bdheight import simulate
-from bdheight.simulate import _CHUNK_SAMPLES, _binomial, _walk_steps
+from bdheight.simulate import _binomial, _walk_steps
 
 
 def _dense(s, N):
@@ -154,18 +154,26 @@ class TestScalarSamplers:
             assert run_batch(cfg) == run_batch(cfg)
 
     def test_circuit_breaker(self, monkeypatch):
-        # rho = 5 gives a strong upward drift; 3 steps finish only the
-        # excursions 1 -> 0 (height 1) and 1 -> 2 -> 1 -> 0 (height 2).
+        # 3 steps finish only the excursions 1 -> 0 (height 1) and
+        # 1 -> 2 -> 1 -> 0 (height 2).  At rho = 0.01, p_1 ~ 0.22, so most
+        # excursions are the one step 1 -> 0 and ~7% pass 3 steps: the
+        # breaker trips after a few dozen completed samples, which the message counts.
         n = 1000
         monkeypatch.setattr(simulate, "MAX_EXCURSION_STEPS", 3)
         monkeypatch.setattr(simulate, "MAX_TOTAL_STEPS", math.inf)
-        cfg = SimulationConfig(params=make_params(30, rho=5.0), n_samples=n, seed=3,
-                               mode=JUMP_CHAIN)
+        p = make_params(30, rho=0.01)
+        cfg = SimulationConfig(params=p, n_samples=n, seed=6, mode=JUMP_CHAIN)
         with pytest.raises(SimulationAbort) as exc:
             run_batch(cfg)
-        assert str(exc.value).startswith("excursions exceeded 3 jump steps at N=30, rho=5.0; ")
+        assert str(exc.value).startswith("excursions exceeded 3 jump steps at N=30, rho=0.01; ")
         done = int(re.search(rf"; (\d+) of {n} samples completed$", str(exc.value))[1])
         assert 0 < done < n
+        # the excursions run in sample order, so the first done samples are a
+        # batch that the breaker lets finish, and one more trips it
+        s = run_batch(SimulationConfig(params=p, n_samples=done, seed=6, mode=JUMP_CHAIN))
+        assert {k for k, _ in s.counts} == {1, 2}
+        with pytest.raises(SimulationAbort, match=f"; {done} of {done + 1} samples completed$"):
+            run_batch(SimulationConfig(params=p, n_samples=done + 1, seed=6, mode=JUMP_CHAIN))
 
     def test_heights_in_range(self):
         s = run_batch(SimulationConfig(params=make_params(6, rho=0.5),
@@ -573,20 +581,20 @@ class TestWalkBatches:
             run_batch(cfg)
 
     def test_walk_steps_are_the_estimate_within_the_budget(self):
-        # the mean excursion's steps for each sample and for each round of
-        # each chunk, a round charged as _ROUND_STEPS steps
+        # the mean excursion's steps for each sample
         p = make_params(20, rho=0.5)
         mean = simulate.estimate_mean_excursion_steps(p)
         for mode in (JUMP_CHAIN, FULL_CTMC):
-            for n, chunks in ((10, 1), (_CHUNK_SAMPLES, 1), (_CHUNK_SAMPLES + 1, 2), (20000, 5)):
+            for n in (1, 10, 4096, 4097, 20000):
                 cfg = SimulationConfig(params=p, n_samples=n, seed=1, mode=mode)
-                assert _walk_steps(cfg) == mean * (n + chunks * simulate._ROUND_STEPS)
-        # one excursion is within the budget at N = 20, rho = 1 and refused at N = 29
-        one = SimulationConfig(params=make_params(20, rho=1.0), n_samples=1, seed=1,
+                assert _walk_steps(cfg) == mean * n
+        # one excursion at rho = 1 is within the budget at N = 29 (~5.4e8
+        # steps) and refused at N = 30 (~1.1e9)
+        one = SimulationConfig(params=make_params(29, rho=1.0), n_samples=1, seed=1,
                                mode=JUMP_CHAIN)
         assert _walk_steps(one) < simulate.MAX_TOTAL_STEPS
-        with pytest.raises(CapacityError, match="rounds included"):
-            _walk_steps(SimulationConfig(params=make_params(29, rho=1.0), n_samples=1, seed=1,
+        with pytest.raises(CapacityError, match=r"costs ~1\.07e\+09 jump steps \(budget 1e\+09\)"):
+            _walk_steps(SimulationConfig(params=make_params(30, rho=1.0), n_samples=1, seed=1,
                                          mode=JUMP_CHAIN))
         # the ladder does not walk, at any N
         big = make_params(10**6, rho=0.5)
@@ -605,40 +613,46 @@ class TestReproducibility:
         assert a == b
 
     @pytest.mark.parametrize("mode", [JUMP_CHAIN, FULL_CTMC])
-    def test_chunks_do_not_depend_on_the_batch_size(self, mode):
-        # Walk chunk c draws from Philox(SeedSequence((seed, c))) whatever the
-        # batch size, so the first c chunks of a batch of three are a batch of
-        # c chunks: the first is a one-chunk batch, and all three are the
-        # batch.  _walk yields each chunk's durations once its heights are in
-        # the counts.
+    def test_a_batch_is_the_first_excursions_of_a_larger_one(self, mode):
+        # One random() stream per batch, and the excursions in sample order,
+        # so a batch of m samples is the first m excursions of a batch of
+        # n > m at the same seed, at every m: the counts agree, and so does
+        # the fsum of the first m durations.  _walk adds each height to the
+        # counts as its excursion ends, and then yields its full-ctmc duration.
         p = make_params(10, rho=0.3)
-        seed, n = 5, 2 * _CHUNK_SAMPLES + 100
-        counts, durations = Counter(), []
-        walk = simulate._walk(SimulationConfig(params=p, n_samples=n, seed=seed, mode=mode),
-                              counts)
-        for c, chunk in enumerate(walk, 1):
-            m = min(c * _CHUNK_SAMPLES, n)
-            assert sum(counts.values()) == m
-            assert len(chunk) == (m - len(durations) if mode == FULL_CTMC else 0)
-            durations += chunk
+        seed, n = 5, 1000
+        heights = []
+
+        class InOrder(Counter):
+            def __setitem__(self, k, v):
+                heights.append(k)
+                super().__setitem__(k, v)
+
+        counts = InOrder()
+        durations = []
+        for duration in simulate._walk(SimulationConfig(params=p, n_samples=n, seed=seed,
+                                                        mode=mode), counts):
+            durations.append(duration)
+            assert len(heights) == len(durations)
+        assert len(heights) == n and len(durations) == (n if mode == FULL_CTMC else 0)
+        for m in (1, 2, 17, 999):
             s = run_batch(SimulationConfig(params=p, n_samples=m, seed=seed, mode=mode))
-            assert s.counts == tuple(sorted(counts.items()))
+            assert s.counts == tuple(sorted(Counter(heights[:m]).items()))
             if mode == FULL_CTMC:
-                assert s.mean_busy_duration == math.fsum(durations) / m
-        assert c == 3 and m == n
+                assert s.mean_busy_duration == math.fsum(durations[:m]) / m
 
     @pytest.mark.parametrize("mode,N,rho,seed,counts,duration", [
         (JUMP_CHAIN, 12, 0.5, 3,
-         {1: 1370, 2: 477, 3: 271, 4: 220, 5: 321, 6: 538, 7: 1159, 8: 1976, 9: 1936,
-          10: 634, 11: 91, 12: 7}, None),
+         {1: 1398, 2: 466, 3: 274, 4: 264, 5: 333, 6: 563, 7: 1190, 8: 1989, 9: 1841,
+          10: 607, 11: 71, 12: 4}, None),
         (FULL_CTMC, 12, 0.5, 3,
-         {1: 1395, 2: 411, 3: 271, 4: 257, 5: 350, 6: 554, 7: 1120, 8: 2035, 9: 1888,
-          10: 627, 11: 88, 12: 4}, 21.70492462038683),
+         {1: 1332, 2: 426, 3: 285, 4: 250, 5: 336, 6: 576, 7: 1160, 8: 2064, 9: 1878,
+          10: 618, 11: 72, 12: 3}, 21.72848730793726),
         (JUMP_CHAIN, 1024, 0.001, 5,
-         {1: 4417, 2: 2212, 3: 1435, 4: 678, 5: 198, 6: 49, 7: 8, 8: 3}, None),
+         {1: 4568, 2: 2188, 3: 1329, 4: 623, 5: 223, 6: 55, 7: 10, 8: 3, 9: 1}, None),
     ], ids=["jump-chain-12", "full-ctmc-12", "jump-chain-1024"])
     def test_walk_streams_are_pinned(self, mode, N, rho, seed, counts, duration):
-        # Walk-mode batches of three chunks at N <= 1024, as drawn by 0.2.1.
+        # Walk-mode batches at N <= 1024, as drawn by 0.3.9 from random.Random(seed).
         s = run_batch(SimulationConfig(params=make_params(N, rho=rho), n_samples=9000,
                                        seed=seed, mode=mode))
         assert {k: c for k, c in enumerate(_dense(s, N), start=1) if c} == counts
