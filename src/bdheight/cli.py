@@ -82,7 +82,6 @@ from .model import LADDER, SAMPLER_MODES, _positive_rate, make_params
 
 __all__ = ["main", "entrypoint"]
 
-_WALK_WARN_STEPS = 1e7
 _BLOCK = 10**4  # entries per piece of a column or lines per piece of a CSV body
 MAX_ROWS = 10**7  # rows of a dist or simulate artifact; 1e7 rows is ~0.3 GB of JSON
 # Data of at most this many bytes is hashed by CPython's built-in SHA-256,
@@ -434,7 +433,8 @@ def cmd_simulate(args) -> int:
     p, resolved = _params_from_args(args)
     cfg = simulate.SimulationConfig(params=p, n_samples=args.samples, seed=args.seed,
                                     mode=args.mode, dkw_delta=args.delta)
-    if (est := simulate._walk_steps(cfg)) > _WALK_WARN_STEPS:  # a batch over budget is refused
+    # a batch over the budget is refused; one past a hundredth of it is warned of
+    if (est := simulate._walk_steps(cfg)) > simulate.MAX_TOTAL_STEPS / 100:
         print(f"simulate: warning: this batch costs an estimated ~{est:.3g} jump "
               f"steps; consider --mode {LADDER}", file=sys.stderr)
     summary = simulate.run_batch(cfg)

@@ -16,5 +16,5 @@ class CapacityError(BDHeightError):
 
 
 class SimulationAbort(BDHeightError, RuntimeError):
-    """A sampling run was stopped by the per-excursion step circuit breaker; the
+    """A walk batch was stopped by the circuit breaker on its jump steps; the
     message says where it tripped and how many of the batch's samples completed."""

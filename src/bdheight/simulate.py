@@ -31,7 +31,10 @@ Three samplers:
     estimates the cost analytically up front (a 100-excursion pilot
     would itself never terminate in the regimes it is supposed to warn
     about), the mean excursion's steps times the samples, and refuses
-    batches whose estimate exceeds ``MAX_TOTAL_STEPS``.  Holding
+    batches whose estimate exceeds ``MAX_TOTAL_STEPS``.  A batch it runs
+    is one stream of uniforms cut at its returns to 0, and the stream ends
+    after ten times ``MAX_TOTAL_STEPS`` jumps (the circuit breaker), so a
+    batch's actual cost is bounded as well as its expected cost.  Holding
     times are irrelevant to the height, so this walk samples the same
     height law as ``full-ctmc``.
 
@@ -97,8 +100,10 @@ __all__ = [
     "run_batch",
 ]
 
-MAX_EXCURSION_STEPS = 10**10  # jump steps of one walk before the circuit breaker trips
-MAX_TOTAL_STEPS = 1e9  # estimated jump steps of a walk batch before it is refused
+# The walks' one budget, in jump steps: a batch whose estimated cost passes
+# it is refused, one past a hundredth of it draws the CLI's warning, and a
+# running batch stops after ten times it.
+MAX_TOTAL_STEPS = 1e9
 
 
 class SimulationConfig(ReadOnly):
@@ -243,18 +248,21 @@ def _walk(cfg: SimulationConfig, counts: Counter) -> Iterator[float]:
     yield each ``full-ctmc`` duration then (none for ``jump-chain``).  The
     up-move probabilities, and the rates in units of mu, are lists over the
     states 0..len - 1 that grow with the highest state reached, so they hold
-    only the states a walk reaches.  An excursion draws its uniforms from a
+    only the states a walk reaches.  The batch draws its uniforms from one
     ``map`` over the generator, which calls ``random()`` from C, one uniform
-    per jump (two in ``full-ctmc``) up to MAX_EXCURSION_STEPS jumps; the
-    circuit breaker trips when they run out."""
-    p, n, ctmc, limit = cfg.params, cfg.n_samples, cfg.mode == FULL_CTMC, MAX_EXCURSION_STEPS
+    per jump (two in ``full-ctmc``), and each excursion reads on where the
+    last one stopped.  The map holds ten times MAX_TOTAL_STEPS jumps, and
+    the circuit breaker trips when they run out; a ``full-ctmc`` excursion
+    takes an even number of uniforms, so they run out only between steps."""
+    p, n, ctmc = cfg.params, cfg.n_samples, cfg.mode == FULL_CTMC
+    limit = int(10 * MAX_TOTAL_STEPS)  # jumps before the circuit breaker trips
     rng, log1p = random.Random(cfg.seed), math.log1p
     probs = jump_up_probs(p)
     up, rates = [next(probs), next(probs)], [p.N * p.rho, 1.0 + (p.N - 1) * p.rho]
+    uniforms = map(random.Random.random, itertools.repeat(rng, 2 * limit if ctmc else limit))
     for done in range(n):
         state = peak = 1
         held = 0.0
-        uniforms = map(random.Random.random, itertools.repeat(rng, 2 * limit if ctmc else limit))
         for u in uniforms:
             if ctmc:  # the hold at the state, then the jump out of it
                 held -= log1p(-u) / rates[state]
@@ -272,8 +280,8 @@ def _walk(cfg: SimulationConfig, counts: Counter) -> Iterator[float]:
                     break
         else:
             raise SimulationAbort(
-                f"excursions exceeded {limit} jump steps at N={p.N}, "
-                f"rho={p.rho}; {done} of {n} samples completed")
+                f"a walk batch passed {limit} jump steps (ten times MAX_TOTAL_STEPS) "
+                f"at N={p.N}, rho={p.rho}; {done} of {n} samples completed")
         counts[peak] += 1
         if ctmc:
             yield held
@@ -333,7 +341,8 @@ def run_batch(cfg: SimulationConfig) -> SimulationSummary:
 
     Raises ``CapacityError`` for walk modes whose analytically estimated
     cost (``_walk_steps``) exceeds ``MAX_TOTAL_STEPS`` (use the ladder mode
-    there), and propagates ``SimulationAbort`` from the circuit breaker.
+    there), and propagates ``SimulationAbort`` from the circuit breaker,
+    which stops a walk batch after ten times ``MAX_TOTAL_STEPS`` jumps.
     """
     _walk_steps(cfg)
     p, n = cfg.params, cfg.n_samples

@@ -266,8 +266,8 @@ def test_ladder_runtime_budget():
 
 
 def test_walk_runtime_budget():
-    # the walk tables grow with the rounds, to the longest excursion here
-    # (a few dozen states), not to N + 1
+    # the walk tables grow with the highest state reached (a few dozen
+    # states here), not to N + 1
     ok, details = True, []
     for mode in (JUMP_CHAIN, FULL_CTMC):
         t0 = time.perf_counter()

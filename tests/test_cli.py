@@ -336,13 +336,24 @@ class TestSimulateCommand:
             assert len(err.splitlines()) == 1 and err.startswith("simulate: error: "), err
 
     def test_long_walk_warns_and_runs(self, capsys, monkeypatch):
-        # ~4.4e4 estimated steps: above a lowered warning threshold, within
-        # the budget
-        monkeypatch.setattr(bdheight.cli, "_WALK_WARN_STEPS", 1e4)
+        # ~4.4e4 estimated steps: above the warning threshold of a lowered
+        # budget (a hundredth of it, 1e4), within the budget itself
+        monkeypatch.setattr(simulate_module, "MAX_TOTAL_STEPS", 1e6)
         rc, _, err = run_cli(capsys, "simulate", "--n", "20", "--rho", "0.5", "--samples", "10",
                              "--mode", "jump-chain")
         assert rc == 0
         assert err.startswith("simulate: warning: ") and len(err.splitlines()) == 1
+
+    def test_warning_starts_at_a_hundredth_of_the_budget(self, capsys, monkeypatch):
+        # the default budget of 1e9 steps: 100 samples estimated at 1e7 steps
+        # run quietly, and just past it they are warned of
+        assert simulate_module.MAX_TOTAL_STEPS == 1e9
+        for mean, warned in ((1e5, False), (1.01e5, True)):
+            monkeypatch.setattr(simulate_module, "estimate_mean_excursion_steps",
+                                lambda p, mean=mean: mean)
+            rc, _, err = run_cli(capsys, "simulate", "--n", "1", "--rho", "0.5", "--samples",
+                                 "100", "--mode", "jump-chain")
+            assert rc == 0 and err.startswith("simulate: warning: ") == warned, err
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_law_and_columns_are_built_once(self, capsys, monkeypatch, fmt):
@@ -363,17 +374,16 @@ class TestSimulateCommand:
         assert calls == {"height_distribution": 1, "batch_columns": 1}
 
     def test_tripped_circuit_breaker_exits_2(self, capsys, monkeypatch):
-        # test_simulate's circuit-breaker batch: 3 steps finish only the
-        # excursions of height 1 and 2, and at rho = 0.01 most excursions
-        # are the one step 1 -> 0
-        monkeypatch.setattr(simulate_module, "MAX_EXCURSION_STEPS", 3)
-        monkeypatch.setattr(simulate_module, "MAX_TOTAL_STEPS", math.inf)
+        # test_simulate's circuit-breaker batch: a budget of 10 steps lets the
+        # batch take 100 jumps, and at rho = 0.01 most excursions are the one
+        # step 1 -> 0.  The patched estimate admits the batch without a warning.
+        monkeypatch.setattr(simulate_module, "MAX_TOTAL_STEPS", 10)
+        monkeypatch.setattr(simulate_module, "estimate_mean_excursion_steps", lambda p: 0.0)
         rc, out, err = run_cli(capsys, "simulate", "--n", "30", "--rho", "0.01",
                                "--samples", "1000", "--seed", "6", "--mode", "jump-chain")
         assert (rc, out) == (2, "")
-        # after the step-estimate warning, one error line
-        done = re.fullmatch(r"simulate: error: excursions exceeded 3 jump steps .*; "
-                            r"(\d+) of 1000 samples completed", err.splitlines()[-1])
+        done = re.fullmatch(r"simulate: error: a walk batch passed 100 jump steps .*; "
+                            r"(\d+) of 1000 samples completed\n", err)
         assert done and 0 < int(done[1]) < 1000
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])

@@ -13,6 +13,7 @@ from array import array
 from bisect import bisect_right
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -154,26 +155,59 @@ class TestScalarSamplers:
             assert run_batch(cfg) == run_batch(cfg)
 
     def test_circuit_breaker(self, monkeypatch):
-        # 3 steps finish only the excursions 1 -> 0 (height 1) and
-        # 1 -> 2 -> 1 -> 0 (height 2).  At rho = 0.01, p_1 ~ 0.22, so most
-        # excursions are the one step 1 -> 0 and ~7% pass 3 steps: the
-        # breaker trips after a few dozen completed samples, which the message counts.
+        # A budget of 10 steps lets a batch take 100 jumps, and the patched
+        # estimate admits it.  At rho = 0.01, p_1 ~ 0.22, so most excursions
+        # are the one step 1 -> 0: the breaker trips after a few dozen
+        # completed samples of heights 1 to 3, which the message counts.
         n = 1000
-        monkeypatch.setattr(simulate, "MAX_EXCURSION_STEPS", 3)
-        monkeypatch.setattr(simulate, "MAX_TOTAL_STEPS", math.inf)
+        monkeypatch.setattr(simulate, "MAX_TOTAL_STEPS", 10)
+        monkeypatch.setattr(simulate, "estimate_mean_excursion_steps", lambda p: 0.0)
         p = make_params(30, rho=0.01)
         cfg = SimulationConfig(params=p, n_samples=n, seed=6, mode=JUMP_CHAIN)
         with pytest.raises(SimulationAbort) as exc:
             run_batch(cfg)
-        assert str(exc.value).startswith("excursions exceeded 3 jump steps at N=30, rho=0.01; ")
+        assert str(exc.value).startswith(
+            "a walk batch passed 100 jump steps (ten times MAX_TOTAL_STEPS) at N=30, rho=0.01; ")
         done = int(re.search(rf"; (\d+) of {n} samples completed$", str(exc.value))[1])
         assert 0 < done < n
         # the excursions run in sample order, so the first done samples are a
-        # batch that the breaker lets finish, and one more trips it
+        # batch that the breaker lets finish, and one more trips it.  An
+        # excursion of height k takes at least 2k - 1 jumps, so the finished
+        # ones fit in the 100 jumps.
         s = run_batch(SimulationConfig(params=p, n_samples=done, seed=6, mode=JUMP_CHAIN))
-        assert {k for k, _ in s.counts} == {1, 2}
+        assert len(s.counts) > 1
+        assert sum((2 * k - 1) * c for k, c in s.counts) <= 100
         with pytest.raises(SimulationAbort, match=f"; {done} of {done + 1} samples completed$"):
             run_batch(SimulationConfig(params=p, n_samples=done + 1, seed=6, mode=JUMP_CHAIN))
+
+    @pytest.mark.parametrize("mode", [JUMP_CHAIN, FULL_CTMC])
+    def test_the_cap_only_ever_aborts(self, monkeypatch, mode):
+        # A batch that completes does not depend on the cap: with the cap at
+        # exactly the batch's jumps it gives the same summary as with the
+        # default cap, and one jump less stops its last excursion.  The
+        # jumps are counted as the uniforms the walk draws (two per jump in
+        # full-ctmc), and the patched estimate admits the lowered budgets.
+        class Counted(random.Random):
+            drawn = 0
+
+            def random(self):
+                Counted.drawn += 1
+                return super().random()
+
+        n = 500
+        cfg = SimulationConfig(params=make_params(12, rho=0.5), n_samples=n, seed=3, mode=mode)
+        expected = run_batch(cfg)
+        monkeypatch.setattr(simulate, "random", SimpleNamespace(Random=Counted))
+        assert run_batch(cfg) == expected
+        jumps = Counted.drawn // 2 if mode == FULL_CTMC else Counted.drawn
+        assert jumps > 10 * n
+        monkeypatch.setattr(simulate, "estimate_mean_excursion_steps", lambda p: 0.0)
+        monkeypatch.setattr(simulate, "MAX_TOTAL_STEPS", (jumps + 0.5) / 10)
+        assert run_batch(cfg) == expected
+        monkeypatch.setattr(simulate, "MAX_TOTAL_STEPS", (jumps - 0.5) / 10)
+        with pytest.raises(SimulationAbort,
+                           match=rf"passed {jumps - 1} jump steps .*; {n - 1} of {n} samples"):
+            run_batch(cfg)
 
     def test_heights_in_range(self):
         s = run_batch(SimulationConfig(params=make_params(6, rho=0.5),
@@ -546,11 +580,11 @@ class TestWalkBatches:
 
     @pytest.mark.parametrize("mode", [JUMP_CHAIN, FULL_CTMC])
     def test_walk_tables_hold_only_the_states_reached(self, mode):
-        # No state exceeds the round count, so the tables grow to the longest
-        # excursion, not to N + 1 states: 8 TB at N = 1e12.  The 2 GiB
-        # address-space limit is set in the child only.  The child reports its
-        # peak RSS (VmHWM, Linux); a forked child's ru_maxrss would count the
-        # test process's pages from before the exec.
+        # The tables grow with the highest state reached, not to N + 1
+        # states: 8 TB at N = 1e12.  The 2 GiB address-space limit is set in
+        # the child only.  The child reports its peak RSS (VmHWM, Linux); a
+        # forked child's ru_maxrss would count the test process's pages from
+        # before the exec.
         resource = pytest.importorskip("resource")
         code = f"""if True:
             import os
