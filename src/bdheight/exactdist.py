@@ -68,12 +68,12 @@ end at k = N: P(H >= N + 1) = 0 is not among them, and a reader that
 steps one height on, as a CDF P(H <= k) = 1 - P(H >= k + 1) does, adds
 it.
 
-The mean is sum_k P(H >= k).  It is formed as one ``math.fsum`` over
-each run's survival value once and its other n - 1 copies as exact
-power-of-two multiples ``ldexp(value, j)``, one per set bit j of n - 1.
-That is the same exact sum as the dense survival vector's, and fsum
-rounds it correctly, so the mean equals ``math.fsum`` of the dense
-vector bit for bit.
+The mean is sum_k P(H >= k), formed from the runs on first read, then
+cached.  It is one ``math.fsum`` over each run's survival value once
+and its other n - 1 copies as exact power-of-two multiples
+``ldexp(value, j)``, one per set bit j of n - 1.  That is the same exact
+sum as the dense survival vector's, and fsum rounds it correctly, so the
+mean equals ``math.fsum`` of the dense vector bit for bit.
 
 The point masses are differences of adjacent survival values.  They are
 computed as ``0.0 - surv_k * expm1(ls_{k+1} - ls_k)`` with ls the
@@ -91,7 +91,9 @@ rest of the plateau and in the tail each mass is 0.0.
 
 The variance is the centered second moment over the masses, one term
 (k - mean)^2 P(H = k) per height of each run with nonzero mass, summed
-with ``math.fsum``.  In doubles the identity sum((2k-1) P(H>=k)) - mean^2
+with ``math.fsum``; it too is formed on first read, then cached, so a
+caller that never reads it (neither ``verify`` nor ``simulate`` does)
+does not pay for it.  In doubles the identity sum((2k-1) P(H>=k)) - mean^2
 cancels catastrophically for rho >= 1, where mean ~ N; the twin below
 uses it, since in Q nothing cancels.
 
@@ -159,34 +161,43 @@ class HeightDistribution(ReadOnly):
     length is at least 1, the lengths sum to N, no two adjacent runs are
     equal in (survival, pmf), and ``np.repeat(values, lengths)`` spreads
     a column over k = 1..N.  The mean and variance are formed from the
-    runs when the law is made.  See the module docstring for why so few
-    runs are the whole law.
+    runs on first read, then cached.  See the module docstring for why
+    so few runs are the whole law.
 
     Two dense numpy views remain, each one ``np.repeat`` of the runs:
     ``pmf`` (``pmf[k-1] = P(H = k)``, cached) and ``survival_values()``.
     They stay because the benchmark's artifact checker
     (``perfbench/artifact.py``) reads them; the package itself no longer
-    does.  Instances and arrays are read-only: assigning an attribute
-    raises ``AttributeError``.
+    does.  Instances and arrays are read-only: assigning or deleting an
+    attribute, the moments included, raises ``AttributeError``.
     """
 
     N: int
     rho: float
-    mean: float
-    variance: float
 
     def __init__(self, N: int, rho: float, survival: tuple, pmf: tuple, lengths: tuple):
-        # sum_k P(H >= k): each run's value once, and its other n - 1 copies
-        # as the exact power-of-two multiples ldexp(value, j), one per set bit
-        # j of n - 1, so fsum sees the dense vector's exact sum
-        mean = math.fsum([*survival, *(math.ldexp(s, j) for s, n in zip(survival, lengths) if n > 1
+        vars(self).update(N=N, rho=rho, _runs=(survival, pmf, lengths))
+
+    @cached_property
+    def mean(self) -> float:
+        """E[H] = sum_k P(H >= k), formed from the runs on first read."""
+        survival, _, lengths = self._runs
+        # each run's value once, and its other n - 1 copies as the exact
+        # power-of-two multiples ldexp(value, j), one per set bit j of n - 1,
+        # so fsum sees the dense vector's exact sum
+        return math.fsum([*survival, *(math.ldexp(s, j) for s, n in zip(survival, lengths) if n > 1
                                        for j in range((n - 1).bit_length()) if n - 1 >> j & 1)])
-        # the centered second moment, one term per height of a run with mass
-        # (for a run of one height, a 1-tuple: a range per run costs ~10% of a law)
-        variance = math.fsum([(k - mean) * (k - mean) * m
-                              for m, n, end in zip(pmf, lengths, accumulate(lengths)) if m
-                              for k in ((end,) if n == 1 else range(end - n + 1, end + 1))])
-        vars(self).update(N=N, rho=rho, mean=mean, variance=variance, _runs=(survival, pmf, lengths))
+
+    @cached_property
+    def variance(self) -> float:
+        """Var(H), the centered second moment, formed from the runs on first read."""
+        _, pmf, lengths = self._runs
+        mean = self.mean
+        # one term per height of a run with mass (for a run of one height, a
+        # 1-tuple: a range per run costs ~10% of a law)
+        return math.fsum([(k - mean) * (k - mean) * m
+                          for m, n, end in zip(pmf, lengths, accumulate(lengths)) if m
+                          for k in ((end,) if n == 1 else range(end - n + 1, end + 1))])
 
     def column_runs(self) -> tuple[tuple[float, ...], tuple[float, ...], tuple[int, ...]]:
         """Survival and pmf over k = 1..N as canonical runs: ``(survival, pmf, lengths)``.

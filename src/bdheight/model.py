@@ -24,7 +24,6 @@ are pure functions, so values can be shared freely across threads.
 from __future__ import annotations
 
 import math
-import numbers
 import operator
 from collections.abc import Iterator
 from typing import NamedTuple
@@ -65,9 +64,16 @@ class ReadOnly:
 
 
 def _positive_rate(name: str, value) -> float:
-    """``value`` as a float: a ``numbers.Real`` (numpy's too) but bool, positive and finite."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ParameterError(f"{name} must be a positive real, got {value!r}")
+    """``value`` as a float: a ``numbers.Real`` (numpy's too) but bool, positive and finite.
+
+    A value of type exactly ``int`` or ``float``, which is all argparse
+    hands over, needs no type check; only another type imports
+    ``numbers``, so no command loads it."""
+    if type(value) not in (int, float):
+        import numbers
+
+        if isinstance(value, bool) or not isinstance(value, numbers.Real):
+            raise ParameterError(f"{name} must be a positive real, got {value!r}")
     try:
         x = float(value)
     except OverflowError:  # an int or a Fraction beyond the largest double

@@ -25,7 +25,9 @@ log-sum-exp partial sums is immune to both failure modes.
 caller reads only as far as it needs; the ladder sampler draws from
 them, and ``verify``'s cross-check takes exp(-log S_k) of them.
 ``height_dist_oracle`` still refuses N above ``cap`` (default 2000)
-unless the caller raises it, and returns an ``array('d')``.
+unless the caller raises it, and returns an ``array('d')``; it imports
+``array`` when called, since no command calls it (its callers are the
+benchmark's artifact checker and the tests).
 
 The sweep runs on ``math`` (the C library's ``log``, ``log1p`` and
 ``exp``), one state at a time, and imports no numpy.  numpy picks its
@@ -45,13 +47,16 @@ independent.
 from __future__ import annotations
 
 import math
-from array import array
 from collections.abc import Iterator
 from itertools import islice
 from operator import neg
+from typing import TYPE_CHECKING
 
 from .errors import CapacityError
 from .model import ModelParams, jump_up_probs
+
+if TYPE_CHECKING:
+    from array import array
 
 __all__ = [
     "height_dist_oracle",
@@ -97,4 +102,6 @@ def height_dist_oracle(p: ModelParams, *, cap: int = ORACLE_CAP_DEFAULT) -> arra
         raise CapacityError(
             f"first-passage oracle is capped at N = {cap} (got N = {p.N}); "
             f"raise the cap explicitly if you really want this")
+    from array import array  # no command calls this function, so no run loads array
+
     return array("d", map(math.exp, map(neg, log_hitting_sums(p))))

@@ -1368,6 +1368,103 @@ def test_only_large_data_loads_openssl(argv, loads):
     assert proc.stderr.split() == ["0", str(loads), str(loads)]
 
 
+def test_only_dist_and_sweep_form_the_variance(capsys, monkeypatch):
+    # a law forms its moments on first read: verify reads the mean of its
+    # grid laws only, and the runs of the rest (the oracle cross-check's,
+    # N <= 200); simulate reads only the runs.  dist and sweep write both
+    # moments, whose values their pinned digests guard.
+    laws = []
+    law = bdheight.exactdist.height_distribution
+    monkeypatch.setattr(bdheight.exactdist, "height_distribution",
+                        lambda p: laws.append(law(p)) or laws[-1])
+
+    def moments(*argv):
+        laws.clear()
+        assert run_cli(capsys, *argv)[0] == 0
+        return [(d.N, "mean" in vars(d), "variance" in vars(d)) for d in laws]
+
+    verified = moments("verify", "--n", "1000", "10000")
+    oracle_ns = (1, 2, 3, 5, 10, 20, 50, 100, 200)
+    assert len(verified) == 5 * (2 + len(oracle_ns))  # per default rho
+    assert {(n, mean) for n, mean, _ in verified} == {(1000, True), (10000, True),
+                                                      *((n, False) for n in oracle_ns)}
+    assert not any(variance for *_, variance in verified)
+    assert moments("simulate", "--n", "50", "--rho", "0.5", "--samples", "1000") == [
+        (50, False, False)]
+    assert moments("dist", "--n", "1000", "--rho", "0.5") == [(1000, True, True)]
+    assert moments("sweep", "--rho", "0.5", "--n", "1000", "1000000") == [
+        (1000, True, True), (1000000, True, True)]
+
+
+def _loaded_by_a_bare_interpreter(names):
+    """Those of ``names`` that ``python -c pass`` already loads here, as
+    ``site`` may."""
+    proc = subprocess.run([sys.executable, "-c", f"import sys; print(*(n in sys.modules "
+                           f"for n in {names!r}))"], capture_output=True, text=True, check=True)
+    return {n for n, loaded in zip(names, proc.stdout.split()) if loaded == "True"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["--version"],
+    ["dist", "--n", "1000", "--rho", "0.5"],
+    ["dist", "--n", "1000", "--rho", "0.5", "--format", "csv"],
+    ["alpha", "--rho", "0.5"],
+    ["sweep", "--rho", "0.5", "--n", "1000", "1000000"],
+    ["verify", "--n", "1000", "10000"],
+    ["simulate", "--n", "50", "--rho", "0.5", "--samples", "1000"],
+], ids="_".join)
+def test_rare_path_imports_stay_off_the_run_path(argv):
+    # array serves only height_dist_oracle, which no command calls, and
+    # numbers only a library caller's rate that is not exactly an int or a
+    # float; argparse hands over exactly those.  Each command runs in a
+    # fresh process.
+    code = """if True:
+        import sys
+        import bdheight.cli
+        try:
+            code = bdheight.cli.main(sys.argv[1:])
+        except SystemExit as exc:  # --version
+            code = exc.code
+        print(code, "array" in sys.modules, "numbers" in sys.modules, file=sys.stderr)
+    """
+    src = os.path.dirname(os.path.dirname(bdheight.__file__))
+    proc = subprocess.run([sys.executable, "-c", code, *argv],
+                          env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, check=True)
+    code, *loaded = proc.stderr.split()
+    preloaded = _loaded_by_a_bare_interpreter(["array", "numbers"])
+    assert code == "0"
+    assert loaded == [str(name in preloaded) for name in ("array", "numbers")]
+
+
+def test_rare_paths_still_load_what_they_need():
+    # the oracle's dense survival is still an array('d'), and a rate of
+    # another type than int or float is still checked against numbers.Real
+    code = """if True:
+        import json, sys
+        import bdheight.oracle
+        from bdheight import make_params
+        loaded = lambda: ["array" in sys.modules, "numbers" in sys.modules]
+        steps = [loaded()]
+        surv = bdheight.oracle.height_dist_oracle(make_params(5, 0.5))
+        steps.append(loaded())
+        class Half(float):
+            pass
+        rho = make_params(5, Half(0.5)).rho
+        steps.append(loaded())
+        print(json.dumps([steps, type(surv).__module__, surv.typecode, len(surv),
+                          type(rho).__name__]))
+    """
+    src = os.path.dirname(os.path.dirname(bdheight.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, check=True)
+    steps, *rest = json.loads(proc.stdout)
+    preloaded = _loaded_by_a_bare_interpreter(["array", "numbers"])
+    bare = ["array" in preloaded, "numbers" in preloaded]
+    assert steps == [bare, [True, bare[1]], [True, True]]
+    assert rest == ["array", "d", 5, "float"]
+
+
 def _dispatched_cpu_features() -> list[str]:
     """The SIMD features above numpy's baseline that numpy dispatches to on this host."""
     try:

@@ -1,6 +1,7 @@
 """Closed-form height law: float path, rational twin, and their agreement."""
 
 import decimal
+import itertools
 import math
 import random
 import tracemalloc
@@ -135,6 +136,38 @@ class TestHeightDistribution:
         var = math.fsum((k - mean) ** 2 * d.pmf)
         assert mean == pytest.approx(d.mean, rel=1e-14)
         assert var == pytest.approx(d.variance, rel=1e-12)
+
+    @pytest.mark.parametrize("rho", [0.25, 1.0, 2.0])
+    @pytest.mark.parametrize("N", [1, 2, 10**3, 10**6])
+    def test_moments_are_formed_on_first_read(self, N, rho):
+        # a law holds only its runs until a moment is read; each moment is
+        # then the same fsum, bit for bit, that the law once formed when it
+        # was made, and neither can be assigned or deleted before or after
+        def refuses_writes(d):
+            for name in ("mean", "variance"):
+                with pytest.raises(AttributeError):
+                    setattr(d, name, 0.0)
+                with pytest.raises(AttributeError):
+                    delattr(d, name)
+
+        d = height_distribution(make_params(N, rho=rho))
+        survival, pmf, lengths = d.column_runs()
+        mean = math.fsum([*survival, *(math.ldexp(s, j) for s, n in zip(survival, lengths) if n > 1
+                                       for j in range((n - 1).bit_length()) if n - 1 >> j & 1)])
+        variance = math.fsum([(k - mean) * (k - mean) * m
+                              for m, n, end in zip(pmf, lengths, itertools.accumulate(lengths)) if m
+                              for k in ((end,) if n == 1 else range(end - n + 1, end + 1))])
+        refuses_writes(d)
+        assert "mean" not in vars(d) and "variance" not in vars(d)
+        assert _bits(d.mean) == _bits(mean)
+        assert "mean" in vars(d) and "variance" not in vars(d)
+        assert _bits(d.variance) == _bits(variance)
+        refuses_writes(d)
+        assert _bits([d.mean, d.variance]).tolist() == _bits([mean, variance]).tolist()
+        # the variance read first forms the mean too, with the same bits
+        d = height_distribution(make_params(N, rho=rho))
+        assert _bits(d.variance) == _bits(variance)
+        assert _bits(vars(d)["mean"]) == _bits(mean)
 
     def test_mean_near_capacity_for_supercritical(self):
         d = height_distribution(make_params(10**4, rho=2.0))

@@ -1,6 +1,7 @@
 """Chain definition: parameter validation, stationary law, jump probabilities,
 and the package's read-only records."""
 
+import decimal
 import math
 from fractions import Fraction
 
@@ -31,6 +32,14 @@ def _stationary_law(p):
     return pi / pi.sum()
 
 
+class _Float(float):
+    pass
+
+
+class _Int(int):
+    pass
+
+
 class TestMakeParams:
     def test_empty_positive_part_rejected(self):
         with pytest.raises(ParameterError):
@@ -44,16 +53,18 @@ class TestMakeParams:
             make_params(5, rho)
 
     @pytest.mark.parametrize("rho", [2, 0.5, np.float64(0.5), np.float32(0.25), np.int64(2),
-                                     np.uint8(3)],
-                             ids=["int", "float", "float64", "float32", "int64", "uint8"])
+                                     np.uint8(3), _Float(0.5), _Int(2)],
+                             ids=["int", "float", "float64", "float32", "int64", "uint8",
+                                  "float_subclass", "int_subclass"])
     def test_real_rho_accepted(self, rho):
         p = make_params(5, rho)
         assert p.rho == float(rho) and type(p.rho) is float
         assert log_r_term(5, rho, 2) == log_r_term(5, float(rho), 2)
         assert height_fraction_limit(rho) == height_fraction_limit(float(rho))
 
-    @pytest.mark.parametrize("rho", [True, False, np.bool_(True), "0.5", b"0.5"],
-                             ids=["True", "False", "numpy_bool", "str", "bytes"])
+    @pytest.mark.parametrize("rho", [True, False, np.bool_(True), "0.5", b"0.5",
+                                     decimal.Decimal("0.5")],
+                             ids=["True", "False", "numpy_bool", "str", "bytes", "Decimal"])
     def test_non_real_rho_rejected(self, rho):
         # as strictly as N: float() would take each of these
         for check in (lambda r: make_params(5, r), lambda r: log_r_term(5, r, 2),
