@@ -47,8 +47,9 @@ into:
   3e9 and rho from 1e-8 to 1e3.
 * the tail [w, N): P(H >= k) is exactly 0 and log P(H >= k) is -inf.
 
-The boundaries come from bisection on the log terms, which are monotone
-on each side of the turning point.  The evaluated terms are the same
+The head's and the plateau's ends come from bisection on the log terms,
+which are monotone on each side of the turning point; the window is read
+to its first underflowing survival.  The evaluated terms are the same
 doubles a sweep over all N terms would produce, and the skipped ones are
 exact no-ops of its running log-sum, so every survival value and mass is
 bit-identical to that sweep's.  The whole law costs O(log N) bisection
@@ -131,6 +132,7 @@ from .errors import CapacityError, ParameterError
 from .model import ModelParams, ReadOnly, _integer, _positive_rate
 
 if TYPE_CHECKING:
+    from collections.abc import Iterable
     from fractions import Fraction
 
     import numpy as np
@@ -147,7 +149,7 @@ __all__ = [
 
 RATIONAL_CAP = 500  # largest N of the exact-rational twin
 _RATIONAL_BIT_GUARD = 5_000_000  # bits of D and I_N, the partial sums' common form I_k / D
-_NOOP_GAP = 750.0  # a term this far below a running log-sum >= 0 leaves it unchanged
+_NOOP_GAP = 750.0  # _noop_gap's cap: a term this far below a log-sum >= 0 leaves it unchanged
 _LOG2 = math.log(2.0)
 _MAX_N = 2**53  # every integer up to here is a double; the next one is not
 
@@ -286,10 +288,12 @@ def _noop_gap(s: float) -> float:
     return min((53 - math.frexp(s)[1]) * _LOG2 + 5.0, _NOOP_GAP) if s > 0.0 else _NOOP_GAP
 
 
-def _running_log_sums(s: float, terms: list[float]) -> list[float]:
+def _running_log_sums(s: float, terms: Iterable[float]) -> list[float]:
     """Minus the running log-sums of ``terms`` continued from the log-sum
     ``s``, each step as numpy's scalar ``npy_logaddexp`` takes it, so the
-    sums are those of ``np.logaddexp.accumulate``."""
+    sums are those of ``np.logaddexp.accumulate``.  Stops after the first
+    sum whose survival ``exp(-s)`` underflows to 0.0, or at the last term;
+    no term past that sum is drawn."""
     out = []
     for v in terms:
         if s == v:
@@ -299,6 +303,9 @@ def _running_log_sums(s: float, terms: list[float]) -> list[float]:
         else:
             s = v + math.log1p(math.exp(s - v))
         out.append(-s)
+        # exp(-s) underflows only past s ~ 745, so no exp is taken below 700
+        if s > 700.0 and math.exp(-s) == 0.0:
+            break
     return out
 
 
@@ -316,11 +323,9 @@ def height_distribution(p: ModelParams) -> HeightDistribution:
     head = [-first, *_running_log_sums(first, rest)]
     top = -head[-1]
     b = bisect_left(range(N), True, m + 1, key=lambda i: t(i) > top - _noop_gap(top))
-    end = bisect_left(range(N), True, b, key=lambda i: t(i) > _NOOP_GAP)
-    # the window's running log-sums continue from the head's, top
-    window = _running_log_sums(top, [*map(t, range(b, min(end + 1, N)))])
-    # the log-survival never increases, so its underflow to 0.0 is a cut
-    window = window[:bisect_left(window, True, key=lambda v: math.exp(v) == 0.0) + 1]
+    # the window's running log-sums continue from the head's, top, to the
+    # first underflowing survival or to N
+    window = _running_log_sums(top, map(t, range(b, N)))
     # The log-survival as entries held counts[i] heights each: the head on
     # heights 1..a - 1, its last value on heights a..b - 1 (each followed by
     # that same value) and again at height b, then the window.

@@ -445,6 +445,28 @@ class TestSweep:
         assert err == "sweep: error: the N grid must not repeat a value, got [100, 100]\n"
 
 
+class TestKnownLimits:
+    """README "Known limits" as strict expected failures: each passes once
+    the ROADMAP item its reason names mends it."""
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 4")
+    @pytest.mark.parametrize("argv", [
+        ["--rho", "0.001"],  # peak_decay, margin -21.9 at n = 1e4
+        ["--rho", "0.95"],  # peak_term_sqrt_band, margin -56.7 at n = 1e5
+        ["--rho", "0.9999", "--n", "1000", "100000"],  # peak_growth, margin -11.5 at n = 1e5
+    ], ids=["rho_0.001", "rho_0.95", "rho_0.9999"])
+    def test_verify_passes_near_the_ends_of_rho_below_1(self, capsys, argv):
+        rc, _, err = run_json(capsys, "verify", *argv)
+        assert rc == 0, err
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason="ROADMAP item 3")
+    def test_sweep_mean_reaches_its_limit_at_2_to_the_53_minus_1(self, capsys):
+        # mean_gap is 0.515 today: the head terms are noise at this N
+        rc, doc, _ = run_json(capsys, "sweep", "--rho", "0.5", "--n", str(2**53 - 1))
+        assert rc == 0
+        assert doc["data"]["rows"][0]["mean_gap"] <= 1e-12
+
+
 _CLOSED_FORM_COMMANDS = pytest.mark.parametrize(
     "argv", [["sweep", "--rho", "0.5"], ["verify"]], ids=["sweep", "verify"])
 

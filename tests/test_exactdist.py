@@ -1,6 +1,7 @@
 """Closed-form height law: float path, rational twin, and their agreement."""
 
 import decimal
+import hashlib
 import itertools
 import math
 import random
@@ -208,8 +209,12 @@ def _bits(x):
 
 
 class TestWindowedForm:
-    @pytest.mark.parametrize("rho", [1e-300, 1e-20, 1e-3, 0.5, 0.99, 1.0, 2.0, 1e20, 1e300])
-    @pytest.mark.parametrize("N", [1, 2, 3, 10, 999, 10**4, 10**6])
+    # the last two are windows clipped at N before any survival underflows:
+    # the last survival is 4.5e-5 at (1e5, 0.9999) and 0.497 at (1e4, 0.999999)
+    @pytest.mark.parametrize("N,rho", [
+        *itertools.product([1, 2, 3, 10, 999, 10**4, 10**6],
+                           [1e-300, 1e-20, 1e-3, 0.5, 0.99, 1.0, 2.0, 1e20, 1e300]),
+        (10**5, 0.9999), (10**4, 0.999999)])
     def test_matches_dense_law_bit_for_bit(self, N, rho):
         surv, pmf, mean, var = _dense_law(N, rho)
         d = height_distribution(make_params(N, rho=rho))
@@ -222,6 +227,20 @@ class TestWindowedForm:
         assert len(lengths) <= 2500
         assert d.mean == mean
         assert abs(d.variance - var) <= 1e-13 * var
+
+    # Where N nears 2**53 the float log terms are no longer monotone, so a
+    # bisection and a walk over them can disagree.  These digests pin the
+    # law there; walking the head instead of bisecting it would move the
+    # first and the third.  ROADMAP item 3 rebuilds the law and re-pins all three.
+    @pytest.mark.parametrize("N,rho,digest", [
+        (2**53 - 1, 1e-12, "fa7feca86df995bcb455b250ef00531540658432cc63d460bcff0e60eb31218d"),
+        (2**53 - 1, 0.5, "ba638d0fd6829640da0f3f2872dff6dbc62d47a9a9d218bbd1a387cf6a790b64"),
+        (4541721626592755, 1e-12,
+         "acfc8e00dacc5af2c86b78693c5f4c81b800b59c7f3e22ca7022abddce5fa614"),
+    ])
+    def test_runs_are_pinned_where_the_terms_are_not_monotone(self, N, rho, digest):
+        runs = height_distribution(make_params(N, rho=rho)).column_runs()
+        assert hashlib.sha256(repr(runs).encode()).hexdigest() == digest
 
     # head, plateau, window and tail: (1e4, 0.5) has all four, (1e4, 1e-20)
     # a law rising from i = 0, and (1000, 0.999) a window clipped to [1, N]
