@@ -28,28 +28,29 @@ into:
 * the head [0, a): t_0 = 1 and the descending terms that still move the
   running log-sum.  Its running log-sum L is log S_a.
 * the plateau [a, b): every term here leaves the running log-sum
-  unchanged.  The step L + log1p(exp(t - L)) returns L exactly once
-  exp(t - L) is below half an ulp of L, which holds when t is more than
-  g(L) = (53 - e) log 2 + 5 below L, where 2^(e-1) <= L < 2^e; and at any
-  L >= 0 when t <= -750, since exp of anything below about -745.1 is 0.
-  So the gap is min(g(L), 750), and 750 at L = 0.  L - gap(L) never
-  decreases as L grows.  The ascending side is compared with the head's
-  L; the descending side with L_1, the log-sum of t_0 and t_1, which
-  every later running sum of the head is at least.  The margin of 5 nats
-  absorbs the float error of the log terms.  In a typical law L is near
-  1 / (rho N), and the gap is 40 to 65 nats.
-* the window [b, w): the ascending terms from the first one above
-  L - gap(L), accumulated from L, up to and including the first entry
+  unchanged.  A term t is skipped when the sum's own step, ``_step``,
+  returns L unchanged for t + 5; the margin of 5 nats absorbs the float
+  error of the log terms.  The step is non-decreasing in the term, and a
+  no-op at L stays a no-op at any larger L, so the ascending side is
+  compared with the head's L, and the descending side with L_1, the
+  log-sum of t_0 and t_1, which every later running sum of the head is at
+  least.  In a typical law L is near 1 / (rho N), and a skipped term lies
+  45 to 64 nats below it (N from 1e3 to 3e9, rho from 0.01 to 0.99); at
+  L = 0 it lies below about -750, where exp(t + 5) underflows to 0.
+* the window [b, w): the ascending terms from the first one not skipped
+  at L, accumulated from L, up to and including the first entry
   whose survival underflows to 0.0.  Once a term exceeds e^750 the sum
   does too, so the window ends there at the latest; its length is set by
   how fast the terms climb through the ~800 nats near alpha N, not by N.
   Head and window together hold at most ~810 entries for N from 1e3 to
-  3e9 and rho from 1e-8 to 1e3.
+  3e9 and rho from 1e-8 to 1e3: 807 at most on a log-spaced grid of
+  41 N by 89 rho there, at N = 3e9, rho = 1e-3.
 * the tail [w, N): P(H >= k) is exactly 0 and log P(H >= k) is -inf.
 
 The head's and the plateau's ends come from bisection on the log terms,
-which are monotone on each side of the turning point; the window is read
-to its first underflowing survival.  The evaluated terms are the same
+which are monotone on each side of the turning point (in doubles, up to
+N ~ 7e14: see README "Known limits"); the window is read to its first
+underflowing survival.  The evaluated terms are the same
 doubles a sweep over all N terms would produce, and the skipped ones are
 exact no-ops of its running log-sum, so every survival value and mass is
 bit-identical to that sweep's.  The whole law costs O(log N) bisection
@@ -149,7 +150,6 @@ __all__ = [
 
 RATIONAL_CAP = 500  # largest N of the exact-rational twin
 _RATIONAL_BIT_GUARD = 5_000_000  # bits of D and I_N, the partial sums' common form I_k / D
-_NOOP_GAP = 750.0  # _noop_gap's cap: a term this far below a log-sum >= 0 leaves it unchanged
 _LOG2 = math.log(2.0)
 _MAX_N = 2**53  # every integer up to here is a double; the next one is not
 
@@ -282,26 +282,31 @@ def r_term_turning_point(n: int, rho: float) -> float:
     return (rho * (n - 1) - 1.0) / (1.0 + rho)
 
 
-def _noop_gap(s: float) -> float:
-    """How far below the running log-sum ``s >= 0`` a term must lie to
-    leave it unchanged (see the module docstring)."""
-    return min((53 - math.frexp(s)[1]) * _LOG2 + 5.0, _NOOP_GAP) if s > 0.0 else _NOOP_GAP
+def _step(s: float, v: float) -> float:
+    """log(e^s + e^v) as numpy's scalar ``npy_logaddexp`` takes it: the one
+    step of every running log-sum of the law."""
+    if s == v:
+        return s + _LOG2
+    if s > v:
+        return s + math.log1p(math.exp(v - s))
+    return v + math.log1p(math.exp(s - v))
+
+
+def _skipped(s: float, v: float) -> bool:
+    """Whether the log term ``v``, raised by 5 nats for its float error,
+    leaves the running log-sum ``s`` unchanged."""
+    return _step(s, v + 5.0) == s
 
 
 def _running_log_sums(s: float, terms: Iterable[float]) -> list[float]:
     """Minus the running log-sums of ``terms`` continued from the log-sum
-    ``s``, each step as numpy's scalar ``npy_logaddexp`` takes it, so the
-    sums are those of ``np.logaddexp.accumulate``.  Stops after the first
-    sum whose survival ``exp(-s)`` underflows to 0.0, or at the last term;
-    no term past that sum is drawn."""
+    ``s``, each one ``_step``, so the sums are those of
+    ``np.logaddexp.accumulate``.  Stops after the first sum whose survival
+    ``exp(-s)`` underflows to 0.0, or at the last term; no term past that
+    sum is drawn."""
     out = []
     for v in terms:
-        if s == v:
-            s += _LOG2
-        elif s > v:
-            s += math.log1p(math.exp(v - s))
-        else:
-            s = v + math.log1p(math.exp(s - v))
+        s = _step(s, v)
         out.append(-s)
         # exp(-s) underflows only past s ~ 745, so no exp is taken below 700
         if s > 700.0 and math.exp(-s) == 0.0:
@@ -316,13 +321,15 @@ def height_distribution(p: ModelParams) -> HeightDistribution:
     # t decreases on [0, m] and increases on [m, N-1].  The turning point is
     # inf once rho (N-1) overflows, and then t decreases throughout.
     m = min(max(math.ceil(min(r_term_turning_point(N, rho), N)), 0), N - 1)
-    # t_1 <= t_0 = 0 when m >= 1; at t_1 <= -750, l1 is 0 and a is 1
-    l1 = math.log1p(math.exp(t(1))) if m >= 1 else 0.0
-    a = bisect_left(range(m + 1), True, 1, key=lambda i: t(i) <= l1 - _noop_gap(l1))
+    # A term skipped at a log-sum is skipped at any larger one, so the head's
+    # end is found against l1, the log-sum of t_0 and t_1 that every later
+    # head sum is at least, and the plateau's end against the head's top.
+    l1 = _step(0.0, t(1)) if m >= 1 else 0.0
+    a = bisect_left(range(m + 1), True, 1, key=lambda i: _skipped(l1, t(i)))
     first, *rest = map(t, range(a))
     head = [-first, *_running_log_sums(first, rest)]
     top = -head[-1]
-    b = bisect_left(range(N), True, m + 1, key=lambda i: t(i) > top - _noop_gap(top))
+    b = bisect_left(range(N), True, m + 1, key=lambda i: not _skipped(top, t(i)))
     # the window's running log-sums continue from the head's, top, to the
     # first underflowing survival or to N
     window = _running_log_sums(top, map(t, range(b, N)))

@@ -25,7 +25,7 @@ from bdheight import (
     solve_alpha,
 )
 from bdheight.asymptotics import window_mass
-from bdheight.exactdist import r_term_turning_point
+from bdheight.exactdist import _step, r_term_turning_point
 
 
 class TestLogRTerm:
@@ -231,12 +231,18 @@ class TestWindowedForm:
     # Where N nears 2**53 the float log terms are no longer monotone, so a
     # bisection and a walk over them can disagree.  These digests pin the
     # law there; walking the head instead of bisecting it would move the
-    # first and the third.  ROADMAP item 3 rebuilds the law and re-pins all three.
+    # first and the third.  The last two moved in 0.3.10, when the searches
+    # began to skip a term by the log-sum's own step.  ROADMAP item 3
+    # rebuilds the law and re-pins all five.
     @pytest.mark.parametrize("N,rho,digest", [
         (2**53 - 1, 1e-12, "fa7feca86df995bcb455b250ef00531540658432cc63d460bcff0e60eb31218d"),
         (2**53 - 1, 0.5, "ba638d0fd6829640da0f3f2872dff6dbc62d47a9a9d218bbd1a387cf6a790b64"),
         (4541721626592755, 1e-12,
          "acfc8e00dacc5af2c86b78693c5f4c81b800b59c7f3e22ca7022abddce5fa614"),
+        (621672615452841, 1.0985411419875573e-11,
+         "b255636bb6a870d2f093171bc8f20dc6a9d07a5959d328b64b7b35c948c8d4e8"),
+        (1049023904412934, 8.28642772854686e-06,
+         "eb41c7ad165daf75943e405b7c0271027f0d6fa30431e9c1e631de7d5474dcf3"),
     ])
     def test_runs_are_pinned_where_the_terms_are_not_monotone(self, N, rho, digest):
         runs = height_distribution(make_params(N, rho=rho)).column_runs()
@@ -268,6 +274,27 @@ class TestWindowedForm:
         finally:
             tracemalloc.stop()
         assert peak < 5 * 2**20
+
+
+# log-sums over the doubles' range, near 0 and subnormal
+_LOG_SUMS = st.one_of(st.floats(-1e300, 1e300), st.floats(-1e3, 1e3),
+                      st.floats(-2.3e-308, 2.3e-308))
+
+
+class TestStep:
+    @given(s=_LOG_SUMS, gap=st.one_of(st.floats(0.0, 60.0), st.floats(700.0, 750.0)),
+           swap=st.booleans())
+    @example(s=1.5, gap=0.0, swap=False)
+    @example(s=5e-324, gap=5e-324, swap=True)
+    @example(s=1e300, gap=750.0, swap=False)
+    @example(s=-1e300, gap=60.0, swap=True)
+    @example(s=0.0, gap=math.inf, swap=False)  # a -inf term, second or first
+    @example(s=1e300, gap=math.inf, swap=True)
+    @example(s=-math.inf, gap=0.0, swap=False)
+    @settings(max_examples=500, deadline=None)
+    def test_is_numpys_logaddexp_bit_for_bit(self, s, gap, swap):
+        s, v = (s - gap, s) if swap else (s, s - gap)
+        assert _bits(_step(s, v)) == _bits(float(np.logaddexp(s, v)))
 
 
 # N up to 1e4 and rho log-uniform over the doubles' range, with its ends,
@@ -308,6 +335,15 @@ class TestLawProperties:
     def test_mass_sums_to_one(self, law):
         _, pmf, lengths = height_distribution(make_params(law[0], rho=law[1])).column_runs()
         assert abs(1.0 - math.fsum(m * n for m, n in zip(pmf, lengths))) <= 1e-14
+
+    @given(N=st.integers(1, 3000), rho=st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e))
+    @settings(max_examples=100, deadline=None)
+    def test_runs_spread_to_the_dense_law(self, N, rho):
+        # the searches skip exactly the terms that are no-ops of the dense sum
+        surv, pmf, _, _ = _dense_law(N, rho)
+        run_surv, run_pmf, lengths = height_distribution(make_params(N, rho=rho)).column_runs()
+        assert np.array_equal(_bits(np.repeat(run_surv, lengths)), _bits(surv))
+        assert np.array_equal(_bits(np.repeat(run_pmf, lengths)), _bits(pmf))
 
     @given(law=_LAWS)
     @settings(max_examples=150, deadline=None)
