@@ -22,12 +22,14 @@ import sys
 
 COMMANDS = [
     "dist --n 100000 --rho 0.5",
+    "dist --n 100000 --rho 0.5 --format csv",
     "simulate --n 2000 --rho 0.5 --samples 200000 --seed 7 --delta 1e-6 --assert",
     "verify --n 1000 10000",
     "verify --n 1000 10000 100000 1000000",
     "sweep --rho 0.5 --n 1000 1000000 --format csv",
     "sweep --rho 0.5 --n 1000000 1000",
     "alpha --rho 0.3",
+    "alpha --rho 0.3 --format csv",
     "simulate --n 12 --rho 0.5 --samples 9000 --seed 3 --mode jump-chain",
     "simulate --n 5 --rho 0.5 --samples 20000 --seed 1 --mode full-ctmc",
     "simulate --n 1024 --rho 0.001 --samples 9000 --seed 5 --mode jump-chain --format csv",

@@ -15,7 +15,7 @@ that defines it.  So a command-line run pays only for the submodules its
 subcommand uses.
 """
 
-__version__ = "0.3.10"
+__version__ = "0.3.11"
 
 # submodule -> the public names the package re-exports from it
 _EXPORTS = {

@@ -25,8 +25,9 @@ The manifest alone records the inputs, and re-running the same command
 reproduces the artifact byte for byte.  A JSON artifact is exactly
 ``json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)``
 plus a newline; a CSV artifact's last line is ``# manifest: `` and the
-manifest.  Every value, and every run's length, is checked before the
-first byte.  The ``rows`` columns of ``dist`` and ``simulate`` are
+manifest.  In JSON, every value, and every run's length, is checked
+before the first byte; a CSV body is formatted as it is written, with no
+check.  The ``rows`` columns of ``dist`` and ``simulate`` are
 written from runs of bit-identical values, each of length at least 1,
 run by run, in pieces of at most ``_BLOCK`` entries: each run's ``repr``
 is formatted once and repeated.  The law is constant outside an
@@ -41,13 +42,12 @@ runs that ``run_batch`` measured its sup distance on, as the same
 columns in JSON and CSV.  One block writer, ``_ints``, writes the
 integers k of the ``k`` column and of a CSV run's lines, each followed by
 a separator (a comma, or the run's CSV values), 10**4 at a time by
-strided slice assignment, with no per-entry formatting.  A CSV float is
-written with 15 significant digits (``format(x, ".15g")``), where JSON
-writes its shortest ``repr``: 1/3 is ``0.333333333333333`` in CSV and
-``0.3333333333333333`` in JSON.  A CSV ``null`` is an empty value, and a
-bool is ``true`` or ``false``, as in JSON.  ``dist`` and ``simulate``
-refuse more than ``MAX_ROWS`` rows (exit 2); ``sweep`` and ``verify``
-build no column.
+strided slice assignment, with no per-entry formatting.  A CSV value is
+the JSON artifact's token for it, save that ``null`` is an empty value
+and a string is bare: a float is its shortest ``repr``, which reads back
+as the same double, and a bool is ``true`` or ``false``.  ``dist`` and
+``simulate`` refuse more than ``MAX_ROWS`` rows (exit 2); ``sweep`` and
+``verify`` build no column.
 
 Start-up: this module imports the ``errors``, ``model`` and ``exactdist``
 modules, which every subcommand needs, and no numpy.  The others are
@@ -100,9 +100,7 @@ except ImportError:
 
 
 def _fmt(x) -> str:
-    if isinstance(x, float):
-        return format(x, ".15g")
-    # as JSON writes them: null is an empty CSV value, and a bool is true or false
+    # as JSON writes them, save that null is an empty CSV value and a string is bare
     return "" if x is None else json.dumps(x) if isinstance(x, bool) else str(x)
 
 

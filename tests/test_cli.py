@@ -67,8 +67,8 @@ class TestDist:
         assert rc == 0
         lines = out.splitlines()
         assert lines[0] == "k,survival,pmf"
-        assert lines[1].split(",")[1] == "1"
-        assert lines[2].split(",")[1] == "0.666666666666667"  # 15 significant digits
+        assert lines[1].split(",")[1] == "1.0"
+        assert lines[2].split(",")[1] == "0.6666666666666665"  # the shortest repr, as in JSON
         assert any(line.startswith("# mean=") for line in lines)
 
     def test_invalid_n_exits_2(self, capsys):
@@ -121,7 +121,7 @@ class TestAlpha:
         rc, out, _ = run_cli(capsys, "alpha", "--rho", "2", "--format", "csv")
         assert rc == 0
         assert out.splitlines()[:2] == ["rho,f,alpha,residual,iterations,c1,c2,c3",
-                                        "2,1,,,,,,"]
+                                        "2.0,1.0,,,,,,"]
         rc, out, _ = run_cli(capsys, "simulate", "--n", "5", "--rho", "0.5", "--samples", "10",
                              "--format", "csv")
         assert rc == 0
@@ -877,14 +877,14 @@ class TestEmission:
         (["dist", "--n", "1000", "--rho", "0.5"],
          "a42c13306fcde6f49f9bae82cce2b7ad37209dc9d44785f38d312eede4090ac3"),
         (["dist", "--n", "1000", "--rho", "0.5", "--format", "csv"],
-         "fd00c87c249eb766bdc9139a27584a3d60f2fe455703a567445b49639b18ed09"),
+         "77d797f552c724284300d00fd18b314df1945551c5031e0269888854ebb124ba"),
         (["dist", "--n", "1", "--rho", "2"],
          "80607317a91a8a92a9abbd265a3c94530495163a264bd015d8f45bce58a4e655"),
         (["simulate", "--n", "50", "--rho", "0.5", "--samples", "1000", "--seed", "1"],
          "07f389b6ed7e6f6c508c7ecdf3fcdd9fad174ce7664a603dd1f29829a691f2c0"),
         (["simulate", "--n", "50", "--rho", "0.5", "--samples", "1000", "--seed", "1",
           "--format", "csv"],
-         "31aac998093e1b494056f56b55fee43d81c39811f7f4cf8885a0f81b83c973b9"),
+         "2239cfa513623dfe5e2a06dc098415d34d85f593a6c254d8be6f385b72da3b71"),
         # its k column reaches the blocks of 10**4 entries
         (["dist", "--n", "123457", "--rho", "0.5"],
          "db7fde9a80a7a63895af7134a48738e132de7cdbf520b889f9a40533169576b7"),
@@ -896,11 +896,11 @@ class TestEmission:
         (["alpha", "--rho", "0.3"],
          "4c172fe004bbbfef702463250612dc852ade214cd557538d72667133ad657149"),
         (["alpha", "--rho", "0.3", "--format", "csv"],
-         "4338a067878394eba6240e3c82c4c4330644871e0dd18c1624fd1f4b5e81e2af"),
+         "fe928646a41ab839b3b8a7038d85230fafbf3c07e970c4426d9076fedd206714"),
         (["sweep", "--rho", "0.5", "--n", "1000", "1000000"],
          "dcb0b1d28486318b76973758842d9183edaf858337ef21c265721f71d5336ec9"),
         (["sweep", "--rho", "0.5", "--n", "1000", "1000000", "--format", "csv"],
-         "cb9682dff601484c17ffe9f9ceb3a6025df24d0a677b7bc4932853cf255ba741"),
+         "87b32312ac2939391fa7b02e41d8aff5e9e5ee7612adbfc559dd0feffa306179"),
         # laws at N = 1e9 and 1e12, far past the default grid
         (["sweep", "--rho", "0.5", "--n", "1000000000", "1000000000000"],
          "02befc23af4e56319f00bb456a24416f1c64cc1b20d2471873a42b055d2cd7c5"),
@@ -1169,7 +1169,53 @@ def test_csv_body_writes_the_rows_of_the_runs(runs):
     assert all(piece.endswith(b"\n") and piece.count(b"\n") <= _BLOCK for piece in pieces)
     dense = [np.repeat(np.array(c.values, dtype=object), c.lengths).tolist() for c in columns]
     assert b"".join(pieces).splitlines(keepends=True) == [
-        b"%d,%d,%.15g,%.15g\n" % (k, *row) for k, row in enumerate(zip(*dense), 1)]
+        b"%d,%d,%r,%r\n" % (k, *row) for k, row in enumerate(zip(*dense), 1)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["dist", "--n", "1000", "--rho", "0.5"],
+    ["dist", "--n", "1000", "--rho", "0.001"],  # its far tail holds subnormal masses
+    ["simulate", "--n", "50", "--rho", "0.5", "--samples", "1000", "--seed", "1"],
+    ["simulate", "--n", "5", "--rho", "0.5", "--samples", "2000", "--seed", "1",
+     "--mode", "full-ctmc"],
+    ["alpha", "--rho", "0.3"],
+    ["alpha", "--rho", "2"],
+    ["sweep", "--rho", "0.5", "--n", "1000", "1000000"],
+], ids=lambda argv: "_".join(argv))
+def test_csv_values_read_back_as_the_json_values(capsys, argv):
+    # A CSV value is the JSON artifact's token for it, save that null is
+    # empty and a string is bare; so every CSV float is the JSON double bit
+    # for bit, in the body, the footer and alpha's one row.
+    rc, doc, _ = run_json(capsys, *argv)
+    assert rc == 0
+    data = doc["data"]
+    rc, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert rc == 0
+    header, *lines = [line for line in out.splitlines() if not line.startswith("#")]
+    header = header.split(",")
+    footer = dict(line[2:].partition("=")[::2] for line in out.splitlines()
+                  if line.startswith("# ") and not line.startswith("# manifest: "))
+    if isinstance(data.get("rows"), dict):  # dist and simulate: columns
+        rows = list(zip(*(data["rows"][name] for name in header)))
+    elif "rows" in data:  # sweep: records
+        rows = [[row[name] for name in header] for row in data["rows"]]
+    else:  # alpha: one row, its constants flattened
+        flat = {**data, **(data["constants"] or {})}
+        rows = [[flat.get(name) for name in header]]
+    scalars = data.get("summary", data)
+    assert [len(line.split(",")) for line in lines] == [len(header)] * len(rows)
+    pairs = [*zip(itertools.chain.from_iterable(line.split(",") for line in lines),
+                  itertools.chain.from_iterable(rows)),
+             *((field, scalars[key]) for key, field in footer.items())]
+    floats = [(field, value) for field, value in pairs if isinstance(value, float)]
+    assert floats
+    for field, value in pairs:
+        if isinstance(value, float):
+            assert float(field).hex() == value.hex(), (field, value)
+        assert field == ("" if value is None else value if isinstance(value, str)
+                         else json.dumps(value)), (field, value)
+    if "0.001" in argv:
+        assert any(0.0 < value < sys.float_info.min for _, value in floats)
 
 
 _SMALL_N_RUNS = [[*argv, "--n", n] for n in ("1", "2", "10") for argv in (
