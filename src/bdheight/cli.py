@@ -22,15 +22,13 @@ one pass: the data, streamed as byte pieces, then the run manifest (tool,
 version, command, full parameter set, SHA-256 of the data) in its one
 canonical encoding, ``_canonical``.
 The manifest alone records the inputs, and re-running the same command
-reproduces the artifact byte for byte.  A JSON artifact is exactly
+reproduces the artifact byte for byte.  An artifact is exactly
 ``json.dumps(doc, sort_keys=True, separators=(",", ":"), allow_nan=False)``
-plus a newline; a CSV artifact's last line is ``# manifest: `` and the
-manifest.  In JSON, every value, and every run's length, is checked
-before the first byte; a CSV body is formatted as it is written, with no
-check.  The ``rows`` columns of ``dist`` and ``simulate`` are
-written from runs of bit-identical values, each of length at least 1,
-run by run, in pieces of at most ``_BLOCK`` entries: each run's ``repr``
-is formatted once and repeated.  The law is constant outside an
+plus a newline, and every value, and every run's length, is checked
+before the first byte.  The ``rows`` columns of ``dist`` and ``simulate``
+are written from runs of bit-identical values, each of length at least
+1, run by run, in pieces of at most ``_BLOCK`` entries: each run's
+``repr`` is formatted once and repeated.  The law is constant outside an
 O(log N) window, so the law's own runs give ``dist`` a few hundred runs
 and no list of length N.  Those runs are canonical
 (``HeightDistribution.column_runs``): every length is at least 1, the
@@ -38,16 +36,11 @@ lengths sum to N, no two adjacent runs are equal in (survival, pmf),
 and ``np.repeat(values, lengths)`` is the column.  They stop at k = N;
 ``simulate``, whose ``exact_cdf`` reads the survival one height on, adds
 P(H >= N + 1) = 0 itself, and writes ``SimulationSummary.columns``, the
-runs that ``run_batch`` measured its sup distance on, as the same
-columns in JSON and CSV.  One block writer, ``_ints``, writes the
-integers k of the ``k`` column and of a CSV run's lines, each followed by
-a separator (a comma, or the run's CSV values), 10**4 at a time by
-strided slice assignment, with no per-entry formatting.  A CSV value is
-the JSON artifact's token for it, save that ``null`` is an empty value
-and a string is bare: a float is its shortest ``repr``, which reads back
-as the same double, and a bool is ``true`` or ``false``.  ``dist`` and
-``simulate`` refuse more than ``MAX_ROWS`` rows (exit 2); ``sweep`` and
-``verify`` build no column.
+runs that ``run_batch`` measured its sup distance on.  A block writer,
+``_ints``, writes the integers of the ``k`` column, each followed by a
+comma, 10**4 at a time by strided slice assignment, with no per-entry
+formatting.  ``dist`` and ``simulate`` refuse more than ``MAX_ROWS``
+rows (exit 2); ``sweep`` and ``verify`` build no column.
 
 Start-up: this module imports the ``errors``, ``model`` and ``exactdist``
 modules, which every subcommand needs, and no numpy.  The others are
@@ -82,7 +75,7 @@ from .model import LADDER, SAMPLER_MODES, _positive_rate, make_params
 
 __all__ = ["main", "entrypoint"]
 
-_BLOCK = 10**4  # entries per piece of a column or lines per piece of a CSV body
+_BLOCK = 10**4  # entries per piece of a column
 MAX_ROWS = 10**7  # rows of a dist or simulate artifact; 1e7 rows is ~0.3 GB of JSON
 # Data of at most this many bytes is hashed by CPython's built-in SHA-256,
 # larger data by hashlib's: loading OpenSSL's libcrypto costs ~3.5 MB of RSS
@@ -97,11 +90,6 @@ except ImportError:
         from _sha256 import sha256 as _builtin_sha256  # CPython 3.10 and 3.11
     except ImportError:
         _builtin_sha256 = None
-
-
-def _fmt(x) -> str:
-    # as JSON writes them, save that null is an empty CSV value and a string is bare
-    return "" if x is None else json.dumps(x) if isinstance(x, bool) else str(x)
 
 
 def _manifest(command: str, parameters: dict, data_sha256: str) -> dict:
@@ -137,24 +125,24 @@ def _run_column(runs: _Runs) -> Iterator[bytes]:
     yield items[-1][0][:-1] + b"]" if items else b"]"
 
 
-def _ints(lo: int, hi: int, sep: bytes) -> Iterator[bytes]:
-    """Yield ``b"%d" % k + sep`` for the nonnegative k in [lo, hi), in pieces
-    of at most ``_BLOCK`` entries; ``sep`` holds no ``%``.
+def _ints(lo: int, hi: int) -> Iterator[bytes]:
+    """Yield ``b"%d," % k`` for the nonnegative k in [lo, hi), in pieces of
+    at most ``_BLOCK`` entries.
 
-    The entry P * 10**4 + j is the digits of P, ``b"%04d" % j`` and ``sep``.
-    One ``bytearray`` block of 10**4 entries per width of P holds those
+    The entry P * 10**4 + j is the digits of P, ``b"%04d," % j``.  One
+    ``bytearray`` block of 10**4 entries per width of P holds those
     suffixes; each block of equal P writes the digits of P into it by
     strided slice assignment and is copied out.  Entries below 10**4, and
     a range shorter than a block, are formatted by one bytes ``%``."""
     stop = hi if hi - lo < _BLOCK else max(lo, _BLOCK)
     if lo < stop:
-        yield (b"%d" + sep) * (stop - lo) % tuple(range(lo, stop))
+        yield b"%d," * (stop - lo) % tuple(range(lo, stop))
     if stop >= hi:
         return
     lo = stop
-    # byte c of b"%04d" % j + sep for j = 0..9999: the digit of each place, then sep
+    # byte c of b"%04d," % j for j = 0..9999: the digit of each place, then the comma
     suffix_columns = [b"".join(bytes([d]) * step for d in b"0123456789") * (_BLOCK // step // 10)
-                      for step in (1000, 100, 10, 1)] + [bytes([c]) * _BLOCK for c in sep]
+                      for step in (1000, 100, 10, 1)] + [b"," * _BLOCK]
     block, width = bytearray(), 0
     while lo < hi:  # here lo >= 10**4
         prefix, j = divmod(lo, _BLOCK)
@@ -187,7 +175,7 @@ def _encode(value, parts: list) -> None:
         parts.append(_run_column(value))
     elif isinstance(value, range) and value.step == 1:
         last = json.dumps(list(value[-1:]))[1:].encode()  # without its comma, and "]"
-        parts += [b"[", _ints(value.start, value.stop - 1, b","), last]
+        parts += [b"[", _ints(value.start, value.stop - 1), last]
     else:
         parts.append(json.dumps(value, sort_keys=True, separators=(",", ":"),
                                 allow_nan=False).encode())
@@ -290,22 +278,18 @@ def _sha256(held: list[bytes], size: int):
     return digest
 
 
-def _emit(command: str, parameters: dict, pieces: Iterable[bytes], output: str | None,
-          csv: bool = False) -> None:
+def _emit(command: str, parameters: dict, pieces: Iterable[bytes], output: str | None) -> None:
     """Write an artifact in one pass: the data ``pieces``, written as they
-    come, then the manifest with their SHA-256 in its canonical encoding.
-    The pieces of the first ``_SMALL_HASH_BYTES`` are held, not joined: data
-    that ends within that limit is hashed at the end by the built-in
-    SHA-256, and data that passes it by hashlib's, fed the held pieces once
-    and then each piece as it is written.  Both give the same digest.  JSON
-    frames the data and manifest as the canonical {"data": ..., "manifest":
-    ...}, since "data" sorts first; CSV ends with the line ``# manifest: ``
-    and the manifest."""
-    head, sep, end = ((b"", b"# manifest: ", b"\n") if csv
-                      else (b'{"data":', b',"manifest":', b"}\n"))
+    come, then the manifest with their SHA-256 in its canonical encoding,
+    framed as the canonical {"data": ..., "manifest": ...}, since "data"
+    sorts first.  The pieces of the first ``_SMALL_HASH_BYTES`` are held,
+    not joined: data that ends within that limit is hashed at the end by
+    the built-in SHA-256, and data that passes it by hashlib's, fed the
+    held pieces once and then each piece as it is written.  Both give the
+    same digest."""
 
     def artifact() -> Iterator[bytes]:
-        yield head
+        yield b'{"data":'
         held, size, digest = [], 0, None
         for piece in pieces:
             if digest is None:
@@ -318,31 +302,10 @@ def _emit(command: str, parameters: dict, pieces: Iterable[bytes], output: str |
             yield piece
         if digest is None:
             digest = _sha256(held, size)
-        yield sep + _canonical(_manifest(command, parameters, digest.hexdigest())) + end
+        manifest = _canonical(_manifest(command, parameters, digest.hexdigest()))
+        yield b',"manifest":' + manifest + b"}\n"
 
     _write(artifact(), output)
-
-
-def _csv_line(row) -> str:
-    return ",".join(map(_fmt, row)) + "\n"
-
-
-def _csv_body(columns: list[_Runs]) -> Iterator[bytes]:
-    """The CSV rows ``k,value,..`` for k = 1, 2, .. of columns given as runs on
-    one lengths list, each run's values formatted once, in pieces of at most
-    ``_BLOCK`` whole lines."""
-    bounds = itertools.pairwise(itertools.accumulate(columns[0].lengths, initial=1))
-    for *row, (lo, hi) in zip(*(c.values for c in columns), bounds, strict=True):
-        yield from _ints(lo, hi, ("," + _csv_line(row)).encode())
-
-
-def _emit_csv(command: str, parameters: dict, header: list[str], body: Iterable[bytes],
-              footer: dict, output: str | None) -> None:
-    """Write a CSV artifact: the header line, the body's byte pieces of whole
-    lines, the ``# key=value`` footer lines and, last, the manifest line."""
-    footer_lines = (f"# {k}={_fmt(v)}\n".encode() for k, v in footer.items())
-    _emit(command, parameters, itertools.chain([_csv_line(header).encode()], body, footer_lines),
-          output, csv=True)
 
 
 def _params_from_args(args) -> tuple:
@@ -358,30 +321,22 @@ def _add_param_flags(sub):
     sub.add_argument("--rho", type=float, required=True, help="rate ratio rho = nu/mu")
 
 
-def _add_output_flags(sub):
-    sub.add_argument("--format", choices=("json", "csv"), default="json")
+def _add_output_flag(sub):
     sub.add_argument("--output", default=None, help="output path (default: stdout)")
 
 
 def cmd_dist(args) -> int:
     p, resolved = _params_from_args(args)
     d = exactdist.height_distribution(p)
-    parameters = {**resolved, "format": args.format}
     surv, pmf, lengths = d.column_runs()
-    columns = {"survival": _Runs(surv, lengths), "pmf": _Runs(pmf, lengths)}
-    if args.format == "csv":
-        _emit_csv("dist", parameters, ["k", *columns], _csv_body([*columns.values()]),
-                  {"mean": d.mean, "variance": d.variance}, args.output)
-    else:
-        data = {"rows": {"k": range(1, p.N + 1), **columns}, "mean": d.mean,
-                "variance": d.variance}
-        _emit("dist", parameters, _pieces(data), args.output)
+    rows = {"k": range(1, p.N + 1), "survival": _Runs(surv, lengths), "pmf": _Runs(pmf, lengths)}
+    data = {"rows": rows, "mean": d.mean, "variance": d.variance}
+    _emit("dist", resolved, _pieces(data), args.output)
     return 0
 
 
 def cmd_alpha(args) -> int:
     rho = _positive_rate("rho", args.rho)
-    parameters = {"rho": rho, "format": args.format}
     data = {"rho": rho, "f": 1.0, "alpha": None, "residual": None, "iterations": None,
             "bracket": None, "constants": None,
             "note": "the mean-height fraction limit is exactly 1 for rho >= 1; "
@@ -394,13 +349,7 @@ def cmd_alpha(args) -> int:
         data.update(f=sol.alpha, alpha=sol.alpha, residual=sol.residual,
                     iterations=sol.iterations, bracket=list(sol.bracket),
                     constants={"c1": c.c1, "c2": c.c2, "c3": c.c3}, note="")
-    if args.format == "csv":
-        keys = ["rho", "f", "alpha", "residual", "iterations", "c1", "c2", "c3"]
-        row = {**data, **(data["constants"] or dict.fromkeys(("c1", "c2", "c3")))}
-        _emit_csv("alpha", parameters, keys, [_csv_line(row[k] for k in keys).encode()],
-                  {"note": data["note"]}, args.output)
-    else:
-        _emit("alpha", parameters, _pieces(data), args.output)
+    _emit("alpha", {"rho": rho}, _pieces(data), args.output)
     return 0
 
 
@@ -415,8 +364,7 @@ def cmd_verify(args) -> int:
         "n_failed": len(failed),
         "passed": not failed,
     }
-    parameters = {"rho": args.rho, "N": args.n}
-    _emit("verify", parameters, _pieces(data), args.output)
+    _emit("verify", {"rho": args.rho, "N": args.n}, _pieces(data), args.output)
     if failed:
         for c in failed:
             print(f"verify: FAILED {c['inequality']} at n={c['n']}, rho={c['rho']}: "
@@ -436,19 +384,14 @@ def cmd_simulate(args) -> int:
         print(f"simulate: warning: this batch costs an estimated ~{est:.3g} jump "
               f"steps; consider --mode {LADDER}", file=sys.stderr)
     summary = simulate.run_batch(cfg)
-    columns = {name: _Runs(*runs) for name, runs in summary.columns.items()}
+    rows = {"k": range(1, p.N + 1),
+            **{name: _Runs(*runs) for name, runs in summary.columns.items()}}
     parameters = {**resolved, "samples": args.samples, "seed": args.seed,
-                  "mode": args.mode, "delta": args.delta, "format": args.format}
-    # the counts and columns are the rows, not scalars; the CSV footer
-    # keeps the summary's field order
+                  "mode": args.mode, "delta": args.delta}
+    # the counts and columns are the rows, not scalars
     scalars = summary._asdict()
     del scalars["counts"], scalars["columns"]
-    if args.format == "csv":
-        _emit_csv("simulate", parameters, ["k", *columns], _csv_body([*columns.values()]),
-                  scalars, args.output)
-    else:
-        rows = {"k": range(1, p.N + 1), **columns}
-        _emit("simulate", parameters, _pieces({"summary": scalars, "rows": rows}), args.output)
+    _emit("simulate", parameters, _pieces({"summary": scalars, "rows": rows}), args.output)
     if args.assert_dkw and not summary.dkw_pass:
         print(f"simulate: ECDF band exceeded: sup={summary.sup_distance:.6g} > "
               f"eps={summary.dkw_epsilon:.6g}", file=sys.stderr)
@@ -459,13 +402,8 @@ def cmd_simulate(args) -> int:
 def cmd_sweep(args) -> int:
     from . import asymptotics
 
-    rows = asymptotics.convergence_table(args.rho, args.n)
-    parameters = {"rho": args.rho, "N": args.n, "format": args.format}
-    if args.format == "csv":
-        _emit_csv("sweep", parameters, list(asymptotics.ConvergencePoint._fields),
-                  (_csv_line(r).encode() for r in rows), {}, args.output)
-    else:
-        _emit("sweep", parameters, _pieces({"rows": [r._asdict() for r in rows]}), args.output)
+    rows = [r._asdict() for r in asymptotics.convergence_table(args.rho, args.n)]
+    _emit("sweep", {"rho": args.rho, "N": args.n}, _pieces({"rows": rows}), args.output)
     return 0
 
 
@@ -479,19 +417,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     sub = subs.add_parser("dist", help="exact height distribution")
     _add_param_flags(sub)
-    _add_output_flags(sub)
+    _add_output_flag(sub)
     sub.set_defaults(func=cmd_dist)
 
     sub = subs.add_parser("alpha", help="growth constant alpha(rho) and derived constants")
     sub.add_argument("--rho", type=float, required=True)
-    _add_output_flags(sub)
+    _add_output_flag(sub)
     sub.set_defaults(func=cmd_alpha)
 
     sub = subs.add_parser("verify", help="run the certified inequality suite")
     sub.add_argument("--rho", type=float, nargs="+", default=[0.25, 0.5, 0.75, 1.0, 2.0])
     sub.add_argument("--n", type=int, nargs="+", default=[1000, 10000, 100000])
-    # no --format: the nested check records have no CSV form
-    sub.add_argument("--output", default=None, help="output path (default: stdout)")
+    _add_output_flag(sub)
     sub.set_defaults(func=cmd_verify)
 
     sub = subs.add_parser("simulate", help="Monte Carlo batch vs exact law")
@@ -503,13 +440,13 @@ def build_parser() -> argparse.ArgumentParser:
                      help="ECDF band confidence parameter")
     sub.add_argument("--assert", dest="assert_dkw", action="store_true",
                      help="exit 1 if the ECDF band check fails")
-    _add_output_flags(sub)
+    _add_output_flag(sub)
     sub.set_defaults(func=cmd_simulate)
 
     sub = subs.add_parser("sweep", help="limit-convergence table over an N grid")
     sub.add_argument("--rho", type=float, required=True)
     sub.add_argument("--n", type=int, nargs="+", required=True)
-    _add_output_flags(sub)
+    _add_output_flag(sub)
     sub.set_defaults(func=cmd_sweep)
 
     return parser

@@ -289,8 +289,8 @@ def _walk(cfg: SimulationConfig, counts: Counter) -> Iterator[float]:
 
 def batch_columns(law: exactdist.HeightDistribution,
                   counts: tuple[tuple[int, int], ...], n: int) -> dict[str, tuple[list, list]]:
-    """The artifact's columns over k = 1..N as (values, lengths) runs, in CSV
-    order, the last being ``exact_survival``, P(H >= k), for the nonzero
+    """The artifact's columns over k = 1..N as (values, lengths) runs, the
+    last being ``exact_survival``, P(H >= k), for the nonzero
     (height, count) pairs ``counts`` of ``n`` samples.
     The counts have a gap of 0 before each nonzero height and after the
     last, so their running totals, integers each divided once by ``n``, are

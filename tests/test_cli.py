@@ -1,4 +1,4 @@
-"""CLI contract: flags, exit codes, artifact formats, manifests, stability."""
+"""CLI contract: flags, exit codes, the artifact format, manifests, stability."""
 
 import errno
 import hashlib
@@ -25,8 +25,8 @@ import bdheight
 import bdheight.cli as cli
 import bdheight.simulate as simulate_module
 from bdheight import height_distribution, make_params
-from bdheight.cli import (MAX_ROWS, _BLOCK, _canonical, _csv_body, _emit, _ints, _pieces,
-                          _run_column, _Runs, _write, main)
+from bdheight.cli import (MAX_ROWS, _BLOCK, _canonical, _emit, _ints, _pieces, _run_column,
+                          _Runs, _write, main)
 
 
 def run_cli(capsys, *argv):
@@ -61,15 +61,6 @@ class TestDist:
         rc, doc, _ = run_json(capsys, "dist", "--n", "1", "--rho", "0.5")
         assert rc == 0
         assert doc["data"]["rows"] == {"k": [1], "survival": [1.0], "pmf": [1.0]}
-
-    def test_csv_format(self, capsys):
-        rc, out, _ = run_cli(capsys, "dist", "--n", "3", "--rho", "1", "--format", "csv")
-        assert rc == 0
-        lines = out.splitlines()
-        assert lines[0] == "k,survival,pmf"
-        assert lines[1].split(",")[1] == "1.0"
-        assert lines[2].split(",")[1] == "0.6666666666666665"  # the shortest repr, as in JSON
-        assert any(line.startswith("# mean=") for line in lines)
 
     def test_invalid_n_exits_2(self, capsys):
         rc, _, err = run_cli(capsys, "dist", "--n", "0", "--rho", "1")
@@ -116,16 +107,6 @@ class TestAlpha:
         assert doc["data"]["f"] == 1.0
         assert doc["data"]["constants"] is None
         assert doc["data"]["note"]
-
-    def test_csv_writes_null_as_an_empty_value(self, capsys):
-        rc, out, _ = run_cli(capsys, "alpha", "--rho", "2", "--format", "csv")
-        assert rc == 0
-        assert out.splitlines()[:2] == ["rho,f,alpha,residual,iterations,c1,c2,c3",
-                                        "2.0,1.0,,,,,,"]
-        rc, out, _ = run_cli(capsys, "simulate", "--n", "5", "--rho", "0.5", "--samples", "10",
-                             "--format", "csv")
-        assert rc == 0
-        assert "\n# mean_busy_duration=\n# manifest: " in out and "None" not in out
 
     def test_domain_edge_exits_2(self, capsys):
         assert run_cli(capsys, "alpha", "--rho", "0")[0] == 2
@@ -182,19 +163,6 @@ class TestVerify:
             main(["verify", flag])
         assert exc.value.code == 2
         assert flag in capsys.readouterr().err
-
-    def test_csv_format_is_refused(self, capsys):
-        # the nested check records have no CSV form, so verify has no --format
-        for fmt in ("json", "csv"):
-            with pytest.raises(SystemExit) as exc:
-                main(["verify", "--rho", "0.5", "--n", "10", "--format", fmt])
-            out, err = capsys.readouterr()
-            assert (exc.value.code, out) == (2, "")
-            assert err.startswith("usage: bdheight ") and "Traceback" not in err
-            assert err.endswith(f": error: unrecognized arguments: --format {fmt}\n"), err
-        rc, doc, _ = run_json(capsys, "verify", "--rho", "0.5", "--n", "10")
-        assert rc == 0
-        assert "format" not in doc["manifest"]["parameters"]
 
     def test_selftest_flag_is_gone(self, capsys):
         # the corrupted-constant check is a test's monkeypatch, not a CLI setting
@@ -297,33 +265,17 @@ class TestSimulateCommand:
         assert "counts" not in summary and "empirical_pmf" not in summary
         assert sum(rows["count"]) == doc["manifest"]["parameters"]["samples"] == 5000
 
-    @pytest.mark.parametrize("fmt", ["json", "csv"])
-    def test_inputs_are_recorded_in_the_manifest_only(self, capsys, fmt):
+    def test_inputs_are_recorded_in_the_manifest_only(self, capsys):
         rc, out, _ = run_cli(capsys, "simulate", "--n", "30", "--rho", "0.6", "--samples", "500",
-                             "--seed", "11", "--format", fmt)
+                             "--seed", "11")
         assert rc == 0
-        if fmt == "json":
-            doc = strict_loads(out)
-            manifest, scalars = doc["manifest"], list(doc["data"]["summary"])
-        else:
-            *lines, last = out.splitlines()
-            manifest = strict_loads(last.removeprefix("# manifest: "))
-            scalars = [line[2:].split("=")[0] for line in lines if line.startswith("# ")]
-        # the summary's scalars, JSON's key-sorted and CSV's in field order
-        fields = ["empirical_mean", "empirical_variance", "sup_distance", "dkw_epsilon",
-                  "dkw_pass", "mean_busy_duration"]
-        assert scalars == (sorted(fields) if fmt == "json" else fields)
-        assert manifest["parameters"] == {"N": 30, "rho": 0.6, "samples": 500, "seed": 11,
-                                          "mode": "ladder", "delta": 0.01, "format": fmt}
-
-    def test_csv_writes_a_bool_as_json_does(self, capsys, monkeypatch):
-        argv = ["simulate", "--n", "10", "--rho", "0.5", "--samples", "100", "--format", "csv"]
-        for passed in ("true", "false"):
-            if passed == "false":  # a zero-width band fails every batch
-                monkeypatch.setattr(simulate_module, "dkw_epsilon", lambda n, delta: 0.0)
-            rc, out, _ = run_cli(capsys, *argv)
-            assert rc == 0
-            assert f"\n# dkw_pass={passed}\n" in out and "True" not in out and "False" not in out
+        doc = strict_loads(out)
+        # the summary's scalars, key-sorted
+        assert list(doc["data"]["summary"]) == sorted([
+            "empirical_mean", "empirical_variance", "sup_distance", "dkw_epsilon", "dkw_pass",
+            "mean_busy_duration"])
+        assert doc["manifest"]["parameters"] == {"N": 30, "rho": 0.6, "samples": 500,
+                                                 "seed": 11, "mode": "ladder", "delta": 0.01}
 
     def test_infeasible_walk_exits_2_with_warning(self, capsys):
         # a refused batch gets the refusal alone, not first a warning to switch modes
@@ -355,8 +307,7 @@ class TestSimulateCommand:
                                  "100", "--mode", "jump-chain")
             assert rc == 0 and err.startswith("simulate: warning: ") == warned, err
 
-    @pytest.mark.parametrize("fmt", ["json", "csv"])
-    def test_law_and_columns_are_built_once(self, capsys, monkeypatch, fmt):
+    def test_law_and_columns_are_built_once(self, capsys, monkeypatch):
         calls = {"height_distribution": 0, "batch_columns": 0}
 
         def counted(module, name):
@@ -369,7 +320,7 @@ class TestSimulateCommand:
         counted(bdheight.exactdist, "height_distribution")
         counted(simulate_module, "batch_columns")
         rc, _, _ = run_cli(capsys, "simulate", "--n", "30", "--rho", "0.6", "--samples", "500",
-                           "--seed", "3", "--format", fmt)
+                           "--seed", "3")
         assert rc == 0
         assert calls == {"height_distribution": 1, "batch_columns": 1}
 
@@ -386,24 +337,16 @@ class TestSimulateCommand:
                             r"(\d+) of 1000 samples completed\n", err)
         assert done and 0 < int(done[1]) < 1000
 
-    @pytest.mark.parametrize("fmt", ["json", "csv"])
-    def test_failed_band_with_assert_exits_1(self, tmp_path, capsys, monkeypatch, fmt):
+    def test_failed_band_with_assert_exits_1(self, tmp_path, capsys, monkeypatch):
         # a zero-width band fails every batch; the artifact is still written
         monkeypatch.setattr(simulate_module, "dkw_epsilon", lambda n, delta: 0.0)
         path = tmp_path / "batch"
         rc, out, err = run_cli(capsys, "simulate", "--n", "10", "--rho", "0.5", "--samples",
-                               "100", "--format", fmt, "--output", str(path), "--assert")
+                               "100", "--output", str(path), "--assert")
         assert (rc, out) == (1, "")
         assert len(err.splitlines()) == 1
         assert err.startswith("simulate: ECDF band exceeded: sup=") and "> eps=0\n" in err
         assert path.stat().st_size > 0
-
-    def test_csv_contains_comparison_columns(self, capsys):
-        rc, out, _ = run_cli(capsys, "simulate", "--n", "5", "--rho", "1",
-                             "--samples", "1000", "--seed", "2", "--format", "csv")
-        assert rc == 0
-        header = out.splitlines()[0]
-        assert header == "k,count,empirical_pmf,exact_pmf,empirical_cdf,exact_cdf,exact_survival"
 
 
 class TestSweep:
@@ -423,15 +366,6 @@ class TestSweep:
         assert exc.value.code == 2
         capsys.readouterr()
 
-    def test_csv_has_one_line_per_n(self, capsys):
-        rc, out, err = run_cli(capsys, "sweep", "--rho", "0.5", "--n", "10", "100", "--format",
-                               "csv")
-        assert (rc, err) == (0, "")
-        lines = out.splitlines()
-        assert lines[0] == ("N,mean,variance,mean_over_N,var_over_N,mean_limit,var_limit,"
-                            "mean_gap,var_gap")
-        assert [line.split(",")[0] for line in lines[1:-1]] == ["10", "100"]
-
     def test_unordered_grid_answers_in_the_order_given(self, capsys):
         rc, doc, _ = run_json(capsys, "sweep", "--rho", "0.5", "--n", "1000", "10")
         assert rc == 0
@@ -443,6 +377,27 @@ class TestSweep:
         rc, out, err = run_cli(capsys, "sweep", "--rho", "2", "--n", "100", "100")
         assert (rc, out) == (2, "")
         assert err == "sweep: error: the N grid must not repeat a value, got [100, 100]\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["dist", "--n", "5", "--rho", "0.5"],
+    ["alpha", "--rho", "0.3"],
+    ["verify", "--rho", "0.5", "--n", "10"],
+    ["simulate", "--n", "5", "--rho", "0.5", "--samples", "10"],
+    ["sweep", "--rho", "0.5", "--n", "10"],
+], ids=lambda argv: argv[0])
+def test_format_is_refused(capsys, argv):
+    # JSON is the one artifact format, so no subcommand takes --format
+    for fmt in ("json", "csv"):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--format", fmt])
+        out, err = capsys.readouterr()
+        assert (exc.value.code, out) == (2, "")
+        assert err.startswith("usage: bdheight ") and "Traceback" not in err
+        assert err.endswith(f": error: unrecognized arguments: --format {fmt}\n"), err
+    rc, doc, _ = run_json(capsys, *argv)
+    assert rc == 0
+    assert "format" not in doc["manifest"]["parameters"]
 
 
 class TestKnownLimits:
@@ -641,16 +596,24 @@ def canonical(doc) -> str:
 
 # The pinned digests are of artifacts written as version 0.3.6: an artifact's
 # version is set to that before it is hashed, so a version bump alone moves no
-# pin, and a pin that moves shows that the data moved.
+# pin, and a pin that moves shows that the data moved.  The pins of dist,
+# simulate, alpha and sweep moved in 0.4.0 only because their manifests lost
+# the "format" parameter; no data byte moved.
 _PIN_VERSION = "0.3.6"
 
 
 def _pinned_digest(blob: bytes) -> str:
-    """sha256 of an artifact whose manifest's version is written as _PIN_VERSION."""
-    field = b'"version":"%s"' % bdheight.__version__.encode()
-    assert blob.count(field) == 1
-    return hashlib.sha256(blob.replace(field, b'"version":"%s"' % _PIN_VERSION.encode())
-                          ).hexdigest()
+    """sha256 of an artifact whose manifest's version is written as _PIN_VERSION;
+    the version is the manifest's last key, so the artifact ends with it."""
+    head, field, tail = blob.rpartition(b'"version":')
+    assert tail == b'"%s"}}\n' % bdheight.__version__.encode()
+    return hashlib.sha256(head + field + b'"%s"}}\n' % _PIN_VERSION.encode()).hexdigest()
+
+
+def _framed(data: bytes, parameters: dict, command: str = "dist") -> bytes:
+    """The artifact ``_emit`` writes for the data bytes ``data``."""
+    manifest = cli._manifest(command, parameters, hashlib.sha256(data).hexdigest())
+    return b'{"data":' + data + b',"manifest":' + _canonical(manifest) + b"}\n"
 
 
 _T = cli._SMALL_HASH_BYTES
@@ -684,11 +647,12 @@ class TestEmission:
         sha = json.loads(blob)["manifest"]["data_sha256"]
         assert hashlib.sha256(data_bytes).hexdigest() == sha
 
-    @pytest.mark.parametrize("csv", [False, True], ids=["json", "csv"])
+    # the framing around the data, JSON's being the one artifact format
+    @pytest.mark.parametrize("frame", [(b'{"data":', b',"manifest":', b"}\n")], ids=["json"])
     @pytest.mark.parametrize("split", ["whole", "bytewise", "mixed"])
     @pytest.mark.parametrize("size", [0, 1, _T - 1, _T, _T + 1, 3 * _T + 7],
                              ids=["0", "1", "T-1", "T", "T+1", "3T+7"])
-    def test_both_hash_paths_give_the_data_digest(self, tmp_path, monkeypatch, csv, split,
+    def test_both_hash_paths_give_the_data_digest(self, tmp_path, monkeypatch, frame, split,
                                                    size):
         # Data within _SMALL_HASH_BYTES (T) is hashed by the built-in
         # SHA-256 from its held pieces, and larger data by hashlib's, fed the
@@ -708,10 +672,9 @@ class TestEmission:
             return builtin()
         monkeypatch.setattr(cli, "_builtin_sha256", builtin_sha256)
         path = tmp_path / "artifact"
-        _emit("dist", {"N": 1}, pieces, str(path), csv=csv)
+        _emit("dist", {"N": 1}, pieces, str(path))
+        head, sep, end = frame
         manifest = cli._manifest("dist", {"N": 1}, hashlib.sha256(data).hexdigest())
-        head, sep, end = ((b"", b"# manifest: ", b"\n") if csv
-                          else (b'{"data":', b',"manifest":', b"}\n"))
         assert path.read_bytes() == head + data + sep + _canonical(manifest) + end
         assert builtin_used == [True] * (size <= _T)
 
@@ -724,19 +687,17 @@ class TestEmission:
             import bdheight.cli as cli
             assert cli._builtin_sha256 is None and "_hashlib" not in sys.modules
             path, size = sys.argv[1], int(sys.argv[2])
-            cli._emit("dist", {}, [bytes(range(256)) * (size // 256)], path, csv=True)
+            cli._emit("dist", {}, [bytes(range(256)) * (size // 256)], path)
             print("_hashlib" in sys.modules)
         """
         src = os.path.dirname(os.path.dirname(bdheight.__file__))
         for size in (0, 256, _T, 2 * _T):
-            path = tmp_path / f"{size}.csv"
+            path = tmp_path / f"{size}.json"
             proc = subprocess.run([sys.executable, "-c", code, str(path), str(size)],
                                   env={**os.environ, "PYTHONPATH": src},
                                   capture_output=True, text=True, check=True)
-            data = bytes(range(256)) * (size // 256)
-            manifest = cli._manifest("dist", {}, hashlib.sha256(data).hexdigest())
             assert proc.stdout.split() == ["True"]
-            assert path.read_bytes() == data + b"# manifest: " + _canonical(manifest) + b"\n"
+            assert path.read_bytes() == _framed(bytes(range(256)) * (size // 256), {})
 
     def test_large_stdout_matches_file(self, tmp_path, capsys):
         # stdout gets the artifact's bytes through its binary buffer; a
@@ -779,31 +740,15 @@ class TestEmission:
         assert rc == 0
         assert peak < 4 * 2**20
 
-    def test_csv_streams_its_body(self, tmp_path):
-        # The body is made once, hashed as it is written, a block of lines
-        # at a time.  Holding every line's bytes until the digest is known
-        # traced ~22 MiB.
-        tracemalloc.start()
-        try:
-            rc = main(["dist", "--n", "1000000", "--rho", "0.5", "--format", "csv",
-                       "--output", str(tmp_path / "law.csv")])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert rc == 0
-        assert peak < 4 * 2**20
-
-    @pytest.mark.parametrize("fmt", ["json", "csv"])
     @pytest.mark.parametrize("target", ["missing_dir", "directory", "empty", "dev_full"])
-    def test_unwritable_output_exits_2(self, tmp_path, capsys, fmt, target):
+    def test_unwritable_output_exits_2(self, tmp_path, capsys, target):
         # an empty path is a path that cannot be opened, not stdout; on
         # /dev/full the open succeeds and the close's flush fails with ENOSPC
         if target == "dev_full" and not os.path.exists("/dev/full"):
             pytest.skip("needs /dev/full")
         output = {"missing_dir": str(tmp_path / "missing" / "x"), "directory": str(tmp_path),
                   "empty": "", "dev_full": "/dev/full"}[target]
-        rc, out, err = run_cli(capsys, "dist", "--n", "5", "--rho", "0.5", "--format", fmt,
-                               "--output", output)
+        rc, out, err = run_cli(capsys, "dist", "--n", "5", "--rho", "0.5", "--output", output)
         assert (rc, out) == (2, "")
         assert len(err.splitlines()) == 1 and err.startswith("dist: error: cannot write"), err
 
@@ -856,15 +801,13 @@ class TestEmission:
         assert strict_loads(target.read_text())["manifest"]["command"] == "dist"
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
-    @pytest.mark.parametrize("fmt", ["json", "csv"])
-    def test_full_stdout_exits_2_without_traceback(self, fmt):
+    def test_full_stdout_exits_2_without_traceback(self):
         # the 2.7 MB artifact fails in a write; the bytes left in stdout's
         # buffer must not fail again at exit
         src = os.path.dirname(os.path.dirname(bdheight.__file__))
         with open("/dev/full", "wb") as full:
             proc = subprocess.run(
-                [sys.executable, "-m", "bdheight.cli", "dist", "--n", "100000", "--rho", "0.5",
-                 "--format", fmt],
+                [sys.executable, "-m", "bdheight.cli", "dist", "--n", "100000", "--rho", "0.5"],
                 env={**os.environ, "PYTHONPATH": src}, stdout=full, stderr=subprocess.PIPE,
                 timeout=60)
         assert proc.returncode == 2
@@ -875,35 +818,26 @@ class TestEmission:
     # ladder terms are built on math.lgamma
     @pytest.mark.parametrize("argv,digest", [
         (["dist", "--n", "1000", "--rho", "0.5"],
-         "a42c13306fcde6f49f9bae82cce2b7ad37209dc9d44785f38d312eede4090ac3"),
-        (["dist", "--n", "1000", "--rho", "0.5", "--format", "csv"],
-         "77d797f552c724284300d00fd18b314df1945551c5031e0269888854ebb124ba"),
+         "e30c59324358a82804bb36e85da9af48d5a492a2fc9b24dce8d25325c8183e39"),
         (["dist", "--n", "1", "--rho", "2"],
-         "80607317a91a8a92a9abbd265a3c94530495163a264bd015d8f45bce58a4e655"),
+         "7835ea25610b8e7b6064d92b57c6ce5acbcc57dd221755c3a1bd17557b9b242a"),
         (["simulate", "--n", "50", "--rho", "0.5", "--samples", "1000", "--seed", "1"],
-         "07f389b6ed7e6f6c508c7ecdf3fcdd9fad174ce7664a603dd1f29829a691f2c0"),
-        (["simulate", "--n", "50", "--rho", "0.5", "--samples", "1000", "--seed", "1",
-          "--format", "csv"],
-         "2239cfa513623dfe5e2a06dc098415d34d85f593a6c254d8be6f385b72da3b71"),
+         "7a3b1ee12f635e36a8d4246af0dff0c7bf7ed9c3bc46342a1f4507c6939f4bef"),
         # its k column reaches the blocks of 10**4 entries
         (["dist", "--n", "123457", "--rho", "0.5"],
-         "db7fde9a80a7a63895af7134a48738e132de7cdbf520b889f9a40533169576b7"),
+         "563383205a0b94f8385077204ce769395cee6b4efcd4aea6f7f831de505735e7"),
         # the duration sum (the walk as drawn by 0.3.9), the alpha and
         # bound-constant records and the limit-table rows
         (["simulate", "--n", "5", "--rho", "0.5", "--samples", "20000", "--seed", "1",
           "--mode", "full-ctmc"],
-         "06fe2cf0a0de3da6c7a4836c483978f4d1d387740eed004433d039bcfcdf4ae9"),
+         "0f608828f52fb2531c72f47818d413ed0f083ee6f92f56a11686bf77e44e28a1"),
         (["alpha", "--rho", "0.3"],
-         "4c172fe004bbbfef702463250612dc852ade214cd557538d72667133ad657149"),
-        (["alpha", "--rho", "0.3", "--format", "csv"],
-         "fe928646a41ab839b3b8a7038d85230fafbf3c07e970c4426d9076fedd206714"),
+         "ee7e72a357e2fe5a6a16cce32c7e283cb4fc41bf5c0a89261c579f5ec035a719"),
         (["sweep", "--rho", "0.5", "--n", "1000", "1000000"],
-         "dcb0b1d28486318b76973758842d9183edaf858337ef21c265721f71d5336ec9"),
-        (["sweep", "--rho", "0.5", "--n", "1000", "1000000", "--format", "csv"],
-         "87b32312ac2939391fa7b02e41d8aff5e9e5ee7612adbfc559dd0feffa306179"),
+         "89d7e6278e394f3f413b41ef1e88dcfbcb67301c26d0bc41a29d37274f171b52"),
         # laws at N = 1e9 and 1e12, far past the default grid
         (["sweep", "--rho", "0.5", "--n", "1000000000", "1000000000000"],
-         "02befc23af4e56319f00bb456a24416f1c64cc1b20d2471873a42b055d2cd7c5"),
+         "f0181bc41feaf6c64d55ebf7ebe2090cc159a7fa457854798048ffce6c200004"),
         # the certificate records over the default rho grid, and with a
         # rho >= 1 and an N below the asserted threshold
         (["verify", "--n", "1000", "10000", "100000", "1000000"],
@@ -919,8 +853,6 @@ class TestEmission:
         path = tmp_path / "artifact"
         assert main([*argv, "--output", str(path)]) == 0
         blob = path.read_bytes()
-        doc = json.loads(blob.rpartition(b"# manifest: ")[2])  # a CSV's manifest, or the JSON
-        assert doc.get("manifest", doc)["version"] == bdheight.__version__
         assert _pinned_digest(blob) == digest
 
     @pytest.mark.parametrize("argv", [
@@ -929,38 +861,28 @@ class TestEmission:
         ["sweep", "--rho", "0.5", "--n", "1000", "1000000"],
         ["simulate", "--n", "50", "--rho", "0.5", "--samples", "1000", "--seed", "1"],
     ], ids=lambda argv: argv[0])
-    def test_csv_is_made_in_one_pass_with_the_manifest_last(self, capsys, monkeypatch, argv):
-        # Each line is formatted once: the header, each row of alpha and
-        # sweep, and each run's tail in the one body of dist and simulate.
-        # A manifest line written first needs every piece twice, to hash
-        # and then to write.
-        lines, bodies = [], []
-        csv_line, csv_body = cli._csv_line, cli._csv_body
+    def test_artifact_is_made_in_one_pass_with_the_manifest_last(self, capsys, monkeypatch,
+                                                                argv):
+        # Each column of runs is formatted once, as it is written: one
+        # _run_column per run column (none in alpha and sweep).  A manifest
+        # written first needs every piece twice, to hash and then to write.
+        columns = []
+        run_column = cli._run_column
 
-        def counted_line(row):
-            lines.append(row)
-            return csv_line(row)
-
-        def counted_body(columns):
-            bodies.append(columns)
-            return csv_body(columns)
-        monkeypatch.setattr(cli, "_csv_line", counted_line)
-        monkeypatch.setattr(cli, "_csv_body", counted_body)
-        rc, out, _ = run_cli(capsys, *argv, "--format", "csv")
+        def counted(runs):
+            columns.append(runs)
+            return run_column(runs)
+        monkeypatch.setattr(cli, "_run_column", counted)
+        rc, out, _ = run_cli(capsys, *argv)
         assert rc == 0
-        assert len(bodies) == (argv[0] in ("dist", "simulate"))
-        rows = [line for line in out.splitlines() if not line.startswith("#")]
-        runs = sum(len(columns[0].values) for columns in bodies)
-        assert len(lines) == (1 + runs if bodies else len(rows))
-        # the last line is the manifest in its one canonical encoding, and
-        # data_sha256 hashes every byte before it
-        *data, last = out.encode().splitlines(keepends=True)
-        assert last.startswith(b"# manifest: ") and last.endswith(b"\n")
-        manifest = strict_loads(last[len(b"# manifest: "):])
-        assert last == b"# manifest: " + _canonical(manifest) + b"\n"
-        assert manifest["command"] == argv[0] and manifest["parameters"]["format"] == "csv"
-        assert manifest["data_sha256"] == hashlib.sha256(b"".join(data)).hexdigest()
-        assert not any(line.startswith(b"# manifest") for line in data)
+        assert len(columns) == {"dist": 2, "simulate": 6}.get(argv[0], 0)
+        # the manifest comes last, in its one canonical encoding, and
+        # data_sha256 hashes every data byte before it
+        blob = out.encode()
+        manifest = strict_loads(blob)["manifest"]
+        data = blob[len(b'{"data":'):blob.rindex(b',"manifest":')]
+        assert blob == _framed(data, manifest["parameters"], argv[0])
+        assert b'"manifest"' not in data
 
     def test_non_finite_value_writes_no_file(self, tmp_path):
         # The NaN sits after a column that would already have been streamed.
@@ -1125,12 +1047,11 @@ class TestCanonicalEncoder:
 
     @pytest.mark.parametrize("r", [*_RANGES, range(10**4 + 5, 10**4 + 50),
                                    range(123456, 123457), range(10**5 - 3, 10**5 + 3)], ids=str)
-    @pytest.mark.parametrize("sep", [b",", b",0.5,5e-324\n"])
-    def test_ints_writes_each_entry(self, r, sep):
+    def test_ints_writes_each_entry(self, r):
         # short runs above 10**4 too
-        pieces = list(_ints(r.start, r.stop, sep))
-        assert b"".join(pieces) == b"".join(b"%d%b" % (k, sep) for k in r)
-        assert all(piece.count(sep[-1:]) <= _BLOCK for piece in pieces)
+        pieces = list(_ints(r.start, r.stop))
+        assert b"".join(pieces) == b"".join(b"%d," % k for k in r)
+        assert all(piece.count(b",") <= _BLOCK for piece in pieces)
 
     @pytest.mark.parametrize("length", [_BLOCK, _BLOCK + 1, 2**14, 2**14 + 1, 3 * 2**14 + 7])
     def test_float_run_longer_than_a_piece(self, length):
@@ -1150,72 +1071,6 @@ class TestCanonicalEncoder:
             canonical({"c": a.tolist()})
         with pytest.raises(ValueError):
             _canonical({"c": _each(a)})
-
-
-@given(runs=st.lists(st.tuples(st.sampled_from(_INT_POOL), st.sampled_from(_FLOAT_POOL),
-                               st.sampled_from(_FLOAT_POOL), st.integers(0, 12)), max_size=6))
-# runs about a block long, and rows that cross k = 10**4 in a short run and in
-# a long one
-@example(runs=[(3, -0.0, 5e-324, 0), (1, 0.5, 1.0, _BLOCK - 1), (0, 0.1, 0.0, 0),
-               (-1, 1e-310, 2.0, _BLOCK), (2**63 - 1, 0.0, -0.0, _BLOCK + 1),
-               (9, 1 / 3, 1e300, 2 * _BLOCK + 3), (10, 2.5, 0.25, 0)])
-@example(runs=[(1, 0.5, 1.0, _BLOCK - 7), (2, 0.25, 0.5, 20), (3, 1 / 3, 1e-310, 3 * _BLOCK)])
-@settings(max_examples=100, deadline=None)
-def test_csv_body_writes_the_rows_of_the_runs(runs):
-    # one lengths list and runs of length 0 anywhere
-    lengths = [n for *_, n in runs]
-    columns = [_Runs([run[i] for run in runs], lengths) for i in range(3)]
-    pieces = list(_csv_body(columns))
-    assert all(piece.endswith(b"\n") and piece.count(b"\n") <= _BLOCK for piece in pieces)
-    dense = [np.repeat(np.array(c.values, dtype=object), c.lengths).tolist() for c in columns]
-    assert b"".join(pieces).splitlines(keepends=True) == [
-        b"%d,%d,%r,%r\n" % (k, *row) for k, row in enumerate(zip(*dense), 1)]
-
-
-@pytest.mark.parametrize("argv", [
-    ["dist", "--n", "1000", "--rho", "0.5"],
-    ["dist", "--n", "1000", "--rho", "0.001"],  # its far tail holds subnormal masses
-    ["simulate", "--n", "50", "--rho", "0.5", "--samples", "1000", "--seed", "1"],
-    ["simulate", "--n", "5", "--rho", "0.5", "--samples", "2000", "--seed", "1",
-     "--mode", "full-ctmc"],
-    ["alpha", "--rho", "0.3"],
-    ["alpha", "--rho", "2"],
-    ["sweep", "--rho", "0.5", "--n", "1000", "1000000"],
-], ids=lambda argv: "_".join(argv))
-def test_csv_values_read_back_as_the_json_values(capsys, argv):
-    # A CSV value is the JSON artifact's token for it, save that null is
-    # empty and a string is bare; so every CSV float is the JSON double bit
-    # for bit, in the body, the footer and alpha's one row.
-    rc, doc, _ = run_json(capsys, *argv)
-    assert rc == 0
-    data = doc["data"]
-    rc, out, _ = run_cli(capsys, *argv, "--format", "csv")
-    assert rc == 0
-    header, *lines = [line for line in out.splitlines() if not line.startswith("#")]
-    header = header.split(",")
-    footer = dict(line[2:].partition("=")[::2] for line in out.splitlines()
-                  if line.startswith("# ") and not line.startswith("# manifest: "))
-    if isinstance(data.get("rows"), dict):  # dist and simulate: columns
-        rows = list(zip(*(data["rows"][name] for name in header)))
-    elif "rows" in data:  # sweep: records
-        rows = [[row[name] for name in header] for row in data["rows"]]
-    else:  # alpha: one row, its constants flattened
-        flat = {**data, **(data["constants"] or {})}
-        rows = [[flat.get(name) for name in header]]
-    scalars = data.get("summary", data)
-    assert [len(line.split(",")) for line in lines] == [len(header)] * len(rows)
-    pairs = [*zip(itertools.chain.from_iterable(line.split(",") for line in lines),
-                  itertools.chain.from_iterable(rows)),
-             *((field, scalars[key]) for key, field in footer.items())]
-    floats = [(field, value) for field, value in pairs if isinstance(value, float)]
-    assert floats
-    for field, value in pairs:
-        if isinstance(value, float):
-            assert float(field).hex() == value.hex(), (field, value)
-        assert field == ("" if value is None else value if isinstance(value, str)
-                         else json.dumps(value)), (field, value)
-    if "0.001" in argv:
-        assert any(0.0 < value < sys.float_info.min for _, value in floats)
 
 
 _SMALL_N_RUNS = [[*argv, "--n", n] for n in ("1", "2", "10") for argv in (
@@ -1336,7 +1191,6 @@ def test_import_does_not_load_scipy():
         import bdheight.cli
         steps.append(loaded())
         steps.append(run("dist", "--n", "20000", "--rho", "0.5"))
-        steps.append(run("dist", "--n", "20000", "--rho", "0.5", "--format", "csv"))
         steps.append(run("alpha", "--rho", "0.5"))
         steps.append(run("sweep", "--rho", "0.5", "--n", "1000"))
         verified = run("verify", "--rho", "0.5", "--n", "10")
@@ -1358,12 +1212,12 @@ def test_import_does_not_load_scipy():
     cli_set = ["bdheight", "bdheight.cli", "bdheight.errors", "bdheight.exactdist",
                "bdheight.model"]
     limits_set = sorted([*cli_set, "bdheight.asymptotics"])
-    assert steps == [["bdheight"], cli_set, cli_set, cli_set, limits_set, limits_set]
+    assert steps == [["bdheight"], cli_set, cli_set, limits_set, limits_set]
     assert len(names) == 35 and all(names.values())  # __version__ and 34 exported names
     assert star == exported and listed
-    # bdheight, bdheight.cli, dist (JSON and CSV), alpha, sweep, verify, a
-    # ladder simulate and a walk
-    assert startup == [[]] * 9
+    # bdheight, bdheight.cli, dist, alpha, sweep, verify, a ladder simulate
+    # and a walk
+    assert startup == [[]] * 8
     assert verified == sorted([*limits_set, "bdheight.oracle"])
     assert simulated == walked == sorted([*verified, "bdheight.simulate"])
     # the oracle alone, run once, loads no numpy either
@@ -1382,7 +1236,6 @@ def test_import_does_not_load_scipy():
 @pytest.mark.parametrize("argv", [
     ["--version"],
     ["dist", "--n", "1000", "--rho", "0.5"],
-    ["dist", "--n", "1000", "--rho", "0.5", "--format", "csv"],
     ["alpha", "--rho", "0.3"],
     ["sweep", "--rho", "0.5", "--n", "1000", "1000000"],
     ["verify", "--n", "10", "1000"],
@@ -1475,7 +1328,6 @@ def _loaded_by_a_bare_interpreter(names):
 @pytest.mark.parametrize("argv", [
     ["--version"],
     ["dist", "--n", "1000", "--rho", "0.5"],
-    ["dist", "--n", "1000", "--rho", "0.5", "--format", "csv"],
     ["alpha", "--rho", "0.5"],
     ["sweep", "--rho", "0.5", "--n", "1000", "1000000"],
     ["verify", "--n", "1000", "10000"],
@@ -1544,7 +1396,6 @@ def _dispatched_cpu_features() -> list[str]:
 
 @pytest.mark.parametrize("argv", [
     ["dist", "--n", "1000", "--rho", "0.5"],
-    ["dist", "--n", "1000", "--rho", "0.5", "--format", "csv"],
     ["simulate", "--n", "50", "--rho", "0.5", "--samples", "1000", "--seed", "1"],
     ["verify", "--n", "10", "1000"],
 ], ids="_".join)
