@@ -1,15 +1,20 @@
 #!/usr/bin/env python3
-"""Check that CLI artifacts have the same data bytes on several interpreters.
+"""Check that CLI artifacts have the same data bytes on several interpreters
+or source trees.
 
 Usage::
 
     python3 scripts/cross_version.py /path/to/python3.10 /path/to/python3.13 ...
+    python3 scripts/cross_version.py python3=/tmp/parent/src python3
 
-Each interpreter runs each command below from this checkout's ``src``
-(``PYTHONPATH=src``, so nothing needs installing) with numpy blocked, since
-the package needs none at run time.  The script prints every command's
-``data_sha256`` per interpreter and exits 1 if any command fails or any two
-interpreters disagree.  It needs no network.
+Each argument is ``PYTHON`` or ``PYTHON=SRC``: the interpreter runs each
+command below from the source tree SRC (``PYTHONPATH=SRC``, so nothing needs
+installing), by default this checkout's ``src``, with numpy blocked, since
+the package needs none at run time.  So one run compares interpreters, a
+parent's ``git archive`` with this tree, or both.  The script prints every
+command's ``data_sha256`` per argument and exits 1 if any command fails, an
+interpreter cannot be started, or any two arguments disagree.  It needs no
+network.
 """
 
 from __future__ import annotations
@@ -22,6 +27,8 @@ import sys
 
 COMMANDS = [
     "dist --n 100000 --rho 0.5",
+    "dist --n 1 --rho 2",
+    "dist --n 10001 --rho 0.5",
     "simulate --n 2000 --rho 0.5 --samples 200000 --seed 7 --delta 1e-6 --assert",
     "verify --n 1000 10000",
     "verify --n 1000 10000 100000 1000000",
@@ -38,27 +45,36 @@ _RUN = 'import sys; sys.modules["numpy"] = None; from bdheight.cli import entryp
 
 def data_sha256(python: str, command: str, src: str) -> str:
     """The artifact's manifest digest, or an ``error: ...`` line if the run fails."""
-    proc = subprocess.run([python, "-c", _RUN, *command.split()], capture_output=True,
-                          env={**os.environ, "PYTHONPATH": src})
+    try:
+        proc = subprocess.run([python, "-c", _RUN, *command.split()], capture_output=True,
+                              env={**os.environ, "PYTHONPATH": src})
+    except OSError as exc:  # no such interpreter, or not executable
+        return f"error: cannot run {python}: {exc.strerror}"
     if proc.returncode:
-        return f"error: exit {proc.returncode}: {proc.stderr.decode(errors='replace').strip()}"
+        last = proc.stderr.decode(errors="replace").strip().rpartition("\n")[2]
+        return f"error: exit {proc.returncode}: {last}"
     return json.loads(proc.stdout)["manifest"]["data_sha256"]
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("pythons", nargs="+", help="interpreter paths")
+    parser.add_argument("runs", nargs="+", metavar="PYTHON[=SRC]",
+                        help="an interpreter, and the source tree it runs (default: this "
+                             "checkout's src)")
     args = parser.parse_args()
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    here = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     ok = True
     for command in COMMANDS:
-        digests = {python: data_sha256(python, command, src) for python in args.pythons}
+        digests = {}
+        for run in args.runs:
+            python, _, src = run.partition("=")
+            digests[run] = data_sha256(python, command, src or here)
         same = len(set(digests.values())) == 1 and not any(
             d.startswith("error") for d in digests.values())
         ok &= same
         print(f"{'same' if same else 'DIFFERENT'}  {command}")
-        for python, digest in digests.items():
-            print(f"    {digest}  {python}")
+        for run, digest in digests.items():
+            print(f"    {digest}  {run}")
     print("all commands agree" if ok else "MISMATCH", file=sys.stderr)
     return 0 if ok else 1
 

@@ -37,7 +37,7 @@ and ``np.repeat(values, lengths)`` is the column.  They stop at k = N;
 ``simulate``, whose ``exact_cdf`` reads the survival one height on, adds
 P(H >= N + 1) = 0 itself, and writes ``SimulationSummary.columns``, the
 runs that ``run_batch`` measured its sup distance on.  A block writer,
-``_ints``, writes the integers of the ``k`` column, each followed by a
+``_ints``, writes the ``k`` column from 1, each integer followed by a
 comma, 10**4 at a time by strided slice assignment, with no per-entry
 formatting.  ``dist`` and ``simulate`` refuse more than ``MAX_ROWS``
 rows (exit 2); ``sweep`` and ``verify`` build no column.
@@ -53,8 +53,8 @@ modes draw from the standard library's ``random``.  Only ``verify`` and
 ``dis`` and ``tokenize``, ~12 ms): the package's records are
 ``NamedTuple``s or small read-only classes, since the standard library's
 record decorators import ``inspect``.  No run loads OpenSSL's libcrypto
-(``hashlib``, ~3.5 MB) but one whose data passes ``_SMALL_HASH_BYTES``
-(``_emit``).  ``verify`` only emits the reports of
+(``hashlib``, ~3.5 MB) but one whose data passes ``_SMALL_HASH_BYTES``:
+``_emit`` alone picks the hasher.  ``verify`` only emits the reports of
 ``asymptotics.verify_reports`` and names the failed ones.
 """
 
@@ -83,23 +83,20 @@ MAX_ROWS = 10**7  # rows of a dist or simulate artifact; 1e7 rows is ~0.3 GB of 
 # 2-vCPU Xeon).
 _SMALL_HASH_BYTES = 256 * 1024
 
+
+def _hashlib_sha256():
+    import hashlib  # loads OpenSSL's libcrypto
+
+    return hashlib.sha256()
+
+
 try:  # compiled into the interpreter, so it loads no shared library
     from _sha2 import sha256 as _builtin_sha256  # CPython 3.12+
 except ImportError:
     try:
         from _sha256 import sha256 as _builtin_sha256  # CPython 3.10 and 3.11
-    except ImportError:
-        _builtin_sha256 = None
-
-
-def _manifest(command: str, parameters: dict, data_sha256: str) -> dict:
-    return {
-        "tool": "bdheight",
-        "version": __version__,
-        "command": command,
-        "parameters": parameters,
-        "data_sha256": data_sha256,
-    }
+    except ImportError:  # an interpreter built without either hashes with hashlib
+        _builtin_sha256 = _hashlib_sha256
 
 
 class _Runs(NamedTuple):
@@ -125,29 +122,23 @@ def _run_column(runs: _Runs) -> Iterator[bytes]:
     yield items[-1][0][:-1] + b"]" if items else b"]"
 
 
-def _ints(lo: int, hi: int) -> Iterator[bytes]:
-    """Yield ``b"%d," % k`` for the nonnegative k in [lo, hi), in pieces of
-    at most ``_BLOCK`` entries.
+def _ints(n: int) -> Iterator[bytes]:
+    """Yield ``b"%d," % k`` for k = 1..n-1, the ``k`` column of n rows but
+    its last entry, in pieces of at most ``_BLOCK`` entries: k < 10**4,
+    formatted by one bytes ``%``, then one piece per 10**4 entries.
 
     The entry P * 10**4 + j is the digits of P, ``b"%04d," % j``.  One
     ``bytearray`` block of 10**4 entries per width of P holds those
-    suffixes; each block of equal P writes the digits of P into it by
-    strided slice assignment and is copied out.  Entries below 10**4, and
-    a range shorter than a block, are formatted by one bytes ``%``."""
-    stop = hi if hi - lo < _BLOCK else max(lo, _BLOCK)
-    if lo < stop:
-        yield b"%d," * (stop - lo) % tuple(range(lo, stop))
-    if stop >= hi:
-        return
-    lo = stop
+    suffixes; each piece writes the digits of its P into it by strided
+    slice assignment and is copied out."""
+    head = range(1, min(n, _BLOCK))
+    yield b"%d," * len(head) % tuple(head)
     # byte c of b"%04d," % j for j = 0..9999: the digit of each place, then the comma
     suffix_columns = [b"".join(bytes([d]) * step for d in b"0123456789") * (_BLOCK // step // 10)
                       for step in (1000, 100, 10, 1)] + [b"," * _BLOCK]
     block, width = bytearray(), 0
-    while lo < hi:  # here lo >= 10**4
-        prefix, j = divmod(lo, _BLOCK)
-        stop = min(hi, lo - j + _BLOCK)
-        digits = str(prefix).encode()
+    for prefix in range(1, (n - 1) // _BLOCK + 1):
+        digits = b"%d" % prefix
         if len(digits) != width:  # a new width of P: lay out the suffixes
             width = len(digits)
             w = width + len(suffix_columns)
@@ -156,8 +147,7 @@ def _ints(lo: int, hi: int) -> Iterator[bytes]:
                 block[width + c::w] = column
         for place, digit in enumerate(digits):
             block[place::w] = bytes([digit]) * _BLOCK
-        yield bytes(memoryview(block)[j * w:(stop - lo + j) * w])
-        lo = stop
+        yield bytes(memoryview(block)[:min(n - prefix * _BLOCK, _BLOCK) * w])
 
 
 def _encode(value, parts: list) -> None:
@@ -173,9 +163,8 @@ def _encode(value, parts: list) -> None:
         if min(value.lengths, default=1) < 1:
             raise ValueError("a run's length must be at least 1")
         parts.append(_run_column(value))
-    elif isinstance(value, range) and value.step == 1:
-        last = json.dumps(list(value[-1:]))[1:].encode()  # without its comma, and "]"
-        parts += [b"[", _ints(value.start, value.stop - 1), last]
+    elif isinstance(value, range) and value == range(1, len(value) + 1):  # k = 1..N
+        parts += [b"[", _ints(len(value)), b"%d]" % len(value) if value else b"]"]
     else:
         parts.append(json.dumps(value, sort_keys=True, separators=(",", ":"),
                                 allow_nan=False).encode())
@@ -184,8 +173,9 @@ def _encode(value, parts: list) -> None:
 def _pieces(data) -> Iterator[bytes]:
     """The bytes of ``json.dumps(data, sort_keys=True, separators=(",", ":"),
     allow_nan=False)`` in pieces, where a value may also be a ``_Runs``
-    (encoded as the list of its runs spread out) or a step-1 range of
-    nonnegative integers (as its list).  Dict keys are strings.  Every
+    (encoded as the list of its runs spread out) or ``range(1, N + 1)``,
+    the ``k`` column (as its list); any other range raises ``TypeError``,
+    as ``json.dumps`` does.  Dict keys are strings.  Every
     value is checked before this returns; the columns are formatted as
     they are taken."""
     parts: list = []
@@ -263,47 +253,36 @@ def _write(pieces: Iterable[bytes], output: str | None) -> None:
         raise ParameterError(f"cannot write {target}: {exc.strerror}") from None
 
 
-def _sha256(held: list[bytes], size: int):
-    """A SHA-256 object fed the ``held`` pieces, ``size`` bytes in all: the
-    built-in one while ``size`` is within ``_SMALL_HASH_BYTES``, else (or
-    without it) hashlib's, which loads OpenSSL."""
-    if size <= _SMALL_HASH_BYTES and _builtin_sha256 is not None:
-        digest = _builtin_sha256()
-    else:
-        import hashlib
-
-        digest = hashlib.sha256()
-    for piece in held:
-        digest.update(piece)
-    return digest
-
-
 def _emit(command: str, parameters: dict, pieces: Iterable[bytes], output: str | None) -> None:
     """Write an artifact in one pass: the data ``pieces``, written as they
     come, then the manifest with their SHA-256 in its canonical encoding,
     framed as the canonical {"data": ..., "manifest": ...}, since "data"
-    sorts first.  The pieces of the first ``_SMALL_HASH_BYTES`` are held,
-    not joined: data that ends within that limit is hashed at the end by
-    the built-in SHA-256, and data that passes it by hashlib's, fed the
-    held pieces once and then each piece as it is written.  Both give the
-    same digest."""
+    sorts first.  The pieces are held, not joined, until they pass
+    ``_SMALL_HASH_BYTES`` or end; this is the one place that picks the
+    hasher.  Data that ends within the limit is hashed by the built-in
+    SHA-256, and data that passes it by hashlib's.  Either is fed the held
+    pieces one by one, which are then dropped, and then each piece as it
+    is written.  Both give the same digest."""
 
     def artifact() -> Iterator[bytes]:
         yield b'{"data":'
-        held, size, digest = [], 0, None
-        for piece in pieces:
-            if digest is None:
-                held.append(piece)
-                size += len(piece)
-                if size > _SMALL_HASH_BYTES:
-                    digest, held = _sha256(held, size), None
-            else:
-                digest.update(piece)
+        rest, held, size = iter(pieces), [], 0
+        for piece in rest:
+            held.append(piece)
+            size += len(piece)
             yield piece
-        if digest is None:
-            digest = _sha256(held, size)
-        manifest = _canonical(_manifest(command, parameters, digest.hexdigest()))
-        yield b',"manifest":' + manifest + b"}\n"
+            if size > _SMALL_HASH_BYTES:
+                break
+        digest = (_hashlib_sha256 if size > _SMALL_HASH_BYTES else _builtin_sha256)()
+        for piece in held:
+            digest.update(piece)
+        held.clear()
+        for piece in rest:
+            digest.update(piece)
+            yield piece
+        manifest = {"tool": "bdheight", "version": __version__, "command": command,
+                    "parameters": parameters, "data_sha256": digest.hexdigest()}
+        yield b',"manifest":' + _canonical(manifest) + b"}\n"
 
     _write(artifact(), output)
 

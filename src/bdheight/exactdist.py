@@ -195,11 +195,10 @@ class HeightDistribution(ReadOnly):
         """Var(H), the centered second moment, formed from the runs on first read."""
         _, pmf, lengths = self._runs
         mean = self.mean
-        # one term per height of a run with mass (for a run of one height, a
-        # 1-tuple: a range per run costs ~10% of a law)
+        # one term per height of a run with mass
         return math.fsum([(k - mean) * (k - mean) * m
                           for m, n, end in zip(pmf, lengths, accumulate(lengths)) if m
-                          for k in ((end,) if n == 1 else range(end - n + 1, end + 1))])
+                          for k in range(end - n + 1, end + 1)])
 
     def column_runs(self) -> tuple[tuple[float, ...], tuple[float, ...], tuple[int, ...]]:
         """Survival and pmf over k = 1..N as canonical runs: ``(survival, pmf, lengths)``.
