@@ -12,9 +12,10 @@ command below from the source tree SRC (``PYTHONPATH=SRC``, so nothing needs
 installing), by default this checkout's ``src``, with numpy blocked, since
 the package needs none at run time.  So one run compares interpreters, a
 parent's ``git archive`` with this tree, or both.  The script prints every
-command's ``data_sha256`` per argument and exits 1 if any command fails, an
-interpreter cannot be started, or any two arguments disagree.  It needs no
-network.
+command's ``data_sha256`` per argument, after ``exit 1`` for a ``verify`` that
+wrote its artifact and failed a check, and exits 1 if any other command
+fails, an interpreter cannot be started, or any two arguments disagree.  It
+needs no network.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ COMMANDS = [
     "simulate --n 2000 --rho 0.5 --samples 200000 --seed 7 --delta 1e-6 --assert",
     "verify --n 1000 10000",
     "verify --n 1000 10000 100000 1000000",
+    "verify --rho 0.95",  # exits 1: peak_term_sqrt_band fails at n = 10**5
+    "verify --rho 0.5 2 --n 1 2 1000",  # not-applicable reports, and rho >= 1
     "sweep --rho 0.5 --n 1000000 1000",
     "alpha --rho 0.3",
     "simulate --n 12 --rho 0.5 --samples 9000 --seed 3 --mode jump-chain",
@@ -44,16 +47,23 @@ _RUN = 'import sys; sys.modules["numpy"] = None; from bdheight.cli import entryp
 
 
 def data_sha256(python: str, command: str, src: str) -> str:
-    """The artifact's manifest digest, or an ``error: ...`` line if the run fails."""
+    """The artifact's manifest digest, after ``exit 1`` if the run wrote its
+    artifact and exited 1 (a failed check), or an ``error: ...`` line if the
+    run fails otherwise."""
     try:
         proc = subprocess.run([python, "-c", _RUN, *command.split()], capture_output=True,
                               env={**os.environ, "PYTHONPATH": src})
     except OSError as exc:  # no such interpreter, or not executable
         return f"error: cannot run {python}: {exc.strerror}"
-    if proc.returncode:
-        last = proc.stderr.decode(errors="replace").strip().rpartition("\n")[2]
-        return f"error: exit {proc.returncode}: {last}"
-    return json.loads(proc.stdout)["manifest"]["data_sha256"]
+    if proc.returncode in (0, 1):
+        try:
+            digest = json.loads(proc.stdout)["manifest"]["data_sha256"]
+        except (ValueError, KeyError, TypeError):  # no whole artifact was written
+            pass
+        else:
+            return f"exit 1 {digest}" if proc.returncode else digest
+    last = proc.stderr.decode(errors="replace").strip().rpartition("\n")[2]
+    return f"error: exit {proc.returncode}: {last}"
 
 
 def main() -> int:

@@ -43,8 +43,8 @@ repay at any finite n; rounded *up* the bound holds with slack.  A
 certifier that mechanically floors would therefore report failures that
 say nothing about the mathematics.  Every bound check here evaluates
 both integer roundings of each bracketed quantity and passes if either
-does, recording the strict-floor margin alongside the best one; reports
-carry the full detail.  The same candidate machinery covers the
+does; a ratio report's note lists the margin of every rounding tried,
+the strict floors' among them.  The same candidate machinery covers the
 float-rounding hazard when alpha*(n-1) lands within 1e-9 of an integer.
 """
 
@@ -116,11 +116,12 @@ class BoundReport(NamedTuple):
 
     ``lhs``/``rhs`` are in log scale for the ratio bounds and in natural
     units for the mean bounds; ``margin`` is how far the inequality holds
-    in its stated direction (>= 0 means pass) for the best admissible
-    rounding of the bracketed offsets, ``floor_margin`` the same for the
-    strict floors.  ``applicable`` is False when the offsets leave the
-    valid index range or n is below the asserted threshold; such reports
-    never count as failures.
+    in its stated direction (>= 0 means pass).  For the ratio bounds it is
+    the best admissible rounding's of the bracketed offsets, and ``note``
+    lists every rounding's; for the mean bounds it is the strict floors',
+    while ``passed`` admits the roundings.  ``applicable`` is False when
+    the offsets leave the valid index range or n is below the asserted
+    threshold; such reports never count as failures.
     """
 
     inequality: str
@@ -131,13 +132,12 @@ class BoundReport(NamedTuple):
     margin: float
     passed: bool
     applicable: bool
-    floor_margin: float = math.nan
     note: str = ""
 
     def to_dict(self) -> dict:
         """JSON-ready fields; a NaN (no value) becomes None, i.e. ``null``."""
         fields = self._asdict()
-        for key in ("lhs", "rhs", "margin", "floor_margin"):
+        for key in ("lhs", "rhs", "margin"):
             fields[key] = _or_none(fields[key])
         return fields
 
@@ -290,9 +290,6 @@ def check_peak_ratio_bounds(n: int, c: BoundConstants) -> tuple[BoundReport, Bou
     def evaluate(offsets: tuple[int, ...], sign: int, rhs_shift: float,
                  name: str) -> BoundReport:
         # sign +1: t(h + K) >= t(h) * e^{rhs_shift}; sign -1: t(h - K) <= ...
-        floor_h = peak_index(c.alpha, n)
-        floor_k = math.floor((c.c1 if sign > 0 else c.c2) * log_n)
-        floor_margin = math.nan
         tried = []
         for h in h_cands:
             if h > n - 1:
@@ -305,8 +302,6 @@ def check_peak_ratio_bounds(n: int, c: BoundConstants) -> tuple[BoundReport, Bou
                 lhs = exactdist.log_r_term(n, rho, idx)
                 margin = (lhs - rhs) if sign > 0 else (rhs - lhs)
                 tried.append((h, k, margin, lhs, rhs))
-                if h == floor_h and k == floor_k:
-                    floor_margin = margin
         if not tried:
             return BoundReport(inequality=name, n=n, rho=rho, lhs=math.nan,
                                rhs=math.nan, margin=math.nan, passed=True,
@@ -318,8 +313,7 @@ def check_peak_ratio_bounds(n: int, c: BoundConstants) -> tuple[BoundReport, Bou
                 + "; ".join(f"({a}, {b}, {m:+.4f})" for a, b, m, _, _ in tried))
         return BoundReport(inequality=name, n=n, rho=rho, lhs=lhs, rhs=rhs,
                            margin=margin, passed=margin >= 0.0,
-                           applicable=n >= MEAN_BOUND_MIN_N,
-                           floor_margin=floor_margin, note=note)
+                           applicable=n >= MEAN_BOUND_MIN_N, note=note)
 
     return (evaluate(integer_part_candidates(c.c1 * log_n), +1, 2.0 * log_n, "peak_growth"),
             evaluate(integer_part_candidates(c.c2 * log_n), -1, -3.0 * log_n, "peak_decay"))
@@ -338,18 +332,12 @@ def check_mean_bounds(N: int, c: BoundConstants, mean: float) -> BoundReport:
     """
     N = _integer("N", N, 1)
     log_n = math.log(N)
-    lo_floor = math.floor(c.alpha * N) - math.floor(c.c2 * log_n) - c.c3
-    hi_floor = math.floor(c.alpha * N) + 1.0
-    lo_cands = [a - b - c.c3
-                for a in integer_part_candidates(c.alpha * N)
-                for b in integer_part_candidates(c.c2 * log_n)]
-    hi_cands = [a + 1.0 for a in integer_part_candidates(c.alpha * N)]
-    margin = min(mean - lo_floor, hi_floor - mean)
-    return BoundReport(inequality="mean_sandwich", n=N, rho=c.rho,
-                       lhs=lo_floor, rhs=hi_floor, margin=margin,
-                       passed=min(lo_cands) <= mean <= max(hi_cands),
-                       applicable=N >= MEAN_BOUND_MIN_N, floor_margin=margin,
-                       note=f"mean = {mean!r}, alpha = {c.alpha!r}")
+    h, k = math.floor(c.alpha * N), math.floor(c.c2 * log_n)
+    hs, ks = integer_part_candidates(c.alpha * N), integer_part_candidates(c.c2 * log_n)
+    # the loosest rounding of each bound: h - k - c3 only grows with h - k
+    return _sandwich("mean_sandwich", N, c.rho, h - k - c.c3, h + 1.0, mean,
+                     min(hs) - max(ks) - c.c3 <= mean <= max(hs) + 1.0,
+                     f"mean = {mean!r}, alpha = {c.alpha!r}")
 
 
 def check_mean_near_capacity(N: int, rho: float, mean: float) -> BoundReport:
@@ -360,11 +348,16 @@ def check_mean_near_capacity(N: int, rho: float, mean: float) -> BoundReport:
     if not rho >= 1.0:
         raise ParameterError(f"the capacity bound needs rho >= 1, got {rho!r}")
     lo, hi = N - 4.0, float(N)
-    margin = min(mean - lo, hi - mean)
-    return BoundReport(inequality="mean_near_capacity", n=N, rho=rho,
-                       lhs=lo, rhs=hi, margin=margin,
-                       passed=lo <= mean <= hi, applicable=N >= MEAN_BOUND_MIN_N,
-                       floor_margin=margin, note=f"mean = {mean!r}")
+    return _sandwich("mean_near_capacity", N, rho, lo, hi, mean, lo <= mean <= hi,
+                     f"mean = {mean!r}")
+
+
+def _sandwich(name: str, N: int, rho: float, lo: float, hi: float, mean: float,
+              passed: bool, note: str) -> BoundReport:
+    """The report of lo <= mean <= hi, its margin the distance to the nearer
+    bound; not applicable below ``MEAN_BOUND_MIN_N``."""
+    return BoundReport(name, N, rho, lo, hi, min(mean - lo, hi - mean), passed,
+                       N >= MEAN_BOUND_MIN_N, note)
 
 
 def stirling_ratio(n: int, c: BoundConstants) -> float:

@@ -44,12 +44,24 @@ FULL_CTMC = "full-ctmc"
 SAMPLER_MODES = (LADDER, JUMP_CHAIN, FULL_CTMC)
 
 
-class ModelParams(NamedTuple):
-    """Validated chain parameters, read-only: the size N and the rate
-    ratio rho = nu / mu, stored exactly as given."""
-
+class _Params(NamedTuple):
     N: int
     rho: float
+
+
+class ModelParams(_Params):
+    """Validated chain parameters, read-only: the size N, a plain int >= 1,
+    and the rate ratio rho = nu / mu, a positive finite float.  Every way of
+    making one checks them as ``make_params`` does, ``_replace`` too."""
+
+    __slots__ = ()
+
+    def __new__(cls, N: int, rho: float):
+        return super().__new__(cls, _integer("N", N, 1), _positive_rate("rho", rho))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 class ReadOnly:
@@ -110,8 +122,7 @@ def make_params(N: int, rho: float) -> ModelParams:
     Raises ``ParameterError`` for N < 1, non-integer N, or a ``rho`` that
     is not a positive finite real.
     """
-    N = _integer("N", N, 1)  # the chain needs a nonempty positive part
-    return ModelParams(N=N, rho=_positive_rate("rho", rho))
+    return ModelParams(N, rho)
 
 
 def jump_up_probs(p: ModelParams) -> Iterator[float]:

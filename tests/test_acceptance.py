@@ -165,7 +165,7 @@ def test_a7_peak_ratio_bounds():
             growth, decay = check_peak_ratio_bounds(n, c)
             ok &= growth.applicable and growth.passed
             ok &= decay.applicable and decay.passed
-            margins.append(f"({n},{rho}): +{growth.margin:.2f}/floor {growth.floor_margin:+.2f}")
+            margins.append(f"({n},{rho}): growth {growth.margin:+.2f}, decay {decay.margin:+.2f}")
     assert _report("A7 ladder-term growth/decay bounds", ok, "; ".join(margins[:3]) + " ...")
 
 

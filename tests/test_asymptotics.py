@@ -189,14 +189,17 @@ class TestPeakRatioBounds:
         assert decay.applicable and decay.passed
         assert growth.margin > 0 and decay.margin > 0
 
-    def test_floor_margin_is_recorded(self):
+    def test_note_lists_the_strict_floor_candidate(self):
         # At the strict floor offset the growth inequality loses a
-        # constant factor; the report must expose that honestly while
-        # passing through the rounding-candidate policy.
-        growth, _ = check_peak_ratio_bounds(10**4, bound_constants(solve_alpha(0.25)))
-        assert growth.passed
-        assert growth.floor_margin < 0 < growth.margin
-        assert "candidates" in growth.note
+        # constant factor; the note must expose that honestly while the
+        # report passes through the rounding-candidate policy.
+        c = bound_constants(solve_alpha(0.25))
+        n = 10**4
+        growth, _ = check_peak_ratio_bounds(n, c)
+        assert growth.passed and growth.margin > 0
+        floors = (peak_index(c.alpha, n), math.floor(c.c1 * math.log(n)))
+        assert floors == (4999, 13)
+        assert "(4999, 13, -0.3677)" in growth.note.split(": ", 1)[1].split("; ")
 
     def test_small_n_flags_not_applicable(self):
         growth, decay = check_peak_ratio_bounds(10, bound_constants(solve_alpha(0.5)))

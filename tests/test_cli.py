@@ -236,7 +236,7 @@ class TestVerify:
         assert capsys.readouterr().err.startswith("verify: FAILED peak_growth at n=2000, ")
         # the failing artifact is pinned like the passing ones
         assert _pinned_digest(path.read_bytes()) == (
-            "a31b09b83de6d8678e149a80f81f673ede1d84244733387d1286d401372afd9e")
+            "9989a87405272ff8991d08a3f40614719f95363ea724cb009a1b8ccf57edc81a")
 
 
 class TestSimulateCommand:
@@ -598,7 +598,9 @@ def canonical(doc) -> str:
 # version is set to that before it is hashed, so a version bump alone moves no
 # pin, and a pin that moves shows that the data moved.  The pins of dist,
 # simulate, alpha and sweep moved in 0.4.0 only because their manifests lost
-# the "format" parameter; no data byte moved.
+# the "format" parameter; no data byte moved.  The pins of verify moved in
+# 0.4.1 only because each report lost its "floor_margin" key; every other
+# value kept its bits.
 _PIN_VERSION = "0.3.6"
 
 
@@ -853,13 +855,13 @@ class TestEmission:
         # the certificate records over the default rho grid, and with a
         # rho >= 1 and an N below the asserted threshold
         (["verify", "--n", "1000", "10000", "100000", "1000000"],
-         "78f74d671fe8869392c17feda039e58040067912a4681c3520f1575e527ee2fc"),
+         "0c29456f49d9ce711bd57c6f695ef43080260688e265573e4bc554e5f9a130b5"),
         (["verify", "--rho", "0.5", "2", "--n", "10", "1000"],
-         "7b8401e20548dc320ea6f725f767a17c604ec856735bcfdd8c8d0eadb27f691e"),
+         "219bdadbeb4fc9e40ec3a646c901caf387783629d3c42d1879b4a4cf935bf80e"),
         # a mass bound of -inf, a decay and a band that are not applicable,
         # and a rho near 1
         (["verify", "--rho", "1e-300", "0.9", "--n", "1000", "100000"],
-         "e256517958f73be16d5533a9eae728eab05a46b05cc8d888ca9e80303e338467"),
+         "1d5be206c448067d9c255857caede6128f9b6691b1f2971d7a70e2254768d934"),
     ], ids=lambda v: "_".join(v) if isinstance(v, list) else "")
     def test_artifact_bytes_are_pinned(self, tmp_path, argv, digest):
         path = tmp_path / "artifact"
@@ -1163,7 +1165,20 @@ class TestStrictJson:
         assert rc == 0
         skipped = [c for c in strict_loads(out)["data"]["checks"] if not c["applicable"]]
         assert skipped
-        assert any(c["margin"] is None and c["floor_margin"] is None for c in skipped)
+        assert any(c["margin"] is None for c in skipped)
+
+    def test_every_check_has_the_report_keys(self, capsys):
+        # peak, mean, band, window and oracle reports, applicable or not, for
+        # rho < 1 and rho >= 1: one margin each, and the note
+        rc, out, _ = run_cli(capsys, "verify", "--rho", "0.5", "2", "--n", "10", "1000")
+        assert rc == 0
+        checks = strict_loads(out)["data"]["checks"]
+        assert {c["inequality"] for c in checks} == {
+            "peak_growth", "peak_decay", "mean_sandwich", "mean_near_capacity",
+            "peak_term_sqrt_band", "concentration_window_mass", "oracle_equivalence"}
+        for c in checks:
+            assert sorted(c) == ["applicable", "inequality", "lhs", "margin", "n", "note",
+                                 "passed", "rho", "rhs"]
 
 
 @pytest.mark.parametrize("module", sorted(bdheight._EXPORTS))

@@ -1,8 +1,10 @@
 """Chain definition: parameter validation, stationary law, jump probabilities,
 and the package's read-only records."""
 
+import copy
 import decimal
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -91,6 +93,49 @@ class TestMakeParams:
         # every number depends on the rates only through rho = nu / mu
         assert ModelParams._fields == ("N", "rho")
         assert make_params(7, rho=0.8) == make_params(7, 0.8) == (7, 0.8)
+
+
+class TestModelParams:
+    """A chain built as ``ModelParams(...)`` is checked as ``make_params`` checks it."""
+
+    @staticmethod
+    def _refused_as_make_params_refuses(N, rho, build):
+        with pytest.raises(ParameterError) as expected:
+            make_params(N, rho)
+        with pytest.raises(ParameterError) as got:
+            build()
+        assert str(got.value) == str(expected.value)
+
+    # unchecked, log_hitting_sums gave [0.0, 0.0, 0.0] (every P(H >= k) read 1)
+    # at nan and [0.0, inf, inf] at 0
+    @pytest.mark.parametrize("rho", [math.nan, 0.0])
+    def test_hitting_sums_get_a_parameter_error(self, rho):
+        self._refused_as_make_params_refuses(
+            3, rho, lambda: list(bdheight.log_hitting_sums(ModelParams(3, rho))))
+
+    @pytest.mark.parametrize("N,rho", [(3, -1.0), (0, 0.5)])
+    def test_law_gets_a_parameter_error(self, N, rho):
+        # unchecked, these raised a bare "math domain error"
+        self._refused_as_make_params_refuses(
+            N, rho, lambda: bdheight.height_distribution(ModelParams(N, rho)))
+
+    def test_bool_n_is_refused(self):
+        # unchecked, the batch counted ((True, 10),)
+        self._refused_as_make_params_refuses(True, 0.5, lambda: bdheight.run_batch(
+            bdheight.SimulationConfig(ModelParams(True, 0.5), 10, 1)))
+
+    @pytest.mark.parametrize("field,value", [("rho", -1.0), ("N", 0), ("N", 2.5)])
+    def test_replace_is_checked(self, field, value):
+        p = ModelParams(5, 0.5)
+        args = {**p._asdict(), field: value}
+        self._refused_as_make_params_refuses(
+            args["N"], args["rho"], lambda: p._replace(**{field: value}))
+
+    def test_values_are_stored_as_make_params_stores_them(self):
+        p = ModelParams(np.int64(5), rho=np.float32(0.25))
+        assert p == make_params(5, 0.25) and type(p.N) is int and type(p.rho) is float
+        assert type(p._replace(rho=2)) is ModelParams and p._replace(rho=2).rho == 2.0
+        assert pickle.loads(pickle.dumps(p)) == p == copy.deepcopy(p)
 
 
 class TestStationaryLaw:
